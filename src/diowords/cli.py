@@ -160,7 +160,7 @@ def cmd_ice_dio(args, kind: str) -> int:
     source = parse_word_source(args.source)
     w = source.materialize(args.prefix, args.max_bits)
     if kind == "dio":
-        est = repetition.dio_estimate(w, args.threshold, threads=args.threads)
+        est = repetition.dio_estimate(w, args.threshold)
     else:
         est = repetition.ice_estimate(w, args.threshold)
     if args.format == "json":
@@ -237,7 +237,7 @@ def cmd_approximant(args) -> int:
     spec = realnum.parse_real_spec(args.spec)
     stream = realnum.digits(spec, args.base, args.prefix, max_bits=args.max_bits)
     w = stream.fractional_word()
-    est = repetition.dio_estimate(w, args.threshold, threads=args.threads)
+    est = repetition.dio_estimate(w, args.threshold)
     a = approx.witness_to_approximant(w, est.global_max, args.base)
     # the witness lives on the fractional digits, so certify against xi - floor(xi)
     enc = realnum.enclosure(spec, max_bits=args.max_bits)
@@ -314,6 +314,13 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_FAIL
 
 
+def _non_negative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="diowords",
@@ -321,7 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
         "and continued fractions of exactly-defined reals.",
     )
     parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for scans")
+    parser.add_argument(
+        "--threads", type=int, default=1, help="worker threads for the verify criteria"
+    )
     parser.add_argument(
         "--max-bits",
         type=int,
@@ -340,13 +349,13 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help="factor complexity profile (CSV)")
         p.add_argument("source")
         p.add_argument("--n-max", type=int, required=True)
-        p.add_argument("--prefix", type=int, default=1000)
+        p.add_argument("--prefix", type=_non_negative, default=1000)
         p.set_defaults(func=lambda a, g=gaps_only: cmd_complexity(a, gaps_only=g))
 
     for name in ("ice", "dio"):
         p = sub.add_parser(name, help=f"{name} repetition-exponent estimate")
         p.add_argument("source")
-        p.add_argument("--prefix", type=int, default=1000)
+        p.add_argument("--prefix", type=_non_negative, default=1000)
         p.add_argument("--threshold", type=int, default=None)
         p.set_defaults(func=lambda a, k=name: cmd_ice_dio(a, k))
 
@@ -379,14 +388,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("approximant", help="rational approximant from the best witness")
     p.add_argument("spec")
     p.add_argument("--base", type=int, default=10)
-    p.add_argument("--prefix", type=int, required=True)
+    p.add_argument("--prefix", type=_non_negative, required=True)
     p.add_argument("--threshold", type=int, default=None)
     p.set_defaults(func=cmd_approximant)
 
     p = sub.add_parser("report", help="digit-word exponent vs irrationality terms")
     p.add_argument("spec")
     p.add_argument("--base", type=int, default=10)
-    p.add_argument("--prefix", type=int, required=True)
+    p.add_argument("--prefix", type=_non_negative, required=True)
     p.add_argument("--terms", type=int, required=True)
     p.add_argument("--slack", type=float, default=0.15)
     p.add_argument("--threshold", type=int, default=None)
@@ -412,7 +421,7 @@ def main(argv=None) -> int:
     except (ValueError, TypeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except AssertionError as exc:
+    except (AssertionError, repetition.CertificateError) as exc:
         print(f"assertion failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -121,8 +122,6 @@ class SeriesE:
 class SeriesShallit:
     """sum 2^(-2^n); sparse binary digits, tail below 2*2^(-2^(K+1))."""
 
-    base: int = 2
-
 
 @dataclass(frozen=True)
 class Surd:
@@ -180,6 +179,15 @@ class SpecSyntaxError(ValueError):
         self.position = position
 
 
+def _json_quotient(a, path: str, position: int) -> int:
+    """One quotient of a cf:@file.json array: a JSON integer or a decimal-integer string."""
+    if isinstance(a, int) and not isinstance(a, bool):
+        return a
+    if isinstance(a, str) and re.fullmatch(r"-?[0-9]+", a):
+        return int(a)
+    raise SpecSyntaxError(f"quotient {a!r} in {path!r} is not an integer", position)
+
+
 def parse_real_spec(text: str, offset: int = 0) -> RealSpec:
     """Parse the number mini-language.
 
@@ -213,10 +221,11 @@ def parse_real_spec(text: str, offset: int = 0) -> RealSpec:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
-            quotients = tuple(int(a) for a in raw)
-        except (OSError, ValueError, TypeError) as exc:
+        except (OSError, ValueError) as exc:
             raise SpecSyntaxError(f"cannot load quotients from {path!r}: {exc}", offset + 4) from None
-        return FromCF(quotients)
+        if not isinstance(raw, list):
+            raise SpecSyntaxError(f"quotients in {path!r} must be a JSON array", offset + 4)
+        return FromCF(tuple(_json_quotient(a, path, offset + 4) for a in raw))
     if text.startswith("cf:"):
         try:
             quotients = tuple(int(x) for x in text[3:].split(","))

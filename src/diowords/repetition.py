@@ -10,29 +10,24 @@ estimates only: alongside the global maximum we report a "persistent"
 maximum over witnesses with u + v >= threshold, which is less sensitive
 to one lucky short repetition.
 
-Scan kernel: for each candidate period v, one right-to-left pass yields
-run lengths r[i] = (a[i] == a[i+v] ? r[i+1] + 1 : 0), and then
-m(u, v) = u + v + min(r[u], N - u - v).  Periods are pruned once
-N / (u + v) can no longer beat the incumbent score.  Large prefixes go
-through a vectorized numpy path; the per-period reduction stays exact
-(integer cross-multiplication, see _better).
+Index: a witness with d = u + v has m = d + min(lce(u, d), N - d), so
+the best score with denominator d is (d + LPF[d]) / d, where
+LPF[d] = max_{u < d} lce(u, d) is the longest-previous-factor array of
+the prefix (see suffix.py), and its smallest u is the first occurrence
+of the LPF[d] letters at d.  Scores are compared exactly, by integer
+cross-multiplication.  Initial repetitions use the Z-array instead,
+which is linear.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from .suffix import lcp_array, longest_previous_factor, suffix_array
 from .words import Word
-
-# Above ~10^6 letters the float argmax inside the numpy kernel could no
-# longer be trusted to rank two distinct rational scores correctly.
-MAX_SCAN_LENGTH = 1_000_000
-
-_NUMPY_MIN_LENGTH = 128
 
 _Cand = tuple[int, int, int]  # (m, u, v)
 
@@ -90,6 +85,17 @@ def verify_witness(prefix: Word, w: RepetitionWitness) -> bool:
     return all(data[i] == data[i + w.v] for i in range(w.u, w.m - w.v))
 
 
+class CertificateError(RuntimeError):
+    """A computed witness failed its periodicity check: a defect, not bad input."""
+
+
+def _certified(prefix: Word, est: ExponentEstimate) -> ExponentEstimate:
+    for w in (est.global_max, est.persistent_max):
+        if not verify_witness(prefix, w):
+            raise CertificateError(f"witness u={w.u} v={w.v} m={w.m} fails its periodicity check")
+    return est
+
+
 def _better(cand: _Cand, best: _Cand | None) -> bool:
     """Exact witness ordering: higher score, then smaller u+v, then smaller u."""
     if best is None:
@@ -104,48 +110,56 @@ def _better(cand: _Cand, best: _Cand | None) -> bool:
     return u1 < u2
 
 
-def _can_reach(n_cap: int, denom: int, best: _Cand | None) -> bool:
-    # True while a score of n_cap/denom might still match or beat `best`.
-    if best is None:
-        return True
-    m, u, v = best
-    return n_cap * (u + v) >= m * denom
-
-
 def _default_threshold(n: int) -> int:
     return max(1, n // 20)
 
 
-def dio_estimate(prefix: Word, threshold: int | None = None, threads: int = 1) -> ExponentEstimate:
+def dio_estimate(prefix: Word, threshold: int | None = None) -> ExponentEstimate:
     """Best repetition score over all (u, v) factorizations of the prefix.
 
     Exhaustive over u + v <= N with m capped at N; the score maximum is
     exact and the tie-break (smaller u+v, then smaller u) makes the
-    returned witnesses deterministic, also across thread counts.
+    returned witnesses deterministic.
     """
     n = len(prefix)
     if n < 2:
         raise ValueError("degenerate prefix (length < 2)")
-    if n > MAX_SCAN_LENGTH:
-        raise ValueError(f"prefix longer than supported maximum {MAX_SCAN_LENGTH}")
     t = _default_threshold(n) if threshold is None else threshold
     if not 1 <= t <= n // 2:
         raise ValueError("threshold must be in [1, N/2]")
 
-    if n < _NUMPY_MIN_LENGTH:
-        best_g, best_p = _scan_python(prefix.symbols, n, t)
-    else:
-        best_g, best_p = _scan_numpy(prefix.symbols, n, t, threads)
-
-    est = ExponentEstimate(
+    data = prefix.symbols
+    sa = suffix_array(data)
+    lpf = longest_previous_factor(sa, lcp_array(data, sa))
+    best_g = _best_from(data, lpf, 1)
+    best_p = _best_from(data, lpf, t)
+    return _certified(prefix, ExponentEstimate(
         global_max=RepetitionWitness(best_g[1], best_g[2], best_g[0]),
         persistent_max=RepetitionWitness(best_p[1], best_p[2], best_p[0]),
         prefix_length=n,
         threshold=t,
-    )
-    assert verify_witness(prefix, est.global_max)
-    assert verify_witness(prefix, est.persistent_max)
-    return est
+    ))
+
+
+def _best_from(data: bytes, lpf: np.ndarray, lo: int) -> _Cand:
+    """Best witness with u + v >= lo, in the order of _better.
+
+    Denominators run over [lo, N); d = N only scores 1, which d = lo
+    matches with a smaller denominator.  The float argmax only picks a
+    pivot: every d scoring at least as much, by exact int64 comparison
+    of LPF[d] / d, stays a candidate.
+    """
+    c = lpf[lo:]
+    d = np.arange(lo, len(data))
+    i = int(np.argmax(c / d))
+    kept = np.flatnonzero(c * d[i] >= c[i] * d)
+    best_c, best_d = 0, 0
+    for cj, dj in zip(c[kept].tolist(), (kept + lo).tolist()):
+        # ascending d, so a tie keeps the smaller denominator
+        if best_d == 0 or cj * best_d > best_c * dj:
+            best_c, best_d = cj, dj
+    u = data.find(data[best_d : best_d + best_c])
+    return (best_d + best_c, u, best_d - u)
 
 
 def ice_estimate(prefix: Word, threshold: int | None = None) -> ExponentEstimate:
@@ -168,15 +182,12 @@ def ice_estimate(prefix: Word, threshold: int | None = None) -> ExponentEstimate
             best_g = cand
         if v >= t and _better(cand, best_p):
             best_p = cand
-    est = ExponentEstimate(
+    return _certified(prefix, ExponentEstimate(
         global_max=RepetitionWitness(0, best_g[2], best_g[0]),
         persistent_max=RepetitionWitness(0, best_p[2], best_p[0]),
         prefix_length=n,
         threshold=t,
-    )
-    assert verify_witness(prefix, est.global_max)
-    assert verify_witness(prefix, est.persistent_max)
-    return est
+    ))
 
 
 def _z_array(data: bytes) -> list[int]:
@@ -194,137 +205,10 @@ def _z_array(data: bytes) -> list[int]:
     return z
 
 
-def _scan_python(data: bytes, n: int, t: int) -> tuple[_Cand, _Cand]:
-    best_g: _Cand | None = None
-    best_p: _Cand | None = None
-    for v in range(1, n + 1):
-        g_live = _can_reach(n, v, best_g)
-        p_live = _can_reach(n, max(v, t), best_p)
-        if not g_live and not p_live:
-            break
-        L = n - v
-        r = [0] * (L + 1)
-        for i in range(L - 1, -1, -1):
-            r[i] = r[i + 1] + 1 if data[i] == data[i + v] else 0
-        for u in range(0, L + 1):
-            m = u + v + min(r[u] if u < L else 0, L - u)
-            cand = (m, u, v)
-            if g_live and _better(cand, best_g):
-                best_g = cand
-            if u + v >= t and p_live and _better(cand, best_p):
-                best_p = cand
-    return best_g, best_p
-
-
-def _scan_period_numpy(a: np.ndarray, n: int, v: int, t: int,
-                       best_g: _Cand | None, best_p: _Cand | None) -> tuple[_Cand | None, _Cand | None]:
-    L = n - v
-    if L == 0:
-        cand = (n, 0, v)
-        if _better(cand, best_g):
-            best_g = cand
-        if v >= t and _better(cand, best_p):
-            best_p = cand
-        return best_g, best_p
-
-    eq = a[:L] == a[v:]
-    idx = np.arange(L)
-    next_miss = np.minimum.accumulate(np.where(eq, L, idx)[::-1])[::-1]
-    r = next_miss - idx
-    m_vals = idx + v + np.minimum(r, L - idx)
-    scores = m_vals / (idx + v)
-
-    # Within one period the first float argmax is already the exact best
-    # candidate: distinct scores at N <= 10^6 differ by more than float
-    # error, and among equal scores the smallest u wins the tie-break.
-    if _can_reach(n, v, best_g):
-        if best_g is None:
-            u_hi = L
-        else:
-            mg, ug, vg = best_g
-            u_hi = min(L, n * (ug + vg) // mg - v + 1)
-        if u_hi > 0:
-            i = int(np.argmax(scores[:u_hi]))
-            cand = (int(m_vals[i]), i, v)
-            if _better(cand, best_g):
-                best_g = cand
-    if _can_reach(n, max(v, t), best_p):
-        u_lo = max(0, t - v)
-        if best_p is None:
-            u_hi = L
-        else:
-            mp_, up, vp = best_p
-            u_hi = min(L, n * (up + vp) // mp_ - v + 1)
-        if u_lo < u_hi:
-            i = u_lo + int(np.argmax(scores[u_lo:u_hi]))
-            cand = (int(m_vals[i]), i, v)
-            if _better(cand, best_p):
-                best_p = cand
-    # u = L (m = u+v = N, score 1) never beats the v=1 pass, so it is skipped.
-    return best_g, best_p
-
-
-def _scan_numpy(data: bytes, n: int, t: int, threads: int = 1) -> tuple[_Cand, _Cand]:
-    a = np.frombuffer(data, dtype=np.uint8)
-    if threads > 1:
-        return _scan_numpy_threaded(a, n, t, threads)
-    best_g: _Cand | None = None
-    best_p: _Cand | None = None
-    for v in range(1, n + 1):
-        if not _can_reach(n, v, best_g) and not _can_reach(n, max(v, t), best_p):
-            break
-        best_g, best_p = _scan_period_numpy(a, n, v, t, best_g, best_p)
-    return best_g, best_p
-
-
-def _scan_numpy_threaded(a: np.ndarray, n: int, t: int, threads: int) -> tuple[_Cand, _Cand]:
-    # Periods are partitioned into chunks; each worker prunes against a
-    # shared incumbent.  Pruning only discards provably non-winning
-    # candidates, so the deterministic final reduction is unaffected by
-    # scheduling.
-    chunk = 256
-    shared: dict[str, _Cand | None] = {"g": None, "p": None}
-
-    def run_chunk(v0: int) -> tuple[_Cand | None, _Cand | None]:
-        bg, bp = shared["g"], shared["p"]
-        for v in range(v0, min(v0 + chunk, n + 1)):
-            if not _can_reach(n, v, bg) and not _can_reach(n, max(v, t), bp):
-                break
-            bg, bp = _scan_period_numpy(a, n, v, t, bg, bp)
-        return bg, bp
-
-    results: list[tuple[_Cand | None, _Cand | None]] = []
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        pending = []
-        for v0 in range(1, n + 1, chunk):
-            if not _can_reach(n, v0, shared["g"]) and not _can_reach(n, max(v0, t), shared["p"]):
-                break
-            pending.append(pool.submit(run_chunk, v0))
-            if len(pending) >= threads:
-                done = pending.pop(0)
-                bg, bp = done.result()
-                results.append((bg, bp))
-                if bg is not None and _better(bg, shared["g"]):
-                    shared["g"] = bg
-                if bp is not None and _better(bp, shared["p"]):
-                    shared["p"] = bp
-        for fut in pending:
-            results.append(fut.result())
-
-    best_g: _Cand | None = None
-    best_p: _Cand | None = None
-    for bg, bp in results:
-        if bg is not None and _better(bg, best_g):
-            best_g = bg
-        if bp is not None and _better(bp, best_p):
-            best_p = bp
-    return best_g, best_p
-
-
 def dio_brute_force(prefix: Word, threshold: int | None = None) -> ExponentEstimate:
     """Triple-loop reference scan (O(N^3) worst case), for oracle tests.
 
-    Independent of the run-length kernel: for every (u, v) the match is
+    Independent of the suffix index: for every (u, v) the match is
     extended one position at a time.
     """
     data = prefix.symbols

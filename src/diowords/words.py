@@ -3,9 +3,9 @@
 A word is an immutable sequence of small integer letters.  The main
 analysis tool is the complexity profile: for a prefix of length L it
 reports, for every window size n, the number of distinct length-n
-blocks occurring in the prefix.  Two independent counting kernels are
-provided (rolling hash with collision verification, and a suffix
-automaton) and are cross-checked in the test suite.
+blocks occurring in the prefix.  The counts are read off the suffix
+array and LCP array of the prefix (see suffix.py) and are checked
+against a brute-force oracle in the test suite.
 
 A profile computed on a finite prefix only ever underestimates the
 complexity of the infinite word it was cut from; downstream reporting
@@ -18,6 +18,10 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
+
+from .suffix import lcp_array, suffix_array
 
 # Letters are stored as bytes, which caps the alphabet.  Digit streams in
 # larger bases exist elsewhere; the word-analysis surface does not need them.
@@ -150,24 +154,24 @@ def occurrence_count(w: Word, letter: int) -> int:
     return w.symbols.count(letter)
 
 
-_HASH_MOD = (1 << 61) - 1
-_HASH_BASE = 1_000_003
-# The rolling-hash kernel is preferred for shallow profiles; deep profiles
-# (n_max beyond this) switch to the suffix automaton, which is linear in L.
-HASH_KERNEL_MAX_N = 64
-
-
 def complexity_profile(w: Word, n_max: int) -> ComplexityProfile:
-    """Exact distinct-factor counts of the prefix, for window sizes 1..n_max."""
+    """Exact distinct-factor counts of the prefix, for window sizes 1..n_max.
+
+    Suffix SA[r] is the first in SA order to start with each of its
+    prefixes longer than LCP[r], so it contributes one new factor of
+    every length in (LCP[r], L - SA[r]]; the counts are the prefix sums
+    of those intervals.
+    """
     if n_max < 1:
         raise ValueError("n_max must be positive")
     if n_max > len(w):
         raise ValueError("window exceeds prefix")
-    if n_max <= HASH_KERNEL_MAX_N:
-        counts = _factor_counts_hash(w.symbols, n_max)
-    else:
-        counts = _factor_counts_automaton(w.symbols, n_max)
-    return ComplexityProfile(len(w), w.alphabet_size, tuple(counts))
+    L = len(w)
+    sa = suffix_array(w.symbols)
+    lcp = lcp_array(w.symbols, sa)
+    diff = np.bincount(lcp + 1, minlength=L + 2) - np.bincount(L - sa + 1, minlength=L + 2)
+    counts = np.cumsum(diff)[1 : n_max + 1]
+    return ComplexityProfile(L, w.alphabet_size, tuple(counts.tolist()))
 
 
 def gap_profile(profile: ComplexityProfile) -> list[int]:
@@ -175,92 +179,10 @@ def gap_profile(profile: ComplexityProfile) -> list[int]:
     return [c - (i + 1) for i, c in enumerate(profile.counts)]
 
 
-def _factor_counts_hash(data: bytes, n_max: int) -> list[int]:
-    """Rolling-hash window dedup with collision verification.
-
-    Windows are bucketed by a 61-bit polynomial hash; buckets with more
-    than one position are resolved by comparing the actual windows, so
-    hash collisions cannot inflate or deflate the counts.
-    """
-    L = len(data)
-    h = [0] * (L + 1)
-    for i, c in enumerate(data):
-        h[i + 1] = (h[i] * _HASH_BASE + c + 1) % _HASH_MOD
-    powers = [1] * (L + 1)
-    for i in range(L):
-        powers[i + 1] = powers[i] * _HASH_BASE % _HASH_MOD
-    counts = []
-    for n in range(1, n_max + 1):
-        pn = powers[n]
-        buckets: dict[int, list[int]] = {}
-        for i in range(L - n + 1):
-            key = (h[i + n] - h[i] * pn) % _HASH_MOD
-            buckets.setdefault(key, []).append(i)
-        distinct = 0
-        for positions in buckets.values():
-            if len(positions) == 1:
-                distinct += 1
-            else:
-                distinct += len({data[j : j + n] for j in positions})
-        counts.append(distinct)
-    return counts
-
-
-def _factor_counts_automaton(data: bytes, n_max: int) -> list[int]:
-    """Distinct-substring counts per length from a suffix automaton.
-
-    Each non-initial state covers the substring lengths
-    (len(link) , len(state)]; accumulating those intervals in a
-    difference array yields all counts in one O(L) pass.
-    """
-    maxlen = [0]
-    link = [-1]
-    trans: list[dict[int, int]] = [{}]
-    last = 0
-    for ch in data:
-        cur = len(maxlen)
-        maxlen.append(maxlen[last] + 1)
-        link.append(-1)
-        trans.append({})
-        p = last
-        while p != -1 and ch not in trans[p]:
-            trans[p][ch] = cur
-            p = link[p]
-        if p == -1:
-            link[cur] = 0
-        else:
-            q = trans[p][ch]
-            if maxlen[p] + 1 == maxlen[q]:
-                link[cur] = q
-            else:
-                clone = len(maxlen)
-                maxlen.append(maxlen[p] + 1)
-                link.append(link[q])
-                trans.append(dict(trans[q]))
-                while p != -1 and trans[p].get(ch) == q:
-                    trans[p][ch] = clone
-                    p = link[p]
-                link[q] = clone
-                link[cur] = clone
-        last = cur
-
-    L = len(data)
-    diff = [0] * (L + 2)
-    for s in range(1, len(maxlen)):
-        diff[maxlen[link[s]] + 1] += 1
-        diff[maxlen[s] + 1] -= 1
-    counts = []
-    acc = 0
-    for n in range(1, n_max + 1):
-        acc += diff[n]
-        counts.append(acc)
-    return counts
-
-
 def factor_counts_brute(data: Sequence[int], n_max: int) -> list[int]:
     """Reference counter: a set of explicit windows per length.
 
-    Quadratic and only meant as an oracle for the fast kernels.
+    Quadratic and only meant as an oracle for complexity_profile.
     """
     data = bytes(data)
     return [len({data[i : i + n] for i in range(len(data) - n + 1)}) for n in range(1, n_max + 1)]

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from diowords.cli import main
 
 
@@ -147,6 +149,24 @@ class TestExitCodes:
     def test_verify_unknown_suite_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--suite", "definitely-not-a-criterion")
         assert code == 2
+
+    def test_negative_prefix_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["dio", "lit:01011010", "--prefix", "-3"])
+        assert exc.value.code == 2
+        assert "--prefix" in capsys.readouterr().err
+
+    def test_cf_file_needs_integer_quotients(self, capsys, tmp_path):
+        path = tmp_path / "quotients.json"
+        path.write_text('[2, "1", 3]')
+        code, out, _ = run_cli(capsys, "cf", f"cf:@{path}", "--terms", "5")
+        assert code == 0
+        assert out.strip() == "[2, 1, 3]"
+        for bad in ('[2, 1.9, 3]', '[2, true, 3]', '[2, "1.5", 3]', '{"2": 1}'):
+            path.write_text(bad)
+            code, out, err = run_cli(capsys, "cf", f"cf:@{path}", "--terms", "5")
+            assert code == 2, bad
+            assert out == "" and "usage error" in err
 
     def test_slope_error(self, capsys):
         code, _, err = run_cli(capsys, "sturmian", "cfslope:1,2", "--length", "5")

@@ -1,8 +1,12 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diowords.repetition import (
@@ -12,9 +16,10 @@ from diowords.repetition import (
     ice_brute_force,
     ice_estimate,
     verify_witness,
-    _scan_numpy,
 )
 from diowords.words import Word
+
+from strategies import mixed_words
 
 
 def fib_word(n):
@@ -28,6 +33,12 @@ binary_words = st.builds(
     lambda bits: Word(bytes(bits), 2),
     st.lists(st.integers(0, 1), min_size=2, max_size=40),
 )
+
+
+@st.composite
+def words_and_thresholds(draw):
+    w = draw(mixed_words(min_size=2))
+    return w, draw(st.integers(1, len(w) // 2))
 
 
 class TestWitness:
@@ -97,10 +108,12 @@ class TestDioEstimate:
         assert fast.global_max == slow.global_max
         assert fast.persistent_max == slow.persistent_max
 
-    @given(binary_words)
-    @settings(max_examples=200, deadline=None)
-    def test_matches_brute_force(self, w):
-        t = max(1, len(w) // 4)
+    @given(words_and_thresholds())
+    @example((Word(bytes([255, 0]), 256), 1))
+    @example((Word(bytes([0, 255, 0, 255, 255]), 256), 2))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_brute_force(self, w_t):
+        w, t = w_t
         fast = dio_estimate(w, threshold=t)
         slow = dio_brute_force(w, threshold=t)
         assert fast.global_max == slow.global_max
@@ -128,19 +141,30 @@ class TestDioEstimate:
             n = rng.randrange(130, 260)
             w = Word(bytes(rng.randrange(2) for _ in range(n)), 2)
             t = max(1, n // 20)
-            m, u, v = _scan_numpy(w.symbols, n, t, 1)[0]
-            slow = dio_brute_force(w, t).global_max
-            assert (u, v, m) == (slow.u, slow.v, slow.m)
+            fast = dio_estimate(w, t)
+            slow = dio_brute_force(w, t)
+            assert fast.global_max == slow.global_max
+            assert fast.persistent_max == slow.persistent_max
 
-    def test_threads_deterministic(self):
-        rng = random.Random(5)
-        for _ in range(5):
-            n = rng.randrange(200, 400)
-            w = Word(bytes(rng.randrange(2) for _ in range(n)), 2)
-            t = max(1, n // 20)
-            single = _scan_numpy(w.symbols, n, t, 1)
-            multi = _scan_numpy(w.symbols, n, t, 4)
-            assert single == multi
+
+class TestCertificates:
+    @pytest.mark.parametrize("command", ["dio", "ice"])
+    def test_failed_check_survives_optimize(self, command):
+        # `python -O` strips assert statements; the witness check must still run
+        code = (
+            "import sys\n"
+            "from diowords import cli, repetition\n"
+            "repetition.verify_witness = lambda prefix, w: False\n"
+            f"sys.exit(cli.main(['{command}', 'lit:01011010']))\n"
+        )
+        paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout == ""
+        assert "fails its periodicity check" in proc.stderr
 
 
 class TestIceEstimate:

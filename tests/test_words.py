@@ -2,7 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diowords.words import (
@@ -13,9 +13,9 @@ from diowords.words import (
     fractional_power,
     gap_profile,
     occurrence_count,
-    _factor_counts_automaton,
-    _factor_counts_hash,
 )
+
+from strategies import mixed_words
 
 
 def fib_text(n):
@@ -25,11 +25,7 @@ def fib_text(n):
     return s[:n]
 
 
-words_strategy = st.builds(
-    lambda letters, b: Word(bytes(min(x, b - 1) for x in letters), b),
-    st.lists(st.integers(0, 3), min_size=1, max_size=60),
-    st.integers(2, 4),
-)
+words_strategy = mixed_words(min_size=1)
 
 
 class TestWord:
@@ -110,12 +106,13 @@ class TestComplexityProfile:
         assert prof.to_csv() == "n,p_n,gap\n1,2,1\n2,2,0\n"
 
     @given(words_strategy)
-    @settings(max_examples=150)
+    @example(Word(b"\x07", 256))
+    @example(Word(bytes([255, 0]), 256))
+    @example(Word(bytes([0, 255, 0, 255, 255]), 256))
+    @settings(max_examples=300)
     def test_kernels_agree_with_brute(self, w):
         n_max = len(w)
-        brute = factor_counts_brute(w.symbols, n_max)
-        assert _factor_counts_hash(w.symbols, n_max) == brute
-        assert _factor_counts_automaton(w.symbols, n_max) == brute
+        assert list(complexity_profile(w, n_max).counts) == factor_counts_brute(w.symbols, n_max)
 
     @given(words_strategy)
     @settings(max_examples=150)
@@ -146,7 +143,7 @@ class TestComplexityProfile:
         # counts cannot exceed the period length once n is large
         assert all(c <= len(period) for c in prof.counts[len(period):])
 
-    def test_deep_profile_uses_automaton(self):
+    def test_deep_profile_fibonacci(self):
         w = Word.from_digits(fib_text(300))
         prof = complexity_profile(w, 150)
         assert prof.counts[:20] == tuple(n + 1 for n in range(1, 21))
