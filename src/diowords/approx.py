@@ -28,6 +28,8 @@ from .realnum import (
 from .repetition import ExponentEstimate, RepetitionWitness, dio_estimate, verify_witness
 from .words import Word
 
+_NEAR_MISS_BITS = 32
+
 
 @dataclass(frozen=True)
 class Approximant:
@@ -104,27 +106,55 @@ def expansion_digits(p: int, q: int, base: int, count: int) -> list[int]:
 def verify_approximation(source: Enclosure, approx: Approximant) -> Fraction:
     """Certify |xi - p/q| < base^-m and |xi - p/q| < q^-rho; return the margin.
 
-    The margin is the exact rational max distance from p/q to the
-    enclosure, refined until it clears base^-m.  The q^-rho comparison
-    clears denominators: margin < q^(-m/(u+v)) iff
-    margin_num^(u+v) * q^m < margin_den^(u+v), all in integers.
+    The margin is the exact max distance from p/q to the enclosure,
+    refined until it clears base^-m; for a dyadic enclosure
+    [lo, hi]/2^s it is max(|lo q - p 2^s|, |hi q - p 2^s|) / (q 2^s), all
+    in integers.  The q^-rho comparison clears denominators: margin =
+    N/D < q^(-m/(u+v)) iff N^(u+v) * q^m < D^(u+v).
     """
     w = approx.witness
-    byte_bound = Fraction(1, approx.base**w.m)
-    pq = approx.as_fraction()
-    source.refine_below(byte_bound / 2)
-    while True:
-        lo, hi = source.bounds()
-        margin = max(abs(lo - pq), abs(hi - pq))
-        if margin < byte_bound:
-            break
-        if not source.refine():
-            raise PrecisionBudgetError("enclosure too wide to certify the approximation")
-    denom_exp = w.u + w.v
-    ok = margin.numerator**denom_exp * approx.q**w.m < margin.denominator**denom_exp
-    if not ok:
+    p, q = approx.p, approx.q
+    cell = approx.base**w.m
+    if source.is_point():
+        margin = abs(source.lo - Fraction(p, q))
+        num, den = margin.numerator, margin.denominator
+        if num * cell >= den:
+            raise AssertionError("approximation is not within base^-m of the exact value")
+    else:
+        # one refinement certifies unless |xi - p/q| is within base^-m 2^-_NEAR_MISS_BITS of base^-m
+        source.refine(cell.bit_length() + _NEAR_MISS_BITS)
+        while True:
+            lo, hi, s = source.dyadic()
+            num, den = max(abs(lo * q - (p << s)), abs(hi * q - (p << s))), q << s
+            if num * cell < den:
+                break
+            if not source.refine():
+                raise PrecisionBudgetError("enclosure too wide to certify the approximation")
+        margin = Fraction(num, den)
+    if not _clears_q_power(num, den, q, w.u + w.v, w.m):
         raise AssertionError("q^-rho certification failed despite digit agreement")
     return margin
+
+
+def _clears_q_power(num: int, den: int, q: int, e: int, m: int) -> bool:
+    """num^e * q^m < den^e, for num >= 0 and den, q, e, m >= 1.
+
+    A zero margin always clears.  Otherwise the base-2 logarithms decide,
+    unless they tie within an allowance that bounds their rounding error:
+    math.log2 of an integer x is within 2^-50 (1 + log2 x) of the truth,
+    and the products and sums below add a relative 2^-51 at most.  Only
+    a near tie builds the exact powers.
+    """
+    if num == 0:
+        return True
+    l_num, l_q, l_den = math.log2(num), math.log2(q), math.log2(den)
+    diff = e * l_num + m * l_q - e * l_den
+    allowance = 2.0**-46 * (e * (l_num + l_den + 2) + m * (l_q + 1))
+    if diff < -allowance:
+        return True
+    if diff > allowance:
+        return False
+    return num**e * q**m < den**e
 
 
 @dataclass(frozen=True)

@@ -333,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--max-bits",
-        type=int,
+        type=_non_negative,
         default=int(os.environ.get(ENV_MAX_BITS, realnum.DEFAULT_MAX_BITS)),
         help=f"refinement budget in bits (env {ENV_MAX_BITS})",
     )
@@ -415,7 +415,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except realnum.PrecisionBudgetError as exc:
+    except (realnum.PrecisionBudgetError, sturmian.SlopeRefinementError) as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (ValueError, TypeError) as exc:

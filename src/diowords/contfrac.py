@@ -50,10 +50,16 @@ class CFExpansion:
 
 
 def convergents_from_quotients(quotients) -> tuple[tuple[int, int], ...]:
-    """Run p_n = a_n p_{n-1} + p_{n-2}, q_n likewise; checks the invariants."""
+    """Run p_n = a_n p_{n-1} + p_{n-2}, q_n likewise; checks the invariants.
+
+    Each convergent is checked against p_n q_{n-1} - p_{n-1} q_n = (-1)^(n-1),
+    which any common factor of p_n and q_n would divide, so every
+    convergent is certified in lowest terms without a gcd.
+    """
     out: list[tuple[int, int]] = []
     p_prev, q_prev = 1, 0
     p_cur, q_cur = None, None
+    sign = -1
     for i, a in enumerate(quotients):
         if i > 0 and a < 1:
             raise ValueError("partial quotients after the first must be >= 1")
@@ -62,8 +68,9 @@ def convergents_from_quotients(quotients) -> tuple[tuple[int, int], ...]:
         else:
             p_cur, p_prev = a * p_cur + p_prev, p_cur
             q_cur, q_prev = a * q_cur + q_prev, q_cur
-        if math.gcd(p_cur, q_cur) != 1:
+        if p_cur * q_prev - p_prev * q_cur != sign:
             raise AssertionError("convergent not in lowest terms")
+        sign = -sign
         if len(out) >= 2 and q_cur <= out[-1][1]:
             raise AssertionError("convergent denominators must increase")
         out.append((p_cur, q_cur))
@@ -84,19 +91,31 @@ def cf_of_rational(x: Fraction) -> list[int]:
     return out
 
 
-def _interval_quotients(lo: Fraction, hi: Fraction, k_max: int) -> list[int]:
+def _interval_quotients(lo: int, hi: int, den: int, k_max: int) -> list[int]:
+    """Quotients shared by every number in [lo/den, hi/den] (den > 0).
+
+    Euclid runs on the integer pairs (lo, den) and (hi, den) in lockstep;
+    the Gauss map x -> 1/(x - a) reverses order, so the pairs swap roles
+    after every step.
+    """
     out: list[int] = []
+    (n_lo, d_lo), (n_hi, d_hi) = (lo, den), (hi, den)
     while len(out) < k_max:
-        f_lo = lo.numerator // lo.denominator
-        f_hi = hi.numerator // hi.denominator
-        if f_lo != f_hi:
+        a, r_lo = divmod(n_lo, d_lo)
+        a_hi, r_hi = divmod(n_hi, d_hi)
+        if a != a_hi:
             break
-        out.append(f_lo)
-        lo, hi = lo - f_lo, hi - f_lo
-        if lo == 0 or hi == 0:
+        out.append(a)
+        if r_lo == 0 or r_hi == 0:
             break
-        lo, hi = 1 / hi, 1 / lo
+        (n_lo, d_lo), (n_hi, d_hi) = (d_hi, r_hi), (d_lo, r_lo)
     return out
+
+
+def _bits_for_terms(bits: int, got: int, want: int) -> int:
+    """Precision predicted to certify `want` quotients, `got` of which
+    `bits` certified: the bits per quotient so far, with a quarter to spare."""
+    return 5 * bits * want // (4 * got)
 
 
 def cf_from_enclosure(source: Enclosure, max_terms: int) -> CFExpansion:
@@ -110,9 +129,8 @@ def cf_from_enclosure(source: Enclosure, max_terms: int) -> CFExpansion:
     if max_terms < 1:
         raise ValueError("max_terms must be positive")
     while True:
-        lo, hi = source.bounds()
-        if lo == hi:
-            qs = cf_of_rational(lo)
+        if source.is_point():
+            qs = cf_of_rational(source.lo)
             complete = len(qs) <= max_terms
             qs = qs[:max_terms]
             return CFExpansion(
@@ -121,11 +139,13 @@ def cf_from_enclosure(source: Enclosure, max_terms: int) -> CFExpansion:
                 rational=True,
                 complete=complete,
             )
-        qs = _interval_quotients(lo, hi, max_terms)
+        lo, hi, scale = source.dyadic()
+        qs = _interval_quotients(lo, hi, 1 << scale, max_terms)
         if len(qs) >= max_terms:
             qs = qs[:max_terms]
             return CFExpansion(tuple(qs), convergents_from_quotients(qs))
-        if not source.refine():
+        target = _bits_for_terms(source.bits, len(qs), max_terms) if qs else None
+        if not source.refine(target):
             return CFExpansion(
                 tuple(qs),
                 convergents_from_quotients(qs),

@@ -1,11 +1,18 @@
 """Exact real-number sources: refinable enclosures and certified digits.
 
 Every supported number is described by a RealSpec and realized as an
-Enclosure, an arbitrary-precision rational interval [lo, hi] that is
-guaranteed to contain the target and can be refined on demand.  All
-certification is by construction: series carry explicit tail bounds,
-surds come from integer square roots, continued fractions from the
-convergent sandwich, and Moebius images from monotone endpoint maps.
+Enclosure that is guaranteed to contain the target and can be refined
+on demand.  Exact rational points (rationals, perfect-square surds,
+finite continued fractions and their Moebius images) stay exact
+Fractions.  Every other enclosure is a dyadic interval
+[lo_num / 2^scale, hi_num / 2^scale] with integer endpoints: each source
+computes its bracket at the requested precision in one step and rounds
+it outward, so no gcd runs while refining.  e is summed by binary
+splitting (Haible & Papanikolaou, ANTS 1998) with the tail bound
+2/K!, surds come from one integer square root, continued fractions
+from the convergent sandwich, and Moebius images from the monotone
+endpoint maps.  `Fraction` appears only at the public boundary
+(`lo`, `hi`, `width`, `bounds()`).
 
 Digits are only ever emitted once the enclosure fits inside a single
 digit cell, so every printed digit is exact; when the refinement budget
@@ -27,6 +34,11 @@ from .words import Word
 
 DEFAULT_MAX_BITS = 10**6
 _START_BITS = 64
+# A bracket computed at `bits` is rounded outward at scale bits + _GUARD_BITS,
+# so rounding widens it by at most 2^(1 - bits - _GUARD_BITS).
+_GUARD_BITS = 32
+
+Dyadic = tuple[int, int, int]  # (lo_num, hi_num, scale)
 
 
 class PrecisionBudgetError(RuntimeError):
@@ -34,38 +46,60 @@ class PrecisionBudgetError(RuntimeError):
 
 
 class Enclosure:
-    """Refinable rational interval certified to contain its target real.
+    """Refinable interval certified to contain its target real.
 
-    `compute(bits)` must return a certified interval of width at most
-    2^-bits; refinement doubles `bits` and intersects with the previous
-    interval, so successive snapshots are nested.
+    Either an exact point (a Fraction) or a dyadic interval produced by
+    `compute(bits)`, which must return (lo_num, hi_num, scale) whose
+    bracket has width at most 2^-bits before outward rounding.  The
+    precision starts at min(bits, max_bits) and never exceeds
+    `max_bits`; each refinement intersects with the previous interval,
+    so successive snapshots are nested.
     """
 
     def __init__(
         self,
-        compute: Callable[[int], tuple[Fraction, Fraction]],
+        compute: Callable[[int], Dyadic] | None,
         bits: int = _START_BITS,
         max_bits: int = DEFAULT_MAX_BITS,
+        point: Fraction | None = None,
     ) -> None:
+        if max_bits < 0:
+            raise ValueError("max_bits must be nonnegative")
         self._compute = compute
-        self._bits = bits
+        self._bits = min(bits, max_bits)
         self._max_bits = max_bits
-        lo, hi = compute(bits)
-        if lo > hi:
-            raise ValueError("enclosure endpoints out of order")
-        self._lo, self._hi = lo, hi
+        self._point = point
+        self._dyadic: Dyadic | None = None
+        if point is None:
+            lo, hi, scale = compute(self._bits)
+            if lo > hi:
+                raise ValueError("enclosure endpoints out of order")
+            self._set(lo, hi, scale)
+
+    @classmethod
+    def exact(cls, value: Fraction, bits: int = _START_BITS, max_bits: int = DEFAULT_MAX_BITS) -> "Enclosure":
+        """The degenerate enclosure of an exact rational."""
+        return cls(None, bits, max_bits, point=Fraction(value))
+
+    def _set(self, lo: int, hi: int, scale: int) -> None:
+        if lo == hi:
+            self._point = Fraction(lo, 1 << scale)
+        self._dyadic = (lo, hi, scale)
 
     @property
     def lo(self) -> Fraction:
-        return self._lo
+        return self.bounds()[0]
 
     @property
     def hi(self) -> Fraction:
-        return self._hi
+        return self.bounds()[1]
 
     @property
     def width(self) -> Fraction:
-        return self._hi - self._lo
+        if self._point is not None:
+            return Fraction(0)
+        lo, hi, scale = self._dyadic
+        return Fraction(hi - lo, 1 << scale)
 
     @property
     def bits(self) -> int:
@@ -73,30 +107,59 @@ class Enclosure:
 
     def bounds(self) -> tuple[Fraction, Fraction]:
         """Immutable snapshot (lo, hi); safe to share across threads."""
-        return self._lo, self._hi
+        if self._point is not None:
+            return self._point, self._point
+        lo, hi, scale = self._dyadic
+        return Fraction(lo, 1 << scale), Fraction(hi, 1 << scale)
+
+    def dyadic(self) -> Dyadic:
+        """Snapshot (lo_num, hi_num, scale) of an interval enclosure."""
+        if self._dyadic is None:
+            raise ValueError("an exact point has no dyadic bracket")
+        return self._dyadic
 
     def is_point(self) -> bool:
-        return self._lo == self._hi
+        return self._point is not None
 
-    def refine(self) -> bool:
-        """Shrink the interval; False once the bit budget is exhausted."""
-        if self.is_point():
+    def refine(self, bits: int | None = None) -> bool:
+        """Recompute at precision `bits` (default: twice the current one).
+
+        A precision already reached is kept as it is.  The precision is
+        capped at the budget; returns False once the budget is exhausted.
+        """
+        if self.is_point() or (bits is not None and bits <= self._bits):
             return True
         if self._bits >= self._max_bits:
             return False
-        self._bits = min(self._bits * 2, self._max_bits)
-        lo, hi = self._compute(self._bits)
-        lo, hi = max(lo, self._lo), min(hi, self._hi)
+        target = 2 * self._bits if bits is None else bits
+        self._bits = min(max(target, self._bits + 1), self._max_bits)
+        lo, hi, scale = self._compute(self._bits)
+        old_lo, old_hi, old_scale = self._dyadic
+        if scale < old_scale:
+            lo, hi, scale = lo << (old_scale - scale), hi << (old_scale - scale), old_scale
+        else:
+            old_lo, old_hi = old_lo << (scale - old_scale), old_hi << (scale - old_scale)
+        lo, hi = max(lo, old_lo), min(hi, old_hi)
         if lo > hi:
             raise AssertionError("refinement produced a disjoint interval")
-        self._lo, self._hi = lo, hi
+        self._set(lo, hi, scale)
         return True
 
     def refine_below(self, width: Fraction) -> bool:
+        """Refine until the width is at most `width`; False if the budget runs out."""
+        if self.is_point() or self.width <= width:
+            return True
+        if width > 0:  # 2^-b <= width / 2 leaves room for the outward rounding
+            self.refine(_bits_below(width) + 1)
         while self.width > width:
             if not self.refine():
                 return False
         return True
+
+
+def _bits_below(width: Fraction) -> int:
+    """Smallest b >= 0 with 2^-b <= width (width > 0)."""
+    return (-(-width.denominator // width.numerator) - 1).bit_length()
 
 
 # ---------------------------------------------------------------------------
@@ -251,10 +314,9 @@ def parse_real_spec(text: str, offset: int = 0) -> RealSpec:
 
 
 def enclosure(spec: RealSpec, bits: int = _START_BITS, max_bits: int = DEFAULT_MAX_BITS) -> Enclosure:
-    """Certified enclosure for a RealSpec, of width at most 2^-bits."""
+    """Certified enclosure for a RealSpec at precision min(bits, max_bits)."""
     if isinstance(spec, Rational):
-        value = Fraction(spec.p, spec.q)
-        return Enclosure(lambda _: (value, value), bits, max_bits)
+        return Enclosure.exact(Fraction(spec.p, spec.q), bits, max_bits)
     if isinstance(spec, SeriesE):
         return Enclosure(_compute_e, bits, max_bits)
     if isinstance(spec, SeriesShallit):
@@ -262,13 +324,11 @@ def enclosure(spec: RealSpec, bits: int = _START_BITS, max_bits: int = DEFAULT_M
     if isinstance(spec, Surd):
         root = math.isqrt(spec.d)
         if root * root == spec.d:
-            value = Fraction(spec.p + root, spec.q)
-            return Enclosure(lambda _: (value, value), bits, max_bits)
+            return Enclosure.exact(Fraction(spec.p + root, spec.q), bits, max_bits)
         return Enclosure(lambda b: _compute_surd(spec, b), bits, max_bits)
     if isinstance(spec, FromCF):
         if isinstance(spec.quotients, tuple):
-            value = _cf_value(spec.quotients)
-            return Enclosure(lambda _: (value, value), bits, max_bits)
+            return Enclosure.exact(_cf_value(spec.quotients), bits, max_bits)
         return Enclosure(lambda b: _compute_cf_stream(spec.quotients, b), bits, max_bits)
     if isinstance(spec, Mobius):
         inner = enclosure(spec.inner, bits, max_bits)
@@ -276,41 +336,71 @@ def enclosure(spec: RealSpec, bits: int = _START_BITS, max_bits: int = DEFAULT_M
     raise TypeError(f"unknown RealSpec: {spec!r}")
 
 
-def _compute_e(bits: int) -> tuple[Fraction, Fraction]:
-    # find K with 2/(K+1)! <= 2^-bits
+def _e_terms_needed(bits: int) -> int:
+    """Smallest K with K! >= 2^(bits+1), located with lgamma and checked exactly by the caller."""
+    target = (bits + 1) * math.log(2)
+    lo, hi = 1, 2
+    while math.lgamma(hi + 1) < target:
+        hi *= 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if math.lgamma(mid + 1) < target:
+            lo = mid + 1
+        else:
+            hi = mid
+    return max(lo, 2)
+
+
+def _e_split(a: int, b: int) -> tuple[int, int]:
+    """(P, Q) with Q = a(a+1)...(b-1) and P/Q = sum_{k=a}^{b-1} 1/(a(a+1)...k)."""
+    if b - a <= 8:
+        p, q = 0, 1
+        for k in range(b - 1, a - 1, -1):
+            p, q = p + q, q * k
+        return p, q
+    m = (a + b) // 2
+    p1, q1 = _e_split(a, m)
+    p2, q2 = _e_split(m, b)
+    return p1 * q2 + p2, q1 * q2
+
+
+def _compute_e(bits: int) -> Dyadic:
+    # e lies in [S, S + 2/K!] for S = sum_{j<K} 1/j! and the smallest K with K! >= 2^(bits+1)
     threshold = 1 << (bits + 1)
-    k, factorial = 0, 1
-    while factorial < threshold:
-        k += 1
-        factorial *= k
-    # partial sum of 1/j! for j = 0..k-1 over the common denominator (k-1)!
-    # Horner from the top: term_j = (k-1)!/j!
-    kk = k - 1
-    denom = factorial // k  # (k-1)!
-    term, total = 1, 1
-    for j in range(kk - 1, -1, -1):
-        term *= j + 1
-        total += term
-    lo = Fraction(total, denom)
-    return lo, lo + Fraction(2, factorial)
+    k = _e_terms_needed(bits)
+    while True:
+        p, q = _e_split(1, k)  # p/q = sum_{j=1}^{K-1} 1/j!, q = (K-1)!
+        if q >= threshold:
+            k -= 1  # lgamma overshot: (K-1)! already reaches the threshold
+        elif k * q < threshold:
+            k += 1
+        else:
+            break
+    scale = bits + _GUARD_BITS
+    lo, rem = divmod((q + p) << scale, q)
+    # S + 2/K! = (lo + rem/q + 2^(scale+1)/(K q)) / 2^scale
+    hi = lo - (-(rem * k + (2 << scale)) // (k * q))
+    return lo, hi, scale
 
 
-def _compute_shallit(bits: int) -> tuple[Fraction, Fraction]:
+def _compute_shallit(bits: int) -> Dyadic:
     k = 0
     while (1 << (k + 1)) < bits + 1:
         k += 1
     top = 1 << k  # 2^k
     total = sum(1 << (top - (1 << n)) for n in range(k + 1))
-    lo = Fraction(total, 1 << top)
-    return lo, lo + Fraction(1, 1 << (2 * top - 1))
+    # [total/2^top, total/2^top + 2^(1 - 2 top)] at scale 2 top - 1
+    lo = total << (top - 1)
+    return lo, lo + 1, 2 * top - 1
 
 
-def _compute_surd(spec: Surd, bits: int) -> tuple[Fraction, Fraction]:
-    scale = 1 << bits
-    t = math.isqrt(spec.d * scale * scale)
-    lo = Fraction(spec.p + Fraction(t, scale), spec.q)
-    hi = Fraction(spec.p + Fraction(t + 1, scale), spec.q)
-    return (lo, hi) if lo <= hi else (hi, lo)
+def _compute_surd(spec: Surd, bits: int) -> Dyadic:
+    # p + sqrt(d) lies in [num, num + 1] / 2^bits; divide by q with outward rounding
+    num = (spec.p << bits) + math.isqrt(spec.d << (2 * bits))
+    lo, hi, q = num, num + 1, spec.q
+    if q < 0:
+        lo, hi, q = -hi, -lo, -q
+    return (lo << _GUARD_BITS) // q, -((-hi << _GUARD_BITS) // q), bits + _GUARD_BITS
 
 
 def _cf_value(quotients: Sequence[int]) -> Fraction:
@@ -320,28 +410,26 @@ def _cf_value(quotients: Sequence[int]) -> Fraction:
     return x
 
 
-def _compute_cf_stream(fn: Callable[[int], int], bits: int) -> tuple[Fraction, Fraction]:
-    target = Fraction(1, 1 << bits)
+def _compute_cf_stream(fn: Callable[[int], int], bits: int) -> Dyadic:
+    # consecutive convergents p_{n-1}/q_{n-1}, p_n/q_n straddle the value,
+    # 1/(q_{n-1} q_n) apart
+    target = 1 << bits
     p_prev, q_prev = 1, 0
-    p_cur, q_cur = None, None
+    p_cur, q_cur = fn(0), 1
     n = 0
-    lo = hi = None
-    while True:
-        a = fn(n)
-        if n > 0 and a < 1:
-            raise ValueError("partial quotients after the first must be >= 1")
-        if p_cur is None:
-            p_cur, q_cur = a, 1
-        else:
-            p_cur, p_prev = a * p_cur + p_prev, p_cur
-            q_cur, q_prev = a * q_cur + q_prev, q_cur
+    while n == 0 or q_prev * q_cur < target:
         n += 1
-        if n >= 2:
-            lo, hi = Fraction(p_prev, q_prev), Fraction(p_cur, q_cur)
-            if lo > hi:
-                lo, hi = hi, lo
-            if hi - lo <= target:
-                return lo, hi
+        a = fn(n)
+        if a < 1:
+            raise ValueError("partial quotients after the first must be >= 1")
+        p_cur, p_prev = a * p_cur + p_prev, p_cur
+        q_cur, q_prev = a * q_cur + q_prev, q_cur
+    if n % 2:  # p_n/q_n with n odd is the upper convergent
+        (lo_p, lo_q), (hi_p, hi_q) = (p_prev, q_prev), (p_cur, q_cur)
+    else:
+        (lo_p, lo_q), (hi_p, hi_q) = (p_cur, q_cur), (p_prev, q_prev)
+    scale = bits + _GUARD_BITS
+    return (lo_p << scale) // lo_q, -((-hi_p << scale) // hi_q), scale
 
 
 def mobius(
@@ -356,29 +444,45 @@ def mobius(
     """Image of an enclosure under x -> (ax+b)/(cx+d) with |ad - bc| = 1.
 
     The map is monotone away from its pole, so the image interval is the
-    sorted image of the endpoints; the inner enclosure is refined until
-    the pole is excluded and the image is tight enough.
+    image of the endpoints, increasing when ad - bc = 1; the inner
+    enclosure is refined until the pole is excluded and the image is
+    tight enough.  The image of an exact point is exact.
     """
-    if abs(a * d - b * c) != 1:
+    det = a * d - b * c
+    if abs(det) != 1:
         raise ValueError("Moebius matrix must satisfy |ad - bc| = 1")
+    if inner.is_point():
+        x = inner.lo
+        if c * x + d == 0:
+            raise ValueError("Moebius pole at the inner value")
+        return Enclosure.exact((a * x + b) / (c * x + d), bits, max_bits)
 
-    def compute(nbits: int) -> tuple[Fraction, Fraction]:
-        target = Fraction(1, 1 << nbits)
+    def compute(nbits: int) -> Dyadic:
+        scale = nbits + _GUARD_BITS
         while True:
-            lo, hi = inner.bounds()
-            den_lo, den_hi = c * lo + d, c * hi + d
+            lo, hi, s = inner.dyadic()
+            one = 1 << s
+            den_lo, den_hi = c * lo + d * one, c * hi + d * one
             if den_lo == 0 or den_hi == 0 or (den_lo < 0) != (den_hi < 0):
                 if inner.is_point():
                     raise ValueError("Moebius pole at the inner value")
                 if not inner.refine():
                     raise PrecisionBudgetError("Moebius pole not separable within budget")
                 continue
-            x = (a * lo + b) / den_lo
-            y = (a * hi + b) / den_hi
-            out_lo, out_hi = (x, y) if x <= y else (y, x)
-            if inner.is_point() or out_hi - out_lo <= target:
-                return out_lo, out_hi
-            if not inner.refine():
+            num_lo = a * lo + b * one
+            if det < 0:  # decreasing: the lower image end comes from hi
+                num_lo, den_lo, den_hi = a * hi + b * one, den_hi, den_lo
+            # the images differ by (hi - lo) 2^s / (den_lo den_hi) > 0, so the
+            # upper end needs a short division only; floor division floors
+            # the exact quotient whatever the sign of den_lo
+            out_lo, rem = divmod(num_lo << scale, den_lo)
+            gap = rem * den_hi + ((hi - lo) << (s + scale))
+            out_hi = out_lo - (-gap // (den_lo * den_hi))
+            excess = (out_hi - out_lo - 2).bit_length() - _GUARD_BITS
+            if excess <= 0:  # width at most 2^-nbits before rounding
+                return out_lo, out_hi, scale
+            # the image narrows with the inner width; guard bits spare a second round
+            if not inner.refine(inner.bits + excess + _GUARD_BITS):
                 raise PrecisionBudgetError("refinement budget exhausted in Moebius image")
 
     return Enclosure(compute, bits, max_bits)
@@ -398,14 +502,14 @@ def enclosure_from_digits(
     if base < 2:
         raise ValueError("base must be >= 2")
 
-    def compute(nbits: int) -> tuple[Fraction, Fraction]:
+    def compute(nbits: int) -> Dyadic:
         n = int(nbits / math.log2(base)) + 2
-        ds = fetch(n)
-        value = 0
-        for d in ds:
-            value = value * base + d
-        lo = integer_part + Fraction(value, base**n)
-        return lo, lo + Fraction(1, base**n)
+        value = integer_part
+        for digit in fetch(n):
+            value = value * base + digit
+        # the digit cell [value, value + 1] / base^n, rounded outward
+        scale, cell = nbits + _GUARD_BITS, base**n
+        return (value << scale) // cell, -((-(value + 1) << scale) // cell), scale
 
     return Enclosure(compute, bits, max_bits)
 
@@ -438,9 +542,12 @@ class DigitStream:
 
     def as_text(self) -> str:
         if self.base <= 36:
-            frac = "".join(_DIGIT_CHARS[d] for d in self.fractional_digits)
+            frac = bytes(self.fractional_digits).translate(_DIGITS_TO_CHARS).decode("ascii")
         else:
             frac = ",".join(map(str, self.fractional_digits))
+        if self.integer_part < 0:
+            # the digits are those of value - floor(value); spell the floor out
+            return f"{self.integer_part}+0.{frac} certified:{self.certified}"
         return f"{self.integer_part}.{frac} certified:{self.certified}"
 
     def fractional_word(self) -> Word:
@@ -456,7 +563,9 @@ class DigitStream:
         return self.integer_part + Fraction(v, self.base**self.certified)
 
 
-_DIGIT_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
+_DIGIT_CHARS = b"0123456789abcdefghijklmnopqrstuvwxyz"
+_DIGITS_TO_CHARS = bytes.maketrans(bytes(range(36)), _DIGIT_CHARS)
+_CHARS_TO_DIGITS = bytes.maketrans(_DIGIT_CHARS, bytes(range(36)))
 
 
 def digits(spec: RealSpec, base: int, count: int, max_bits: int = DEFAULT_MAX_BITS) -> DigitStream:
@@ -470,13 +579,20 @@ def digits(spec: RealSpec, base: int, count: int, max_bits: int = DEFAULT_MAX_BI
 
 
 def digits_from_enclosure(enc: Enclosure, base: int, count: int) -> DigitStream:
-    scale = base**count
-    # pre-refine to roughly the right precision so the loop converges fast
-    enc.refine_below(Fraction(1, 2 * scale))
+    if enc.is_point():
+        x = enc.lo
+        return _stream_from_scaled(base, count, x.numerator * base**count // x.denominator, count)
+    # y = floor(x base^count) is a plain shift when the base is a power of two
+    shift = base.bit_length() - 1 if base & (base - 1) == 0 else 0
+    scale = 1 << (shift * count) if shift else base**count
+    # one refinement straight to the precision of the last digit, plus guard bits
+    enc.refine(scale.bit_length() + _GUARD_BITS)
     while True:
-        lo, hi = enc.bounds()
-        y_lo = (lo.numerator * scale) // lo.denominator
-        y_hi = (hi.numerator * scale) // hi.denominator
+        lo, hi, s = enc.dyadic()
+        if shift:
+            y_lo, y_hi = (lo << shift * count) >> s, (hi << shift * count) >> s
+        else:
+            y_lo, y_hi = (lo * scale) >> s, (hi * scale) >> s
         if y_lo == y_hi:
             return _stream_from_scaled(base, count, y_lo, count)
         if not enc.refine():
@@ -497,25 +613,28 @@ def _stream_from_scaled(base: int, ndigits: int, y: int, requested: int) -> Digi
     return DigitStream(
         base=base,
         integer_part=ipart,
-        fractional_digits=tuple(_int_to_base_digits(frac, base, ndigits)),
+        fractional_digits=_int_to_base_digits(frac, base, ndigits),
         requested=requested,
     )
 
 
-def _int_to_base_digits(x: int, base: int, width: int) -> list[int]:
+def _int_to_base_digits(x: int, base: int, width: int) -> tuple[int, ...]:
     """Base-b digits of x, zero-padded to `width` (x < base**width)."""
     if width == 0:
-        return []
-    if base == 2:
-        return [int(ch) for ch in format(x, "b").zfill(width)]
-    if base & (base - 1) == 0:
-        shift = base.bit_length() - 1
-        return [(x >> (shift * i)) & (base - 1) for i in range(width - 1, -1, -1)]
-    if base == 10:
+        return ()
+    if base in (2, 8, 16):
+        text = format(x, {2: "b", 8: "o", 16: "x"}[base])
+    elif base == 10:
         if hasattr(sys, "set_int_max_str_digits") and width + 16 > sys.get_int_max_str_digits():
             sys.set_int_max_str_digits(width + 16)
-        return [int(ch) for ch in str(x).zfill(width)]
-    return _digits_divide_conquer(x, base, width)
+        text = str(x)
+    elif base & (base - 1) == 0:
+        shift = base.bit_length() - 1
+        text = format(x, "b").zfill(shift * width)
+        return tuple(int(text[i : i + shift], 2) for i in range(0, shift * width, shift))
+    else:
+        return tuple(_digits_divide_conquer(x, base, width))
+    return tuple(text.zfill(width).encode("ascii").translate(_CHARS_TO_DIGITS))
 
 
 def _digits_divide_conquer(x: int, base: int, width: int) -> list[int]:

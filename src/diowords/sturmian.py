@@ -26,6 +26,10 @@ from .words import Word, complexity_profile
 _SLOPE_EXTEND_CAP = 100_000
 
 
+class SlopeRefinementError(RuntimeError):
+    """Raised when a continued-fraction slope needs more than _SLOPE_EXTEND_CAP convergents."""
+
+
 def _sign_plus_root(a: int, s: int, d: int) -> int:
     """Sign of a + s*sqrt(d) for nonsquare d > 0, s in {-1, 0, 1}."""
     if s == 0:
@@ -196,7 +200,7 @@ class _CFSlopeState:
 
     def extend(self) -> None:
         if self.k >= _SLOPE_EXTEND_CAP:
-            raise RuntimeError("continued-fraction slope refinement ran away")
+            raise SlopeRefinementError("continued-fraction slope refinement ran away")
         self.k += 1
         m = self.slope.quotient(self.k)
         p = m * self.p_cur + self.p_prev

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diowords.approx import (
+    _clears_q_power,
     dio_mu_report,
     expansion_digits,
     verify_approximation,
@@ -97,11 +98,39 @@ class TestVerifyApproximation:
         margin = verify_approximation(mobius(1, -2, 0, 1, enclosure(SeriesE())), a)
         assert 0 < margin < Fraction(1, 10**est.global_max.m)
 
+    def test_exact_point_outside_digit_cell_is_rejected(self):
+        # 0.333... certified against 1/2: refining an exact point cannot help
+        w = digits(Rational(1, 3), 10, 3).fractional_word()
+        a = witness_to_approximant(w, RepetitionWitness(0, 1, 3), 10)
+        with pytest.raises(AssertionError, match="base"):
+            verify_approximation(enclosure(Rational(1, 2)), a)
+
     def test_improving_witness_keeps_certificate(self):
         w = digits(Rational(1, 3), 10, 8).fractional_word()
         for m in (2, 4, 8):
             a = witness_to_approximant(w, RepetitionWitness(0, 1, m), 10)
             assert verify_approximation(enclosure(Rational(1, 3)), a) == 0
+
+
+class TestQPowerDecision:
+    @given(
+        st.integers(0, 10**6),
+        st.integers(1, 10**30),
+        st.integers(1, 10**6),
+        st.integers(1, 40),
+        st.integers(1, 40),
+    )
+    @settings(max_examples=300)
+    def test_matches_direct_inequality(self, num, den, q, e, m):
+        assert _clears_q_power(num, den, q, e, m) == (num**e * q**m < den**e)
+
+    @pytest.mark.parametrize("e, m", [(1, 1), (2, 3), (7, 5), (30, 45)])
+    def test_near_ties_fall_back_to_exact_powers(self, e, m):
+        # num^e q^m == den^e exactly, then one unit either side
+        num, q, den = 3**m, 3**e, 3 ** (2 * m)
+        for delta, expected in ((0, False), (1, True), (-1, False)):
+            assert _clears_q_power(num, den + delta, q, e, m) == expected
+        assert _clears_q_power(0, 1, q, e, m)
 
 
 class TestExpansionDigits:

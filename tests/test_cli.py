@@ -22,6 +22,11 @@ class TestBasicCommands:
         assert code == 0
         assert out.strip() == "0.3333 certified:4"
 
+    def test_digits_negative_spells_out_floor(self, capsys):
+        code, out, _ = run_cli(capsys, "digits", "rat:-1/3", "--count", "5")
+        assert code == 0
+        assert out == "-1+0.66666 certified:5\n"
+
     def test_sturmian(self, capsys):
         code, out, _ = run_cli(capsys, "sturmian", "surd:-3,-2,5", "--length", "13")
         assert code == 0
@@ -145,6 +150,23 @@ class TestExitCodes:
         )
         assert code == 3
         assert "certified:" in out
+
+    def test_budget_below_start_precision(self, capsys):
+        # a budget of 0 bits cannot even certify the integer part of e
+        code, out, err = run_cli(capsys, "--max-bits", "0", "digits", "e", "--count", "30")
+        assert code == 3
+        assert out == "" and "budget exhausted" in err
+
+    def test_negative_budget_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--max-bits", "-1", "digits", "e", "--count", "3"])
+        assert exc.value.code == 2
+
+    def test_slope_runaway_is_budget_exhaustion(self, capsys, monkeypatch):
+        monkeypatch.setattr("diowords.sturmian._SLOPE_EXTEND_CAP", 1)
+        code, out, err = run_cli(capsys, "sturmian", "cfslope:(1)*", "--length", "50")
+        assert code == 3
+        assert out == "" and "ran away" in err
 
     def test_verify_unknown_suite_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--suite", "definitely-not-a-criterion")

@@ -84,6 +84,119 @@ class TestEnclosure:
             Mobius(1, 1, 1, 1, Rational(1, 2))  # det 0
 
 
+class TestDyadicContainment:
+    """Each dyadic enclosure holds the exact Fraction bracket it replaces."""
+
+    @given(st.integers(0, 700))
+    @settings(max_examples=60, deadline=None)
+    def test_e_holds_partial_sum_and_tail(self, bits):
+        # K is the smallest with K! >= 2^(bits+1); e lies in [S_K, S_K + 2/K!]
+        k, factorial = 0, 1
+        while factorial < 2 ** (bits + 1):
+            k += 1
+            factorial *= k
+        partial, term = Fraction(0), Fraction(1)
+        for j in range(k):
+            partial += term
+            term /= j + 1
+        enc = enclosure(SeriesE(), bits)
+        lo, hi = enc.bounds()
+        assert lo <= partial and partial + Fraction(2, factorial) <= hi
+        assert enc.width <= Fraction(1, 2**bits) + Fraction(2, 2 ** (bits + 32))
+
+    @given(
+        st.integers(-50, 50),
+        st.integers(-9, 9).filter(bool),
+        st.integers(2, 10**6).filter(lambda d: math.isqrt(d) ** 2 != d),
+        st.integers(0, 400),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_surd_brackets_the_root(self, p, q, d, bits):
+        enc = enclosure(Surd(p, q, d), bits)
+        lo, hi = enc.bounds()
+        # (p + sqrt d)/q in [lo, hi], checked by squaring integers of the cleared bounds
+        below, above = (lo * q - p, hi * q - p) if q > 0 else (hi * q - p, lo * q - p)
+        assert below < 0 or below * below < d
+        assert above > 0 and d < above * above
+        t = math.isqrt(d * 4**bits)  # the exact bracket (p + [t, t + 1]/2^bits)/q before rounding
+        ends = sorted((Fraction(p * 2**bits + t, q * 2**bits), Fraction(p * 2**bits + t + 1, q * 2**bits)))
+        assert lo <= ends[0] and ends[1] <= hi
+
+    @given(
+        st.integers(-4, 4),
+        st.integers(-4, 4),
+        st.booleans(),
+        st.sampled_from(["e", "surd:0,1,2", "surd:1,2,5", "shallit"]),
+        st.integers(0, 300),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_mobius_holds_image_of_inner_bracket(self, k1, k2, flip, inner_spec, bits):
+        # T^k1 S T^k2 (det -1) or T^(k1+k2) (det 1), with T = [[1,1],[0,1]], S = [[0,1],[1,0]]
+        a, b, c, d = (k1, k1 * k2 + 1, 1, k2) if flip else (1, k1 + k2, 0, 1)
+        inner = enclosure(parse_real_spec(inner_spec), bits)
+        try:
+            enc = mobius(a, b, c, d, inner, bits)
+        except PrecisionBudgetError:
+            return
+        x_lo, x_hi = inner.bounds()
+        images = sorted(((a * x_lo + b) / (c * x_lo + d), (a * x_hi + b) / (c * x_hi + d)))
+        lo, hi = enc.bounds()
+        assert lo <= images[0] and images[1] <= hi
+        assert enc.width <= Fraction(1, 2**bits) + Fraction(2, 2 ** (bits + 32))
+
+    @given(
+        st.sampled_from(["e", "surd:-1,3,7", "shallit", "mobius:5,2,2,1:(e)", "mobius:0,1,1,-2:(surd:0,1,3)"]),
+        st.lists(st.integers(1, 400), min_size=1, max_size=5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_refinements_stay_nested(self, spec, steps):
+        enc = enclosure(parse_real_spec(spec), 8)
+        bits = enc.bits
+        for step in steps:
+            before = enc.bounds()
+            bits += step
+            assert enc.refine(bits)
+            lo, hi = enc.bounds()
+            assert before[0] <= lo <= hi <= before[1]
+            assert enc.bits == bits
+
+    def test_from_cf_stream_holds_convergent_bracket(self):
+        # sqrt(3) = [1; 1, 2, 1, 2, ...]: 97/56 and 168/97 straddle it
+        enc = enclosure(FromCF(lambda n: 1 if n % 2 or n == 0 else 2), 14)
+        lo, hi = enc.bounds()
+        assert lo <= Fraction(97, 56) and Fraction(168, 97) <= hi
+        assert lo * lo < 3 < hi * hi
+
+    def test_digit_stream_holds_digit_cell(self):
+        enc = enclosure_from_digits(lambda n: [1] * n, 3, 0, bits=20)
+        lo, hi = enc.bounds()
+        n = int(20 / math.log2(3)) + 2
+        cell = Fraction(3**n - 1, 2 * 3**n)  # 0.111...1 in base 3
+        assert lo <= cell and cell + Fraction(1, 3**n) <= hi
+
+
+class TestBudget:
+    @pytest.mark.parametrize("max_bits", [0, 1, 32, 63])
+    def test_start_precision_honours_small_budgets(self, max_bits):
+        enc = enclosure(SeriesE(), max_bits=max_bits)
+        assert enc.bits <= max_bits
+        assert not enc.refine()
+        image = enclosure(Mobius(5, 2, 2, 1, SeriesE()), max_bits=max_bits)
+        assert image.bits <= max_bits
+
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ValueError):
+            enclosure(SeriesE(), max_bits=-1)
+
+    def test_refine_to_target_in_one_step(self):
+        enc = enclosure(SeriesE(), 64)
+        assert enc.refine(5000)
+        assert enc.bits == 5000
+        assert enc.width <= Fraction(1, 2**5000) + Fraction(2, 2**5032)
+        assert enc.refine(100)  # already finer: kept as it is
+        assert enc.bits == 5000
+
+
 class TestMobius:
     def test_identity(self):
         enc = mobius(1, 0, 0, 1, enclosure(Rational(1, 3)))
@@ -154,6 +267,7 @@ class TestDigits:
         stream = digits(Rational(-1, 3), 10, 4)
         assert stream.integer_part == -1
         assert list(stream.fractional_digits) == [6, 6, 6, 6]
+        assert stream.as_text() == "-1+0.6666 certified:4"
 
     def test_binary_and_hex(self):
         assert digits(Rational(1, 2), 2, 3).fractional_digits == (1, 0, 0)
@@ -186,6 +300,15 @@ class TestDigits:
         p = p % q
         stream = digits(Rational(p, q), 10, 25)
         assert list(stream.fractional_digits) == expansion_digits(p, q, 10, 25)
+
+    @given(st.integers(0, 10**6), st.integers(1, 10**6), st.integers(2, 300), st.integers(0, 80))
+    @settings(max_examples=200)
+    def test_digits_match_long_division_in_any_base(self, p, q, base, count):
+        from diowords.approx import expansion_digits
+
+        p = p % q
+        stream = digits(Rational(p, q), base, count)
+        assert list(stream.fractional_digits) == expansion_digits(p, q, base, count)
 
 
 class TestCrossRoutes:
