@@ -22,14 +22,12 @@ from .realnum import (
     Enclosure,
     PrecisionBudgetError,
     RealSpec,
+    _GUARD_BITS,
     digits,
     enclosure,
 )
 from .repetition import ExponentEstimate, RepetitionWitness, dio_estimate, verify_witness
 from .words import Word
-
-_NEAR_MISS_BITS = 32
-
 
 @dataclass(frozen=True)
 class Approximant:
@@ -121,8 +119,8 @@ def verify_approximation(source: Enclosure, approx: Approximant) -> Fraction:
         if num * cell >= den:
             raise AssertionError("approximation is not within base^-m of the exact value")
     else:
-        # one refinement certifies unless |xi - p/q| is within base^-m 2^-_NEAR_MISS_BITS of base^-m
-        source.refine(cell.bit_length() + _NEAR_MISS_BITS)
+        # one refinement certifies unless |xi - p/q| is within base^-m 2^-_GUARD_BITS of base^-m
+        source.refine(cell.bit_length() + _GUARD_BITS)
         while True:
             lo, hi, s = source.dyadic()
             num, den = max(abs(lo * q - (p << s)), abs(hi * q - (p << s))), q << s

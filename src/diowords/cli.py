@@ -191,6 +191,10 @@ def cmd_mu(args) -> int:
     cf = contfrac.cf_from_enclosure(
         realnum.enclosure(spec, max_bits=args.max_bits), args.terms
     )
+    if cf.budget_exhausted and cf.certified < args.n_min + 2:
+        raise realnum.PrecisionBudgetError(
+            f"refinement budget exhausted after {cf.certified} certified terms"
+        )
     mu = contfrac.mu_estimate(cf, n_min=args.n_min)
     if args.format == "json":
         _json_out(mu.to_json_dict())
@@ -236,6 +240,10 @@ def cmd_quasi(args) -> int:
 def cmd_approximant(args) -> int:
     spec = realnum.parse_real_spec(args.spec)
     stream = realnum.digits(spec, args.base, args.prefix, max_bits=args.max_bits)
+    if stream.certified < 2 and not stream.complete:
+        raise realnum.PrecisionBudgetError(
+            f"refinement budget exhausted after {stream.certified} certified digits"
+        )
     w = stream.fractional_word()
     est = repetition.dio_estimate(w, args.threshold)
     a = approx.witness_to_approximant(w, est.global_max, args.base)

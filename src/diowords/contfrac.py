@@ -114,8 +114,11 @@ def _interval_quotients(lo: int, hi: int, den: int, k_max: int) -> list[int]:
 
 def _bits_for_terms(bits: int, got: int, want: int) -> int:
     """Precision predicted to certify `want` quotients, `got` of which
-    `bits` certified: the bits per quotient so far, with a quarter to spare."""
-    return 5 * bits * want // (4 * got)
+    `bits` certified: the bits per quotient so far, with a quarter to spare.
+
+    Always above `bits`, so every refinement makes progress even when a
+    tiny budget certified a quotient at 0 or a handful of bits."""
+    return max(5 * bits * want // (4 * got), bits + 1)
 
 
 def cf_from_enclosure(source: Enclosure, max_terms: int) -> CFExpansion:

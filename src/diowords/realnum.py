@@ -147,19 +147,10 @@ class Enclosure:
 
     def refine_below(self, width: Fraction) -> bool:
         """Refine until the width is at most `width`; False if the budget runs out."""
-        if self.is_point() or self.width <= width:
-            return True
-        if width > 0:  # 2^-b <= width / 2 leaves room for the outward rounding
-            self.refine(_bits_below(width) + 1)
         while self.width > width:
             if not self.refine():
                 return False
         return True
-
-
-def _bits_below(width: Fraction) -> int:
-    """Smallest b >= 0 with 2^-b <= width (width > 0)."""
-    return (-(-width.denominator // width.numerator) - 1).bit_length()
 
 
 # ---------------------------------------------------------------------------

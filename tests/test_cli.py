@@ -157,6 +157,22 @@ class TestExitCodes:
         assert code == 3
         assert out == "" and "budget exhausted" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--max-bits", "0", "cf", "surd:0,10,2", "--terms", "5"),
+            ("--max-bits", "1", "cf", "surd:0,1000000,2", "--terms", "20"),
+            ("--max-bits", "0", "cf", "mobius:0,1,1,5:(e)", "--terms", "5"),
+            ("--max-bits", "0", "mu", "mobius:0,1,1,5:(e)", "--terms", "20"),
+            ("--max-bits", "1", "approximant", "e", "--prefix", "50"),
+        ],
+    )
+    def test_tiny_budget_is_exhaustion(self, capsys, argv):
+        # a quotient certified at 0 or 1 bits must not stall the refinement,
+        # and too few terms or digits for the command is a budget error
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 3
+
     def test_negative_budget_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--max-bits", "-1", "digits", "e", "--count", "3"])

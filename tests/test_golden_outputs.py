@@ -3,8 +3,7 @@
 `golden_outputs.json` holds SHA-256 digests of the rendered outputs
 below, recorded with the Fraction-based enclosures that preceded the
 dyadic ones.  Every digit, quotient and approximant line must stay
-byte-identical.  Running this file as a script prints the digests of
-the current code as JSON.
+byte-identical.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -85,7 +83,3 @@ def test_outputs_match_golden_digests():
     assert got.keys() == expected.keys()
     assert [k for k in got if got[k] != expected[k]] == []
 
-
-if __name__ == "__main__":
-    json.dump(digests(), sys.stdout, indent=1, sort_keys=True)
-    sys.stdout.write("\n")
