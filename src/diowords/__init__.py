@@ -25,7 +25,6 @@ from .sturmian import (
     SurdSlope,
     apply_morphism,
     letter_frequency_check,
-    mechanical_letters,
     mechanical_word,
     morphic_length_check,
     parse_morphism,

@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from typing import Callable
 
 from . import acceptance, approx, contfrac, realnum, repetition, sturmian, words
 
@@ -27,25 +28,19 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 PROFILE_NOTE = "profile counts are lower bounds for the infinite word"
+CSV_COMMANDS = ("complexity", "gap")
 
 
-class _WordSource:
-    """A word source description: literal, digit word, or generated word."""
-
-    def __init__(self, kind: str, make):
-        self.kind = kind
-        self._make = make
-
-    def materialize(self, prefix: int, max_bits: int) -> words.Word:
-        return self._make(prefix, max_bits)
-
-
-def parse_word_source(text: str) -> _WordSource:
+def parse_word_source(text: str) -> Callable[[int, int], words.Word]:
     """Word-source grammar: "lit:0100101", "digits:SPEC|BASE",
-    "sturmian:SLOPE[|INTERCEPT]", "quasi:W|MORPHISM|SLOPE[|INTERCEPT]"."""
+    "sturmian:SLOPE[|INTERCEPT]", "quasi:W|MORPHISM|SLOPE[|INTERCEPT]".
+
+    Returns the function that makes the word's prefix of a given length
+    within a refinement budget: (prefix, max_bits) -> Word.
+    """
     if text.startswith("lit:"):
         w = words.Word.from_digits(text[4:])
-        return _WordSource("lit", lambda prefix, _mb: w.prefix(min(prefix, len(w))) if prefix else w)
+        return lambda prefix, _mb: w.prefix(min(prefix, len(w))) if prefix else w
     if text.startswith("digits:"):
         parts = text[7:].split("|")
         if len(parts) != 2:
@@ -55,31 +50,33 @@ def parse_word_source(text: str) -> _WordSource:
             base = int(parts[1])
         except ValueError:
             raise ValueError(f"bad base {parts[1]!r}") from None
-
-        def make_digits(prefix: int, max_bits: int) -> words.Word:
-            return realnum.digits(spec, base, prefix, max_bits=max_bits).fractional_word()
-
-        return _WordSource("digits", make_digits)
+        return lambda prefix, max_bits: realnum.digits(
+            spec, base, prefix, max_bits=max_bits
+        ).fractional_word()
     if text.startswith("sturmian:"):
         parts = text[9:].split("|")
         slope = sturmian.parse_slope(parts[0])
         intercept = Fraction(parts[1]) if len(parts) > 1 else Fraction(0)
-        return _WordSource(
-            "sturmian", lambda prefix, _mb: sturmian.mechanical_word(slope, intercept, prefix)
-        )
+        return lambda prefix, _mb: sturmian.mechanical_word(slope, intercept, prefix)
     if text.startswith("quasi:"):
         parts = text[6:].split("|")
         if len(parts) not in (3, 4):
             raise ValueError(f"quasi source needs W|MORPHISM|SLOPE: {text!r}")
-        prefix_word = words.Word.from_digits(parts[0]) if parts[0] else words.Word(b"", 2)
-        spec = sturmian.QuasiSturmianSpec(
-            prefix_word,
-            sturmian.parse_morphism(parts[1]),
-            sturmian.parse_slope(parts[2]),
-            Fraction(parts[3]) if len(parts) > 3 else Fraction(0),
-        )
-        return _WordSource("quasi", lambda prefix, _mb: sturmian.apply_morphism(spec, prefix))
+        spec = _quasi_spec(*parts)
+        return lambda prefix, _mb: sturmian.apply_morphism(spec, prefix)
     raise ValueError(f"unknown word source {text!r} (position 0)")
+
+
+def _quasi_spec(
+    word: str, morphism: str, slope: str, intercept: str = "0"
+) -> sturmian.QuasiSturmianSpec:
+    """The W phi(s) word of the `quasi` command and of "quasi:" sources."""
+    return sturmian.QuasiSturmianSpec(
+        words.Word.from_digits(word) if word else words.Word(b"", 2),
+        sturmian.parse_morphism(morphism),
+        sturmian.parse_slope(slope),
+        Fraction(intercept),
+    )
 
 
 def _emit(text: str) -> None:
@@ -136,8 +133,7 @@ def cmd_digits(args) -> int:
 
 
 def cmd_complexity(args, gaps_only: bool = False) -> int:
-    source = parse_word_source(args.source)
-    w = source.materialize(args.prefix, args.max_bits)
+    w = parse_word_source(args.source)(args.prefix, args.max_bits)
     profile = words.complexity_profile(w, args.n_max)
     gaps = words.gap_profile(profile)
     if args.format == "json":
@@ -157,8 +153,7 @@ def cmd_complexity(args, gaps_only: bool = False) -> int:
 
 
 def cmd_ice_dio(args, kind: str) -> int:
-    source = parse_word_source(args.source)
-    w = source.materialize(args.prefix, args.max_bits)
+    w = parse_word_source(args.source)(args.prefix, args.max_bits)
     if kind == "dio":
         est = repetition.dio_estimate(w, args.threshold)
     else:
@@ -214,13 +209,7 @@ def cmd_sturmian(args) -> int:
 
 
 def cmd_quasi(args) -> int:
-    prefix_word = words.Word.from_digits(args.word) if args.word else words.Word(b"", 2)
-    spec = sturmian.QuasiSturmianSpec(
-        prefix_word,
-        sturmian.parse_morphism(args.morphism),
-        sturmian.parse_slope(args.slope),
-        Fraction(args.intercept),
-    )
+    spec = _quasi_spec(args.word, args.morphism, args.slope, args.intercept)
     w = sturmian.apply_morphism(spec, args.length)
     if args.check_n_max:
         result = sturmian.quasi_sturmian_check(w, args.check_n_max)
@@ -342,7 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--max-bits",
         type=_non_negative,
-        default=int(os.environ.get(ENV_MAX_BITS, realnum.DEFAULT_MAX_BITS)),
+        # a string default goes through _non_negative like a command-line value
+        default=os.environ.get(ENV_MAX_BITS, str(realnum.DEFAULT_MAX_BITS)),
         help=f"refinement budget in bits (env {ENV_MAX_BITS})",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -421,6 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.format == "csv" and args.command not in CSV_COMMANDS:
+        parser.error(f"--format csv is only available for {' and '.join(CSV_COMMANDS)}")
     try:
         return args.func(args)
     except (realnum.PrecisionBudgetError, sturmian.SlopeRefinementError) as exc:

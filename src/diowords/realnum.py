@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence, Union
 
-from .words import Word
+from .words import CHARS_TO_DIGITS, DIGITS_TO_CHARS, Word
 
 DEFAULT_MAX_BITS = 10**6
 _START_BITS = 64
@@ -533,7 +533,7 @@ class DigitStream:
 
     def as_text(self) -> str:
         if self.base <= 36:
-            frac = bytes(self.fractional_digits).translate(_DIGITS_TO_CHARS).decode("ascii")
+            frac = bytes(self.fractional_digits).translate(DIGITS_TO_CHARS).decode("ascii")
         else:
             frac = ",".join(map(str, self.fractional_digits))
         if self.integer_part < 0:
@@ -552,11 +552,6 @@ class DigitStream:
         for d in self.fractional_digits:
             v = v * self.base + d
         return self.integer_part + Fraction(v, self.base**self.certified)
-
-
-_DIGIT_CHARS = b"0123456789abcdefghijklmnopqrstuvwxyz"
-_DIGITS_TO_CHARS = bytes.maketrans(bytes(range(36)), _DIGIT_CHARS)
-_CHARS_TO_DIGITS = bytes.maketrans(_DIGIT_CHARS, bytes(range(36)))
 
 
 def digits(spec: RealSpec, base: int, count: int, max_bits: int = DEFAULT_MAX_BITS) -> DigitStream:
@@ -625,7 +620,7 @@ def _int_to_base_digits(x: int, base: int, width: int) -> tuple[int, ...]:
         return tuple(int(text[i : i + shift], 2) for i in range(0, shift * width, shift))
     else:
         return tuple(_digits_divide_conquer(x, base, width))
-    return tuple(text.zfill(width).encode("ascii").translate(_CHARS_TO_DIGITS))
+    return tuple(text.zfill(width).encode("ascii").translate(CHARS_TO_DIGITS))
 
 
 def _digits_divide_conquer(x: int, base: int, width: int) -> list[int]:

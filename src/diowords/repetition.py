@@ -15,8 +15,8 @@ the best score with denominator d is (d + LPF[d]) / d, where
 LPF[d] = max_{u < d} lce(u, d) is the longest-previous-factor array of
 the prefix (see suffix.py), and its smallest u is the first occurrence
 of the LPF[d] letters at d.  Scores are compared exactly, by integer
-cross-multiplication.  Initial repetitions use the Z-array instead,
-which is linear.
+cross-multiplication.  Initial repetitions (u = 0) are selected the
+same way from the Z-array, which is linear, in place of LPF.
 """
 
 from __future__ import annotations
@@ -114,6 +114,15 @@ def _default_threshold(n: int) -> int:
     return max(1, n // 20)
 
 
+def _checked_threshold(n: int, threshold: int | None) -> int:
+    if n < 2:
+        raise ValueError("degenerate prefix (length < 2)")
+    t = _default_threshold(n) if threshold is None else threshold
+    if not 1 <= t <= n // 2:
+        raise ValueError("threshold must be in [1, N/2]")
+    return t
+
+
 def dio_estimate(prefix: Word, threshold: int | None = None) -> ExponentEstimate:
     """Best repetition score over all (u, v) factorizations of the prefix.
 
@@ -121,35 +130,41 @@ def dio_estimate(prefix: Word, threshold: int | None = None) -> ExponentEstimate
     exact and the tie-break (smaller u+v, then smaller u) makes the
     returned witnesses deterministic.
     """
-    n = len(prefix)
-    if n < 2:
-        raise ValueError("degenerate prefix (length < 2)")
-    t = _default_threshold(n) if threshold is None else threshold
-    if not 1 <= t <= n // 2:
-        raise ValueError("threshold must be in [1, N/2]")
-
+    t = _checked_threshold(len(prefix), threshold)
     data = prefix.symbols
     sa = suffix_array(data)
-    lpf = longest_previous_factor(sa, lcp_array(data, sa))
-    best_g = _best_from(data, lpf, 1)
-    best_p = _best_from(data, lpf, t)
+    return _estimate(prefix, longest_previous_factor(sa, lcp_array(data, sa)), t)
+
+
+def ice_estimate(prefix: Word, threshold: int | None = None) -> ExponentEstimate:
+    """Best initial-repetition score (u = 0): V^w prefixes only, score m/v."""
+    t = _checked_threshold(len(prefix), threshold)
+    # a Z-match block at v starts the word, so _best_from finds u = 0 for it
+    return _estimate(prefix, np.array(_z_array(prefix.symbols), dtype=np.int64), t)
+
+
+def _estimate(prefix: Word, ext: np.ndarray, t: int) -> ExponentEstimate:
+    """Global and persistent (u + v >= t) maxima, each checked against the prefix."""
+    (mg, ug, vg), (mp, up, vp) = (_best_from(prefix.symbols, ext, lo) for lo in (1, t))
     return _certified(prefix, ExponentEstimate(
-        global_max=RepetitionWitness(best_g[1], best_g[2], best_g[0]),
-        persistent_max=RepetitionWitness(best_p[1], best_p[2], best_p[0]),
-        prefix_length=n,
+        global_max=RepetitionWitness(ug, vg, mg),
+        persistent_max=RepetitionWitness(up, vp, mp),
+        prefix_length=len(prefix),
         threshold=t,
     ))
 
 
-def _best_from(data: bytes, lpf: np.ndarray, lo: int) -> _Cand:
+def _best_from(data: bytes, ext: np.ndarray, lo: int) -> _Cand:
     """Best witness with u + v >= lo, in the order of _better.
 
-    Denominators run over [lo, N); d = N only scores 1, which d = lo
-    matches with a smaller denominator.  The float argmax only picks a
-    pivot: every d scoring at least as much, by exact int64 comparison
-    of LPF[d] / d, stays a candidate.
+    ext[d] is the longest match of the letters at d with earlier ones:
+    LPF[d] for any u, Z[d] for u = 0.  Denominators run over [lo, N);
+    d = N only scores 1, which d = lo matches with a smaller
+    denominator.  The float argmax only picks a pivot: every d scoring
+    at least as much, by exact int64 comparison of ext[d] / d, stays a
+    candidate.
     """
-    c = lpf[lo:]
+    c = ext[lo:]
     d = np.arange(lo, len(data))
     i = int(np.argmax(c / d))
     kept = np.flatnonzero(c * d[i] >= c[i] * d)
@@ -160,34 +175,6 @@ def _best_from(data: bytes, lpf: np.ndarray, lo: int) -> _Cand:
             best_c, best_d = cj, dj
     u = data.find(data[best_d : best_d + best_c])
     return (best_d + best_c, u, best_d - u)
-
-
-def ice_estimate(prefix: Word, threshold: int | None = None) -> ExponentEstimate:
-    """Best initial-repetition score (u = 0): V^w prefixes only, score m/v."""
-    n = len(prefix)
-    if n < 2:
-        raise ValueError("degenerate prefix (length < 2)")
-    t = _default_threshold(n) if threshold is None else threshold
-    if not 1 <= t <= n // 2:
-        raise ValueError("threshold must be in [1, N/2]")
-
-    z = _z_array(prefix.symbols)
-    best_g: _Cand | None = None
-    best_p: _Cand | None = None
-    for v in range(1, n + 1):
-        ext = z[v] if v < n else 0
-        m = v + min(ext, n - v)
-        cand = (m, 0, v)
-        if _better(cand, best_g):
-            best_g = cand
-        if v >= t and _better(cand, best_p):
-            best_p = cand
-    return _certified(prefix, ExponentEstimate(
-        global_max=RepetitionWitness(0, best_g[2], best_g[0]),
-        persistent_max=RepetitionWitness(0, best_p[2], best_p[0]),
-        prefix_length=n,
-        threshold=t,
-    ))
 
 
 def _z_array(data: bytes) -> list[int]:

@@ -1,12 +1,17 @@
 """Sturmian and quasi-Sturmian word generation with exact slope arithmetic.
 
-Binary mechanical words are produced letter by letter from
-s(n) = floor((n+1)*alpha + rho) - floor(n*alpha + rho), where the
-irrational slope alpha in (0, 1) is either a quadratic surd
-(P + sqrt(D))/Q or a continued-fraction quotient sequence.  No floor is
-ever taken through floating point: surd floors reduce to an integer
-square root, and continued-fraction slopes are bracketed by convergents
-that are extended until the floor is unambiguous.
+The binary mechanical word of slope alpha and intercept rho is
+s(n) = floor((n+1)*alpha + rho) - floor(n*alpha + rho) for n = 1, 2, ...,
+where the irrational slope alpha in (0, 1) is either a quadratic surd
+(P + sqrt(D))/Q or a continued-fraction quotient sequence, and the
+intercept rho in [0, 1) is rational.  No floor is ever taken through
+floating point.  Each slope brackets itself between dyadic integers,
+lo/2^k < alpha < hi/2^k with hi - lo <= 2: a surd by one integer square
+root, a continued fraction by its first pair of consecutive convergents
+that are close enough.  `mechanical_word` takes every floor from one
+bracket in a single int64 numpy pass, and decides the few positions
+where the two ends of the bracket disagree again at 2k, 4k, ... bits
+with Python integers.  n*alpha + rho is never an integer, so this ends.
 
 Quasi-Sturmian words are built as W followed by the image of a Sturmian
 word under a nonerasing binary morphism; the checkers in this module
@@ -19,7 +24,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable
+
+import numpy as np
 
 from .words import Word, complexity_profile
 
@@ -71,29 +78,15 @@ class SurdSlope:
     def is_irrational(self) -> bool:
         return True
 
-    def bounds(self, bits: int) -> tuple[Fraction, Fraction]:
+    def bracket(self, bits: int) -> tuple[int, int]:
+        """Integers lo, lo + 1 with lo/2^bits < alpha < (lo + 1)/2^bits."""
         pp, ss, qq = self._normalized()
-        scale = 1 << bits
-        t = math.isqrt(self.d * scale * scale)
-        root_lo, root_hi = Fraction(t, scale), Fraction(t + 1, scale)
-        if ss < 0:
-            root_lo, root_hi = -root_hi, -root_lo
-        a = (pp + root_lo) / qq
-        b = (pp + root_hi) / qq
-        return (a, b) if a <= b else (b, a)
-
-    def floor_times(self, n: int, rho: Fraction) -> int:
-        """Exact floor(n*alpha + rho)."""
-        pp, ss, qq = self._normalized()
-        rp, rq = rho.numerator, rho.denominator
-        a = n * pp * rq + rp * qq
-        b = n * rq
-        c = qq * rq
-        if b == 0:
-            return a // c
-        t = math.isqrt(b * b * self.d)
-        # b*sqrt(d) is irrational here, so its floor is t (resp. -t-1).
-        return (a + t) // c if ss > 0 else (a - t - 1) // c
+        t = math.isqrt(self.d << 2 * bits)
+        # sqrt(d) is irrational, so floor(ss*sqrt(d)*2^bits) is t (resp. -t-1),
+        # and x < qq*(lo+1) gives alpha*2^bits < (x+1)/qq <= lo+1.
+        x = (pp << bits) + (t if ss > 0 else -t - 1)
+        lo = x // qq
+        return lo, lo + 1
 
     def describe(self) -> str:
         return f"({self.p}+sqrt({self.d}))/{self.q}"
@@ -141,21 +134,11 @@ class CFSlope:
     def is_irrational(self) -> bool:
         return bool(self.cycle) or self.fn is not None
 
-    def _shared_state(self) -> "_CFSlopeState":
+    def bracket(self, bits: int) -> tuple[int, int]:
+        """Integers lo < hi <= lo + 2 with lo/2^bits < alpha < hi/2^bits."""
         if self._state is None:
             self._state = _CFSlopeState(self)
-        return self._state
-
-    def bounds(self, bits: int) -> tuple[Fraction, Fraction]:
-        if not self.is_irrational():
-            v = self.value()
-            return v, v
-        state = self._shared_state()
-        target = Fraction(1, 1 << bits)
-        while state.width() > target:
-            state.extend()
-        ln, ld, hn, hd = state.bracket()
-        return Fraction(ln, ld), Fraction(hn, hd)
+        return self._state.bracket(bits)
 
     def value(self) -> Fraction:
         """Exact value; only defined for finite (rational) quotient lists."""
@@ -165,17 +148,6 @@ class CFSlope:
         for m in reversed(self.head):
             x = Fraction(1, m + x)
         return x
-
-    def floor_times(self, n: int, rho: Fraction) -> int:
-        state = self._shared_state()
-        rp, rq = rho.numerator, rho.denominator
-        while True:
-            ln, ld, hn, hd = state.bracket()
-            f_lo = (n * ln * rq + rp * ld) // (ld * rq)
-            f_hi = (n * hn * rq + rp * hd) // (hd * rq)
-            if f_lo == f_hi:
-                return f_lo
-            state.extend()
 
     def describe(self) -> str:
         if self.label:
@@ -188,7 +160,7 @@ class CFSlope:
 
 
 class _CFSlopeState:
-    """Lazily extended convergents of [0; m1, m2, ...] bracketing the slope."""
+    """Lazily extended convergents p_k/q_k of [0; m1, m2, ...], cached on the slope."""
 
     def __init__(self, slope: CFSlope) -> None:
         self.slope = slope
@@ -208,15 +180,16 @@ class _CFSlopeState:
         self.p_prev, self.q_prev = self.p_cur, self.q_cur
         self.p_cur, self.q_cur = p, q
 
-    def bracket(self) -> tuple[int, int, int, int]:
-        # consecutive convergents straddle the value; order them
-        if self.p_prev * self.q_cur < self.p_cur * self.q_prev:
-            return self.p_prev, self.q_prev, self.p_cur, self.q_cur
-        return self.p_cur, self.q_cur, self.p_prev, self.q_prev
-
-    def width(self) -> Fraction:
-        ln, ld, hn, hd = self.bracket()
-        return Fraction(hn * ld - ln * hd, ld * hd)
+    def bracket(self, bits: int) -> tuple[int, int]:
+        # consecutive convergents straddle the slope, p_k/q_k above it for odd k,
+        # and lie 1/(q_k q_{k-1}) apart; at most 2^-bits apart, their
+        # outward roundings lie at most 2 apart
+        while self.q_prev * self.q_cur < 1 << bits:
+            self.extend()
+        (ln, ld), (hn, hd) = (self.p_prev, self.q_prev), (self.p_cur, self.q_cur)
+        if self.k % 2 == 0:
+            (ln, ld), (hn, hd) = (hn, hd), (ln, ld)
+        return (ln << bits) // ld, -((-hn << bits) // hd)
 
 
 SlopeSpec = SurdSlope | CFSlope
@@ -269,33 +242,47 @@ def _as_intercept(rho) -> Fraction:
     return rho
 
 
-def mechanical_letters(slope: SlopeSpec, intercept=Fraction(0)) -> Iterator[int]:
-    """Infinite stream s(1), s(2), ... of the mechanical word; exact floors."""
-    if not slope.is_irrational():
-        raise ValueError("slope must be irrational")
-    rho = _as_intercept(intercept)
-    prev = slope.floor_times(1, rho)
-    n = 1
-    while True:
-        nxt = slope.floor_times(n + 1, rho)
-        yield nxt - prev
-        prev = nxt
-        n += 1
-
-
 def mechanical_word(slope: SlopeSpec, intercept=Fraction(0), length: int = 0) -> Word:
     """First `length` letters of the mechanical word of the given slope."""
     if length < 1:
         raise ValueError("length must be positive")
-    gen = mechanical_letters(slope, intercept)
-    return Word(bytes(next(gen) for _ in range(length)), 2)
+    if not slope.is_irrational():
+        raise ValueError("slope must be irrational")
+    floors = _floors(slope, _as_intercept(intercept), length + 1)
+    return Word(np.diff(floors).astype(np.uint8).tobytes(), 2)
+
+
+def _floors(slope: SlopeSpec, rho: Fraction, count: int) -> np.ndarray:
+    """Exact floor(n*alpha + rho) for n = 1..count.
+
+    With lo/2^k < alpha < hi/2^k and r = floor(rho*2^k), the integer
+    floor((n*alpha + rho)*2^k) lies in [n*lo + r, n*hi + r], so the floor
+    is decided wherever both ends shift down to the same value.  The
+    first pass runs in int64 at the largest k for which
+    (count+1)*2^(k+1), a bound on n*hi + r, cannot overflow; the positions
+    it leaves open are decided again in Python integers at twice the bits.
+    """
+    floors = np.empty(count, dtype=np.int64)
+    pos = np.arange(count)
+    n = pos + 1
+    bits = 62 - (count + 1).bit_length()
+    while pos.size:
+        lo, hi = slope.bracket(bits)
+        r = (rho.numerator << bits) // rho.denominator
+        f_lo, f_hi = (n * lo + r) >> bits, (n * hi + r) >> bits
+        done = f_lo == f_hi
+        floors[pos[done]] = f_lo[done]
+        pos, n = pos[~done], n[~done].astype(object)
+        bits *= 2
+    return floors
 
 
 def slope_bounds(slope: SlopeSpec, bits: int = 64) -> tuple[Fraction, Fraction]:
     """Certified rational bracket of the slope with width at most 2^-bits."""
     if not slope.is_irrational():
         raise ValueError("slope must be irrational")
-    return slope.bounds(bits)
+    lo, hi = slope.bracket(bits + 1)
+    return Fraction(lo, 1 << bits + 1), Fraction(hi, 1 << bits + 1)
 
 
 def letter_frequency_check(s: Word, slope: SlopeSpec) -> Fraction:
@@ -334,13 +321,6 @@ class Morphism:
         if len(self.image0) == 0 or len(self.image1) == 0:
             raise ValueError("morphism must be nonerasing")
 
-    def image(self, letter: int) -> Word:
-        if letter == 0:
-            return self.image0
-        if letter == 1:
-            return self.image1
-        raise ValueError("morphism domain is {0, 1}")
-
     @property
     def target_alphabet(self) -> int:
         return max(self.image0.alphabet_size, self.image1.alphabet_size)
@@ -375,15 +355,18 @@ class QuasiSturmianSpec:
 
 
 def apply_morphism(spec: QuasiSturmianSpec, length: int) -> Word:
-    """First `length` letters of W phi(s), pulling letters of s lazily."""
+    """First `length` letters of W phi(s)."""
     if length < 0:
         raise ValueError("length must be nonnegative")
-    out = bytearray(spec.prefix.symbols[:length])
-    gen = mechanical_letters(spec.slope, spec.intercept)
-    while len(out) < length:
-        out += spec.morphism.image(next(gen)).symbols
+    out = spec.prefix.symbols[:length]
+    if len(out) < length:
+        images = (spec.morphism.image0.symbols, spec.morphism.image1.symbols)
+        # every letter of s adds at least the shorter image
+        count = -(-(length - len(out)) // min(map(len, images)))
+        s = mechanical_word(spec.slope, spec.intercept, count)
+        out += b"".join(map(images.__getitem__, s.symbols))
     alphabet = max(spec.prefix.alphabet_size, spec.morphism.target_alphabet)
-    return Word(bytes(out[:length]), alphabet)
+    return Word(out[:length], alphabet)
 
 
 MIN_PLATEAU = 50
@@ -428,11 +411,11 @@ def morphic_length_check(spec: QuasiSturmianSpec, n_letters: int) -> Fraction:
     d1 = len0 + lo * (len1 - len0)
     d2 = len0 + hi * (len1 - len0)
     d_lo, d_hi = (d1, d2) if d1 <= d2 else (d2, d1)
-    gen = mechanical_letters(spec.slope, spec.intercept)
+    s = mechanical_word(spec.slope, spec.intercept, n_letters)
     total = 0
     worst = Fraction(0)
-    for n in range(1, n_letters + 1):
-        total += len1 if next(gen) else len0
+    for n, letter in enumerate(s, start=1):
+        total += len1 if letter else len0
         dev = max(abs(total - n * d_lo), abs(total - n * d_hi))
         if dev > worst:
             worst = dev

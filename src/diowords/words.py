@@ -27,6 +27,11 @@ from .suffix import lcp_array, suffix_array
 # larger bases exist elsewhere; the word-analysis surface does not need them.
 MAX_ALPHABET = 256
 
+# Digit characters of letters 0..35, shared by every text rendering.
+_DIGIT_CHARS = b"0123456789abcdefghijklmnopqrstuvwxyz"
+DIGITS_TO_CHARS = bytes.maketrans(bytes(range(36)), _DIGIT_CHARS)
+CHARS_TO_DIGITS = bytes.maketrans(_DIGIT_CHARS, bytes(range(36)))
+
 
 @dataclass(frozen=True)
 class Word:
@@ -80,7 +85,7 @@ class Word:
         """Digit-string rendering; only available for alphabets up to 10."""
         if self.alphabet_size > 10:
             raise ValueError("text rendering needs alphabet size <= 10")
-        return "".join(str(c) for c in self.symbols)
+        return self.symbols.translate(DIGITS_TO_CHARS).decode("ascii")
 
     def to_json(self) -> str:
         if self.alphabet_size <= 10:

@@ -44,6 +44,8 @@ class TestBasicCommands:
         code, out, _ = run_cli(capsys, "gap", "lit:0101010", "--n-max", "3", "--prefix", "7")
         assert code == 0
         assert out == "n,gap\n1,1\n2,0\n3,-1\n"
+        assert run_cli(capsys, "--format", "csv", "gap", "lit:0101010", "--n-max", "3",
+                       "--prefix", "7")[:2] == (0, out)
 
     def test_dio_text(self, capsys):
         code, out, _ = run_cli(
@@ -177,6 +179,35 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["--max-bits", "-1", "digits", "e", "--count", "3"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("value", ["abc", "-5"])
+    def test_bad_env_budget_is_usage_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("DIOWORDS_MAX_BITS", value)
+        with pytest.raises(SystemExit) as exc:
+            main(["digits", "e", "--count", "3"])
+        assert exc.value.code == 2
+        assert "--max-bits" in capsys.readouterr().err
+
+    def test_env_budget_is_honoured(self, capsys, monkeypatch):
+        monkeypatch.setenv("DIOWORDS_MAX_BITS", "0")
+        code, out, _ = run_cli(capsys, "digits", "e", "--count", "30")
+        assert code == 3 and out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("digits", "e", "--count", "3"),
+            ("dio", "lit:01011010", "--prefix", "8"),
+            ("sturmian", "surd:-3,-2,5", "--length", "13"),
+            ("verify", "--list"),
+        ],
+    )
+    def test_csv_only_for_profiles(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["--format", "csv", *argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--format csv" in captured.err
 
     def test_slope_runaway_is_budget_exhaustion(self, capsys, monkeypatch):
         monkeypatch.setattr("diowords.sturmian._SLOPE_EXTEND_CAP", 1)

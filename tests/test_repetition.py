@@ -180,10 +180,12 @@ class TestIceEstimate:
         assert fast.global_max == slow.global_max
         assert verify_witness(w, fast.global_max)
 
-    @given(binary_words)
-    @settings(max_examples=200, deadline=None)
-    def test_matches_brute_force(self, w):
-        t = max(1, len(w) // 4)
+    @given(words_and_thresholds())
+    @example((Word(bytes([255, 0]), 256), 1))
+    @example((Word(bytes([0, 0, 0, 1, 0, 0]), 2), 3))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_brute_force(self, w_t):
+        w, t = w_t
         fast = ice_estimate(w, threshold=t)
         slow = ice_brute_force(w, threshold=t)
         assert fast.global_max == slow.global_max

@@ -14,7 +14,6 @@ from diowords.sturmian import (
     SurdSlope,
     apply_morphism,
     letter_frequency_check,
-    mechanical_letters,
     mechanical_word,
     morphic_length_check,
     parse_morphism,
@@ -24,6 +23,8 @@ from diowords.sturmian import (
 )
 from diowords.words import Word, complexity_profile
 
+import sturmian_oracle as oracle
+
 FIB_SLOPE = SurdSlope(-3, -2, 5)  # (3 - sqrt(5))/2
 
 
@@ -32,6 +33,25 @@ def fib_text(n):
     while len(s) < n:
         s = s.replace("0", "a").replace("1", "0").replace("a", "01")
     return s[:n]
+
+
+@st.composite
+def slopes(draw):
+    """Surds (P + S*sqrt(D))/Q in (0, 1), periodic continued fractions and pow10."""
+    kind = draw(st.sampled_from(("surd", "cf", "pow10")))
+    if kind == "pow10":
+        return parse_slope("cfslope:pow10")
+    if kind == "cf":
+        head = draw(st.lists(st.integers(1, 40), max_size=4))
+        cycle = draw(st.lists(st.integers(1, 40), min_size=1, max_size=4))
+        return CFSlope(tuple(head), tuple(cycle))
+    d = draw(st.integers(2, 10**6).filter(lambda d: math.isqrt(d) ** 2 != d))
+    q = draw(st.integers(1, 1000))
+    sign = draw(st.sampled_from((1, -1)))
+    # P + S*sqrt(D) lies in (j - 1, j), inside (0, Q)
+    j = draw(st.integers(1, q))
+    p = j + (-math.isqrt(d) - 1 if sign > 0 else math.isqrt(d))
+    return SurdSlope(p, q, d) if sign > 0 else SurdSlope(-p, -q, d)
 
 
 class TestSlopeSpecs:
@@ -50,6 +70,13 @@ class TestSlopeSpecs:
         # alpha = (3 - sqrt(5))/2, so alpha > x iff (3 - 2x)^2 > 5 (both sides > 0)
         assert (3 - 2 * lo) ** 2 > 5 > (3 - 2 * hi) ** 2
         assert hi - lo <= Fraction(1, 2**80)
+
+    @given(slopes(), st.integers(0, 400))
+    @settings(max_examples=200, deadline=None)
+    def test_bracket_is_tight_and_strict(self, slope, bits):
+        # lo < alpha*2^bits < hi, and alpha*2^bits is never an integer
+        lo, hi = slope.bracket(bits)
+        assert lo <= oracle.floor_times(slope, 1 << bits, Fraction(0)) < hi <= lo + 2
 
     def test_cf_slope_quotients(self):
         s = CFSlope((1, 2), (3, 4))
@@ -139,10 +166,40 @@ class TestMechanicalWord:
         surd = SurdSlope(-1, 1, 2)
         assert mechanical_word(cf, Fraction(0), 400) == mechanical_word(surd, Fraction(0), 400)
 
-    def test_letters_stream_matches_word(self):
-        gen = mechanical_letters(FIB_SLOPE)
-        first = bytes(next(gen) for _ in range(64))
-        assert first == mechanical_word(FIB_SLOPE, Fraction(0), 64).symbols
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_position_floors(self, data):
+        slope = data.draw(slopes())
+        rho = data.draw(
+            st.fractions(min_value=0, max_value=1, max_denominator=10**9).filter(lambda r: r < 1)
+        )
+        length = data.draw(st.integers(1, 300))
+        want = oracle.mechanical_letters(slope, rho, length)
+        assert mechanical_word(slope, rho, length).symbols == want
+
+    @pytest.mark.parametrize(
+        "text", ["surd:-3,-2,5", "surd:-5,-7,3", "cfslope:1,(2,3)*", "cfslope:pow10"]
+    )
+    def test_floor_the_int64_pass_cannot_decide(self, text, monkeypatch):
+        # rho within 2^-150 of {-n0*alpha}, on either side of it, puts
+        # n0*alpha + rho next to an integer: position n0 needs more bits
+        slope = parse_slope(text)
+        n0, length = 777, 1000
+        lo, hi = slope.bracket(200)
+        below = Fraction(-n0 * hi % 2**200, 2**200)  # n0*alpha + below just under an integer
+        above = Fraction(-n0 * lo % 2**200, 2**200)  # and n0*alpha + above just over one
+        requested = []
+        bracket = type(slope).bracket
+        monkeypatch.setattr(
+            type(slope), "bracket", lambda s, bits: requested.append(bits) or bracket(s, bits)
+        )
+        words = []
+        for rho in (below, above):
+            requested.clear()
+            words.append(mechanical_word(slope, rho, length).symbols)
+            assert len(requested) > 1
+            assert words[-1] == oracle.mechanical_letters(slope, rho, length)
+        assert [i for i in range(length) if words[0][i] != words[1][i]] == [n0 - 2, n0 - 1]
 
     @given(st.integers(1, 40), st.fractions(min_value=0, max_value=Fraction(9, 10)))
     @settings(max_examples=60, deadline=None)
