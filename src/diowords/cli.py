@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -56,7 +57,7 @@ def parse_word_source(text: str) -> Callable[[int, int], words.Word]:
     if text.startswith("sturmian:"):
         parts = text[9:].split("|")
         slope = sturmian.parse_slope(parts[0])
-        intercept = Fraction(parts[1]) if len(parts) > 1 else Fraction(0)
+        intercept = _intercept(parts[1]) if len(parts) > 1 else Fraction(0)
         return lambda prefix, _mb: sturmian.mechanical_word(slope, intercept, prefix)
     if text.startswith("quasi:"):
         parts = text[6:].split("|")
@@ -75,8 +76,16 @@ def _quasi_spec(
         words.Word.from_digits(word) if word else words.Word(b"", 2),
         sturmian.parse_morphism(morphism),
         sturmian.parse_slope(slope),
-        Fraction(intercept),
+        _intercept(intercept),
     )
+
+
+def _intercept(text: str) -> Fraction:
+    """An exact intercept such as "7/31"; a zero denominator is a usage error."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"intercept {text!r} has a zero denominator") from None
 
 
 def _emit(text: str) -> None:
@@ -203,7 +212,7 @@ def cmd_mu(args) -> int:
 
 def cmd_sturmian(args) -> int:
     slope = sturmian.parse_slope(args.slope)
-    w = sturmian.mechanical_word(slope, Fraction(args.intercept), args.length)
+    w = sturmian.mechanical_word(slope, _intercept(args.intercept), args.length)
     _word_out(w, args.format)
     return EXIT_OK
 
@@ -318,6 +327,13 @@ def _non_negative(text: str) -> int:
     return value
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="diowords",
@@ -395,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", type=int, default=10)
     p.add_argument("--prefix", type=_non_negative, required=True)
     p.add_argument("--terms", type=int, required=True)
-    p.add_argument("--slack", type=float, default=0.15)
+    p.add_argument("--slack", type=_finite, default=0.15)
     p.add_argument("--threshold", type=int, default=None)
     p.set_defaults(func=cmd_report)
 

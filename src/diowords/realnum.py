@@ -9,10 +9,12 @@ Fractions.  Every other enclosure is a dyadic interval
 computes its bracket at the requested precision in one step and rounds
 it outward, so no gcd runs while refining.  e is summed by binary
 splitting (Haible & Papanikolaou, ANTS 1998) with the tail bound
-2/K!, surds come from one integer square root, continued fractions
-from the convergent sandwich, and Moebius images from the monotone
-endpoint maps.  `Fraction` appears only at the public boundary
-(`lo`, `hi`, `width`, `bounds()`).
+2/K!, surds come from one integer square root (`surd_bracket`),
+continued fractions from the sandwich of consecutive convergents
+(`Convergents`), and Moebius images from the monotone endpoint maps.
+`Fraction` appears only at the public boundary (`lo`, `hi`, `width`,
+`bounds()`).  The Sturmian slopes bracket themselves through the same
+two kernels, so this module holds all of the slope arithmetic.
 
 Digits are only ever emitted once the enclosure fits inside a single
 digit cell, so every printed digit is exact; when the refinement budget
@@ -143,13 +145,6 @@ class Enclosure:
         if lo > hi:
             raise AssertionError("refinement produced a disjoint interval")
         self._set(lo, hi, scale)
-        return True
-
-    def refine_below(self, width: Fraction) -> bool:
-        """Refine until the width is at most `width`; False if the budget runs out."""
-        while self.width > width:
-            if not self.refine():
-                return False
         return True
 
 
@@ -320,7 +315,8 @@ def enclosure(spec: RealSpec, bits: int = _START_BITS, max_bits: int = DEFAULT_M
     if isinstance(spec, FromCF):
         if isinstance(spec.quotients, tuple):
             return Enclosure.exact(_cf_value(spec.quotients), bits, max_bits)
-        return Enclosure(lambda b: _compute_cf_stream(spec.quotients, b), bits, max_bits)
+        conv = Convergents(spec.quotients)
+        return Enclosure(lambda b: _compute_cf(conv, b), bits, max_bits)
     if isinstance(spec, Mobius):
         inner = enclosure(spec.inner, bits, max_bits)
         return mobius(spec.a, spec.b, spec.c, spec.d, inner, bits, max_bits)
@@ -385,42 +381,74 @@ def _compute_shallit(bits: int) -> Dyadic:
     return lo, lo + 1, 2 * top - 1
 
 
-def _compute_surd(spec: Surd, bits: int) -> Dyadic:
-    # p + sqrt(d) lies in [num, num + 1] / 2^bits; divide by q with outward rounding
-    num = (spec.p << bits) + math.isqrt(spec.d << (2 * bits))
-    lo, hi, q = num, num + 1, spec.q
+def surd_bracket(p: int, q: int, d: int, bits: int, scale: int) -> tuple[int, int]:
+    """Integers lo < hi with lo/2^scale < (p + sqrt(d))/q < hi/2^scale.
+
+    d > 0 must not be a perfect square, and scale >= bits.  The bracket is
+    the integer cell of 2^bits (p + sqrt(d)), one `isqrt` wide, divided by
+    q and rounded outward at `scale`; at scale = bits, hi = lo + 1.
+    """
+    sign = 1
     if q < 0:
-        lo, hi, q = -hi, -lo, -q
-    return (lo << _GUARD_BITS) // q, -((-hi << _GUARD_BITS) // q), bits + _GUARD_BITS
+        p, q, sign = -p, -q, -1
+    t = math.isqrt(d << 2 * bits)
+    # sqrt(d) is irrational, so floor(sign*sqrt(d)*2^bits) is t (resp. -t-1)
+    num = (p << bits) + (t if sign > 0 else -t - 1)
+    shift = scale - bits
+    return (num << shift) // q, -((-(num + 1) << shift) // q)
+
+
+def _compute_surd(spec: Surd, bits: int) -> Dyadic:
+    scale = bits + _GUARD_BITS
+    return (*surd_bracket(spec.p, spec.q, spec.d, bits, scale), scale)
+
+
+class Convergents:
+    """Convergents p_k/q_k of [a0; a1, a2, ...], extended lazily and cached.
+
+    `quotient(k)` gives a_k, which must be >= 1 for k >= 1.  Only the
+    latest pair is kept, so a bracket is the first pair, from the one last
+    used, that is close enough; callers asking for rising precision get
+    the first such pair of the whole expansion.
+    """
+
+    def __init__(self, quotient: Callable[[int], int]) -> None:
+        self._quotient = quotient
+        self.k = 0
+        self.p_prev, self.q_prev = 1, 0
+        self.p, self.q = quotient(0), 1
+
+    def extend(self) -> None:
+        self.k += 1
+        a = self._quotient(self.k)
+        if a < 1:
+            raise ValueError("partial quotients after the first must be >= 1")
+        self.p, self.p_prev = a * self.p + self.p_prev, self.p
+        self.q, self.q_prev = a * self.q + self.q_prev, self.q
+
+    def bracket(self, bits: int, scale: int) -> tuple[int, int]:
+        """Integers lo < hi with lo/2^scale < value < hi/2^scale of an infinite
+        expansion, from a consecutive pair at most 2^-bits apart."""
+        # consecutive convergents straddle the value, p_k/q_k above it for
+        # odd k, and lie 1/(q_{k-1} q_k) apart; q_{-1} = 0 forces one step
+        while self.q_prev * self.q < 1 << bits:
+            self.extend()
+        (lo_p, lo_q), (hi_p, hi_q) = (self.p_prev, self.q_prev), (self.p, self.q)
+        if self.k % 2 == 0:
+            (lo_p, lo_q), (hi_p, hi_q) = (hi_p, hi_q), (lo_p, lo_q)
+        return (lo_p << scale) // lo_q, -((-hi_p << scale) // hi_q)
+
+
+def _compute_cf(conv: Convergents, bits: int) -> Dyadic:
+    scale = bits + _GUARD_BITS
+    return (*conv.bracket(bits, scale), scale)
 
 
 def _cf_value(quotients: Sequence[int]) -> Fraction:
-    x = Fraction(quotients[-1])
-    for a in reversed(quotients[:-1]):
-        x = a + 1 / x
-    return x
-
-
-def _compute_cf_stream(fn: Callable[[int], int], bits: int) -> Dyadic:
-    # consecutive convergents p_{n-1}/q_{n-1}, p_n/q_n straddle the value,
-    # 1/(q_{n-1} q_n) apart
-    target = 1 << bits
-    p_prev, q_prev = 1, 0
-    p_cur, q_cur = fn(0), 1
-    n = 0
-    while n == 0 or q_prev * q_cur < target:
-        n += 1
-        a = fn(n)
-        if a < 1:
-            raise ValueError("partial quotients after the first must be >= 1")
-        p_cur, p_prev = a * p_cur + p_prev, p_cur
-        q_cur, q_prev = a * q_cur + q_prev, q_cur
-    if n % 2:  # p_n/q_n with n odd is the upper convergent
-        (lo_p, lo_q), (hi_p, hi_q) = (p_prev, q_prev), (p_cur, q_cur)
-    else:
-        (lo_p, lo_q), (hi_p, hi_q) = (p_cur, q_cur), (p_prev, q_prev)
-    scale = bits + _GUARD_BITS
-    return (lo_p << scale) // lo_q, -((-hi_p << scale) // hi_q), scale
+    conv = Convergents(quotients.__getitem__)
+    while conv.k < len(quotients) - 1:
+        conv.extend()
+    return Fraction(conv.p, conv.q)
 
 
 def mobius(

@@ -6,17 +6,21 @@ where the irrational slope alpha in (0, 1) is either a quadratic surd
 (P + sqrt(D))/Q or a continued-fraction quotient sequence, and the
 intercept rho in [0, 1) is rational.  No floor is ever taken through
 floating point.  Each slope brackets itself between dyadic integers,
-lo/2^k < alpha < hi/2^k with hi - lo <= 2: a surd by one integer square
-root, a continued fraction by its first pair of consecutive convergents
-that are close enough.  `mechanical_word` takes every floor from one
-bracket in a single int64 numpy pass, and decides the few positions
-where the two ends of the bracket disagree again at 2k, 4k, ... bits
-with Python integers.  n*alpha + rho is never an integer, so this ends.
+lo/2^k < alpha < hi/2^k with hi - lo <= 2, through the kernels of
+`realnum`: a surd by one integer square root (`surd_bracket`), a
+continued fraction by its cached consecutive convergents
+(`Convergents`), which stop at _SLOPE_EXTEND_CAP.  `mechanical_word`
+takes every floor from one bracket in a single int64 numpy pass, and
+decides the few positions where the two ends of the bracket disagree
+again at 2k, 4k, ... bits with Python integers.  n*alpha + rho is never
+an integer, so this ends.
 
 Quasi-Sturmian words are built as W followed by the image of a Sturmian
 word under a nonerasing binary morphism; the checkers in this module
 measure the complexity plateau p(n) = n + k and the frequency and
-length laws that make that construction work.
+length laws that make that construction work.  The frequency law is one
+integer pass over the letter counts against the slope bracket, and the
+length law is a multiple of it.
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ from typing import Callable
 
 import numpy as np
 
-from .words import Word, complexity_profile
+from .realnum import Convergents, surd_bracket
+from .words import Word, complexity_profile, gap_profile
 
 _SLOPE_EXTEND_CAP = 100_000
 
@@ -80,16 +85,7 @@ class SurdSlope:
 
     def bracket(self, bits: int) -> tuple[int, int]:
         """Integers lo, lo + 1 with lo/2^bits < alpha < (lo + 1)/2^bits."""
-        pp, ss, qq = self._normalized()
-        t = math.isqrt(self.d << 2 * bits)
-        # sqrt(d) is irrational, so floor(ss*sqrt(d)*2^bits) is t (resp. -t-1),
-        # and x < qq*(lo+1) gives alpha*2^bits < (x+1)/qq <= lo+1.
-        x = (pp << bits) + (t if ss > 0 else -t - 1)
-        lo = x // qq
-        return lo, lo + 1
-
-    def describe(self) -> str:
-        return f"({self.p}+sqrt({self.d}))/{self.q}"
+        return surd_bracket(self.p, self.q, self.d, bits, bits)
 
 
 class CFSlope:
@@ -105,7 +101,6 @@ class CFSlope:
         head: tuple[int, ...] = (),
         cycle: tuple[int, ...] = (),
         fn: Callable[[int], int] | None = None,
-        label: str | None = None,
     ) -> None:
         for m in (*head, *cycle):
             if m < 1:
@@ -115,8 +110,7 @@ class CFSlope:
         self.head = tuple(head)
         self.cycle = tuple(cycle)
         self.fn = fn
-        self.label = label
-        self._state: _CFSlopeState | None = None
+        self._convergents = Convergents(self._capped_quotient)
 
     def quotient(self, i: int) -> int:
         """The i-th partial quotient m_i, 1-based."""
@@ -136,67 +130,20 @@ class CFSlope:
 
     def bracket(self, bits: int) -> tuple[int, int]:
         """Integers lo < hi <= lo + 2 with lo/2^bits < alpha < hi/2^bits."""
-        if self._state is None:
-            self._state = _CFSlopeState(self)
-        return self._state.bracket(bits)
+        return self._convergents.bracket(bits, bits)
 
-    def value(self) -> Fraction:
-        """Exact value; only defined for finite (rational) quotient lists."""
-        if self.is_irrational():
-            raise ValueError("irrational slope has no exact rational value")
-        x = Fraction(0)
-        for m in reversed(self.head):
-            x = Fraction(1, m + x)
-        return x
-
-    def describe(self) -> str:
-        if self.label:
-            return f"[0; {self.label}]"
-        head = ",".join(map(str, self.head))
-        if self.cycle:
-            cyc = ",".join(map(str, self.cycle))
-            return f"[0; {head}{',' if head else ''}({cyc})*]"
-        return f"[0; {head}]"
-
-
-class _CFSlopeState:
-    """Lazily extended convergents p_k/q_k of [0; m1, m2, ...], cached on the slope."""
-
-    def __init__(self, slope: CFSlope) -> None:
-        self.slope = slope
-        self.k = 0
-        # p0/q0 = 0/1 sits below the slope; extend once so a bracket exists.
-        self.p_prev, self.q_prev = 1, 0
-        self.p_cur, self.q_cur = 0, 1
-        self.extend()
-
-    def extend(self) -> None:
-        if self.k >= _SLOPE_EXTEND_CAP:
+    def _capped_quotient(self, i: int) -> int:
+        """Quotient i of [0; m1, m2, ...], for at most _SLOPE_EXTEND_CAP convergents."""
+        if i > _SLOPE_EXTEND_CAP:
             raise SlopeRefinementError("continued-fraction slope refinement ran away")
-        self.k += 1
-        m = self.slope.quotient(self.k)
-        p = m * self.p_cur + self.p_prev
-        q = m * self.q_cur + self.q_prev
-        self.p_prev, self.q_prev = self.p_cur, self.q_cur
-        self.p_cur, self.q_cur = p, q
-
-    def bracket(self, bits: int) -> tuple[int, int]:
-        # consecutive convergents straddle the slope, p_k/q_k above it for odd k,
-        # and lie 1/(q_k q_{k-1}) apart; at most 2^-bits apart, their
-        # outward roundings lie at most 2 apart
-        while self.q_prev * self.q_cur < 1 << bits:
-            self.extend()
-        (ln, ld), (hn, hd) = (self.p_prev, self.q_prev), (self.p_cur, self.q_cur)
-        if self.k % 2 == 0:
-            (ln, ld), (hn, hd) = (hn, hd), (ln, ld)
-        return (ln << bits) // ld, -((-hn << bits) // hd)
+        return self.quotient(i) if i else 0
 
 
 SlopeSpec = SurdSlope | CFSlope
 
 PRESET_SLOPES: dict[str, Callable[[], CFSlope]] = {
     # [0; 1, 10, 100, 1000, ...]: an extreme unbounded-quotient slope
-    "pow10": lambda: CFSlope(fn=lambda i: 10 ** (i - 1), label="pow10"),
+    "pow10": lambda: CFSlope(fn=lambda i: 10 ** (i - 1)),
 }
 
 
@@ -277,11 +224,15 @@ def _floors(slope: SlopeSpec, rho: Fraction, count: int) -> np.ndarray:
     return floors
 
 
-def slope_bounds(slope: SlopeSpec, bits: int = 64) -> tuple[Fraction, Fraction]:
-    """Certified rational bracket of the slope with width at most 2^-bits."""
+def _bracket(slope: SlopeSpec, bits: int) -> tuple[int, int]:
     if not slope.is_irrational():
         raise ValueError("slope must be irrational")
-    lo, hi = slope.bracket(bits + 1)
+    return slope.bracket(bits)
+
+
+def slope_bounds(slope: SlopeSpec, bits: int = 64) -> tuple[Fraction, Fraction]:
+    """Certified rational bracket of the slope with width at most 2^-bits."""
+    lo, hi = _bracket(slope, bits + 1)
     return Fraction(lo, 1 << bits + 1), Fraction(hi, 1 << bits + 1)
 
 
@@ -289,25 +240,22 @@ def letter_frequency_check(s: Word, slope: SlopeSpec) -> Fraction:
     """Largest certified |count_1(n) - n*alpha| over prefixes of s.
 
     Mechanical words keep this below 1; anything above 2 means the word
-    does not match the slope.
+    does not match the slope.  With lo/2^k < alpha < hi/2^k and c the
+    letter sum of the first n letters, the bound at n is
+    max(|c*2^k - n*lo|, |c*2^k - n*hi|)/2^k, taken in one numpy pass.
     """
     n_total = len(s)
     if n_total == 0:
         raise ValueError("empty word")
-    bits = max(16, (4 * n_total).bit_length() + 2)
-    lo, hi = slope_bounds(slope, bits)
-    an, ad = lo.numerator, lo.denominator
-    bn, bd = hi.numerator, hi.denominator
-    worst = Fraction(0)
-    count = 0
-    for n, letter in enumerate(s, start=1):
-        count += letter
-        dev_lo = Fraction(abs(count * ad - n * an), ad)
-        dev_hi = Fraction(abs(count * bd - n * bn), bd)
-        dev = dev_lo if dev_lo >= dev_hi else dev_hi
-        if dev > worst:
-            worst = dev
-    return worst
+    k = max(16, (4 * n_total).bit_length() + 2) + 1
+    lo, hi = _bracket(slope, k)
+    # no term exceeds `top`; past int64 the pass runs on Python integers
+    top = n_total * (((s.alphabet_size - 1) << k) + abs(lo) + abs(hi))
+    dtype = np.int64 if top.bit_length() < 63 else object
+    c = np.frombuffer(s.symbols, dtype=np.uint8).astype(dtype).cumsum() << k
+    n = np.arange(1, n_total + 1, dtype=dtype)
+    worst = max(np.abs(c - n * lo).max(), np.abs(c - n * hi).max())
+    return Fraction(int(worst), 1 << k)
 
 
 @dataclass(frozen=True)
@@ -385,7 +333,7 @@ def quasi_sturmian_check(a: Word, n_max: int) -> tuple[int, int] | None:
     if n_max > len(a) // 4:
         raise ValueError("window too large")
     profile = complexity_profile(a, n_max)
-    gaps = [c - (i + 1) for i, c in enumerate(profile.counts)]
+    gaps = gap_profile(profile)
     k = gaps[-1]
     n0 = n_max
     while n0 > 1 and gaps[n0 - 2] == k:
@@ -400,23 +348,12 @@ def morphic_length_check(spec: QuasiSturmianSpec, n_letters: int) -> Fraction:
 
     delta = alpha*|phi(1)| + (1-alpha)*|phi(0)| is the mean letter cost;
     the deviation stays below 2*max(|phi(0)|, |phi(1)|) because the
-    letter counts of a mechanical word stay within 2 of n*alpha.
+    letter counts of a mechanical word stay within 2 of n*alpha.  With c
+    ones among s_1..s_n, |phi(s_1..s_n)| - delta*n = (|phi(1)| - |phi(0)|)
+    * (c - n*alpha), so this is a multiple of the frequency deviation.
     """
     if n_letters < 1:
         raise ValueError("need at least one letter")
     len0, len1 = len(spec.morphism.image0), len(spec.morphism.image1)
-    bits = max(16, (4 * n_letters).bit_length() + 2)
-    lo, hi = slope_bounds(spec.slope, bits)
-    # delta(alpha) = len0 + alpha*(len1 - len0) is monotone in alpha
-    d1 = len0 + lo * (len1 - len0)
-    d2 = len0 + hi * (len1 - len0)
-    d_lo, d_hi = (d1, d2) if d1 <= d2 else (d2, d1)
     s = mechanical_word(spec.slope, spec.intercept, n_letters)
-    total = 0
-    worst = Fraction(0)
-    for n, letter in enumerate(s, start=1):
-        total += len1 if letter else len0
-        dev = max(abs(total - n * d_lo), abs(total - n * d_hi))
-        if dev > worst:
-            worst = dev
-    return worst
+    return abs(len1 - len0) * letter_frequency_check(s, spec.slope)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -57,13 +57,6 @@ class Word:
         if alphabet_size is None:
             alphabet_size = max(2, (max(letters) + 1) if letters else 2)
         return cls(letters, alphabet_size)
-
-    @classmethod
-    def from_letters(cls, letters: Iterable[int], alphabet_size: int | None = None) -> "Word":
-        data = bytes(letters)
-        if alphabet_size is None:
-            alphabet_size = max(2, (max(data) + 1) if data else 2)
-        return cls(data, alphabet_size)
 
     def __len__(self) -> int:
         return len(self.symbols)

@@ -1,8 +1,11 @@
-"""Per-position exact floors: the reference for `mechanical_word`.
+"""Per-position references for the Sturmian kernels.
 
-A surd floor is one integer square root per position; a
-continued-fraction floor extends a pair of consecutive convergents,
-which straddle the slope, until both give the same floor.
+`floor_times` is the reference for `mechanical_word`: a surd floor is
+one integer square root per position; a continued-fraction floor
+extends a pair of consecutive convergents, which straddle the slope,
+until both give the same floor.  The two checkers below are the
+per-letter Fraction loops that `letter_frequency_check` and
+`morphic_length_check` replace with one integer pass.
 """
 
 from __future__ import annotations
@@ -10,7 +13,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from diowords.sturmian import SlopeSpec, SurdSlope
+from diowords.sturmian import (
+    QuasiSturmianSpec,
+    SlopeSpec,
+    SurdSlope,
+    mechanical_word,
+    slope_bounds,
+)
+from diowords.words import Word
 
 
 def floor_times(slope: SlopeSpec, n: int, rho: Fraction) -> int:
@@ -37,3 +47,42 @@ def mechanical_letters(slope: SlopeSpec, rho: Fraction, length: int) -> bytes:
     """s(n) = floor((n+1)*alpha + rho) - floor(n*alpha + rho) for n = 1..length."""
     floors = [floor_times(slope, n, rho) for n in range(1, length + 2)]
     return bytes(b - a for a, b in zip(floors, floors[1:]))
+
+
+def letter_frequency_check(s: Word, slope: SlopeSpec) -> Fraction:
+    """Largest |count_1(n) - n*x| over prefixes of s and x in `slope_bounds`."""
+    bits = max(16, (4 * len(s)).bit_length() + 2)
+    lo, hi = slope_bounds(slope, bits)
+    an, ad = lo.numerator, lo.denominator
+    bn, bd = hi.numerator, hi.denominator
+    worst = Fraction(0)
+    count = 0
+    for n, letter in enumerate(s, start=1):
+        count += letter
+        dev_lo = Fraction(abs(count * ad - n * an), ad)
+        dev_hi = Fraction(abs(count * bd - n * bn), bd)
+        dev = dev_lo if dev_lo >= dev_hi else dev_hi
+        if dev > worst:
+            worst = dev
+    return worst
+
+
+def morphic_length_check(spec: QuasiSturmianSpec, n_letters: int) -> Fraction:
+    """Largest ||phi(s_1..s_n)| - delta*n| for n up to n_letters and the
+    mean letter costs delta of both ends of `slope_bounds`."""
+    len0, len1 = len(spec.morphism.image0), len(spec.morphism.image1)
+    bits = max(16, (4 * n_letters).bit_length() + 2)
+    lo, hi = slope_bounds(spec.slope, bits)
+    # delta(alpha) = len0 + alpha*(len1 - len0) is monotone in alpha
+    d1 = len0 + lo * (len1 - len0)
+    d2 = len0 + hi * (len1 - len0)
+    d_lo, d_hi = (d1, d2) if d1 <= d2 else (d2, d1)
+    s = mechanical_word(spec.slope, spec.intercept, n_letters)
+    total = 0
+    worst = Fraction(0)
+    for n, letter in enumerate(s, start=1):
+        total += len1 if letter else len0
+        dev = max(abs(total - n * d_lo), abs(total - n * d_hi))
+        if dev > worst:
+            worst = dev
+    return worst

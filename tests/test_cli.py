@@ -237,6 +237,30 @@ class TestExitCodes:
             assert code == 2, bad
             assert out == "" and "usage error" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sturmian", "surd:-3,-2,5", "--length", "10", "--intercept", "1/0"),
+            ("quasi", "--morphism", "0>01;1>001", "--slope", "surd:-3,-2,5",
+             "--length", "10", "--intercept", "1/0"),
+            ("dio", "sturmian:surd:-3,-2,5|1/0", "--prefix", "100"),
+            ("dio", "quasi:2|0>01;1>001|surd:-3,-2,5|1/0", "--prefix", "100"),
+        ],
+        ids=["sturmian", "quasi", "sturmian-source", "quasi-source"],
+    )
+    def test_zero_intercept_denominator_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == "" and "zero denominator" in err
+
+    @pytest.mark.parametrize("slack", ["nan", "inf", "-inf"])
+    def test_non_finite_slack_is_usage_error(self, capsys, slack):
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "e", "--prefix", "100", "--terms", "20", f"--slack={slack}"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--slack" in captured.err
+
     def test_slope_error(self, capsys):
         code, _, err = run_cli(capsys, "sturmian", "cfslope:1,2", "--length", "5")
         assert code == 2

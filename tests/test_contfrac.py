@@ -80,7 +80,8 @@ class TestIrrationalCF:
     def test_sandwich_and_convergent_gap(self):
         enc = enclosure(SeriesE(), 64)
         cf = cf_from_enclosure(enc, 20)
-        enc.refine_below(Fraction(1, 10**40))
+        enc.refine(140)
+        assert enc.width <= Fraction(1, 10**40)
         lo, hi = enc.bounds()
         for k in range(0, 18, 2):
             even = cf.convergent(k)

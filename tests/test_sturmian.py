@@ -54,6 +54,9 @@ def slopes(draw):
     return SurdSlope(p, q, d) if sign > 0 else SurdSlope(-p, -q, d)
 
 
+intercepts = st.fractions(min_value=0, max_value=1, max_denominator=10**9).filter(lambda r: r < 1)
+
+
 class TestSlopeSpecs:
     def test_surd_validation(self):
         with pytest.raises(ValueError):
@@ -87,10 +90,6 @@ class TestSlopeSpecs:
     def test_cf_slope_validation(self):
         with pytest.raises(ValueError):
             CFSlope((0,))
-
-    def test_cf_rational_value(self):
-        assert CFSlope((2,)).value() == Fraction(1, 2)
-        assert CFSlope((1, 2)).value() == Fraction(2, 3)
 
     def test_parse_slope(self):
         assert isinstance(parse_slope("surd:-3,-2,5"), SurdSlope)
@@ -170,9 +169,7 @@ class TestMechanicalWord:
     @settings(max_examples=300, deadline=None)
     def test_matches_per_position_floors(self, data):
         slope = data.draw(slopes())
-        rho = data.draw(
-            st.fractions(min_value=0, max_value=1, max_denominator=10**9).filter(lambda r: r < 1)
-        )
+        rho = data.draw(intercepts)
         length = data.draw(st.integers(1, 300))
         want = oracle.mechanical_letters(slope, rho, length)
         assert mechanical_word(slope, rho, length).symbols == want
@@ -226,6 +223,43 @@ class TestFrequency:
         w = Word.from_digits("01" * 500)
         with pytest.raises(ValueError, match="slope must be irrational"):
             letter_frequency_check(w, CFSlope((2,)))
+
+
+class TestCheckersMatchFractionLoops:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_letter_frequency(self, data):
+        slope = data.draw(slopes())
+        length = data.draw(st.integers(1, 2000))
+        kind = data.draw(st.sampled_from(("own", "other slope", "random")))
+        if kind == "random":
+            alphabet = data.draw(st.integers(2, 4))
+            raw = data.draw(st.binary(min_size=length, max_size=length))
+            w = Word(bytes(b % alphabet for b in raw), alphabet)
+        else:
+            source = slope if kind == "own" else data.draw(slopes())
+            w = mechanical_word(source, data.draw(intercepts), length)
+        want = oracle.letter_frequency_check(w, slope)
+        assert letter_frequency_check(w, slope) == want
+        if kind == "own":
+            assert want < 2
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_morphic_length(self, data):
+        slope, rho = data.draw(slopes()), data.draw(intercepts)
+        n_letters = data.draw(st.integers(1, 2000))
+        image0, image1 = (
+            Word.from_digits(data.draw(st.text("012", min_size=1, max_size=6)), 3)
+            for _ in range(2)
+        )
+        spec = QuasiSturmianSpec(Word(b"", 2), Morphism(image0, image1), slope, rho)
+        # a continued-fraction slope brackets from the latest convergent pair it
+        # used; building the word first gives both checks the same pair
+        mechanical_word(slope, rho, n_letters)
+        want = oracle.morphic_length_check(spec, n_letters)
+        assert morphic_length_check(spec, n_letters) == want
+        assert want <= 2 * max(len(image0), len(image1))
 
 
 class TestMorphism:
