@@ -56,6 +56,8 @@ def parse_word_source(text: str) -> Callable[[int, int], words.Word]:
         ).fractional_word()
     if text.startswith("sturmian:"):
         parts = text[9:].split("|")
+        if len(parts) > 2:
+            raise ValueError(f"sturmian source needs SLOPE[|INTERCEPT]: {text!r}")
         slope = sturmian.parse_slope(parts[0])
         intercept = _intercept(parts[1]) if len(parts) > 1 else Fraction(0)
         return lambda prefix, _mb: sturmian.mechanical_word(slope, intercept, prefix)

@@ -2,9 +2,9 @@
 
 Quotients of an interval source are emitted only while both endpoints
 share the same integer part at the current depth of the Gauss map, so
-every emitted quotient is correct for the limit value.  Exact rational
-points fall through to Euclid's algorithm with the canonical final
-quotient >= 2, which makes rational expansions round-trip.
+every emitted quotient is correct for the limit value.  On an exact
+rational point both endpoints coincide and this is Euclid's algorithm,
+whose final quotient >= 2 makes rational expansions round-trip.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .realnum import Enclosure
+from .realnum import Enclosure, convergents
 
 
 @dataclass(frozen=True)
@@ -50,45 +50,29 @@ class CFExpansion:
 
 
 def convergents_from_quotients(quotients) -> tuple[tuple[int, int], ...]:
-    """Run p_n = a_n p_{n-1} + p_{n-2}, q_n likewise; checks the invariants.
+    """Convergents (p_n, q_n) from `realnum.convergents`, with both invariants checked.
 
     Each convergent is checked against p_n q_{n-1} - p_{n-1} q_n = (-1)^(n-1),
     which any common factor of p_n and q_n would divide, so every
     convergent is certified in lowest terms without a gcd.
     """
     out: list[tuple[int, int]] = []
-    p_prev, q_prev = 1, 0
-    p_cur, q_cur = None, None
-    sign = -1
-    for i, a in enumerate(quotients):
-        if i > 0 and a < 1:
-            raise ValueError("partial quotients after the first must be >= 1")
-        if p_cur is None:
-            p_cur, q_cur = a, 1
-        else:
-            p_cur, p_prev = a * p_cur + p_prev, p_cur
-            q_cur, q_prev = a * q_cur + q_prev, q_cur
-        if p_cur * q_prev - p_prev * q_cur != sign:
-            raise AssertionError("convergent not in lowest terms")
+    sign = 1
+    for p_prev, q_prev, p, q in convergents(quotients):
         sign = -sign
-        if len(out) >= 2 and q_cur <= out[-1][1]:
+        if p * q_prev - p_prev * q != sign:
+            raise AssertionError("convergent not in lowest terms")
+        if len(out) >= 2 and q <= q_prev:
             raise AssertionError("convergent denominators must increase")
-        out.append((p_cur, q_cur))
+        out.append((p, q))
     return tuple(out)
 
 
 def cf_of_rational(x: Fraction) -> list[int]:
-    """Euclid with the canonical form: final quotient >= 2 when possible."""
-    out: list[int] = []
-    p, q = x.numerator, x.denominator
-    while q:
-        a = p // q
-        out.append(a)
-        p, q = q, p - a * q
-    if len(out) > 1 and out[-1] == 1:
-        out.pop()
-        out[-1] += 1
-    return out
+    """Euclid's expansion of x; its last quotient is >= 2 unless x is an integer."""
+    # the remainders decrease strictly from the denominator, so there are
+    # at most that many quotients
+    return _interval_quotients(x.numerator, x.numerator, x.denominator, x.denominator)
 
 
 def _interval_quotients(lo: int, hi: int, den: int, k_max: int) -> list[int]:
@@ -124,36 +108,38 @@ def _bits_for_terms(bits: int, got: int, want: int) -> int:
 def cf_from_enclosure(source: Enclosure, max_terms: int) -> CFExpansion:
     """Certified quotients of the value enclosed by a refinable source.
 
-    Exact rational points get their full (canonical) expansion; interval
-    sources are refined until `max_terms` quotients are certified or the
-    budget is exhausted, in which case the partial result is flagged
-    rather than treated as an error.
+    Exact rational points get their expansion, complete when it has at
+    most `max_terms` quotients; interval sources are refined until
+    `max_terms` quotients are certified or the budget is exhausted, in
+    which case the partial result is flagged rather than treated as an
+    error.
     """
     if max_terms < 1:
         raise ValueError("max_terms must be positive")
     while True:
-        if source.is_point():
-            qs = cf_of_rational(source.lo)
-            complete = len(qs) <= max_terms
-            qs = qs[:max_terms]
-            return CFExpansion(
-                tuple(qs),
-                convergents_from_quotients(qs),
-                rational=True,
-                complete=complete,
-            )
-        lo, hi, scale = source.dyadic()
-        qs = _interval_quotients(lo, hi, 1 << scale, max_terms)
-        if len(qs) >= max_terms:
-            qs = qs[:max_terms]
-            return CFExpansion(tuple(qs), convergents_from_quotients(qs))
-        target = _bits_for_terms(source.bits, len(qs), max_terms) if qs else None
-        if not source.refine(target):
-            return CFExpansion(
-                tuple(qs),
-                convergents_from_quotients(qs),
-                budget_exhausted=True,
-            )
+        point = source.is_point()
+        if point:
+            lo, den = source.lo.as_integer_ratio()
+            hi = lo
+        else:
+            lo, hi, scale = source.dyadic()
+            den = 1 << scale
+        # one quotient more than asked tells a point whether it is complete
+        qs = _interval_quotients(lo, hi, den, max_terms + 1)
+        exhausted = False
+        if not point and len(qs) < max_terms:
+            target = _bits_for_terms(source.bits, len(qs), max_terms) if qs else None
+            if source.refine(target):
+                continue
+            exhausted = True
+        certified = qs[:max_terms]
+        return CFExpansion(
+            tuple(certified),
+            convergents_from_quotients(certified),
+            rational=point,
+            complete=point and len(qs) <= max_terms,
+            budget_exhausted=exhausted,
+        )
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,12 @@ computes its bracket at the requested precision in one step and rounds
 it outward, so no gcd runs while refining.  e is summed by binary
 splitting (Haible & Papanikolaou, ANTS 1998) with the tail bound
 2/K!, surds come from one integer square root (`surd_bracket`),
-continued fractions from the sandwich of consecutive convergents
-(`Convergents`), and Moebius images from the monotone endpoint maps.
-`Fraction` appears only at the public boundary (`lo`, `hi`, `width`,
-`bounds()`).  The Sturmian slopes bracket themselves through the same
-two kernels, so this module holds all of the slope arithmetic.
+continued fractions from the first close pair of the one stateless
+convergent recurrence (`convergent_bracket`), and Moebius images from
+the monotone endpoint maps.  `Fraction` appears only at the public
+boundary (`lo`, `hi`, `width`, `bounds()`).  The Sturmian slopes bracket
+themselves through the same two kernels, so this module holds all of
+the slope arithmetic.
 
 Digits are only ever emitted once the enclosure fits inside a single
 digit cell, so every printed digit is exact; when the refinement budget
@@ -24,13 +25,14 @@ certified.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .words import CHARS_TO_DIGITS, DIGITS_TO_CHARS, Word
 
@@ -315,8 +317,7 @@ def enclosure(spec: RealSpec, bits: int = _START_BITS, max_bits: int = DEFAULT_M
     if isinstance(spec, FromCF):
         if isinstance(spec.quotients, tuple):
             return Enclosure.exact(_cf_value(spec.quotients), bits, max_bits)
-        conv = Convergents(spec.quotients)
-        return Enclosure(lambda b: _compute_cf(conv, b), bits, max_bits)
+        return Enclosure(lambda b: _compute_cf(spec.quotients, b), bits, max_bits)
     if isinstance(spec, Mobius):
         inner = enclosure(spec.inner, bits, max_bits)
         return mobius(spec.a, spec.b, spec.c, spec.d, inner, bits, max_bits)
@@ -403,52 +404,47 @@ def _compute_surd(spec: Surd, bits: int) -> Dyadic:
     return (*surd_bracket(spec.p, spec.q, spec.d, bits, scale), scale)
 
 
-class Convergents:
-    """Convergents p_k/q_k of [a0; a1, a2, ...], extended lazily and cached.
+def convergents(quotients: Iterable[int]) -> Iterator[tuple[int, int, int, int]]:
+    """Consecutive convergents (p_{k-1}, q_{k-1}, p_k, q_k) of [a0; a1, a2, ...]
+    for k = 0, 1, ..., with p_{-1}/q_{-1} = 1/0.
 
-    `quotient(k)` gives a_k, which must be >= 1 for k >= 1.  Only the
-    latest pair is kept, so a bracket is the first pair, from the one last
-    used, that is close enough; callers asking for rising precision get
-    the first such pair of the whole expansion.
+    Every quotient after the first must be >= 1.  Nothing is kept between
+    calls: each caller runs the recurrence from a0.
     """
-
-    def __init__(self, quotient: Callable[[int], int]) -> None:
-        self._quotient = quotient
-        self.k = 0
-        self.p_prev, self.q_prev = 1, 0
-        self.p, self.q = quotient(0), 1
-
-    def extend(self) -> None:
-        self.k += 1
-        a = self._quotient(self.k)
-        if a < 1:
+    p_prev, q_prev, p, q = 0, 1, 1, 0
+    for k, a in enumerate(quotients):
+        if k and a < 1:
             raise ValueError("partial quotients after the first must be >= 1")
-        self.p, self.p_prev = a * self.p + self.p_prev, self.p
-        self.q, self.q_prev = a * self.q + self.q_prev, self.q
-
-    def bracket(self, bits: int, scale: int) -> tuple[int, int]:
-        """Integers lo < hi with lo/2^scale < value < hi/2^scale of an infinite
-        expansion, from a consecutive pair at most 2^-bits apart."""
-        # consecutive convergents straddle the value, p_k/q_k above it for
-        # odd k, and lie 1/(q_{k-1} q_k) apart; q_{-1} = 0 forces one step
-        while self.q_prev * self.q < 1 << bits:
-            self.extend()
-        (lo_p, lo_q), (hi_p, hi_q) = (self.p_prev, self.q_prev), (self.p, self.q)
-        if self.k % 2 == 0:
-            (lo_p, lo_q), (hi_p, hi_q) = (hi_p, hi_q), (lo_p, lo_q)
-        return (lo_p << scale) // lo_q, -((-hi_p << scale) // hi_q)
+        p, p_prev = a * p + p_prev, p
+        q, q_prev = a * q + q_prev, q
+        yield p_prev, q_prev, p, q
 
 
-def _compute_cf(conv: Convergents, bits: int) -> Dyadic:
+def convergent_bracket(quotient: Callable[[int], int], bits: int, scale: int) -> tuple[int, int]:
+    """Integers lo < hi with lo/2^scale < value < hi/2^scale of the infinite
+    expansion a_k = quotient(k), from its first consecutive convergents at
+    most 2^-bits apart."""
+    # consecutive convergents straddle the value, p_k/q_k above it for odd k,
+    # and lie 1/(q_{k-1} q_k) apart; q_{-1} = 0 forces one step.  The bit
+    # lengths decide q_{k-1} q_k >= 2^bits unless they sum to bits + 1.
+    for k, (p_prev, q_prev, p, q) in enumerate(convergents(map(quotient, itertools.count()))):
+        size = q_prev.bit_length() + q.bit_length()
+        if size > bits + 1 or (size == bits + 1 and q_prev * q >= 1 << bits):
+            break
+    if k % 2 == 0:
+        (p_prev, q_prev), (p, q) = (p, q), (p_prev, q_prev)
+    return (p_prev << scale) // q_prev, -((-p << scale) // q)
+
+
+def _compute_cf(quotient: Callable[[int], int], bits: int) -> Dyadic:
     scale = bits + _GUARD_BITS
-    return (*conv.bracket(bits, scale), scale)
+    return (*convergent_bracket(quotient, bits, scale), scale)
 
 
 def _cf_value(quotients: Sequence[int]) -> Fraction:
-    conv = Convergents(quotients.__getitem__)
-    while conv.k < len(quotients) - 1:
-        conv.extend()
-    return Fraction(conv.p, conv.q)
+    for _, _, p, q in convergents(quotients):
+        pass
+    return Fraction(p, q)
 
 
 def mobius(

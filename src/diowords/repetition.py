@@ -82,7 +82,7 @@ def verify_witness(prefix: Word, w: RepetitionWitness) -> bool:
     data = prefix.symbols
     if w.m < w.u + w.v:
         return False
-    return all(data[i] == data[i + w.v] for i in range(w.u, w.m - w.v))
+    return data[w.u : w.m - w.v] == data[w.u + w.v : w.m]
 
 
 class CertificateError(RuntimeError):

@@ -8,12 +8,12 @@ intercept rho in [0, 1) is rational.  No floor is ever taken through
 floating point.  Each slope brackets itself between dyadic integers,
 lo/2^k < alpha < hi/2^k with hi - lo <= 2, through the kernels of
 `realnum`: a surd by one integer square root (`surd_bracket`), a
-continued fraction by its cached consecutive convergents
-(`Convergents`), which stop at _SLOPE_EXTEND_CAP.  `mechanical_word`
-takes every floor from one bracket in a single int64 numpy pass, and
-decides the few positions where the two ends of the bracket disagree
-again at 2k, 4k, ... bits with Python integers.  n*alpha + rho is never
-an integer, so this ends.
+continued fraction by its first close pair of convergents
+(`convergent_bracket`, run from m1 on every call and stopped at
+_SLOPE_EXTEND_CAP).  `mechanical_word` takes every floor from one
+bracket in a single int64 numpy pass, and decides the few positions
+where the two ends of the bracket disagree again at 2k, 4k, ... bits
+with Python integers.  n*alpha + rho is never an integer, so this ends.
 
 Quasi-Sturmian words are built as W followed by the image of a Sturmian
 word under a nonerasing binary morphism; the checkers in this module
@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .realnum import Convergents, surd_bracket
+from .realnum import convergent_bracket, surd_bracket
 from .words import Word, complexity_profile, gap_profile
 
 _SLOPE_EXTEND_CAP = 100_000
@@ -110,7 +110,6 @@ class CFSlope:
         self.head = tuple(head)
         self.cycle = tuple(cycle)
         self.fn = fn
-        self._convergents = Convergents(self._capped_quotient)
 
     def quotient(self, i: int) -> int:
         """The i-th partial quotient m_i, 1-based."""
@@ -130,7 +129,7 @@ class CFSlope:
 
     def bracket(self, bits: int) -> tuple[int, int]:
         """Integers lo < hi <= lo + 2 with lo/2^bits < alpha < hi/2^bits."""
-        return self._convergents.bracket(bits, bits)
+        return convergent_bracket(self._capped_quotient, bits, bits)
 
     def _capped_quotient(self, i: int) -> int:
         """Quotient i of [0; m1, m2, ...], for at most _SLOPE_EXTEND_CAP convergents."""

@@ -6,12 +6,16 @@ extends a pair of consecutive convergents, which straddle the slope,
 until both give the same floor.  The two checkers below are the
 per-letter Fraction loops that `letter_frequency_check` and
 `morphic_length_check` replace with one integer pass.
+`convergent_bracket` is the reference for `realnum.convergent_bracket`:
+it stops on the exact product of consecutive denominators where the
+kernel reads their bit lengths.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Callable
 
 from diowords.sturmian import (
     QuasiSturmianSpec,
@@ -86,3 +90,16 @@ def morphic_length_check(spec: QuasiSturmianSpec, n_letters: int) -> Fraction:
         if dev > worst:
             worst = dev
     return worst
+
+
+def convergent_bracket(quotient: Callable[[int], int], bits: int, scale: int) -> tuple[int, int]:
+    """lo/2^scale < [a0; a1, ...] < hi/2^scale, a_k = quotient(k), from the first
+    consecutive convergents p_{k-1}/q_{k-1}, p_k/q_k with q_{k-1} q_k >= 2^bits."""
+    k, p_prev, q_prev, p, q = 0, 1, 0, quotient(0), 1
+    while q_prev * q < 1 << bits:
+        a = quotient(k + 1)
+        k, p_prev, q_prev, p, q = k + 1, p, q, a * p + p_prev, a * q + q_prev
+    (lo_p, lo_q), (hi_p, hi_q) = (p_prev, q_prev), (p, q)
+    if k % 2 == 0:  # p_k/q_k lies below the value
+        (lo_p, lo_q), (hi_p, hi_q) = (hi_p, hi_q), (lo_p, lo_q)
+    return (lo_p << scale) // lo_q, -((-hi_p << scale) // hi_q)

@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -253,6 +255,21 @@ class TestExitCodes:
         assert code == 2
         assert out == "" and "zero denominator" in err
 
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "lit:0100101|1",
+            "digits:e|2|1",
+            "sturmian:surd:-3,-2,5|1/2|3",
+            "quasi:2|0>01;1>001|surd:-3,-2,5|0|1",
+        ],
+        ids=["lit", "digits", "sturmian", "quasi"],
+    )
+    def test_word_source_extra_field_is_usage_error(self, capsys, source):
+        code, out, err = run_cli(capsys, "dio", source, "--prefix", "10")
+        assert code == 2
+        assert out == "" and "usage error" in err
+
     @pytest.mark.parametrize("slack", ["nan", "inf", "-inf"])
     def test_non_finite_slack_is_usage_error(self, capsys, slack):
         with pytest.raises(SystemExit) as exc:
@@ -267,7 +284,28 @@ class TestExitCodes:
         assert "irrational" in err
 
 
+def readme_examples():
+    """The argv of each `diowords` example in README's CLI section."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    out = []
+    for line in block.replace("\\\n", " ").splitlines():
+        argv = shlex.split(line.split("#", 1)[0])
+        if argv:
+            out.append(argv[1:])
+    return out
+
+
 class TestDeterminism:
+    @pytest.mark.parametrize(
+        "argv", [a for a in readme_examples() if "verify" not in a], ids=" ".join
+    )
+    def test_readme_example_same_stdout_twice(self, capsys, argv):
+        code1, out1, _ = run_cli(capsys, *argv)
+        code2, out2, _ = run_cli(capsys, *argv)
+        assert code1 == code2 and code1 in (0, 1, 2, 3)
+        assert out1 == out2 and out1
+
     def test_identical_runs_byte_identical(self, capsys):
         _, out1, _ = run_cli(capsys, "--format", "json", "dio", "sturmian:cfslope:(1)*",
                              "--prefix", "600")

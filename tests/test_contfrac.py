@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from diowords.contfrac import (
@@ -30,6 +30,16 @@ rationals = st.builds(
 )
 
 
+def euclid(x):
+    """Reference: Euclid's algorithm on the numerator and denominator."""
+    out, p, q = [], x.numerator, x.denominator
+    while q:
+        a = p // q
+        out.append(a)
+        p, q = q, p - a * q
+    return out
+
+
 class TestRationalCF:
     def test_22_over_7(self):
         cf = cf_from_enclosure(enclosure(Rational(22, 7)), 10)
@@ -50,6 +60,19 @@ class TestRationalCF:
         cf = cf_from_enclosure(enclosure(FromCF(tuple(qs))), len(qs))
         assert list(cf.quotients) == qs
         assert cf.value() == x
+
+    @given(rationals, st.sampled_from((-1, 0, 1)))
+    @settings(max_examples=300)
+    def test_point_around_its_length(self, x, offset):
+        # max_terms one short of, equal to and one past the expansion's length
+        full = euclid(x)
+        max_terms = len(full) + offset
+        assume(max_terms >= 1)
+        cf = cf_from_enclosure(enclosure(Rational(x.numerator, x.denominator)), max_terms)
+        assert list(cf.quotients) == full[:max_terms]
+        assert cf.rational and not cf.budget_exhausted
+        assert cf.complete == (offset >= 0)
+        assert cf.convergents == convergents_from_quotients(full[:max_terms])
 
     @given(rationals)
     @settings(max_examples=200)

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -19,10 +20,14 @@ from diowords.realnum import (
     digits,
     digits_from_enclosure,
     enclosure,
+    convergent_bracket,
+    convergents,
     enclosure_from_digits,
     mobius,
     parse_real_spec,
 )
+
+import sturmian_oracle as oracle
 
 
 class TestEnclosure:
@@ -166,6 +171,30 @@ class TestDyadicContainment:
         lo, hi = enc.bounds()
         assert lo <= Fraction(97, 56) and Fraction(168, 97) <= hi
         assert lo * lo < 3 < hi * hi
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_convergent_bracket_matches_product_rule(self, data):
+        # bits near the summed bit lengths of a pair hit the one case the
+        # lengths leave open, where the kernel multiplies
+        a0 = data.draw(st.integers(-10**6, 10**6))
+        quotients = st.one_of(st.integers(1, 40), st.integers(1, 2**80))
+        tail = st.lists(quotients, min_size=1, max_size=6)
+        start, cycle = [a0, *data.draw(tail)], data.draw(tail)
+
+        def quotient(k):
+            return start[k] if k < len(start) else cycle[(k - len(start)) % len(cycle)]
+
+        if data.draw(st.booleans()):
+            k = data.draw(st.integers(0, 30))
+            pairs = convergents(map(quotient, itertools.count()))
+            _, q_prev, _, q = next(itertools.islice(pairs, k, None))
+            bits = max(0, q_prev.bit_length() + q.bit_length() + data.draw(st.integers(-3, 1)))
+        else:
+            bits = data.draw(st.integers(0, 700))
+        scale = bits + data.draw(st.integers(0, 40))
+        want = oracle.convergent_bracket(quotient, bits, scale)
+        assert convergent_bracket(quotient, bits, scale) == want
 
     def test_digit_stream_holds_digit_cell(self):
         enc = enclosure_from_digits(lambda n: [1] * n, 3, 0, bits=20)

@@ -108,6 +108,19 @@ class TestSlopeSpecs:
         with pytest.raises(ValueError):
             parse_slope("cfslope:")
 
+    @pytest.mark.parametrize("text", ["cfslope:(1)*", "cfslope:1,(2,3)*"])
+    def test_bracket_does_not_depend_on_earlier_calls(self, text):
+        def used():
+            slope = parse_slope(text)
+            mechanical_word(slope, Fraction(0), 1000)
+            return slope
+
+        w = mechanical_word(parse_slope(text), Fraction(0), 1000)
+        assert slope_bounds(used(), 16) == slope_bounds(parse_slope(text), 16)
+        assert letter_frequency_check(w, used()) == letter_frequency_check(w, parse_slope(text))
+        if text == "cfslope:(1)*":
+            assert slope_bounds(used(), 16)[1] == Fraction(5063, 8192)
+
     def test_periodic_tail_matches_surd(self):
         # [0; 1, 1, 1, ...] = (sqrt(5) - 1)/2
         cf = parse_slope("cfslope:(1)*")
@@ -254,9 +267,6 @@ class TestCheckersMatchFractionLoops:
             for _ in range(2)
         )
         spec = QuasiSturmianSpec(Word(b"", 2), Morphism(image0, image1), slope, rho)
-        # a continued-fraction slope brackets from the latest convergent pair it
-        # used; building the word first gives both checks the same pair
-        mechanical_word(slope, rho, n_letters)
         want = oracle.morphic_length_check(spec, n_letters)
         assert morphic_length_check(spec, n_letters) == want
         assert want <= 2 * max(len(image0), len(image1))
