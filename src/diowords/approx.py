@@ -23,6 +23,8 @@ from .realnum import (
     PrecisionBudgetError,
     RealSpec,
     _GUARD_BITS,
+    _digits_to_int,
+    decimal_text,
     digits,
     enclosure,
 )
@@ -52,8 +54,8 @@ class Approximant:
 
     def to_json_dict(self) -> dict:
         return {
-            "p": str(self.p),
-            "q": str(self.q),
+            "p": decimal_text(self.p),
+            "q": decimal_text(self.q),
             "base": self.base,
             "witness": self.witness.to_json_dict(),
         }
@@ -79,13 +81,6 @@ def witness_to_approximant(digit_word: Word, witness: RepetitionWitness, base: i
     v_int = _digits_to_int(digit_word.symbols[u : u + v], base)
     block = base**v - 1
     return Approximant(p=u_int * block + v_int, q=base**u * block, base=base, witness=witness)
-
-
-def _digits_to_int(ds: bytes, base: int) -> int:
-    value = 0
-    for d in ds:
-        value = value * base + d
-    return value
 
 
 def expansion_digits(p: int, q: int, base: int, count: int) -> list[int]:

@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import Callable
@@ -40,6 +41,11 @@ def parse_word_source(text: str) -> Callable[[int, int], words.Word]:
     within a refinement budget: (prefix, max_bits) -> Word.
     """
     if text.startswith("lit:"):
+        bad = re.search(r"[^0-9]", text[4:])
+        if bad:
+            raise ValueError(
+                f"lit: source takes the digits 0-9, not {bad.group()!r} at position {4 + bad.start()}"
+            )
         w = words.Word.from_digits(text[4:])
         return lambda prefix, _mb: w.prefix(min(prefix, len(w))) if prefix else w
     if text.startswith("digits:"):
@@ -64,7 +70,7 @@ def parse_word_source(text: str) -> Callable[[int, int], words.Word]:
     if text.startswith("quasi:"):
         parts = text[6:].split("|")
         if len(parts) not in (3, 4):
-            raise ValueError(f"quasi source needs W|MORPHISM|SLOPE: {text!r}")
+            raise ValueError(f"quasi source needs W|MORPHISM|SLOPE[|INTERCEPT]: {text!r}")
         spec = _quasi_spec(*parts)
         return lambda prefix, _mb: sturmian.apply_morphism(spec, prefix)
     raise ValueError(f"unknown word source {text!r} (position 0)")
@@ -74,9 +80,13 @@ def _quasi_spec(
     word: str, morphism: str, slope: str, intercept: str = "0"
 ) -> sturmian.QuasiSturmianSpec:
     """The W phi(s) word of the `quasi` command and of "quasi:" sources."""
+    phi = sturmian.parse_morphism(morphism)
+    # commuting images are powers of one word, so phi(s) is periodic
+    if phi.image0.symbols + phi.image1.symbols == phi.image1.symbols + phi.image0.symbols:
+        raise ValueError(f"morphism {morphism!r} has commuting images, so phi(s) is periodic")
     return sturmian.QuasiSturmianSpec(
         words.Word.from_digits(word) if word else words.Word(b"", 2),
-        sturmian.parse_morphism(morphism),
+        phi,
         sturmian.parse_slope(slope),
         _intercept(intercept),
     )
@@ -183,7 +193,9 @@ def cmd_cf(args) -> int:
     )
     if args.format == "json":
         payload = cf.to_json_dict()
-        payload["convergents"] = [[str(p), str(q)] for p, q in cf.convergents]
+        payload["convergents"] = [
+            [realnum.decimal_text(p), realnum.decimal_text(q)] for p, q in cf.convergents
+        ]
         _json_out(payload)
     else:
         _emit("[" + ", ".join(str(a) for a in cf.quotients) + "]")
@@ -252,16 +264,19 @@ def cmd_approximant(args) -> int:
     if stream.integer_part:
         enc = realnum.mobius(1, -stream.integer_part, 0, 1, enc, max_bits=args.max_bits)
     margin = approx.verify_approximation(enc, a)
-    rp, rq = a.reduced()
+    p, q, rp, rq = map(realnum.decimal_text, (a.p, a.q, *a.reduced()))
     if args.format == "json":
         payload = a.to_json_dict()
-        payload["reduced"] = [str(rp), str(rq)]
-        payload["margin"] = {"num": str(margin.numerator), "den": str(margin.denominator)}
+        payload["reduced"] = [rp, rq]
+        payload["margin"] = {
+            "num": realnum.decimal_text(margin.numerator),
+            "den": realnum.decimal_text(margin.denominator),
+        }
         payload["certified"] = True
         _json_out(payload)
     else:
         _emit(
-            f"p/q = {a.p}/{a.q} (reduced {rp}/{rq})\n"
+            f"p/q = {p}/{q} (reduced {rp}/{rq})\n"
             f"witness u={a.witness.u} v={a.witness.v} m={a.witness.m} "
             f"score={float(a.score):.6f}\n"
             f"certified: |xi - p/q| < {args.base}^-{a.witness.m} and < q^-score"

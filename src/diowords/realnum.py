@@ -20,7 +20,9 @@ the slope arithmetic.
 Digits are only ever emitted once the enclosure fits inside a single
 digit cell, so every printed digit is exact; when the refinement budget
 runs out first, the stream ends early and says how many digits are
-certified.
+certified.  Digits are rendered by one codec that never changes the
+interpreter's limit on integer string conversion, and read back by one
+loop (`_digits_to_int`).
 """
 
 from __future__ import annotations
@@ -41,6 +43,10 @@ _START_BITS = 64
 # A bracket computed at `bits` is rounded outward at scale bits + _GUARD_BITS,
 # so rounding widens it by at most 2^(1 - bits - _GUARD_BITS).
 _GUARD_BITS = 32
+# `str` checks the process-wide digit limit only on integers above this many
+# digits, and no limit may be set below it; interpreters without the limit
+# lack the attribute
+_STR_LEAF_DIGITS = getattr(sys.int_info, "str_digits_check_threshold", 640)
 
 Dyadic = tuple[int, int, int]  # (lo_num, hi_num, scale)
 
@@ -519,11 +525,9 @@ def enclosure_from_digits(
 
     def compute(nbits: int) -> Dyadic:
         n = int(nbits / math.log2(base)) + 2
-        value = integer_part
-        for digit in fetch(n):
-            value = value * base + digit
-        # the digit cell [value, value + 1] / base^n, rounded outward
         scale, cell = nbits + _GUARD_BITS, base**n
+        value = integer_part * cell + _digits_to_int(fetch(n), base)
+        # the digit cell [value, value + 1] / base^n, rounded outward
         return (value << scale) // cell, -((-(value + 1) << scale) // cell), scale
 
     return Enclosure(compute, bits, max_bits)
@@ -572,9 +576,7 @@ class DigitStream:
 
     def value(self) -> Fraction:
         """The rational number formed by the certified digits."""
-        v = 0
-        for d in self.fractional_digits:
-            v = v * self.base + d
+        v = _digits_to_int(self.fractional_digits, self.base)
         return self.integer_part + Fraction(v, self.base**self.certified)
 
 
@@ -606,15 +608,26 @@ def digits_from_enclosure(enc: Enclosure, base: int, count: int) -> DigitStream:
         if y_lo == y_hi:
             return _stream_from_scaled(base, count, y_lo, count)
         if not enc.refine():
-            # certify the digits both endpoints agree on
-            k = count
-            while k >= 0 and y_lo != y_hi:
-                y_lo //= base
-                y_hi //= base
-                k -= 1
-            if k < 0:
-                raise PrecisionBudgetError("integer part not certifiable within budget")
-            return _stream_from_scaled(base, k, y_lo, count)
+            return _stream_from_scaled(base, *_agreed_prefix(y_lo, y_hi, base, count), count)
+
+
+def _agreed_prefix(y_lo: int, y_hi: int, base: int, count: int) -> tuple[int, int]:
+    """(k, y) for the largest k <= count at which floor(y_lo / base^(count-k))
+    and floor(y_hi / base^(count-k)) agree on y, for y_lo <= y_hi."""
+    # the ends still differ after dropping j digits while base^j <= y_hi - y_lo;
+    # j is one below the float estimate of the largest j with base^j <= 2^(L-1),
+    # L the bit length of the difference, so rounding cannot make it too large
+    j = max(0, int(((y_hi - y_lo).bit_length() - 1) / math.log2(base)) - 1)
+    cell = base ** min(j, count + 1)
+    y_lo, y_hi, k = y_lo // cell, y_hi // cell, count - j
+    # a carry chain such as ...0999 / ...1000 can need more digits dropped
+    while k >= 0 and y_lo != y_hi:
+        y_lo //= base
+        y_hi //= base
+        k -= 1
+    if k < 0:
+        raise PrecisionBudgetError("integer part not certifiable within budget")
+    return k, y_lo
 
 
 def _stream_from_scaled(base: int, ndigits: int, y: int, requested: int) -> DigitStream:
@@ -634,21 +647,22 @@ def _int_to_base_digits(x: int, base: int, width: int) -> tuple[int, ...]:
         return ()
     if base in (2, 8, 16):
         text = format(x, {2: "b", 8: "o", 16: "x"}[base])
-    elif base == 10:
-        if hasattr(sys, "set_int_max_str_digits") and width + 16 > sys.get_int_max_str_digits():
-            sys.set_int_max_str_digits(width + 16)
-        text = str(x)
-    elif base & (base - 1) == 0:
+        return tuple(text.zfill(width).encode("ascii").translate(CHARS_TO_DIGITS))
+    if base & (base - 1) == 0:
         shift = base.bit_length() - 1
         text = format(x, "b").zfill(shift * width)
         return tuple(int(text[i : i + shift], 2) for i in range(0, shift * width, shift))
-    else:
-        return tuple(_digits_divide_conquer(x, base, width))
-    return tuple(text.zfill(width).encode("ascii").translate(CHARS_TO_DIGITS))
+    return tuple(_digits_divide_conquer(x, base, width))
 
 
 def _digits_divide_conquer(x: int, base: int, width: int) -> list[int]:
-    if width <= 32:
+    """The `width` base-b digits of x, split at base^(width // 2) down to
+    leaves (Brent & Zimmermann, Modern Computer Arithmetic, 2010, section
+    1.7).  A base-10 leaf of at most _STR_LEAF_DIGITS digits is rendered by
+    `str`, any other leaf of at most 32 digits by repeated division."""
+    if base == 10 and width <= _STR_LEAF_DIGITS:
+        return list(str(x).zfill(width).encode("ascii").translate(CHARS_TO_DIGITS))
+    if base != 10 and width <= 32:
         out = []
         for _ in range(width):
             x, r = divmod(x, base)
@@ -657,3 +671,24 @@ def _digits_divide_conquer(x: int, base: int, width: int) -> list[int]:
     half = width // 2
     high, low = divmod(x, base**half)
     return _digits_divide_conquer(high, base, width - half) + _digits_divide_conquer(low, base, half)
+
+
+def decimal_text(x: int) -> str:
+    """Decimal text of an integer of any size, under any process-wide limit
+    on integer string conversion."""
+    try:
+        return str(x)
+    except ValueError:  # over the limit
+        if x < 0:
+            return "-" + decimal_text(-x)
+    # at least the digit count: x < 2^L has at most L log10(2) + 1 digits
+    ds = _digits_divide_conquer(x, 10, int(x.bit_length() * math.log10(2)) + 2)
+    return bytes(ds).translate(DIGITS_TO_CHARS).decode("ascii").lstrip("0")
+
+
+def _digits_to_int(ds: Iterable[int], base: int) -> int:
+    """The integer whose base-b digits, most significant first, are `ds`."""
+    value = 0
+    for d in ds:
+        value = value * base + d
+    return value

@@ -42,19 +42,6 @@ class SlopeRefinementError(RuntimeError):
     """Raised when a continued-fraction slope needs more than _SLOPE_EXTEND_CAP convergents."""
 
 
-def _sign_plus_root(a: int, s: int, d: int) -> int:
-    """Sign of a + s*sqrt(d) for nonsquare d > 0, s in {-1, 0, 1}."""
-    if s == 0:
-        return (a > 0) - (a < 0)
-    if s > 0:
-        if a >= 0:
-            return 1
-        return 1 if d > a * a else -1
-    if a <= 0:
-        return -1
-    return 1 if a * a > d else -1
-
-
 @dataclass(frozen=True)
 class SurdSlope:
     """Quadratic irrational slope (p + sqrt(d))/q, constrained to (0, 1)."""
@@ -68,17 +55,10 @@ class SurdSlope:
             raise ValueError("surd denominator must be nonzero")
         if self.d <= 0 or math.isqrt(self.d) ** 2 == self.d:
             raise ValueError("surd radicand must be positive and not a perfect square")
-        pp, ss, qq = self._normalized()
-        if _sign_plus_root(pp, ss, self.d) <= 0:
+        # at scale = bits = 0 the bracket is lo < alpha < lo + 1, so lo is the
+        # floor of the irrational alpha, which lies in (0, 1) iff that floor is 0
+        if surd_bracket(self.p, self.q, self.d, 0, 0)[0] != 0:
             raise ValueError("slope must lie in (0, 1)")
-        if _sign_plus_root(pp - qq, ss, self.d) >= 0:
-            raise ValueError("slope must lie in (0, 1)")
-
-    def _normalized(self) -> tuple[int, int, int]:
-        # value = (P + S*sqrt(d))/Q with Q > 0
-        if self.q > 0:
-            return self.p, 1, self.q
-        return -self.p, -1, -self.q
 
     def is_irrational(self) -> bool:
         return True

@@ -8,7 +8,9 @@ per-letter Fraction loops that `letter_frequency_check` and
 `morphic_length_check` replace with one integer pass.
 `convergent_bracket` is the reference for `realnum.convergent_bracket`:
 it stops on the exact product of consecutive denominators where the
-kernel reads their bit lengths.
+kernel reads their bit lengths.  `surd_in_unit_interval` is the exact
+sign rule that `SurdSlope` replaces with the floor read off one
+`surd_bracket`.
 """
 
 from __future__ import annotations
@@ -103,3 +105,23 @@ def convergent_bracket(quotient: Callable[[int], int], bits: int, scale: int) ->
     if k % 2 == 0:  # p_k/q_k lies below the value
         (lo_p, lo_q), (hi_p, hi_q) = (hi_p, hi_q), (lo_p, lo_q)
     return (lo_p << scale) // lo_q, -((-hi_p << scale) // hi_q)
+
+
+def sign_plus_root(a: int, s: int, d: int) -> int:
+    """Sign of a + s*sqrt(d) for nonsquare d > 0, s in {-1, 0, 1}."""
+    if s == 0:
+        return (a > 0) - (a < 0)
+    if s > 0:
+        if a >= 0:
+            return 1
+        return 1 if d > a * a else -1
+    if a <= 0:
+        return -1
+    return 1 if a * a > d else -1
+
+
+def surd_in_unit_interval(p: int, q: int, d: int) -> bool:
+    """0 < (p + sqrt(d))/q < 1 for q != 0 and nonsquare d > 0."""
+    # (p + sqrt(d))/q = (pp + ss*sqrt(d))/qq with qq > 0
+    pp, ss, qq = (p, 1, q) if q > 0 else (-p, -1, -q)
+    return sign_plus_root(pp, ss, d) > 0 and sign_plus_root(pp - qq, ss, d) < 0

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from diowords.cli import main
+from diowords.realnum import _digits_to_int
 
 
 def run_cli(capsys, *argv):
@@ -110,6 +111,14 @@ class TestJsonDiscipline:
         payload = json.loads(out)
         assert payload["quotients"] == ["3", "7"]
         assert payload["convergents"] == [["3", "1"], ["22", "7"]]
+
+    def test_convergents_past_the_digit_limit(self, capsys):
+        # q_3 of [1; b, b, b] has over 6000 digits, past the default limit of `str`
+        b = 10**2000 + 7
+        code, out, _ = run_cli(capsys, "--format", "json", "cf", f"cf:1,{b},{b},{b}", "--terms", "4")
+        assert code == 0
+        q = json.loads(out)["convergents"][-1][1]
+        assert _digits_to_int(map(int, q), 10) == b**3 + 2 * b
 
     def test_floats_are_tagged_estimates(self, capsys):
         code, out, _ = run_cli(
@@ -269,6 +278,36 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "dio", source, "--prefix", "10")
         assert code == 2
         assert out == "" and "usage error" in err
+
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            ("lit:0100101|1", "lit: source takes the digits 0-9, not '|' at position 11"),
+            ("lit:01a", "lit: source takes the digits 0-9, not 'a' at position 6"),
+            ("quasi:2|0>01;1>001|surd:-3,-2,5|0|1", "needs W|MORPHISM|SLOPE[|INTERCEPT]"),
+        ],
+        ids=["lit-bar", "lit-letter", "quasi"],
+    )
+    def test_word_source_grammar_hint(self, capsys, source, message):
+        code, out, err = run_cli(capsys, "dio", source, "--prefix", "10")
+        assert code == 2
+        assert out == "" and message in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("quasi", "--morphism", "0>0;1>0", "--slope", "surd:-3,-2,5", "--length", "5000",
+             "--check-n-max", "800"),
+            ("quasi", "--morphism", "0>01;1>0101", "--slope", "surd:-3,-2,5", "--length", "50"),
+            ("dio", "quasi:|0>0;1>0|surd:-3,-2,5"),
+        ],
+        ids=["command", "powers-of-one-word", "source"],
+    )
+    def test_commuting_morphism_is_usage_error(self, capsys, argv):
+        # phi(0)phi(1) = phi(1)phi(0) makes phi(s) periodic
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == "" and "commuting images" in err
 
     @pytest.mark.parametrize("slack", ["nan", "inf", "-inf"])
     def test_non_finite_slack_is_usage_error(self, capsys, slack):

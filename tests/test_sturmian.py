@@ -108,6 +108,54 @@ class TestSlopeSpecs:
         with pytest.raises(ValueError):
             parse_slope("cfslope:")
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((1, 0, 5), "surd denominator must be nonzero"),
+            ((0, 2, 4), "surd radicand must be positive and not a perfect square"),
+            ((0, 2, -3), "surd radicand must be positive and not a perfect square"),
+            ((5, 2, 5), r"slope must lie in \(0, 1\)"),
+        ],
+    )
+    def test_surd_error_messages(self, args, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SurdSlope(*args)
+
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_surd_range_matches_sign_rule(self, data):
+        # p is drawn near the range -sqrt(d) < p < q - sqrt(d) (q > 0) half of the time
+        big = 10**30
+        d = data.draw(st.one_of(st.integers(2, 10**6), st.integers(2, big)).filter(
+            lambda d: math.isqrt(d) ** 2 != d))
+        q = data.draw(st.one_of(st.integers(1, 50), st.integers(1, big)))
+        q *= data.draw(st.sampled_from((1, -1)))
+        root = math.isqrt(d)
+        p = data.draw(st.one_of(
+            st.integers(-big, big),
+            st.integers(-abs(q) - 2, abs(q) + 2).map(lambda k: k - root if q > 0 else root + k),
+        ))
+        self._check_range(p, q, d)
+
+    @given(st.integers(1, 10**199), st.sampled_from((1, 2, 3, 7)), st.integers(-9, 9))
+    @settings(max_examples=300, deadline=None)
+    def test_surd_range_near_the_boundary(self, r, m, k):
+        # alpha = sqrt(r^2 + 1) - r lies just above 0 and 1 - alpha just below 1;
+        # (p + sqrt(d))/q over p near -r, r + 1 and q = +-m lands on both sides of 0 and 1
+        d = r * r + 1
+        for p, q in ((k - r, m), (-(r + 1) + k, -m), (k - r - m, m), (k - r, -m)):
+            self._check_range(p, q, d)
+
+    @staticmethod
+    def _check_range(p, q, d):
+        try:
+            SurdSlope(p, q, d)
+        except ValueError as exc:
+            assert str(exc) == "slope must lie in (0, 1)"
+            assert not oracle.surd_in_unit_interval(p, q, d)
+        else:
+            assert oracle.surd_in_unit_interval(p, q, d)
+
     @pytest.mark.parametrize("text", ["cfslope:(1)*", "cfslope:1,(2,3)*"])
     def test_bracket_does_not_depend_on_earlier_calls(self, text):
         def used():
