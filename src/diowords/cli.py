@@ -15,7 +15,6 @@ import argparse
 import json
 import math
 import os
-import re
 import sys
 from fractions import Fraction
 from typing import Callable
@@ -41,11 +40,6 @@ def parse_word_source(text: str) -> Callable[[int, int], words.Word]:
     within a refinement budget: (prefix, max_bits) -> Word.
     """
     if text.startswith("lit:"):
-        bad = re.search(r"[^0-9]", text[4:])
-        if bad:
-            raise ValueError(
-                f"lit: source takes the digits 0-9, not {bad.group()!r} at position {4 + bad.start()}"
-            )
         w = words.Word.from_digits(text[4:])
         return lambda prefix, _mb: w.prefix(min(prefix, len(w))) if prefix else w
     if text.startswith("digits:"):
@@ -142,7 +136,7 @@ def cmd_digits(args) -> int:
         _json_out(
             {
                 "base": stream.base,
-                "integer_part": str(stream.integer_part),
+                "integer_part": realnum.decimal_text(stream.integer_part),
                 "fractional_digits": list(stream.fractional_digits),
                 "certified": stream.certified,
                 "requested": stream.requested,

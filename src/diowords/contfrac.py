@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .realnum import Enclosure, convergents
+from .realnum import Enclosure, convergents, decimal_text
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ class CFExpansion:
 
     def to_json_dict(self) -> dict:
         return {
-            "quotients": [str(a) for a in self.quotients],
+            "quotients": [decimal_text(a) for a in self.quotients],
             "certified": self.certified,
             "rational": self.rational,
             "complete": self.complete,

@@ -564,10 +564,11 @@ class DigitStream:
             frac = bytes(self.fractional_digits).translate(DIGITS_TO_CHARS).decode("ascii")
         else:
             frac = ",".join(map(str, self.fractional_digits))
+        ipart = decimal_text(self.integer_part)
         if self.integer_part < 0:
             # the digits are those of value - floor(value); spell the floor out
-            return f"{self.integer_part}+0.{frac} certified:{self.certified}"
-        return f"{self.integer_part}.{frac} certified:{self.certified}"
+            return f"{ipart}+0.{frac} certified:{self.certified}"
+        return f"{ipart}.{frac} certified:{self.certified}"
 
     def fractional_word(self) -> Word:
         if self.base > 256:
@@ -676,14 +677,10 @@ def _digits_divide_conquer(x: int, base: int, width: int) -> list[int]:
 def decimal_text(x: int) -> str:
     """Decimal text of an integer of any size, under any process-wide limit
     on integer string conversion."""
-    try:
-        return str(x)
-    except ValueError:  # over the limit
-        if x < 0:
-            return "-" + decimal_text(-x)
-    # at least the digit count: x < 2^L has at most L log10(2) + 1 digits
-    ds = _digits_divide_conquer(x, 10, int(x.bit_length() * math.log10(2)) + 2)
-    return bytes(ds).translate(DIGITS_TO_CHARS).decode("ascii").lstrip("0")
+    # x < 2^L has at most L log10(2) + 1 digits
+    ds = _digits_divide_conquer(abs(x), 10, int(x.bit_length() * math.log10(2)) + 2)
+    text = bytes(ds).translate(DIGITS_TO_CHARS).decode("ascii").lstrip("0") or "0"
+    return "-" + text if x < 0 else text
 
 
 def _digits_to_int(ds: Iterable[int], base: int) -> int:

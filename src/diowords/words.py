@@ -53,7 +53,12 @@ class Word:
     @classmethod
     def from_digits(cls, text: str, alphabet_size: int | None = None) -> "Word":
         """Build a word from a digit string such as "0100101"."""
-        letters = bytes(int(ch) for ch in text)
+        for i, ch in enumerate(text):
+            if not "0" <= ch <= "9":
+                raise ValueError(
+                    f"a digit word takes the digits 0-9, not {ch!r} at position {i} of {text!r}"
+                )
+        letters = text.encode("ascii").translate(CHARS_TO_DIGITS)
         if alphabet_size is None:
             alphabet_size = max(2, (max(letters) + 1) if letters else 2)
         return cls(letters, alphabet_size)

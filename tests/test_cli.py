@@ -282,8 +282,8 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "source, message",
         [
-            ("lit:0100101|1", "lit: source takes the digits 0-9, not '|' at position 11"),
-            ("lit:01a", "lit: source takes the digits 0-9, not 'a' at position 6"),
+            ("lit:0100101|1", "the digits 0-9, not '|' at position 7 of '0100101|1'"),
+            ("lit:01a", "the digits 0-9, not 'a' at position 2 of '01a'"),
             ("quasi:2|0>01;1>001|surd:-3,-2,5|0|1", "needs W|MORPHISM|SLOPE[|INTERCEPT]"),
         ],
         ids=["lit-bar", "lit-letter", "quasi"],
@@ -292,6 +292,24 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "dio", source, "--prefix", "10")
         assert code == 2
         assert out == "" and message in err
+
+    @pytest.mark.parametrize(
+        "word, morphism, message",
+        [
+            ("\u0663", "0>01;1>001", "not '\u0663' at position 0 of '\u0663'"),
+            ("2x", "0>01;1>001", "not 'x' at position 1 of '2x'"),
+            ("2", "0>0a;1>001", "not 'a' at position 1 of '0a'"),
+        ],
+        ids=["arabic-indic-three", "word-letter", "image-letter"],
+    )
+    def test_digit_word_takes_ascii_digits(self, capsys, word, morphism, message):
+        # one check in Word.from_digits serves lit: sources, --word and morphism images
+        code, out, err = run_cli(
+            capsys, "quasi", "--word", word, "--morphism", morphism, "--slope", "surd:-3,-2,5",
+            "--length", "10",
+        )
+        assert code == 2
+        assert out == "" and "digits 0-9, " + message in err
 
     @pytest.mark.parametrize(
         "argv",

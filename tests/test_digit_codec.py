@@ -160,10 +160,14 @@ def _fresh_runs(argvs: list[list[str]], limit: str | None = None) -> list[tuple[
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit")
-def test_readme_examples_leave_the_digit_limit_alone():
+def test_readme_examples_leave_the_digit_limit_alone(capsys):
     # a fresh interpreter: earlier tests in this one may have changed the limit
     examples = [a for a in readme_examples() if "verify" not in a]
-    assert [limit for _, _, limit in _fresh_runs(examples)] == [4300] * len(examples)
+    want = []
+    for argv in examples:
+        code, out, _ = run_cli(capsys, *argv)
+        want.append((code, out, 4300))
+    assert _fresh_runs(examples) == want
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit")
@@ -180,3 +184,31 @@ def test_outputs_under_any_digit_limit(capsys, limit):
         want.append((code, out, int(limit)))
     assert all(code == 0 for code, _, _ in want)
     assert _fresh_runs(argvs, limit) == want
+
+
+HUGE_INTEGERS = """
+import json
+from diowords.contfrac import cf_from_enclosure
+from diowords.realnum import Rational, digits, enclosure
+x = Rational(10**5000, 3)
+print(json.dumps([
+    digits(x, 10, 4).as_text(),
+    digits(Rational(-x.p, x.q), 10, 4).as_text(),
+    cf_from_enclosure(enclosure(x), 3).to_json_dict()["quotients"],
+]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit")
+@pytest.mark.parametrize("limit", [None, "0", "640"])
+def test_huge_integer_parts_under_any_digit_limit(limit):
+    # command-line input is itself held to the limit, so these integers of
+    # 5000 digits only arise through the library
+    done = _python(HUGE_INTEGERS, limit=limit)
+    assert done.returncode == 0, done.stderr
+    threes = "3" * 5000
+    assert json.loads(done.stdout) == [
+        f"{threes}.3333 certified:4",
+        f"-{threes[:-1]}4+0.6666 certified:4",
+        [threes, "3"],
+    ]
