@@ -1,9 +1,10 @@
 """Command-line surface.
 
 Deterministic by construction: identical configurations produce
-byte-identical stdout (timing and advisory notes go to stderr).  Exact
-values appear in JSON as numerator/denominator strings; floats are
-always estimates and are tagged as such.
+byte-identical stdout; stderr carries only error messages and the
+lower-bound note of text-format profiles.  Exact values appear in JSON
+as numerator/denominator strings; floats are always estimates and are
+tagged as such.
 
 Exit codes: 0 success, 1 criterion/assertion failure, 2 usage error,
 3 refinement-budget exhaustion.

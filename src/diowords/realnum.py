@@ -20,9 +20,10 @@ the slope arithmetic.
 Digits are only ever emitted once the enclosure fits inside a single
 digit cell, so every printed digit is exact; when the refinement budget
 runs out first, the stream ends early and says how many digits are
-certified.  Digits are rendered by one codec that never changes the
-interpreter's limit on integer string conversion, and read back by one
-loop (`_digits_to_int`).
+certified.  Digits are rendered by one divide-and-conquer codec that
+never changes the interpreter's limit on integer string conversion, and
+read back by its mirror (`_digits_to_int`), which splits at the same
+points and reads the same leaves.
 """
 
 from __future__ import annotations
@@ -684,8 +685,23 @@ def decimal_text(x: int) -> str:
 
 
 def _digits_to_int(ds: Iterable[int], base: int) -> int:
-    """The integer whose base-b digits, most significant first, are `ds`."""
-    value = 0
-    for d in ds:
-        value = value * base + d
-    return value
+    """The integer whose base-b digits, most significant first, are `ds`.
+
+    The mirror of `_digits_divide_conquer`, with the same leaves: the high
+    digits times base^(len // 2) plus the low ones.  A base-10 leaf is read
+    by `int`, which checks the process-wide digit limit only above
+    _STR_LEAF_DIGITS digits, any other leaf by a Horner loop.
+    """
+    if not isinstance(ds, (bytes, tuple, list)):
+        ds = tuple(ds)
+    width = len(ds)
+    if base == 10 and width <= _STR_LEAF_DIGITS:
+        return int(bytes(ds).translate(DIGITS_TO_CHARS)) if width else 0
+    if base != 10 and width <= 32:
+        value = 0
+        for d in ds:
+            value = value * base + d
+        return value
+    half = width // 2
+    high = _digits_to_int(ds[: width - half], base)
+    return high * base**half + _digits_to_int(ds[width - half :], base)

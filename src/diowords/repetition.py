@@ -16,7 +16,9 @@ LPF[d] = max_{u < d} lce(u, d) is the longest-previous-factor array of
 the prefix (see suffix.py), and its smallest u is the first occurrence
 of the LPF[d] letters at d.  Scores are compared exactly, by integer
 cross-multiplication.  Initial repetitions (u = 0) are selected the
-same way from the Z-array, which is linear, in place of LPF.
+same way from the Z-array, Z[d] = lce(0, d), in place of LPF: numpy
+passes give every match shorter than _Z_SHORT letters, and the Z-box
+loop runs only at the positions whose match is longer.
 """
 
 from __future__ import annotations
@@ -137,10 +139,16 @@ def dio_estimate(prefix: Word, threshold: int | None = None) -> ExponentEstimate
 
 
 def ice_estimate(prefix: Word, threshold: int | None = None) -> ExponentEstimate:
-    """Best initial-repetition score (u = 0): V^w prefixes only, score m/v."""
+    """Best initial-repetition score (u = 0): V^w prefixes only, score m/v.
+
+    The Z-array costs O(N _Z_SHORT) letter comparisons in numpy, which
+    settle every match shorter than _Z_SHORT, plus O(N) Python steps of
+    the Z-box loop over the positions with longer matches; the selection
+    after it is numpy.
+    """
     t = _checked_threshold(len(prefix), threshold)
     # a Z-match block at v starts the word, so _best_from finds u = 0 for it
-    return _estimate(prefix, np.array(_z_array(prefix.symbols), dtype=np.int64), t)
+    return _estimate(prefix, _z_array(prefix.symbols), t)
 
 
 def _estimate(prefix: Word, ext: np.ndarray, t: int) -> ExponentEstimate:
@@ -177,19 +185,92 @@ def _best_from(data: bytes, ext: np.ndarray, lo: int) -> _Cand:
     return (best_d + best_c, u, best_d - u)
 
 
-def _z_array(data: bytes) -> list[int]:
+# Z-values below this come from one numpy pass per letter; only the
+# positions that match the prefix for this many letters run the Z-box loop.
+# On the Sturmian words of 5*10^4 to 2*10^5 letters the time is flat for
+# 8 to 32; a uint8 counter holds it.
+_Z_SHORT = 16
+
+
+def _z_array(data: bytes) -> np.ndarray:
+    """Z[d] = lce(0, d), the longest common prefix of the word and its
+    suffix at d, with Z[0] = N, exactly and in two phases.
+
+    Phase 1 compares every position with the prefix one letter at a time
+    for _Z_SHORT letters, in numpy: O(N _Z_SHORT) letter comparisons give
+    every Z[d] < _Z_SHORT.  Phase 2 runs the Z-box loop (Gusfield,
+    Algorithms on Strings, Trees and Sequences, 1997, section 1.4) over
+    the remaining positions only, in ascending order: inside the box
+    [left, right) of the last long match, Z[d] follows from Z[d - left]
+    unless that reaches exactly to the box end, and a match is extended
+    by slice comparisons, doubling then bisecting, so phase 2 takes O(N)
+    Python steps at worst.
+    """
     n = len(data)
-    z = [0] * n
-    z[0] = n
-    left = right = 0
-    for i in range(1, n):
-        if i < right:
-            z[i] = min(right - i, z[i - left])
-        while i + z[i] < n and data[z[i]] == data[i + z[i]]:
-            z[i] += 1
-        if i + z[i] > right:
-            left, right = i, i + z[i]
+    a = np.frombuffer(data, dtype=np.uint8)
+    # run[d]: the first h + 1 letters at d match the prefix
+    run = np.ones(n, dtype=bool)
+    run[:1] = False
+    short = np.zeros(n, dtype=np.uint8)
+    for h in range(min(_Z_SHORT, n)):
+        run[n - h :] = False  # d + h = N: no letter left
+        run[1 : n - h] &= a[1 + h :] == a[h]
+        short += run
+    z = short.astype(np.int64)
+    z[:1] = n
+    long = np.flatnonzero(run)
+    if long.size:
+        _z_long(data, long, z)
     return z
+
+
+def _z_long(data: bytes, long: np.ndarray, z: np.ndarray) -> None:
+    """Fill in z at the ascending positions `long`, each with Z >= _Z_SHORT."""
+    starts = long.tolist()
+    zl = [0] * (starts[-1] + 1)  # Z at the positions of `long` done so far
+    out = []
+    left = right = 0
+    for i in starts:
+        room = right - i
+        if room < _Z_SHORT:
+            k = _extend(data, i, _Z_SHORT)
+        else:
+            # Z[i - left] < _Z_SHORT <= Z[i] would force room < _Z_SHORT,
+            # so i - left is in `long` and zl holds its Z
+            k = zl[i - left]
+            if k == room:
+                k = _extend(data, i, room)
+            elif k > room:
+                k = room  # what ends the box at right ends this match too
+        zl[i] = k
+        out.append(k)
+        if i + k > right:
+            left, right = i, i + k
+    z[long] = out
+
+
+def _extend(data: bytes, i: int, k: int) -> int:
+    """lce(0, i), given that the first k letters at i match the prefix."""
+    top = len(data) - i
+    if k == top or data[k] != data[i + k]:
+        return k
+    k, step = k + 1, 1
+    while k < top:
+        hi = min(k + step, top)
+        if data[k:hi] != data[i + k : i + hi]:
+            break
+        k = hi
+        step += step
+    else:
+        return k
+    # the first mismatch lies in [k, hi)
+    while hi - k > 1:
+        mid = (k + hi) // 2
+        if data[k:mid] == data[i + k : i + mid]:
+            k = mid
+        else:
+            hi = mid
+    return k
 
 
 def dio_brute_force(prefix: Word, threshold: int | None = None) -> ExponentEstimate:

@@ -2,7 +2,8 @@
 
 Digits are rendered by one divide-and-conquer splitter in every base that
 is not a power of two; its base-10 leaves go through `str`, and
-`_digits_to_int` reads digits back.  The digests below were recorded with
+`_digits_to_int` reads digits back by the mirror splitting, whose
+base-10 leaves go through `int`.  The digests below were recorded with
 the base-10 path that rendered the whole scaled integer with `str`.
 """
 
@@ -11,12 +12,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diowords.realnum import (
@@ -63,6 +65,44 @@ def test_digit_round_trip(case):
     ds = _int_to_base_digits(x, base, width)
     assert len(ds) == width and all(0 <= d < base for d in ds)
     assert _digits_to_int(ds, base) == x
+
+
+def digits_to_int_horner(ds, base):
+    """One multiply-add per digit: the quadratic loop `_digits_to_int` replaced."""
+    value = 0
+    for d in ds:
+        value = value * base + d
+    return value
+
+
+@st.composite
+def digit_sequences(draw):
+    """(digits, base): up to 10^5 digits, often with leading zeros, and widths
+    at the leaf sizes of the codec (32 digits, 640 in base 10) and one past."""
+    base = draw(st.sampled_from((2, 3, 7, 10, 16, 36, 1000)))
+    width = draw(st.one_of(
+        st.sampled_from((0, 1, 32, 33, 64, 65, 640, 641, 1280, 1281)),
+        st.integers(0, 2000),
+        st.integers(2 * 10**4, 10**5),
+    ))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    zeros = draw(st.integers(0, width))
+    return (0,) * zeros + tuple(rng.randrange(base) for _ in range(width - zeros)), base
+
+
+@given(digit_sequences(), st.sampled_from((tuple, bytes, iter)))
+@example(((7,), 10), tuple)
+@example(((9,) * 640 + (1,), 10), iter)
+@settings(max_examples=80, deadline=None)
+def test_digits_to_int_round_trip(case, kind):
+    ds, base = case
+    if kind is bytes and base > 256:
+        kind = tuple
+    x = _digits_to_int(kind(ds), base)
+    assert 0 <= x < base ** len(ds)
+    assert _int_to_base_digits(x, base, len(ds)) == ds
+    if len(ds) <= 3000:
+        assert x == digits_to_int_horner(ds, base)
 
 
 @given(st.one_of(st.integers(-(10**700), 10**700), st.integers(-(10**6000), 10**6000)))

@@ -5,20 +5,26 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from diowords.cli import parse_word_source
 from diowords.repetition import (
+    _Z_SHORT,
     RepetitionWitness,
+    _z_array,
     dio_brute_force,
     dio_estimate,
     ice_brute_force,
     ice_estimate,
     verify_witness,
 )
+from diowords.sturmian import mechanical_word, parse_slope
 from diowords.words import Word
 
+import repetition_oracle as oracle
 from strategies import mixed_words
 
 
@@ -196,3 +202,104 @@ class TestIceEstimate:
     def test_ice_at_most_dio(self, w):
         t = max(1, len(w) // 4)
         assert ice_estimate(w, t).global_max.score <= dio_estimate(w, t).global_max.score
+
+
+def assert_z_matches_oracle(data: bytes) -> None:
+    z = _z_array(data)
+    assert z.dtype == np.int64
+    assert z.tolist() == oracle.z_array(data)
+
+
+@st.composite
+def near_periodic_words(draw):
+    """A block repeated up to a few hundred letters, with at most one letter
+    changed: long matches that end early, late or not at all."""
+    palette = draw(st.lists(st.integers(0, 255), min_size=1, max_size=4, unique=True))
+    block = draw(st.lists(st.sampled_from(palette), min_size=1, max_size=12))
+    n = draw(st.integers(1, 400))
+    data = bytearray((bytes(block) * (n // len(block) + 1))[:n])
+    if draw(st.booleans()):
+        data[draw(st.integers(0, n - 1))] = draw(st.sampled_from(palette))
+    return bytes(data)
+
+
+class TestZArray:
+    """The two-phase Z-array against the per-letter loop, on words whose
+    matches reach past the numpy phase (Z >= _Z_SHORT)."""
+
+    @pytest.mark.parametrize("n", [1, 2, _Z_SHORT - 1, _Z_SHORT, _Z_SHORT + 1])
+    def test_lengths_around_the_phase_boundary(self, n):
+        rng = random.Random(n)
+        for block in (b"\0", b"\0\1", b"\0\0\1", b"\0\1\0\0\1\0\1"):
+            word = (block * n)[:n]
+            assert_z_matches_oracle(word)
+            for i in range(n):
+                flipped = bytearray(word)
+                flipped[i] ^= 1
+                assert_z_matches_oracle(bytes(flipped))
+        for _ in range(20):
+            assert_z_matches_oracle(bytes(rng.randrange(2) for _ in range(n)))
+
+    @pytest.mark.parametrize(
+        "slope, intercept",
+        [
+            ("surd:-5,7,37", Fraction(2, 7)),
+            ("cfslope:(1)*", Fraction(0)),
+            ("cfslope:2,(1,3)*", Fraction(1, 3)),
+            ("cfslope:3,(5,31,2)*", Fraction(1, 3)),
+            ("cfslope:pow10", Fraction(0)),
+        ],
+    )
+    def test_sturmian_prefixes(self, slope, intercept):
+        for n in (100, 3000, 10**5):
+            assert_z_matches_oracle(mechanical_word(parse_slope(slope), intercept, n).symbols)
+
+    @pytest.mark.parametrize("block", [b"\0", b"\0\1", b"\0\0\1"], ids=["0", "01", "001"])
+    @pytest.mark.parametrize("n", [1000, 10**5 + 1])
+    def test_periodic_words(self, block, n):
+        assert_z_matches_oracle((block * n)[:n])
+
+    @pytest.mark.parametrize("base", [2, 3, 10, 256])
+    def test_random_words(self, base):
+        rng = random.Random(base)
+        for n in (50, 1000, 10**5):
+            assert_z_matches_oracle(bytes(rng.randrange(base) for _ in range(n)))
+
+    def test_match_that_ends_at_the_box_end(self):
+        # in 0^m 1 0^m 2 the box at m + 1 ends at 2m + 1, and Z[i - m - 1] = 2m + 1 - i
+        # reaches exactly to its end: the letter there, 2, ends Z[i] with no letter matched
+        for m in range(_Z_SHORT - 2, _Z_SHORT + 24):
+            for tail in (b"\2", b"\1\2", b"\1" + b"\0" * m + b"\2"):
+                assert_z_matches_oracle(b"\0" * m + b"\1" + b"\0" * m + tail)
+
+    def test_empty_word(self):
+        assert _z_array(b"").tolist() == []
+
+    @given(near_periodic_words())
+    @settings(max_examples=500, deadline=None)
+    def test_near_periodic_words(self, data):
+        assert_z_matches_oracle(data)
+
+
+class TestIcePeriodicPrefixes:
+    """ice on purely periodic prefixes too long for ice_brute_force: the
+    least period p gives (u, v, m) = (0, p, N), and the persistent maximum
+    takes the least multiple of p at or above the threshold."""
+
+    @pytest.mark.parametrize(
+        "source, period",
+        [
+            ("digits:rat:1/7|10", 6),
+            ("lit:" + "0100110" * 14_300, 7),
+            ("lit:" + "0" * (10**5 + 3), 1),
+        ],
+        ids=["rat-1/7-base-10", "lit-0100110-power", "lit-0-power"],
+    )
+    @pytest.mark.parametrize("n", [10**5, 10**5 + 3])
+    def test_global_maximum_is_the_period(self, source, period, n):
+        w = parse_word_source(source)(n, 10**6)
+        assert len(w) == n
+        est = ice_estimate(w)
+        assert (est.global_max.u, est.global_max.v, est.global_max.m) == (0, period, n)
+        v = -(-est.threshold // period) * period
+        assert (est.persistent_max.u, est.persistent_max.v, est.persistent_max.m) == (0, v, n)
