@@ -331,15 +331,23 @@ CRITERIA: tuple[tuple[str, Callable[[int], CriterionResult]], ...] = (
 )
 
 
+def select_criteria(
+    suite: str | None = None,
+) -> list[tuple[str, Callable[[int], CriterionResult]]]:
+    """The criteria whose id contains ``suite`` (all for None), in table order."""
+    selected = [(cid, fn) for cid, fn in CRITERIA if suite is None or suite in cid]
+    if not selected:
+        raise ValueError(f"no criteria match suite filter {suite!r}")
+    return selected
+
+
 def run_suite(
     suite: str | None = None,
     seed: int = DEFAULT_SEED,
     threads: int = 1,
 ) -> list[CriterionResult]:
     """Run the (filtered) criteria; result order follows the criterion table."""
-    selected = [(cid, fn) for cid, fn in CRITERIA if suite is None or suite in cid]
-    if not selected:
-        raise ValueError(f"no criteria match suite filter {suite!r}")
+    selected = select_criteria(suite)
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 

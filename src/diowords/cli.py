@@ -313,7 +313,7 @@ def cmd_report(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.list:
-        for cid, _ in acceptance.CRITERIA:
+        for cid, _ in acceptance.select_criteria(args.suite):
             _emit(cid)
         return EXIT_OK
     results = acceptance.run_suite(args.suite, seed=args.seed, threads=args.threads)

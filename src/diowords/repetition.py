@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .suffix import lcp_array, longest_previous_factor, suffix_array
+from .suffix import longest_previous_factor, suffix_index
 from .words import Word
 
 _Cand = tuple[int, int, int]  # (m, u, v)
@@ -133,9 +133,7 @@ def dio_estimate(prefix: Word, threshold: int | None = None) -> ExponentEstimate
     returned witnesses deterministic.
     """
     t = _checked_threshold(len(prefix), threshold)
-    data = prefix.symbols
-    sa = suffix_array(data)
-    return _estimate(prefix, longest_previous_factor(sa, lcp_array(data, sa)), t)
+    return _estimate(prefix, longest_previous_factor(*suffix_index(prefix.symbols)), t)
 
 
 def ice_estimate(prefix: Word, threshold: int | None = None) -> ExponentEstimate:
@@ -153,7 +151,9 @@ def ice_estimate(prefix: Word, threshold: int | None = None) -> ExponentEstimate
 
 def _estimate(prefix: Word, ext: np.ndarray, t: int) -> ExponentEstimate:
     """Global and persistent (u + v >= t) maxima, each checked against the prefix."""
-    (mg, ug, vg), (mp, up, vp) = (_best_from(prefix.symbols, ext, lo) for lo in (1, t))
+    data = prefix.symbols
+    ratio = ext[1:] / np.arange(1, len(data))
+    (mg, ug, vg), (mp, up, vp) = (_best_from(data, ext, ratio, lo) for lo in (1, t))
     return _certified(prefix, ExponentEstimate(
         global_max=RepetitionWitness(ug, vg, mg),
         persistent_max=RepetitionWitness(up, vp, mp),
@@ -162,22 +162,21 @@ def _estimate(prefix: Word, ext: np.ndarray, t: int) -> ExponentEstimate:
     ))
 
 
-def _best_from(data: bytes, ext: np.ndarray, lo: int) -> _Cand:
+def _best_from(data: bytes, ext: np.ndarray, ratio: np.ndarray, lo: int) -> _Cand:
     """Best witness with u + v >= lo, in the order of _better.
 
     ext[d] is the longest match of the letters at d with earlier ones:
-    LPF[d] for any u, Z[d] for u = 0.  Denominators run over [lo, N);
-    d = N only scores 1, which d = lo matches with a smaller
-    denominator.  The float argmax only picks a pivot: every d scoring
-    at least as much, by exact int64 comparison of ext[d] / d, stays a
-    candidate.
+    LPF[d] for any u, Z[d] for u = 0, and ratio[d - 1] is ext[d] / d in
+    float.  Denominators run over [lo, N); d = N only scores 1, which
+    d = lo matches with a smaller denominator.  Float division rounds
+    monotonically and ext and d are exact in float, so every d whose
+    exact ext[d] / d is largest has the largest float ratio: those d
+    stay candidates, and exact integer comparisons pick among them.
     """
-    c = ext[lo:]
-    d = np.arange(lo, len(data))
-    i = int(np.argmax(c / d))
-    kept = np.flatnonzero(c * d[i] >= c[i] * d)
+    r = ratio[lo - 1 :]
+    kept = np.flatnonzero(r == r.max()) + lo
     best_c, best_d = 0, 0
-    for cj, dj in zip(c[kept].tolist(), (kept + lo).tolist()):
+    for cj, dj in zip(ext[kept].tolist(), kept.tolist()):
         # ascending d, so a tie keeps the smaller denominator
         if best_d == 0 or cj * best_d > best_c * dj:
             best_c, best_d = cj, dj

@@ -1,12 +1,15 @@
 """One suffix index for the word statistics.
 
 The suffix array orders the suffixes of a word; the LCP array gives the
-longest common prefix of each suffix with its predecessor in that order
-(Kasai et al., CPM 2001).  Factor complexity is read off the LCP array,
-and the repetition scan off the longest-previous-factor array
-LPF[i] = max_{j < i} lce(j, i), which the nearest suffixes in SA order
-that start at a smaller text position determine (Crochemore & Ilie, IPL
-2008).
+longest common prefix of each suffix with its predecessor in that order.
+`suffix_index` builds both by prefix doubling and reads the LCP off the
+ranks of its doubling rounds, as Manber & Myers did (SIAM J. Comput.
+1993); with a depth it sorts only as deep as a caller reads.  Factor
+complexity is read off the LCP array, and the repetition scan off the
+longest-previous-factor array LPF[i] = max_{j < i} lce(j, i), which the
+nearest suffixes in SA order that start at a smaller text position
+determine (Crochemore & Ilie, IPL 2008).  Kasai's per-letter LCP scan
+is kept in the tests as the oracle.
 """
 
 from __future__ import annotations
@@ -14,60 +17,87 @@ from __future__ import annotations
 import numpy as np
 
 
-def suffix_array(data: bytes) -> np.ndarray:
-    """Start positions of the suffixes of ``data`` in lexicographic order.
+def suffix_index(data: bytes, depth: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The suffix array SA of ``data`` and its LCP array.
 
-    Prefix doubling (Manber & Myers 1993).  The first rounds pack whole
-    k-letter windows into one int64 key, letters as 1..s and the end of
-    the word as 0, while 2k windows still fit in 62 bits.  Each later
-    round sorts by the pair (rank of the first k letters, rank of the
-    next k); ranks are dense in [0, N), so the pair key fits in int64
-    for any N below 3 * 10^9.
+    SA lists the start positions of the suffixes in lexicographic order,
+    and LCP[r] = lcp(suffix SA[r-1], suffix SA[r]), with LCP[0] = 0.
+
+    Prefix doubling (Manber & Myers, SIAM J. Comput. 1993).  The first
+    rounds pack whole K-letter windows into one int64 key, letters as
+    1..s and the end of the word as 0, while 2K windows still fit in 62
+    bits.  Each later round sorts by the pair (rank of the first k
+    letters, rank of the next k); ranks are dense in [0, N), so the pair
+    key fits in int64 for any N below 3 * 10^9.  With a depth, doubling
+    stops once the suffixes are sorted by their first ``depth`` letters
+    (or more): the order among suffixes that share those letters is then
+    arbitrary, and each LCP is exact below ``depth`` and at least
+    ``depth`` otherwise.
+
+    The LCP comes from the same rounds, as in Manber & Myers: two
+    distinct positions share a rank of round k exactly when their lce is
+    at least k, so every adjacent SA pair climbs down the kept rank
+    arrays from the top, skipping k letters where the ranks agree, and
+    reads the last fewer than K letters off the XOR of the packed keys.
     """
     n = len(data)
-    letters, inverse = np.unique(np.frombuffer(data, dtype=np.uint8), return_inverse=True)
-    key = inverse.astype(np.int64) + 1
-    bits = len(letters).bit_length()
+    if n < 2:
+        return np.arange(n), np.zeros(n, dtype=np.int64)
+    a = np.frombuffer(data, dtype=np.uint8)
+    code = np.cumsum(np.bincount(a, minlength=256) > 0)  # letters as 1..s
+    bits = int(code[-1]).bit_length()
+    key = np.zeros(n + 1, dtype=np.int64)  # key[N] = 0: the empty suffix
+    key[:n] = code[a]
     k = 1
     while 2 * k * bits <= 62 and k < n:
-        key[: n - k] = (key[: n - k] << (k * bits)) | key[k:]
-        key[n - k :] <<= k * bits
+        key[: n - k] = (key[: n - k] << (k * bits)) | key[k:n]
+        key[n - k : n] <<= k * bits
         k *= 2
-    rank = np.empty(n, dtype=np.int64)
+    packed = k
+    # (k, an array whose entries at two positions agree exactly when the
+    # suffixes there share their first k letters; index N stands for the
+    # empty suffix)
+    levels = [(k, key)]
+    sa = np.argsort(key[:n])
+    ordered = key[sa]
     while True:
-        sa = np.argsort(key)
-        ordered = key[sa]
+        rank = np.empty(n + 1, dtype=np.int32 if n < 2**31 else np.int64)
+        rank[n] = -1
         rank[sa] = np.concatenate(([0], np.cumsum(ordered[1:] != ordered[:-1])))
-        if n == 0 or rank[sa[-1]] == n - 1:
-            return sa
-        key = rank * (n + 1)
-        key[: n - k] += rank[k:] + 1
+        if rank[sa[-1]] == n - 1:
+            break  # all ranks distinct: this level never matches
+        if k > packed:
+            levels.append((k, rank))
+        if depth is not None and k >= depth:
+            break
+        pair = rank[:n] * np.int64(n + 1)
+        pair[: n - k] += rank[k:n] + 1
+        sa = np.argsort(pair)
+        ordered = pair[sa]
         k *= 2
+    return sa, _lcp_from_levels(sa, levels, bits)
 
 
-def lcp_array(data: bytes, sa: np.ndarray) -> np.ndarray:
-    """LCP[r] = lcp(suffix SA[r-1], suffix SA[r]), with LCP[0] = 0.
-
-    Kasai's linear scan in text order, in the permuted form of
-    Kärkkäinen, Manzini & Puglisi (CPM 2009): the match with the SA
-    predecessor phi[i] of suffix i is at least one shorter than that of
-    suffix i - 1.
-    """
-    n = len(data)
-    phi = np.empty(n, dtype=np.int64)
-    phi[sa[1:]] = sa[:-1]
-    phi[sa[:1]] = n  # compares against the sentinel below, so LCP[0] = 0
-    letters = list(data)
-    letters.append(-1)  # differs from every letter, so no bounds checks
-    plcp = [0] * n
-    h = 0
-    for i, j in enumerate(phi.tolist()):
-        while letters[i + h] == letters[j + h]:
-            h += 1
-        plcp[i] = h
-        if h:
-            h -= 1
-    return np.array(plcp, dtype=np.int64)[sa]
+def _lcp_from_levels(sa: np.ndarray, levels: list, bits: int) -> np.ndarray:
+    """LCP of the adjacent SA pairs, by binary lifting over the rank levels;
+    levels[0] holds the packed keys of `bits` bits per letter."""
+    a, b = sa[:-1], sa[1:]
+    lcp = np.zeros(len(sa), dtype=np.int64)
+    lce = lcp[1:]
+    for k, rank in reversed(levels):
+        lce += k * (rank[a + lce] == rank[b + lce])
+    # fewer than `packed` letters are left: count the leading letters on
+    # which the packed keys agree.  (Past the depth, where the keys may
+    # agree throughout, lce is at least the depth already.)
+    packed, key = levels[0]
+    x = key[a + lce] ^ key[b + lce]
+    step = packed // 2
+    while step:
+        agree = (x >> ((packed - step) * bits)) == 0
+        lce += step * agree
+        x <<= step * bits * agree
+        step //= 2
+    return lcp
 
 
 def longest_previous_factor(sa: np.ndarray, lcp: np.ndarray) -> np.ndarray:

@@ -4,8 +4,9 @@ A word is an immutable sequence of small integer letters.  The main
 analysis tool is the complexity profile: for a prefix of length L it
 reports, for every window size n, the number of distinct length-n
 blocks occurring in the prefix.  The counts are read off the suffix
-array and LCP array of the prefix (see suffix.py) and are checked
-against a brute-force oracle in the test suite.
+array and LCP array of the prefix (see suffix.py), sorted only as deep
+as the largest window, and are checked against a brute-force oracle in
+the test suite.
 
 A profile computed on a finite prefix only ever underestimates the
 complexity of the infinite word it was cut from; downstream reporting
@@ -21,7 +22,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .suffix import lcp_array, suffix_array
+from .suffix import suffix_index
 
 # Letters are stored as bytes, which caps the alphabet.  Digit streams in
 # larger bases exist elsewhere; the word-analysis surface does not need them.
@@ -163,15 +164,16 @@ def complexity_profile(w: Word, n_max: int) -> ComplexityProfile:
     Suffix SA[r] is the first in SA order to start with each of its
     prefixes longer than LCP[r], so it contributes one new factor of
     every length in (LCP[r], L - SA[r]]; the counts are the prefix sums
-    of those intervals.
+    of those intervals.  Only lengths up to n_max are read, so the index
+    is sorted to depth n_max: each LCP is exact below it, and at least
+    n_max otherwise.
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
     if n_max > len(w):
         raise ValueError("window exceeds prefix")
     L = len(w)
-    sa = suffix_array(w.symbols)
-    lcp = lcp_array(w.symbols, sa)
+    sa, lcp = suffix_index(w.symbols, depth=n_max)
     diff = np.bincount(lcp + 1, minlength=L + 2) - np.bincount(L - sa + 1, minlength=L + 2)
     counts = np.cumsum(diff)[1 : n_max + 1]
     return ComplexityProfile(L, w.alphabet_size, tuple(counts.tolist()))

@@ -227,8 +227,9 @@ class TestExitCodes:
         assert out == "" and "ran away" in err
 
     def test_verify_unknown_suite_is_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "verify", "--suite", "definitely-not-a-criterion")
+        code, out, err = run_cli(capsys, "verify", "--suite", "definitely-not-a-criterion")
         assert code == 2
+        assert out == "" and "no criteria match suite filter" in err
 
     def test_negative_prefix_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -382,6 +383,16 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--list")
         assert code == 0
         assert "euler-pattern" in out.split()
+
+    def test_list_honours_suite_filter(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--list", "--suite", "dio")
+        assert code == 0
+        assert out.split() == ["fibonacci-dio", "unbounded-slope-dio", "dio-vs-mu"]
+
+    def test_list_unmatched_suite_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--list", "--suite", "zzz")
+        assert code == 2
+        assert out == "" and "no criteria match suite filter 'zzz'" in err
 
     def test_single_fast_suite(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "euler")
