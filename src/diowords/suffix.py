@@ -70,7 +70,9 @@ def suffix_index(data: bytes, depth: int | None = None) -> tuple[np.ndarray, np.
             levels.append((k, rank))
         if depth is not None and k >= depth:
             break
-        pair = rank[:n] * np.int64(n + 1)
+        # in int64 whatever the rank dtype: numpy < 2 keeps an int32 array
+        # times an int64 scalar in int32, which wraps past N = 46340
+        pair = np.multiply(rank[:n], n + 1, dtype=np.int64)
         pair[: n - k] += rank[k:n] + 1
         sa = np.argsort(pair)
         ordered = pair[sa]

@@ -27,11 +27,15 @@ def check_depth(data: bytes, depth: int) -> None:
     assert [min(h, depth) for h in lcp.tolist()] == [min(h, depth) for h in full]
 
 
-def check_adjacent(data: bytes, sa: np.ndarray, lcp: np.ndarray) -> None:
-    """Each adjacent pair agrees on exactly LCP letters and then ascends."""
+def check_adjacent(data: bytes, sa: np.ndarray, lcp: np.ndarray, depth: int | None = None) -> None:
+    """Each adjacent pair agrees on exactly LCP letters and then ascends;
+    with a depth, on at least ``depth`` letters where LCP reaches it."""
     n = len(data)
     assert sorted(sa.tolist()) == list(range(n))
     for a, b, h in zip(sa[:-1].tolist(), sa[1:].tolist(), lcp[1:].tolist()):
+        if depth is not None and h >= depth:
+            assert data[a : a + depth] == data[b : b + depth]
+            continue
         assert data[a : a + h] == data[b : b + h]
         assert a + h == n or (b + h < n and data[a + h] < data[b + h])
 
@@ -75,3 +79,13 @@ class TestSuffixIndex:
         sa, lcp = suffix_index(data)
         check_adjacent(data, sa, lcp)
         assert lcp.tolist() == oracle.lcp_array(data, sa.tolist())
+
+    @pytest.mark.parametrize("depth", [None, 24])
+    def test_long_random_binary(self, depth):
+        # about 2^16 distinct ranks after the packed round, so at N = 10^5
+        # the pair keys rank * (N + 1) pass 2^31
+        data = bytes(np.random.default_rng(3).integers(0, 2, 10**5, dtype=np.uint8))
+        sa, lcp = suffix_index(data, depth)
+        check_adjacent(data, sa, lcp, depth)
+        if depth is None:
+            assert lcp.tolist() == oracle.lcp_array(data, sa.tolist())
