@@ -33,6 +33,7 @@ from .sturmian import (
     slope_bounds,
 )
 from .realnum import (
+    CertificateError,
     DigitStream,
     Enclosure,
     FromCF,

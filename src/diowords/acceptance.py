@@ -189,15 +189,9 @@ def check_approximant_chain(seed: int = DEFAULT_SEED) -> CriterionResult:
     m6 = approx.verify_approximation(realnum.enclosure(realnum.Rational(1, 6)), a6)
     results.append(("1/6", a6.p == 15 and a6.q == 90 and m6 == 0))
 
-    cache = bytearray()
-
-    def fetch(n: int):
-        if len(cache) < n:
-            grown = sturmian.mechanical_word(FIB_SLOPE, Fraction(0), max(n, 2 * len(cache) + 16))
-            cache[:] = grown.symbols
-        return bytes(cache[:n])
-
-    fib_word = words.Word(fetch(1000), 2)
+    # the floors are exact, so every length gives a prefix of the same word
+    fetch = lambda n: sturmian.mechanical_word(FIB_SLOPE, Fraction(0), n).symbols
+    fib_word = sturmian.mechanical_word(FIB_SLOPE, Fraction(0), 1000)
     est = repetition.dio_estimate(fib_word)
     af = approx.witness_to_approximant(fib_word, est.global_max, 2)
     enc = realnum.enclosure_from_digits(fetch, 2)

@@ -18,6 +18,7 @@ from fractions import Fraction
 from .contfrac import CFExpansion, MuEstimate, cf_from_enclosure, mu_estimate
 from .realnum import (
     DEFAULT_MAX_BITS,
+    CertificateError,
     DigitStream,
     Enclosure,
     PrecisionBudgetError,
@@ -112,7 +113,7 @@ def verify_approximation(source: Enclosure, approx: Approximant) -> Fraction:
         margin = abs(source.lo - Fraction(p, q))
         num, den = margin.numerator, margin.denominator
         if num * cell >= den:
-            raise AssertionError("approximation is not within base^-m of the exact value")
+            raise CertificateError("approximation is not within base^-m of the exact value")
     else:
         # one refinement certifies unless |xi - p/q| is within base^-m 2^-_GUARD_BITS of base^-m
         source.refine(cell.bit_length() + _GUARD_BITS)
@@ -125,7 +126,7 @@ def verify_approximation(source: Enclosure, approx: Approximant) -> Fraction:
                 raise PrecisionBudgetError("enclosure too wide to certify the approximation")
         margin = Fraction(num, den)
     if not _clears_q_power(num, den, q, w.u + w.v, w.m):
-        raise AssertionError("q^-rho certification failed despite digit agreement")
+        raise CertificateError("q^-rho certification failed despite digit agreement")
     return margin
 
 

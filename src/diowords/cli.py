@@ -6,8 +6,10 @@ lower-bound note of text-format profiles.  Exact values appear in JSON
 as numerator/denominator strings; floats are always estimates and are
 tagged as such.
 
-Exit codes: 0 success, 1 criterion/assertion failure, 2 usage error,
-3 refinement-budget exhaustion.
+Exit codes, one exception class each: 0 success; 1 a failed criterion
+or plateau check, or `realnum.CertificateError`, a failed certificate
+check; 2 a usage error, `ValueError` or `TypeError`; 3
+`realnum.PrecisionBudgetError`, an exhausted refinement budget.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import math
 import os
 import sys
 from fractions import Fraction
-from typing import Callable
 
 from . import acceptance, approx, contfrac, realnum, repetition, sturmian, words
 
@@ -33,16 +34,20 @@ PROFILE_NOTE = "profile counts are lower bounds for the infinite word"
 CSV_COMMANDS = ("complexity", "gap")
 
 
-def parse_word_source(text: str) -> Callable[[int, int], words.Word]:
+def parse_word_source(
+    text: str, prefix: int = 1000, max_bits: int = realnum.DEFAULT_MAX_BITS
+) -> words.Word:
     """Word-source grammar: "lit:0100101", "digits:SPEC|BASE",
     "sturmian:SLOPE[|INTERCEPT]", "quasi:W|MORPHISM|SLOPE[|INTERCEPT]".
 
-    Returns the function that makes the word's prefix of a given length
-    within a refinement budget: (prefix, max_bits) -> Word.
+    Returns the source's prefix of length `prefix`, made within the
+    refinement budget `max_bits`; the defaults are those of the CLI.  A
+    literal is cut to at most `prefix` letters, and prefix 0 leaves it
+    whole.
     """
     if text.startswith("lit:"):
         w = words.Word.from_digits(text[4:])
-        return lambda prefix, _mb: w.prefix(min(prefix, len(w))) if prefix else w
+        return w.prefix(min(prefix, len(w))) if prefix else w
     if text.startswith("digits:"):
         parts = text[7:].split("|")
         if len(parts) != 2:
@@ -52,22 +57,19 @@ def parse_word_source(text: str) -> Callable[[int, int], words.Word]:
             base = int(parts[1])
         except ValueError:
             raise ValueError(f"bad base {parts[1]!r}") from None
-        return lambda prefix, max_bits: realnum.digits(
-            spec, base, prefix, max_bits=max_bits
-        ).fractional_word()
+        return realnum.digits(spec, base, prefix, max_bits=max_bits).fractional_word()
     if text.startswith("sturmian:"):
         parts = text[9:].split("|")
         if len(parts) > 2:
             raise ValueError(f"sturmian source needs SLOPE[|INTERCEPT]: {text!r}")
         slope = sturmian.parse_slope(parts[0])
         intercept = _intercept(parts[1]) if len(parts) > 1 else Fraction(0)
-        return lambda prefix, _mb: sturmian.mechanical_word(slope, intercept, prefix)
+        return sturmian.mechanical_word(slope, intercept, prefix)
     if text.startswith("quasi:"):
         parts = text[6:].split("|")
         if len(parts) not in (3, 4):
             raise ValueError(f"quasi source needs W|MORPHISM|SLOPE[|INTERCEPT]: {text!r}")
-        spec = _quasi_spec(*parts)
-        return lambda prefix, _mb: sturmian.apply_morphism(spec, prefix)
+        return sturmian.apply_morphism(_quasi_spec(*parts), prefix)
     raise ValueError(f"unknown word source {text!r} (position 0)")
 
 
@@ -149,7 +151,7 @@ def cmd_digits(args) -> int:
 
 
 def cmd_complexity(args, gaps_only: bool = False) -> int:
-    w = parse_word_source(args.source)(args.prefix, args.max_bits)
+    w = parse_word_source(args.source, args.prefix, args.max_bits)
     profile = words.complexity_profile(w, args.n_max)
     gaps = words.gap_profile(profile)
     if args.format == "json":
@@ -169,7 +171,7 @@ def cmd_complexity(args, gaps_only: bool = False) -> int:
 
 
 def cmd_ice_dio(args, kind: str) -> int:
-    w = parse_word_source(args.source)(args.prefix, args.max_bits)
+    w = parse_word_source(args.source, args.prefix, args.max_bits)
     if kind == "dio":
         est = repetition.dio_estimate(w, args.threshold)
     else:
@@ -196,7 +198,7 @@ def cmd_cf(args) -> int:
         _emit("[" + ", ".join(str(a) for a in cf.quotients) + "]")
         if cf.budget_exhausted:
             _emit(f"terms certified: {cf.certified}")
-    return EXIT_BUDGET if cf.budget_exhausted and cf.certified < args.terms else EXIT_OK
+    return EXIT_BUDGET if cf.budget_exhausted else EXIT_OK
 
 
 def cmd_mu(args) -> int:
@@ -443,15 +445,15 @@ def main(argv=None) -> int:
         parser.error(f"--format csv is only available for {' and '.join(CSV_COMMANDS)}")
     try:
         return args.func(args)
-    except (realnum.PrecisionBudgetError, sturmian.SlopeRefinementError) as exc:
+    except realnum.PrecisionBudgetError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except realnum.CertificateError as exc:
+        print(f"certificate check failed: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     except (ValueError, TypeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (AssertionError, repetition.CertificateError) as exc:
-        print(f"assertion failed: {exc}", file=sys.stderr)
-        return EXIT_FAIL
 
 
 if __name__ == "__main__":

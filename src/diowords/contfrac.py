@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .realnum import Enclosure, convergents, decimal_text
+from .realnum import CertificateError, Enclosure, convergents, decimal_text
 
 
 @dataclass(frozen=True)
@@ -61,9 +61,9 @@ def convergents_from_quotients(quotients) -> tuple[tuple[int, int], ...]:
     for p_prev, q_prev, p, q in convergents(quotients):
         sign = -sign
         if p * q_prev - p_prev * q != sign:
-            raise AssertionError("convergent not in lowest terms")
+            raise CertificateError("convergent not in lowest terms")
         if len(out) >= 2 and q <= q_prev:
-            raise AssertionError("convergent denominators must increase")
+            raise CertificateError("convergent denominators must increase")
         out.append((p, q))
     return tuple(out)
 

@@ -56,6 +56,10 @@ class PrecisionBudgetError(RuntimeError):
     """Raised when a certification needs more refinement than the budget allows."""
 
 
+class CertificateError(RuntimeError):
+    """A computed result failed its certificate check: a defect, not bad input."""
+
+
 class Enclosure:
     """Refinable interval certified to contain its target real.
 
@@ -63,8 +67,9 @@ class Enclosure:
     `compute(bits)`, which must return (lo_num, hi_num, scale) whose
     bracket has width at most 2^-bits before outward rounding.  The
     precision starts at min(bits, max_bits) and never exceeds
-    `max_bits`; each refinement intersects with the previous interval,
-    so successive snapshots are nested.
+    `max_bits`.  Each refinement must land inside the previous interval
+    at a scale no smaller than before, so successive snapshots are
+    nested; a bracket that breaks either rule raises CertificateError.
     """
 
     def __init__(
@@ -84,7 +89,7 @@ class Enclosure:
         if point is None:
             lo, hi, scale = compute(self._bits)
             if lo > hi:
-                raise ValueError("enclosure endpoints out of order")
+                raise CertificateError("enclosure endpoints out of order")
             self._set(lo, hi, scale)
 
     @classmethod
@@ -146,13 +151,9 @@ class Enclosure:
         self._bits = min(max(target, self._bits + 1), self._max_bits)
         lo, hi, scale = self._compute(self._bits)
         old_lo, old_hi, old_scale = self._dyadic
-        if scale < old_scale:
-            lo, hi, scale = lo << (old_scale - scale), hi << (old_scale - scale), old_scale
-        else:
-            old_lo, old_hi = old_lo << (scale - old_scale), old_hi << (scale - old_scale)
-        lo, hi = max(lo, old_lo), min(hi, old_hi)
-        if lo > hi:
-            raise AssertionError("refinement produced a disjoint interval")
+        shift = scale - old_scale
+        if shift < 0 or not old_lo << shift <= lo <= hi <= old_hi << shift:
+            raise CertificateError("refinement left the previous bracket")
         self._set(lo, hi, scale)
         return True
 

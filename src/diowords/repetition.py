@@ -28,6 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .realnum import CertificateError
 from .suffix import longest_previous_factor, suffix_index
 from .words import Word
 
@@ -87,15 +88,15 @@ def verify_witness(prefix: Word, w: RepetitionWitness) -> bool:
     return data[w.u : w.m - w.v] == data[w.u + w.v : w.m]
 
 
-class CertificateError(RuntimeError):
-    """A computed witness failed its periodicity check: a defect, not bad input."""
-
-
-def _certified(prefix: Word, est: ExponentEstimate) -> ExponentEstimate:
-    for w in (est.global_max, est.persistent_max):
-        if not verify_witness(prefix, w):
-            raise CertificateError(f"witness u={w.u} v={w.v} m={w.m} fails its periodicity check")
-    return est
+def _certified(prefix: Word, cand: _Cand, initial: bool) -> RepetitionWitness:
+    """The witness of a computed candidate (m, u, v), once checked: V is
+    not empty, the length-m prefix exists and is U V^w, and an initial
+    repetition has u = 0."""
+    m, u, v = cand
+    shaped = v >= 1 and m <= len(prefix) and not (initial and u)
+    if not (shaped and verify_witness(prefix, w := RepetitionWitness(u, v, m))):
+        raise CertificateError(f"witness u={u} v={v} m={m} fails its periodicity check")
+    return w
 
 
 def _better(cand: _Cand, best: _Cand | None) -> bool:
@@ -133,7 +134,7 @@ def dio_estimate(prefix: Word, threshold: int | None = None) -> ExponentEstimate
     returned witnesses deterministic.
     """
     t = _checked_threshold(len(prefix), threshold)
-    return _estimate(prefix, longest_previous_factor(*suffix_index(prefix.symbols)), t)
+    return _estimate(prefix, longest_previous_factor(*suffix_index(prefix.symbols)), t, False)
 
 
 def ice_estimate(prefix: Word, threshold: int | None = None) -> ExponentEstimate:
@@ -146,20 +147,17 @@ def ice_estimate(prefix: Word, threshold: int | None = None) -> ExponentEstimate
     """
     t = _checked_threshold(len(prefix), threshold)
     # a Z-match block at v starts the word, so _best_from finds u = 0 for it
-    return _estimate(prefix, _z_array(prefix.symbols), t)
+    return _estimate(prefix, _z_array(prefix.symbols), t, True)
 
 
-def _estimate(prefix: Word, ext: np.ndarray, t: int) -> ExponentEstimate:
+def _estimate(prefix: Word, ext: np.ndarray, t: int, initial: bool) -> ExponentEstimate:
     """Global and persistent (u + v >= t) maxima, each checked against the prefix."""
     data = prefix.symbols
     ratio = ext[1:] / np.arange(1, len(data))
-    (mg, ug, vg), (mp, up, vp) = (_best_from(data, ext, ratio, lo) for lo in (1, t))
-    return _certified(prefix, ExponentEstimate(
-        global_max=RepetitionWitness(ug, vg, mg),
-        persistent_max=RepetitionWitness(up, vp, mp),
-        prefix_length=len(prefix),
-        threshold=t,
-    ))
+    global_max, persistent_max = (
+        _certified(prefix, _best_from(data, ext, ratio, lo), initial) for lo in (1, t)
+    )
+    return ExponentEstimate(global_max, persistent_max, prefix_length=len(prefix), threshold=t)
 
 
 def _best_from(data: bytes, ext: np.ndarray, ratio: np.ndarray, lo: int) -> _Cand:

@@ -32,14 +32,10 @@ from typing import Callable
 
 import numpy as np
 
-from .realnum import convergent_bracket, surd_bracket
+from .realnum import PrecisionBudgetError, convergent_bracket, surd_bracket
 from .words import Word, complexity_profile, gap_profile
 
 _SLOPE_EXTEND_CAP = 100_000
-
-
-class SlopeRefinementError(RuntimeError):
-    """Raised when a continued-fraction slope needs more than _SLOPE_EXTEND_CAP convergents."""
 
 
 @dataclass(frozen=True)
@@ -114,7 +110,7 @@ class CFSlope:
     def _capped_quotient(self, i: int) -> int:
         """Quotient i of [0; m1, m2, ...], for at most _SLOPE_EXTEND_CAP convergents."""
         if i > _SLOPE_EXTEND_CAP:
-            raise SlopeRefinementError("continued-fraction slope refinement ran away")
+            raise PrecisionBudgetError("continued-fraction slope refinement ran away")
         return self.quotient(i) if i else 0
 
 

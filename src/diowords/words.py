@@ -48,7 +48,8 @@ class Word:
             )
         if not isinstance(self.symbols, bytes):
             object.__setattr__(self, "symbols", bytes(self.symbols))
-        if self.symbols and max(self.symbols) >= self.alphabet_size:
+        # deleting every letter of the alphabet leaves only the ones out of range
+        if self.symbols.translate(None, bytes(range(self.alphabet_size))):
             raise ValueError("letter out of range for alphabet")
 
     @classmethod

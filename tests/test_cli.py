@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import shlex
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from diowords.cli import main
 from diowords.realnum import _digits_to_int
+
+from strategies import cli_argvs
 
 
 def run_cli(capsys, *argv):
@@ -398,3 +403,26 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--suite", "euler")
         assert code == 0
         assert out.startswith("PASS euler-pattern")
+
+
+def run_isolated(argv):
+    """(exit code, stdout, stderr) of one in-process run; argparse errors exit 2."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestGrammarFuzz:
+    @given(cli_argvs())
+    @settings(max_examples=150, deadline=None)
+    def test_exit_codes_and_streams(self, argv):
+        code, out, err = run_isolated(argv)
+        assert code in (0, 1, 2, 3), (code, err)
+        assert "Traceback" not in err
+        if code == 2:
+            assert "usage" in err and out == "", (out, err)
+        assert run_isolated(argv) == (code, out, err)

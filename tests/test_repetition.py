@@ -297,7 +297,7 @@ class TestIcePeriodicPrefixes:
     )
     @pytest.mark.parametrize("n", [10**5, 10**5 + 3])
     def test_global_maximum_is_the_period(self, source, period, n):
-        w = parse_word_source(source)(n, 10**6)
+        w = parse_word_source(source, n, 10**6)
         assert len(w) == n
         est = ice_estimate(w)
         assert (est.global_max.u, est.global_max.v, est.global_max.m) == (0, period, n)

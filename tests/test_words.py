@@ -35,6 +35,19 @@ class TestWord:
         with pytest.raises(ValueError):
             Word(b"\x00", 1)
 
+    @pytest.mark.parametrize("b", [2, 3, 10, 255])
+    def test_every_letter_out_of_range_raises(self, b):
+        inside = bytes(range(b)) * 3
+        assert Word(inside, b).symbols == inside
+        for letter in range(b, 256):
+            for at in (0, len(inside) // 2, len(inside)):
+                with pytest.raises(ValueError, match="letter out of range"):
+                    Word(inside[:at] + bytes([letter]) + inside[at:], b)
+
+    def test_full_alphabet_accepts_every_byte(self):
+        letters = bytes(range(256)) * 2
+        assert Word(letters, 256).symbols == letters
+
     def test_from_digits_roundtrip(self):
         w = Word.from_digits("0100101")
         assert w.to_text() == "0100101"
