@@ -57,12 +57,6 @@ class TestEnclosure:
         monkeypatch.setattr(realnum, "_compute_e", drifting)
         assert_certificate_exit(capsys, "digits", "e", "--count", "50")
 
-    def test_nested_refinement_is_kept_exactly(self):
-        brackets = {64: (0, 8, 4), 128: (3, 10, 5)}
-        enc = Enclosure(brackets.__getitem__)
-        assert enc.refine(128)
-        assert enc.dyadic() == (3, 10, 5)
-
 
 class TestConvergents:
     def test_non_unimodular_pair_exit_1(self, capsys, monkeypatch):
