@@ -3,9 +3,12 @@
 A witness (u, v, m) on the base-b digit word of a real xi yields the
 rational p/q with q = b^u (b^v - 1) whose expansion starts with the
 same u digits and then repeats the next v digits forever.  Because xi
-and p/q share their first m digits, |xi - p/q| < b^-m < q^-rho with
-rho = m/(u+v); both inequalities are certified here in exact interval
-arithmetic, never through floats.  p/q is deliberately not reduced;
+and p/q share their first m digits, they lie in one closed digit cell,
+so |xi - p/q| <= b^-m < q^-rho with rho = m/(u+v); both inequalities
+are certified here in exact interval arithmetic, never through floats.
+Equality in the first needs the two at opposite ends of the cell: xi a
+b-adic rational whose digits after the m-th are all 0, and p/q with
+V all digits b - 1.  p/q is deliberately not reduced;
 a reduced form is available for display.
 """
 
@@ -98,10 +101,12 @@ def expansion_digits(p: int, q: int, base: int, count: int) -> list[int]:
 
 
 def verify_approximation(source: Enclosure, approx: Approximant) -> Fraction:
-    """Certify |xi - p/q| < base^-m and |xi - p/q| < q^-rho; return the margin.
+    """Certify |xi - p/q| <= base^-m and |xi - p/q| < q^-rho; return the margin.
 
-    The margin is the exact max distance from p/q to the enclosure,
-    refined until it clears base^-m; for a dyadic enclosure
+    The margin is the exact max distance from p/q to the enclosure.  An
+    exact point may lie at distance base^-m, on the far end of the
+    closed digit cell; an enclosure of positive width is refined until
+    the margin is below base^-m.  For a dyadic enclosure
     [lo, hi]/2^s it is max(|lo q - p 2^s|, |hi q - p 2^s|) / (q 2^s), all
     in integers.  The q^-rho comparison clears denominators: margin =
     N/D < q^(-m/(u+v)) iff N^(u+v) * q^m < D^(u+v).
@@ -112,7 +117,7 @@ def verify_approximation(source: Enclosure, approx: Approximant) -> Fraction:
     if source.is_point():
         margin = abs(source.lo - Fraction(p, q))
         num, den = margin.numerator, margin.denominator
-        if num * cell >= den:
+        if num * cell > den:
             raise CertificateError("approximation is not within base^-m of the exact value")
     else:
         # one refinement certifies unless |xi - p/q| is within base^-m 2^-_GUARD_BITS of base^-m

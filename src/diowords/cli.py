@@ -10,11 +10,18 @@ Exit codes, one exception class each: 0 success; 1 a failed criterion
 or plateau check, or `realnum.CertificateError`, a failed certificate
 check; 2 a usage error, `ValueError` or `TypeError`; 3
 `realnum.PrecisionBudgetError`, an exhausted refinement budget.
+
+`main` builds its argument parser once per process, on its first call,
+and never changes it; `DIOWORDS_MAX_BITS` is read on every call.  Only
+callers that run `main` more than once in one process (tests, library
+users, the benchmark) save the parser's build time; a fresh `diowords`
+process builds it once either way.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -261,6 +268,8 @@ def cmd_approximant(args) -> int:
     if stream.integer_part:
         enc = realnum.mobius(1, -stream.integer_part, 0, 1, enc, max_bits=args.max_bits)
     margin = approx.verify_approximation(enc, a)
+    # equality needs xi and p/q at opposite ends of the closed digit cell
+    cell_bound = "<=" if margin == Fraction(1, args.base**a.witness.m) else "<"
     p, q, rp, rq = map(realnum.decimal_text, (a.p, a.q, *a.reduced()))
     if args.format == "json":
         payload = a.to_json_dict()
@@ -276,7 +285,7 @@ def cmd_approximant(args) -> int:
             f"p/q = {p}/{q} (reduced {rp}/{rq})\n"
             f"witness u={a.witness.u} v={a.witness.v} m={a.witness.m} "
             f"score={float(a.score):.6f}\n"
-            f"certified: |xi - p/q| < {args.base}^-{a.witness.m} and < q^-score"
+            f"certified: |xi - p/q| {cell_bound} {args.base}^-{a.witness.m} and < q^-score"
         )
     return EXIT_OK
 
@@ -361,8 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--max-bits",
         type=_non_negative,
-        # a string default goes through _non_negative like a command-line value
-        default=os.environ.get(ENV_MAX_BITS, str(realnum.DEFAULT_MAX_BITS)),
+        # None: main reads the environment on every call (see _env_max_bits)
+        default=None,
         help=f"refinement budget in bits (env {ENV_MAX_BITS})",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -438,9 +447,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser `main` uses; built on the first call, then never mutated."""
+    return build_parser()
+
+
+def _env_max_bits(parser: argparse.ArgumentParser) -> int:
+    """The budget from `DIOWORDS_MAX_BITS`, checked like a `--max-bits` value."""
+    text = os.environ.get(ENV_MAX_BITS)
+    if text is None:
+        return realnum.DEFAULT_MAX_BITS
+    try:
+        return _non_negative(text)
+    except argparse.ArgumentTypeError as exc:
+        parser.error(f"argument --max-bits: {exc}")
+    except ValueError:
+        parser.error(f"argument --max-bits: invalid {_non_negative.__name__} value: {text!r}")
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     args = parser.parse_args(argv)
+    if args.max_bits is None:
+        args.max_bits = _env_max_bits(parser)
     if args.format == "csv" and args.command not in CSV_COMMANDS:
         parser.error(f"--format csv is only available for {' and '.join(CSV_COMMANDS)}")
     try:

@@ -1,8 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import shlex
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -106,6 +108,17 @@ class TestBasicCommands:
         assert code == 0
         assert "p/q" in out
 
+    @pytest.mark.parametrize("spec", ["rat:3/4", "rat:-13/4"])
+    def test_approximant_on_the_far_end_of_the_digit_cell(self, capsys, spec):
+        # digits 11000: the witness (0, 1, 2) gives p/q = 0.(1) = 1, exactly 2^-2 from 3/4
+        code, out, err = run_cli(capsys, "approximant", spec, "--base", "2", "--prefix", "5")
+        assert code == 0, err
+        assert out == (
+            "p/q = 1/1 (reduced 1/1)\n"
+            "witness u=0 v=1 m=2 score=2.000000\n"
+            "certified: |xi - p/q| <= 2^-2 and < q^-score\n"
+        )
+
 
 class TestJsonDiscipline:
     def test_exact_values_are_strings(self, capsys):
@@ -208,6 +221,24 @@ class TestExitCodes:
         monkeypatch.setenv("DIOWORDS_MAX_BITS", "0")
         code, out, _ = run_cli(capsys, "digits", "e", "--count", "30")
         assert code == 3 and out == ""
+
+    def test_env_budget_is_read_on_every_call(self, monkeypatch):
+        # main keeps one parser per process, which must not freeze the environment
+        argv = ["digits", "e", "--count", "5"]
+        monkeypatch.delenv("DIOWORDS_MAX_BITS", raising=False)
+        assert run_isolated(argv)[0] == 0
+        monkeypatch.setenv("DIOWORDS_MAX_BITS", "0")
+        assert run_isolated(argv)[0] == 3
+        monkeypatch.setenv("DIOWORDS_MAX_BITS", "abc")
+        code, out, err = run_isolated(argv)
+        assert code == 2 and out == ""
+        assert err.endswith(
+            "diowords: error: argument --max-bits: invalid _non_negative value: 'abc'\n"
+        )
+        monkeypatch.delenv("DIOWORDS_MAX_BITS")
+        assert run_isolated(argv)[0] == 0
+        monkeypatch.setenv("DIOWORDS_MAX_BITS", "abc")
+        assert run_isolated(["--max-bits", "64", *argv])[0] == 0
 
     @pytest.mark.parametrize(
         "argv",
@@ -426,3 +457,7 @@ class TestGrammarFuzz:
         if code == 2:
             assert "usage" in err and out == "", (out, err)
         assert run_isolated(argv) == (code, out, err)
+        # the same budget through the environment; the shared parser carries no state
+        i = argv.index("--max-bits")
+        with mock.patch.dict(os.environ, {"DIOWORDS_MAX_BITS": argv[i + 1]}):
+            assert run_isolated(argv[:i] + argv[i + 2 :]) == (code, out, err)
