@@ -224,8 +224,10 @@ def cmd_mu(args) -> int:
         lines = [f"{n} {v:.6f}" for n, v in mu.values]
         lines.append(f"global_max {mu.global_max:.6f}")
         lines.append(f"tail_max {mu.tail_max:.6f} (n >= {mu.tail_start})")
+        if cf.budget_exhausted:
+            lines.append(f"terms certified: {cf.certified}")
         _emit("\n".join(lines))
-    return EXIT_OK
+    return EXIT_BUDGET if cf.budget_exhausted else EXIT_OK
 
 
 def cmd_sturmian(args) -> int:
@@ -350,6 +352,13 @@ def _non_negative(text: str) -> int:
     return value
 
 
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def _finite(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -398,12 +407,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cf", help="certified continued-fraction quotients")
     p.add_argument("spec")
-    p.add_argument("--terms", type=int, required=True)
+    p.add_argument("--terms", type=_positive, required=True)
     p.set_defaults(func=cmd_cf)
 
     p = sub.add_parser("mu", help="irrationality-exponent terms from a continued fraction")
     p.add_argument("spec")
-    p.add_argument("--terms", type=int, required=True)
+    p.add_argument("--terms", type=_positive, required=True)
     p.add_argument("--n-min", type=int, default=5)
     p.set_defaults(func=cmd_mu)
 
@@ -433,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("--base", type=int, default=10)
     p.add_argument("--prefix", type=_non_negative, required=True)
-    p.add_argument("--terms", type=int, required=True)
+    p.add_argument("--terms", type=_positive, required=True)
     p.add_argument("--slack", type=_finite, default=0.15)
     p.add_argument("--threshold", type=int, default=None)
     p.set_defaults(func=cmd_report)

@@ -50,21 +50,34 @@ class CFExpansion:
 
 
 def convergents_from_quotients(quotients) -> tuple[tuple[int, int], ...]:
-    """Convergents (p_n, q_n) from `realnum.convergents`, with both invariants checked.
+    """Convergents (p_n, q_n) from `realnum.convergents`, each certified in
+    lowest terms.
 
-    Each convergent is checked against p_n q_{n-1} - p_{n-1} q_n = (-1)^(n-1),
-    which any common factor of p_n and q_n would divide, so every
-    convergent is certified in lowest terms without a gcd.
+    Every pair must be the recurrence's link (p_n, q_n) = a_n (p_{n-1},
+    q_{n-1}) + (p_{n-2}, q_{n-2}) from the checked pairs before it, with
+    seeds p_{-2}/q_{-2} = 0/1 and p_{-1}/q_{-1} = 1/0.  By induction the
+    determinant d_n = p_n q_{n-1} - p_{n-1} q_n then obeys
+    d_n = -d_{n-1} (substitute the link; the a_n terms cancel) from
+    d_{-1} = 1, so d_n = (-1)^(n+1): any common factor of p_n and q_n
+    divides it, and every convergent is in lowest terms without a gcd.
+    A link costs two products by the quotient a_n, as the recurrence
+    itself does, so a step is O(bits) for small quotients; the
+    determinant would take two products of whole convergents.  The
+    denominators are checked to increase from q_1 on, which the links
+    give only for quotients a_n >= 1.
     """
+    quotients = tuple(quotients)
     out: list[tuple[int, int]] = []
-    sign = 1
-    for p_prev, q_prev, p, q in convergents(quotients):
-        sign = -sign
-        if p * q_prev - p_prev * q != sign:
-            raise CertificateError("convergent not in lowest terms")
-        if len(out) >= 2 and q <= q_prev:
+    p_2, q_2, p_1, q_1 = 0, 1, 1, 0
+    for a, (_, _, p, q) in zip(quotients, convergents(quotients)):
+        if len(out) >= 2 and q <= q_1:
             raise CertificateError("convergent denominators must increase")
+        if p != a * p_1 + p_2 or q != a * q_1 + q_2:
+            raise CertificateError("convergent does not follow the recurrence")
+        p_2, q_2, p_1, q_1 = p_1, q_1, p, q
         out.append((p, q))
+    if len(out) != len(quotients):
+        raise CertificateError("one convergent per quotient expected")
     return tuple(out)
 
 

@@ -6,6 +6,7 @@ library, and exit 1 with `certificate check failed` on stderr and
 nothing on stdout in the CLI.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -80,6 +81,43 @@ class TestConvergents:
         monkeypatch.setattr(contfrac, "convergents", zero_third_quotient)
         with pytest.raises(CertificateError, match="must increase"):
             contfrac.convergents_from_quotients([2, 1, 2, 1, 1])
+
+    E_QUOTIENTS = [2, 1, 2, 1, 1, 4, 1, 1, 6]
+
+    def pairs_of_e(self):
+        """(p_{k-1}, q_{k-1}, p_k, q_k) of e: 2/1, 3/1, 8/3, 11/4, 19/7, ..."""
+        return list(realnum.convergents(self.E_QUOTIENTS))
+
+    def assert_caught(self, monkeypatch, pairs, message):
+        monkeypatch.setattr(contfrac, "convergents", lambda quotients: iter(pairs))
+        with pytest.raises(CertificateError, match=message):
+            contfrac.convergents_from_quotients(self.E_QUOTIENTS)
+
+    def test_wrong_first_pair(self, monkeypatch):
+        pairs = self.pairs_of_e()
+        pairs[0] = (1, 0, 2, 2)  # q_0 = 2
+        self.assert_caught(monkeypatch, pairs, "recurrence")
+
+    def test_middle_pair_off_by_one(self, monkeypatch):
+        pairs = self.pairs_of_e()
+        p_prev, q_prev, p, q = pairs[3]
+        assert (p, q) == (11, 4) and math.gcd(p, q + 1) == 1
+        pairs[3] = (p_prev, q_prev, p, q + 1)  # 11/5: lowest terms, not the link
+        self.assert_caught(monkeypatch, pairs, "recurrence")
+
+    def test_dropped_pair(self, monkeypatch):
+        pairs = self.pairs_of_e()
+        del pairs[4]
+        self.assert_caught(monkeypatch, pairs, "recurrence")
+
+    def test_dropped_last_pair(self, monkeypatch):
+        # every pair that comes is a true link, but one is missing
+        self.assert_caught(monkeypatch, self.pairs_of_e()[:-1], "one convergent per quotient")
+
+    def test_swapped_pairs(self, monkeypatch):
+        pairs = self.pairs_of_e()
+        pairs[4], pairs[5] = pairs[5], pairs[4]
+        self.assert_caught(monkeypatch, pairs, "recurrence")
 
 
 class TestApproximant:

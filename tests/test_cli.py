@@ -204,6 +204,37 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, *argv)
         assert code == 3
 
+    def test_mu_budget_exhaustion_is_3(self, capsys):
+        # 3000 bits certify 554 of e's quotients, enough for terms up to n = 552
+        budget = ("--max-bits", "3000")
+        code, out, _ = run_cli(capsys, *budget, "cf", "e", "--terms", "1500")
+        assert code == 3 and out.endswith("\nterms certified: 554\n")
+        code, out, _ = run_cli(capsys, *budget, "mu", "e", "--terms", "1500")
+        lines = out.splitlines()
+        assert code == 3
+        assert lines[-4].startswith("552 ") and lines[-3].startswith("global_max ")
+        assert lines[-1] == "terms certified: 554"
+        code, out, _ = run_cli(capsys, *budget, "--format", "json", "mu", "e", "--terms", "1500")
+        payload = json.loads(out)
+        assert code == 3
+        assert payload["per_n"][-1]["n"] == 552 and "certified" not in payload
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("cf", "e", "--terms", "0"),
+            ("mu", "e", "--terms", "0"),
+            ("report", "e", "--prefix", "100", "--terms", "0"),
+        ],
+    )
+    def test_terms_must_be_positive(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "argument --terms: must be positive, got 0" in captured.err
+
     def test_negative_budget_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--max-bits", "-1", "digits", "e", "--count", "3"])

@@ -1,10 +1,12 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from diowords import contfrac, realnum
 from diowords.contfrac import (
     CFExpansion,
     bounded_pq_check,
@@ -13,7 +15,18 @@ from diowords.contfrac import (
     convergents_from_quotients,
     mu_estimate,
 )
-from diowords.realnum import FromCF, Rational, SeriesE, SeriesShallit, Surd, enclosure
+from diowords.realnum import (
+    CertificateError,
+    FromCF,
+    Mobius,
+    Rational,
+    SeriesE,
+    SeriesShallit,
+    Surd,
+    enclosure,
+)
+
+import contfrac_oracle as oracle
 
 
 def euler_quotients(count):
@@ -88,6 +101,79 @@ class TestRationalCF:
             p_prev2, q_prev2, p_prev, q_prev = p_prev, q_prev, p, q
         denominators = [q for _, q in convs[1:]]
         assert denominators == sorted(set(denominators))
+
+
+def outcome(check, quotients):
+    """The convergents `check` returns, or "CertificateError" if it raises one."""
+    try:
+        return check(quotients)
+    except CertificateError:
+        return "CertificateError"
+
+
+# lengths 0-300: any first quotient, later ones up to 2^80
+quotient_lists = st.just([]) | st.builds(
+    lambda a0, rest: [a0, *rest], st.integers(), st.lists(st.integers(1, 2**80), max_size=299)
+)
+
+
+def corrupt(pairs, kind, k, entry, delta):
+    """The pair stream `pairs` with one defect at index k."""
+    pairs = list(pairs)
+    p_prev, q_prev, p, q = pairs[k]
+    if kind == "entry":  # one of p_{k-1}, q_{k-1}, p_k, q_k moved by delta
+        pairs[k] = tuple(x + delta * (i == entry) for i, x in enumerate(pairs[k]))
+    elif kind == "scale":  # a common factor |delta| + 1
+        pairs[k] = (p_prev, q_prev, (abs(delta) + 1) * p, (abs(delta) + 1) * q)
+    elif kind == "add-prev":  # keeps the determinant of the pair, breaks the link
+        pairs[k] = (p_prev, q_prev, p + p_prev, q + q_prev)
+    elif kind == "drop":
+        del pairs[k]
+    elif kind == "swap":
+        pairs[k : k + 2] = pairs[k : k + 2][::-1]
+    elif kind == "repeat":
+        pairs.insert(k, pairs[k])
+    return pairs
+
+
+class TestConvergentOracle:
+    """`convergents_from_quotients` against the per-step determinant loop."""
+
+    @given(quotient_lists)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_determinant_loop(self, qs):
+        assert outcome(convergents_from_quotients, qs) == outcome(
+            oracle.convergents_from_quotients, qs
+        )
+
+    @pytest.mark.parametrize(
+        "spec",
+        [SeriesE(), Surd(3, 3, 253), Mobius(5, 2, 2, 1, SeriesE())],
+        ids=["e", "surd", "mobius"],
+    )
+    def test_certify_sized_expansions(self, spec):
+        # 1500 terms: the most the certify workload asks of `cf` and `mu`
+        cf = cf_from_enclosure(enclosure(spec), 1500)
+        assert cf.certified == 1500 and not cf.budget_exhausted
+        assert cf.convergents == oracle.convergents_from_quotients(cf.quotients)
+
+    @given(
+        st.lists(st.integers(1, 2**80), min_size=2, max_size=40),
+        st.sampled_from(["entry", "scale", "add-prev", "drop", "swap", "repeat"]),
+        st.integers(0, 3),
+        st.sampled_from((-2, -1, 1, 2)),
+        st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_defective_pairs_are_caught(self, qs, kind, entry, delta, data):
+        k = data.draw(st.integers(0, len(qs) - 2))
+        pairs = corrupt(realnum.convergents(qs), kind, k, entry, delta)
+        with mock.patch.object(contfrac, "convergents", lambda quotients: iter(pairs)):
+            got = outcome(convergents_from_quotients, qs)
+        # only (p_k, q_k) of a pair reaches the output, so a moved p_{k-1} or
+        # q_{k-1} leaves it true; every other defect must be caught
+        harmless = kind == "entry" and entry < 2
+        assert got == (oracle.convergents_from_quotients(qs) if harmless else "CertificateError")
 
 
 class TestIrrationalCF:
