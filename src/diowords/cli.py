@@ -345,22 +345,30 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_FAIL
 
 
+def _number(kind: type, text: str):
+    """`kind(text)`, failing with the message argparse gives a plain `type=kind`."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+
+
 def _non_negative(text: str) -> int:
-    value = int(text)
+    value = _number(int, text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
     return value
 
 
 def _positive(text: str) -> int:
-    value = int(text)
+    value = _number(int, text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be positive, got {value}")
     return value
 
 
 def _finite(text: str) -> float:
-    value = float(text)
+    value = _number(float, text)
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
     return value
@@ -418,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sturmian", help="mechanical word of an irrational slope")
     p.add_argument("slope")
-    p.add_argument("--length", type=int, required=True)
+    p.add_argument("--length", type=_positive, required=True)
     p.add_argument("--intercept", default="0")
     p.set_defaults(func=cmd_sturmian)
 
@@ -426,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word", default="")
     p.add_argument("--morphism", required=True)
     p.add_argument("--slope", required=True)
-    p.add_argument("--length", type=int, required=True)
+    p.add_argument("--length", type=_positive, required=True)
     p.add_argument("--intercept", default="0")
     p.add_argument("--check-n-max", type=int, default=0)
     p.set_defaults(func=cmd_quasi)
@@ -471,8 +479,6 @@ def _env_max_bits(parser: argparse.ArgumentParser) -> int:
         return _non_negative(text)
     except argparse.ArgumentTypeError as exc:
         parser.error(f"argument --max-bits: {exc}")
-    except ValueError:
-        parser.error(f"argument --max-bits: invalid {_non_negative.__name__} value: {text!r}")
 
 
 def main(argv=None) -> int:

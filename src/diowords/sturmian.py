@@ -10,10 +10,10 @@ lo/2^k < alpha < hi/2^k with hi - lo <= 2, through the kernels of
 `realnum`: a surd by one integer square root (`surd_bracket`), a
 continued fraction by its first close pair of convergents
 (`convergent_bracket`, run from m1 on every call and stopped at
-_SLOPE_EXTEND_CAP).  `mechanical_word` takes every floor from one
-bracket in a single int64 numpy pass, and decides the few positions
-where the two ends of the bracket disagree again at 2k, 4k, ... bits
-with Python integers.  n*alpha + rho is never an integer, so this ends.
+_SLOPE_EXTEND_CAP).  `mechanical_word` keeps the floors of one int64
+numpy pass over one bracket and patches by index only the few positions,
+usually none, where its two ends disagree, decided again at 2k, 4k, ...
+bits with Python integers.  n*alpha + rho is never an integer, so this ends.
 
 Quasi-Sturmian words are built as W followed by the image of a Sturmian
 word under a nonerasing binary morphism; the checkers in this module
@@ -179,23 +179,31 @@ def _floors(slope: SlopeSpec, rho: Fraction, count: int) -> np.ndarray:
 
     With lo/2^k < alpha < hi/2^k and r = floor(rho*2^k), the integer
     floor((n*alpha + rho)*2^k) lies in [n*lo + r, n*hi + r], so the floor
-    is decided wherever both ends shift down to the same value.  The
-    first pass runs in int64 at the largest k for which
-    (count+1)*2^(k+1), a bound on n*hi + r, cannot overflow; the positions
-    it leaves open are decided again in Python integers at twice the bits.
+    is decided wherever both ends shift down to the same value.  The lower
+    ends of one int64 pass, at the largest k for which (count+1)*2^(k+1)
+    cannot overflow, are the result; only the positions where the upper ends
+    differ are decided again at 2k, 4k, ... bits and written back by index.
     """
-    floors = np.empty(count, dtype=np.int64)
-    pos = np.arange(count)
-    n = pos + 1
-    bits = 62 - (count + 1).bit_length()
-    while pos.size:
+
+    def ends(n, bits):
+        """(n*lo + r) >> bits, written over n, and (n*hi + r) >> bits."""
         lo, hi = slope.bracket(bits)
         r = (rho.numerator << bits) // rho.denominator
-        f_lo, f_hi = (n * lo + r) >> bits, (n * hi + r) >> bits
+        upper = (n * hi + r) >> bits
+        n *= lo
+        n += r
+        n >>= bits
+        return n, upper
+
+    bits = 62 - (count + 1).bit_length()
+    floors, upper = ends(np.arange(1, count + 1, dtype=np.int64), bits)
+    pos = np.flatnonzero(floors != upper)
+    while pos.size:
+        bits *= 2
+        f_lo, f_hi = ends((pos + 1).astype(object), bits)
         done = f_lo == f_hi
         floors[pos[done]] = f_lo[done]
-        pos, n = pos[~done], n[~done].astype(object)
-        bits *= 2
+        pos = pos[~done]
     return floors
 
 

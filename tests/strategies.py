@@ -35,7 +35,9 @@ def _ints(draw, count: int, lo: int, hi: int) -> str:
 
 _UNIMODULAR = ["1,0,0,1", "0,1,1,0", "1,-2,0,1", "0,1,1,5", "5,2,2,1", "1,2,1,3", "3,-1,1,0"]
 _digit_text = st.text("0123456789", max_size=6)
-_sizes = _mostly(st.integers(0, 60), st.just(-1))
+_not_numbers = ["x", "1.5", ""]  # their message names the type, never a function of cli
+_sizes = _mostly(st.integers(0, 60), st.sampled_from([-1, *_not_numbers]))
+_terms = _mostly(st.integers(1, 25), st.sampled_from([0, *_not_numbers]))
 _bases = _mostly(st.integers(2, 40), st.integers(0, 1))
 _small = _mostly(st.integers(1, 12), st.integers(-3, 0))
 
@@ -128,7 +130,7 @@ def cli_argvs(draw) -> list[str]:
         argv += [draw(word_sources())]
         argv += _option(draw, "--prefix", _sizes) + _option(draw, "--threshold", _small)
     elif command in ("cf", "mu"):
-        argv += [draw(real_specs()), "--terms", str(draw(_mostly(st.integers(1, 25), st.just(0))))]
+        argv += [draw(real_specs()), "--terms", str(draw(_terms))]
         if command == "mu":
             argv += _option(draw, "--n-min", _small)
     elif command == "sturmian":
@@ -144,7 +146,7 @@ def cli_argvs(draw) -> list[str]:
         argv += _option(draw, "--base", _bases)
         argv += _option(draw, "--threshold", _small)
         if command == "report":
-            argv += ["--terms", str(draw(_mostly(st.integers(1, 25), st.just(0))))]
+            argv += ["--terms", str(draw(_terms))]
             argv += _option(draw, "--slack", _mostly(st.sampled_from(["0.15", "0", "0.5"]),
-                                                     st.just("nan")))
+                                                     st.sampled_from(["nan", "x"])))
     return argv

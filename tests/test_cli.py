@@ -264,7 +264,7 @@ class TestExitCodes:
         code, out, err = run_isolated(argv)
         assert code == 2 and out == ""
         assert err.endswith(
-            "diowords: error: argument --max-bits: invalid _non_negative value: 'abc'\n"
+            "diowords: error: argument --max-bits: invalid int value: 'abc'\n"
         )
         monkeypatch.delenv("DIOWORDS_MAX_BITS")
         assert run_isolated(argv)[0] == 0
@@ -303,6 +303,36 @@ class TestExitCodes:
             main(["dio", "lit:01011010", "--prefix", "-3"])
         assert exc.value.code == 2
         assert "--prefix" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("cf", "e", "--terms", "x"),
+            ("dio", "lit:01011010", "--prefix", "x"),
+            ("--max-bits", "x", "digits", "e", "--count", "3"),
+            ("report", "e", "--prefix", "100", "--terms", "20", "--slack", "x"),
+        ],
+        ids=["terms", "prefix", "max-bits", "slack"],
+    )
+    def test_non_number_flag_value_names_no_function(self, argv):
+        code, out, err = run_isolated(argv)
+        assert code == 2 and out == ""
+        kind = "float" if "--slack" in argv else "int"
+        assert f"invalid {kind} value: 'x'" in err and "invalid _" not in err
+
+    @pytest.mark.parametrize("length", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sturmian", "surd:-3,-2,5"),
+            ("quasi", "--morphism", "0>01;1>001", "--slope", "surd:-3,-2,5"),
+        ],
+        ids=["sturmian", "quasi"],
+    )
+    def test_length_must_be_positive(self, argv, length):
+        code, out, err = run_isolated([*argv, "--length", length])
+        assert code == 2 and out == ""
+        assert f"argument --length: must be positive, got {length}" in err
 
     def test_cf_file_needs_integer_quotients(self, capsys, tmp_path):
         path = tmp_path / "quotients.json"
@@ -484,7 +514,7 @@ class TestGrammarFuzz:
     def test_exit_codes_and_streams(self, argv):
         code, out, err = run_isolated(argv)
         assert code in (0, 1, 2, 3), (code, err)
-        assert "Traceback" not in err
+        assert "Traceback" not in err and "invalid _" not in err
         if code == 2:
             assert "usage" in err and out == "", (out, err)
         assert run_isolated(argv) == (code, out, err)

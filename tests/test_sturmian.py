@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,43 @@ def fib_text(n):
     while len(s) < n:
         s = s.replace("0", "a").replace("1", "0").replace("a", "01")
     return s[:n]
+
+
+def near_integer_intercepts(slope, n0):
+    """Intercepts within 2^-150 of {-n0*alpha}, on either side of it.
+
+    Each puts n0*alpha + rho next to an integer, just under it and just
+    over it, so floor n0 needs more bits than the int64 pass has.
+    """
+    lo, hi = slope.bracket(200)
+    return Fraction(-n0 * hi % 2**200, 2**200), Fraction(-n0 * lo % 2**200, 2**200)
+
+
+def near_integer_words(slope, n0, length, monkeypatch, requested=None):
+    """The two words of `near_integer_intercepts`, each checked against the oracle.
+
+    Each must ask the slope for a bracket more than once; `requested`
+    collects the bits asked for by the last word.
+    """
+    requested = [] if requested is None else requested
+    bracket = type(slope).bracket
+    monkeypatch.setattr(
+        type(slope), "bracket", lambda s, bits: requested.append(bits) or bracket(s, bits)
+    )
+    words = []
+    for rho in near_integer_intercepts(slope, n0):
+        requested.clear()
+        words.append(mechanical_word(slope, rho, length).symbols)
+        assert len(requested) > 1
+        assert words[-1] == oracle.mechanical_letters(slope, rho, length)
+    return words
+
+
+def open_floors(slope, rho, count, bits):
+    """The n <= count whose floor one bracket at `bits` leaves undecided."""
+    lo, hi = slope.bracket(bits)
+    r = (rho.numerator << bits) // rho.denominator
+    return [n for n in range(1, count + 1) if (n * lo + r) >> bits != (n * hi + r) >> bits]
 
 
 @st.composite
@@ -239,25 +277,44 @@ class TestMechanicalWord:
         "text", ["surd:-3,-2,5", "surd:-5,-7,3", "cfslope:1,(2,3)*", "cfslope:pow10"]
     )
     def test_floor_the_int64_pass_cannot_decide(self, text, monkeypatch):
-        # rho within 2^-150 of {-n0*alpha}, on either side of it, puts
-        # n0*alpha + rho next to an integer: position n0 needs more bits
-        slope = parse_slope(text)
-        n0, length = 777, 1000
-        lo, hi = slope.bracket(200)
-        below = Fraction(-n0 * hi % 2**200, 2**200)  # n0*alpha + below just under an integer
-        above = Fraction(-n0 * lo % 2**200, 2**200)  # and n0*alpha + above just over one
+        words = near_integer_words(parse_slope(text), 777, 1000, monkeypatch)
+        assert [i for i in range(1000) if words[0][i] != words[1][i]] == [775, 776]
+
+    @pytest.mark.parametrize(("n0", "letter"), [(1, 0), (1001, 999)], ids=["first", "last"])
+    @pytest.mark.parametrize("text", ["surd:-3,-2,5", "cfslope:1,(2,3)*", "cfslope:pow10"])
+    def test_undecided_floor_at_either_end(self, text, n0, letter, monkeypatch):
+        # floors 1 and length + 1 are the first and last that the letters read,
+        # each by one letter only
+        words = near_integer_words(parse_slope(text), n0, 1000, monkeypatch)
+        assert [i for i in range(1000) if words[0][i] != words[1][i]] == [letter]
+
+    def test_two_undecided_floors_settle_in_different_rounds(self, monkeypatch):
+        # alpha = [0; 2, 3, 5, 20, 2^40, 1, 1, ...] has the convergent
+        # denominator q = 747 with ||q*alpha|| < 2^-49, so with n0*alpha + rho
+        # next to an integer, floor n0 + q is next to one too: the int64 pass
+        # leaves both open, 2k bits settle n0 + q and n0 waits for 4k bits
+        slope = CFSlope((2, 3, 5, 20, 2**40), (1,))
+        n0, q, length = 100, 747, 1000
         requested = []
-        bracket = type(slope).bracket
-        monkeypatch.setattr(
-            type(slope), "bracket", lambda s, bits: requested.append(bits) or bracket(s, bits)
-        )
-        words = []
-        for rho in (below, above):
-            requested.clear()
-            words.append(mechanical_word(slope, rho, length).symbols)
-            assert len(requested) > 1
-            assert words[-1] == oracle.mechanical_letters(slope, rho, length)
-        assert [i for i in range(length) if words[0][i] != words[1][i]] == [n0 - 2, n0 - 1]
+        near_integer_words(slope, n0, length, monkeypatch, requested)
+        k = requested[0]
+        assert requested == [k, 2 * k, 4 * k]
+        for rho in near_integer_intercepts(slope, n0):
+            assert open_floors(slope, rho, length + 1, k) == [n0, n0 + q]
+            assert open_floors(slope, rho, length + 1, 2 * k) == [n0]
+            assert open_floors(slope, rho, length + 1, 4 * k) == []
+
+    @pytest.mark.parametrize("text", ["surd:-3,-2,5", "cfslope:1,(2,3)*"])
+    def test_traced_peak_per_letter(self, text):
+        # the int64 floors are the result: no full-length masks or copies
+        slope, length = parse_slope(text), 400_000
+        tracemalloc.start()
+        try:
+            mechanical_word(slope, Fraction(1, 3), length)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * length
 
     @given(st.integers(1, 40), st.fractions(min_value=0, max_value=Fraction(9, 10)))
     @settings(max_examples=60, deadline=None)
