@@ -46,13 +46,13 @@ def near_integer_intercepts(slope, n0):
     return Fraction(-n0 * hi % 2**200, 2**200), Fraction(-n0 * lo % 2**200, 2**200)
 
 
-def near_integer_words(slope, n0, length, monkeypatch, requested=None):
+def near_integer_words(slope, n0, length, monkeypatch):
     """The two words of `near_integer_intercepts`, each checked against the oracle.
 
-    Each must ask the slope for a bracket more than once; `requested`
-    collects the bits asked for by the last word.
+    Each must ask the slope for a bracket more than once.  Also returns the
+    bits that the second word asked for, in order.
     """
-    requested = [] if requested is None else requested
+    requested = []
     bracket = type(slope).bracket
     monkeypatch.setattr(
         type(slope), "bracket", lambda s, bits: requested.append(bits) or bracket(s, bits)
@@ -63,7 +63,7 @@ def near_integer_words(slope, n0, length, monkeypatch, requested=None):
         words.append(mechanical_word(slope, rho, length).symbols)
         assert len(requested) > 1
         assert words[-1] == oracle.mechanical_letters(slope, rho, length)
-    return words
+    return words, requested
 
 
 def open_floors(slope, rho, count, bits):
@@ -277,7 +277,7 @@ class TestMechanicalWord:
         "text", ["surd:-3,-2,5", "surd:-5,-7,3", "cfslope:1,(2,3)*", "cfslope:pow10"]
     )
     def test_floor_the_int64_pass_cannot_decide(self, text, monkeypatch):
-        words = near_integer_words(parse_slope(text), 777, 1000, monkeypatch)
+        words, _ = near_integer_words(parse_slope(text), 777, 1000, monkeypatch)
         assert [i for i in range(1000) if words[0][i] != words[1][i]] == [775, 776]
 
     @pytest.mark.parametrize(("n0", "letter"), [(1, 0), (1001, 999)], ids=["first", "last"])
@@ -285,7 +285,7 @@ class TestMechanicalWord:
     def test_undecided_floor_at_either_end(self, text, n0, letter, monkeypatch):
         # floors 1 and length + 1 are the first and last that the letters read,
         # each by one letter only
-        words = near_integer_words(parse_slope(text), n0, 1000, monkeypatch)
+        words, _ = near_integer_words(parse_slope(text), n0, 1000, monkeypatch)
         assert [i for i in range(1000) if words[0][i] != words[1][i]] == [letter]
 
     def test_two_undecided_floors_settle_in_different_rounds(self, monkeypatch):
@@ -295,8 +295,7 @@ class TestMechanicalWord:
         # leaves both open, 2k bits settle n0 + q and n0 waits for 4k bits
         slope = CFSlope((2, 3, 5, 20, 2**40), (1,))
         n0, q, length = 100, 747, 1000
-        requested = []
-        near_integer_words(slope, n0, length, monkeypatch, requested)
+        _, requested = near_integer_words(slope, n0, length, monkeypatch)
         k = requested[0]
         assert requested == [k, 2 * k, 4 * k]
         for rho in near_integer_intercepts(slope, n0):
