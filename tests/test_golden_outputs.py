@@ -2,8 +2,9 @@
 
 `golden_outputs.json` holds SHA-256 digests of the rendered outputs
 below, recorded with the Fraction-based enclosures that preceded the
-dyadic ones.  Every digit, quotient and approximant line must stay
-byte-identical.
+dyadic ones.  The `cf-json` and `report` keys pin the CLI payloads,
+convergents and exponent terms included.  Every digit, quotient and
+approximant line must stay byte-identical.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ APPROXIMANTS = (
     ("shallit", 2, 2000),
     ("rat:1/701", 10, 1981),
 )
+REPORTS = ("e", "surd:0,1,2")
 
 
 def _spec(name: str):
@@ -63,6 +65,8 @@ def rendered_outputs() -> dict[str, str]:
                 out[f"digits {name} {base} {count}"] = digits(spec, base, count).as_text()
         cf = cf_from_enclosure(enclosure(spec), CF_TERMS)
         out[f"cf {name}"] = ",".join(map(str, cf.quotients))
+        if name != "stream:n+1":
+            out[f"cf-json {name}"] = _cli("--format", "json", "cf", name, "--terms", str(CF_TERMS))
         if not cf.rational:
             mu = mu_estimate(cf)
             out[f"mu {name}"] = "\n".join(f"{n} {v:.6f}" for n, v in mu.values)
@@ -70,6 +74,8 @@ def rendered_outputs() -> dict[str, str]:
         out[f"approximant {name} {base} {prefix}"] = _cli(
             "approximant", name, "--base", str(base), "--prefix", str(prefix)
         )
+    for name in REPORTS:
+        out[f"report {name}"] = _cli("report", name, "--prefix", "2000", "--terms", "60")
     return out
 
 
