@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .contfrac import CFExpansion, MuEstimate, cf_from_enclosure, mu_estimate
+from .contfrac import MuEstimate, cf_from_enclosure, mu_estimate
 from .realnum import (
     DEFAULT_MAX_BITS,
     CertificateError,
@@ -47,9 +47,6 @@ class Approximant:
     @property
     def score(self) -> Fraction:
         return self.witness.score
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.p, self.q)
 
     def reduced(self) -> tuple[int, int]:
         """Lowest-terms view, for display only."""
@@ -166,7 +163,6 @@ class DioMuReport:
     cf_terms: int
     slack: float
     digit_estimate: ExponentEstimate | None
-    cf: CFExpansion
     mu: MuEstimate | None
     rational: bool
     partial: bool
@@ -228,7 +224,8 @@ def dio_mu_report(
         partial = True
         notes.append(f"digit stream certified only {stream.certified} of {prefix_length}")
     est: ExponentEstimate | None = None
-    if stream.certified >= 2:
+    # a complete stream of fewer than 2 digits is a usage error in dio_estimate
+    if stream.complete or stream.certified >= 2:
         est = dio_estimate(stream.fractional_word(), threshold)
 
     cf = cf_from_enclosure(enclosure(spec, max_bits=max_bits), cf_terms)
@@ -240,7 +237,8 @@ def dio_mu_report(
     if cf.rational:
         notes.append("rational input: digits are eventually periodic and the "
                      "repetition exponent diverges with the prefix length")
-    elif cf.certified >= n_min + 2:
+    elif cf.certified >= n_min + 2 or not cf.budget_exhausted:
+        # too few terms with budget to spare is a usage error in mu_estimate
         mu = mu_estimate(cf, n_min=n_min)
     else:
         partial = True
@@ -252,7 +250,6 @@ def dio_mu_report(
         cf_terms=cf_terms,
         slack=slack,
         digit_estimate=est,
-        cf=cf,
         mu=mu,
         rational=cf.rational,
         partial=partial,

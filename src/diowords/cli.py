@@ -198,7 +198,8 @@ def cmd_cf(args) -> int:
     if args.format == "json":
         payload = cf.to_json_dict()
         payload["convergents"] = [
-            [realnum.decimal_text(p), realnum.decimal_text(q)] for p, q in cf.convergents
+            [realnum.decimal_text(p), realnum.decimal_text(q)]
+            for p, q in contfrac.convergents_from_quotients(cf.quotients)
         ]
         _json_out(payload)
     else:

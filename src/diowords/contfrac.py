@@ -1,10 +1,12 @@
-"""Continued fractions from enclosures: convergents and exponent estimates.
+"""Continued fractions from enclosures: quotients and exponent estimates.
 
 Quotients of an interval source are emitted only while both endpoints
 share the same integer part at the current depth of the Gauss map, so
 every emitted quotient is correct for the limit value.  On an exact
 rational point both endpoints coincide and this is Euclid's algorithm,
 whose final quotient >= 2 makes rational expansions round-trip.
+Convergents are a pure function of the quotients; they are built and
+certified by `convergents_from_quotients` where they are read.
 """
 
 from __future__ import annotations
@@ -18,10 +20,9 @@ from .realnum import CertificateError, Enclosure, convergents, decimal_text
 
 @dataclass(frozen=True)
 class CFExpansion:
-    """Certified partial quotients plus big-integer convergents."""
+    """Certified partial quotients of an enclosed value."""
 
     quotients: tuple[int, ...]
-    convergents: tuple[tuple[int, int], ...]
     rational: bool = False
     complete: bool = False
     budget_exhausted: bool = False
@@ -29,15 +30,6 @@ class CFExpansion:
     @property
     def certified(self) -> int:
         return len(self.quotients)
-
-    def convergent(self, n: int) -> Fraction:
-        p, q = self.convergents[n]
-        return Fraction(p, q)
-
-    def value(self) -> Fraction:
-        if not self.complete:
-            raise ValueError("only a complete rational expansion has an exact value")
-        return self.convergent(len(self.quotients) - 1)
 
     def to_json_dict(self) -> dict:
         return {
@@ -145,10 +137,8 @@ def cf_from_enclosure(source: Enclosure, max_terms: int) -> CFExpansion:
             if source.refine(target):
                 continue
             exhausted = True
-        certified = qs[:max_terms]
         return CFExpansion(
-            tuple(certified),
-            convergents_from_quotients(certified),
+            tuple(qs[:max_terms]),
             rational=point,
             complete=point and len(qs) <= max_terms,
             budget_exhausted=exhausted,
@@ -189,19 +179,22 @@ class MuEstimate:
 def mu_estimate(cf: CFExpansion, n_min: int = 5) -> MuEstimate:
     """Exponent terms from exact a_{n+1} and q_n.
 
-    math.log on ints carries about 1 ulp of relative error (far below
-    the 1e-12 budget the reported 6-decimal values need).
+    q_n comes from the certified convergents of a_0 .. a_{N-2}, where N
+    quotients are certified; the last term reads q_{N-2}.  math.log on
+    ints carries about 1 ulp of relative error (far below the 1e-12
+    budget the reported 6-decimal values need).
     """
     if n_min < 1:
         raise ValueError("n_min must be >= 1")
     if cf.certified < n_min + 2:
         raise ValueError("too few certified terms")
-    if cf.convergents[n_min][1] < 2:
+    convs = convergents_from_quotients(cf.quotients[:-1])
+    if convs[n_min][1] < 2:
         raise ValueError("q_n at n_min must be >= 2; raise n_min")
     values = []
     for n in range(n_min, cf.certified - 1):
         a_next = cf.quotients[n + 1]
-        q_n = cf.convergents[n][1]
+        q_n = convs[n][1]
         values.append((n, 2.0 + math.log(a_next) / math.log(q_n)))
     tail_start = values[len(values) // 2][0]
     return MuEstimate(n_min=n_min, values=tuple(values), tail_start=tail_start)

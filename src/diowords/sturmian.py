@@ -256,9 +256,6 @@ class Morphism:
     def target_alphabet(self) -> int:
         return max(self.image0.alphabet_size, self.image1.alphabet_size)
 
-    def describe(self) -> str:
-        return f"0>{self.image0.to_text()};1>{self.image1.to_text()}"
-
 
 def parse_morphism(text: str) -> Morphism:
     """Parse the "0>01;1>001" rule syntax."""

@@ -32,7 +32,7 @@ class TestWitnessToApproximant:
         w = digits(Rational(1, 3), 10, 3).fractional_word()
         a = witness_to_approximant(w, RepetitionWitness(0, 1, 3), 10)
         assert (a.p, a.q) == (3, 9)
-        assert a.as_fraction() == Fraction(1, 3)
+        assert Fraction(a.p, a.q) == Fraction(1, 3)
 
     def test_one_sixth(self):
         w = digits(Rational(1, 6), 10, 4).fractional_word()
@@ -61,7 +61,7 @@ class TestWitnessToApproximant:
         assert a.q == 2**wit.u * (2**wit.v - 1)
         # p/q sits inside the digit cell of the first m digits
         x = int("".join(map(str, word.symbols[: wit.m])) or "0", 2)
-        assert Fraction(x, 2**wit.m) <= a.as_fraction() <= Fraction(x + 1, 2**wit.m)
+        assert Fraction(x, 2**wit.m) <= Fraction(a.p, a.q) <= Fraction(x + 1, 2**wit.m)
         v_block = word.symbols[wit.u : wit.u + wit.v]
         if any(d != 1 for d in v_block):
             # proper representation: independent long division matches all m digits

@@ -60,13 +60,23 @@ class TestEnclosure:
 
 
 class TestConvergents:
-    def test_non_unimodular_pair_exit_1(self, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--format", "json", "cf", "e", "--terms", "5"),
+            ("mu", "e", "--terms", "10"),
+            ("report", "e", "--prefix", "50", "--terms", "10"),
+        ],
+        ids=["cf-json", "mu", "report"],
+    )
+    def test_non_unimodular_pair_exit_1(self, capsys, monkeypatch, argv):
+        # every command that reads convergents certifies them
         def doubled(quotients):
             for p_prev, q_prev, p, q in realnum.convergents(quotients):
                 yield p_prev, q_prev, 2 * p, 2 * q
 
         monkeypatch.setattr(contfrac, "convergents", doubled)
-        assert_certificate_exit(capsys, "cf", "e", "--terms", "5")
+        assert_certificate_exit(capsys, *argv)
 
     def test_denominators_that_stop_increasing(self, monkeypatch):
         def zero_third_quotient(quotients):

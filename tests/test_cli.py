@@ -3,12 +3,14 @@ import io
 import json
 import os
 import shlex
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
+from diowords import contfrac
 from diowords.cli import main
 from diowords.realnum import _digits_to_int
 
@@ -26,6 +28,30 @@ class TestBasicCommands:
         code, out, _ = run_cli(capsys, "cf", "e", "--terms", "12")
         assert code == 0
         assert out.strip() == "[2, 1, 2, 1, 1, 4, 1, 1, 6, 1, 1, 8]"
+
+    def test_text_cf_builds_no_convergents(self, capsys, monkeypatch):
+        argv = ["cf", "e", "--terms", "40"]
+        assert main(argv) == 0
+        want = capsys.readouterr().out
+
+        def unused(quotients):
+            raise AssertionError("text cf prints no convergents")
+
+        monkeypatch.setattr(contfrac, "convergents_from_quotients", unused)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want
+
+    def test_text_cf_memory_stays_linear(self, capsys):
+        # all n convergent pairs would take O(n^2) bits: 4.5 MB at 3000 terms of e
+        main(["cf", "e", "--terms", "5"])  # builds the shared parser outside the trace
+        tracemalloc.start()
+        try:
+            code = main(["cf", "e", "--terms", "3000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= 10**6
 
     def test_digits_rational(self, capsys):
         code, out, _ = run_cli(capsys, "digits", "rat:1/3", "--base", "10", "--count", "4")
@@ -234,6 +260,20 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert captured.out == ""
         assert "argument --terms: must be positive, got 0" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # exponent terms start at n_min + 2 = 7 quotients, whatever the budget
+            (("report", "e", "--prefix", "100", "--terms", "5"), "too few certified terms"),
+            (("report", "e", "--prefix", "1", "--terms", "20"), "degenerate prefix"),
+        ],
+        ids=["terms", "prefix"],
+    )
+    def test_report_too_short_for_its_estimates_is_usage_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert message in err
 
     def test_negative_budget_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -510,6 +550,7 @@ def run_isolated(argv):
 
 class TestGrammarFuzz:
     @given(cli_argvs())
+    @example(["--max-bits", "256", "report", "e", "--prefix", "100", "--terms", "5"])
     @settings(max_examples=150, deadline=None)
     def test_exit_codes_and_streams(self, argv):
         code, out, err = run_isolated(argv)
@@ -520,5 +561,11 @@ class TestGrammarFuzz:
         assert run_isolated(argv) == (code, out, err)
         # the same budget through the environment; the shared parser carries no state
         i = argv.index("--max-bits")
+        without_budget = argv[:i] + argv[i + 2 :]
         with mock.patch.dict(os.environ, {"DIOWORDS_MAX_BITS": argv[i + 1]}):
-            assert run_isolated(argv[:i] + argv[i + 2 :]) == (code, out, err)
+            assert run_isolated(without_budget) == (code, out, err)
+        if code == 3:
+            # exit 3 means the budget ran out, so the default budget of 10^6 bits must not
+            with mock.patch.dict(os.environ):
+                os.environ.pop("DIOWORDS_MAX_BITS", None)
+                assert run_isolated(without_budget)[0] != 3, argv

@@ -381,7 +381,6 @@ class TestMorphism:
         phi = parse_morphism("0>01;1>001")
         assert phi.image0.to_text() == "01"
         assert phi.image1.to_text() == "001"
-        assert phi.describe() == "0>01;1>001"
 
     def test_parse_errors(self):
         with pytest.raises(ValueError):
