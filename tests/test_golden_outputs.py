@@ -42,6 +42,9 @@ APPROXIMANTS = (
     ("rat:1/701", 10, 1981),
 )
 REPORTS = ("e", "surd:0,1,2")
+# a nested image with negative entries over a surd with q < 0, and an image
+# of e near its pole: |7e - 19| is about 0.028
+IMAGES = ("mobius:0,1,1,0:(mobius:2,1,1,0:(surd:-1,-3,7))", "mobius:-3,8,7,-19:(e)")
 
 
 def _spec(name: str):
@@ -70,6 +73,12 @@ def rendered_outputs() -> dict[str, str]:
         if not cf.rational:
             mu = mu_estimate(cf)
             out[f"mu {name}"] = "\n".join(f"{n} {v:.6f}" for n, v in mu.values)
+    for name in IMAGES:
+        spec = parse_real_spec(name)
+        for base in (2, 10):
+            for count in COUNTS:
+                out[f"digits {name} {base} {count}"] = digits(spec, base, count).as_text()
+        out[f"cf {name}"] = ",".join(map(str, cf_from_enclosure(enclosure(spec), CF_TERMS).quotients))
     for name, base, prefix in APPROXIMANTS:
         out[f"approximant {name} {base} {prefix}"] = _cli(
             "approximant", name, "--base", str(base), "--prefix", str(prefix)
