@@ -21,12 +21,14 @@ process builds it once either way.
 from __future__ import annotations
 
 import argparse
+import collections
 import functools
 import json
 import math
 import os
 import sys
 from fractions import Fraction
+from typing import Iterable
 
 from . import acceptance, approx, contfrac, realnum, repetition, sturmian, words
 
@@ -110,8 +112,23 @@ def _emit(text: str) -> None:
         sys.stdout.write("\n")
 
 
-def _json_out(payload) -> None:
-    _emit(json.dumps(payload, indent=2, sort_keys=False))
+def _json_out(payload, last: Iterable | None = None) -> None:
+    """Write the payload as indented JSON.
+
+    `last`, when given, is the list value of the payload's last key, whose
+    placeholder there is []; its items are rendered and written one at a
+    time, byte-identical to one `json.dumps` of the whole payload.
+    """
+    text = json.dumps(payload, indent=2, sort_keys=False)
+    if last is None:
+        _emit(text)
+        return
+    sys.stdout.write(text[: -len("]\n}")])
+    sep = ""
+    for item in last:
+        sys.stdout.write(sep + "\n    " + json.dumps(item, indent=2).replace("\n", "\n    "))
+        sep = ","
+    sys.stdout.write("\n  ]\n}\n" if sep else "]\n}\n")
 
 
 def _word_out(w: words.Word, fmt: str) -> None:
@@ -196,12 +213,13 @@ def cmd_cf(args) -> int:
         realnum.enclosure(spec, max_bits=args.max_bits), args.terms
     )
     if args.format == "json":
+        # every pair is certified before the first byte is written, then
+        # computed again and written one at a time, so no pass holds them all
+        collections.deque(contfrac.certified_convergents(cf.quotients), maxlen=0)
         payload = cf.to_json_dict()
-        payload["convergents"] = [
-            [realnum.decimal_text(p), realnum.decimal_text(q)]
-            for p, q in contfrac.convergents_from_quotients(cf.quotients)
-        ]
-        _json_out(payload)
+        payload["convergents"] = []
+        pairs = contfrac.certified_convergents(cf.quotients)
+        _json_out(payload, ([realnum.decimal_text(p), realnum.decimal_text(q)] for p, q in pairs))
     else:
         _emit("[" + ", ".join(str(a) for a in cf.quotients) + "]")
         if cf.budget_exhausted:

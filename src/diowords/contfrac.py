@@ -6,7 +6,7 @@ every emitted quotient is correct for the limit value.  On an exact
 rational point both endpoints coincide and this is Euclid's algorithm,
 whose final quotient >= 2 makes rational expansions round-trip.
 Convergents are a pure function of the quotients; they are built and
-certified by `convergents_from_quotients` where they are read.
+certified by `certified_convergents` where they are read.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .realnum import CertificateError, Enclosure, convergents, decimal_text
 
@@ -42,8 +43,13 @@ class CFExpansion:
 
 
 def convergents_from_quotients(quotients) -> tuple[tuple[int, int], ...]:
+    """All convergents (p_n, q_n) of `certified_convergents`, in one tuple."""
+    return tuple(certified_convergents(quotients))
+
+
+def certified_convergents(quotients) -> Iterator[tuple[int, int]]:
     """Convergents (p_n, q_n) from `realnum.convergents`, each certified in
-    lowest terms.
+    lowest terms, one at a time.
 
     Every pair must be the recurrence's link (p_n, q_n) = a_n (p_{n-1},
     q_{n-1}) + (p_{n-2}, q_{n-2}) from the checked pairs before it, with
@@ -56,21 +62,22 @@ def convergents_from_quotients(quotients) -> tuple[tuple[int, int], ...]:
     itself does, so a step is O(bits) for small quotients; the
     determinant would take two products of whole convergents.  The
     denominators are checked to increase from q_1 on, which the links
-    give only for quotients a_n >= 1.
+    give only for quotients a_n >= 1.  The check that there is one pair
+    per quotient runs after the last pair is yielded.
     """
     quotients = tuple(quotients)
-    out: list[tuple[int, int]] = []
+    count = 0
     p_2, q_2, p_1, q_1 = 0, 1, 1, 0
     for a, (_, _, p, q) in zip(quotients, convergents(quotients)):
-        if len(out) >= 2 and q <= q_1:
+        if count >= 2 and q <= q_1:
             raise CertificateError("convergent denominators must increase")
         if p != a * p_1 + p_2 or q != a * q_1 + q_2:
             raise CertificateError("convergent does not follow the recurrence")
         p_2, q_2, p_1, q_1 = p_1, q_1, p, q
-        out.append((p, q))
-    if len(out) != len(quotients):
+        count += 1
+        yield p, q
+    if count != len(quotients):
         raise CertificateError("one convergent per quotient expected")
-    return tuple(out)
 
 
 def cf_of_rational(x: Fraction) -> list[int]:

@@ -12,7 +12,11 @@ splitting (Haible & Papanikolaou, ANTS 1998) with the tail bound
 2/K!, surds come from one integer square root (`surd_bracket`),
 continued fractions from the first close pair of the one stateless
 convergent recurrence (`convergent_bracket`), and Moebius images from
-the monotone endpoint maps.  `Fraction` appears only at the public
+the monotone endpoint maps.  A Moebius image is folded into its inner
+number before any enclosure is built: nested matrices compose into one,
+the image of a surd is a surd, and the image of e maps e's exact
+binary-splitting bracket, so each costs one big division; `mobius` over
+an enclosure serves the other numbers.  `Fraction` appears only at the public
 boundary (`lo`, `hi`, `width`, `bounds()`).  The Sturmian slopes bracket
 themselves through the same two kernels, so this module holds all of
 the slope arithmetic.
@@ -327,9 +331,58 @@ def enclosure(spec: RealSpec, bits: int = _START_BITS, max_bits: int = DEFAULT_M
             return Enclosure.exact(_cf_value(spec.quotients), bits, max_bits)
         return Enclosure(lambda b: _compute_cf(spec.quotients, b), bits, max_bits)
     if isinstance(spec, Mobius):
-        inner = enclosure(spec.inner, bits, max_bits)
-        return mobius(spec.a, spec.b, spec.c, spec.d, inner, bits, max_bits)
+        return _image_enclosure(spec, bits, max_bits)
     raise TypeError(f"unknown RealSpec: {spec!r}")
+
+
+def _image_enclosure(spec: Mobius, bits: int, max_bits: int) -> Enclosure:
+    """Enclosure of a Moebius image, folded into its inner number.
+
+    Nested matrices compose into one, an irrational surd's image is a
+    surd, and e's image maps e's exact bracket, so each costs one big
+    division.  Any other irrational inner number goes through `mobius`
+    once; an exact point keeps the chain, so a pole at any level is
+    still reported.
+    """
+    a, b, c, d, inner = 1, 0, 0, 1, spec
+    while isinstance(inner, Mobius):
+        a, b, c, d = (
+            a * inner.a + b * inner.c,
+            a * inner.b + b * inner.d,
+            c * inner.a + d * inner.c,
+            c * inner.b + d * inner.d,
+        )
+        inner = inner.inner
+    if isinstance(inner, SeriesE):
+        return Enclosure(_e_image(a, b, c, d, min(bits, max_bits), max_bits), bits, max_bits)
+    if isinstance(inner, Surd) and math.isqrt(inner.d) ** 2 != inner.d:
+        return enclosure(_surd_image(a, b, c, d, inner), bits, max_bits)
+    enc = enclosure(inner, bits, max_bits)
+    if enc.is_point():
+        a, b, c, d, enc = spec.a, spec.b, spec.c, spec.d, enclosure(spec.inner, bits, max_bits)
+    return mobius(a, b, c, d, enc, bits, max_bits)
+
+
+def _surd_image(a: int, b: int, c: int, d: int, x: Surd) -> Surd:
+    """The image of the irrational surd x = (p + sqrt r)/q under x -> (ax+b)/(cx+d).
+
+    With A = ap + bq and C = cp + dq the image is (A + a sqrt r)/(C + c sqrt r);
+    multiplied through by C - c sqrt r it is
+    (AC - acr + (ad - bc) q sqrt r)/(C^2 - c^2 r), and C^2 - c^2 r is not 0
+    because r is not a square.  A surd (P + sqrt R)/Q brackets itself
+    2^-bits/|Q| wide, and the image of x's bracket at the same precision is
+    (C + c sqrt r)^2/(|q| |Q|) times narrower, so the surd is scaled by 2^g,
+    at least 2 (C^2 + c^2 r)/(|q| |Q|) times 2^_GUARD_BITS: at every
+    precision its bracket is 2^_GUARD_BITS times narrower than the image
+    `mobius` makes of x's, and a budget never certifies fewer digits of it
+    unless a digit boundary falls within that sliver.
+    """
+    big_a, big_c = a * x.p + b * x.q, c * x.p + d * x.q
+    s = 1 if (a * d - b * c) * x.q > 0 else -1
+    num, den = s * (big_a * big_c - a * c * x.d), s * (big_c * big_c - c * c * x.d)
+    ratio_bits = (2 * (big_c * big_c + c * c * x.d)).bit_length() - (x.q * den).bit_length() + 1
+    g = max(0, ratio_bits) + _GUARD_BITS
+    return Surd(num << g, den << g, x.q * x.q * x.d << 2 * g)
 
 
 def _e_terms_needed(bits: int) -> int:
@@ -360,8 +413,13 @@ def _e_split(a: int, b: int) -> tuple[int, int]:
     return p1 * q2 + p2, q1 * q2
 
 
-def _compute_e(bits: int) -> Dyadic:
-    # e lies in [S, S + 2/K!] for S = sum_{j<K} 1/j! and the smallest K with K! >= 2^(bits+1)
+def _e_bracket(bits: int) -> tuple[int, int]:
+    """(num, den) with e in [num, num + 2] / den, a bracket at most 2^-bits wide.
+
+    e lies in [S, S + 2/K!] for S = sum_{j<K} 1/j! and the smallest K with
+    K! >= 2^(bits+1); binary splitting gives S exactly, so num = K! S and
+    den = K!.
+    """
     threshold = 1 << (bits + 1)
     k = _e_terms_needed(bits)
     while True:
@@ -371,12 +429,42 @@ def _compute_e(bits: int) -> Dyadic:
         elif k * q < threshold:
             k += 1
         else:
-            break
+            return k * (q + p), k * q
+
+
+def _compute_e(bits: int) -> Dyadic:
+    num, den = _e_bracket(bits)
     scale = bits + _GUARD_BITS
-    lo, rem = divmod((q + p) << scale, q)
-    # S + 2/K! = (lo + rem/q + 2^(scale+1)/(K q)) / 2^scale
-    hi = lo - (-(rem * k + (2 << scale)) // (k * q))
-    return lo, hi, scale
+    lo, rem = divmod(num << scale, den)
+    # (num + 2) / den = (lo + (rem + 2^(scale+1)) / den) / 2^scale
+    return lo, lo - (-(rem + (2 << scale)) // den), scale
+
+
+def _e_image(a: int, b: int, c: int, d: int, bits: int, max_bits: int) -> Callable[[int], Dyadic]:
+    """`compute` of e's image under x -> (ax+b)/(cx+d): the matrix maps e's
+    exact bracket, which starts at precision `bits` and is refined as
+    `mobius` refines an inner enclosure, never past `max_bits`."""
+    inner_bits = bits
+
+    def compute(nbits: int) -> Dyadic:
+        nonlocal inner_bits
+        scale = nbits + _GUARD_BITS
+        while True:
+            num, den = _e_bracket(inner_bits)
+            image = _image_bracket(a, b, c, d, num, num + 2, den, scale)
+            if image is None:
+                message, target = "Moebius pole not separable within budget", 2 * inner_bits
+            else:
+                excess = (image[1] - image[0] - 2).bit_length() - _GUARD_BITS
+                if excess <= 0:  # width at most 2^-nbits before rounding
+                    return (*image, scale)
+                message = "refinement budget exhausted in Moebius image"
+                target = inner_bits + excess + _GUARD_BITS
+            if inner_bits >= max_bits:
+                raise PrecisionBudgetError(message)
+            inner_bits = min(max(target, inner_bits + 1), max_bits)
+
+    return compute
 
 
 def _compute_shallit(bits: int) -> Dyadic:
@@ -469,10 +557,11 @@ def mobius(
     The map is monotone away from its pole, so the image interval is the
     image of the endpoints, increasing when ad - bc = 1; the inner
     enclosure is refined until the pole is excluded and the image is
-    tight enough.  The image of an exact point is exact.
+    tight enough.  The image of an exact point is exact.  `enclosure`
+    folds the images of surds and of e into their inner number instead;
+    this serves every other enclosure and is the oracle of those folds.
     """
-    det = a * d - b * c
-    if abs(det) != 1:
+    if abs(a * d - b * c) != 1:
         raise ValueError("Moebius matrix must satisfy |ad - bc| = 1")
     if inner.is_point():
         x = inner.lo
@@ -484,31 +573,41 @@ def mobius(
         scale = nbits + _GUARD_BITS
         while True:
             lo, hi, s = inner.dyadic()
-            one = 1 << s
-            den_lo, den_hi = c * lo + d * one, c * hi + d * one
-            if den_lo == 0 or den_hi == 0 or (den_lo < 0) != (den_hi < 0):
+            image = _image_bracket(a, b, c, d, lo, hi, 1 << s, scale)
+            if image is None:
                 if inner.is_point():
                     raise ValueError("Moebius pole at the inner value")
                 if not inner.refine():
                     raise PrecisionBudgetError("Moebius pole not separable within budget")
                 continue
-            num_lo = a * lo + b * one
-            if det < 0:  # decreasing: the lower image end comes from hi
-                num_lo, den_lo, den_hi = a * hi + b * one, den_hi, den_lo
-            # the images differ by (hi - lo) 2^s / (den_lo den_hi) > 0, so the
-            # upper end needs a short division only; floor division floors
-            # the exact quotient whatever the sign of den_lo
-            out_lo, rem = divmod(num_lo << scale, den_lo)
-            gap = rem * den_hi + ((hi - lo) << (s + scale))
-            out_hi = out_lo - (-gap // (den_lo * den_hi))
-            excess = (out_hi - out_lo - 2).bit_length() - _GUARD_BITS
+            excess = (image[1] - image[0] - 2).bit_length() - _GUARD_BITS
             if excess <= 0:  # width at most 2^-nbits before rounding
-                return out_lo, out_hi, scale
+                return (*image, scale)
             # the image narrows with the inner width; guard bits spare a second round
             if not inner.refine(inner.bits + excess + _GUARD_BITS):
                 raise PrecisionBudgetError("refinement budget exhausted in Moebius image")
 
     return Enclosure(compute, bits, max_bits)
+
+
+def _image_bracket(
+    a: int, b: int, c: int, d: int, lo: int, hi: int, den: int, scale: int
+) -> tuple[int, int] | None:
+    """Integers (out_lo, out_hi) with [out_lo, out_hi] / 2^scale the image of
+    [lo, hi] / den (den > 0) under x -> (ax+b)/(cx+d), |ad - bc| = 1, rounded
+    outward; None when cx + d vanishes on the bracket."""
+    den_lo, den_hi = c * lo + d * den, c * hi + d * den
+    if den_lo == 0 or den_hi == 0 or (den_lo < 0) != (den_hi < 0):
+        return None
+    num_lo = a * lo + b * den
+    if a * d - b * c < 0:  # decreasing: the lower image end comes from hi
+        num_lo, den_lo, den_hi = a * hi + b * den, den_hi, den_lo
+    # the images differ by (hi - lo) den / (den_lo den_hi) > 0, so the upper
+    # end needs a short division only; floor division floors the exact
+    # quotient whatever the sign of den_lo
+    out_lo, rem = divmod(num_lo << scale, den_lo)
+    gap = rem * den_hi + ((hi - lo) * den << scale)
+    return out_lo, out_lo - (-gap // (den_lo * den_hi))
 
 
 def enclosure_from_digits(

@@ -59,6 +59,21 @@ class TestEnclosure:
         assert_certificate_exit(capsys, "digits", "e", "--count", "50")
 
 
+    def test_drifting_e_inside_a_folded_image_exit_1(self, capsys, monkeypatch):
+        # the image of e maps e's exact bracket; a bracket of e that drifts once
+        # more terms are summed moves the image out of its previous bracket
+        e_split = realnum._e_split
+
+        def drifting(a, b):
+            p, q = e_split(a, b)
+            return (p + q, q) if a == 1 and b > 40 else (p, q)
+
+        monkeypatch.setattr(realnum, "_e_split", drifting)
+        assert_certificate_exit(capsys, "digits", "mobius:5,2,2,1:(e)", "--count", "50")
+        with pytest.raises(CertificateError, match="previous bracket"):
+            realnum.digits(realnum.Mobius(5, 2, 2, 1, realnum.SeriesE()), 10, 50)
+
+
 class TestConvergents:
     @pytest.mark.parametrize(
         "argv",

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 
 from diowords import contfrac
 from diowords.cli import main
-from diowords.realnum import _digits_to_int
+from diowords.realnum import Surd, _digits_to_int, enclosure, mobius, parse_real_spec
 
 from strategies import cli_argvs
 
@@ -52,6 +52,35 @@ class TestBasicCommands:
             tracemalloc.stop()
         assert code == 0
         assert peak <= 10**6
+
+    def test_json_cf_memory_stays_linear(self):
+        # the whole payload held as text would take about 28 MB at 3000 terms of e
+        main(["--format", "json", "cf", "e", "--terms", "5"])  # builds the shared parser
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                code = main(["--format", "json", "cf", "e", "--terms", "3000"])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert peak <= 10**6
+
+    @pytest.mark.parametrize(
+        "budget, spec, terms",
+        [("1000000", "e", "40"), ("1000000", "rat:22/7", "9"), ("0", "e", "3"), ("80", "surd:0,1,2", "60")],
+    )
+    def test_json_cf_written_as_one_dumps_would(self, capsys, budget, spec, terms):
+        # the convergents are written pair by pair; no pair ("0" bits) and a cut
+        # expansion ("80" bits) included
+        code, out, _ = run_cli(capsys, "--max-bits", budget, "--format", "json", "cf", spec, "--terms", terms)
+        cf = contfrac.cf_from_enclosure(enclosure(parse_real_spec(spec), max_bits=int(budget)), int(terms))
+        payload = cf.to_json_dict()
+        payload["convergents"] = [
+            [str(p), str(q)] for p, q in contfrac.convergents_from_quotients(cf.quotients)
+        ]
+        assert code == (3 if cf.budget_exhausted else 0)
+        assert out == json.dumps(payload, indent=2) + "\n"
 
     def test_digits_rational(self, capsys):
         code, out, _ = run_cli(capsys, "digits", "rat:1/3", "--base", "10", "--count", "4")
@@ -229,6 +258,21 @@ class TestExitCodes:
         # and too few terms or digits for the command is a budget error
         code, _, _ = run_cli(capsys, *argv)
         assert code == 3
+
+    def test_folded_e_image_keeps_the_budget_of_e(self, capsys):
+        # |7e - 19| is about 0.028: the image needs more bits of e than the 120 allowed
+        code, out, err = run_cli(
+            capsys, "--max-bits", "120", "digits", "mobius:-3,8,7,-19:(e)", "--base", "2", "--count", "100"
+        )
+        assert code == 3
+        assert out == "" and "budget exhausted" in err
+
+    def test_folded_surd_image_certifies_more_than_the_chain(self, capsys):
+        # the image of sqrt 3 is one surd enclosure; the unfolded chain certifies 40 terms
+        code, out, _ = run_cli(capsys, "--max-bits", "70", "cf", "mobius:1,1,1,2:(surd:0,1,3)", "--terms", "60")
+        assert code == 3 and out.endswith("\nterms certified: 54\n")
+        chain = mobius(1, 1, 1, 2, enclosure(Surd(0, 1, 3), max_bits=70), max_bits=70)
+        assert contfrac.cf_from_enclosure(chain, 60).certified == 40
 
     def test_mu_budget_exhaustion_is_3(self, capsys):
         # 3000 bits certify 554 of e's quotients, enough for terms up to n = 552

@@ -262,6 +262,103 @@ class TestMobius:
         assert abs(mu_inner.tail_max - mu_image.tail_max) <= 0.05
 
 
+def _unimodular(bound: int) -> list[tuple[int, int, int, int]]:
+    """Every (a, b, c, d) with |ad - bc| = 1 and entries in -bound..bound."""
+    span = range(-bound, bound + 1)
+    out = []
+    for a, b, c in itertools.product(span, span, span):
+        for det in (1, -1):
+            if a == 0:
+                out.extend((a, b, c, d) for d in span if -b * c == det)
+            elif (det + b * c) % a == 0 and abs((det + b * c) // a) <= bound:
+                out.append((a, b, c, (det + b * c) // a))
+    return out
+
+
+MATRICES = _unimodular(20)
+# outermost matrix first
+nested_matrices = st.lists(st.sampled_from(MATRICES), min_size=1, max_size=3)
+fold_inner_specs = st.one_of(
+    st.builds(
+        Surd,
+        st.integers(-30, 30),
+        st.integers(-9, -1),
+        st.integers(2, 500).filter(lambda r: math.isqrt(r) ** 2 != r),
+    ),
+    st.just(SeriesE()),
+    st.builds(Rational, st.integers(-30, 30), st.integers(1, 9)),
+    st.just(SeriesShallit()),
+)
+
+
+def _nest(matrices, inner):
+    for m in reversed(matrices):
+        inner = Mobius(*m, inner)
+    return inner
+
+
+def _chain(matrices, inner, bits=64):
+    """The unfolded image: `mobius` applied level by level to the inner enclosure."""
+    enc = enclosure(inner, bits)
+    for m in reversed(matrices):
+        enc = mobius(*m, enc, bits)
+    return enc
+
+
+class TestMobiusFold:
+    """`enclosure` folds Moebius images; the `mobius` chain is the oracle."""
+
+    @given(nested_matrices, fold_inner_specs, st.sampled_from([2, 3, 10]), st.integers(0, 150))
+    @settings(max_examples=150, deadline=None)
+    def test_same_digits_as_the_chain(self, matrices, inner, base, count):
+        spec = _nest(matrices, inner)
+        try:
+            chain = _chain(matrices, inner)
+        except ValueError as exc:
+            # an exact inner value can sit on a pole of some level
+            with pytest.raises(ValueError, match=str(exc)):
+                digits(spec, base, count)
+            return
+        assert digits(spec, base, count) == digits_from_enclosure(chain, base, count)
+
+    @given(nested_matrices, fold_inner_specs, st.lists(st.integers(1, 300), min_size=1, max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_brackets_nest_and_meet_the_chain(self, matrices, inner, steps):
+        spec = _nest(matrices, inner)
+        try:
+            chain = _chain(matrices, inner, 8)
+        except ValueError:
+            return
+        enc = enclosure(spec, 8)
+        bits = enc.bits
+        for step in steps:
+            before = enc.bounds()
+            bits += step
+            assert enc.refine(bits) and chain.refine(bits)
+            lo, hi = enc.bounds()
+            assert before[0] <= lo <= hi <= before[1]
+            # both hold the image, so they overlap
+            assert max(lo, chain.lo) <= min(hi, chain.hi)
+
+    def test_surd_image_is_a_surd(self):
+        # (sqrt 3 + 1)/(sqrt 3 + 2) = sqrt 3 - 1, scaled by a power of two
+        enc = enclosure(Mobius(1, 1, 1, 2, Surd(0, 1, 3)), 100)
+        lo, hi = enc.bounds()
+        assert lo < hi and (lo + 1) ** 2 < 3 < (hi + 1) ** 2
+        assert hi - lo <= Fraction(1, 2**100)
+
+    def test_e_image_stays_within_the_budget(self):
+        # 7e - 19 is about 0.028, so the image needs about 11 more bits of e than it
+        # gives: at the budget the bracket of e stops short and the image cannot be
+        # certified, as for the unfolded chain
+        spec = Mobius(-3, 8, 7, -19, SeriesE())
+        enc = enclosure(spec, max_bits=120)
+        with pytest.raises(PrecisionBudgetError, match="Moebius image"):
+            enc.refine(120)
+        with pytest.raises(PrecisionBudgetError, match="Moebius image"):
+            mobius(-3, 8, 7, -19, enclosure(SeriesE(), max_bits=120), max_bits=120).refine(120)
+
+
 class TestDigits:
     def test_one_third(self):
         assert digits(Rational(1, 3), 10, 5).as_text() == "0.33333 certified:5"
