@@ -21,7 +21,6 @@ process builds it once either way.
 from __future__ import annotations
 
 import argparse
-import collections
 import functools
 import json
 import math
@@ -215,7 +214,8 @@ def cmd_cf(args) -> int:
     if args.format == "json":
         # every pair is certified before the first byte is written, then
         # computed again and written one at a time, so no pass holds them all
-        collections.deque(contfrac.certified_convergents(cf.quotients), maxlen=0)
+        for _ in contfrac.certified_convergents(cf.quotients):
+            pass
         payload = cf.to_json_dict()
         payload["convergents"] = []
         pairs = contfrac.certified_convergents(cf.quotients)

@@ -58,7 +58,6 @@ class TestEnclosure:
         monkeypatch.setattr(realnum, "_compute_e", drifting)
         assert_certificate_exit(capsys, "digits", "e", "--count", "50")
 
-
     def test_drifting_e_inside_a_folded_image_exit_1(self, capsys, monkeypatch):
         # the image of e maps e's exact bracket; a bracket of e that drifts once
         # more terms are summed moves the image out of its previous bracket
