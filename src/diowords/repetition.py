@@ -18,7 +18,8 @@ of the LPF[d] letters at d.  Scores are compared exactly, by integer
 cross-multiplication.  Initial repetitions (u = 0) are selected the
 same way from the Z-array, Z[d] = lce(0, d), in place of LPF: numpy
 passes give every match shorter than _Z_SHORT letters, and the Z-box
-loop runs only at the positions whose match is longer.
+loop runs only at the positions whose match is longer, settling the long
+positions of a wide box in one numpy step.
 """
 
 from __future__ import annotations
@@ -141,9 +142,10 @@ def ice_estimate(prefix: Word, threshold: int | None = None) -> ExponentEstimate
     """Best initial-repetition score (u = 0): V^w prefixes only, score m/v.
 
     The Z-array costs O(N _Z_SHORT) letter comparisons in numpy, which
-    settle every match shorter than _Z_SHORT, plus O(N) Python steps of
-    the Z-box loop over the positions with longer matches; the selection
-    after it is numpy.
+    settle every match shorter than _Z_SHORT; the Z-box loop over the
+    positions with longer matches takes Python steps only at the first
+    _Z_STEPS of them in each box and where a match is extended, and
+    numpy settles the rest.  The selection after it is numpy.
     """
     t = _checked_threshold(len(prefix), threshold)
     # a Z-match block at v starts the word, so _best_from finds u = 0 for it
@@ -185,8 +187,9 @@ def _best_from(data: bytes, ext: np.ndarray, ratio: np.ndarray, lo: int) -> _Can
 # Z-values below this come from one numpy pass per letter; only the
 # positions that match the prefix for this many letters run the Z-box loop.
 # On the Sturmian words of 5*10^4 to 2*10^5 letters the time is flat for
-# 8 to 32; a uint8 counter holds it.
+# 8 to 16 and 10% higher at 32; a uint8 counter holds it.
 _Z_SHORT = 16
+_Z_STEPS = 32  # long positions stepped per run; flat for 4 to 128 there
 
 
 def _z_array(data: bytes) -> np.ndarray:
@@ -197,11 +200,9 @@ def _z_array(data: bytes) -> np.ndarray:
     for _Z_SHORT letters, in numpy: O(N _Z_SHORT) letter comparisons give
     every Z[d] < _Z_SHORT.  Phase 2 runs the Z-box loop (Gusfield,
     Algorithms on Strings, Trees and Sequences, 1997, section 1.4) over
-    the remaining positions only, in ascending order: inside the box
-    [left, right) of the last long match, Z[d] follows from Z[d - left]
-    unless that reaches exactly to the box end, and a match is extended
-    by slice comparisons, doubling then bisecting, so phase 2 takes O(N)
-    Python steps at worst.
+    the remaining positions only, settling wide boxes in numpy, and a
+    match is extended by slice comparisons, doubling then bisecting: on
+    0^(N-1) 1 phase 2 takes _Z_STEPS Python steps and one extension.
     """
     n = len(data)
     a = np.frombuffer(data, dtype=np.uint8)
@@ -215,35 +216,49 @@ def _z_array(data: bytes) -> np.ndarray:
         short += run
     z = short.astype(np.int64)
     z[:1] = n
-    long = np.flatnonzero(run)
-    if long.size:
-        _z_long(data, long, z)
+    _z_long(data, np.flatnonzero(run), z)
     return z
 
 
 def _z_long(data: bytes, long: np.ndarray, z: np.ndarray) -> None:
-    """Fill in z at the ascending positions `long`, each with Z >= _Z_SHORT."""
-    starts = long.tolist()
-    zl = [0] * (starts[-1] + 1)  # Z at the positions of `long` done so far
-    out = []
-    left = right = 0
-    for i in starts:
-        room = right - i
-        if room < _Z_SHORT:
-            k = _extend(data, i, _Z_SHORT)
+    """Fill in z at the ascending positions `long`, each with Z >= _Z_SHORT.
+
+    Inside the box [left, right) of the last long match data[:right] has
+    period left, so Z[d] = min(Z[d mod left], right - d) unless the two
+    are equal, and then the match is extended past right.  Positions step
+    in runs of _Z_STEPS; after a run, numpy settles the rest of the box
+    where more than _Z_STEPS are left in it, bar those to extend.
+    """
+    zv = memoryview(z)  # Python ints in and out, without numpy scalars
+    left = right = p = 0
+    todo = []
+    while True:
+        for i in todo:
+            room = right - i
+            if room < _Z_SHORT:
+                k = _extend(data, i, _Z_SHORT)
+            else:
+                k = zv[i - left]  # below i, so settled already
+                if k == room:
+                    k = _extend(data, i, room)
+                elif k > room:
+                    k = room  # what ends the box at right ends this match too
+            zv[i] = k
+            if i + k > right:
+                left, right = i, i + k
+        q = int(np.searchsorted(long, right))  # the long positions below right
+        if q - p > _Z_STEPS:
+            d = long[p:q]
+            zj = z[d % left]
+            room = right - d
+            z[d] = np.minimum(zj, room)
+            todo = d[zj == room].tolist()
+            p = q
+        elif p < len(long):
+            todo = long[p : p + _Z_STEPS].tolist()
+            p += len(todo)
         else:
-            # Z[i - left] < _Z_SHORT <= Z[i] would force room < _Z_SHORT,
-            # so i - left is in `long` and zl holds its Z
-            k = zl[i - left]
-            if k == room:
-                k = _extend(data, i, room)
-            elif k > room:
-                k = room  # what ends the box at right ends this match too
-        zl[i] = k
-        out.append(k)
-        if i + k > right:
-            left, right = i, i + k
-    z[long] = out
+            return
 
 
 def _extend(data: bytes, i: int, k: int) -> int:

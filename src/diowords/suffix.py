@@ -23,16 +23,20 @@ def suffix_index(data: bytes, depth: int | None = None) -> tuple[np.ndarray, np.
     SA lists the start positions of the suffixes in lexicographic order,
     and LCP[r] = lcp(suffix SA[r-1], suffix SA[r]), with LCP[0] = 0.
 
-    Prefix doubling (Manber & Myers, SIAM J. Comput. 1993).  The first
-    rounds pack whole K-letter windows into one int64 key, letters as
-    1..s and the end of the word as 0, while 2K windows still fit in 62
-    bits.  Each later round sorts by the pair (rank of the first k
-    letters, rank of the next k); ranks are dense in [0, N), so the pair
-    key fits in int64 for any N below 3 * 10^9.  With a depth, doubling
-    stops once the suffixes are sorted by their first ``depth`` letters
-    (or more): the order among suffixes that share those letters is then
-    arbitrary, and each LCP is exact below ``depth`` and at least
-    ``depth`` otherwise.
+    Prefix doubling (Manber & Myers, SIAM J. Comput. 1993).  Each round
+    sorts one int64 value per suffix, its key shifted left by the b =
+    bit length of N - 1 bits that hold its position: the low bits of the
+    sorted values are SA, the rest are the sorted keys, and equal keys
+    come out by position.  The first rounds pack whole K-letter windows
+    into one key, letters as 1..s and the end of the word as 0, while 2K
+    windows still fit in 63 - b bits.  Each later round sorts by the pair
+    (rank of the first k letters, rank of the next k); ranks are dense in
+    [0, N), so a pair key is below (N + 1)^2.  Where (N + 1)^2 2^b passes
+    int64, above N of about 2.09 * 10^6, the rounds argsort the keys
+    alone instead.  With a depth, the last round sorts by exactly the
+    first ``depth`` letters: suffixes that share them come in ascending
+    position (past the int64 bound, in the order argsort leaves), and
+    each LCP is exact below ``depth`` and at least ``depth`` otherwise.
 
     The LCP comes from the same rounds, as in Manber & Myers: two
     distinct positions share a rank of round k exactly when their lce is
@@ -46,10 +50,11 @@ def suffix_index(data: bytes, depth: int | None = None) -> tuple[np.ndarray, np.
     a = np.frombuffer(data, dtype=np.uint8)
     code = np.cumsum(np.bincount(a, minlength=256) > 0)  # letters as 1..s
     bits = int(code[-1]).bit_length()
+    b = _position_bits(n)
     key = np.zeros(n + 1, dtype=np.int64)  # key[N] = 0: the empty suffix
     key[:n] = code[a]
     k = 1
-    while 2 * k * bits <= 62 and k < n:
+    while 2 * k * bits <= 63 - b and k < n:
         key[: n - k] = (key[: n - k] << (k * bits)) | key[k:n]
         key[n - k : n] <<= k * bits
         k *= 2
@@ -58,8 +63,9 @@ def suffix_index(data: bytes, depth: int | None = None) -> tuple[np.ndarray, np.
     # suffixes there share their first k letters; index N stands for the
     # empty suffix)
     levels = [(k, key)]
-    sa = np.argsort(key[:n])
-    ordered = key[sa]
+    lead = k if depth is None else min(k, depth)
+    # sorts a copy: levels[0] keeps the packed keys
+    sa, ordered = _sort(key[:n] >> ((k - lead) * bits), b)
     while True:
         rank = np.empty(n + 1, dtype=np.int32 if n < 2**31 else np.int64)
         rank[n] = -1
@@ -70,14 +76,35 @@ def suffix_index(data: bytes, depth: int | None = None) -> tuple[np.ndarray, np.
             levels.append((k, rank))
         if depth is not None and k >= depth:
             break
+        # the next s letters, where s = k, or fewer to end at the depth
+        s = k if depth is None else min(k, depth - k)
         # in int64 whatever the rank dtype: numpy < 2 keeps an int32 array
         # times an int64 scalar in int32, which wraps past N = 46340
         pair = np.multiply(rank[:n], n + 1, dtype=np.int64)
-        pair[: n - k] += rank[k:n] + 1
-        sa = np.argsort(pair)
-        ordered = pair[sa]
-        k *= 2
+        pair[: n - s] += rank[s:n] + 1
+        sa, ordered = _sort(pair, b)
+        k += s
     return sa, _lcp_from_levels(sa, levels, bits)
+
+
+def _position_bits(n: int) -> int:
+    """Bits for a position below each sort key, or 0 past the int64 bound."""
+    b = (n - 1).bit_length()
+    return b if (n + 1) ** 2 << b <= 2**63 else 0
+
+
+def _sort(key: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """SA and the sorted keys, by one value sort of (key << b) | position
+    in the memory of ``key``, or with b = 0 by argsort."""
+    if not b:
+        sa = np.argsort(key)
+        return sa, key[sa]
+    key <<= b
+    key |= np.arange(len(key))
+    key.sort()
+    sa = key & ((1 << b) - 1)
+    key >>= b
+    return sa, key
 
 
 def _lcp_from_levels(sa: np.ndarray, levels: list, bits: int) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 `lcp_array` is Kasai's scan, which extends every match one letter at a
 time; `suffix.suffix_index` reads the same array off the ranks of its
-prefix-doubling rounds.
+prefix-doubling rounds.  `longest_previous_factor` grows each earlier
+occurrence one letter at a time; `suffix.longest_previous_factor` reads
+the same array off SA and LCP.
 """
 
 from __future__ import annotations
@@ -39,3 +41,22 @@ def lcp_array(data: bytes, sa) -> list[int]:
         if h:
             h -= 1
     return [plcp[i] for i in sa]
+
+
+def longest_previous_factor(data: bytes) -> list[int]:
+    """LPF[i] = max over j < i of lce(j, i), with LPF[0] = 0.
+
+    Letter by letter: the L letters at i have an earlier occurrence
+    exactly when they occur in data[: i + L - 1], and LPF[i] >= LPF[i-1] - 1,
+    so each position starts one short of its predecessor and grows one
+    letter per search.
+    """
+    n = len(data)
+    lpf = [0] * n
+    h = 0
+    for i in range(1, n):
+        h = max(h - 1, 0)
+        while i + h < n and data.find(data[i : i + h + 1], 0, i + h) != -1:
+            h += 1
+        lpf[i] = h
+    return lpf

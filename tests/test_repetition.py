@@ -11,9 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diowords.cli import parse_word_source
+from diowords import repetition
 from diowords.repetition import (
     _Z_SHORT,
     RepetitionWitness,
+    _extend,
     _z_array,
     dio_brute_force,
     dio_estimate,
@@ -274,6 +276,50 @@ class TestZArray:
 
     def test_empty_word(self):
         assert _z_array(b"").tolist() == []
+
+    @pytest.mark.parametrize("period", [17, 33, 100])
+    def test_a_letter_flipped_every_third_period(self, period):
+        rng = np.random.default_rng(period)
+        data = np.tile(rng.integers(0, 2, period, dtype=np.uint8), 30_000 // period)
+        for start in range(0, len(data), 3 * period):
+            data[start + rng.integers(period)] ^= 1
+        assert_z_matches_oracle(data.tobytes())
+
+    @pytest.mark.parametrize("count", [1, 31, 32, 33, 63, 64, 65, 66, 97])
+    def test_box_of_multiples_of_its_start(self, count):
+        # the letter 2 only at multiples of l: the long positions are l, 2l, ...,
+        # count l, all in the box that l opens; a tail letter 3 ends it
+        rng = np.random.default_rng(count)
+        for l in (20, 51):
+            block = b"\2" + bytes(rng.integers(0, 2, l - 1, dtype=np.uint8))
+            for tail in (b"\3", block[:7] + b"\3"):
+                data = block * (count + 1) + tail
+                assert np.flatnonzero(_z_array(data) >= _Z_SHORT).tolist()[1:] == [
+                    l * q for q in range(1, count + 1)
+                ]
+                assert_z_matches_oracle(data)
+
+    @pytest.mark.parametrize("blocks", [20, 40, 80])
+    def test_matches_to_extend_inside_a_wide_box(self, blocks):
+        # in (0^20 1)^t 0^(20+e) 2 the box at 21 ends at 21t + 20, and Z[j] = 20 - j
+        # reaches exactly to its end from 21t + j: those matches run on into the tail
+        for e in range(6):
+            assert_z_matches_oracle((b"\0" * 20 + b"\1") * blocks + b"\0" * (20 + e) + b"\2")
+
+    @pytest.mark.parametrize(
+        "data", [b"\0" * (10**5 - 1) + b"\1", b"\0\0\1" * (10**5 // 3)], ids=["0^(N-1)1", "(001)^n"]
+    )
+    def test_one_wide_box_extends_once(self, data, monkeypatch):
+        # every long position is a multiple of the box start, whose Z is N
+        calls = []
+
+        def counted(data, i, k):
+            calls.append(i)
+            return _extend(data, i, k)
+
+        monkeypatch.setattr(repetition, "_extend", counted)
+        assert_z_matches_oracle(data)
+        assert len(calls) == 1
 
     @given(near_periodic_words())
     @settings(max_examples=500, deadline=None)

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diowords import suffix
 from diowords.sturmian import mechanical_word, parse_slope
-from diowords.suffix import suffix_index
+from diowords.suffix import _position_bits, _sort, longest_previous_factor, suffix_index
 
 import suffix_oracle as oracle
 from strategies import mixed_words
@@ -20,21 +21,23 @@ def check_full(data: bytes) -> None:
 
 def check_depth(data: bytes, depth: int) -> None:
     sa, lcp = suffix_index(data, depth)
-    heads = [data[i : i + depth] for i in sa.tolist()]
+    # by the first `depth` letters, and by position where those agree
+    keys = [(data[i : i + depth], i) for i in sa.tolist()]
     assert sorted(sa.tolist()) == list(range(len(data)))
-    assert heads == sorted(heads)
+    assert keys == sorted(keys)
     full = oracle.lcp_array(data, oracle.sorted_suffixes(data))
     assert [min(h, depth) for h in lcp.tolist()] == [min(h, depth) for h in full]
 
 
 def check_adjacent(data: bytes, sa: np.ndarray, lcp: np.ndarray, depth: int | None = None) -> None:
     """Each adjacent pair agrees on exactly LCP letters and then ascends;
-    with a depth, on at least ``depth`` letters where LCP reaches it."""
+    with a depth, on at least ``depth`` letters where LCP reaches it, and
+    then by position."""
     n = len(data)
     assert sorted(sa.tolist()) == list(range(n))
     for a, b, h in zip(sa[:-1].tolist(), sa[1:].tolist(), lcp[1:].tolist()):
         if depth is not None and h >= depth:
-            assert data[a : a + depth] == data[b : b + depth]
+            assert data[a : a + depth] == data[b : b + depth] and a < b
             continue
         assert data[a : a + h] == data[b : b + h]
         assert a + h == n or (b + h < n and data[a + h] < data[b + h])
@@ -89,3 +92,95 @@ class TestSuffixIndex:
         check_adjacent(data, sa, lcp, depth)
         if depth is None:
             assert lcp.tolist() == oracle.lcp_array(data, sa.tolist())
+
+    @pytest.mark.parametrize("letters", [4, 7])
+    @pytest.mark.parametrize("n", [2**15, 2**15 + 1])
+    def test_packing_at_three_bits_a_letter(self, letters, n):
+        # 16 letters of 3 bits leave 15 bits for a position: up to N = 2^15
+        # the first round packs 16 letters, past it 8
+        assert 2 * 8 * 3 + _position_bits(2**15) == 63 < 2 * 8 * 3 + _position_bits(2**15 + 1)
+        data = window_code(mechanical_word(parse_slope("surd:-3,-2,5"), Fraction(1, 3), n + 5).symbols,
+                           letters - 1)[:n]
+        assert len(set(data)) == letters
+        for depth in (None, 5, 12, 40):
+            sa, lcp = suffix_index(data, depth)
+            check_adjacent(data, sa, lcp, depth)
+            if depth is None:
+                assert lcp.tolist() == oracle.lcp_array(data, sa.tolist())
+
+
+def window_code(data: bytes, w: int) -> bytes:
+    """Each length-w window of ``data`` as one letter: w + 1 letters on a Sturmian word."""
+    windows = [data[i : i + w] for i in range(len(data) - w + 1)]
+    names = {f: c for c, f in enumerate(sorted(set(windows)))}
+    return bytes(names[f] for f in windows)
+
+
+def argsort_index(data: bytes, depth: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """`suffix_index` as it runs past the int64 bound of the value sort."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(suffix, "_position_bits", lambda n: 0)
+        return suffix_index(data, depth)
+
+
+class TestArgsortFallback:
+    """Where (N + 1)^2 2^b passes int64 the rounds argsort; the index is the
+    same up to the order of suffixes that share their first ``depth`` letters."""
+
+    def test_bound(self):
+        last = 2**21 - 1  # the largest N with value sorts
+        assert (_position_bits(last), _position_bits(last + 1)) == (21, 0)
+        # its largest pair key, shifted, with the largest position below it
+        assert ((last - 1) * (last + 1) + last) << 21 | (last - 1) < 2**63
+
+    @given(st.lists(st.integers(0, 5), max_size=60), st.integers(0, 4))
+    def test_sort(self, values, spare):
+        # b position bits hold every position below len(values)
+        b = max(1, (len(values) - 1).bit_length()) + spare
+        key = np.array(values, dtype=np.int64)
+        sa, ordered = _sort(key.copy(), b)
+        sa0, ordered0 = _sort(key.copy(), 0)
+        assert ordered.tolist() == ordered0.tolist() == sorted(values)
+        assert key[sa0].tolist() == sorted(values)
+        assert sa.tolist() == sorted(range(len(values)), key=lambda i: (values[i], i))
+
+    def check_same(self, data: bytes, depth: int | None) -> None:
+        sa, lcp = suffix_index(data, depth)
+        sa0, lcp0 = argsort_index(data, depth)
+        if depth is None:
+            assert (sa0.tolist(), lcp0.tolist()) == (sa.tolist(), lcp.tolist())
+            return
+        assert [data[i : i + depth] for i in sa0.tolist()] == [data[i : i + depth] for i in sa.tolist()]
+        assert np.minimum(lcp0, depth).tolist() == np.minimum(lcp, depth).tolist()
+
+    @given(mixed_words(min_size=0), st.one_of(st.none(), st.integers(1, 70)))
+    @settings(max_examples=100)
+    def test_matches_the_sort_path(self, w, depth):
+        self.check_same(w.symbols, depth)
+
+    @pytest.mark.parametrize("depth", [None, 24])
+    def test_long_words(self, depth):
+        self.check_same(mechanical_word(parse_slope("cfslope:1,(2,3)*"), Fraction(1, 3), 10**5).symbols,
+                        depth)
+        self.check_same(bytes(np.random.default_rng(4).integers(0, 5, 10**5, dtype=np.uint8)), depth)
+
+
+def check_lpf(data: bytes) -> None:
+    lpf = longest_previous_factor(*suffix_index(data))
+    assert lpf.tolist() == oracle.longest_previous_factor(data)
+
+
+class TestLongestPreviousFactor:
+    @given(mixed_words(min_size=0))
+    @settings(max_examples=200)
+    def test_mixed_words(self, w):
+        check_lpf(w.symbols)
+
+    @pytest.mark.parametrize("slope", ["surd:-3,-2,5", "cfslope:(1)*", "cfslope:3,(5,31,2)*"])
+    def test_sturmian(self, slope):
+        check_lpf(mechanical_word(parse_slope(slope), Fraction(2, 7), 10**4).symbols)
+
+    @pytest.mark.parametrize("block", [b"\0", b"\0\1", b"\0\0\1", b"\0\1\0\0\1\1\0"])
+    def test_periodic(self, block):
+        n = 10**4 + 1
+        check_lpf((block * n)[:n])
