@@ -65,6 +65,8 @@ def parse_word_source(
             base = int(parts[1])
         except ValueError:
             raise ValueError(f"bad base {parts[1]!r}") from None
+        if base > 256:  # checked before any digit is computed
+            raise ValueError("word view needs base <= 256")
         return realnum.digits(spec, base, prefix, max_bits=max_bits).fractional_word()
     if text.startswith("sturmian:"):
         parts = text[9:].split("|")

@@ -54,6 +54,7 @@ _GUARD_BITS = 32
 _STR_LEAF_DIGITS = getattr(sys.int_info, "str_digits_check_threshold", 640)
 
 Dyadic = tuple[int, int, int]  # (lo_num, hi_num, scale)
+Digits = Union[bytes, tuple[int, ...]]  # bytes in bases up to 256, a tuple above
 
 
 class PrecisionBudgetError(RuntimeError):
@@ -644,12 +645,13 @@ class DigitStream:
 
     `certified` counts the fractional digits that are pinned down by the
     enclosure; it equals `requested` unless the refinement budget ran
-    out first.  Re-running the extraction yields identical digits.
+    out first.  Re-running the extraction yields identical digits.  The
+    digits are `bytes` in bases up to 256 and a tuple of ints above.
     """
 
     base: int
     integer_part: int
-    fractional_digits: tuple[int, ...]
+    fractional_digits: Digits
     requested: int
 
     @property
@@ -662,7 +664,7 @@ class DigitStream:
 
     def as_text(self) -> str:
         if self.base <= 36:
-            frac = bytes(self.fractional_digits).translate(DIGITS_TO_CHARS).decode("ascii")
+            frac = self.fractional_digits.translate(DIGITS_TO_CHARS).decode("ascii")
         else:
             frac = ",".join(map(str, self.fractional_digits))
         ipart = decimal_text(self.integer_part)
@@ -674,7 +676,7 @@ class DigitStream:
     def fractional_word(self) -> Word:
         if self.base > 256:
             raise ValueError("word view needs base <= 256")
-        return Word(bytes(self.fractional_digits), self.base)
+        return Word(self.fractional_digits, self.base)
 
     def value(self) -> Fraction:
         """The rational number formed by the certified digits."""
@@ -694,8 +696,8 @@ def digits(spec: RealSpec, base: int, count: int, max_bits: int = DEFAULT_MAX_BI
 
 def digits_from_enclosure(enc: Enclosure, base: int, count: int) -> DigitStream:
     if enc.is_point():
-        x = enc.lo
-        return _stream_from_scaled(base, count, x.numerator * base**count // x.denominator, count)
+        x, cell = enc.lo, base**count
+        return _stream_from_scaled(base, count, x.numerator * cell // x.denominator, count, cell)
     # y = floor(x base^count) is a plain shift when the base is a power of two
     shift = base.bit_length() - 1 if base & (base - 1) == 0 else 0
     scale = 1 << (shift * count) if shift else base**count
@@ -706,11 +708,14 @@ def digits_from_enclosure(enc: Enclosure, base: int, count: int) -> DigitStream:
         if shift:
             y_lo, y_hi = (lo << shift * count) >> s, (hi << shift * count) >> s
         else:
-            y_lo, y_hi = (lo * scale) >> s, (hi * scale) >> s
+            # hi - lo is a few guard bits wide, so the second product is small
+            t = lo * scale
+            y_lo, y_hi = t >> s, (t + (hi - lo) * scale) >> s
         if y_lo == y_hi:
-            return _stream_from_scaled(base, count, y_lo, count)
+            return _stream_from_scaled(base, count, y_lo, count, scale)
         if not enc.refine():
-            return _stream_from_scaled(base, *_agreed_prefix(y_lo, y_hi, base, count), count)
+            k, y = _agreed_prefix(y_lo, y_hi, base, count)
+            return _stream_from_scaled(base, k, y, count, base**k)
 
 
 def _agreed_prefix(y_lo: int, y_hi: int, base: int, count: int) -> tuple[int, int]:
@@ -732,9 +737,9 @@ def _agreed_prefix(y_lo: int, y_hi: int, base: int, count: int) -> tuple[int, in
     return k, y_lo
 
 
-def _stream_from_scaled(base: int, ndigits: int, y: int, requested: int) -> DigitStream:
-    scale = base**ndigits
-    ipart, frac = divmod(y, scale)
+def _stream_from_scaled(base: int, ndigits: int, y: int, requested: int, cell: int) -> DigitStream:
+    # cell = base^ndigits
+    ipart, frac = divmod(y, cell)
     return DigitStream(
         base=base,
         integer_part=ipart,
@@ -743,54 +748,61 @@ def _stream_from_scaled(base: int, ndigits: int, y: int, requested: int) -> Digi
     )
 
 
-def _int_to_base_digits(x: int, base: int, width: int) -> tuple[int, ...]:
+def _int_to_base_digits(x: int, base: int, width: int) -> Digits:
     """Base-b digits of x, zero-padded to `width` (x < base**width)."""
+    if base == 256:
+        return x.to_bytes(width, "big")
     if width == 0:
-        return ()
+        return b"" if base <= 256 else ()
     if base in (2, 8, 16):
         text = format(x, {2: "b", 8: "o", 16: "x"}[base])
-        return tuple(text.zfill(width).encode("ascii").translate(CHARS_TO_DIGITS))
+        return text.zfill(width).encode("ascii").translate(CHARS_TO_DIGITS)
     if base & (base - 1) == 0:
         shift = base.bit_length() - 1
         text = format(x, "b").zfill(shift * width)
-        return tuple(int(text[i : i + shift], 2) for i in range(0, shift * width, shift))
-    return tuple(_digits_divide_conquer(x, base, width))
+        ds = [int(text[i : i + shift], 2) for i in range(0, shift * width, shift)]
+        return bytes(ds) if base <= 256 else tuple(ds)
+    return _digits_divide_conquer(x, base, width, {})
 
 
-def _digits_divide_conquer(x: int, base: int, width: int) -> list[int]:
-    """The `width` base-b digits of x, split at base^(width // 2) down to
-    leaves (Brent & Zimmermann, Modern Computer Arithmetic, 2010, section
-    1.7).  A base-10 leaf of at most _STR_LEAF_DIGITS digits is rendered by
-    `str`, any other leaf of at most 32 digits by repeated division."""
+def _digits_divide_conquer(x: int, base: int, width: int, powers: dict[int, int]) -> Digits:
+    """The `width` base-b digits of x, `bytes` up to base 256 and a tuple
+    above, split at base^(width // 2) down to leaves (Brent & Zimmermann,
+    Modern Computer Arithmetic, 2010, section 1.7), each base^half computed
+    once into `powers`.  A base-10 leaf of at most _STR_LEAF_DIGITS digits
+    is rendered by `str`, any other leaf of at most 32 digits by division."""
     if base == 10 and width <= _STR_LEAF_DIGITS:
-        return list(str(x).zfill(width).encode("ascii").translate(CHARS_TO_DIGITS))
+        return str(x).zfill(width).encode("ascii").translate(CHARS_TO_DIGITS)
     if base != 10 and width <= 32:
         out = []
         for _ in range(width):
             x, r = divmod(x, base)
             out.append(r)
-        return out[::-1]
+        return bytes(out[::-1]) if base <= 256 else tuple(out[::-1])
     half = width // 2
-    high, low = divmod(x, base**half)
-    return _digits_divide_conquer(high, base, width - half) + _digits_divide_conquer(low, base, half)
+    if half not in powers:
+        powers[half] = base**half
+    high, low = divmod(x, powers[half])
+    high_digits = _digits_divide_conquer(high, base, width - half, powers)
+    return high_digits + _digits_divide_conquer(low, base, half, powers)
 
 
 def decimal_text(x: int) -> str:
     """Decimal text of an integer of any size, under any process-wide limit
     on integer string conversion."""
     # x < 2^L has at most L log10(2) + 1 digits
-    ds = _digits_divide_conquer(abs(x), 10, int(x.bit_length() * math.log10(2)) + 2)
-    text = bytes(ds).translate(DIGITS_TO_CHARS).decode("ascii").lstrip("0") or "0"
+    ds = _digits_divide_conquer(abs(x), 10, int(x.bit_length() * math.log10(2)) + 2, {})
+    text = ds.translate(DIGITS_TO_CHARS).decode("ascii").lstrip("0") or "0"
     return "-" + text if x < 0 else text
 
 
-def _digits_to_int(ds: Iterable[int], base: int) -> int:
+def _digits_to_int(ds: Iterable[int], base: int, powers: dict[int, int] | None = None) -> int:
     """The integer whose base-b digits, most significant first, are `ds`.
 
-    The mirror of `_digits_divide_conquer`, with the same leaves: the high
-    digits times base^(len // 2) plus the low ones.  A base-10 leaf is read
-    by `int`, which checks the process-wide digit limit only above
-    _STR_LEAF_DIGITS digits, any other leaf by a Horner loop.
+    The mirror of `_digits_divide_conquer`, with the same leaves and
+    powers: the high digits times base^(len // 2) plus the low ones.  A
+    base-10 leaf is read by `int`, which checks the process-wide digit
+    limit only above _STR_LEAF_DIGITS digits, any other leaf by a Horner loop.
     """
     if not isinstance(ds, (bytes, tuple, list)):
         ds = tuple(ds)
@@ -802,6 +814,8 @@ def _digits_to_int(ds: Iterable[int], base: int) -> int:
         for d in ds:
             value = value * base + d
         return value
-    half = width // 2
-    high = _digits_to_int(ds[: width - half], base)
-    return high * base**half + _digits_to_int(ds[width - half :], base)
+    half, powers = width // 2, {} if powers is None else powers
+    if half not in powers:
+        powers[half] = base**half
+    high = _digits_to_int(ds[: width - half], base, powers)
+    return high * powers[half] + _digits_to_int(ds[width - half :], base, powers)

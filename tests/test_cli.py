@@ -10,7 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings
 
-from diowords import contfrac
+from diowords import contfrac, realnum
 from diowords.cli import main
 from diowords.realnum import Surd, _digits_to_int, enclosure, mobius, parse_real_spec
 
@@ -258,6 +258,18 @@ class TestExitCodes:
         # and too few terms or digits for the command is a budget error
         code, _, _ = run_cli(capsys, *argv)
         assert code == 3
+
+    def test_oversized_word_base_is_refused_before_any_digit(self, capsys, monkeypatch):
+        # 200000 digits of e in base 300 took seconds before the base was refused
+        def unused(*args, **kwargs):
+            raise AssertionError("a word cannot hold base-300 digits")
+
+        monkeypatch.setattr(realnum, "digits", unused)
+        code, out, err = run_cli(
+            capsys, "complexity", "digits:e|300", "--prefix", "200000", "--n-max", "5"
+        )
+        assert code == 2 and out == ""
+        assert "word view needs base <= 256" in err
 
     def test_folded_e_image_keeps_the_budget_of_e(self, capsys):
         # |7e - 19| is about 0.028: the image needs more bits of e than the 120 allowed

@@ -3,14 +3,17 @@
 Digits are rendered by one divide-and-conquer splitter in every base that
 is not a power of two; its base-10 leaves go through `str`, and
 `_digits_to_int` reads digits back by the mirror splitting, whose
-base-10 leaves go through `int`.  The digests below were recorded with
-the base-10 path that rendered the whole scaled integer with `str`.
+base-10 leaves go through `int`.  Powers of two are cut from the binary
+text, base 256 comes from `int.to_bytes`.  Digits are `bytes` in bases up
+to 256 and a tuple above.  The digests below were recorded with the base-10 path
+that rendered the whole scaled integer with `str`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -22,6 +25,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diowords.realnum import (
+    DEFAULT_MAX_BITS,
     PrecisionBudgetError,
     SeriesE,
     Surd,
@@ -32,6 +36,7 @@ from diowords.realnum import (
     digits,
 )
 
+from digit_oracle import digits_by_divmod, surd_digits
 from test_cli import readme_examples, run_cli
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -51,7 +56,7 @@ def test_base10_digits_1e5_digest(name, spec):
 @st.composite
 def padded_ints(draw):
     """(x, base, width) with x < base^width, often with leading zeros."""
-    base = draw(st.integers(2, 40))
+    base = draw(st.one_of(st.integers(2, 40), st.sampled_from((64, 128, 256, 257))))
     width = draw(st.one_of(st.integers(0, 40), st.integers(600, 700), st.integers(0, 2000)))
     top = draw(st.integers(0, width))
     x = draw(st.integers(0, base**top - 1)) if top else 0
@@ -67,6 +72,24 @@ def test_digit_round_trip(case):
     assert _digits_to_int(ds, base) == x
 
 
+@pytest.mark.parametrize("base", [2**k for k in range(1, 11)])
+@given(
+    width=st.one_of(st.integers(0, 40), st.integers(0, 2000)),
+    zeros=st.integers(0, 2000),
+    seed=st.integers(0, 2**32),
+)
+@example(width=0, zeros=0, seed=0)
+@example(width=50, zeros=50, seed=0)
+@settings(max_examples=40, deadline=None)
+def test_power_of_two_bases_match_divmod(base, width, zeros, seed):
+    # x has at least `zeros` leading zero digits
+    x = random.Random(seed).randrange(base ** (width - min(zeros, width)))
+    ds = _int_to_base_digits(x, base, width)
+    assert type(ds) is (bytes if base <= 256 else tuple)
+    assert list(ds) == digits_by_divmod(x, base, width)
+    assert _digits_to_int(ds, base) == x
+
+
 def digits_to_int_horner(ds, base):
     """One multiply-add per digit: the quadratic loop `_digits_to_int` replaced."""
     value = 0
@@ -79,7 +102,7 @@ def digits_to_int_horner(ds, base):
 def digit_sequences(draw):
     """(digits, base): up to 10^5 digits, often with leading zeros, and widths
     at the leaf sizes of the codec (32 digits, 640 in base 10) and one past."""
-    base = draw(st.sampled_from((2, 3, 7, 10, 16, 36, 1000)))
+    base = draw(st.sampled_from((2, 3, 7, 10, 16, 36, 64, 128, 256, 1000)))
     width = draw(st.one_of(
         st.sampled_from((0, 1, 32, 33, 64, 65, 640, 641, 1280, 1281)),
         st.integers(0, 2000),
@@ -100,7 +123,7 @@ def test_digits_to_int_round_trip(case, kind):
         kind = tuple
     x = _digits_to_int(kind(ds), base)
     assert 0 <= x < base ** len(ds)
-    assert _int_to_base_digits(x, base, len(ds)) == ds
+    assert _int_to_base_digits(x, base, len(ds)) == (bytes(ds) if base <= 256 else ds)
     if len(ds) <= 3000:
         assert x == digits_to_int_horner(ds, base)
 
@@ -114,6 +137,34 @@ def test_decimal_text_round_trip(x):
     assert text.startswith("-") == (x < 0)
     assert digits_only == "0" or not digits_only.startswith("0")
     assert _digits_to_int(map(int, digits_only), 10) == abs(x)
+
+
+@st.composite
+def irrational_surds(draw):
+    """(p, q, d): (p + sqrt(d)) / q with d not a perfect square."""
+    d = draw(st.integers(2, 10**6).filter(lambda d: math.isqrt(d) ** 2 != d))
+    return draw(st.integers(-1000, 1000)), draw(st.integers(-50, 50).filter(bool)), d
+
+
+@given(
+    irrational_surds(),
+    st.sampled_from((2, 3, 10, 256, 257)),
+    st.one_of(st.integers(0, 40), st.integers(0, 3000)),
+    st.one_of(st.just(DEFAULT_MAX_BITS), st.integers(64, 4000)),
+)
+@example((0, 1, 2), 10, 641, DEFAULT_MAX_BITS)
+@example((-3, -7, 101), 257, 1000, DEFAULT_MAX_BITS)
+@settings(max_examples=100, deadline=None)
+def test_surd_digits_match_the_isqrt_oracle(surd, base, count, max_bits):
+    # bases 3, 10 and 257 take the one-product path, 2 and 256 the shift; a
+    # budget that runs out leaves a prefix of the digits, decided by the
+    # enclosure's two ends
+    stream = digits(Surd(*surd), base, count, max_bits=max_bits)
+    ipart, ds = surd_digits(*surd, base, count)
+    assert stream.integer_part == ipart
+    assert stream.complete or max_bits < DEFAULT_MAX_BITS
+    assert type(stream.fractional_digits) is (bytes if base <= 256 else tuple)
+    assert list(stream.fractional_digits) == ds[: stream.certified]
 
 
 def agreed_prefix_per_digit(y_lo, y_hi, base, count):

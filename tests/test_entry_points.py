@@ -1,8 +1,9 @@
 """The benchmark's span recorder binds the diowords entry points by name.
 
-`perfbench/spans.py` lists them in ENTRY_POINTS.  A rename or deletion in
-`src/` would break the traced benchmark run, whose own recorder test is
-slow and lives outside `tests/`, so this checks the names quickly.
+`perfbench/spans.py` lists them in ENTRY_POINTS, and its probes read a
+few attributes off what they return.  A rename or deletion in `src/`
+would break the traced benchmark run, whose own recorder test is slow
+and lives outside `tests/`, so this checks the names quickly.
 """
 
 import importlib
@@ -10,6 +11,8 @@ import importlib.util
 from pathlib import Path
 
 import pytest
+
+from diowords import contfrac, realnum
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -30,3 +33,25 @@ def test_entry_point_resolves(layer, name):
         assert callable(vars(getattr(module, cls_name)).get(attr))
     else:
         assert callable(getattr(module, name, None))
+
+
+# What the probes of `perfbench/spans.py` read: `digits` and
+# `cf_from_enclosure` results and the enclosure `Enclosure.refine` refines.
+PROBED_ATTRIBUTES = [
+    ("DigitStream", "certified"),
+    ("CFExpansion", "certified"),
+    ("CFExpansion", "rational"),
+    ("CFExpansion", "complete"),
+    ("Enclosure", "bits"),
+]
+
+
+@pytest.mark.parametrize("owner, attr", PROBED_ATTRIBUTES)
+def test_probed_attribute_exists(owner, attr):
+    enc = realnum.enclosure(realnum.SeriesE())
+    probed = {
+        "DigitStream": realnum.digits(realnum.SeriesE(), 10, 5),
+        "CFExpansion": contfrac.cf_from_enclosure(enc, 5),
+        "Enclosure": enc,
+    }
+    assert isinstance(getattr(probed[owner], attr), int)

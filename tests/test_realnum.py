@@ -396,8 +396,8 @@ class TestDigits:
         assert stream.as_text() == "-1+0.6666 certified:4"
 
     def test_binary_and_hex(self):
-        assert digits(Rational(1, 2), 2, 3).fractional_digits == (1, 0, 0)
-        assert digits(Rational(1, 16), 16, 2).fractional_digits == (1, 0)
+        assert digits(Rational(1, 2), 2, 3).fractional_digits == bytes((1, 0, 0))
+        assert digits(Rational(1, 16), 16, 2).fractional_digits == bytes((1, 0))
 
     def test_base_validation(self):
         with pytest.raises(ValueError):
