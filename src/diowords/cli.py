@@ -65,9 +65,7 @@ def parse_word_source(
             base = int(parts[1])
         except ValueError:
             raise ValueError(f"bad base {parts[1]!r}") from None
-        if base > 256:  # checked before any digit is computed
-            raise ValueError("word view needs base <= 256")
-        return realnum.digits(spec, base, prefix, max_bits=max_bits).fractional_word()
+        return realnum.digits(spec, _word_base(base), prefix, max_bits=max_bits).fractional_word()
     if text.startswith("sturmian:"):
         parts = text[9:].split("|")
         if len(parts) > 2:
@@ -81,6 +79,14 @@ def parse_word_source(
             raise ValueError(f"quasi source needs W|MORPHISM|SLOPE[|INTERCEPT]: {text!r}")
         return sturmian.apply_morphism(_quasi_spec(*parts), prefix)
     raise ValueError(f"unknown word source {text!r} (position 0)")
+
+
+def _word_base(base: int) -> int:
+    """The base of a digit word, refused before any digit is computed when
+    a word cannot hold its digits."""
+    if base > 256:
+        raise ValueError("word view needs base <= 256")
+    return base
 
 
 def _quasi_spec(
@@ -278,7 +284,7 @@ def cmd_quasi(args) -> int:
 
 def cmd_approximant(args) -> int:
     spec = realnum.parse_real_spec(args.spec)
-    stream = realnum.digits(spec, args.base, args.prefix, max_bits=args.max_bits)
+    stream = realnum.digits(spec, _word_base(args.base), args.prefix, max_bits=args.max_bits)
     if stream.certified < 2 and not stream.complete:
         raise realnum.PrecisionBudgetError(
             f"refinement budget exhausted after {stream.certified} certified digits"
@@ -317,7 +323,7 @@ def cmd_report(args) -> int:
     spec = realnum.parse_real_spec(args.spec)
     report = approx.dio_mu_report(
         spec,
-        base=args.base,
+        base=_word_base(args.base),
         prefix_length=args.prefix,
         cf_terms=args.terms,
         threshold=args.threshold,

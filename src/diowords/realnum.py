@@ -12,14 +12,14 @@ splitting (Haible & Papanikolaou, ANTS 1998) with the tail bound
 2/K!, surds come from one integer square root (`surd_bracket`),
 continued fractions from the first close pair of the one stateless
 convergent recurrence (`convergent_bracket`), and Moebius images from
-the monotone endpoint maps.  A Moebius image is folded into its inner
-number before any enclosure is built: nested matrices compose into one,
-the image of a surd is a surd, and the image of e maps e's exact
-binary-splitting bracket, so each costs one big division; `mobius` over
-an enclosure serves the other numbers.  `Fraction` appears only at the public
-boundary (`lo`, `hi`, `width`, `bounds()`).  The Sturmian slopes bracket
-themselves through the same two kernels, so this module holds all of
-the slope arithmetic.
+the monotone endpoint maps.  Nested Moebius matrices compose into one
+and the image of a surd is a surd; every other image runs one refine
+loop (`_image_compute`) over an exact bracket of its inner number, e's
+or an enclosure's, and at the budget returns the image of the bracket
+reached, so it prints its certified prefix as a plain number does.
+`Fraction` appears only at the public boundary (`lo`, `hi`, `width`,
+`bounds()`).  The Sturmian slopes bracket themselves through the same
+two kernels, so this module holds all of the slope arithmetic.
 
 Digits are only ever emitted once the enclosure fits inside a single
 digit cell, so every printed digit is exact; when the refinement budget
@@ -70,7 +70,8 @@ class Enclosure:
 
     Either an exact point (a Fraction) or a dyadic interval produced by
     `compute(bits)`, which must return (lo_num, hi_num, scale) whose
-    bracket has width at most 2^-bits before outward rounding.  The
+    bracket has width at most 2^-bits before outward rounding, unless
+    the budget stops a Moebius image short of it.  The
     precision starts at min(bits, max_bits) and never exceeds
     `max_bits`.  Each refinement must land inside the previous interval
     at a scale no smaller than before, so successive snapshots are
@@ -339,11 +340,11 @@ def enclosure(spec: RealSpec, bits: int = _START_BITS, max_bits: int = DEFAULT_M
 def _image_enclosure(spec: Mobius, bits: int, max_bits: int) -> Enclosure:
     """Enclosure of a Moebius image, folded into its inner number.
 
-    Nested matrices compose into one, an irrational surd's image is a
-    surd, and e's image maps e's exact bracket, so each costs one big
-    division.  Any other irrational inner number goes through `mobius`
-    once; an exact point keeps the chain, so a pole at any level is
-    still reported.
+    Nested matrices compose into one and an irrational surd's image is a
+    surd.  e's image maps e's exact bracket through the loop of `mobius`,
+    one big division a bracket; any other irrational inner number goes
+    through `mobius` once.  An exact point keeps the chain, so a pole at
+    any level is still reported.
     """
     a, b, c, d, inner = 1, 0, 0, 1, spec
     while isinstance(inner, Mobius):
@@ -355,7 +356,8 @@ def _image_enclosure(spec: Mobius, bits: int, max_bits: int) -> Enclosure:
         )
         inner = inner.inner
     if isinstance(inner, SeriesE):
-        return Enclosure(_e_image(a, b, c, d, min(bits, max_bits), max_bits), bits, max_bits)
+        compute = _image_compute(a, b, c, d, _e_bracket, min(bits, max_bits), max_bits)
+        return Enclosure(compute, bits, max_bits)
     if isinstance(inner, Surd) and math.isqrt(inner.d) ** 2 != inner.d:
         return enclosure(_surd_image(a, b, c, d, inner), bits, max_bits)
     enc = enclosure(inner, bits, max_bits)
@@ -414,8 +416,8 @@ def _e_split(a: int, b: int) -> tuple[int, int]:
     return p1 * q2 + p2, q1 * q2
 
 
-def _e_bracket(bits: int) -> tuple[int, int]:
-    """(num, den) with e in [num, num + 2] / den, a bracket at most 2^-bits wide.
+def _e_bracket(bits: int) -> tuple[int, int, int]:
+    """(num, num + 2, den) with e in [num, num + 2] / den, at most 2^-bits wide.
 
     e lies in [S, S + 2/K!] for S = sum_{j<K} 1/j! and the smallest K with
     K! >= 2^(bits+1); binary splitting gives S exactly, so num = K! S and
@@ -430,42 +432,15 @@ def _e_bracket(bits: int) -> tuple[int, int]:
         elif k * q < threshold:
             k += 1
         else:
-            return k * (q + p), k * q
+            return k * (q + p), k * (q + p) + 2, k * q
 
 
 def _compute_e(bits: int) -> Dyadic:
-    num, den = _e_bracket(bits)
+    num, _, den = _e_bracket(bits)
     scale = bits + _GUARD_BITS
     lo, rem = divmod(num << scale, den)
     # (num + 2) / den = (lo + (rem + 2^(scale+1)) / den) / 2^scale
     return lo, lo - (-(rem + (2 << scale)) // den), scale
-
-
-def _e_image(a: int, b: int, c: int, d: int, bits: int, max_bits: int) -> Callable[[int], Dyadic]:
-    """`compute` of e's image under x -> (ax+b)/(cx+d): the matrix maps e's
-    exact bracket, which starts at precision `bits` and is refined as
-    `mobius` refines an inner enclosure, never past `max_bits`."""
-    inner_bits = bits
-
-    def compute(nbits: int) -> Dyadic:
-        nonlocal inner_bits
-        scale = nbits + _GUARD_BITS
-        while True:
-            num, den = _e_bracket(inner_bits)
-            image = _image_bracket(a, b, c, d, num, num + 2, den, scale)
-            if image is None:
-                message, target = "Moebius pole not separable within budget", 2 * inner_bits
-            else:
-                excess = (image[1] - image[0] - 2).bit_length() - _GUARD_BITS
-                if excess <= 0:  # width at most 2^-nbits before rounding
-                    return (*image, scale)
-                message = "refinement budget exhausted in Moebius image"
-                target = inner_bits + excess + _GUARD_BITS
-            if inner_bits >= max_bits:
-                raise PrecisionBudgetError(message)
-            inner_bits = min(max(target, inner_bits + 1), max_bits)
-
-    return compute
 
 
 def _compute_shallit(bits: int) -> Dyadic:
@@ -558,9 +533,10 @@ def mobius(
     The map is monotone away from its pole, so the image interval is the
     image of the endpoints, increasing when ad - bc = 1; the inner
     enclosure is refined until the pole is excluded and the image is
-    tight enough.  The image of an exact point is exact.  `enclosure`
-    folds the images of surds and of e into their inner number instead;
-    this serves every other enclosure and is the oracle of those folds.
+    tight enough, or to its budget, where the image of the bracket
+    reached is returned.  The image of an exact point is exact.  The
+    same loop maps e's exact bracket in `enclosure`, which folds the
+    images of surds into a surd; this is the oracle of both folds.
     """
     if abs(a * d - b * c) != 1:
         raise ValueError("Moebius matrix must satisfy |ad - bc| = 1")
@@ -570,25 +546,48 @@ def mobius(
             raise ValueError("Moebius pole at the inner value")
         return Enclosure.exact((a * x + b) / (c * x + d), bits, max_bits)
 
+    def ends(k: int) -> tuple[int, int, int]:
+        inner.refine(k)
+        lo, hi, s = inner.dyadic()
+        return lo, hi, 1 << s
+
+    return Enclosure(_image_compute(a, b, c, d, ends, inner.bits, inner._max_bits), bits, max_bits)
+
+
+def _image_compute(
+    a: int, b: int, c: int, d: int, ends: Callable[[int], tuple[int, int, int]], bits: int, max_bits: int
+) -> Callable[[int], Dyadic]:
+    """`compute` of the image of x under x -> (ax+b)/(cx+d), where `ends(k)`
+    is an exact bracket (lo, hi, den) of x at precision k.
+
+    The precision of x starts at `bits`; a pole on the bracket doubles it and
+    an image too wide moves it by the excess plus guard bits, never past
+    `max_bits`.  There the image of the bracket reached is returned, as a
+    plain number returns its own, and only a pole still on it raises.
+    """
+    inner_bits = bits
+
     def compute(nbits: int) -> Dyadic:
+        nonlocal inner_bits
         scale = nbits + _GUARD_BITS
         while True:
-            lo, hi, s = inner.dyadic()
-            image = _image_bracket(a, b, c, d, lo, hi, 1 << s, scale)
+            lo, hi, den = ends(inner_bits)
+            image = _image_bracket(a, b, c, d, lo, hi, den, scale)
             if image is None:
-                if inner.is_point():
+                if lo == hi:
                     raise ValueError("Moebius pole at the inner value")
-                if not inner.refine():
+                if inner_bits >= max_bits:
                     raise PrecisionBudgetError("Moebius pole not separable within budget")
-                continue
-            excess = (image[1] - image[0] - 2).bit_length() - _GUARD_BITS
-            if excess <= 0:  # width at most 2^-nbits before rounding
-                return (*image, scale)
-            # the image narrows with the inner width; guard bits spare a second round
-            if not inner.refine(inner.bits + excess + _GUARD_BITS):
-                raise PrecisionBudgetError("refinement budget exhausted in Moebius image")
+                target = 2 * inner_bits
+            else:
+                excess = (image[1] - image[0] - 2).bit_length() - _GUARD_BITS
+                if excess <= 0 or inner_bits >= max_bits:  # at most 2^-nbits wide, or the budget
+                    return (*image, scale)
+                # the image narrows with the inner width; guard bits spare a second round
+                target = inner_bits + excess + _GUARD_BITS
+            inner_bits = min(max(target, inner_bits + 1), max_bits)
 
-    return Enclosure(compute, bits, max_bits)
+    return compute
 
 
 def _image_bracket(

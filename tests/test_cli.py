@@ -10,7 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings
 
-from diowords import contfrac, realnum
+from diowords import approx, contfrac, realnum
 from diowords.cli import main
 from diowords.realnum import Surd, _digits_to_int, enclosure, mobius, parse_real_spec
 
@@ -265,19 +265,35 @@ class TestExitCodes:
             raise AssertionError("a word cannot hold base-300 digits")
 
         monkeypatch.setattr(realnum, "digits", unused)
-        code, out, err = run_cli(
-            capsys, "complexity", "digits:e|300", "--prefix", "200000", "--n-max", "5"
-        )
-        assert code == 2 and out == ""
-        assert "word view needs base <= 256" in err
+        monkeypatch.setattr(approx, "digits", unused)
+        for argv in (
+            ("complexity", "digits:e|300", "--prefix", "200000", "--n-max", "5"),
+            ("approximant", "e", "--base", "300", "--prefix", "50000"),
+            ("report", "e", "--base", "300", "--prefix", "50000", "--terms", "50"),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2 and out == ""
+            assert "word view needs base <= 256" in err
 
-    def test_folded_e_image_keeps_the_budget_of_e(self, capsys):
-        # |7e - 19| is about 0.028: the image needs more bits of e than the 120 allowed
-        code, out, err = run_cli(
-            capsys, "--max-bits", "120", "digits", "mobius:-3,8,7,-19:(e)", "--base", "2", "--count", "100"
-        )
-        assert code == 3
-        assert out == "" and "budget exhausted" in err
+    def test_folded_e_image_prints_its_certified_prefix(self, capsys):
+        # |7e - 19| is about 0.028: 120 bits of e certify 108 binary digits of the image
+        image, budget = "mobius:-3,8,7,-19:(e)", ("--max-bits", "120")
+        _, full, _ = run_cli(capsys, "digits", image, "--base", "2", "--count", "200")
+        for count, code, certified in ((100, 0, 100), (200, 3, 108)):
+            got = run_cli(capsys, *budget, "digits", image, "--base", "2", "--count", str(count))
+            assert got[0] == code and got[1].endswith(f" certified:{certified}\n")
+            assert full.startswith(got[1].split(" certified:")[0])
+        code, out, _ = run_cli(capsys, *budget, "cf", image, "--terms", "100")
+        quotients = json.loads(out.splitlines()[0])
+        assert code == 3 and out.endswith("\nterms certified: 33\n") and len(quotients) == 33
+        _, full, _ = run_cli(capsys, "cf", image, "--terms", "100")
+        assert json.loads(full)[:33] == quotients
+
+    def test_moebius_pole_not_separable_is_3(self, capsys):
+        # 19/7 lies within 2^-7 of e, inside e's bracket at 4 bits
+        code, out, err = run_cli(capsys, "--max-bits", "4", "digits", "mobius:-3,8,7,-19:(e)", "--count", "5")
+        assert code == 3 and out == ""
+        assert "Moebius pole not separable within budget" in err
 
     def test_folded_surd_image_certifies_more_than_the_chain(self, capsys):
         # the image of sqrt 3 is one surd enclosure; the unfolded chain certifies 40 terms
@@ -604,9 +620,26 @@ def run_isolated(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _certified_prefix(command, argv, out, full_out):
+    """Whether the digits or quotients of a budget-cut text `digits` or `cf`
+    run are a prefix of those of the full run."""
+    if command == "cf":
+        cut, full = json.loads(out.splitlines()[0]), json.loads(full_out)
+        return full[: len(cut)] == cut
+    base = int(argv[argv.index("--base") + 1]) if "--base" in argv else 10
+    (head, frac), (full_head, full_frac) = (
+        text.split(" certified:")[0].rsplit(".", 1) for text in (out, full_out)
+    )
+    if base > 36:  # comma-separated digits
+        frac, full_frac = (x.split(",") if x else [] for x in (frac, full_frac))
+    return head == full_head and full_frac[: len(frac)] == frac
+
+
 class TestGrammarFuzz:
     @given(cli_argvs())
     @example(["--max-bits", "256", "report", "e", "--prefix", "100", "--terms", "5"])
+    @example(["--max-bits", "120", "digits", "mobius:-3,8,7,-19:(e)", "--count", "60"])
+    @example(["--max-bits", "120", "cf", "mobius:-3,8,7,-19:(e)", "--terms", "50"])
     @settings(max_examples=150, deadline=None)
     def test_exit_codes_and_streams(self, argv):
         code, out, err = run_isolated(argv)
@@ -624,4 +657,9 @@ class TestGrammarFuzz:
             # exit 3 means the budget ran out, so the default budget of 10^6 bits must not
             with mock.patch.dict(os.environ):
                 os.environ.pop("DIOWORDS_MAX_BITS", None)
-                assert run_isolated(without_budget)[0] != 3, argv
+                full_code, full_out, _ = run_isolated(without_budget)
+            assert full_code != 3, argv
+            # what a budget-cut text run prints is certified: a prefix of the full output
+            command, fmt = argv[i + 2], argv[argv.index("--format") + 1] if "--format" in argv else "text"
+            if fmt == "text" and command in ("digits", "cf") and out and full_code == 0:
+                assert _certified_prefix(command, argv, out, full_out), (argv, out, full_out)

@@ -3,7 +3,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from diowords import contfrac, realnum
@@ -174,6 +174,50 @@ class TestConvergentOracle:
         # q_{k-1} leaves it true; every other defect must be caught
         harmless = kind == "entry" and entry < 2
         assert got == (oracle.convergents_from_quotients(qs) if harmless else "CertificateError")
+
+
+def _bezout(a: int, c: int) -> tuple[int, int]:
+    """(x, y) with a x + c y = +-gcd(a, c)."""
+    if c == 0:
+        return 1, 0
+    x, y = _bezout(c, a % c)
+    return y, x - (a // c) * y
+
+
+@st.composite
+def unimodular_matrices(draw):
+    """(a, b, c, d) with ad - bc = +-1 and entries of either sign."""
+    a, c = draw(st.integers(-30, 30)), draw(st.integers(-30, 30))
+    assume(math.gcd(a, c) == 1)
+    x, y = _bezout(a, c)
+    det = a * x + c * y  # +-1
+    t, sign = draw(st.integers(-5, 5)), draw(st.sampled_from((1, -1)))
+    b, d = sign * (t * a - y * det), sign * (t * c + x * det)
+    assert abs(a * d - b * c) == 1
+    return a, b, c, d
+
+
+class TestGosperOracle:
+    """Quotients of Moebius images of e against Gosper's homographic algorithm."""
+
+    @given(
+        unimodular_matrices(),
+        st.integers(1, 100) | st.integers(1000, 1500),
+        st.none() | st.integers(0, 100),
+    )
+    @example((-3, 8, 7, -19), 100, 15)  # 120 bits: cut at 33 terms
+    @example((-3, 8, 7, -19), 10, 5)  # 4 bits: the pole is not separable
+    @settings(max_examples=150, deadline=None)
+    def test_e_images_are_a_prefix_of_the_oracle(self, m, terms, percent):
+        # about 7.3 bits a term: a percentage of 8 bits a term cuts most runs short
+        max_bits = realnum.DEFAULT_MAX_BITS if percent is None else 8 * terms * percent // 100
+        try:
+            cf = cf_from_enclosure(enclosure(Mobius(*m, SeriesE()), max_bits=max_bits), terms)
+        except realnum.PrecisionBudgetError:
+            assert max_bits < 64
+            return
+        assert cf.certified == terms or (cf.budget_exhausted and percent is not None)
+        assert list(cf.quotients) == oracle.e_image_quotients(*m, cf.certified)
 
 
 class TestIrrationalCF:

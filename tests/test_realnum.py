@@ -348,15 +348,31 @@ class TestMobiusFold:
         assert lo < hi and (lo + 1) ** 2 < 3 < (hi + 1) ** 2
         assert hi - lo <= Fraction(1, 2**100)
 
-    def test_e_image_stays_within_the_budget(self):
+    def test_e_image_returns_its_bracket_at_the_budget(self):
         # 7e - 19 is about 0.028, so the map widens e's bracket about 2^10 times:
-        # 120 bits of e cannot give 120 bits of the image, folded or not
+        # 120 bits of e cannot give 120 bits of the image, folded or not, and
+        # the bracket reached at the budget is returned
         spec = Mobius(-3, 8, 7, -19, SeriesE())
-        enc = enclosure(spec, max_bits=120)
-        with pytest.raises(PrecisionBudgetError, match="Moebius image"):
-            enc.refine(120)
-        with pytest.raises(PrecisionBudgetError, match="Moebius image"):
-            mobius(-3, 8, 7, -19, enclosure(SeriesE(), max_bits=120), max_bits=120).refine(120)
+        e_lo, e_hi = enclosure(SeriesE(), 300).bounds()
+        image_lo, image_hi = sorted((-3 * x + 8) / (7 * x - 19) for x in (e_lo, e_hi))
+        folded = enclosure(spec, max_bits=120)
+        chain = mobius(-3, 8, 7, -19, enclosure(SeriesE(), max_bits=120), max_bits=120)
+        for enc in (folded, chain):
+            assert enc.refine(120) and not enc.refine()
+            lo, hi = enc.bounds()
+            assert lo <= image_lo <= image_hi <= hi
+            assert hi - lo > Fraction(1, 2**120)
+        stream = digits(spec, 2, 200, max_bits=120)
+        assert stream.certified == 108
+        assert stream.fractional_digits == digits(spec, 2, 108).fractional_digits
+
+    def test_pole_not_separable_within_the_budget(self):
+        # 19/7 lies within 2^-7 of e, inside e's bracket at 4 bits
+        spec = Mobius(-3, 8, 7, -19, SeriesE())
+        with pytest.raises(PrecisionBudgetError, match="Moebius pole not separable within budget"):
+            enclosure(spec, max_bits=4)
+        with pytest.raises(PrecisionBudgetError, match="Moebius pole not separable within budget"):
+            mobius(-3, 8, 7, -19, enclosure(SeriesE(), max_bits=4), max_bits=4)
 
 
 class TestDigits:
