@@ -563,15 +563,20 @@ def _image_compute(
     The precision of x starts at `bits`; a pole on the bracket doubles it and
     an image too wide moves it by the excess plus guard bits, never past
     `max_bits`.  There the image of the bracket reached is returned, as a
-    plain number returns its own, and only a pole still on it raises.
+    plain number returns its own, and only a pole still on it raises.  The
+    last bracket is kept, so a call that starts where the previous one
+    stopped does not compute it again.
     """
     inner_bits = bits
+    last = (None, None)  # (precision, bracket) of the last `ends` call
 
     def compute(nbits: int) -> Dyadic:
-        nonlocal inner_bits
+        nonlocal inner_bits, last
         scale = nbits + _GUARD_BITS
         while True:
-            lo, hi, den = ends(inner_bits)
+            if last[0] != inner_bits:
+                last = (inner_bits, ends(inner_bits))
+            lo, hi, den = last[1]
             image = _image_bracket(a, b, c, d, lo, hi, den, scale)
             if image is None:
                 if lo == hi:

@@ -8,11 +8,26 @@ ranks of its doubling rounds, as Manber & Myers did (SIAM J. Comput.
 complexity is read off the LCP array, and the repetition scan off the
 longest-previous-factor array LPF[i] = max_{j < i} lce(j, i), which the
 nearest suffixes in SA order that start at a smaller text position
-determine (Crochemore & Ilie, IPL 2008).  Kasai's per-letter LCP scan
-is kept in the tests as the oracle.
+determine (Crochemore & Ilie, IPL 2008).
+
+`longest_previous_factor` finds those nearest suffixes, the previous and
+the next smaller position in SA order, in one numpy kernel of pointer
+jumping (Berkman, Schieber & Vishkin, J. Algorithms 1993).  Both
+problems share one array: a sentinel, the positions in SA order, a
+sentinel, the positions in reverse order.  Each entry points to an
+earlier one, with every entry in between at a larger position, and
+keeps the least LCP over that stretch.  Runs of falling positions get
+their pointers and minima in one pass; the active entries then jump
+together, ptr <- ptr[ptr], and entries that chase settled pointers skip
+whole runs of rising positions or bisect inside one.  A short walk over
+the settled pointers finishes the last few.  Kasai's per-letter LCP scan
+and the stack loop over SA order that the kernel replaced are kept in
+the tests as the oracles.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 import numpy as np
 
@@ -129,28 +144,162 @@ def _lcp_from_levels(sa: np.ndarray, levels: list, bits: int) -> np.ndarray:
     return lcp
 
 
+# The LPF kernel hands the last _WALK active entries to a Python walk:
+# plain jumping rounds run while more are active and each round settles at
+# least _WALK of them, and rounds with run skips, which first build their
+# run arrays, only while more than 4 _WALK are active.  On Fibonacci,
+# digit, pow10 and surd words of 10^3 to 2*10^5 letters, 32 with 4 _WALK
+# beat 64 and 128 used for both by up to 1.5x on digit words and lost
+# nowhere by more than noise; a threshold of 512 for the run rounds was
+# up to 6x slower on pow10 words.
+_WALK = 32
+
+
 def longest_previous_factor(sa: np.ndarray, lcp: np.ndarray) -> np.ndarray:
     """LPF[i] = max over j < i of lce(j, i); LPF[0] = 0.
 
-    One pass over SA order with a stack of increasing text positions:
-    the entry below each stacked suffix is its nearest earlier suffix in
-    SA order with a smaller position, and the suffix that pops it is the
-    nearest later one.  The LCE with either is the minimum of the LCP
-    values in between, carried along as the stack unwinds.
+    LPF[i] is the larger LCE of suffix i with its nearest earlier and its
+    nearest later suffix in SA order that start before i (Crochemore &
+    Ilie, IPL 2008): two all-nearest-smaller-values problems over the
+    positions in SA order, solved together by pointer jumping in numpy
+    (Berkman, Schieber & Vishkin, J. Algorithms 1993).
+
+    Layout: one array of 2N + 2 entries, a sentinel of position -1, the
+    positions in SA order (previous smaller position), a second sentinel,
+    and the positions in reverse SA order (next smaller position).
+    w[k] is the LCE of entries k - 1 and k, 0 next to a sentinel, so the
+    LCE of entries j < k is the least w over (j, k].
+
+    Invariant: entry k keeps a pointer ptr[k] < k and m[k], the least w
+    over (ptr[k], k]; every entry strictly between ptr[k] and k has a
+    larger position than k.  k is settled when pos[ptr[k]] < pos[k].
+
+    Runs: inside a run of falling positions, an entry starts with its
+    pointer just before the run and m its running minimum of w (one
+    minimum.accumulate, restarted at each run by an offset).  An entry
+    that rises from its predecessor is settled at once, so on a word of
+    period p only the p run starts of each half can stay active.
+
+    Jumping: the active entries move in step, ptr <- ptr[ptr] and
+    m <- min(m, m[ptr]), while more than _WALK are active and each round
+    settles at least _WALK of them.  Entries that then still chase
+    settled pointers one hop a round, more than 4 _WALK of them, skip
+    whole runs of rising positions in step: where the run that holds the
+    pointer starts above pos[k], to the pointer of its start, with the
+    least w of the run kept per entry (rmin); otherwise the answer lies
+    inside the run, found by one searchsorted and its m by one
+    minimum.reduceat.
+
+    Walk: the rest is finished in ascending order by the same run skips
+    over settled entries, bisecting inside a run: the stack algorithm's
+    walk over the stack, which the settled pointers hold.  The stack loop
+    itself is kept in the tests as the oracle.
+    Arrays are int32 while 2N + 2 < 2^31.
     """
-    lpf = [0] * len(sa)
-    positions = [-1]  # a sentinel below every position
-    below = [0]  # below[k] = lce(positions[k], positions[k - 1])
-    # the final -1 pops every suffix left on the stack, with LCE 0 to its right
-    for pos, c in zip(sa.tolist() + [-1], lcp.tolist() + [0]):
-        # c = lce(pos, positions[-1]), the previous suffix in SA order
-        while positions[-1] > pos:
-            top, b = positions.pop(), below.pop()
-            if b > c:
-                lpf[top] = b
+    n = len(sa)
+    size = 2 * n + 2
+    dt = np.int32 if size < 2**31 else np.int64
+    pos = np.empty(size, dtype=dt)
+    pos[0] = pos[n + 1] = -1
+    pos[1 : n + 1] = sa
+    pos[n + 2 :] = sa[::-1]
+    w = np.zeros(size, dtype=dt)
+    w[2 : n + 1] = lcp[1:]
+    w[n + 3 :] = lcp[:0:-1]
+    edge = int(w.max()) + 1  # above every w: no edge
+    index = np.arange(size, dtype=dt)
+    down = np.empty(size, dtype=bool)  # entry k falls from entry k - 1
+    down[0] = False
+    np.less(pos[1:], pos[:-1], out=down[1:])
+    down[n + 1] = False  # a sentinel starts its own falling run
+    ptr = np.maximum.accumulate(index * ~down)
+    m = _run_min(w, ptr, edge + 1)
+    ptr -= 1  # a sentinel's pointer is never read
+    act = np.flatnonzero(down)
+    act = act[pos[ptr[act]] > pos[act]]
+    while len(act) > _WALK:
+        j = ptr[act]
+        m[act] = np.minimum(m[act], m[j])
+        j = ptr[j]
+        ptr[act] = j
+        active = len(act)
+        act = act[pos[j] > pos[act]]
+        if active - len(act) < _WALK:
+            break
+    if not len(act):
+        return _lpf(sa, m)
+    down[n + 1] = True  # and a rising run
+    rs = np.maximum.accumulate(index * down)
+    del index
+    rmin = key = None
+    while len(act) > 4 * _WALK:  # below, the walk is cheaper than the run arrays
+        j = ptr[act]
+        s = rs[j]
+        pk = pos[act]
+        inside = pos[s] < pk
+        if inside.any():
+            if key is None:
+                # increasing: runs in order, positions rising inside each
+                key = rs.astype(np.int64)
+                key *= n + 2
+                key += pos
+            k, j_in, s_in = act[inside], j[inside], s[inside]
+            t = np.searchsorted(key, key[s_in] - pos[s_in] + pk[inside]) - 1
+            order = np.argsort(t)
+            bounds = np.empty(2 * len(t), dtype=np.intp)
+            bounds[0::2] = t[order] + 1
+            bounds[1::2] = j_in[order] + 1
+            least = np.empty(len(t), dtype=dt)
+            least[order] = np.minimum.reduceat(w, bounds)[0::2]
+            m[k] = np.minimum(m[k], least)
+            ptr[k] = t
+            out = ~inside
+            act, j, s, pk = act[out], j[out], s[out], pk[out]
+        if rmin is None:
+            rmin = _run_min(np.where(down, edge, w), rs, edge + 1)
+        c = np.minimum(m[act], m[s])
+        np.minimum(c, rmin[j], out=c)
+        m[act] = c
+        j = ptr[s]
+        ptr[act] = j
+        act = act[pos[j] > pk]
+    del down, rmin, key
+    _walk(act.tolist(), w, *(memoryview(a) for a in (pos, ptr, m, rs)))
+    return _lpf(sa, m)
+
+
+def _lpf(sa: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """LPF in text order from the settled minima of both halves."""
+    n = len(sa)
+    lpf = np.empty(n, dtype=np.int64)
+    lpf[sa] = np.maximum(m[1 : n + 1], m[: n + 1 : -1])
+    return lpf
+
+
+def _run_min(values: np.ndarray, start: np.ndarray, bound: int) -> np.ndarray:
+    """The least of values[start[k] .. k] for each k, for values below
+    ``bound``: one minimum.accumulate, offset down by bound per start so
+    that each run begins below every value before it."""
+    wide = values.dtype if len(values) * bound < 2**31 else np.int64
+    offset = np.multiply(start, bound, dtype=wide)
+    v = np.subtract(values, offset, dtype=wide)
+    np.minimum.accumulate(v, out=v)
+    v += offset
+    return v.astype(values.dtype, copy=False)
+
+
+def _walk(act: list, w: np.ndarray, pos, ptr, m, rs) -> None:
+    """Settle the entries ``act`` in ascending order, each by run skips
+    over entries already settled (memoryviews of the kernel's arrays)."""
+    for k in act:
+        pk, j, c = pos[k], ptr[k], m[k]
+        while pos[j] > pk:
+            s = rs[j]
+            if pos[s] > pk:  # the whole rising run lies above pk
+                c = min(c, m[s], int(w[s + 1 : j + 1].min())) if s < j else min(c, m[s])
+                j = ptr[s]
             else:
-                lpf[top] = c
-                c = b
-        positions.append(pos)
-        below.append(c)
-    return np.array(lpf, dtype=np.int64)
+                t = bisect_left(pos, pk, s, j) - 1
+                c = min(c, int(w[t + 1 : j + 1].min()))
+                j = t
+        ptr[k], m[k] = j, c

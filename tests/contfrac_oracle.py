@@ -9,10 +9,14 @@ the same determinant by induction.
 
 `e_image_quotients` gives the quotients of a Moebius image of e from e's
 pattern by Gosper's homographic algorithm, with no enclosure and no code
-of `realnum`.
+of `realnum`.  `surd_quotients` gives those of a quadratic surd by
+Lagrange's PQa recurrence, with one `isqrt` and small integer steps, and
+`surd_image` writes a Moebius image of a surd as a surd.
 """
 
 from __future__ import annotations
+
+import math
 
 from diowords.realnum import CertificateError, convergents
 
@@ -60,3 +64,42 @@ def e_image_quotients(a: int, b: int, c: int, d: int, count: int) -> list[int]:
             read += 1
             a, b, c, d = a * t + b, a, c * t + d, c
     return out
+
+
+def surd_quotients(p: int, q: int, d: int, count: int) -> list[int]:
+    """The first `count` quotients of (p + sqrt d)/q, d not a square, q != 0.
+
+    Lagrange's recurrence, known as PQa: once Q divides D - P^2 (after
+    scaling by |q| if it does not), each complete quotient is
+    (P + sqrt D)/Q with a = floor((P + s)/Q) for Q > 0 and
+    floor((P + s + 1)/Q) for Q < 0, where s = isqrt(D) < sqrt D < s + 1,
+    and the next is P' = aQ - P, Q' = (D - P'^2)/Q, an exact division.
+    """
+    if (d - p * p) % q:
+        p, q, d = p * abs(q), q * abs(q), d * q * q
+    s = math.isqrt(d)
+    out: list[int] = []
+    while len(out) < count:
+        a = (p + s + (q < 0)) // q
+        out.append(a)
+        p = a * q - p
+        q = (d - p * p) // q
+    return out
+
+
+def surd_image(a: int, b: int, c: int, d: int, p: int, q: int, r: int) -> tuple[int, int, int]:
+    """(P, Q, D) with (P + sqrt D)/Q the image of (p + sqrt r)/q, r not a
+    square, under x -> (ax + b)/(cx + d), ad - bc = +-1.
+
+    The image is (a(p + sqrt r) + bq)/(c(p + sqrt r) + dq).  Multiplying by
+    the conjugate of the denominator, u - c sqrt r with u = cp + dq, gives
+    numerator (ap + bq)u - acr + (au - c(ap + bq)) sqrt r, whose root
+    coefficient is (ad - bc) q, over u^2 - c^2 r, which is not 0; the sign
+    of that coefficient moves to P and Q, and its square into D.
+    """
+    u = c * p + d * q
+    num = (a * p + b * q) * u - a * c * r
+    root = a * u - c * (a * p + b * q)
+    den = u * u - c * c * r
+    sign = 1 if root > 0 else -1
+    return sign * num, sign * den, root * root * r

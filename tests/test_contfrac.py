@@ -220,6 +220,53 @@ class TestGosperOracle:
         assert list(cf.quotients) == oracle.e_image_quotients(*m, cf.certified)
 
 
+def irrational_surds():
+    """(p, q, d) with (p + sqrt d)/q irrational and d < 10^6."""
+    return st.tuples(
+        st.integers(-1000, 1000),
+        st.integers(-1000, 1000).filter(bool),
+        st.integers(2, 10**6 - 1).filter(lambda d: math.isqrt(d) ** 2 != d),
+    )
+
+
+class TestSurdOracle:
+    """Quotients of surds and of their Moebius images against Lagrange's
+    PQa recurrence; the image surd comes from the oracle's own algebra."""
+
+    @staticmethod
+    def check(spec, want, terms, percent):
+        # a surd quotient takes a few bits: a percentage of 8 bits a term
+        # cuts most runs short
+        max_bits = realnum.DEFAULT_MAX_BITS if percent is None else 8 * terms * percent // 100
+        try:
+            cf = cf_from_enclosure(enclosure(spec, max_bits=max_bits), terms)
+        except realnum.PrecisionBudgetError:
+            assert max_bits < 64
+            return
+        assert cf.certified == terms or (cf.budget_exhausted and percent is not None)
+        assert list(cf.quotients) == want(cf.certified)
+
+    @given(irrational_surds(), st.integers(1, 100) | st.integers(1500, 2000), st.none() | st.integers(0, 100))
+    @example((0, 1, 2), 2000, None)
+    @example((-3, 7, 13), 1500, 10)
+    @settings(max_examples=60, deadline=None)
+    def test_surds_are_a_prefix_of_the_oracle(self, surd, terms, percent):
+        self.check(Surd(*surd), lambda n: oracle.surd_quotients(*surd, n), terms, percent)
+
+    @given(unimodular_matrices(), irrational_surds(), st.integers(1, 100) | st.integers(400, 600),
+           st.none() | st.integers(0, 100))
+    @settings(max_examples=60, deadline=None)
+    def test_surd_images_are_a_prefix_of_the_oracle(self, m, surd, terms, percent):
+        image = oracle.surd_image(*m, *surd)
+        self.check(Mobius(*m, Surd(*surd)), lambda n: oracle.surd_quotients(*image, n), terms, percent)
+
+    def test_pqa_on_known_expansions(self):
+        assert oracle.surd_quotients(0, 1, 2, 6) == [1, 2, 2, 2, 2, 2]
+        assert oracle.surd_quotients(1, 2, 5, 5) == [1, 1, 1, 1, 1]
+        assert oracle.surd_quotients(0, -1, 7, 8) == [-3, 2, 1, 4, 1, 1, 1, 4]  # -sqrt 7
+        assert oracle.surd_image(0, 1, 1, 0, 0, 1, 2) == (0, 2, 2)  # 1/sqrt 2
+
+
 class TestIrrationalCF:
     def test_golden_all_ones(self):
         cf = cf_from_enclosure(enclosure(Surd(1, 2, 5)), 40)

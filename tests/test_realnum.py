@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import re
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diowords import cli, realnum
 from diowords.realnum import (
     DEFAULT_MAX_BITS,
     Enclosure,
@@ -18,6 +20,7 @@ from diowords.realnum import (
     SeriesShallit,
     SpecSyntaxError,
     Surd,
+    _e_bracket as e_bracket,
     digits,
     digits_from_enclosure,
     enclosure,
@@ -365,6 +368,29 @@ class TestMobiusFold:
         stream = digits(spec, 2, 200, max_bits=120)
         assert stream.certified == 108
         assert stream.fractional_digits == digits(spec, 2, 108).fractional_digits
+
+    @pytest.mark.parametrize(
+        "argv, precisions, md5",
+        [
+            (("cf", "mobius:5,2,2,1:(e)", "--terms", "1500"), [64, 4827, 10824],
+             "015c877cfe1189b17e2840df3e08b489"),
+            (("digits", "mobius:3,1,2,1:(e)", "--base", "2", "--count", "75000"), [64, 75060],
+             "10a6d33985130edc0c5b7ecd58b7d20d"),
+        ],
+    )
+    def test_e_image_computes_each_bracket_once(self, capsys, monkeypatch, argv, precisions, md5):
+        # the refine loop keeps e's last bracket between calls; the digests
+        # are the output from before it did
+        calls = []
+
+        def counted(bits):
+            calls.append(bits)
+            return e_bracket(bits)
+
+        monkeypatch.setattr(realnum, "_e_bracket", counted)
+        assert cli.main(list(argv)) == 0
+        assert calls == precisions
+        assert hashlib.md5(capsys.readouterr().out.encode()).hexdigest() == md5
 
     def test_pole_not_separable_within_the_budget(self):
         # 19/7 lies within 2^-7 of e, inside e's bracket at 4 bits

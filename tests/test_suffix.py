@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diowords import suffix
+from diowords.realnum import Rational, digits
 from diowords.sturmian import mechanical_word, parse_slope
 from diowords.suffix import _position_bits, _sort, longest_previous_factor, suffix_index
 
@@ -165,9 +168,21 @@ class TestArgsortFallback:
         self.check_same(bytes(np.random.default_rng(4).integers(0, 5, 10**5, dtype=np.uint8)), depth)
 
 
-def check_lpf(data: bytes) -> None:
-    lpf = longest_previous_factor(*suffix_index(data))
-    assert lpf.tolist() == oracle.longest_previous_factor(data)
+def check_lpf(data: bytes, letters: bool = True) -> None:
+    """The kernel against the stack loop over the same index and, unless
+    ``letters`` is off, against the letter-by-letter oracle."""
+    sa, lcp = suffix_index(data)
+    lpf = longest_previous_factor(sa, lcp)
+    assert lpf.dtype == np.int64
+    assert lpf.tolist() == oracle.lpf_from_index(sa, lcp).tolist()
+    if letters:
+        assert lpf.tolist() == oracle.longest_previous_factor(data)
+
+
+# words of up to 400 letters over 1, 2 or 3 letters
+small_alphabet_words = st.integers(1, 3).flatmap(
+    lambda k: st.lists(st.integers(0, k - 1), max_size=400).map(bytes)
+)
 
 
 class TestLongestPreviousFactor:
@@ -176,9 +191,64 @@ class TestLongestPreviousFactor:
     def test_mixed_words(self, w):
         check_lpf(w.symbols)
 
+    @given(small_alphabet_words)
+    @settings(max_examples=300)
+    def test_small_alphabets(self, data):
+        check_lpf(data)
+
+    def test_seeded_words_of_hundreds_to_thousands_of_letters(self):
+        # large enough for the rounds that skip rising runs and for walks
+        # that cross them: random words over 1-4 letters, periodic words
+        # with a few letters changed, and sparse ones in zeros
+        rng = random.Random(1)
+        for kind in range(400):
+            n, k = rng.choice([100, 500, 2000]), rng.randint(1, 4)
+            if kind % 3 == 0:
+                data = bytes(rng.randrange(k) for _ in range(n))
+            elif kind % 3 == 1:
+                block = bytes(rng.randrange(k) for _ in range(rng.randint(1, 12)))
+                word = bytearray((block * n)[:n])
+                for _ in range(rng.randint(0, 3)):
+                    word[rng.randrange(n)] = rng.randrange(k)
+                data = bytes(word)
+            else:
+                data = bytes(rng.choice([0] * rng.randint(1, 9) + [1]) for _ in range(n))
+            check_lpf(data, letters=False)
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_shortest_words(self, n):
+        for letters in itertools.product(range(3), repeat=n):
+            check_lpf(bytes(letters))
+
     @pytest.mark.parametrize("slope", ["surd:-3,-2,5", "cfslope:(1)*", "cfslope:3,(5,31,2)*"])
     def test_sturmian(self, slope):
         check_lpf(mechanical_word(parse_slope(slope), Fraction(2, 7), 10**4).symbols)
+
+    @pytest.mark.parametrize("n", [1000, 3000, 7000, 15000])
+    @pytest.mark.parametrize("intercept", [Fraction(0), Fraction(1, 7)])
+    def test_pow10_prefixes(self, n, intercept):
+        # long rising runs in SA order, where plain pointer jumping stalls
+        check_lpf(mechanical_word(parse_slope("cfslope:pow10"), intercept, n).symbols)
+
+    @pytest.mark.parametrize("period", range(1, 8))
+    def test_periodic_both_letter_orders(self, period):
+        n = 2000 + period
+        for block in (bytes(range(period)), bytes(range(period - 1, -1, -1)),
+                      b"\0" * (period - 1) + b"\1", b"\1" * (period - 1) + b"\0"):
+            check_lpf((block * n)[:n])
+
+    @pytest.mark.parametrize("n", [2, 3, 1000])
+    def test_one_letter_off_a_constant_word(self, n):
+        check_lpf(b"\0" * (n - 1) + b"\1")
+        check_lpf(b"\1" + b"\0" * (n - 1))
+
+    def test_digits_of_one_seventh(self):
+        check_lpf(digits(Rational(1, 7), 10, 3000).fractional_digits)
+
+    @pytest.mark.parametrize("data", [b"\0\1" * 10**5, b"\0" * (2 * 10**5 - 1) + b"\1"],
+                             ids=["(01)^k", "0^(N-1)1"])
+    def test_long_words_against_the_stack_loop(self, data):
+        check_lpf(data, letters=False)
 
     @pytest.mark.parametrize("block", [b"\0", b"\0\1", b"\0\0\1", b"\0\1\0\0\1\1\0"])
     def test_periodic(self, block):

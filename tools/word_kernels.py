@@ -1,0 +1,107 @@
+"""Time the longest-previous-factor kernel against its stack-loop oracle.
+
+    python tools/word_kernels.py                       # every size, best of 5
+    python tools/word_kernels.py --sizes 1000 10000 --repeat 3
+    python tools/word_kernels.py --sizes --rss-src ../other/src  # only the peaks, of another tree
+
+First it prints the peak RSS (ru_maxrss) of fresh processes that run
+the `dio` command on 10^6 letters of the Fibonacci word, the binary
+digits of e and (01)^k, with `diowords` taken from --rss-src (this
+checkout's src/ by default).  Then, for each word of a fixed set and
+each size, it prints the best-of-k time of
+`suffix.longest_previous_factor` and of the `lpf_from_index` stack loop
+in `tests/suffix_oracle.py` on the same suffix index, and checks that
+both give the same array.  Digit words are made with a budget of 4 bits
+a digit, so that every size is reached.  It needs only the standard
+library and numpy; pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
+
+from diowords.cli import parse_word_source  # noqa: E402
+from diowords.suffix import longest_previous_factor, suffix_index  # noqa: E402
+from suffix_oracle import lpf_from_index  # noqa: E402
+
+SIZES = (1000, 3000, 10_000, 15_000, 200_000, 1_000_000)
+
+
+def budget(n: int) -> int:
+    """A refinement budget that certifies n digits in base 10 and below."""
+    return 4 * n + 4096
+
+
+def source(text: str):
+    return lambda n: parse_word_source(text, n, budget(n)).symbols
+
+
+WORDS = {
+    "fibonacci": source("sturmian:cfslope:(1)*"),
+    "e base 2": source("digits:e|2"),
+    "e base 10": source("digits:e|10"),
+    "pow10|1/7": source("sturmian:cfslope:pow10|1/7"),
+    "surd:-3,7,13|1/3": source("sturmian:surd:-3,7,13|1/3"),
+    "(01)^k": lambda n: (b"\0\1" * n)[:n],
+    "0^(N-1)1": lambda n: b"\0" * (n - 1) + b"\1",
+    "1/7 base 10": source("digits:rat:1/7|10"),
+}
+# the `dio` word sources whose fresh-process peak is printed, at this length
+RSS_LETTERS = 1_000_000
+RSS_SOURCES = {
+    "fibonacci": "sturmian:cfslope:(1)*",
+    "e base 2": "digits:e|2",
+    "(01)^k": "digits:rat:1/3|2",
+}
+RSS_CODE = """
+import contextlib, io, resource, sys
+from diowords import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(["--max-bits", sys.argv[3], "dio", sys.argv[1], "--prefix", sys.argv[2]])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def timed(f, *args) -> float:
+    t0 = time.perf_counter()
+    f(*args)
+    return time.perf_counter() - t0
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--sizes", type=int, nargs="*", default=list(SIZES))
+    ap.add_argument("--repeat", type=int, default=5, help="best of this many runs (default 5)")
+    ap.add_argument("--rss-src", default=os.path.join(ROOT, "src"), help="src/ of the tree whose peaks are measured")
+    args = ap.parse_args()
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(args.rss_src))
+    # first: a child starts with the peak its parent had when it forked
+    for name, text in RSS_SOURCES.items():
+        out = subprocess.run(
+            [sys.executable, "-c", RSS_CODE, text, str(RSS_LETTERS), str(budget(RSS_LETTERS))],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        print(f"fresh dio {name} at {RSS_LETTERS} letters: peak RSS {int(out.stdout) / 1024:.1f} MB", flush=True)
+    print(f"{'letters':>9}  {'word':18} {'kernel ms':>10} {'loop ms':>10} {'loop/kernel':>11}")
+    for n in args.sizes:
+        for name, make in WORDS.items():
+            data = make(n)
+            sa, lcp = suffix_index(data)
+            if longest_previous_factor(sa, lcp).tolist() != lpf_from_index(sa, lcp).tolist():
+                raise SystemExit(f"kernel and oracle differ on {name} at {len(data)} letters")
+            # alternate the two, so that a slow spell of the host hits both
+            runs = [(timed(longest_previous_factor, sa, lcp), timed(lpf_from_index, sa, lcp))
+                    for _ in range(args.repeat)]
+            kernel, loop = (min(r[i] for r in runs) for i in (0, 1))
+            print(f"{len(data):>9}  {name:18} {kernel * 1e3:10.3f} {loop * 1e3:10.3f} {loop / kernel:11.2f}", flush=True)
+
+
+if __name__ == "__main__":
+    main()
