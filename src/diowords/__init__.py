@@ -19,10 +19,8 @@ from .repetition import (
     verify_witness,
 )
 from .sturmian import (
-    CFSlope,
     Morphism,
     QuasiSturmianSpec,
-    SurdSlope,
     apply_morphism,
     letter_frequency_check,
     mechanical_word,

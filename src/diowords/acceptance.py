@@ -19,7 +19,7 @@ from . import approx, contfrac, realnum, repetition, sturmian, words
 
 DEFAULT_SEED = 20240817
 
-FIB_SLOPE = sturmian.SurdSlope(-3, -2, 5)  # (3 - sqrt(5))/2
+FIB_SLOPE = realnum.Surd(-3, -2, 5)  # (3 - sqrt(5))/2
 GOLDEN_CONJ_SLOPE_TEXT = "cfslope:(1)*"  # (sqrt(5) - 1)/2, all quotients 1
 
 

@@ -65,7 +65,10 @@ def parse_word_source(
             base = int(parts[1])
         except ValueError:
             raise ValueError(f"bad base {parts[1]!r}") from None
-        return realnum.digits(spec, _word_base(base), prefix, max_bits=max_bits).fractional_word()
+        stream = realnum.digits(spec, _word_base(base), prefix, max_bits=max_bits)
+        if not stream.complete:
+            raise realnum.PrecisionBudgetError(f"certified {stream.certified} of {prefix} digits")
+        return stream.fractional_word()
     if text.startswith("sturmian:"):
         parts = text[9:].split("|")
         if len(parts) > 2:
@@ -316,7 +319,10 @@ def cmd_approximant(args) -> int:
             f"score={float(a.score):.6f}\n"
             f"certified: |xi - p/q| {cell_bound} {args.base}^-{a.witness.m} and < q^-score"
         )
-    return EXIT_OK
+    if stream.complete:
+        return EXIT_OK
+    print(f"budget exhausted: certified {stream.certified} of {args.prefix} digits", file=sys.stderr)
+    return EXIT_BUDGET
 
 
 def cmd_report(args) -> int:

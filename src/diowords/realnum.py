@@ -253,6 +253,18 @@ def _json_quotient(a, path: str, position: int) -> int:
     raise SpecSyntaxError(f"quotient {a!r} in {path!r} is not an integer", position)
 
 
+def parse_surd(body: str, position: int) -> Surd:
+    """The surd of "P,Q,D", the body of a "surd:" spec or slope that starts at `position`."""
+    parts = body.split(",")
+    if len(parts) != 3:
+        raise SpecSyntaxError("surd needs P,Q,D", position)
+    try:
+        p, q, d = (int(x) for x in parts)
+    except ValueError:
+        raise SpecSyntaxError("surd needs integers P,Q,D", position) from None
+    return Surd(p, q, d)
+
+
 def parse_real_spec(text: str, offset: int = 0) -> RealSpec:
     """Parse the number mini-language.
 
@@ -273,14 +285,7 @@ def parse_real_spec(text: str, offset: int = 0) -> RealSpec:
         except ValueError:
             raise SpecSyntaxError(f"bad rational {body!r}", offset + 4) from None
     if text.startswith("surd:"):
-        parts = text[5:].split(",")
-        if len(parts) != 3:
-            raise SpecSyntaxError("surd needs P,Q,D", offset + 5)
-        try:
-            p, q, d = (int(x) for x in parts)
-        except ValueError:
-            raise SpecSyntaxError("surd needs integers P,Q,D", offset + 5) from None
-        return Surd(p, q, d)
+        return parse_surd(text[5:], offset + 5)
     if text.startswith("cf:@"):
         path = text[4:]
         try:

@@ -2,15 +2,15 @@
 
 The binary mechanical word of slope alpha and intercept rho is
 s(n) = floor((n+1)*alpha + rho) - floor(n*alpha + rho) for n = 1, 2, ...,
-where the irrational slope alpha in (0, 1) is either a quadratic surd
-(P + sqrt(D))/Q or a continued-fraction quotient sequence, and the
-intercept rho in [0, 1) is rational.  No floor is ever taken through
-floating point.  Each slope brackets itself between dyadic integers,
-lo/2^k < alpha < hi/2^k with hi - lo <= 2, through the kernels of
-`realnum`: a surd by one integer square root (`surd_bracket`), a
-continued fraction by its first close pair of convergents
-(`convergent_bracket`, run from m1 on every call and stopped at
-_SLOPE_EXTEND_CAP).  `mechanical_word` keeps the floors of one int64
+where the irrational slope alpha in (0, 1) is a `realnum` number, a
+quadratic surd `Surd` (P + sqrt(D))/Q or a `FromCF` whose callable gives
+the quotients of [0; m1, m2, ...], and the intercept rho in [0, 1) is
+rational.  No floor is ever taken through floating point.  Each slope is
+bracketed between dyadic integers, lo/2^k < alpha < hi/2^k with
+hi - lo <= 2, by the kernels of `realnum`: a surd by one integer square
+root (`surd_bracket`), a continued fraction by its first close pair of
+convergents (`convergent_bracket`, run from m1 on every call and stopped
+at _SLOPE_EXTEND_CAP).  `mechanical_word` keeps the floors of one int64
 numpy pass over one bracket and patches by index only the few positions,
 usually none, where its two ends disagree, decided again at 2k, 4k, ...
 bits with Python integers.  n*alpha + rho is never an integer, so this ends.
@@ -28,115 +28,69 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
-from .realnum import PrecisionBudgetError, convergent_bracket, surd_bracket
+from .realnum import (
+    FromCF,
+    PrecisionBudgetError,
+    Surd,
+    convergent_bracket,
+    parse_surd,
+    surd_bracket,
+)
 from .words import Word, complexity_profile, gap_profile
 
 _SLOPE_EXTEND_CAP = 100_000
 
+# a finite quotient tuple is a rational slope: it parses, and every
+# consumer rejects it
+SlopeSpec = Surd | FromCF
 
-@dataclass(frozen=True)
-class SurdSlope:
-    """Quadratic irrational slope (p + sqrt(d))/q, constrained to (0, 1)."""
+PRESET_SLOPES: dict[str, FromCF] = {
+    # [0; 1, 10, 100, 1000, ...]: an extreme unbounded-quotient slope
+    "pow10": FromCF(lambda i: 10 ** (i - 1) if i else 0),
+}
 
-    p: int
-    q: int
-    d: int
 
-    def __post_init__(self) -> None:
-        if self.q == 0:
-            raise ValueError("surd denominator must be nonzero")
-        if self.d <= 0 or math.isqrt(self.d) ** 2 == self.d:
+def _checked(slope: SlopeSpec) -> SlopeSpec:
+    """The slope, once it is known to be irrational and to lie in (0, 1)."""
+    if isinstance(slope, Surd):
+        if math.isqrt(slope.d) ** 2 == slope.d:
             raise ValueError("surd radicand must be positive and not a perfect square")
         # at scale = bits = 0 the bracket is lo < alpha < lo + 1, so lo is the
         # floor of the irrational alpha, which lies in (0, 1) iff that floor is 0
-        if surd_bracket(self.p, self.q, self.d, 0, 0)[0] != 0:
+        if surd_bracket(slope.p, slope.q, slope.d, 0, 0)[0] != 0:
             raise ValueError("slope must lie in (0, 1)")
-
-    def is_irrational(self) -> bool:
-        return True
-
-    def bracket(self, bits: int) -> tuple[int, int]:
-        """Integers lo, lo + 1 with lo/2^bits < alpha < (lo + 1)/2^bits."""
-        return surd_bracket(self.p, self.q, self.d, bits, bits)
+    elif isinstance(slope.quotients, tuple):
+        raise ValueError("slope must be irrational")
+    elif slope.quotients(0) != 0:
+        raise ValueError("slope must lie in (0, 1)")
+    return slope
 
 
-class CFSlope:
-    """Slope given by the partial quotients of [0; m1, m2, ...].
+def _bracket(slope: SlopeSpec, bits: int) -> tuple[int, int]:
+    """Integers lo < hi <= lo + 2 with lo/2^bits < alpha < hi/2^bits."""
+    if isinstance(slope, Surd):
+        return surd_bracket(slope.p, slope.q, slope.d, bits, bits)
 
-    A finite quotient list denotes a rational and is accepted at parse
-    time but rejected by every consumer that needs an irrational slope.
-    Periodic tails and generator-backed presets are irrational.
-    """
-
-    def __init__(
-        self,
-        head: tuple[int, ...] = (),
-        cycle: tuple[int, ...] = (),
-        fn: Callable[[int], int] | None = None,
-    ) -> None:
-        for m in (*head, *cycle):
-            if m < 1:
-                raise ValueError("partial quotients must be >= 1")
-        if cycle and fn:
-            raise ValueError("give either a periodic tail or a generator, not both")
-        self.head = tuple(head)
-        self.cycle = tuple(cycle)
-        self.fn = fn
-
-    def quotient(self, i: int) -> int:
-        """The i-th partial quotient m_i, 1-based."""
-        if i <= len(self.head):
-            return self.head[i - 1]
-        if self.cycle:
-            return self.cycle[(i - len(self.head) - 1) % len(self.cycle)]
-        if self.fn is not None:
-            m = self.fn(i)
-            if m < 1:
-                raise ValueError("partial quotients must be >= 1")
-            return m
-        raise IndexError("finite quotient list exhausted")
-
-    def is_irrational(self) -> bool:
-        return bool(self.cycle) or self.fn is not None
-
-    def bracket(self, bits: int) -> tuple[int, int]:
-        """Integers lo < hi <= lo + 2 with lo/2^bits < alpha < hi/2^bits."""
-        return convergent_bracket(self._capped_quotient, bits, bits)
-
-    def _capped_quotient(self, i: int) -> int:
+    def capped(i: int) -> int:
         """Quotient i of [0; m1, m2, ...], for at most _SLOPE_EXTEND_CAP convergents."""
         if i > _SLOPE_EXTEND_CAP:
             raise PrecisionBudgetError("continued-fraction slope refinement ran away")
-        return self.quotient(i) if i else 0
+        return slope.quotients(i)
 
-
-SlopeSpec = SurdSlope | CFSlope
-
-PRESET_SLOPES: dict[str, Callable[[], CFSlope]] = {
-    # [0; 1, 10, 100, 1000, ...]: an extreme unbounded-quotient slope
-    "pow10": lambda: CFSlope(fn=lambda i: 10 ** (i - 1)),
-}
+    return convergent_bracket(capped, bits, bits)
 
 
 def parse_slope(text: str) -> SlopeSpec:
     """Parse "surd:P,Q,D" or "cfslope:m1,m2,..." (with optional "(...)*" tail)."""
     if text.startswith("surd:"):
-        parts = text[5:].split(",")
-        if len(parts) != 3:
-            raise ValueError(f"surd slope needs P,Q,D at position 5: {text!r}")
-        try:
-            p, q, d = (int(x) for x in parts)
-        except ValueError:
-            raise ValueError(f"surd slope needs integers at position 5: {text!r}") from None
-        return SurdSlope(p, q, d)
+        return _checked(parse_surd(text[5:], 5))
     if text.startswith("cfslope:"):
         body = text[8:]
         if body in PRESET_SLOPES:
-            return PRESET_SLOPES[body]()
+            return PRESET_SLOPES[body]
         head_txt, cycle_txt = body, ""
         if "(" in body:
             i = body.index("(")
@@ -151,7 +105,12 @@ def parse_slope(text: str) -> SlopeSpec:
             raise ValueError(f"bad quotient list at position 8: {text!r}") from None
         if not head and not cycle:
             raise ValueError(f"empty quotient list at position 8: {text!r}")
-        return CFSlope(head, cycle)
+        if any(m < 1 for m in head + cycle):
+            raise ValueError("partial quotients must be >= 1")
+        full = (0, *head)
+        if not cycle:
+            return FromCF(full)
+        return FromCF(lambda i: full[i] if i < len(full) else cycle[(i - len(full)) % len(cycle)])
     raise ValueError(f"unknown slope spec at position 0: {text!r}")
 
 
@@ -168,9 +127,7 @@ def mechanical_word(slope: SlopeSpec, intercept=Fraction(0), length: int = 0) ->
     """First `length` letters of the mechanical word of the given slope."""
     if length < 1:
         raise ValueError("length must be positive")
-    if not slope.is_irrational():
-        raise ValueError("slope must be irrational")
-    floors = _floors(slope, _as_intercept(intercept), length + 1)
+    floors = _floors(_checked(slope), _as_intercept(intercept), length + 1)
     return Word(np.diff(floors).astype(np.uint8).tobytes(), 2)
 
 
@@ -187,7 +144,7 @@ def _floors(slope: SlopeSpec, rho: Fraction, count: int) -> np.ndarray:
 
     def ends(n, bits):
         """(n*lo + r) >> bits, written over n, and (n*hi + r) >> bits."""
-        lo, hi = slope.bracket(bits)
+        lo, hi = _bracket(slope, bits)
         r = (rho.numerator << bits) // rho.denominator
         upper = (n * hi + r) >> bits
         n *= lo
@@ -207,15 +164,9 @@ def _floors(slope: SlopeSpec, rho: Fraction, count: int) -> np.ndarray:
     return floors
 
 
-def _bracket(slope: SlopeSpec, bits: int) -> tuple[int, int]:
-    if not slope.is_irrational():
-        raise ValueError("slope must be irrational")
-    return slope.bracket(bits)
-
-
 def slope_bounds(slope: SlopeSpec, bits: int = 64) -> tuple[Fraction, Fraction]:
     """Certified rational bracket of the slope with width at most 2^-bits."""
-    lo, hi = _bracket(slope, bits + 1)
+    lo, hi = _bracket(_checked(slope), bits + 1)
     return Fraction(lo, 1 << bits + 1), Fraction(hi, 1 << bits + 1)
 
 
@@ -231,7 +182,7 @@ def letter_frequency_check(s: Word, slope: SlopeSpec) -> Fraction:
     if n_total == 0:
         raise ValueError("empty word")
     k = max(16, (4 * n_total).bit_length() + 2) + 1
-    lo, hi = _bracket(slope, k)
+    lo, hi = _bracket(_checked(slope), k)
     # no term exceeds `top`; past int64 the pass runs on Python integers
     top = n_total * (((s.alphabet_size - 1) << k) + abs(lo) + abs(hi))
     dtype = np.int64 if top.bit_length() < 63 else object

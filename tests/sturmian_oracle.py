@@ -9,8 +9,8 @@ per-letter Fraction loops that `letter_frequency_check` and
 `convergent_bracket` is the reference for `realnum.convergent_bracket`:
 it stops on the exact product of consecutive denominators where the
 kernel reads their bit lengths.  `surd_in_unit_interval` is the exact
-sign rule that `SurdSlope` replaces with the floor read off one
-`surd_bracket`.
+sign rule that `sturmian` replaces, for a surd slope, with the floor
+read off one `surd_bracket`.
 """
 
 from __future__ import annotations
@@ -19,20 +19,15 @@ import math
 from fractions import Fraction
 from typing import Callable
 
-from diowords.sturmian import (
-    QuasiSturmianSpec,
-    SlopeSpec,
-    SurdSlope,
-    mechanical_word,
-    slope_bounds,
-)
+from diowords.realnum import Surd
+from diowords.sturmian import QuasiSturmianSpec, SlopeSpec, mechanical_word, slope_bounds
 from diowords.words import Word
 
 
 def floor_times(slope: SlopeSpec, n: int, rho: Fraction) -> int:
     """Exact floor(n*alpha + rho)."""
     rp, rq = rho.numerator, rho.denominator
-    if isinstance(slope, SurdSlope):
+    if isinstance(slope, Surd):
         pp, ss, qq = (slope.p, 1, slope.q) if slope.q > 0 else (-slope.p, -1, -slope.q)
         a = n * pp * rq + rp * qq
         c = qq * rq
@@ -42,7 +37,7 @@ def floor_times(slope: SlopeSpec, n: int, rho: Fraction) -> int:
     p_prev, q_prev, p_cur, q_cur, i = 1, 0, 0, 1, 0
     while True:
         i += 1
-        m = slope.quotient(i)
+        m = slope.quotients(i)
         p_prev, q_prev, p_cur, q_cur = p_cur, q_cur, m * p_cur + p_prev, m * q_cur + q_prev
         f_prev = (n * p_prev * rq + rp * q_prev) // (q_prev * rq)
         if f_prev == (n * p_cur * rq + rp * q_cur) // (q_cur * rq):

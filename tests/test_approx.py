@@ -21,10 +21,10 @@ from diowords.realnum import (
     enclosure_from_digits,
 )
 from diowords.repetition import RepetitionWitness, dio_estimate
-from diowords.sturmian import SurdSlope, mechanical_word
+from diowords.sturmian import mechanical_word
 from diowords.words import Word
 
-FIB_SLOPE = SurdSlope(-3, -2, 5)
+FIB_SLOPE = Surd(-3, -2, 5)
 
 
 class TestWitnessToApproximant:

@@ -259,6 +259,33 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, *argv)
         assert code == 3
 
+    def test_budget_cut_approximant_is_3(self, capsys):
+        # the approximant of the 30 certified digits is printed, and the exit says they are short
+        argv = ("approximant", "e", "--prefix", "1000")
+        code, out, err = run_cli(capsys, "--max-bits", "100", *argv)
+        assert code == 3 and err == "budget exhausted: certified 30 of 1000 digits\n"
+        assert out == (
+            "p/q = 71821/99990 (reduced 71821/99990)\n"
+            "witness u=1 v=4 m=9 score=1.800000\n"
+            "certified: |xi - p/q| < 10^-9 and < q^-score\n"
+        )
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == "" and out.startswith("p/q = ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("dio",), ("ice",), ("complexity", "--n-max", "3"), ("gap", "--n-max", "3")],
+        ids=lambda argv: argv[0],
+    )
+    def test_budget_cut_digit_word_is_3(self, capsys, argv):
+        # a word source gives the whole prefix or nothing
+        source = (argv[0], "digits:e|10", "--prefix", "1000", *argv[1:])
+        code, out, err = run_cli(capsys, "--max-bits", "100", *source)
+        assert code == 3 and out == ""
+        assert err == "budget exhausted: certified 30 of 1000 digits\n"
+        code, out, _ = run_cli(capsys, *source)
+        assert code == 0 and out
+
     def test_oversized_word_base_is_refused_before_any_digit(self, capsys, monkeypatch):
         # 200000 digits of e in base 300 took seconds before the base was refused
         def unused(*args, **kwargs):

@@ -3,25 +3,44 @@
 `perfbench/spans.py` lists them in ENTRY_POINTS, and its probes read a
 few attributes off what they return.  A rename or deletion in `src/`
 would break the traced benchmark run, whose own recorder test is slow
-and lives outside `tests/`, so this checks the names quickly.
+and lives outside `tests/`, so this checks the names quickly.  So is
+the rule of the traced run that a workload makes no call into the
+layers it bypasses (`perfbench/run.py` BYPASSED): the warm-up jobs, one
+of each family, run here under the recorder.
 """
 
+import contextlib
 import importlib
 import importlib.util
+import io
+import sys
 from pathlib import Path
 
 import pytest
 
-from diowords import contfrac, realnum
+from diowords import cli, contfrac, realnum
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
 
 
 def _entry_points():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return [(layer, name) for layer, names in spans.ENTRY_POINTS.items() for name in names]
+    return [(layer, name) for layer, names in _spans().ENTRY_POINTS.items() for name in names]
+
+
+def _perfbench(name: str):
+    """perfbench/<name>.py, imported with perfbench/ on the path for its own imports."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.path.remove(str(PERFBENCH))
 
 
 @pytest.mark.parametrize("layer, name", _entry_points())
@@ -55,3 +74,20 @@ def test_probed_attribute_exists(owner, attr):
         "Enclosure": enc,
     }
     assert isinstance(getattr(probed[owner], attr), int)
+
+
+@pytest.mark.parametrize("workload", sorted(_perfbench("run").BYPASSED))
+def test_warmup_jobs_bypass_their_layers(workload):
+    bypassed = _perfbench("run").BYPASSED[workload]
+    rec = _spans().Recorder()
+    codes = []
+    try:
+        rec.install()
+        for job in _perfbench("workloads").warmups(workload):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                codes.append(cli.main(list(job.argv)))
+    finally:
+        rec.uninstall()
+    calls = rec.calls()
+    assert codes == [0] * len(codes) and calls["cli"] >= len(codes)
+    assert {layer: calls[layer] for layer in bypassed} == dict.fromkeys(bypassed, 0)

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diowords import sturmian
+from diowords.realnum import FromCF, Surd
 from diowords.repetition import dio_estimate
 from diowords.sturmian import (
-    CFSlope,
     Morphism,
     QuasiSturmianSpec,
-    SurdSlope,
+    _bracket,
     apply_morphism,
     letter_frequency_check,
     mechanical_word,
@@ -26,7 +27,7 @@ from diowords.words import Word, complexity_profile
 
 import sturmian_oracle as oracle
 
-FIB_SLOPE = SurdSlope(-3, -2, 5)  # (3 - sqrt(5))/2
+FIB_SLOPE = Surd(-3, -2, 5)  # (3 - sqrt(5))/2
 
 
 def fib_text(n):
@@ -42,7 +43,7 @@ def near_integer_intercepts(slope, n0):
     Each puts n0*alpha + rho next to an integer, just under it and just
     over it, so floor n0 needs more bits than the int64 pass has.
     """
-    lo, hi = slope.bracket(200)
+    lo, hi = _bracket(slope, 200)
     return Fraction(-n0 * hi % 2**200, 2**200), Fraction(-n0 * lo % 2**200, 2**200)
 
 
@@ -53,9 +54,8 @@ def near_integer_words(slope, n0, length, monkeypatch):
     bits that the second word asked for, in order.
     """
     requested = []
-    bracket = type(slope).bracket
     monkeypatch.setattr(
-        type(slope), "bracket", lambda s, bits: requested.append(bits) or bracket(s, bits)
+        sturmian, "_bracket", lambda s, bits: requested.append(bits) or _bracket(s, bits)
     )
     words = []
     for rho in near_integer_intercepts(slope, n0):
@@ -68,9 +68,14 @@ def near_integer_words(slope, n0, length, monkeypatch):
 
 def open_floors(slope, rho, count, bits):
     """The n <= count whose floor one bracket at `bits` leaves undecided."""
-    lo, hi = slope.bracket(bits)
+    lo, hi = _bracket(slope, bits)
     r = (rho.numerator << bits) // rho.denominator
     return [n for n in range(1, count + 1) if (n * lo + r) >> bits != (n * hi + r) >> bits]
+
+
+def cf_text(head, cycle):
+    """The "cfslope:" text of [0; head, cycle, cycle, ...]."""
+    return f"cfslope:{''.join(f'{m},' for m in head)}({','.join(map(str, cycle))})*"
 
 
 @st.composite
@@ -82,14 +87,14 @@ def slopes(draw):
     if kind == "cf":
         head = draw(st.lists(st.integers(1, 40), max_size=4))
         cycle = draw(st.lists(st.integers(1, 40), min_size=1, max_size=4))
-        return CFSlope(tuple(head), tuple(cycle))
+        return parse_slope(cf_text(head, cycle))
     d = draw(st.integers(2, 10**6).filter(lambda d: math.isqrt(d) ** 2 != d))
     q = draw(st.integers(1, 1000))
     sign = draw(st.sampled_from((1, -1)))
     # P + S*sqrt(D) lies in (j - 1, j), inside (0, Q)
     j = draw(st.integers(1, q))
     p = j + (-math.isqrt(d) - 1 if sign > 0 else math.isqrt(d))
-    return SurdSlope(p, q, d) if sign > 0 else SurdSlope(-p, -q, d)
+    return Surd(p, q, d) if sign > 0 else Surd(-p, -q, d)
 
 
 intercepts = st.fractions(min_value=0, max_value=1, max_denominator=10**9).filter(lambda r: r < 1)
@@ -98,13 +103,13 @@ intercepts = st.fractions(min_value=0, max_value=1, max_denominator=10**9).filte
 class TestSlopeSpecs:
     def test_surd_validation(self):
         with pytest.raises(ValueError):
-            SurdSlope(1, 0, 5)  # zero denominator
+            parse_slope("surd:1,0,5")  # zero denominator
         with pytest.raises(ValueError):
-            SurdSlope(0, 2, 4)  # perfect square
+            parse_slope("surd:0,2,4")  # perfect square
         with pytest.raises(ValueError):
-            SurdSlope(5, 2, 5)  # value > 1
+            parse_slope("surd:5,2,5")  # value > 1
         with pytest.raises(ValueError):
-            SurdSlope(-5, 2, 5)  # value < 0
+            parse_slope("surd:-5,2,5")  # value < 0
 
     def test_surd_bounds_bracket_value(self):
         lo, hi = slope_bounds(FIB_SLOPE, 80)
@@ -116,29 +121,32 @@ class TestSlopeSpecs:
     @settings(max_examples=200, deadline=None)
     def test_bracket_is_tight_and_strict(self, slope, bits):
         # lo < alpha*2^bits < hi, and alpha*2^bits is never an integer
-        lo, hi = slope.bracket(bits)
+        lo, hi = _bracket(slope, bits)
         assert lo <= oracle.floor_times(slope, 1 << bits, Fraction(0)) < hi <= lo + 2
 
     def test_cf_slope_quotients(self):
-        s = CFSlope((1, 2), (3, 4))
-        assert [s.quotient(i) for i in range(1, 7)] == [1, 2, 3, 4, 3, 4]
-        assert s.is_irrational()
-        assert not CFSlope((1, 2)).is_irrational()
+        s = parse_slope("cfslope:1,2,(3,4)*")
+        assert [s.quotients(i) for i in range(7)] == [0, 1, 2, 3, 4, 3, 4]
+        assert parse_slope("cfslope:1,2") == FromCF((0, 1, 2))
+        with pytest.raises(ValueError, match="^slope must be irrational$"):
+            slope_bounds(parse_slope("cfslope:1,2"))
 
     def test_cf_slope_validation(self):
-        with pytest.raises(ValueError):
-            CFSlope((0,))
+        for text in ("cfslope:0", "cfslope:1,(0)*"):
+            with pytest.raises(ValueError, match="^partial quotients must be >= 1$"):
+                parse_slope(text)
+        with pytest.raises(ValueError, match=r"^slope must lie in \(0, 1\)$"):
+            mechanical_word(FromCF(lambda i: 1), Fraction(0), 10)  # [1; 1, 1, ...]
 
     def test_parse_slope(self):
-        assert isinstance(parse_slope("surd:-3,-2,5"), SurdSlope)
-        s = parse_slope("cfslope:1,2,3")
-        assert s.head == (1, 2, 3)
+        assert parse_slope("surd:-3,-2,5") == FIB_SLOPE
+        assert parse_slope("cfslope:1,2,3") == FromCF((0, 1, 2, 3))
         s = parse_slope("cfslope:(1)*")
-        assert s.cycle == (1,)
+        assert [s.quotients(i) for i in range(4)] == [0, 1, 1, 1]
         s = parse_slope("cfslope:2,(1,3)*")
-        assert s.head == (2,) and s.cycle == (1, 3)
+        assert [s.quotients(i) for i in range(6)] == [0, 2, 1, 3, 1, 3]
         s = parse_slope("cfslope:pow10")
-        assert [s.quotient(i) for i in (1, 2, 3)] == [1, 10, 100]
+        assert [s.quotients(i) for i in (0, 1, 2, 3)] == [0, 1, 10, 100]
         with pytest.raises(ValueError):
             parse_slope("surd:1,2")
         with pytest.raises(ValueError):
@@ -151,13 +159,13 @@ class TestSlopeSpecs:
         [
             ((1, 0, 5), "surd denominator must be nonzero"),
             ((0, 2, 4), "surd radicand must be positive and not a perfect square"),
-            ((0, 2, -3), "surd radicand must be positive and not a perfect square"),
+            ((0, 2, -3), "surd radicand must be nonnegative"),
             ((5, 2, 5), r"slope must lie in \(0, 1\)"),
         ],
     )
     def test_surd_error_messages(self, args, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            SurdSlope(*args)
+            parse_slope("surd:{},{},{}".format(*args))
 
     @given(st.data())
     @settings(max_examples=400, deadline=None)
@@ -187,7 +195,7 @@ class TestSlopeSpecs:
     @staticmethod
     def _check_range(p, q, d):
         try:
-            SurdSlope(p, q, d)
+            parse_slope(f"surd:{p},{q},{d}")
         except ValueError as exc:
             assert str(exc) == "slope must lie in (0, 1)"
             assert not oracle.surd_in_unit_interval(p, q, d)
@@ -210,7 +218,7 @@ class TestSlopeSpecs:
     def test_periodic_tail_matches_surd(self):
         # [0; 1, 1, 1, ...] = (sqrt(5) - 1)/2
         cf = parse_slope("cfslope:(1)*")
-        surd = SurdSlope(-1, 2, 5)
+        surd = Surd(-1, 2, 5)
         assert mechanical_word(cf, Fraction(0), 300) == mechanical_word(surd, Fraction(0), 300)
 
 
@@ -223,7 +231,7 @@ class TestMechanicalWord:
 
     def test_single_letter(self):
         assert mechanical_word(FIB_SLOPE, Fraction(0), 1).to_text() == "0"  # slope < 1/2
-        high = SurdSlope(-1, 2, 5)  # about 0.618
+        high = Surd(-1, 2, 5)  # about 0.618
         assert mechanical_word(high, Fraction(0), 1).to_text() == "1"
 
     def test_complexity_is_n_plus_1(self):
@@ -233,7 +241,7 @@ class TestMechanicalWord:
 
     @pytest.mark.parametrize(
         "slope",
-        [FIB_SLOPE, SurdSlope(-1, 2, 5), SurdSlope(-1, 1, 2), SurdSlope(0, 3, 7)],
+        [FIB_SLOPE, Surd(-1, 2, 5), Surd(-1, 1, 2), Surd(0, 3, 7)],
         ids=["fib", "golden-conj", "sqrt2-1", "sqrt7/3"],
     )
     def test_all_factors_present_with_quadratic_margin(self, slope):
@@ -245,7 +253,7 @@ class TestMechanicalWord:
 
     def test_rational_slope_rejected(self):
         with pytest.raises(ValueError, match="slope must be irrational"):
-            mechanical_word(CFSlope((2,)), Fraction(0), 10)
+            mechanical_word(FromCF((0, 2)), Fraction(0), 10)
 
     def test_intercept_validation(self):
         with pytest.raises(ValueError):
@@ -261,7 +269,7 @@ class TestMechanicalWord:
     def test_cf_slope_agrees_with_surd(self):
         # same slope two ways: (sqrt(2) - 1) = [0; (2)*]
         cf = parse_slope("cfslope:(2)*")
-        surd = SurdSlope(-1, 1, 2)
+        surd = Surd(-1, 1, 2)
         assert mechanical_word(cf, Fraction(0), 400) == mechanical_word(surd, Fraction(0), 400)
 
     @given(st.data())
@@ -293,7 +301,7 @@ class TestMechanicalWord:
         # denominator q = 747 with ||q*alpha|| < 2^-49, so with n0*alpha + rho
         # next to an integer, floor n0 + q is next to one too: the int64 pass
         # leaves both open, 2k bits settle n0 + q and n0 waits for 4k bits
-        slope = CFSlope((2, 3, 5, 20, 2**40), (1,))
+        slope = parse_slope(cf_text((2, 3, 5, 20, 2**40), (1,)))
         n0, q, length = 100, 747, 1000
         _, requested = near_integer_words(slope, n0, length, monkeypatch)
         k = requested[0]
@@ -339,7 +347,7 @@ class TestFrequency:
     def test_rational_slope_rejected(self):
         w = Word.from_digits("01" * 500)
         with pytest.raises(ValueError, match="slope must be irrational"):
-            letter_frequency_check(w, CFSlope((2,)))
+            letter_frequency_check(w, FromCF((0, 2)))
 
 
 class TestCheckersMatchFractionLoops:
@@ -450,7 +458,7 @@ class TestMorphicLength:
 
     def test_general_bound(self):
         phi = parse_morphism("0>010;1>11")
-        spec = QuasiSturmianSpec(Word(b"", 2), phi, SurdSlope(-1, 2, 5))
+        spec = QuasiSturmianSpec(Word(b"", 2), phi, Surd(-1, 2, 5))
         dev = morphic_length_check(spec, 800)
         assert dev <= 2 * max(len(phi.image0), len(phi.image1))
 
