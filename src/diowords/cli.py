@@ -86,10 +86,20 @@ def parse_word_source(
 
 def _word_base(base: int) -> int:
     """The base of a digit word, refused before any digit is computed when
-    a word cannot hold its digits."""
+    it is no base or a word cannot hold its digits."""
+    if base < 2:
+        raise ValueError("base must be >= 2")
     if base > 256:
         raise ValueError("word view needs base <= 256")
     return base
+
+
+def _word_prefix(n: int) -> int:
+    """The digit-word length of `approximant` and `report`, refused before
+    any digit is computed when no repetition fits in it."""
+    if n < 2:
+        raise ValueError("degenerate prefix (length < 2)")
+    return n
 
 
 def _quasi_spec(
@@ -185,6 +195,8 @@ def cmd_digits(args) -> int:
 
 
 def cmd_complexity(args, gaps_only: bool = False) -> int:
+    if args.n_max < 1:  # before the word is built
+        raise ValueError("n_max must be positive")
     w = parse_word_source(args.source, args.prefix, args.max_bits)
     profile = words.complexity_profile(w, args.n_max)
     gaps = words.gap_profile(profile)
@@ -240,6 +252,8 @@ def cmd_cf(args) -> int:
 
 def cmd_mu(args) -> int:
     spec = realnum.parse_real_spec(args.spec)
+    if args.n_min < 1:  # before any quotient is computed
+        raise ValueError("n_min must be >= 1")
     cf = contfrac.cf_from_enclosure(
         realnum.enclosure(spec, max_bits=args.max_bits), args.terms
     )
@@ -287,7 +301,9 @@ def cmd_quasi(args) -> int:
 
 def cmd_approximant(args) -> int:
     spec = realnum.parse_real_spec(args.spec)
-    stream = realnum.digits(spec, _word_base(args.base), args.prefix, max_bits=args.max_bits)
+    stream = realnum.digits(
+        spec, _word_base(args.base), _word_prefix(args.prefix), max_bits=args.max_bits
+    )
     if stream.certified < 2 and not stream.complete:
         raise realnum.PrecisionBudgetError(
             f"refinement budget exhausted after {stream.certified} certified digits"
@@ -330,7 +346,7 @@ def cmd_report(args) -> int:
     report = approx.dio_mu_report(
         spec,
         base=_word_base(args.base),
-        prefix_length=args.prefix,
+        prefix_length=_word_prefix(args.prefix),
         cf_terms=args.terms,
         threshold=args.threshold,
         slack=args.slack,

@@ -13,13 +13,22 @@ to one lucky short repetition.
 Index: a witness with d = u + v has m = d + min(lce(u, d), N - d), so
 the best score with denominator d is (d + LPF[d]) / d, where
 LPF[d] = max_{u < d} lce(u, d) is the longest-previous-factor array of
-the prefix (see suffix.py), and its smallest u is the first occurrence
-of the LPF[d] letters at d.  Scores are compared exactly, by integer
-cross-multiplication.  Initial repetitions (u = 0) are selected the
-same way from the Z-array, Z[d] = lce(0, d), in place of LPF: numpy
-passes give every match shorter than _Z_SHORT letters, and the Z-box
-loop runs only at the positions whose match is longer, settling the long
-positions of a wide box in one numpy step.
+the prefix, and its smallest u is the first occurrence of the LPF[d]
+letters at d.  LPF comes from the suffix index (see suffix.py), except
+on a mechanical word of `sturmian.mechanical_word` with at least
+_LETTERS_PER_RECORD letters a record of its slope: there the earlier
+occurrence that sets LPF[i] lies at one of the two nearest earlier
+intercepts of i, whose lags are the slope's one-sided best
+approximations (`sturmian.record_runs`), and one numpy pass per run of
+those records reads their matches off the letters (`_record_lpf`).
+Slices and prefixes of a mechanical word, and every other word, take
+the index.  Both give the same array, so the same witnesses.  Scores
+are compared exactly, by integer cross-multiplication.  Initial
+repetitions (u = 0) are selected the same way from the Z-array,
+Z[d] = lce(0, d), in place of LPF: numpy passes give every match
+shorter than _Z_SHORT letters, and the Z-box loop runs only at the
+positions whose match is longer, settling the long positions of a wide
+box in one numpy step.
 """
 
 from __future__ import annotations
@@ -28,8 +37,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .realnum import CertificateError
+from .sturmian import record_runs
 from .suffix import longest_previous_factor, suffix_index
 from .words import Word
 
@@ -135,7 +146,105 @@ def dio_estimate(prefix: Word, threshold: int | None = None) -> ExponentEstimate
     returned witnesses deterministic.
     """
     t = _checked_threshold(len(prefix), threshold)
-    return _estimate(prefix, longest_previous_factor(*suffix_index(prefix.symbols)), t, False)
+    data = prefix.symbols
+    if prefix.slope is not None:
+        runs = record_runs(prefix.slope, len(data))
+        if _LETTERS_PER_RECORD * sum(run[3] for run in runs) <= len(data):
+            return _estimate(prefix, _record_lpf(data, runs), t, False)
+    return _estimate(prefix, longest_previous_factor(*suffix_index(data)), t, False)
+
+
+# dio_estimate reads LPF off the records of a mechanical word's slope when
+# the word has at least this many letters a record, and builds the suffix
+# index otherwise.  Each run of records costs a few numpy calls, whatever
+# its size.  Against the index and its LPF (best of 5, three intercepts),
+# on [0; A, (2)*], [0; 2, A, (1)*], [0; 1, 1, A, (1)*], [0; (1, A)*] and
+# [0; 3, A, (2)*] for A = 100 to 3000 the records ran at worst at 0.46
+# times the speed of the index at 1 letter a record, 0.68 at 2, 0.84 at 4
+# and 1.21 at 8; for A = 10^4 and 3 * 10^4 at 8 letters a record and more,
+# and on the golden, pow10 and surd slopes from 100 letters on, they ran
+# faster than the index.
+_LETTERS_PER_RECORD = 16
+
+
+def _record_lpf(data: bytes, runs: list) -> np.ndarray:
+    """LPF of a mechanical word from the runs of `sturmian.record_runs`.
+
+    LPF[i] is the longest match of the letters at i with those at a
+    nearest earlier point of either side, at lag L, since a cell of the
+    factors of any length n >= 1 is an arc of the circle that holds x_i
+    and, with any earlier point in it, the nearest earlier point of that
+    side.  For the records of one run and the positions i = L + c of each,
+    the match lce(c, L + c) ends at the first mismatch w[p] != w[p - L],
+    p = L + c' with c' >= c: one numpy pass compares the rows
+    w[L : L + W] with w[:W] for W = 2 length (the letters past N are 2,
+    which no letter matches), and a reversed running minimum gives the
+    next mismatch from each c.  Rows with no mismatch from c = length - 1
+    on in the window need lce(W, L + W) to go on past it (`_lce_past`).
+    Every value is the lce of two positions of the word, so the maximum
+    over both sides is exactly LPF.
+    """
+    n = len(data)
+    a = np.frombuffer(data, dtype=np.uint8)
+    pad = np.full(2 * n + 1, 2, dtype=np.uint8)
+    pad[:n] = a
+    view = sliding_window_view(pad, n + 1)  # view[L, c] = pad[L + c]
+    cols = np.arange(n + 1, dtype=np.int32 if n < 2**31 - 1 else np.int64)
+    lpf = np.zeros(n, dtype=np.int64)
+    for _, first, step, count, length in runs:
+        w = min(2 * length, n - first + 1)
+        rows = view[first : first + (count - 1) * step + 1 : max(step, 1), :w]
+        nxt = np.where(rows != a[:w], cols[:w], w)
+        back = nxt[:, ::-1]
+        np.minimum.accumulate(back, axis=1, out=back)
+        nxt = nxt[:, :length]
+        open_rows = np.flatnonzero(nxt[:, -1] == w)
+        if len(open_rows):
+            sub = nxt[open_rows]
+            sub += (sub == w) * _lce_past(data, view, first + step * open_rows, w)[:, None]
+            nxt[open_rows] = sub
+        nxt -= cols[:length]
+        span = min(count * length, n - first)
+        seg = lpf[first : first + span]
+        np.maximum(seg, nxt.reshape(-1)[:span], out=seg)
+    return lpf
+
+
+# Above this many lags, _lce_past reads them off one Z-array.  Searching
+# costs about the sum of the matches, and a large first quotient a_1 gives
+# about a_1 lags whose matches run about a_1 letters: on [0; 30000, (2)*]
+# at 4.8 * 10^5 letters LPF took 0.50 s with the search alone and 0.05 s
+# with the Z-array.  A Z-array costs O(N) whatever the lags, so few lags
+# search: reading every lag off one took 42 against 28 ms summed over the
+# dio jobs of benchmark seed 1, and 0.17 against 0.03 s on 10^6 letters of
+# the golden slope.  Thresholds from 8 to 256 were within noise on the dio
+# jobs of two benchmark seeds and on [0; A, (2)*], [0; 2, A, (1)*],
+# [0; 1, 1, A, (1)*] and [0; (1, A)*] for A = 100 to 3000.
+_Z_LAGS = 64
+
+
+def _lce_past(data: bytes, view: np.ndarray, lags: np.ndarray, w: int) -> np.ndarray:
+    """lce(w, L + w) for each lag L, given view[L, c] = pad[L + c] with the
+    padding letter from N on, so that each match ends by c = N - L.
+
+    Many lags read it off the Z-array of the word from w; few search
+    view[L, c] != w[c] from c = w on, in chunks that double.
+    """
+    if len(lags) > _Z_LAGS:
+        # a lag with L + w = N matches no letter past the word
+        return np.append(_z_array(data[w:]), 0)[lags]
+    out = np.empty(len(lags), dtype=np.int64)
+    a = view[0, : len(data)]
+    todo = np.arange(len(lags))
+    lo, chunk = w, max(w, 64)
+    while len(todo):
+        hi = min(lo + chunk, len(data))
+        mis = view[lags[todo], lo:hi] != a[lo:hi]
+        hit = mis.any(axis=1)
+        out[todo[hit]] = mis[hit].argmax(axis=1) + (lo - w)
+        todo = todo[~hit]
+        lo, chunk = hi, 2 * chunk
+    return out
 
 
 def ice_estimate(prefix: Word, threshold: int | None = None) -> ExponentEstimate:

@@ -25,6 +25,7 @@ length law is a multiple of it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,6 +37,7 @@ from .realnum import (
     PrecisionBudgetError,
     Surd,
     convergent_bracket,
+    lagrange_quotients,
     parse_surd,
     surd_bracket,
 )
@@ -128,7 +130,9 @@ def mechanical_word(slope: SlopeSpec, intercept=Fraction(0), length: int = 0) ->
     if length < 1:
         raise ValueError("length must be positive")
     floors = _floors(_checked(slope), _as_intercept(intercept), length + 1)
-    return Word(np.diff(floors).astype(np.uint8).tobytes(), 2)
+    w = Word(np.diff(floors).astype(np.uint8).tobytes(), 2)
+    object.__setattr__(w, "slope", slope)  # a frozen field outside __init__
+    return w
 
 
 def _floors(slope: SlopeSpec, rho: Fraction, count: int) -> np.ndarray:
@@ -162,6 +166,49 @@ def _floors(slope: SlopeSpec, rho: Fraction, count: int) -> np.ndarray:
         floors[pos[done]] = f_lo[done]
         pos = pos[~done]
     return floors
+
+
+def record_runs(slope: SlopeSpec, n: int) -> list[tuple[int, int, int, int, int]]:
+    """The lags of the nearest earlier points, for the positions 1..n-1 of
+    every mechanical word of the slope, as runs (side, first, step, count,
+    length).
+
+    Position i of the word codes the point x_i = {(i+1) alpha + rho} of the
+    rotation by alpha.  Of the earlier points, the nearest one below x_i
+    lies at lag argmin_{1<=L<=i} {L alpha} (side 0) and the nearest one
+    above at argmin_{1<=L<=i} {-L alpha} (side 1); neither depends on rho.
+    Each is a step function of i that steps at the records of its side,
+    the one-sided best approximations of alpha (V. T. Sos, Ann. Univ. Sci.
+    Budapest 1, 1958; Alessandri & Berthe, Enseign. Math. 44, 1998).  With
+    alpha = [0; a_1, a_2, ...], q_{-1} = 0, q_0 = 1 and q_{k+1} = a_{k+1}
+    q_k + q_{k-1}, they are L = 1 on side 0, then at each level k >= 0
+    t q_k + q_{k-1} for 1 <= t <= a_{k+1}, on side (k + 1) mod 2.
+
+    A run lists the records first + r step, r < count, each the lag of
+    its side at the `length` positions from itself on, up to its side's
+    next record: the records t < a_{k+1} of level k step by q_k and hold
+    for q_k positions each, and the last one, q_{k+1}, holds for q_{k+2}.
+    Lengths are cut at n - first, which only a run of one record reaches.
+    """
+    _checked(slope)
+    if isinstance(slope, Surd):
+        quotients = lagrange_quotients(slope.p, slope.q, slope.d)
+        next(quotients)  # a_0 = 0
+    else:
+        quotients = map(slope.quotients, itertools.count(1))
+    a = next(quotients)
+    runs = [(0, 1, 0, 1, min(a, n - 1))]
+    side, q_prev, q = 1, 0, 1  # level 0: q_{-1} and q_0
+    while q + q_prev < n:  # the first record of the level
+        if a > 1:
+            first = q + q_prev
+            runs.append((side, first, q, min(a - 1, (n - 1 - q_prev) // q), min(q, n - first)))
+        q_prev, q = q, a * q + q_prev
+        a = next(quotients)
+        if q < n:
+            runs.append((side, q, 0, 1, min(a * q + q_prev, n - q)))
+        side ^= 1
+    return runs
 
 
 def slope_bounds(slope: SlopeSpec, bits: int = 64) -> tuple[Fraction, Fraction]:

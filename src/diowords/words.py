@@ -16,7 +16,7 @@ labels these values as lower bounds.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -36,10 +36,18 @@ CHARS_TO_DIGITS = bytes.maketrans(_DIGIT_CHARS, bytes(range(36)))
 
 @dataclass(frozen=True)
 class Word:
-    """Immutable finite word over the alphabet {0, ..., alphabet_size - 1}."""
+    """Immutable finite word over the alphabet {0, ..., alphabet_size - 1}.
+
+    `slope` is set only on the words that `sturmian.mechanical_word`
+    returns: the slope they were made with, which lets `dio_estimate`
+    take its longest-previous-factor array from the slope.  It is no
+    part of the word's value: equality, hash and repr ignore it, and
+    slices and prefixes drop it.
+    """
 
     symbols: bytes
     alphabet_size: int
+    slope: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 2 <= self.alphabet_size <= MAX_ALPHABET:

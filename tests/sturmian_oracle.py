@@ -10,16 +10,19 @@ per-letter Fraction loops that `letter_frequency_check` and
 it stops on the exact product of consecutive denominators where the
 kernel reads their bit lengths.  `surd_in_unit_interval` is the exact
 sign rule that `sturmian` replaces, for a surd slope, with the floor
-read off one `surd_bracket`.
+read off one `surd_bracket`.  `one_sided_records` is the reference for
+`record_runs`: the minima of {L alpha} and {-L alpha} over L by brute
+force, each comparison an exact sign (`sign_times`).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Callable
 
-from diowords.realnum import Surd
+from diowords.realnum import Surd, convergents
 from diowords.sturmian import QuasiSturmianSpec, SlopeSpec, mechanical_word, slope_bounds
 from diowords.words import Word
 
@@ -120,3 +123,49 @@ def surd_in_unit_interval(p: int, q: int, d: int) -> bool:
     # (p + sqrt(d))/q = (pp + ss*sqrt(d))/qq with qq > 0
     pp, ss, qq = (p, 1, q) if q > 0 else (-p, -1, -q)
     return sign_plus_root(pp, ss, d) > 0 and sign_plus_root(pp - qq, ss, d) < 0
+
+
+def sign_times(slope: SlopeSpec, k: int, m: int) -> int:
+    """Sign of k*alpha - m, exactly.
+
+    A surd (p + sqrt(d))/q gives (k p - m q + k sqrt(d))/q, signed by
+    `sign_plus_root`.  A continued fraction lies strictly between
+    consecutive convergents, so k*alpha - m has the sign of k x - m at
+    both of them once the two agree; for k != 0 it is never 0.
+    """
+    if k == 0:
+        return (m < 0) - (m > 0)
+    if isinstance(slope, Surd):
+        s = 1 if k > 0 else -1
+        sign = sign_plus_root(k * slope.p - m * slope.q, s, k * k * slope.d)
+        return sign if slope.q > 0 else -sign
+    quotients = (slope.quotients(i) for i in itertools.count())
+    last = None
+    for _, _, p, q in convergents(quotients):
+        t = k * p - m * q
+        here = (t > 0) - (t < 0)
+        if here and here == last:
+            return here
+        last = here
+
+
+def one_sided_records(slope: SlopeSpec, n: int) -> tuple[list[int], list[int]]:
+    """The lags L <= n at which {L alpha} (side 0) and {-L alpha} (side 1)
+    reach a new minimum over 1..L.
+
+    With f = floor(k alpha) for k = +-L, kept one step at a time (it moves
+    by 0 or 1 a step), {k alpha} < {k' alpha} exactly when
+    (k - k') alpha - (f - f') < 0.
+    """
+    records: tuple[list[int], list[int]] = ([], [])
+    for side, s in ((0, 1), (1, -1)):
+        f, best = 0, None  # floor(0 alpha)
+        for lag in range(1, n + 1):
+            k = s * lag
+            # 0 < alpha < 1: floor(k alpha) is hi or hi - 1
+            hi = f + 1 if s > 0 else f
+            f = hi if sign_times(slope, k, hi) > 0 else hi - 1
+            if best is None or sign_times(slope, k - best[0], f - best[1]) < 0:
+                best = (k, f)
+                records[side].append(lag)
+    return records

@@ -302,6 +302,29 @@ class TestExitCodes:
             assert code == 2 and out == ""
             assert "word view needs base <= 256" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("complexity", "digits:e|10", "--n-max", "0"), "n_max must be positive"),
+            (("gap", "digits:e|10", "--prefix", "100000", "--n-max", "-1"), "n_max must be positive"),
+            (("approximant", "e", "--prefix", "0"), "degenerate prefix (length < 2)"),
+            (("approximant", "e", "--prefix", "1"), "degenerate prefix (length < 2)"),
+            (("report", "e", "--prefix", "1", "--terms", "5"), "degenerate prefix (length < 2)"),
+            (("mu", "e", "--n-min", "0", "--terms", "5"), "n_min must be >= 1"),
+        ],
+    )
+    def test_argv_errors_come_before_any_digit_or_quotient(self, capsys, monkeypatch, argv, message):
+        # under a small budget these exited 3: the budget ran out before the
+        # argv was checked, and without one the digits were computed first
+        def unused(*args, **kwargs):
+            raise AssertionError("the argv alone is a usage error")
+
+        for module in (realnum, approx):
+            monkeypatch.setattr(module, "digits", unused)
+            monkeypatch.setattr(module, "enclosure", unused)
+        for budget in (("--max-bits", "0"), ("--max-bits", "1"), ()):
+            assert run_cli(capsys, *budget, *argv) == (2, "", f"usage error: {message}\n")
+
     def test_folded_e_image_prints_its_certified_prefix(self, capsys):
         # |7e - 19| is about 0.028: 120 bits of e certify 108 binary digits of the image
         image, budget = "mobius:-3,8,7,-19:(e)", ("--max-bits", "120")

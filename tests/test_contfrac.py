@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 from unittest import mock
@@ -259,6 +260,16 @@ class TestSurdOracle:
     def test_surd_images_are_a_prefix_of_the_oracle(self, m, surd, terms, percent):
         image = oracle.surd_image(*m, *surd)
         self.check(Mobius(*m, Surd(*surd)), lambda n: oracle.surd_quotients(*image, n), terms, percent)
+
+    @given(irrational_surds(), st.integers(1, 300))
+    @example((0, 1, 2), 10)
+    @example((1, 3, 7), 50)  # 3 does not divide 7 - 1
+    @example((-3, -7, 13), 50)  # a negative Q that divides 13 - 9
+    @example((5, -6, 11), 50)  # a negative Q that does not divide 11 - 25
+    @settings(max_examples=200, deadline=None)
+    def test_lagrange_quotients_match_the_oracle(self, surd, terms):
+        got = list(itertools.islice(realnum.lagrange_quotients(*surd), terms))
+        assert got == oracle.surd_quotients(*surd, terms)
 
     def test_pqa_on_known_expansions(self):
         assert oracle.surd_quotients(0, 1, 2, 6) == [1, 2, 2, 2, 2, 2]

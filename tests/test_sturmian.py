@@ -4,12 +4,13 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from diowords import sturmian
+from diowords import repetition, sturmian
+from diowords.cli import parse_word_source
 from diowords.realnum import FromCF, Surd
-from diowords.repetition import dio_estimate
+from diowords.repetition import _record_lpf, dio_estimate
 from diowords.sturmian import (
     Morphism,
     QuasiSturmianSpec,
@@ -21,11 +22,14 @@ from diowords.sturmian import (
     parse_morphism,
     parse_slope,
     quasi_sturmian_check,
+    record_runs,
     slope_bounds,
 )
+from diowords.suffix import longest_previous_factor, suffix_index
 from diowords.words import Word, complexity_profile
 
 import sturmian_oracle as oracle
+import suffix_oracle
 
 FIB_SLOPE = Surd(-3, -2, 5)  # (3 - sqrt(5))/2
 
@@ -474,3 +478,118 @@ class TestMorphismInvariance:
         d_s = float(dio_estimate(s).global_max.score)
         d_a = float(dio_estimate(image).global_max.score)
         assert d_a >= d_s - 0.1
+
+
+def records_by_side(slope, n):
+    """The records below n of `record_runs`, per side, as (lag, length)."""
+    sides = ([], [])
+    for side, first, step, count, length in record_runs(slope, n):
+        sides[side].extend((first + r * step, length) for r in range(count))
+    return sides
+
+
+class TestRecordRuns:
+    """The record lags against the brute-force minima of {L alpha} and {-L alpha}."""
+
+    @given(slopes(), st.integers(2, 2000))
+    @example(FIB_SLOPE, 2000)
+    @example(parse_slope("cfslope:5000,(1)*"), 2000)  # a first quotient above N
+    @example(parse_slope("cfslope:1,5000,(2)*"), 2000)  # a second one
+    @example(parse_slope("cfslope:2,(1)*"), 2)
+    @settings(max_examples=40, deadline=None)
+    def test_records_are_the_one_sided_minima(self, slope, n):
+        sides = records_by_side(slope, n)
+        assert sides[0][0][0] == sides[1][0][0] == 1
+        for side, want in zip(sides, oracle.one_sided_records(slope, n - 1)):
+            lags = [lag for lag, _ in side]
+            assert lags == want
+            # each lag holds up to the next record of its side, cut at n
+            assert [min(lag + length, n) for lag, length in side] == [min(x, n) for x in lags[1:]] + [n]
+
+    def test_levels_alternate_sides(self):
+        # [0; 2, 3, ...]: q = 1, 2, 7; level 0 is 1, 2 on side 1, level 1 is
+        # 3, 5, 7 on side 0, and level 2 starts at q_2 + q_1 = 9 on side 1
+        sides = records_by_side(parse_slope("cfslope:2,3,(4)*"), 40)
+        assert [lag for lag, _ in sides[0]] == [1, 3, 5, 7, 37]
+        assert [lag for lag, _ in sides[1]] == [1, 2, 9, 16, 23, 30]
+
+
+# the slopes on which a pass per record lost to the suffix index
+SLOW_CASES = [
+    ("cfslope:3000,(2)*", 10_000),
+    ("cfslope:500,(1)*", 10_000),
+    ("cfslope:pow10", 2000),
+    ("surd:-12,7,287", 7580),  # 245 records
+]
+
+
+class TestRecordLPF:
+    """The LPF of a mechanical word from its slope's records, against the
+    suffix index and the per-letter oracle."""
+
+    @staticmethod
+    def check(slope, rho, n, letters=True):
+        w = mechanical_word(slope, rho, n)
+        lpf = _record_lpf(w.symbols, record_runs(slope, n)).tolist()
+        assert lpf == longest_previous_factor(*suffix_index(w.symbols)).tolist()
+        if letters:
+            assert lpf == suffix_oracle.longest_previous_factor(w.symbols)
+        if n >= 2:
+            plain = Word(w.symbols, 2)
+            assert plain.slope is None and dio_estimate(w) == dio_estimate(plain)
+
+    @given(slopes(), intercepts, st.integers(2, 1000), st.integers(-16, 16))
+    @example(FIB_SLOPE, Fraction(0), 2, 0)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_index(self, slope, rho, m, delta):
+        # around the rule: 16 letters a record
+        records = sum(run[3] for run in record_runs(slope, m))
+        n = min(max(2, 16 * records + delta), 3000)
+        self.check(slope, rho, n)
+
+    @pytest.mark.parametrize("spec, n", SLOW_CASES)
+    def test_slow_slopes(self, spec, n):
+        self.check(parse_slope(spec), Fraction(5, 7), n, letters=n <= 2000)
+
+    @pytest.mark.parametrize(
+        "spec, n, kernel",
+        [
+            ("cfslope:(1)*", 100, False),  # 11 records
+            ("cfslope:(1)*", 200, True),  # 12 records
+            ("cfslope:3000,(2)*", 10_000, False),
+            ("cfslope:500,(1)*", 10_000, True),
+            ("cfslope:pow10", 2000, True),
+        ],
+    )
+    def test_rule(self, monkeypatch, spec, n, kernel):
+        calls = []
+        for name in ("_record_lpf", "suffix_index"):
+            original = getattr(repetition, name)
+            monkeypatch.setattr(
+                repetition, name, lambda *a, f=original, name=name: calls.append(name) or f(*a)
+            )
+        dio_estimate(mechanical_word(parse_slope(spec), Fraction(0), n))
+        assert calls == ["_record_lpf" if kernel else "suffix_index"]
+
+    def test_slope_is_no_part_of_the_word(self, monkeypatch):
+        w = mechanical_word(FIB_SLOPE, Fraction(1, 3), 400)
+        plain = Word(w.symbols, 2)
+        assert w.slope is FIB_SLOPE and plain.slope is None
+        assert w == plain and hash(w) == hash(plain) and repr(w) == repr(plain)
+
+        def unused(*args):
+            raise AssertionError("only a mechanical word reads LPF off its records")
+
+        monkeypatch.setattr(repetition, "_record_lpf", unused)
+        quasi = QuasiSturmianSpec(Word(b"", 2), parse_morphism("0>0;1>1"), FIB_SLOPE)
+        others = (
+            w.prefix(300),
+            w[:300],
+            plain,
+            apply_morphism(quasi, 400),
+            parse_word_source("lit:" + w.to_text()),
+            parse_word_source("digits:e|2", 400),
+        )
+        for other in others:
+            assert other.slope is None
+            dio_estimate(other)

@@ -1,4 +1,5 @@
-"""Time the longest-previous-factor kernel against its stack-loop oracle.
+"""Time the longest-previous-factor kernels: the index kernel against its
+stack-loop oracle, and on Sturmian words the slope's records against the index.
 
     python tools/word_kernels.py                       # every size, best of 5
     python tools/word_kernels.py --sizes 1000 10000 --repeat 3
@@ -11,9 +12,14 @@ checkout's src/ by default).  Then, for each word of a fixed set and
 each size, it prints the best-of-k time of
 `suffix.longest_previous_factor` and of the `lpf_from_index` stack loop
 in `tests/suffix_oracle.py` on the same suffix index, and checks that
-both give the same array.  Digit words are made with a budget of 4 bits
-a digit, so that every size is reached.  It needs only the standard
-library and numpy; pytest does not collect it.
+both give the same array.  On the Sturmian words it also prints the
+best-of-k time of the whole index path (`suffix_index` and the kernel)
+and of the record path (`sturmian.record_runs` and
+`repetition._record_lpf`), the record count against the rule of
+`dio_estimate` (16 letters a record), and checks that both give the same
+array.  Digit words are made with a budget of 4 bits a digit, so that
+every size is reached.  It needs only the standard library and numpy;
+pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -28,7 +34,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
 from diowords.cli import parse_word_source  # noqa: E402
+from diowords.repetition import _LETTERS_PER_RECORD, _record_lpf  # noqa: E402
+from diowords.sturmian import record_runs  # noqa: E402
 from diowords.suffix import longest_previous_factor, suffix_index  # noqa: E402
+from diowords.words import Word  # noqa: E402
 from suffix_oracle import lpf_from_index  # noqa: E402
 
 SIZES = (1000, 3000, 10_000, 15_000, 200_000, 1_000_000)
@@ -40,7 +49,11 @@ def budget(n: int) -> int:
 
 
 def source(text: str):
-    return lambda n: parse_word_source(text, n, budget(n)).symbols
+    return lambda n: parse_word_source(text, n, budget(n))
+
+
+def plain(make):
+    return lambda n: Word(make(n)[:n], 2)
 
 
 WORDS = {
@@ -49,9 +62,12 @@ WORDS = {
     "e base 10": source("digits:e|10"),
     "pow10|1/7": source("sturmian:cfslope:pow10|1/7"),
     "surd:-3,7,13|1/3": source("sturmian:surd:-3,7,13|1/3"),
-    "(01)^k": lambda n: (b"\0\1" * n)[:n],
-    "0^(N-1)1": lambda n: b"\0" * (n - 1) + b"\1",
+    "(01)^k": plain(lambda n: b"\0\1" * n),
+    "0^(N-1)1": plain(lambda n: b"\0" * (n - 1) + b"\1"),
     "1/7 base 10": source("digits:rat:1/7|10"),
+    "surd:-1,10,2": source("sturmian:surd:-1,10,2"),
+    "500,(1)*|5/7": source("sturmian:cfslope:500,(1)*|5/7"),
+    "3000,(2)*|5/7": source("sturmian:cfslope:3000,(2)*|5/7"),
 }
 # the `dio` word sources whose fresh-process peak is printed, at this length
 RSS_LETTERS = 1_000_000
@@ -75,6 +91,21 @@ def timed(f, *args) -> float:
     return time.perf_counter() - t0
 
 
+def index_lpf(data: bytes):
+    return longest_previous_factor(*suffix_index(data))
+
+
+def record_lpf(w: Word):
+    return _record_lpf(w.symbols, record_runs(w.slope, len(w)))
+
+
+def best_of(repeat: int, *calls) -> list[float]:
+    """The best time of each (f, *args), run alternately, so that a slow
+    spell of the host hits all of them."""
+    runs = [[timed(*call) for call in calls] for _ in range(repeat)]
+    return [min(r[i] for r in runs) for i in range(len(calls))]
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--sizes", type=int, nargs="*", default=list(SIZES))
@@ -90,18 +121,26 @@ def main() -> None:
         )
         print(f"fresh dio {name} at {RSS_LETTERS} letters: peak RSS {int(out.stdout) / 1024:.1f} MB", flush=True)
     print(f"{'letters':>9}  {'word':18} {'kernel ms':>10} {'loop ms':>10} {'loop/kernel':>11}")
+    sturmian = []
     for n in args.sizes:
         for name, make in WORDS.items():
-            data = make(n)
+            w = make(n)
+            data = w.symbols
             sa, lcp = suffix_index(data)
             if longest_previous_factor(sa, lcp).tolist() != lpf_from_index(sa, lcp).tolist():
                 raise SystemExit(f"kernel and oracle differ on {name} at {len(data)} letters")
-            # alternate the two, so that a slow spell of the host hits both
-            runs = [(timed(longest_previous_factor, sa, lcp), timed(lpf_from_index, sa, lcp))
-                    for _ in range(args.repeat)]
-            kernel, loop = (min(r[i] for r in runs) for i in (0, 1))
+            kernel, loop = best_of(args.repeat, (longest_previous_factor, sa, lcp), (lpf_from_index, sa, lcp))
             print(f"{len(data):>9}  {name:18} {kernel * 1e3:10.3f} {loop * 1e3:10.3f} {loop / kernel:11.2f}", flush=True)
-
+            if w.slope is not None:
+                sturmian.append((name, w))
+    print(f"\n{'letters':>9}  {'word':18} {'records':>8} {'rule':>5} {'index ms':>10} {'records ms':>10} {'index/records':>13}")
+    for name, w in sturmian:
+        if not (index_lpf(w.symbols) == record_lpf(w)).all():
+            raise SystemExit(f"records and index differ on {name} at {len(w)} letters")
+        records = sum(run[3] for run in record_runs(w.slope, len(w)))
+        rule = "yes" if _LETTERS_PER_RECORD * records <= len(w) else "no"
+        index, rec = best_of(args.repeat, (index_lpf, w.symbols), (record_lpf, w))
+        print(f"{len(w):>9}  {name:18} {records:>8} {rule:>5} {index * 1e3:10.3f} {rec * 1e3:10.3f} {index / rec:13.2f}", flush=True)
 
 if __name__ == "__main__":
     main()
