@@ -224,8 +224,9 @@ def dio_mu_report(
         partial = True
         notes.append(f"digit stream certified only {stream.certified} of {prefix_length}")
     est: ExponentEstimate | None = None
-    # a complete stream of fewer than 2 digits is a usage error in dio_estimate
-    if stream.complete or stream.certified >= 2:
+    # a complete stream too short for the threshold (N < 2 or N < 2t) is a
+    # usage error in dio_estimate; a budget-cut one leaves the estimate out
+    if stream.complete or stream.certified >= max(2, 2 * (threshold or 1)):
         est = dio_estimate(stream.fractional_word(), threshold)
 
     cf = cf_from_enclosure(enclosure(spec, max_bits=max_bits), cf_terms)

@@ -9,7 +9,8 @@ tagged as such.
 Exit codes, one exception class each: 0 success; 1 a failed criterion
 or plateau check, or `realnum.CertificateError`, a failed certificate
 check; 2 a usage error, `ValueError` or `TypeError`; 3
-`realnum.PrecisionBudgetError`, an exhausted refinement budget.
+`realnum.PrecisionBudgetError`, an exhausted refinement budget.  Checks
+that need only the argv come first, so a usage error is one under every budget.
 
 `main` builds its argument parser once per process, on its first call,
 and never changes it; `DIOWORDS_MAX_BITS` is read on every call.  Only
@@ -39,6 +40,7 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 PROFILE_NOTE = "profile counts are lower bounds for the infinite word"
+REPORT_N_MIN = 5  # the first exponent term of `report`
 CSV_COMMANDS = ("complexity", "gap")
 
 
@@ -94,12 +96,17 @@ def _word_base(base: int) -> int:
     return base
 
 
-def _word_prefix(n: int) -> int:
-    """The digit-word length of `approximant` and `report`, refused before
-    any digit is computed when no repetition fits in it."""
-    if n < 2:
-        raise ValueError("degenerate prefix (length < 2)")
-    return n
+def _enough_terms(spec: realnum.RealSpec, terms: int, n_min: int) -> None:
+    """Refuse `terms` below n_min + 2 on an irrational spec before any
+    quotient is computed: none certifies more quotients than asked.  A
+    parsed rational (`rat:`, a `cf:` list, a square surd, an image of one)
+    is exact, so no budget cuts its quotients, and `report` gives it no
+    exponent term."""
+    while isinstance(spec, realnum.Mobius):
+        spec = spec.inner
+    square = isinstance(spec, realnum.Surd) and math.isqrt(spec.d) ** 2 == spec.d
+    if terms < n_min + 2 and not (square or isinstance(spec, (realnum.Rational, realnum.FromCF))):
+        raise ValueError("too few certified terms")
 
 
 def _quasi_spec(
@@ -197,6 +204,8 @@ def cmd_digits(args) -> int:
 def cmd_complexity(args, gaps_only: bool = False) -> int:
     if args.n_max < 1:  # before the word is built
         raise ValueError("n_max must be positive")
+    if args.source.startswith("digits:") and args.n_max > args.prefix:  # N = --prefix
+        raise ValueError("window exceeds prefix")
     w = parse_word_source(args.source, args.prefix, args.max_bits)
     profile = words.complexity_profile(w, args.n_max)
     gaps = words.gap_profile(profile)
@@ -217,6 +226,8 @@ def cmd_complexity(args, gaps_only: bool = False) -> int:
 
 
 def cmd_ice_dio(args, kind: str) -> int:
+    if args.source.startswith("digits:"):  # before any digit; N = --prefix
+        repetition._checked_threshold(args.prefix, args.threshold)
     w = parse_word_source(args.source, args.prefix, args.max_bits)
     if kind == "dio":
         est = repetition.dio_estimate(w, args.threshold)
@@ -254,6 +265,7 @@ def cmd_mu(args) -> int:
     spec = realnum.parse_real_spec(args.spec)
     if args.n_min < 1:  # before any quotient is computed
         raise ValueError("n_min must be >= 1")
+    _enough_terms(spec, args.terms, args.n_min)
     cf = contfrac.cf_from_enclosure(
         realnum.enclosure(spec, max_bits=args.max_bits), args.terms
     )
@@ -301,10 +313,11 @@ def cmd_quasi(args) -> int:
 
 def cmd_approximant(args) -> int:
     spec = realnum.parse_real_spec(args.spec)
-    stream = realnum.digits(
-        spec, _word_base(args.base), _word_prefix(args.prefix), max_bits=args.max_bits
-    )
-    if stream.certified < 2 and not stream.complete:
+    base = _word_base(args.base)
+    repetition._checked_threshold(args.prefix, args.threshold)  # before any digit
+    stream = realnum.digits(spec, base, args.prefix, max_bits=args.max_bits)
+    # the threshold fits --prefix, so only the budget can leave too few digits for it
+    if not stream.complete and stream.certified < max(2, 2 * (args.threshold or 1)):
         raise realnum.PrecisionBudgetError(
             f"refinement budget exhausted after {stream.certified} certified digits"
         )
@@ -343,13 +356,18 @@ def cmd_approximant(args) -> int:
 
 def cmd_report(args) -> int:
     spec = realnum.parse_real_spec(args.spec)
+    base = _word_base(args.base)
+    # before any digit or quotient, in the order dio_mu_report would refuse them
+    repetition._checked_threshold(args.prefix, args.threshold)
+    _enough_terms(spec, args.terms, REPORT_N_MIN)
     report = approx.dio_mu_report(
         spec,
-        base=_word_base(args.base),
-        prefix_length=_word_prefix(args.prefix),
+        base=base,
+        prefix_length=args.prefix,
         cf_terms=args.terms,
         threshold=args.threshold,
         slack=args.slack,
+        n_min=REPORT_N_MIN,
         max_bits=args.max_bits,
     )
     if args.format == "json":

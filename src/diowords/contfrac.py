@@ -4,7 +4,9 @@ Quotients of an interval source are emitted only while both endpoints
 share the same integer part at the current depth of the Gauss map, so
 every emitted quotient is correct for the limit value.  On an exact
 rational point both endpoints coincide and this is Euclid's algorithm,
-whose final quotient >= 2 makes rational expansions round-trip.
+whose final quotient >= 2 makes rational expansions round-trip.  The
+same Euclid gives the quotients of a Sturmian surd slope
+(`_surd_quotients`), without an `Enclosure`.
 Convergents are a pure function of the quotients; they are built and
 certified by `certified_convergents` where they are read.
 """
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .realnum import CertificateError, Enclosure, convergents, decimal_text
+from .realnum import CertificateError, Enclosure, convergents, decimal_text, surd_bracket
 
 
 @dataclass(frozen=True)
@@ -106,6 +108,19 @@ def _interval_quotients(lo: int, hi: int, den: int, k_max: int) -> list[int]:
             break
         (n_lo, d_lo), (n_hi, d_hi) = (d_hi, r_hi), (d_lo, r_lo)
     return out
+
+
+def _surd_quotients(p: int, q: int, d: int) -> Iterator[int]:
+    """The quotients a_0, a_1, ... of the irrational (p + sqrt(d))/q, each
+    once and without end: Euclid on its nested dyadic cells at 64, 128,
+    256, ... bits.  A cell 2^-bits wide certifies k quotients only if
+    q_k^2 <= 2^bits, so k < bits and the cap cuts none."""
+    done, bits = 0, 64
+    while True:
+        lo, hi = surd_bracket(p, q, d, bits, bits)
+        qs = _interval_quotients(lo, hi, 1 << bits, bits)
+        yield from qs[done:]
+        done, bits = max(done, len(qs)), 2 * bits
 
 
 def _bits_for_terms(bits: int, got: int, want: int) -> int:

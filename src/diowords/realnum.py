@@ -19,9 +19,8 @@ or an enclosure's, and at the budget returns the image of the bracket
 reached, so it prints its certified prefix as a plain number does.
 `Fraction` appears only at the public boundary (`lo`, `hi`, `width`,
 `bounds()`).  The Sturmian slopes bracket themselves through the same
-two kernels, and a surd slope gives its quotients by Lagrange's
-recurrence (`lagrange_quotients`), so this module holds all of the
-slope arithmetic.
+two kernels, so this module holds all of the slope arithmetic; a surd
+slope's quotients come from `contfrac`'s one Euclid over its bracket.
 
 Digits are only ever emitted once the enclosure fits inside a single
 digit cell, so every printed digit is exact; when the refinement budget
@@ -476,28 +475,6 @@ def surd_bracket(p: int, q: int, d: int, bits: int, scale: int) -> tuple[int, in
     num = (p << bits) + (t if sign > 0 else -t - 1)
     shift = scale - bits
     return (num << shift) // q, -((-(num + 1) << shift) // q)
-
-
-def lagrange_quotients(p: int, q: int, d: int) -> Iterator[int]:
-    """The quotients a_0, a_1, ... of (p + sqrt(d))/q, without end, for
-    d > 0 not a perfect square and q != 0.
-
-    Lagrange's recurrence on the complete quotients (P + sqrt D)/Q: once
-    Q divides D - P^2 (p, q and d are scaled by |q| when it does not), a
-    = floor((P + sqrt D)/Q) is read off s = isqrt(D), since sqrt D lies
-    strictly between s and s + 1, and the next complete quotient has
-    P' = aQ - P and Q' = (D - P'^2)/Q, an exact division.  P and Q stay
-    below 2 sqrt(D) in size after the first steps.
-    """
-    if (d - p * p) % q:
-        p, q, d = p * abs(q), q * abs(q), d * q * q
-    s = math.isqrt(d)
-    while True:
-        # for Q < 0, floor(-x) = -floor(x) - 1 at the irrational x = (P + sqrt D)/|Q|
-        a = (p + s) // q if q > 0 else -((p + s) // -q) - 1
-        yield a
-        p = a * q - p
-        q = (d - p * p) // q
 
 
 def _compute_surd(spec: Surd, bits: int) -> Dyadic:

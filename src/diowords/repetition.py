@@ -14,15 +14,14 @@ Index: a witness with d = u + v has m = d + min(lce(u, d), N - d), so
 the best score with denominator d is (d + LPF[d]) / d, where
 LPF[d] = max_{u < d} lce(u, d) is the longest-previous-factor array of
 the prefix, and its smallest u is the first occurrence of the LPF[d]
-letters at d.  LPF comes from the suffix index (see suffix.py), except
-on a mechanical word of `sturmian.mechanical_word` with at least
-_LETTERS_PER_RECORD letters a record of its slope: there the earlier
-occurrence that sets LPF[i] lies at one of the two nearest earlier
-intercepts of i, whose lags are the slope's one-sided best
-approximations (`sturmian.record_runs`), and one numpy pass per run of
-those records reads their matches off the letters (`_record_lpf`).
-Slices and prefixes of a mechanical word, and every other word, take
-the index.  Both give the same array, so the same witnesses.  Scores
+letters at d.  On a word that carries its slope (`Word.slope`, set by
+`sturmian.mechanical_word`) the earlier occurrence that sets LPF[i] lies
+at one of the two nearest earlier intercepts of i, whose lags are the
+slope's one-sided best approximations (`sturmian.record_runs`), and one
+numpy pass per run of those records reads their matches off the letters
+(`_record_lpf`).  Every other word, slices and prefixes of a mechanical
+word included, takes the suffix index (see suffix.py).  Both give the
+same array, so the same witnesses.  Scores
 are compared exactly, by integer cross-multiplication.  Initial
 repetitions (u = 0) are selected the same way from the Z-array,
 Z[d] = lce(0, d), in place of LPF: numpy passes give every match
@@ -143,28 +142,14 @@ def dio_estimate(prefix: Word, threshold: int | None = None) -> ExponentEstimate
 
     Exhaustive over u + v <= N with m capped at N; the score maximum is
     exact and the tie-break (smaller u+v, then smaller u) makes the
-    returned witnesses deterministic.
+    returned witnesses deterministic.  LPF comes from the slope's records
+    when the word carries a slope, and from the suffix index otherwise.
     """
     t = _checked_threshold(len(prefix), threshold)
     data = prefix.symbols
     if prefix.slope is not None:
-        runs = record_runs(prefix.slope, len(data))
-        if _LETTERS_PER_RECORD * sum(run[3] for run in runs) <= len(data):
-            return _estimate(prefix, _record_lpf(data, runs), t, False)
+        return _estimate(prefix, _record_lpf(data, record_runs(prefix.slope, len(data))), t, False)
     return _estimate(prefix, longest_previous_factor(*suffix_index(data)), t, False)
-
-
-# dio_estimate reads LPF off the records of a mechanical word's slope when
-# the word has at least this many letters a record, and builds the suffix
-# index otherwise.  Each run of records costs a few numpy calls, whatever
-# its size.  Against the index and its LPF (best of 5, three intercepts),
-# on [0; A, (2)*], [0; 2, A, (1)*], [0; 1, 1, A, (1)*], [0; (1, A)*] and
-# [0; 3, A, (2)*] for A = 100 to 3000 the records ran at worst at 0.46
-# times the speed of the index at 1 letter a record, 0.68 at 2, 0.84 at 4
-# and 1.21 at 8; for A = 10^4 and 3 * 10^4 at 8 letters a record and more,
-# and on the golden, pow10 and surd slopes from 100 letters on, they ran
-# faster than the index.
-_LETTERS_PER_RECORD = 16
 
 
 def _record_lpf(data: bytes, runs: list) -> np.ndarray:

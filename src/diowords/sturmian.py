@@ -14,6 +14,8 @@ at _SLOPE_EXTEND_CAP).  `mechanical_word` keeps the floors of one int64
 numpy pass over one bracket and patches by index only the few positions,
 usually none, where its two ends disagree, decided again at 2k, 4k, ...
 bits with Python integers.  n*alpha + rho is never an integer, so this ends.
+The lags of `record_runs` come from the slope's quotients: a `FromCF`
+gives them, and a surd's come from `contfrac`'s Euclid on its bracket.
 
 Quasi-Sturmian words are built as W followed by the image of a Sturmian
 word under a nonerasing binary morphism; the checkers in this module
@@ -32,12 +34,12 @@ from fractions import Fraction
 
 import numpy as np
 
+from .contfrac import _surd_quotients
 from .realnum import (
     FromCF,
     PrecisionBudgetError,
     Surd,
     convergent_bracket,
-    lagrange_quotients,
     parse_surd,
     surd_bracket,
 )
@@ -192,7 +194,7 @@ def record_runs(slope: SlopeSpec, n: int) -> list[tuple[int, int, int, int, int]
     """
     _checked(slope)
     if isinstance(slope, Surd):
-        quotients = lagrange_quotients(slope.p, slope.q, slope.d)
+        quotients = _surd_quotients(slope.p, slope.q, slope.d)
         next(quotients)  # a_0 = 0
     else:
         quotients = map(slope.quotients, itertools.count(1))

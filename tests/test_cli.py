@@ -311,6 +311,15 @@ class TestExitCodes:
             (("approximant", "e", "--prefix", "1"), "degenerate prefix (length < 2)"),
             (("report", "e", "--prefix", "1", "--terms", "5"), "degenerate prefix (length < 2)"),
             (("mu", "e", "--n-min", "0", "--terms", "5"), "n_min must be >= 1"),
+            (("approximant", "e", "--prefix", "10", "--threshold", "50"), "threshold must be in [1, N/2]"),
+            (("report", "e", "--prefix", "10", "--terms", "9", "--threshold", "0"), "threshold must be in [1, N/2]"),
+            (("dio", "digits:e|10", "--prefix", "10", "--threshold", "50"), "threshold must be in [1, N/2]"),
+            (("ice", "digits:e|10", "--prefix", "1"), "degenerate prefix (length < 2)"),
+            (("complexity", "digits:e|10", "--prefix", "10", "--n-max", "100"), "window exceeds prefix"),
+            (("gap", "digits:e|10", "--prefix", "0", "--n-max", "1"), "window exceeds prefix"),
+            (("mu", "mobius:1,0,0,1:(mobius:1,0,0,1:(e))", "--terms", "5"), "too few certified terms"),
+            (("mu", "surd:0,1,2", "--n-min", "3", "--terms", "4"), "too few certified terms"),
+            (("report", "e", "--prefix", "100", "--terms", "6"), "too few certified terms"),
         ],
     )
     def test_argv_errors_come_before_any_digit_or_quotient(self, capsys, monkeypatch, argv, message):
@@ -366,6 +375,28 @@ class TestExitCodes:
         payload = json.loads(out)
         assert code == 3
         assert payload["per_n"][-1]["n"] == 552 and "certified" not in payload
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("approximant", "e", "--prefix", "1000", "--threshold", "400"),
+            ("report", "e", "--prefix", "1000", "--terms", "60", "--threshold", "400"),
+        ],
+    )
+    def test_threshold_past_the_certified_digits_is_3(self, capsys, argv):
+        # 100 bits certify 30 digits of e: the threshold fits --prefix, not them
+        assert run_cli(capsys, *argv)[0] == 0
+        code, out, err = run_cli(capsys, "--max-bits", "100", *argv)
+        assert code == 3 and "usage" not in err
+        if argv[0] == "report":
+            assert "dio:" not in out and "note: digit stream certified only 30 of 1000\n" in out
+        else:
+            assert out == "" and err == "budget exhausted: refinement budget exhausted after 30 certified digits\n"
+
+    def test_rational_report_needs_no_exponent_terms(self, capsys):
+        # a rational spec computes no exponent term, so few --terms are no error
+        code, out, _ = run_cli(capsys, "--max-bits", "0", "report", "rat:1/3", "--prefix", "100", "--terms", "5")
+        assert code == 0 and "rational: True" in out
 
     @pytest.mark.parametrize(
         "argv",
@@ -690,6 +721,15 @@ class TestGrammarFuzz:
     @example(["--max-bits", "256", "report", "e", "--prefix", "100", "--terms", "5"])
     @example(["--max-bits", "120", "digits", "mobius:-3,8,7,-19:(e)", "--count", "60"])
     @example(["--max-bits", "120", "cf", "mobius:-3,8,7,-19:(e)", "--terms", "50"])
+    # usage errors that only the argv makes, refused before any digit or quotient
+    @example(["--max-bits", "0", "approximant", "e", "--prefix", "10", "--threshold", "50"])
+    @example(["--max-bits", "0", "dio", "digits:e|10", "--prefix", "10", "--threshold", "50"])
+    @example(["--max-bits", "0", "complexity", "digits:e|10", "--prefix", "10", "--n-max", "100"])
+    @example(["--max-bits", "5", "mu", "mobius:1,0,0,1:(mobius:1,0,0,1:(e))", "--terms", "5"])
+    @example(["--max-bits", "0", "report", "e", "--prefix", "100", "--terms", "5"])
+    # a threshold that fits --prefix but not the digits the budget certifies
+    @example(["--max-bits", "100", "approximant", "e", "--prefix", "1000", "--threshold", "400"])
+    @example(["--max-bits", "100", "report", "e", "--prefix", "1000", "--terms", "60", "--threshold", "400"])
     @settings(max_examples=150, deadline=None)
     def test_exit_codes_and_streams(self, argv):
         code, out, err = run_isolated(argv)
@@ -703,11 +743,14 @@ class TestGrammarFuzz:
         without_budget = argv[:i] + argv[i + 2 :]
         with mock.patch.dict(os.environ, {"DIOWORDS_MAX_BITS": argv[i + 1]}):
             assert run_isolated(without_budget) == (code, out, err)
+        with mock.patch.dict(os.environ):
+            os.environ.pop("DIOWORDS_MAX_BITS", None)
+            full_code, full_out, full_err = run_isolated(without_budget)
+        # a usage error is one under every budget, with the same message
+        assert (code == 2) == (full_code == 2), (argv, err, full_err)
+        assert code != 2 or err == full_err, (argv, err, full_err)
         if code == 3:
             # exit 3 means the budget ran out, so the default budget of 10^6 bits must not
-            with mock.patch.dict(os.environ):
-                os.environ.pop("DIOWORDS_MAX_BITS", None)
-                full_code, full_out, _ = run_isolated(without_budget)
             assert full_code != 3, argv
             # what a budget-cut text run prints is certified: a prefix of the full output
             command, fmt = argv[i + 2], argv[argv.index("--format") + 1] if "--format" in argv else "text"

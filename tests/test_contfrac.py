@@ -267,8 +267,9 @@ class TestSurdOracle:
     @example((-3, -7, 13), 50)  # a negative Q that divides 13 - 9
     @example((5, -6, 11), 50)  # a negative Q that does not divide 11 - 25
     @settings(max_examples=200, deadline=None)
-    def test_lagrange_quotients_match_the_oracle(self, surd, terms):
-        got = list(itertools.islice(realnum.lagrange_quotients(*surd), terms))
+    def test_surd_quotients_match_the_oracle(self, surd, terms):
+        # Euclid on the surd's bracket against Lagrange's PQa recurrence
+        got = list(itertools.islice(contfrac._surd_quotients(*surd), terms))
         assert got == oracle.surd_quotients(*surd, terms)
 
     def test_pqa_on_known_expansions(self):

@@ -15,11 +15,10 @@ in `tests/suffix_oracle.py` on the same suffix index, and checks that
 both give the same array.  On the Sturmian words it also prints the
 best-of-k time of the whole index path (`suffix_index` and the kernel)
 and of the record path (`sturmian.record_runs` and
-`repetition._record_lpf`), the record count against the rule of
-`dio_estimate` (16 letters a record), and checks that both give the same
-array.  Digit words are made with a budget of 4 bits a digit, so that
-every size is reached.  It needs only the standard library and numpy;
-pytest does not collect it.
+`repetition._record_lpf`) and the record count, and checks that both
+give the same array.  Digit words are made with a budget of 4 bits a
+digit, so that every size is reached.  It needs only the standard
+library and numpy; pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
 from diowords.cli import parse_word_source  # noqa: E402
-from diowords.repetition import _LETTERS_PER_RECORD, _record_lpf  # noqa: E402
+from diowords.repetition import _record_lpf  # noqa: E402
 from diowords.sturmian import record_runs  # noqa: E402
 from diowords.suffix import longest_previous_factor, suffix_index  # noqa: E402
 from diowords.words import Word  # noqa: E402
@@ -133,14 +132,13 @@ def main() -> None:
             print(f"{len(data):>9}  {name:18} {kernel * 1e3:10.3f} {loop * 1e3:10.3f} {loop / kernel:11.2f}", flush=True)
             if w.slope is not None:
                 sturmian.append((name, w))
-    print(f"\n{'letters':>9}  {'word':18} {'records':>8} {'rule':>5} {'index ms':>10} {'records ms':>10} {'index/records':>13}")
+    print(f"\n{'letters':>9}  {'word':18} {'records':>8} {'index ms':>10} {'records ms':>10} {'index/records':>13}")
     for name, w in sturmian:
         if not (index_lpf(w.symbols) == record_lpf(w)).all():
             raise SystemExit(f"records and index differ on {name} at {len(w)} letters")
         records = sum(run[3] for run in record_runs(w.slope, len(w)))
-        rule = "yes" if _LETTERS_PER_RECORD * records <= len(w) else "no"
         index, rec = best_of(args.repeat, (index_lpf, w.symbols), (record_lpf, w))
-        print(f"{len(w):>9}  {name:18} {records:>8} {rule:>5} {index * 1e3:10.3f} {rec * 1e3:10.3f} {index / rec:13.2f}", flush=True)
+        print(f"{len(w):>9}  {name:18} {records:>8} {index * 1e3:10.3f} {rec * 1e3:10.3f} {index / rec:13.2f}", flush=True)
 
 if __name__ == "__main__":
     main()
