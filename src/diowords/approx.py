@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .contfrac import MuEstimate, cf_from_enclosure, mu_estimate
+from .contfrac import MuEstimate, _check_terms, _cut_short, cf_from_enclosure, mu_estimate
 from .realnum import (
     DEFAULT_MAX_BITS,
     CertificateError,
@@ -27,12 +27,14 @@ from .realnum import (
     PrecisionBudgetError,
     RealSpec,
     _GUARD_BITS,
+    _check_digits,
     _digits_to_int,
     decimal_text,
     digits,
     enclosure,
 )
-from .repetition import ExponentEstimate, RepetitionWitness, dio_estimate, verify_witness
+from .repetition import (ExponentEstimate, RepetitionWitness, _checked_threshold, _takes_threshold,
+                         dio_estimate, verify_witness)
 from .words import Word
 
 @dataclass(frozen=True)
@@ -69,12 +71,9 @@ def witness_to_approximant(digit_word: Word, witness: RepetitionWitness, base: i
     base-b integers, so that p/q = 0.UVVV... exactly; no division and no
     gcd reduction happens.
     """
-    if base < 2:
-        raise ValueError("base must be >= 2")
+    _check_digits(base)
     if len(digit_word) and max(digit_word.symbols) >= base:
         raise ValueError("digit word has letters outside the base")
-    if witness.m > len(digit_word):
-        raise ValueError("witness exceeds prefix")
     if not verify_witness(digit_word, witness):
         raise ValueError("unverified witness")
     u, v = witness.u, witness.v
@@ -86,6 +85,7 @@ def witness_to_approximant(digit_word: Word, witness: RepetitionWitness, base: i
 
 def expansion_digits(p: int, q: int, base: int, count: int) -> list[int]:
     """Fractional digits of p/q in [0, 1) by plain long division (oracle path)."""
+    _check_digits(base, count)
     if not 0 <= p <= q:
         raise ValueError("expects 0 <= p/q <= 1")
     rem = p % q
@@ -214,8 +214,12 @@ def dio_mu_report(
     """Run both pipelines on one number and compare the finite estimates.
 
     Both sides truncate limits, so the comparison carries a slack and
-    the raw values are always part of the report.
+    the raw values are always part of the report.  Base, threshold and
+    terms are checked first, so a usage error is one under every budget.
     """
+    _check_digits(base, word=True)
+    _checked_threshold(prefix_length, threshold)
+    _check_terms(n_min, cf_terms, spec)
     notes: list[str] = []
     partial = False
 
@@ -224,9 +228,8 @@ def dio_mu_report(
         partial = True
         notes.append(f"digit stream certified only {stream.certified} of {prefix_length}")
     est: ExponentEstimate | None = None
-    # a complete stream too short for the threshold (N < 2 or N < 2t) is a
-    # usage error in dio_estimate; a budget-cut one leaves the estimate out
-    if stream.complete or stream.certified >= max(2, 2 * (threshold or 1)):
+    # the threshold fits prefix_length, so only a budget-cut stream can be too short for it
+    if _takes_threshold(stream.certified, threshold):
         est = dio_estimate(stream.fractional_word(), threshold)
 
     cf = cf_from_enclosure(enclosure(spec, max_bits=max_bits), cf_terms)
@@ -238,8 +241,7 @@ def dio_mu_report(
     if cf.rational:
         notes.append("rational input: digits are eventually periodic and the "
                      "repetition exponent diverges with the prefix length")
-    elif cf.certified >= n_min + 2 or not cf.budget_exhausted:
-        # too few terms with budget to spare is a usage error in mu_estimate
+    elif not _cut_short(cf, n_min):
         mu = mu_estimate(cf, n_min=n_min)
     else:
         partial = True

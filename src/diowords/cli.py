@@ -10,7 +10,8 @@ Exit codes, one exception class each: 0 success; 1 a failed criterion
 or plateau check, or `realnum.CertificateError`, a failed certificate
 check; 2 a usage error, `ValueError` or `TypeError`; 3
 `realnum.PrecisionBudgetError`, an exhausted refinement budget.  Checks
-that need only the argv come first, so a usage error is one under every budget.
+that need only the argv come first, so a usage error is one under every
+budget; each is the private check of the library module that owns the rule.
 
 `main` builds its argument parser once per process, on its first call,
 and never changes it; `DIOWORDS_MAX_BITS` is read on every call.  Only
@@ -67,7 +68,8 @@ def parse_word_source(
             base = int(parts[1])
         except ValueError:
             raise ValueError(f"bad base {parts[1]!r}") from None
-        stream = realnum.digits(spec, _word_base(base), prefix, max_bits=max_bits)
+        realnum._check_digits(base, word=True)
+        stream = realnum.digits(spec, base, prefix, max_bits=max_bits)
         if not stream.complete:
             raise realnum.PrecisionBudgetError(f"certified {stream.certified} of {prefix} digits")
         return stream.fractional_word()
@@ -84,29 +86,6 @@ def parse_word_source(
             raise ValueError(f"quasi source needs W|MORPHISM|SLOPE[|INTERCEPT]: {text!r}")
         return sturmian.apply_morphism(_quasi_spec(*parts), prefix)
     raise ValueError(f"unknown word source {text!r} (position 0)")
-
-
-def _word_base(base: int) -> int:
-    """The base of a digit word, refused before any digit is computed when
-    it is no base or a word cannot hold its digits."""
-    if base < 2:
-        raise ValueError("base must be >= 2")
-    if base > 256:
-        raise ValueError("word view needs base <= 256")
-    return base
-
-
-def _enough_terms(spec: realnum.RealSpec, terms: int, n_min: int) -> None:
-    """Refuse `terms` below n_min + 2 on an irrational spec before any
-    quotient is computed: none certifies more quotients than asked.  A
-    parsed rational (`rat:`, a `cf:` list, a square surd, an image of one)
-    is exact, so no budget cuts its quotients, and `report` gives it no
-    exponent term."""
-    while isinstance(spec, realnum.Mobius):
-        spec = spec.inner
-    square = isinstance(spec, realnum.Surd) and math.isqrt(spec.d) ** 2 == spec.d
-    if terms < n_min + 2 and not (square or isinstance(spec, (realnum.Rational, realnum.FromCF))):
-        raise ValueError("too few certified terms")
 
 
 def _quasi_spec(
@@ -202,10 +181,8 @@ def cmd_digits(args) -> int:
 
 
 def cmd_complexity(args, gaps_only: bool = False) -> int:
-    if args.n_max < 1:  # before the word is built
-        raise ValueError("n_max must be positive")
-    if args.source.startswith("digits:") and args.n_max > args.prefix:  # N = --prefix
-        raise ValueError("window exceeds prefix")
+    # before the word is built; a digits: source has N = --prefix
+    words._check_window(args.n_max, args.prefix if args.source.startswith("digits:") else None)
     w = parse_word_source(args.source, args.prefix, args.max_bits)
     profile = words.complexity_profile(w, args.n_max)
     gaps = words.gap_profile(profile)
@@ -263,13 +240,9 @@ def cmd_cf(args) -> int:
 
 def cmd_mu(args) -> int:
     spec = realnum.parse_real_spec(args.spec)
-    if args.n_min < 1:  # before any quotient is computed
-        raise ValueError("n_min must be >= 1")
-    _enough_terms(spec, args.terms, args.n_min)
-    cf = contfrac.cf_from_enclosure(
-        realnum.enclosure(spec, max_bits=args.max_bits), args.terms
-    )
-    if cf.budget_exhausted and cf.certified < args.n_min + 2:
+    contfrac._check_terms(args.n_min, args.terms, spec)  # before any quotient
+    cf = contfrac.cf_from_enclosure(realnum.enclosure(spec, max_bits=args.max_bits), args.terms)
+    if contfrac._cut_short(cf, args.n_min):
         raise realnum.PrecisionBudgetError(
             f"refinement budget exhausted after {cf.certified} certified terms"
         )
@@ -313,11 +286,11 @@ def cmd_quasi(args) -> int:
 
 def cmd_approximant(args) -> int:
     spec = realnum.parse_real_spec(args.spec)
-    base = _word_base(args.base)
-    repetition._checked_threshold(args.prefix, args.threshold)  # before any digit
-    stream = realnum.digits(spec, base, args.prefix, max_bits=args.max_bits)
+    realnum._check_digits(args.base, word=True)  # before any digit
+    repetition._checked_threshold(args.prefix, args.threshold)
+    stream = realnum.digits(spec, args.base, args.prefix, max_bits=args.max_bits)
     # the threshold fits --prefix, so only the budget can leave too few digits for it
-    if not stream.complete and stream.certified < max(2, 2 * (args.threshold or 1)):
+    if not repetition._takes_threshold(stream.certified, args.threshold):
         raise realnum.PrecisionBudgetError(
             f"refinement budget exhausted after {stream.certified} certified digits"
         )
@@ -355,14 +328,9 @@ def cmd_approximant(args) -> int:
 
 
 def cmd_report(args) -> int:
-    spec = realnum.parse_real_spec(args.spec)
-    base = _word_base(args.base)
-    # before any digit or quotient, in the order dio_mu_report would refuse them
-    repetition._checked_threshold(args.prefix, args.threshold)
-    _enough_terms(spec, args.terms, REPORT_N_MIN)
     report = approx.dio_mu_report(
-        spec,
-        base=base,
+        realnum.parse_real_spec(args.spec),
+        base=args.base,
         prefix_length=args.prefix,
         cf_terms=args.terms,
         threshold=args.threshold,

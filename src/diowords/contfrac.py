@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .realnum import CertificateError, Enclosure, convergents, decimal_text, surd_bracket
+from .realnum import (CertificateError, Enclosure, RealSpec, _exact, convergents, decimal_text,
+                      surd_bracket)
 
 
 @dataclass(frozen=True)
@@ -198,6 +199,20 @@ class MuEstimate:
         }
 
 
+def _check_terms(n_min: int, terms: int, spec: RealSpec | None = None) -> None:
+    """The exponent-term rule: n_min >= 1 and n_min + 2 quotients, before any
+    quotient when given the spec, which exempts a rational: it may stop short."""
+    if n_min < 1:
+        raise ValueError("n_min must be >= 1")
+    if terms < n_min + 2 and not _exact(spec):
+        raise ValueError("too few certified terms")
+
+
+def _cut_short(cf: CFExpansion, n_min: int) -> bool:
+    """Whether the budget left too few quotients for an exponent term."""
+    return cf.budget_exhausted and cf.certified < n_min + 2
+
+
 def mu_estimate(cf: CFExpansion, n_min: int = 5) -> MuEstimate:
     """Exponent terms from exact a_{n+1} and q_n.
 
@@ -206,10 +221,7 @@ def mu_estimate(cf: CFExpansion, n_min: int = 5) -> MuEstimate:
     ints carries about 1 ulp of relative error (far below the 1e-12
     budget the reported 6-decimal values need).
     """
-    if n_min < 1:
-        raise ValueError("n_min must be >= 1")
-    if cf.certified < n_min + 2:
-        raise ValueError("too few certified terms")
+    _check_terms(n_min, cf.certified)
     convs = convergents_from_quotients(cf.quotients[:-1])
     if convs[n_min][1] < 2:
         raise ValueError("q_n at n_min must be >= 2; raise n_min")

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
-from .words import CHARS_TO_DIGITS, DIGITS_TO_CHARS, Word
+from .words import CHARS_TO_DIGITS, DIGITS_TO_CHARS, MAX_ALPHABET, Word
 
 DEFAULT_MAX_BITS = 10**6
 _START_BITS = 64
@@ -86,6 +86,8 @@ class Enclosure:
         max_bits: int = DEFAULT_MAX_BITS,
         point: Fraction | None = None,
     ) -> None:
+        if bits < 0:
+            raise ValueError("bits must be nonnegative")
         if max_bits < 0:
             raise ValueError("max_bits must be nonnegative")
         self._compute = compute
@@ -237,6 +239,25 @@ class Mobius:
 RealSpec = Union[Rational, SeriesE, SeriesShallit, Surd, FromCF, Mobius]
 
 
+def _exact(spec: RealSpec | None) -> bool:
+    """Whether the spec is rational: `rat:`, a finite `cf:`, a square surd, or an image of one."""
+    while isinstance(spec, Mobius):
+        spec = spec.inner
+    if isinstance(spec, Surd):
+        return math.isqrt(spec.d) ** 2 == spec.d
+    return isinstance(spec, Rational) or isinstance(spec, FromCF) and isinstance(spec.quotients, tuple)
+
+
+def _check_digits(base: int, count: int = 0, word: bool = False) -> None:
+    """The digit rule: base >= 2 and count >= 0; with `word`, a base a `Word` holds."""
+    if base < 2:
+        raise ValueError("base must be >= 2")
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    if word and base > MAX_ALPHABET:
+        raise ValueError("word view needs base <= 256")
+
+
 class SpecSyntaxError(ValueError):
     """Real-spec grammar error carrying the failing position."""
 
@@ -364,7 +385,7 @@ def _image_enclosure(spec: Mobius, bits: int, max_bits: int) -> Enclosure:
     if isinstance(inner, SeriesE):
         compute = _image_compute(a, b, c, d, _e_bracket, min(bits, max_bits), max_bits)
         return Enclosure(compute, bits, max_bits)
-    if isinstance(inner, Surd) and math.isqrt(inner.d) ** 2 != inner.d:
+    if isinstance(inner, Surd) and not _exact(inner):
         return enclosure(_surd_image(a, b, c, d, inner), bits, max_bits)
     enc = enclosure(inner, bits, max_bits)
     if enc.is_point():
@@ -632,8 +653,7 @@ def enclosure_from_digits(
 
     `fetch(n)` must return the first n fractional digits, exactly.
     """
-    if base < 2:
-        raise ValueError("base must be >= 2")
+    _check_digits(base)
 
     def compute(nbits: int) -> Dyadic:
         n = int(nbits / math.log2(base)) + 2
@@ -684,8 +704,7 @@ class DigitStream:
         return f"{ipart}.{frac} certified:{self.certified}"
 
     def fractional_word(self) -> Word:
-        if self.base > 256:
-            raise ValueError("word view needs base <= 256")
+        _check_digits(self.base, word=True)
         return Word(self.fractional_digits, self.base)
 
     def value(self) -> Fraction:
@@ -696,15 +715,12 @@ class DigitStream:
 
 def digits(spec: RealSpec, base: int, count: int, max_bits: int = DEFAULT_MAX_BITS) -> DigitStream:
     """First `count` certified fractional digits of the spec in the base."""
-    if base < 2:
-        raise ValueError("base must be >= 2")
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    enc = enclosure(spec, _START_BITS, max_bits)
-    return digits_from_enclosure(enc, base, count)
+    _check_digits(base, count)
+    return digits_from_enclosure(enclosure(spec, _START_BITS, max_bits), base, count)
 
 
 def digits_from_enclosure(enc: Enclosure, base: int, count: int) -> DigitStream:
+    _check_digits(base, count)
     if enc.is_point():
         x, cell = enc.lo, base**count
         return _stream_from_scaled(base, count, x.numerator * cell // x.denominator, count, cell)

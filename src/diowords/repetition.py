@@ -94,8 +94,6 @@ def verify_witness(prefix: Word, w: RepetitionWitness) -> bool:
     if w.m > len(prefix):
         raise ValueError("witness exceeds prefix")
     data = prefix.symbols
-    if w.m < w.u + w.v:
-        return False
     return data[w.u : w.m - w.v] == data[w.u + w.v : w.m]
 
 
@@ -124,17 +122,18 @@ def _better(cand: _Cand, best: _Cand | None) -> bool:
     return u1 < u2
 
 
-def _default_threshold(n: int) -> int:
-    return max(1, n // 20)
-
-
 def _checked_threshold(n: int, threshold: int | None) -> int:
+    """The threshold rule: n >= 2 and t in [1, n/2], t = max(1, n // 20) by default."""
     if n < 2:
         raise ValueError("degenerate prefix (length < 2)")
-    t = _default_threshold(n) if threshold is None else threshold
-    if not 1 <= t <= n // 2:
+    if not _takes_threshold(n, threshold):
         raise ValueError("threshold must be in [1, N/2]")
-    return t
+    return max(1, n // 20) if threshold is None else threshold
+
+
+def _takes_threshold(n: int, threshold: int | None) -> bool:
+    """Whether a prefix of n letters takes the threshold; the default fits any n >= 2."""
+    return n >= 2 and (threshold is None or 1 <= threshold <= n // 2)
 
 
 def dio_estimate(prefix: Word, threshold: int | None = None) -> ExponentEstimate:
@@ -387,9 +386,7 @@ def dio_brute_force(prefix: Word, threshold: int | None = None) -> ExponentEstim
     """
     data = prefix.symbols
     n = len(data)
-    if n < 2:
-        raise ValueError("degenerate prefix (length < 2)")
-    t = _default_threshold(n) if threshold is None else threshold
+    t = _checked_threshold(n, threshold)
     best_g: _Cand | None = None
     best_p: _Cand | None = None
     for u in range(n):
@@ -414,9 +411,7 @@ def ice_brute_force(prefix: Word, threshold: int | None = None) -> ExponentEstim
     """Reference scan for initial repetitions (u = 0 slice of dio_brute_force)."""
     data = prefix.symbols
     n = len(data)
-    if n < 2:
-        raise ValueError("degenerate prefix (length < 2)")
-    t = _default_threshold(n) if threshold is None else threshold
+    t = _checked_threshold(n, threshold)
     best_g: _Cand | None = None
     best_p: _Cand | None = None
     for v in range(1, n + 1):

@@ -28,7 +28,6 @@ length law is a multiple of it.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,11 +38,12 @@ from .realnum import (
     FromCF,
     PrecisionBudgetError,
     Surd,
+    _exact,
     convergent_bracket,
     parse_surd,
     surd_bracket,
 )
-from .words import Word, complexity_profile, gap_profile
+from .words import Word, _check_window, complexity_profile, gap_profile
 
 _SLOPE_EXTEND_CAP = 100_000
 
@@ -60,13 +60,13 @@ PRESET_SLOPES: dict[str, FromCF] = {
 def _checked(slope: SlopeSpec) -> SlopeSpec:
     """The slope, once it is known to be irrational and to lie in (0, 1)."""
     if isinstance(slope, Surd):
-        if math.isqrt(slope.d) ** 2 == slope.d:
+        if _exact(slope):
             raise ValueError("surd radicand must be positive and not a perfect square")
         # at scale = bits = 0 the bracket is lo < alpha < lo + 1, so lo is the
         # floor of the irrational alpha, which lies in (0, 1) iff that floor is 0
         if surd_bracket(slope.p, slope.q, slope.d, 0, 0)[0] != 0:
             raise ValueError("slope must lie in (0, 1)")
-    elif isinstance(slope.quotients, tuple):
+    elif _exact(slope):
         raise ValueError("slope must be irrational")
     elif slope.quotients(0) != 0:
         raise ValueError("slope must lie in (0, 1)")
@@ -215,6 +215,8 @@ def record_runs(slope: SlopeSpec, n: int) -> list[tuple[int, int, int, int, int]
 
 def slope_bounds(slope: SlopeSpec, bits: int = 64) -> tuple[Fraction, Fraction]:
     """Certified rational bracket of the slope with width at most 2^-bits."""
+    if bits < 0:
+        raise ValueError("bits must be nonnegative")
     lo, hi = _bracket(_checked(slope), bits + 1)
     return Fraction(lo, 1 << bits + 1), Fraction(hi, 1 << bits + 1)
 
@@ -308,8 +310,7 @@ def quasi_sturmian_check(a: Word, n_max: int) -> tuple[int, int] | None:
     data is too short or not quasi-Sturmian.  n_max is capped at |a|/4
     so that the counts are not starved by the prefix cut-off.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be positive")
+    _check_window(n_max)
     if n_max > len(a) // 4:
         raise ValueError("window too large")
     profile = complexity_profile(a, n_max)

@@ -167,6 +167,14 @@ def occurrence_count(w: Word, letter: int) -> int:
     return w.symbols.count(letter)
 
 
+def _check_window(n_max: int, length: int | None = None) -> None:
+    """The window rule: n_max >= 1, and at most `length` when it is known."""
+    if n_max < 1:
+        raise ValueError("n_max must be positive")
+    if length is not None and n_max > length:
+        raise ValueError("window exceeds prefix")
+
+
 def complexity_profile(w: Word, n_max: int) -> ComplexityProfile:
     """Exact distinct-factor counts of the prefix, for window sizes 1..n_max.
 
@@ -177,11 +185,8 @@ def complexity_profile(w: Word, n_max: int) -> ComplexityProfile:
     is sorted to depth n_max: each LCP is exact below it, and at least
     n_max otherwise.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be positive")
-    if n_max > len(w):
-        raise ValueError("window exceeds prefix")
     L = len(w)
+    _check_window(n_max, L)
     sa, lcp = suffix_index(w.symbols, depth=n_max)
     diff = np.bincount(lcp + 1, minlength=L + 2) - np.bincount(L - sa + 1, minlength=L + 2)
     counts = np.cumsum(diff)[1 : n_max + 1]

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from diowords.approx import (
     witness_to_approximant,
 )
 from diowords.realnum import (
+    DEFAULT_MAX_BITS,
     CertificateError,
     Rational,
     SeriesE,
@@ -150,6 +152,11 @@ class TestExpansionDigits:
         with pytest.raises(ValueError):
             expansion_digits(8, 7, 10, 3)
 
+    def test_base_check(self):
+        # base 1 printed [0, 0, 0, 0, 0]
+        with pytest.raises(ValueError, match="^base must be >= 2$"):
+            expansion_digits(1, 3, 1, 5)
+
 
 class TestDioMuReport:
     def test_golden_small_budget(self):
@@ -172,3 +179,20 @@ class TestDioMuReport:
     def test_partial_when_budget_small(self):
         rep = dio_mu_report(SeriesE(), base=10, prefix_length=300, cf_terms=30, max_bits=512)
         assert rep.partial
+
+    @pytest.mark.parametrize("max_bits", [0, 20, DEFAULT_MAX_BITS])
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"threshold": 50}, "threshold must be in [1, N/2]"),
+            ({"cf_terms": 5}, "too few certified terms"),
+            ({"base": 300}, "word view needs base <= 256"),
+        ],
+        ids=["threshold", "terms", "base"],
+    )
+    def test_usage_errors_come_before_any_digit(self, kwargs, message, max_bits):
+        # a small budget used to decide between this error, a partial report
+        # and a spent budget
+        args = {"base": 10, "prefix_length": 10, "cf_terms": 60, **kwargs}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            dio_mu_report(SeriesE(), max_bits=max_bits, **args)

@@ -221,6 +221,10 @@ class TestBudget:
         with pytest.raises(ValueError):
             enclosure(SeriesE(), max_bits=-1)
 
+    def test_negative_precision_rejected(self):
+        with pytest.raises(ValueError, match="^bits must be nonnegative$"):
+            enclosure(SeriesE(), bits=-5)
+
     def test_refine_to_target_in_one_step(self):
         enc = enclosure(SeriesE(), 64)
         assert enc.refine(5000)
@@ -444,6 +448,22 @@ class TestDigits:
     def test_base_validation(self):
         with pytest.raises(ValueError):
             digits(Rational(1, 2), 1, 3)
+
+    @pytest.mark.parametrize(
+        "base, count, message",
+        [
+            (0, 3, "base must be >= 2"),
+            (1, 3, "base must be >= 2"),
+            (-2, 3, "base must be >= 2"),
+            (10, -1, "count must be nonnegative"),
+        ],
+    )
+    @pytest.mark.parametrize("spec", [Rational(1, 3), SeriesE()], ids=["point", "interval"])
+    def test_digits_from_enclosure_checks_its_arguments(self, spec, base, count, message):
+        # a negative count returned a stream of junk bytes, and base 0 or 1
+        # died in the arithmetic
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            digits_from_enclosure(enclosure(spec), base, count)
 
     def test_budget_exhaustion_gives_partial_stream(self):
         stream = digits(SeriesE(), 10, 400, max_bits=256)

@@ -135,6 +135,11 @@ class TestSlopeSpecs:
         with pytest.raises(ValueError, match="^slope must be irrational$"):
             slope_bounds(parse_slope("cfslope:1,2"))
 
+    def test_negative_precision_rejected(self):
+        # died with "negative shift count"
+        with pytest.raises(ValueError, match="^bits must be nonnegative$"):
+            slope_bounds(FIB_SLOPE, -5)
+
     def test_cf_slope_validation(self):
         for text in ("cfslope:0", "cfslope:1,(0)*"):
             with pytest.raises(ValueError, match="^partial quotients must be >= 1$"):

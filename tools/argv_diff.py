@@ -1,20 +1,33 @@
-"""Replay drawn CLI argv through two source trees and print where they differ.
+"""Replay drawn CLI argv through two source trees, or with and without a budget.
 
     python tools/argv_diff.py --base-src ../parent/src
+    python tools/argv_diff.py --budgets [--base-src ../parent/src]
 
 The argv are those of `tests/strategies.cli_argvs`, drawn by hypothesis
-with seeds 1, 2 and 3, 1000 draws each, with no example database.
-`diowords.cli.main` runs them all in one worker subprocess per tree,
-this checkout's src/ and the --base-src tree side by side; a worker
-reports the exit code and the SHA-256 of stdout of each run.  Every
-argv whose exit code or stdout digest differs is printed with both,
-and the exit code is 1 when any differs.  It needs only the standard
-library and hypothesis; pytest does not collect it.
+with seeds 1, 2 and 3, 1000 draws each, with no example database; each
+carries a `--max-bits`.  `diowords.cli.main` runs them all in one worker
+subprocess per replay, which reports the exit code and the SHA-256 of
+stdout and of stderr of each run.
+
+With --base-src alone, this checkout's src/ and the --base-src tree run
+side by side: every argv whose exit code, stdout or stderr differs is
+printed with both, and the exit code is 1 when any differs.
+
+With --budgets, one tree (--base-src, or this checkout's src/) runs each
+argv with and without its `--max-bits`, and two lists are printed, with
+counts by command: the argv that exit 2 on one side only, or on both with
+another stderr (invariant A: a usage error is one under every budget),
+and the argv that exit 0 on both sides with another stdout (invariant B).
+The exit code is 1 when either list is not empty.
+
+It needs only the standard library and hypothesis; pytest does not
+collect it.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import concurrent.futures
 import contextlib
 import hashlib
@@ -52,8 +65,13 @@ def draw_argvs() -> list[list[str]]:
     return out
 
 
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 def worker(src: str) -> None:
-    """Run each argv of the JSON list on stdin; write [exit code, stdout digest] of each."""
+    """Run each argv of the JSON list on stdin; write [exit code, stdout
+    digest, stderr digest] of each."""
     sys.path.insert(0, src)
     from diowords import cli
 
@@ -61,15 +79,15 @@ def worker(src: str) -> None:
         raise SystemExit(f"argv_diff: diowords imported from {cli.__file__}, not {src}")
     results = []
     for argv in json.load(sys.stdin):
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = cli.main(argv)
             except SystemExit as exc:
                 code = exc.code
             except Exception as exc:  # a crash is a result to compare, not the end of the replay
                 code = f"{type(exc).__name__}: {exc}"
-        results.append([code, hashlib.sha256(out.getvalue().encode()).hexdigest()[:16]])
+        results.append([code, _digest(out.getvalue()), _digest(err.getvalue())])
     json.dump(results, sys.stdout)
 
 
@@ -83,28 +101,63 @@ def replay(src: str, argvs: list[list[str]]) -> list[list]:
     return json.loads(proc.stdout)
 
 
+def _show(argv: list[str], sides: dict[str, list]) -> None:
+    print(shlex.join(argv))
+    for name, (code, out, err) in sides.items():
+        print(f"  {name}: exit {code} stdout {out} stderr {err}")
+
+
+def compare_trees(argvs: list[list[str]], base_src: str) -> int:
+    with concurrent.futures.ThreadPoolExecutor(2) as pool:
+        base, this = pool.map(lambda src: replay(src, argvs), [base_src, SRC])
+    differ = 0
+    for argv, b, t in zip(argvs, base, this):
+        if b != t:
+            differ += 1
+            _show(argv, {"base": b, "this": t})
+    print(f"{len(argvs)} argv replayed, {differ} differ")
+    return differ
+
+
+def compare_budgets(argvs: list[list[str]], src: str) -> int:
+    unbudgeted = []
+    for argv in argvs:
+        i = argv.index("--max-bits")
+        unbudgeted.append(argv[:i] + argv[i + 2 :])
+    with concurrent.futures.ThreadPoolExecutor(2) as pool:
+        budgeted, full = pool.map(lambda a: replay(src, a), [argvs, unbudgeted])
+    kinds = {"A": [], "B": []}
+    for argv, b, f in zip(argvs, budgeted, full):
+        if (b[0] == 2) != (f[0] == 2) or b[0] == f[0] == 2 and b[2] != f[2]:
+            kinds["A"].append((argv, b, f))
+        elif b[0] == f[0] == 0 and b[1] != f[1]:
+            kinds["B"].append((argv, b, f))
+    for kind, rows in kinds.items():
+        what = "exit 2 on one side or another stderr" if kind == "A" else "exit 0, other stdout"
+        commands = collections.Counter(argv[argv.index("--max-bits") + 2] for argv, _, _ in rows)
+        by_command = ", ".join(f"{c} {n}" for c, n in sorted(commands.items())) or "none"
+        print(f"invariant {kind} ({what}): {len(rows)} argv; {by_command}")
+        for argv, b, f in rows:
+            _show(argv, {"budget": b, "no budget": f})
+    print(f"{len(argvs)} argv replayed with and without their --max-bits")
+    return len(kinds["A"]) + len(kinds["B"])
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base-src", help="the src/ directory of the tree to compare with")
+    parser.add_argument("--budgets", action="store_true",
+                        help="replay one tree with and without each --max-bits")
     parser.add_argument("--worker", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.worker:
         worker(args.worker)
         return 0
+    if args.budgets:
+        return 1 if compare_budgets(draw_argvs(), args.base_src or SRC) else 0
     if not args.base_src:
         parser.error("--base-src is required")
-    argvs = draw_argvs()
-    with concurrent.futures.ThreadPoolExecutor(2) as pool:
-        base, this = pool.map(lambda src: replay(src, argvs), [args.base_src, SRC])
-    differ = 0
-    for argv, b, t in zip(argvs, base, this):
-        if b != t:
-            differ += 1
-            print(shlex.join(argv))
-            print(f"  base: exit {b[0]} stdout {b[1]}")
-            print(f"  this: exit {t[0]} stdout {t[1]}")
-    print(f"{len(argvs)} argv replayed, {differ} differ")
-    return 1 if differ else 0
+    return 1 if compare_trees(draw_argvs(), args.base_src) else 0
 
 
 if __name__ == "__main__":
