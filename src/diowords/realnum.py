@@ -22,6 +22,13 @@ reached, so it prints its certified prefix as a plain number does.
 two kernels, so this module holds all of the slope arithmetic; a surd
 slope's quotients come from `contfrac`'s one Euclid over its bracket.
 
+Every big division and square root of a bracket runs on one pair of
+kernels: `_divmod`, recursive division (Burnikel & Ziegler, "Fast
+Recursive Division", MPI-I-98-1-022, 1998), and `_sqrtrem`, the
+Karatsuba square root (Zimmermann, INRIA RR-3805, 1999) built on it.
+Both cost a few Karatsuba products where the builtins are quadratic, and
+hand every size up to one measured cut to the builtins.
+
 Digits are only ever emitted once the enclosure fits inside a single
 digit cell, so every printed digit is exact; when the refinement budget
 runs out first, the stream ends early and says how many digits are
@@ -53,6 +60,10 @@ _GUARD_BITS = 32
 # digits, and no limit may be set below it; interpreters without the limit
 # lack the attribute
 _STR_LEAF_DIGITS = getattr(sys.int_info, "str_digits_check_threshold", 640)
+# The builtin `divmod` and `math.isqrt` are quadratic, but up to this many
+# bits of divisor, quotient or radicand they beat `_divmod` and `_sqrtrem`
+# (tools/bigint_kernels.py)
+_BIGINT_CUT_BITS = 4000
 
 Dyadic = tuple[int, int, int]  # (lo_num, hi_num, scale)
 Digits = Union[bytes, tuple[int, ...]]  # bytes in bases up to 256, a tuple above
@@ -339,6 +350,94 @@ def parse_real_spec(text: str, offset: int = 0) -> RealSpec:
 
 
 # ---------------------------------------------------------------------------
+# Big-integer division and square root
+
+
+def _divmod(a: int, b: int) -> tuple[int, int]:
+    """`divmod(a, b)`, with its floor semantics for every sign.
+
+    Where both the divisor and the quotient have more than _BIGINT_CUT_BITS
+    bits this is recursive division (Burnikel & Ziegler, "Fast Recursive
+    Division", MPI-I-98-1-022, 1998), which costs a few Karatsuba products
+    where the builtin's long division is quadratic; elsewhere it is the
+    builtin, which also raises ZeroDivisionError.
+    """
+    n = b.bit_length()
+    if n <= _BIGINT_CUT_BITS or a.bit_length() - n <= _BIGINT_CUT_BITS:
+        return divmod(a, b)
+    if b < 0:
+        q, r = _divmod(-a, -b)
+        return q, -r
+    if a < 0:
+        # with ~a = b q + r, a = -(~a) - 1 = b (-q - 1) + (b - 1 - r)
+        q, r = _divmod(~a, b)
+        return ~q, b + ~r
+    if a >> n >= b:
+        # a quotient of more than n bits: divide the high part, then its
+        # remainder followed by the low s bits, whose quotient has s bits
+        s = (a.bit_length() - n) // 2
+        q_hi, r = _divmod(a >> s, b)
+        q_lo, r = _divmod(r << s | a & ((1 << s) - 1), b)
+        return q_hi << s | q_lo, r
+    return _div2n1n(a, b, n)
+
+
+def _div2n1n(a: int, b: int, n: int) -> tuple[int, int]:
+    """`divmod(a, b)` for 0 <= a < 2^n b and b of exactly n bits, by two
+    half-size steps of `_div3n2n`."""
+    if a.bit_length() - n <= _BIGINT_CUT_BITS:
+        return divmod(a, b)
+    pad = n & 1  # an odd n is made even by shifting both operands
+    if pad:
+        a, b, n = a << 1, b << 1, n + 1
+    half = n >> 1
+    mask = (1 << half) - 1
+    b1, b2 = b >> half, b & mask
+    q1, r = _div3n2n(a >> n, a >> half & mask, b, b1, b2, half)
+    q2, r = _div3n2n(r, a & mask, b, b1, b2, half)
+    return q1 << half | q2, r >> pad
+
+
+def _div3n2n(a12: int, a3: int, b: int, b1: int, b2: int, n: int) -> tuple[int, int]:
+    """`divmod(a12 2^n + a3, b)` for b = b1 2^n + b2 of exactly 2n bits,
+    0 <= a12 < b and 0 <= a3 < 2^n."""
+    if a12 >> n == b1:
+        q, r = (1 << n) - 1, a12 - (b1 << n) + b1
+    else:
+        q, r = _div2n1n(a12, b1, n)
+    # q divides by the high half of b only, so it is at most two too large
+    r = (r << n | a3) - q * b2
+    while r < 0:
+        q -= 1
+        r += b
+    return q, r
+
+
+def _sqrtrem(n: int) -> tuple[int, int]:
+    """(s, n - s^2) for s = `math.isqrt(n)`.
+
+    Above _BIGINT_CUT_BITS bits this is the Karatsuba square root
+    (Zimmermann, "Karatsuba Square Root", INRIA RR-3805, 1999): the root
+    of the high half, then one `_divmod` by twice it; below, the builtin.
+    """
+    if n.bit_length() <= _BIGINT_CUT_BITS:
+        s = math.isqrt(n)
+        return s, n - s * s
+    # n = h 2^2k + a1 2^k + a0 with a1, a0 < 2^k; h has at least 2k + 1
+    # bits, so its root is at least 2^k and the step below errs by at most one
+    k = (n.bit_length() - 1) // 4
+    mask = (1 << k) - 1
+    s, r = _sqrtrem(n >> 2 * k)
+    q, u = _divmod(r << k | n >> k & mask, s << 1)
+    s = (s << k) + q
+    r = (u << k | n & mask) - q * q
+    if r < 0:
+        r += 2 * s - 1
+        s -= 1
+    return s, r
+
+
+# ---------------------------------------------------------------------------
 # Enclosure construction
 
 
@@ -465,7 +564,7 @@ def _e_bracket(bits: int) -> tuple[int, int, int]:
 def _compute_e(bits: int) -> Dyadic:
     num, _, den = _e_bracket(bits)
     scale = bits + _GUARD_BITS
-    lo, rem = divmod(num << scale, den)
+    lo, rem = _divmod(num << scale, den)
     # (num + 2) / den = (lo + (rem + 2^(scale+1)) / den) / 2^scale
     return lo, lo - (-(rem + (2 << scale)) // den), scale
 
@@ -491,7 +590,7 @@ def surd_bracket(p: int, q: int, d: int, bits: int, scale: int) -> tuple[int, in
     sign = 1
     if q < 0:
         p, q, sign = -p, -q, -1
-    t = math.isqrt(d << 2 * bits)
+    t = _sqrtrem(d << 2 * bits)[0]
     # sqrt(d) is irrational, so floor(sign*sqrt(d)*2^bits) is t (resp. -t-1)
     num = (p << bits) + (t if sign > 0 else -t - 1)
     shift = scale - bits
@@ -532,7 +631,7 @@ def convergent_bracket(quotient: Callable[[int], int], bits: int, scale: int) ->
             break
     if k % 2 == 0:
         (p_prev, q_prev), (p, q) = (p, q), (p_prev, q_prev)
-    return (p_prev << scale) // q_prev, -((-p << scale) // q)
+    return _divmod(p_prev << scale, q_prev)[0], -_divmod(-p << scale, q)[0]
 
 
 def _compute_cf(quotient: Callable[[int], int], bits: int) -> Dyadic:
@@ -637,7 +736,7 @@ def _image_bracket(
     # the images differ by (hi - lo) den / (den_lo den_hi) > 0, so the upper
     # end needs a short division only; floor division floors the exact
     # quotient whatever the sign of den_lo
-    out_lo, rem = divmod(num_lo << scale, den_lo)
+    out_lo, rem = _divmod(num_lo << scale, den_lo)
     gap = rem * den_hi + ((hi - lo) * den << scale)
     return out_lo, out_lo - (-gap // (den_lo * den_hi))
 
@@ -659,8 +758,10 @@ def enclosure_from_digits(
         n = int(nbits / math.log2(base)) + 2
         scale, cell = nbits + _GUARD_BITS, base**n
         value = integer_part * cell + _digits_to_int(fetch(n), base)
-        # the digit cell [value, value + 1] / base^n, rounded outward
-        return (value << scale) // cell, -((-(value + 1) << scale) // cell), scale
+        # the digit cell [value, value + 1] / base^n, rounded outward; the
+        # upper end needs a short division only, as in `_compute_e`
+        lo, rem = _divmod(value << scale, cell)
+        return lo, lo - (-(rem + (1 << scale)) // cell), scale
 
     return Enclosure(compute, bits, max_bits)
 
@@ -723,7 +824,7 @@ def digits_from_enclosure(enc: Enclosure, base: int, count: int) -> DigitStream:
     _check_digits(base, count)
     if enc.is_point():
         x, cell = enc.lo, base**count
-        return _stream_from_scaled(base, count, x.numerator * cell // x.denominator, count, cell)
+        return _stream_from_scaled(base, count, _divmod(x.numerator * cell, x.denominator)[0], count, cell)
     # y = floor(x base^count) is a plain shift when the base is a power of two
     shift = base.bit_length() - 1 if base & (base - 1) == 0 else 0
     scale = 1 << (shift * count) if shift else base**count
@@ -808,7 +909,7 @@ def _digits_divide_conquer(x: int, base: int, width: int, powers: dict[int, int]
     half = width // 2
     if half not in powers:
         powers[half] = base**half
-    high, low = divmod(x, powers[half])
+    high, low = _divmod(x, powers[half])
     high_digits = _digits_divide_conquer(high, base, width - half, powers)
     return high_digits + _digits_divide_conquer(low, base, half, powers)
 

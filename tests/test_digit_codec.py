@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 from diowords.realnum import (
     DEFAULT_MAX_BITS,
+    Mobius,
     PrecisionBudgetError,
     SeriesE,
     Surd,
@@ -154,6 +155,10 @@ def irrational_surds(draw):
 )
 @example((0, 1, 2), 10, 641, DEFAULT_MAX_BITS)
 @example((-3, -7, 101), 257, 1000, DEFAULT_MAX_BITS)
+# production sizes, where the root and the digit splits run the recursions
+@example((0, 1, 2), 10, 2 * 10**4, DEFAULT_MAX_BITS)
+@example((-3, -7, 101), 3, 3 * 10**4, DEFAULT_MAX_BITS)
+@example((5, 3, 7), 2, 5 * 10**4, DEFAULT_MAX_BITS)
 @settings(max_examples=100, deadline=None)
 def test_surd_digits_match_the_isqrt_oracle(surd, base, count, max_bits):
     # bases 3, 10 and 257 take the one-product path, 2 and 256 the shift; a
@@ -164,6 +169,41 @@ def test_surd_digits_match_the_isqrt_oracle(surd, base, count, max_bits):
     assert stream.integer_part == ipart
     assert stream.complete or max_bits < DEFAULT_MAX_BITS
     assert type(stream.fractional_digits) is (bytes if base <= 256 else tuple)
+    assert list(stream.fractional_digits) == ds[: stream.certified]
+
+
+@st.composite
+def unimodular(draw):
+    """(a, b, c, d) with ad - bc = +-1: a product of shears [[1, k], [0, 1]]
+    and of the swap [[0, 1], [1, 0]]."""
+    a, b, c, d = 1, 0, 0, 1
+    for k, swap in draw(st.lists(st.tuples(st.integers(-9, 9), st.booleans()), max_size=5)):
+        a, b, c, d = (c, d, a, b) if swap else (a + k * c, b + k * d, c, d)
+    return a, b, c, d
+
+
+@given(
+    unimodular(),
+    irrational_surds(),
+    st.sampled_from((2, 3, 10)),
+    st.one_of(st.integers(0, 40), st.integers(0, 3000)),
+    st.one_of(st.just(DEFAULT_MAX_BITS), st.integers(64, 4000)),
+)
+@example((1, 1, 1, 2), (0, 1, 3), 10, 2 * 10**4, DEFAULT_MAX_BITS)
+@settings(max_examples=60, deadline=None)
+def test_surd_image_digits_match_the_isqrt_oracle(matrix, surd, base, count, max_bits):
+    # the image of x = (p + sqrt r)/q is (A + a sqrt r)/(C + c sqrt r), with
+    # A = ap + bq and C = cp + dq; times C - c sqrt r it is
+    # (N + M sqrt r)/D with M = (ad - bc) q, D = C^2 - c^2 r, never 0
+    a, b, c, d = matrix
+    p, q, r = surd
+    big_a, big_c = a * p + b * q, c * p + d * q
+    n, m, den = big_a * big_c - a * c * r, (a * d - b * c) * q, big_c * big_c - c * c * r
+    sign = 1 if m > 0 else -1
+    stream = digits(Mobius(a, b, c, d, Surd(p, q, r)), base, count, max_bits=max_bits)
+    ipart, ds = surd_digits(sign * n, sign * den, m * m * r, base, count)
+    assert stream.integer_part == ipart
+    assert stream.complete or max_bits < DEFAULT_MAX_BITS
     assert list(stream.fractional_digits) == ds[: stream.certified]
 
 

@@ -1,0 +1,124 @@
+"""Time the big-integer kernels of `realnum` against the builtins they replace,
+and the large digit extractions that run on them.
+
+    python tools/bigint_kernels.py                          # every size, best of 5
+    python tools/bigint_kernels.py --sizes 1000 8000 --repeat 3
+    python tools/bigint_kernels.py --sizes --src ../other/src  # only the extractions, of another tree
+
+For each size n in bits it prints the best-of-k time of the builtin
+`divmod` of a random integer below 2^n b by a random n-bit b, of
+`realnum._divmod` on the same operands with its size cut, and of
+`_divmod` with its cut at ceil(n/2) bits, so that exactly the top level
+splits and its half-size divisions go to the builtin; the cut belongs at
+the smallest size from which that one split wins.  The same three
+columns follow for `math.isqrt` and `realnum._sqrtrem` on a random n-bit
+radicand, whose one split has its cut at n - 1 bits.
+Each kernel's result is checked against the builtin.  Then it prints
+the wall time and md5 of four extractions, each in a fresh process that
+imports `diowords` from --src (this checkout's src/ by default): the
+first 10^6 binary digits of e and of sqrt(2), and the first 3*10^5
+decimal digits of both.  It needs only the standard library; pytest
+does not collect it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import math
+import os
+import random
+import subprocess
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from diowords import realnum  # noqa: E402
+
+SIZES = (1000, 2000, 4000, 8000, 16_000, 32_000, 64_000, 100_000, 300_000, 1_000_000)
+EXTRACTIONS = {
+    "e base 2": ("SeriesE()", 2, 10**6),
+    "sqrt(2) base 2": ("Surd(0, 1, 2)", 2, 10**6),
+    "e base 10": ("SeriesE()", 10, 3 * 10**5),
+    "sqrt(2) base 10": ("Surd(0, 1, 2)", 10, 3 * 10**5),
+}
+EXTRACT_CODE = """
+import hashlib, sys, time
+from diowords.realnum import SeriesE, Surd, digits
+spec = eval(sys.argv[1])
+t0 = time.perf_counter()
+text = digits(spec, int(sys.argv[2]), int(sys.argv[3])).as_text()
+print(time.perf_counter() - t0, hashlib.md5(text.encode()).hexdigest())
+"""
+
+
+def timed(f, *args) -> float:
+    t0 = time.perf_counter()
+    f(*args)
+    return time.perf_counter() - t0
+
+
+def best_of(repeat: int, *calls) -> list[float]:
+    """The best time of each (f, *args), run alternately, so that a slow
+    spell of the host hits all of them."""
+    runs = [[timed(*call) for call in calls] for _ in range(repeat)]
+    return [min(r[i] for r in runs) for i in range(len(calls))]
+
+
+def split_once(kernel, cut: int):
+    """`kernel` with `realnum._BIGINT_CUT_BITS` at `cut` for the duration of a call."""
+
+    def call(*args):
+        saved = realnum._BIGINT_CUT_BITS
+        realnum._BIGINT_CUT_BITS = cut
+        try:
+            return kernel(*args)
+        finally:
+            realnum._BIGINT_CUT_BITS = saved
+
+    return call
+
+
+def isqrt_rem(n: int) -> tuple[int, int]:
+    s = math.isqrt(n)
+    return s, n - s * s
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--sizes", type=int, nargs="*", default=list(SIZES))
+    ap.add_argument("--repeat", type=int, default=5, help="best of this many runs (default 5)")
+    ap.add_argument("--src", default=os.path.join(ROOT, "src"), help="src/ of the tree whose extractions are timed")
+    args = ap.parse_args()
+    rng = random.Random(1)
+    print(f"cut: {realnum._BIGINT_CUT_BITS} bits")
+    print(f"{'bits':>9}  {'kernel':8} {'builtin ms':>11} {'kernel ms':>10} {'one split ms':>12} {'builtin/kernel':>14}")
+    for n in args.sizes:
+        b = rng.getrandbits(n) | 1 << (n - 1)
+        a = rng.randrange(b << n)
+        r = rng.getrandbits(n) | 1 << (n - 1)
+        rows = (
+            ("divmod", divmod, realnum._divmod, (n + 1) // 2, (a, b)),
+            ("sqrtrem", isqrt_rem, realnum._sqrtrem, n - 1, (r,)),
+        )
+        for name, builtin, kernel, cut, operands in rows:
+            once = split_once(kernel, cut)
+            if not builtin(*operands) == kernel(*operands) == once(*operands):
+                raise SystemExit(f"{name} differs from the builtin at {n} bits")
+            base, kern, split = best_of(args.repeat, (builtin, *operands), (kernel, *operands), (once, *operands))
+            row = f"{base * 1e3:11.3f} {kern * 1e3:10.3f} {split * 1e3:12.3f} {base / kern:14.2f}"
+            print(f"{n:>9}  {name:8} {row}", flush=True)
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(args.src))
+    print(f"\nextractions from {os.path.abspath(args.src)}")
+    for name, (spec, base, count) in EXTRACTIONS.items():
+        out = subprocess.run(
+            [sys.executable, "-c", EXTRACT_CODE, spec, str(base), str(count)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        seconds, md5 = out.stdout.split()
+        print(f"{name:16} {count:>8} digits {float(seconds):7.3f} s  md5 {md5}", flush=True)
+
+
+if __name__ == "__main__":
+    main()
