@@ -37,6 +37,9 @@ from .repetition import (ExponentEstimate, RepetitionWitness, _checked_threshold
                          dio_estimate, verify_witness)
 from .words import Word
 
+_REPORT_N_MIN = 5  # the first exponent term of `dio_mu_report`
+
+
 @dataclass(frozen=True)
 class Approximant:
     """p/q = 0.UVVV... built from a repetition witness on base-b digits."""
@@ -112,7 +115,7 @@ def verify_approximation(source: Enclosure, approx: Approximant) -> Fraction:
     p, q = approx.p, approx.q
     cell = approx.base**w.m
     if source.is_point():
-        margin = abs(source.lo - Fraction(p, q))
+        margin = abs(source.bounds()[0] - Fraction(p, q))
         num, den = margin.numerator, margin.denominator
         if num * cell > den:
             raise CertificateError("approximation is not within base^-m of the exact value")
@@ -208,7 +211,6 @@ def dio_mu_report(
     cf_terms: int,
     threshold: int | None = None,
     slack: float = 0.15,
-    n_min: int = 5,
     max_bits: int = DEFAULT_MAX_BITS,
 ) -> DioMuReport:
     """Run both pipelines on one number and compare the finite estimates.
@@ -219,7 +221,7 @@ def dio_mu_report(
     """
     _check_digits(base, word=True)
     _checked_threshold(prefix_length, threshold)
-    _check_terms(n_min, cf_terms, spec)
+    _check_terms(_REPORT_N_MIN, cf_terms, spec)
     notes: list[str] = []
     partial = False
 
@@ -241,8 +243,8 @@ def dio_mu_report(
     if cf.rational:
         notes.append("rational input: digits are eventually periodic and the "
                      "repetition exponent diverges with the prefix length")
-    elif not _cut_short(cf, n_min):
-        mu = mu_estimate(cf, n_min=n_min)
+    elif not _cut_short(cf, _REPORT_N_MIN):
+        mu = mu_estimate(cf, n_min=_REPORT_N_MIN)
     else:
         partial = True
         notes.append("too few continued-fraction terms for exponent terms")

@@ -41,7 +41,6 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 PROFILE_NOTE = "profile counts are lower bounds for the infinite word"
-REPORT_N_MIN = 5  # the first exponent term of `report`
 CSV_COMMANDS = ("complexity", "gap")
 
 
@@ -335,7 +334,6 @@ def cmd_report(args) -> int:
         cf_terms=args.terms,
         threshold=args.threshold,
         slack=args.slack,
-        n_min=REPORT_N_MIN,
         max_bits=args.max_bits,
     )
     if args.format == "json":

@@ -147,7 +147,7 @@ def cf_from_enclosure(source: Enclosure, max_terms: int) -> CFExpansion:
     while True:
         point = source.is_point()
         if point:
-            lo, den = source.lo.as_integer_ratio()
+            lo, den = source.bounds()[0].as_integer_ratio()
             hi = lo
         else:
             lo, hi, scale = source.dyadic()

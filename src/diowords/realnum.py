@@ -4,21 +4,23 @@ Every supported number is described by a RealSpec and realized as an
 Enclosure that is guaranteed to contain the target and can be refined
 on demand.  Exact rational points (rationals, perfect-square surds,
 finite continued fractions and their Moebius images) stay exact
-Fractions.  Every other enclosure is a dyadic interval
+Fractions: `_exact` decides which specs they are, once, and `_rational`
+evaluates them.  Every other enclosure is a dyadic interval
 [lo_num / 2^scale, hi_num / 2^scale] with integer endpoints: each source
 computes its bracket at the requested precision in one step and rounds
-it outward, so no gcd runs while refining.  e is summed by binary
-splitting (Haible & Papanikolaou, ANTS 1998) with the tail bound
-2/K!, surds come from one integer square root (`surd_bracket`),
-continued fractions from the first close pair of the one stateless
-convergent recurrence (`convergent_bracket`), and Moebius images from
-the monotone endpoint maps.  Nested Moebius matrices compose into one
+it outward (`_round_out`), so no gcd runs while refining.  Every
+enclosure starts at _START_BITS bits, or at its budget when that is
+lower.  e is summed by binary splitting (Haible & Papanikolaou, ANTS
+1998) with the tail bound 2/K!, surds come from one integer square root
+(`surd_bracket`), continued fractions from the first close pair of the
+one stateless convergent recurrence (`convergent_bracket`), and Moebius
+images from the monotone endpoint maps.  Nested Moebius matrices compose into one
 and the image of a surd is a surd; every other image runs one refine
 loop (`_image_compute`) over an exact bracket of its inner number, e's
 or an enclosure's, and at the budget returns the image of the bracket
 reached, so it prints its certified prefix as a plain number does.
-`Fraction` appears only at the public boundary (`lo`, `hi`, `width`,
-`bounds()`).  The Sturmian slopes bracket themselves through the same
+`Fraction` appears only at the public boundary, the one accessor
+`bounds()`.  The Sturmian slopes bracket themselves through the same
 two kernels, so this module holds all of the slope arithmetic; a surd
 slope's quotients come from `contfrac`'s one Euclid over its bracket.
 
@@ -32,10 +34,11 @@ hand every size up to one measured cut to the builtins.
 Digits are only ever emitted once the enclosure fits inside a single
 digit cell, so every printed digit is exact; when the refinement budget
 runs out first, the stream ends early and says how many digits are
-certified.  Digits are rendered by one divide-and-conquer codec that
-never changes the interpreter's limit on integer string conversion, and
-read back by its mirror (`_digits_to_int`), which splits at the same
-points and reads the same leaves.
+certified, at a cost that follows the budget, not the request.  Digits
+are rendered by one divide-and-conquer codec that never changes the
+interpreter's limit on integer string conversion, and read back by its
+mirror (`_digits_to_int`), which splits at the same points and reads
+the same leaves.
 """
 
 from __future__ import annotations
@@ -83,26 +86,23 @@ class Enclosure:
     Either an exact point (a Fraction) or a dyadic interval produced by
     `compute(bits)`, which must return (lo_num, hi_num, scale) whose
     bracket has width at most 2^-bits before outward rounding, unless
-    the budget stops a Moebius image short of it.  The
-    precision starts at min(bits, max_bits) and never exceeds
-    `max_bits`.  Each refinement must land inside the previous interval
-    at a scale no smaller than before, so successive snapshots are
-    nested; a bracket that breaks either rule raises CertificateError.
+    the budget stops a Moebius image short of it.  The precision starts
+    at min(_START_BITS, max_bits) and never exceeds `max_bits`.  Each
+    refinement must land inside the previous interval at a scale no
+    smaller than before, so successive snapshots are nested; a bracket
+    that breaks either rule raises CertificateError.
     """
 
     def __init__(
         self,
         compute: Callable[[int], Dyadic] | None,
-        bits: int = _START_BITS,
         max_bits: int = DEFAULT_MAX_BITS,
         point: Fraction | None = None,
     ) -> None:
-        if bits < 0:
-            raise ValueError("bits must be nonnegative")
         if max_bits < 0:
             raise ValueError("max_bits must be nonnegative")
         self._compute = compute
-        self._bits = min(bits, max_bits)
+        self._bits = min(_START_BITS, max_bits)
         self._max_bits = max_bits
         self._point = point
         self._dyadic: Dyadic | None = None
@@ -112,30 +112,10 @@ class Enclosure:
                 raise CertificateError("enclosure endpoints out of order")
             self._set(lo, hi, scale)
 
-    @classmethod
-    def exact(cls, value: Fraction, bits: int = _START_BITS, max_bits: int = DEFAULT_MAX_BITS) -> "Enclosure":
-        """The degenerate enclosure of an exact rational."""
-        return cls(None, bits, max_bits, point=Fraction(value))
-
     def _set(self, lo: int, hi: int, scale: int) -> None:
         if lo == hi:
             self._point = Fraction(lo, 1 << scale)
         self._dyadic = (lo, hi, scale)
-
-    @property
-    def lo(self) -> Fraction:
-        return self.bounds()[0]
-
-    @property
-    def hi(self) -> Fraction:
-        return self.bounds()[1]
-
-    @property
-    def width(self) -> Fraction:
-        if self._point is not None:
-            return Fraction(0)
-        lo, hi, scale = self._dyadic
-        return Fraction(hi - lo, 1 << scale)
 
     @property
     def bits(self) -> int:
@@ -298,6 +278,14 @@ def parse_surd(body: str, position: int) -> Surd:
     return Surd(p, q, d)
 
 
+def _quotient_list(body: str, position: int) -> tuple[int, ...]:
+    """The integers of the comma-separated list `body`, which starts at `position`."""
+    try:
+        return tuple(int(x) for x in body.split(","))
+    except ValueError:
+        raise SpecSyntaxError("bad quotient list", position) from None
+
+
 def parse_real_spec(text: str, offset: int = 0) -> RealSpec:
     """Parse the number mini-language.
 
@@ -330,11 +318,7 @@ def parse_real_spec(text: str, offset: int = 0) -> RealSpec:
             raise SpecSyntaxError(f"quotients in {path!r} must be a JSON array", offset + 4)
         return FromCF(tuple(_json_quotient(a, path, offset + 4) for a in raw))
     if text.startswith("cf:"):
-        try:
-            quotients = tuple(int(x) for x in text[3:].split(","))
-        except ValueError:
-            raise SpecSyntaxError("bad quotient list", offset + 3) from None
-        return FromCF(quotients)
+        return FromCF(_quotient_list(text[3:], offset + 3))
     if text.startswith("mobius:"):
         body = text[7:]
         sep = body.find(":(")
@@ -441,36 +425,49 @@ def _sqrtrem(n: int) -> tuple[int, int]:
 # Enclosure construction
 
 
-def enclosure(spec: RealSpec, bits: int = _START_BITS, max_bits: int = DEFAULT_MAX_BITS) -> Enclosure:
-    """Certified enclosure for a RealSpec at precision min(bits, max_bits)."""
-    if isinstance(spec, Rational):
-        return Enclosure.exact(Fraction(spec.p, spec.q), bits, max_bits)
+def enclosure(spec: RealSpec, max_bits: int = DEFAULT_MAX_BITS) -> Enclosure:
+    """Certified enclosure for a RealSpec at precision min(_START_BITS, max_bits)."""
+    if _exact(spec):
+        return Enclosure(None, max_bits, point=_rational(spec))
     if isinstance(spec, SeriesE):
-        return Enclosure(_compute_e, bits, max_bits)
+        return Enclosure(_compute_e, max_bits)
     if isinstance(spec, SeriesShallit):
-        return Enclosure(_compute_shallit, bits, max_bits)
+        return Enclosure(_compute_shallit, max_bits)
     if isinstance(spec, Surd):
-        root = math.isqrt(spec.d)
-        if root * root == spec.d:
-            return Enclosure.exact(Fraction(spec.p + root, spec.q), bits, max_bits)
-        return Enclosure(lambda b: _compute_surd(spec, b), bits, max_bits)
+        return Enclosure(lambda b: _compute_surd(spec, b), max_bits)
     if isinstance(spec, FromCF):
-        if isinstance(spec.quotients, tuple):
-            return Enclosure.exact(_cf_value(spec.quotients), bits, max_bits)
-        return Enclosure(lambda b: _compute_cf(spec.quotients, b), bits, max_bits)
+        return Enclosure(lambda b: _compute_cf(spec.quotients, b), max_bits)
     if isinstance(spec, Mobius):
-        return _image_enclosure(spec, bits, max_bits)
+        return _image_enclosure(spec, max_bits)
     raise TypeError(f"unknown RealSpec: {spec!r}")
 
 
-def _image_enclosure(spec: Mobius, bits: int, max_bits: int) -> Enclosure:
-    """Enclosure of a Moebius image, folded into its inner number.
+def _rational(spec: RealSpec) -> Fraction:
+    """The value of a spec that `_exact` accepts.
 
-    Nested matrices compose into one and an irrational surd's image is a
-    surd.  e's image maps e's exact bracket through the loop of `mobius`,
-    one big division a bracket; any other irrational inner number goes
-    through `mobius` once.  An exact point keeps the chain, so a pole at
-    any level is still reported.
+    A Moebius image is evaluated innermost first, so the pole reported is
+    the innermost one.
+    """
+    if isinstance(spec, Mobius):
+        x = _rational(spec.inner)
+        if spec.c * x + spec.d == 0:
+            raise ValueError("Moebius pole at the inner value")
+        return (spec.a * x + spec.b) / (spec.c * x + spec.d)
+    if isinstance(spec, Surd):
+        return Fraction(spec.p + math.isqrt(spec.d), spec.q)
+    if isinstance(spec, FromCF):
+        for _, _, p, q in convergents(spec.quotients):
+            pass
+        return Fraction(p, q)
+    return Fraction(spec.p, spec.q)
+
+
+def _image_enclosure(spec: Mobius, max_bits: int) -> Enclosure:
+    """Enclosure of a Moebius image of an irrational number, folded into it.
+
+    Nested matrices compose into one and a surd's image is a surd.  e's
+    image maps e's exact bracket through the loop of `mobius`, one big
+    division a bracket; any other inner number goes through `mobius` once.
     """
     a, b, c, d, inner = 1, 0, 0, 1, spec
     while isinstance(inner, Mobius):
@@ -482,14 +479,11 @@ def _image_enclosure(spec: Mobius, bits: int, max_bits: int) -> Enclosure:
         )
         inner = inner.inner
     if isinstance(inner, SeriesE):
-        compute = _image_compute(a, b, c, d, _e_bracket, min(bits, max_bits), max_bits)
-        return Enclosure(compute, bits, max_bits)
-    if isinstance(inner, Surd) and not _exact(inner):
-        return enclosure(_surd_image(a, b, c, d, inner), bits, max_bits)
-    enc = enclosure(inner, bits, max_bits)
-    if enc.is_point():
-        a, b, c, d, enc = spec.a, spec.b, spec.c, spec.d, enclosure(spec.inner, bits, max_bits)
-    return mobius(a, b, c, d, enc, bits, max_bits)
+        compute = _image_compute(a, b, c, d, _e_bracket, min(_START_BITS, max_bits), max_bits)
+        return Enclosure(compute, max_bits)
+    if isinstance(inner, Surd):
+        return enclosure(_surd_image(a, b, c, d, inner), max_bits)
+    return mobius(a, b, c, d, enclosure(inner, max_bits), max_bits)
 
 
 def _surd_image(a: int, b: int, c: int, d: int, x: Surd) -> Surd:
@@ -561,12 +555,18 @@ def _e_bracket(bits: int) -> tuple[int, int, int]:
             return k * (q + p), k * (q + p) + 2, k * q
 
 
+def _round_out(num: int, w: int, den: int, scale: int) -> tuple[int, int]:
+    """Integers (lo, hi) with [lo, hi] / 2^scale the bracket [num, num + w] / den
+    (den > 0, w >= 0) rounded outward: one big division, then a short one."""
+    lo, rem = _divmod(num << scale, den)
+    # (num + w) / den = (lo + (rem + w 2^scale) / den) / 2^scale
+    return lo, lo - (-(rem + (w << scale)) // den)
+
+
 def _compute_e(bits: int) -> Dyadic:
     num, _, den = _e_bracket(bits)
     scale = bits + _GUARD_BITS
-    lo, rem = _divmod(num << scale, den)
-    # (num + 2) / den = (lo + (rem + 2^(scale+1)) / den) / 2^scale
-    return lo, lo - (-(rem + (2 << scale)) // den), scale
+    return (*_round_out(num, 2, den, scale), scale)
 
 
 def _compute_shallit(bits: int) -> Dyadic:
@@ -593,8 +593,7 @@ def surd_bracket(p: int, q: int, d: int, bits: int, scale: int) -> tuple[int, in
     t = _sqrtrem(d << 2 * bits)[0]
     # sqrt(d) is irrational, so floor(sign*sqrt(d)*2^bits) is t (resp. -t-1)
     num = (p << bits) + (t if sign > 0 else -t - 1)
-    shift = scale - bits
-    return (num << shift) // q, -((-(num + 1) << shift) // q)
+    return _round_out(num, 1, q, scale - bits)
 
 
 def _compute_surd(spec: Surd, bits: int) -> Dyadic:
@@ -639,21 +638,7 @@ def _compute_cf(quotient: Callable[[int], int], bits: int) -> Dyadic:
     return (*convergent_bracket(quotient, bits, scale), scale)
 
 
-def _cf_value(quotients: Sequence[int]) -> Fraction:
-    for _, _, p, q in convergents(quotients):
-        pass
-    return Fraction(p, q)
-
-
-def mobius(
-    a: int,
-    b: int,
-    c: int,
-    d: int,
-    inner: Enclosure,
-    bits: int = _START_BITS,
-    max_bits: int = DEFAULT_MAX_BITS,
-) -> Enclosure:
+def mobius(a: int, b: int, c: int, d: int, inner: Enclosure, max_bits: int = DEFAULT_MAX_BITS) -> Enclosure:
     """Image of an enclosure under x -> (ax+b)/(cx+d) with |ad - bc| = 1.
 
     The map is monotone away from its pole, so the image interval is the
@@ -667,17 +652,17 @@ def mobius(
     if abs(a * d - b * c) != 1:
         raise ValueError("Moebius matrix must satisfy |ad - bc| = 1")
     if inner.is_point():
-        x = inner.lo
+        x = inner.bounds()[0]
         if c * x + d == 0:
             raise ValueError("Moebius pole at the inner value")
-        return Enclosure.exact((a * x + b) / (c * x + d), bits, max_bits)
+        return Enclosure(None, max_bits, point=(a * x + b) / (c * x + d))
 
     def ends(k: int) -> tuple[int, int, int]:
         inner.refine(k)
         lo, hi, s = inner.dyadic()
         return lo, hi, 1 << s
 
-    return Enclosure(_image_compute(a, b, c, d, ends, inner.bits, inner._max_bits), bits, max_bits)
+    return Enclosure(_image_compute(a, b, c, d, ends, inner.bits, inner._max_bits), max_bits)
 
 
 def _image_compute(
@@ -742,13 +727,9 @@ def _image_bracket(
 
 
 def enclosure_from_digits(
-    fetch: Callable[[int], Sequence[int]],
-    base: int,
-    integer_part: int = 0,
-    bits: int = _START_BITS,
-    max_bits: int = DEFAULT_MAX_BITS,
+    fetch: Callable[[int], Sequence[int]], base: int, max_bits: int = DEFAULT_MAX_BITS
 ) -> Enclosure:
-    """Enclosure of a number given by an exact fractional digit stream.
+    """Enclosure of a number in [0, 1] given by an exact fractional digit stream.
 
     `fetch(n)` must return the first n fractional digits, exactly.
     """
@@ -756,14 +737,11 @@ def enclosure_from_digits(
 
     def compute(nbits: int) -> Dyadic:
         n = int(nbits / math.log2(base)) + 2
-        scale, cell = nbits + _GUARD_BITS, base**n
-        value = integer_part * cell + _digits_to_int(fetch(n), base)
-        # the digit cell [value, value + 1] / base^n, rounded outward; the
-        # upper end needs a short division only, as in `_compute_e`
-        lo, rem = _divmod(value << scale, cell)
-        return lo, lo - (-(rem + (1 << scale)) // cell), scale
+        scale = nbits + _GUARD_BITS
+        # the digit cell [value, value + 1] / base^n, rounded outward
+        return (*_round_out(_digits_to_int(fetch(n), base), 1, base**n, scale), scale)
 
-    return Enclosure(compute, bits, max_bits)
+    return Enclosure(compute, max_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -808,23 +786,23 @@ class DigitStream:
         _check_digits(self.base, word=True)
         return Word(self.fractional_digits, self.base)
 
-    def value(self) -> Fraction:
-        """The rational number formed by the certified digits."""
-        v = _digits_to_int(self.fractional_digits, self.base)
-        return self.integer_part + Fraction(v, self.base**self.certified)
-
 
 def digits(spec: RealSpec, base: int, count: int, max_bits: int = DEFAULT_MAX_BITS) -> DigitStream:
     """First `count` certified fractional digits of the spec in the base."""
     _check_digits(base, count)
-    return digits_from_enclosure(enclosure(spec, _START_BITS, max_bits), base, count)
+    return digits_from_enclosure(enclosure(spec, max_bits), base, count)
 
 
 def digits_from_enclosure(enc: Enclosure, base: int, count: int) -> DigitStream:
     _check_digits(base, count)
     if enc.is_point():
-        x, cell = enc.lo, base**count
+        x, cell = enc.bounds()[0], base**count
         return _stream_from_scaled(base, count, _divmod(x.numerator * cell, x.denominator)[0], count, cell)
+    if count * math.log2(base) > enc._max_bits:
+        # the last digit's precision lies past the budget, where refining stops
+        enc.refine(enc._max_bits)
+        k, y = _agreed_prefix(*enc.dyadic(), base, count)
+        return _stream_from_scaled(base, k, y, count, base**k)
     # y = floor(x base^count) is a plain shift when the base is a power of two
     shift = base.bit_length() - 1 if base & (base - 1) == 0 else 0
     scale = 1 << (shift * count) if shift else base**count
@@ -841,27 +819,30 @@ def digits_from_enclosure(enc: Enclosure, base: int, count: int) -> DigitStream:
         if y_lo == y_hi:
             return _stream_from_scaled(base, count, y_lo, count, scale)
         if not enc.refine():
-            k, y = _agreed_prefix(y_lo, y_hi, base, count)
+            k, y = _agreed_prefix(lo, hi, s, base, count)
             return _stream_from_scaled(base, k, y, count, base**k)
 
 
-def _agreed_prefix(y_lo: int, y_hi: int, base: int, count: int) -> tuple[int, int]:
-    """(k, y) for the largest k <= count at which floor(y_lo / base^(count-k))
-    and floor(y_hi / base^(count-k)) agree on y, for y_lo <= y_hi."""
-    # the ends still differ after dropping j digits while base^j <= y_hi - y_lo;
-    # j is one below the float estimate of the largest j with base^j <= 2^(L-1),
-    # L the bit length of the difference, so rounding cannot make it too large
-    j = max(0, int(((y_hi - y_lo).bit_length() - 1) / math.log2(base)) - 1)
-    cell = base ** min(j, count + 1)
-    y_lo, y_hi, k = y_lo // cell, y_hi // cell, count - j
+def _agreed_prefix(lo: int, hi: int, s: int, base: int, count: int) -> tuple[int, int]:
+    """(k, y) for the largest k <= count at which floor(lo base^k / 2^s) and
+    floor(hi base^k / 2^s) agree on y, for lo <= hi.
+
+    The floors differ once (hi - lo) base^k >= 2^s, which holds from
+    k = (s - L + 1) / log2(base) on, L the bit length of hi - lo, so the
+    search starts there, a few digits up against rounding, and costs what
+    the bracket does, not `count`.
+    """
+    n = count if lo == hi else min(count, max(0, int((s - (hi - lo).bit_length()) / math.log2(base)) + 3))
+    power = base**n
+    y_lo, y_hi = (lo * power) >> s, (hi * power) >> s
     # a carry chain such as ...0999 / ...1000 can need more digits dropped
-    while k >= 0 and y_lo != y_hi:
+    while n >= 0 and y_lo != y_hi:
         y_lo //= base
         y_hi //= base
-        k -= 1
-    if k < 0:
+        n -= 1
+    if n < 0:
         raise PrecisionBudgetError("integer part not certifiable within budget")
-    return k, y_lo
+    return n, y_lo
 
 
 def _stream_from_scaled(base: int, ndigits: int, y: int, requested: int, cell: int) -> DigitStream:

@@ -39,6 +39,7 @@ from .realnum import (
     PrecisionBudgetError,
     Surd,
     _exact,
+    _quotient_list,
     convergent_bracket,
     parse_surd,
     surd_bracket,
@@ -95,18 +96,16 @@ def parse_slope(text: str) -> SlopeSpec:
         body = text[8:]
         if body in PRESET_SLOPES:
             return PRESET_SLOPES[body]
-        head_txt, cycle_txt = body, ""
+        head_txt, cycle_txt, i = body, "", 0
         if "(" in body:
             i = body.index("(")
             if not body.endswith(")*"):
                 raise ValueError(f"periodic tail must end with ')*' at position {8 + i}: {text!r}")
-            head_txt = body[:i].rstrip(",")
-            cycle_txt = body[i + 1 : -2]
-        try:
-            head = tuple(int(x) for x in head_txt.split(",") if x)
-            cycle = tuple(int(x) for x in cycle_txt.split(",") if x)
-        except ValueError:
-            raise ValueError(f"bad quotient list at position 8: {text!r}") from None
+            if i and body[i - 1] != ",":
+                raise ValueError(f"periodic tail must follow a comma at position {8 + i}: {text!r}")
+            head_txt, cycle_txt = body[: max(i - 1, 0)], body[i + 1 : -2]
+        head = _quotient_list(head_txt, 8) if head_txt else ()
+        cycle = _quotient_list(cycle_txt, 9 + i) if cycle_txt else ()
         if not head and not cycle:
             raise ValueError(f"empty quotient list at position 8: {text!r}")
         if any(m < 1 for m in head + cycle):
@@ -268,6 +267,8 @@ def parse_morphism(text: str) -> Morphism:
         left, right = chunk.split(">", 1)
         if left not in ("0", "1"):
             raise ValueError(f"morphism domain letter must be 0 or 1: {chunk!r}")
+        if int(left) in rules:
+            raise ValueError(f"morphism rule for letter {left} is given twice: {chunk!r}")
         rules[int(left)] = Word.from_digits(right)
     if set(rules) != {0, 1}:
         raise ValueError("morphism must define images for both 0 and 1")

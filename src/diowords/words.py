@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -61,17 +61,16 @@ class Word:
             raise ValueError("letter out of range for alphabet")
 
     @classmethod
-    def from_digits(cls, text: str, alphabet_size: int | None = None) -> "Word":
-        """Build a word from a digit string such as "0100101"."""
+    def from_digits(cls, text: str) -> "Word":
+        """The word of a digit string such as "0100101", over the smallest
+        alphabet, at least {0, 1}, that holds its letters."""
         for i, ch in enumerate(text):
             if not "0" <= ch <= "9":
                 raise ValueError(
                     f"a digit word takes the digits 0-9, not {ch!r} at position {i} of {text!r}"
                 )
         letters = text.encode("ascii").translate(CHARS_TO_DIGITS)
-        if alphabet_size is None:
-            alphabet_size = max(2, (max(letters) + 1) if letters else 2)
-        return cls(letters, alphabet_size)
+        return cls(letters, max(2, (max(letters) + 1) if letters else 2))
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -80,9 +79,6 @@ class Word:
         if isinstance(i, slice):
             return Word(self.symbols[i], self.alphabet_size)
         return self.symbols[i]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.symbols)
 
     def prefix(self, n: int) -> "Word":
         if n > len(self):
@@ -117,10 +113,6 @@ class ComplexityProfile:
                 raise ValueError(f"count p({n})={c} out of range for L={L}, b={b}")
             if i + 1 < len(self.counts) and c > self.counts[i + 1] + 1:
                 raise ValueError(f"count p({n})={c} exceeds p({n+1})+1")
-
-    @property
-    def n_max(self) -> int:
-        return len(self.counts)
 
     def count(self, n: int) -> int:
         return self.counts[n - 1]

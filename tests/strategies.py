@@ -72,7 +72,10 @@ slopes = _mostly(
         st.builds("cfslope:{},({})*".format, _ints(2, 1, 5), _ints(2, 1, 5)),
     ),
     st.one_of(
-        st.sampled_from(["cfslope:1,2", "cfslope:", "cfslope:(1", "surd:1,2", "surd:2,1,2"]),
+        st.sampled_from(["cfslope:1,2", "cfslope:", "cfslope:(1", "surd:1,2", "surd:2,1,2",
+                         # empty fields and a tail without its comma are refused, not dropped
+                         "cfslope:1,,2,(1)*", "cfslope:,1,(1)*", "cfslope:(1,,2)*",
+                         "cfslope:1(2)*"]),
         st.builds("surd:{}".format, _ints(3, -4, 12)),
     ),
 )
@@ -81,7 +84,7 @@ morphisms = _mostly(
     st.sampled_from(["0>01;1>0", "0>01;1>001", "1>10;0>0", "0>011;1>01", "0>2;1>01"]),
     st.one_of(
         st.builds("0>{};1>{}".format, st.text("01", max_size=4), st.text("012", max_size=4)),
-        st.sampled_from(["0>01", "0>a;1>0", "0>01;1>0101"]),
+        st.sampled_from(["0>01", "0>a;1>0", "0>01;1>0101", "0>01;1>001;0>1"]),
     ),
 )
 

@@ -49,7 +49,7 @@ class TestWitnessToApproximant:
             witness_to_approximant(w, RepetitionWitness(0, 1, 4), 10)
 
     def test_digits_must_fit_base(self):
-        w = Word.from_digits("033", 4)
+        w = Word.from_digits("033")
         with pytest.raises(ValueError):
             witness_to_approximant(w, RepetitionWitness(0, 1, 2), 2)
 

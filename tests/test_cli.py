@@ -3,6 +3,7 @@ import io
 import json
 import os
 import shlex
+import time
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -236,6 +237,35 @@ class TestExitCodes:
         )
         assert code == 3
         assert "certified:" in out
+
+    @pytest.mark.parametrize("spec, base", [("e", "10"), ("surd:0,1,2", "2"), ("mobius:3,1,2,1:(e)", "7")])
+    def test_digits_past_the_budget_cost_what_the_budget_does(self, capsys, spec, base):
+        # 10^7 digits took seconds to minutes here, though the budget certifies about 20
+        outs = []
+        for count in (200, 10**7):
+            start = time.perf_counter()
+            code, out, err = run_cli(
+                capsys, "--format", "json", "--max-bits", "64", "digits", spec, "--base", base,
+                "--count", str(count),
+            )
+            assert time.perf_counter() - start < 10
+            payload = json.loads(out)
+            assert code == 3 and err == "" and payload.pop("requested") == count
+            outs.append(payload)
+        assert outs[0] == outs[1] and 0 < outs[0]["certified"] < 200
+
+    def test_digit_source_past_the_budget_costs_what_the_budget_does(self, capsys):
+        errs = []
+        for prefix in (200, 10**7):
+            start = time.perf_counter()
+            code, out, err = run_cli(
+                capsys, "--max-bits", "64", "complexity", "digits:e|10", "--prefix", str(prefix),
+                "--n-max", "2",
+            )
+            assert time.perf_counter() - start < 10
+            assert code == 3 and out == ""
+            errs.append(err.replace(f" of {prefix} ", " of N "))
+        assert errs[0] == errs[1] == "budget exhausted: certified 19 of N digits\n"
 
     def test_budget_below_start_precision(self, capsys):
         # a budget of 0 bits cannot even certify the integer part of e

@@ -290,11 +290,11 @@ class TestIrrationalCF:
         assert list(cf.quotients) == euler_quotients(30)
 
     def test_sandwich_and_convergent_gap(self):
-        enc = enclosure(SeriesE(), 64)
+        enc = enclosure(SeriesE())
         cf = cf_from_enclosure(enc, 20)
         enc.refine(140)
-        assert enc.width <= Fraction(1, 10**40)
         lo, hi = enc.bounds()
+        assert hi - lo <= Fraction(1, 10**40)
         convs = convergents_from_quotients(cf.quotients)
         for k in range(0, 18, 2):
             even = Fraction(*convs[k])
@@ -307,7 +307,7 @@ class TestIrrationalCF:
             assert err_hi < Fraction(1, q * q_next) + (hi - lo)
 
     def test_budget_exhaustion_is_partial_not_error(self):
-        cf = cf_from_enclosure(enclosure(SeriesE(), 16, max_bits=32), 200)
+        cf = cf_from_enclosure(enclosure(SeriesE(), max_bits=32), 200)
         assert cf.budget_exhausted
         assert 0 < cf.certified < 200
         assert list(cf.quotients) == euler_quotients(cf.certified)

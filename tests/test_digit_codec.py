@@ -221,10 +221,14 @@ def agreed_prefix_per_digit(y_lo, y_hi, base, count):
 
 @st.composite
 def scaled_ends(draw):
-    """(y_lo, y_hi, base, count): random ends, and ends around a carry chain
-    such as ...0999 / ...1000."""
+    """(lo, hi, s, base, count): brackets [lo, hi] / 2^s with random ends,
+    and with ends around a carry chain such as ...0999 / ...1000 at count
+    digits."""
     base = draw(st.sampled_from((2, 3, 10, 16, 36, 257)))
     count = draw(st.integers(0, 80))
+    cell = base**count
+    # at this scale every digit cell holds a dyadic end
+    s = cell.bit_length() + draw(st.integers(0, 40))
     top = base ** (count + 2)
     if draw(st.booleans()):
         y_lo = draw(st.integers(-top, top))
@@ -235,14 +239,18 @@ def scaled_ends(draw):
         c = draw(st.integers(-top, top)) * base**j
         y_lo = c - draw(st.integers(1, base**j))
         y_hi = c + draw(st.integers(0, base**j))
-    return y_lo, y_hi, base, count
+    # the least dyadic ends in the digit cells [y, y + 1) / base^count
+    lo, hi = (-(-(y << s) // cell) for y in (y_lo, y_hi))
+    return lo, hi, s, base, count
 
 
 @given(scaled_ends())
 @settings(max_examples=500, deadline=None)
 def test_agreed_prefix_matches_per_digit_loop(case):
+    lo, hi, s, base, count = case
+    cell = base**count
     try:
-        want = agreed_prefix_per_digit(*case)
+        want = agreed_prefix_per_digit((lo * cell) >> s, (hi * cell) >> s, base, count)
     except PrecisionBudgetError:
         with pytest.raises(PrecisionBudgetError):
             _agreed_prefix(*case)

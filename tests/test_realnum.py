@@ -5,7 +5,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diowords import cli, realnum
@@ -34,51 +34,60 @@ from diowords.realnum import (
 import sturmian_oracle as oracle
 
 
+def _at(spec, bits):
+    """The enclosure of the spec at precision `bits`, its budget."""
+    enc = enclosure(spec, max_bits=bits)
+    enc.refine(bits)
+    return enc
+
+
 class TestEnclosure:
     def test_rational_is_point(self):
         enc = enclosure(Rational(1, 3))
         assert enc.is_point()
-        assert enc.lo == Fraction(1, 3)
+        assert enc.bounds()[0] == Fraction(1, 3)
 
     def test_series_e_contains_e(self):
-        enc = enclosure(SeriesE(), 64)
-        assert float(enc.lo) <= math.e <= float(enc.hi)
-        assert enc.width <= Fraction(1, 2**64)
+        enc = enclosure(SeriesE())
+        lo, hi = enc.bounds()
+        assert enc.bits == 64
+        assert float(lo) <= math.e <= float(hi)
+        assert hi - lo <= Fraction(1, 2**64)
 
     def test_nested_refinement(self):
-        enc = enclosure(SeriesE(), 16)
-        widths = [enc.width]
+        enc = enclosure(SeriesE())
         bounds = [enc.bounds()]
         for _ in range(5):
             assert enc.refine()
             lo, hi = enc.bounds()
             plo, phi_ = bounds[-1]
             assert plo <= lo <= hi <= phi_
-            assert enc.width < widths[-1]
-            widths.append(enc.width)
+            assert hi - lo < phi_ - plo
             bounds.append((lo, hi))
 
     def test_budget_exhaustion(self):
-        enc = enclosure(SeriesE(), 32, max_bits=64)
+        enc = enclosure(SeriesE(), max_bits=128)
         assert enc.refine()
         assert not enc.refine()
 
     def test_surd_square_is_point(self):
         enc = enclosure(Surd(1, 2, 9))
-        assert enc.is_point() and enc.lo == 2
+        assert enc.is_point() and enc.bounds()[0] == 2
 
     def test_surd_contains_value(self):
-        enc = enclosure(Surd(0, 1, 2), 80)
-        assert float(enc.lo) <= math.sqrt(2) <= float(enc.hi)
+        enc = enclosure(Surd(0, 1, 2))
+        enc.refine(80)
+        lo, hi = enc.bounds()
+        assert float(lo) <= math.sqrt(2) <= float(hi)
 
     def test_from_cf_tuple_exact(self):
         enc = enclosure(FromCF((3, 7)))
-        assert enc.is_point() and enc.lo == Fraction(22, 7)
+        assert enc.is_point() and enc.bounds()[0] == Fraction(22, 7)
 
     def test_from_cf_stream(self):
-        golden = enclosure(FromCF(lambda n: 1), 64)
+        lo, hi = enclosure(FromCF(lambda n: 1)).bounds()
         value = (1 + math.sqrt(5)) / 2
-        assert float(golden.lo) <= value <= float(golden.hi)
+        assert float(lo) <= value <= float(hi)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -108,10 +117,9 @@ class TestDyadicContainment:
         for j in range(k):
             partial += term
             term /= j + 1
-        enc = enclosure(SeriesE(), bits)
-        lo, hi = enc.bounds()
+        lo, hi = _at(SeriesE(), bits).bounds()
         assert lo <= partial and partial + Fraction(2, factorial) <= hi
-        assert enc.width <= Fraction(1, 2**bits) + Fraction(2, 2 ** (bits + 32))
+        assert hi - lo <= Fraction(1, 2**bits) + Fraction(2, 2 ** (bits + 32))
 
     @given(
         st.integers(-50, 50),
@@ -121,8 +129,7 @@ class TestDyadicContainment:
     )
     @settings(max_examples=150, deadline=None)
     def test_surd_brackets_the_root(self, p, q, d, bits):
-        enc = enclosure(Surd(p, q, d), bits)
-        lo, hi = enc.bounds()
+        lo, hi = _at(Surd(p, q, d), bits).bounds()
         # (p + sqrt d)/q in [lo, hi], checked by squaring integers of the cleared bounds
         below, above = (lo * q - p, hi * q - p) if q > 0 else (hi * q - p, lo * q - p)
         assert below < 0 or below * below < d
@@ -142,16 +149,18 @@ class TestDyadicContainment:
     def test_mobius_holds_image_of_inner_bracket(self, k1, k2, flip, inner_spec, bits):
         # T^k1 S T^k2 (det -1) or T^(k1+k2) (det 1), with T = [[1,1],[0,1]], S = [[0,1],[1,0]]
         a, b, c, d = (k1, k1 * k2 + 1, 1, k2) if flip else (1, k1 + k2, 0, 1)
-        inner = enclosure(parse_real_spec(inner_spec), bits)
+        inner = enclosure(parse_real_spec(inner_spec))
         try:
-            enc = mobius(a, b, c, d, inner, bits)
+            # a budget of `bits` starts the image there when that is below the start precision
+            enc = mobius(a, b, c, d, inner, max_bits=bits)
+            enc.refine(bits)
         except PrecisionBudgetError:
             return
         x_lo, x_hi = inner.bounds()
         images = sorted(((a * x_lo + b) / (c * x_lo + d), (a * x_hi + b) / (c * x_hi + d)))
         lo, hi = enc.bounds()
         assert lo <= images[0] and images[1] <= hi
-        assert enc.width <= Fraction(1, 2**bits) + Fraction(2, 2 ** (bits + 32))
+        assert hi - lo <= Fraction(1, 2**bits) + Fraction(2, 2 ** (bits + 32))
 
     @given(
         st.sampled_from(["e", "surd:-1,3,7", "shallit", "mobius:5,2,2,1:(e)", "mobius:0,1,1,-2:(surd:0,1,3)"]),
@@ -159,7 +168,7 @@ class TestDyadicContainment:
     )
     @settings(max_examples=60, deadline=None)
     def test_refinements_stay_nested(self, spec, steps):
-        enc = enclosure(parse_real_spec(spec), 8)
+        enc = enclosure(parse_real_spec(spec))
         bits = enc.bits
         for step in steps:
             before = enc.bounds()
@@ -171,7 +180,7 @@ class TestDyadicContainment:
 
     def test_from_cf_stream_holds_convergent_bracket(self):
         # sqrt(3) = [1; 1, 2, 1, 2, ...]: 97/56 and 168/97 straddle it
-        enc = enclosure(FromCF(lambda n: 1 if n % 2 or n == 0 else 2), 14)
+        enc = enclosure(FromCF(lambda n: 1 if n % 2 or n == 0 else 2), max_bits=14)
         lo, hi = enc.bounds()
         assert lo <= Fraction(97, 56) and Fraction(168, 97) <= hi
         assert lo * lo < 3 < hi * hi
@@ -201,7 +210,7 @@ class TestDyadicContainment:
         assert convergent_bracket(quotient, bits, scale) == want
 
     def test_digit_stream_holds_digit_cell(self):
-        enc = enclosure_from_digits(lambda n: [1] * n, 3, 0, bits=20)
+        enc = enclosure_from_digits(lambda n: [1] * n, 3, max_bits=20)
         lo, hi = enc.bounds()
         n = int(20 / math.log2(3)) + 2
         cell = Fraction(3**n - 1, 2 * 3**n)  # 0.111...1 in base 3
@@ -221,15 +230,12 @@ class TestBudget:
         with pytest.raises(ValueError):
             enclosure(SeriesE(), max_bits=-1)
 
-    def test_negative_precision_rejected(self):
-        with pytest.raises(ValueError, match="^bits must be nonnegative$"):
-            enclosure(SeriesE(), bits=-5)
-
     def test_refine_to_target_in_one_step(self):
-        enc = enclosure(SeriesE(), 64)
+        enc = enclosure(SeriesE())
         assert enc.refine(5000)
         assert enc.bits == 5000
-        assert enc.width <= Fraction(1, 2**5000) + Fraction(2, 2**5032)
+        lo, hi = enc.bounds()
+        assert hi - lo <= Fraction(1, 2**5000) + Fraction(2, 2**5032)
         assert enc.refine(100)  # already finer: kept as it is
         assert enc.bits == 5000
 
@@ -244,8 +250,8 @@ class TestMobius:
         assert enc.bounds() == (Fraction(4, 3), Fraction(4, 3))
 
     def test_reciprocal_of_e(self):
-        enc = mobius(0, 1, 1, 0, enclosure(SeriesE(), 64))
-        assert float(enc.lo) <= 1 / math.e <= float(enc.hi)
+        lo, hi = mobius(0, 1, 1, 0, enclosure(SeriesE())).bounds()
+        assert float(lo) <= 1 / math.e <= float(hi)
 
     def test_unimodular_required(self):
         with pytest.raises(ValueError):
@@ -263,8 +269,8 @@ class TestMobius:
         # x -> x + 1 permutes the quotient tail; exponent terms agree
         from diowords.contfrac import cf_from_enclosure, mu_estimate
 
-        cf_inner = cf_from_enclosure(enclosure(SeriesE(), 64), 40)
-        cf_image = cf_from_enclosure(mobius(1, 1, 0, 1, enclosure(SeriesE(), 64)), 40)
+        cf_inner = cf_from_enclosure(enclosure(SeriesE()), 40)
+        cf_image = cf_from_enclosure(mobius(1, 1, 0, 1, enclosure(SeriesE())), 40)
         mu_inner = mu_estimate(cf_inner, 6)
         mu_image = mu_estimate(cf_image, 6)
         assert abs(mu_inner.tail_max - mu_image.tail_max) <= 0.05
@@ -305,11 +311,11 @@ def _nest(matrices, inner):
     return inner
 
 
-def _chain(matrices, inner, bits=64):
+def _chain(matrices, inner):
     """The unfolded image: `mobius` applied level by level to the inner enclosure."""
-    enc = enclosure(inner, bits)
+    enc = enclosure(inner)
     for m in reversed(matrices):
-        enc = mobius(*m, enc, bits)
+        enc = mobius(*m, enc)
     return enc
 
 
@@ -334,10 +340,10 @@ class TestMobiusFold:
     def test_brackets_nest_and_meet_the_chain(self, matrices, inner, steps):
         spec = _nest(matrices, inner)
         try:
-            chain = _chain(matrices, inner, 8)
+            chain = _chain(matrices, inner)
         except ValueError:
             return
-        enc = enclosure(spec, 8)
+        enc = enclosure(spec)
         bits = enc.bits
         for step in steps:
             before = enc.bounds()
@@ -346,11 +352,13 @@ class TestMobiusFold:
             lo, hi = enc.bounds()
             assert before[0] <= lo <= hi <= before[1]
             # both hold the image, so they overlap
-            assert max(lo, chain.lo) <= min(hi, chain.hi)
+            chain_lo, chain_hi = chain.bounds()
+            assert max(lo, chain_lo) <= min(hi, chain_hi)
 
     def test_surd_image_is_a_surd(self):
         # (sqrt 3 + 1)/(sqrt 3 + 2) = sqrt 3 - 1, scaled by a power of two
-        enc = enclosure(Mobius(1, 1, 1, 2, Surd(0, 1, 3)), 100)
+        enc = enclosure(Mobius(1, 1, 1, 2, Surd(0, 1, 3)))
+        enc.refine(100)
         lo, hi = enc.bounds()
         assert lo < hi and (lo + 1) ** 2 < 3 < (hi + 1) ** 2
         assert hi - lo <= Fraction(1, 2**100)
@@ -360,7 +368,7 @@ class TestMobiusFold:
         # 120 bits of e cannot give 120 bits of the image, folded or not, and
         # the bracket reached at the budget is returned
         spec = Mobius(-3, 8, 7, -19, SeriesE())
-        e_lo, e_hi = enclosure(SeriesE(), 300).bounds()
+        e_lo, e_hi = _at(SeriesE(), 300).bounds()
         image_lo, image_hi = sorted((-3 * x + 8) / (7 * x - 19) for x in (e_lo, e_hi))
         folded = enclosure(spec, max_bits=120)
         chain = mobius(-3, 8, 7, -19, enclosure(SeriesE(), max_bits=120), max_bits=120)
@@ -405,6 +413,63 @@ class TestMobiusFold:
             mobius(-3, 8, 7, -19, enclosure(SeriesE(), max_bits=4), max_bits=4)
 
 
+def _value(spec):
+    """The value of a rational spec, None for an irrational one; a Moebius
+    image whose denominator vanishes at its inner value raises."""
+    if isinstance(spec, Mobius):
+        x = _value(spec.inner)
+        if x is None:
+            return None
+        if spec.c * x + spec.d == 0:
+            raise ValueError("Moebius pole at the inner value")
+        return (spec.a * x + spec.b) / (spec.c * x + spec.d)
+    if isinstance(spec, Rational):
+        return Fraction(spec.p, spec.q)
+    if isinstance(spec, Surd):
+        root = math.isqrt(spec.d)
+        return Fraction(spec.p + root, spec.q) if root * root == spec.d else None
+    if isinstance(spec, FromCF) and isinstance(spec.quotients, tuple):
+        x = Fraction(spec.quotients[-1])
+        for a in reversed(spec.quotients[:-1]):
+            x = a + 1 / x
+        return x
+    return None
+
+
+exactness_atoms = st.one_of(
+    st.builds(Rational, st.integers(-30, 30), st.integers(1, 9)),
+    st.builds(lambda a0, rest: FromCF((a0, *rest)), st.integers(-5, 5),
+              st.lists(st.integers(1, 9), max_size=5)),
+    st.builds(lambda p, q, k: Surd(p, q, k * k), st.integers(-30, 30),
+              st.integers(-9, 9).filter(bool), st.integers(0, 12)),
+    fold_inner_specs,
+    st.just(FromCF(lambda n: 1 + n % 3)),
+)
+
+
+class TestExactness:
+    """`_exact` decides exactness once; `enclosure` follows it."""
+
+    @given(st.lists(st.sampled_from(MATRICES), max_size=3), exactness_atoms)
+    @example([(1, 1, 0, 1), (0, 1, 1, 0)], Rational(0, 1))  # the inner level's pole
+    @example([(0, 1, 1, 0), (1, -1, 0, 1)], FromCF((1,)))  # the outer level's pole
+    @example([(1, 1, 0, 1), (0, -1, 1, -3)], Surd(1, 1, 4))  # a square surd's pole
+    @settings(max_examples=300, deadline=None)
+    def test_points_are_the_exact_specs(self, matrices, atom):
+        spec = _nest(matrices, atom)
+        try:
+            want = _value(spec)
+        except ValueError as exc:
+            assert realnum._exact(spec)
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                enclosure(spec)
+            return
+        enc = enclosure(spec)
+        assert realnum._exact(spec) == enc.is_point() == (want is not None)
+        if want is not None:
+            assert enc.bounds() == (want, want)
+
+
 class TestDigits:
     def test_one_third(self):
         assert digits(Rational(1, 3), 10, 5).as_text() == "0.33333 certified:5"
@@ -417,8 +482,10 @@ class TestDigits:
 
     def test_e_two_precisions_agree(self):
         # same digits whether the enclosure starts coarse or fine
-        coarse = digits_from_enclosure(enclosure(SeriesE(), 16), 10, 12)
-        fine = digits_from_enclosure(enclosure(SeriesE(), 4096), 10, 12)
+        coarse = digits_from_enclosure(enclosure(SeriesE()), 10, 12)
+        fine = enclosure(SeriesE())
+        fine.refine(4096)
+        fine = digits_from_enclosure(fine, 10, 12)
         assert coarse.fractional_digits == fine.fractional_digits
 
     def test_shallit_digit_positions(self):
@@ -472,13 +539,22 @@ class TestDigits:
         full = digits(SeriesE(), 10, stream.certified)
         assert stream.fractional_digits == full.fractional_digits
 
+    def test_an_interval_that_refines_to_a_point_certifies_every_digit(self):
+        # [0, 1/2] at the start precision, the point 1/2 from 100 bits on; the
+        # last digit's precision lies past the budget
+        def compute(bits):
+            return (0, 2, 2) if bits < 100 else (1 << bits - 1, 1 << bits - 1, bits)
+
+        stream = digits_from_enclosure(Enclosure(compute, 100), 10, 1000)
+        assert stream.complete and stream.fractional_digits == bytes([5] + [0] * 999)
+
     def test_digit_value_consistency(self):
         # rational value of the digit prefix sits within b^(1-N) of the target
         n = 30
         stream = digits(SeriesE(), 10, n)
-        enc = enclosure(SeriesE(), 256)
-        mid = (enc.lo + enc.hi) / 2
-        assert abs(stream.value() - mid) < Fraction(10) ** (1 - n)
+        value = stream.integer_part + Fraction(int("".join(map(str, stream.fractional_digits))), 10**n)
+        mid = sum(_at(SeriesE(), 256).bounds()) / 2
+        assert abs(value - mid) < Fraction(10) ** (1 - n)
 
     @given(st.integers(1, 200), st.integers(2, 300))
     @settings(max_examples=100)
@@ -524,10 +600,12 @@ class TestCrossRoutes:
 
 class TestEnclosureFromDigits:
     def test_fixed_digit_stream(self):
-        enc = enclosure_from_digits(lambda n: [3] * n, 10, 0, bits=16)
-        assert float(enc.lo) <= 1 / 3 <= float(enc.hi)
+        enc = enclosure_from_digits(lambda n: [3] * n, 10)
+        lo, hi = enc.bounds()
+        assert float(lo) <= 1 / 3 <= float(hi)
         enc.refine()
-        assert enc.width < Fraction(1, 10**4)
+        lo, hi = enc.bounds()
+        assert hi - lo < Fraction(1, 10**30)
 
 
 class TestSpecGrammar:

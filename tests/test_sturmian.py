@@ -164,6 +164,22 @@ class TestSlopeSpecs:
             parse_slope("cfslope:")
 
     @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("cfslope:1,,2,(1)*", r"bad quotient list \(position 8\)"),
+            ("cfslope:,1,(1)*", r"bad quotient list \(position 8\)"),
+            ("cfslope:1,2,", r"bad quotient list \(position 8\)"),
+            ("cfslope:(1,,2)*", r"bad quotient list \(position 9\)"),
+            ("cfslope:3,(1,)*", r"bad quotient list \(position 11\)"),
+            ("cfslope:1(2)*", r"periodic tail must follow a comma at position 9: 'cfslope:1\(2\)\*'"),
+        ],
+    )
+    def test_cf_slope_fields_are_not_dropped(self, text, message):
+        # empty fields were skipped and "1(2)*" read as "1,(2)*"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            parse_slope(text)
+
+    @pytest.mark.parametrize(
         "args, message",
         [
             ((1, 0, 5), "surd denominator must be nonzero"),
@@ -384,7 +400,7 @@ class TestCheckersMatchFractionLoops:
         slope, rho = data.draw(slopes()), data.draw(intercepts)
         n_letters = data.draw(st.integers(1, 2000))
         image0, image1 = (
-            Word.from_digits(data.draw(st.text("012", min_size=1, max_size=6)), 3)
+            Word.from_digits(data.draw(st.text("012", min_size=1, max_size=6)))
             for _ in range(2)
         )
         spec = QuasiSturmianSpec(Word(b"", 2), Morphism(image0, image1), slope, rho)
@@ -406,6 +422,9 @@ class TestMorphism:
             parse_morphism("0>01;2>0")
         with pytest.raises(ValueError):
             parse_morphism("0>;1>0")
+        # the last rule for a letter replaced the first
+        with pytest.raises(ValueError, match="^morphism rule for letter 0 is given twice: '0>1'$"):
+            parse_morphism("0>01;1>001;0>1")
 
     def test_identity_morphism_reproduces_sturmian(self):
         spec = QuasiSturmianSpec(Word(b"", 2), parse_morphism("0>0;1>1"), FIB_SLOPE)
@@ -413,13 +432,13 @@ class TestMorphism:
 
     def test_example_prefix(self):
         spec = QuasiSturmianSpec(
-            Word.from_digits("2", 3), parse_morphism("0>01;1>001"), FIB_SLOPE
+            Word.from_digits("2"), parse_morphism("0>01;1>001"), FIB_SLOPE
         )
         assert apply_morphism(spec, 8).to_text() == "20100101"
 
     def test_length_equal_to_prefix(self):
         spec = QuasiSturmianSpec(
-            Word.from_digits("2", 3), parse_morphism("0>01;1>001"), FIB_SLOPE
+            Word.from_digits("2"), parse_morphism("0>01;1>001"), FIB_SLOPE
         )
         assert apply_morphism(spec, 1).to_text() == "2"
 
@@ -431,7 +450,7 @@ class TestQuasiSturmianCheck:
 
     def test_morphic_image_has_plateau(self):
         spec = QuasiSturmianSpec(
-            Word.from_digits("2", 3), parse_morphism("0>01;1>001", ), FIB_SLOPE
+            Word.from_digits("2"), parse_morphism("0>01;1>001", ), FIB_SLOPE
         )
         w = apply_morphism(spec, 5000)
         result = quasi_sturmian_check(w, 800)
@@ -460,7 +479,7 @@ class TestMorphicLength:
 
     def test_example_bound(self):
         spec = QuasiSturmianSpec(
-            Word.from_digits("2", 3), parse_morphism("0>01;1>001"), FIB_SLOPE
+            Word.from_digits("2"), parse_morphism("0>01;1>001"), FIB_SLOPE
         )
         dev = morphic_length_check(spec, 1000)
         assert dev <= 2 * 3  # 2 * max image length
@@ -477,7 +496,7 @@ class TestMorphismInvariance:
         # repetition scores of W phi(s) stay close to those of s
         s = mechanical_word(FIB_SLOPE, Fraction(0), 2000)
         spec = QuasiSturmianSpec(
-            Word.from_digits("2", 3), parse_morphism("0>01;1>001"), FIB_SLOPE
+            Word.from_digits("2"), parse_morphism("0>01;1>001"), FIB_SLOPE
         )
         image = apply_morphism(spec, 2000)
         d_s = float(dio_estimate(s).global_max.score)

@@ -63,7 +63,7 @@ class TestWord:
 
 class TestFractionalPower:
     def test_identity(self):
-        assert fractional_power(Word.from_digits("012", 3), 1).to_text() == "012"
+        assert fractional_power(Word.from_digits("012"), 1).to_text() == "012"
 
     def test_integer_power(self):
         assert fractional_power(Word.from_digits("01"), 2).to_text() == "0101"

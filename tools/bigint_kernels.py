@@ -35,6 +35,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from diowords import realnum  # noqa: E402
+from diowords.realnum import _divmod, _sqrtrem  # noqa: E402
 
 SIZES = (1000, 2000, 4000, 8000, 16_000, 32_000, 64_000, 100_000, 300_000, 1_000_000)
 EXTRACTIONS = {
@@ -99,8 +100,8 @@ def main() -> None:
         a = rng.randrange(b << n)
         r = rng.getrandbits(n) | 1 << (n - 1)
         rows = (
-            ("divmod", divmod, realnum._divmod, (n + 1) // 2, (a, b)),
-            ("sqrtrem", isqrt_rem, realnum._sqrtrem, n - 1, (r,)),
+            ("divmod", divmod, _divmod, (n + 1) // 2, (a, b)),
+            ("sqrtrem", isqrt_rem, _sqrtrem, n - 1, (r,)),
         )
         for name, builtin, kernel, cut, operands in rows:
             once = split_once(kernel, cut)
