@@ -9,7 +9,9 @@ tagged as such.
 Exit codes, one exception class each: 0 success; 1 a failed criterion
 or plateau check, or `realnum.CertificateError`, a failed certificate
 check; 2 a usage error, `ValueError` or `TypeError`; 3
-`realnum.PrecisionBudgetError`, an exhausted refinement budget.  Checks
+`realnum.PrecisionBudgetError`, an exhausted refinement budget; 141 a
+stdout closed by its reader, the code a shell reports for a writer
+stopped by SIGPIPE, with nothing on stderr.  Checks
 that need only the argv come first, so a usage error is one under every
 budget; each is the private check of the library module that owns the rule.
 
@@ -39,6 +41,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_PIPE = 141
 
 PROFILE_NOTE = "profile counts are lower bounds for the infinite word"
 CSV_COMMANDS = ("complexity", "gap")
@@ -522,7 +525,15 @@ def main(argv=None) -> int:
     if args.format == "csv" and args.command not in CSV_COMMANDS:
         parser.error(f"--format csv is only available for {' and '.join(CSV_COMMANDS)}")
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: later writes, and the flush at exit, go nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except realnum.PrecisionBudgetError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -3,6 +3,8 @@ import io
 import json
 import os
 import shlex
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -237,6 +239,30 @@ class TestExitCodes:
         )
         assert code == 3
         assert "certified:" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["sturmian", "cfslope:(1)*", "--length", "1000000"], ["digits", "e", "--count", "200000"]],
+        ids=["sturmian", "digits"],
+    )
+    def test_closed_stdout_is_141_without_traceback(self, argv):
+        # the output is longer than a pipe buffer, so the writer meets the
+        # closed pipe whether or not the reader closes it first
+        paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "diowords.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        try:
+            assert len(proc.stdout.read(10)) == 10
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=120) == 141
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert err == b""
 
     @pytest.mark.parametrize("spec, base", [("e", "10"), ("surd:0,1,2", "2"), ("mobius:3,1,2,1:(e)", "7")])
     def test_digits_past_the_budget_cost_what_the_budget_does(self, capsys, spec, base):

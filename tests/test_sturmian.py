@@ -45,7 +45,7 @@ def near_integer_intercepts(slope, n0):
     """Intercepts within 2^-150 of {-n0*alpha}, on either side of it.
 
     Each puts n0*alpha + rho next to an integer, just under it and just
-    over it, so floor n0 needs more bits than the int64 pass has.
+    over it, so floor n0 needs more bits than the 64-bit bracket has.
     """
     lo, hi = _bracket(slope, 200)
     return Fraction(-n0 * hi % 2**200, 2**200), Fraction(-n0 * lo % 2**200, 2**200)
@@ -306,12 +306,39 @@ class TestMechanicalWord:
         want = oracle.mechanical_letters(slope, rho, length)
         assert mechanical_word(slope, rho, length).symbols == want
 
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_position_floors_across_blocks(self, data):
+        # blocks of 7 letters: every drawn word crosses block edges
+        slope = data.draw(slopes())
+        rho = data.draw(intercepts)
+        length = data.draw(st.integers(1, 300))
+        want = oracle.mechanical_letters(slope, rho, length)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sturmian, "_BLOCK", 7)
+            assert mechanical_word(slope, rho, length).symbols == want
+
+    def test_matches_per_position_floors_past_two_blocks(self):
+        rho, length = Fraction(1, 3), 2 * sturmian._BLOCK + 3
+        want = oracle.mechanical_letters(FIB_SLOPE, rho, length)
+        assert mechanical_word(FIB_SLOPE, rho, length).symbols == want
+
     @pytest.mark.parametrize(
         "text", ["surd:-3,-2,5", "surd:-5,-7,3", "cfslope:1,(2,3)*", "cfslope:pow10"]
     )
     def test_floor_the_int64_pass_cannot_decide(self, text, monkeypatch):
         words, _ = near_integer_words(parse_slope(text), 777, 1000, monkeypatch)
         assert [i for i in range(1000) if words[0][i] != words[1][i]] == [775, 776]
+
+    @pytest.mark.parametrize("n0", [777, 778], ids=["last", "first"])
+    @pytest.mark.parametrize("text", ["surd:-3,-2,5", "cfslope:1,(2,3)*", "cfslope:pow10"])
+    def test_undecided_floor_at_a_block_edge(self, text, n0, monkeypatch):
+        # blocks of 7 letters start at letters 1, 8, ..., 771, 778: floor n is
+        # read by letters n - 1 and n, so floor 777 by the last two letters of
+        # one block, and floor 778 by its last letter and the next block's first
+        monkeypatch.setattr(sturmian, "_BLOCK", 7)
+        words, _ = near_integer_words(parse_slope(text), n0, 1000, monkeypatch)
+        assert [i for i in range(1000) if words[0][i] != words[1][i]] == [n0 - 2, n0 - 1]
 
     @pytest.mark.parametrize(("n0", "letter"), [(1, 0), (1001, 999)], ids=["first", "last"])
     @pytest.mark.parametrize("text", ["surd:-3,-2,5", "cfslope:1,(2,3)*", "cfslope:pow10"])
@@ -322,23 +349,24 @@ class TestMechanicalWord:
         assert [i for i in range(1000) if words[0][i] != words[1][i]] == [letter]
 
     def test_two_undecided_floors_settle_in_different_rounds(self, monkeypatch):
-        # alpha = [0; 2, 3, 5, 20, 2^40, 1, 1, ...] has the convergent
-        # denominator q = 747 with ||q*alpha|| < 2^-49, so with n0*alpha + rho
-        # next to an integer, floor n0 + q is next to one too: the int64 pass
-        # leaves both open, 2k bits settle n0 + q and n0 waits for 4k bits
-        slope = parse_slope(cf_text((2, 3, 5, 20, 2**40), (1,)))
+        # alpha = [0; 2, 3, 5, 20, 2^60, 1, 1, ...] has the convergent
+        # denominator q = 747 with ||q*alpha|| < 2^-69, so with n0*alpha + rho
+        # next to an integer, floor n0 + q is next to one too: the 64-bit
+        # bracket leaves both open, 128 bits settle n0 + q and n0 waits for
+        # 256 bits
+        slope = parse_slope(cf_text((2, 3, 5, 20, 2**60), (1,)))
         n0, q, length = 100, 747, 1000
         _, requested = near_integer_words(slope, n0, length, monkeypatch)
-        k = requested[0]
-        assert requested == [k, 2 * k, 4 * k]
+        assert requested == [64, 128, 256]
         for rho in near_integer_intercepts(slope, n0):
-            assert open_floors(slope, rho, length + 1, k) == [n0, n0 + q]
-            assert open_floors(slope, rho, length + 1, 2 * k) == [n0]
-            assert open_floors(slope, rho, length + 1, 4 * k) == []
+            assert open_floors(slope, rho, length + 1, 64) == [n0, n0 + q]
+            assert open_floors(slope, rho, length + 1, 128) == [n0]
+            assert open_floors(slope, rho, length + 1, 256) == []
 
     @pytest.mark.parametrize("text", ["surd:-3,-2,5", "cfslope:1,(2,3)*"])
     def test_traced_peak_per_letter(self, text):
-        # the int64 floors are the result: no full-length masks or copies
+        # the letters and their bytes, and two uint64 buffers of one block:
+        # no full-length int64 array
         slope, length = parse_slope(text), 400_000
         tracemalloc.start()
         try:
@@ -346,7 +374,7 @@ class TestMechanicalWord:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 32 * length
+        assert peak <= 4 * length
 
     @given(st.integers(1, 40), st.fractions(min_value=0, max_value=Fraction(9, 10)))
     @settings(max_examples=60, deadline=None)

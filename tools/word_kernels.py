@@ -1,5 +1,6 @@
 """Time the longest-previous-factor kernels: the index kernel against its
-stack-loop oracle, and on Sturmian words the slope's records against the index.
+stack-loop oracle, and on Sturmian words the slope's records against the index
+and `mechanical_word` against its per-position floors.
 
     python tools/word_kernels.py                       # every size, best of 5
     python tools/word_kernels.py --sizes 1000 10000 --repeat 3
@@ -16,9 +17,15 @@ both give the same array.  On the Sturmian words it also prints the
 best-of-k time of the whole index path (`suffix_index` and the kernel)
 and of the record path (`sturmian.record_runs` and
 `repetition._record_lpf`) and the record count, and checks that both
-give the same array.  Digit words are made with a budget of 4 bits a
-digit, so that every size is reached.  It needs only the standard
-library and numpy; pytest does not collect it.
+give the same array.  Last, for each Sturmian word and size, it prints
+the best-of-k time of `sturmian.mechanical_word` and checks its letters
+against `mechanical_letters` in `tests/sturmian_oracle.py`, one exact
+floor per position: on surd slopes up to 10^6 letters, on
+continued-fraction slopes up to 10^5 (their oracle extends convergents
+for every floor), and prints a summary line.  It exits nonzero on any
+difference.  Digit words are made with a budget of 4 bits a digit, so
+that every size is reached.  It needs only the standard library and
+numpy; pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -28,15 +35,18 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
 from diowords.cli import parse_word_source  # noqa: E402
+from diowords.realnum import Surd  # noqa: E402
 from diowords.repetition import _record_lpf  # noqa: E402
-from diowords.sturmian import record_runs  # noqa: E402
+from diowords.sturmian import mechanical_word, parse_slope, record_runs  # noqa: E402
 from diowords.suffix import longest_previous_factor, suffix_index  # noqa: E402
 from diowords.words import Word  # noqa: E402
+from sturmian_oracle import mechanical_letters  # noqa: E402
 from suffix_oracle import lpf_from_index  # noqa: E402
 
 SIZES = (1000, 3000, 10_000, 15_000, 200_000, 1_000_000)
@@ -55,19 +65,25 @@ def plain(make):
     return lambda n: Word(make(n)[:n], 2)
 
 
+# the Sturmian words: slope and intercept
+MECHANICAL = {
+    "fibonacci": ("cfslope:(1)*", "0"),
+    "pow10|1/7": ("cfslope:pow10", "1/7"),
+    "surd:-3,7,13|1/3": ("surd:-3,7,13", "1/3"),
+    "surd:-1,10,2": ("surd:-1,10,2", "0"),
+    "500,(1)*|5/7": ("cfslope:500,(1)*", "5/7"),
+    "3000,(2)*|5/7": ("cfslope:3000,(2)*", "5/7"),
+}
 WORDS = {
-    "fibonacci": source("sturmian:cfslope:(1)*"),
+    **{name: source(f"sturmian:{slope}|{rho}") for name, (slope, rho) in MECHANICAL.items()},
     "e base 2": source("digits:e|2"),
     "e base 10": source("digits:e|10"),
-    "pow10|1/7": source("sturmian:cfslope:pow10|1/7"),
-    "surd:-3,7,13|1/3": source("sturmian:surd:-3,7,13|1/3"),
     "(01)^k": plain(lambda n: b"\0\1" * n),
     "0^(N-1)1": plain(lambda n: b"\0" * (n - 1) + b"\1"),
     "1/7 base 10": source("digits:rat:1/7|10"),
-    "surd:-1,10,2": source("sturmian:surd:-1,10,2"),
-    "500,(1)*|5/7": source("sturmian:cfslope:500,(1)*|5/7"),
-    "3000,(2)*|5/7": source("sturmian:cfslope:3000,(2)*|5/7"),
 }
+# the longest mechanical words checked against the per-position floors
+ORACLE_LETTERS = {"surd": 1_000_000, "cf": 100_000}
 # the `dio` word sources whose fresh-process peak is printed, at this length
 RSS_LETTERS = 1_000_000
 RSS_SOURCES = {
@@ -139,6 +155,29 @@ def main() -> None:
         records = sum(run[3] for run in record_runs(w.slope, len(w)))
         index, rec = best_of(args.repeat, (index_lpf, w.symbols), (record_lpf, w))
         print(f"{len(w):>9}  {name:18} {records:>8} {index * 1e3:10.3f} {rec * 1e3:10.3f} {index / rec:13.2f}", flush=True)
+    mechanical_section(args.sizes, args.repeat)
+
+
+def mechanical_section(sizes: list[int], repeat: int) -> None:
+    """Time `mechanical_word` on each Sturmian word and size, and check its
+    letters against the per-position floors up to ORACLE_LETTERS."""
+    print(f"\n{'letters':>9}  {'word':18} {'word ms':>10} {'checked':>8}")
+    total, checked = 0.0, 0
+    for n in sizes:
+        for name, (text, rho) in MECHANICAL.items():
+            slope, rho = parse_slope(text), Fraction(rho)
+            (best,) = best_of(repeat, (mechanical_word, slope, rho, n))
+            total += best
+            check = n <= ORACLE_LETTERS["surd" if isinstance(slope, Surd) else "cf"]
+            if check:
+                if mechanical_word(slope, rho, n).symbols != mechanical_letters(slope, rho, n):
+                    raise SystemExit(f"mechanical_word and its oracle differ on {name} at {n} letters")
+                checked += 1
+            print(f"{n:>9}  {name:18} {best * 1e3:10.3f} {'yes' if check else 'no':>8}", flush=True)
+    words = len(sizes) * len(MECHANICAL)
+    print(f"mechanical_word: {words} words, {total * 1e3:.3f} ms in all (best of {repeat}); "
+          f"{checked} checked against the per-position floors, none differ")
+
 
 if __name__ == "__main__":
     main()
