@@ -18,15 +18,24 @@ from .repetition import (
     ice_estimate,
     verify_witness,
 )
-from .sturmian import (
+from .spec import (
+    FromCF,
+    Mobius,
     Morphism,
     QuasiSturmianSpec,
+    Rational,
+    RealSpec,
+    SeriesE,
+    SeriesShallit,
+    Surd,
+    parse_morphism,
+    parse_slope,
+)
+from .sturmian import (
     apply_morphism,
     letter_frequency_check,
     mechanical_word,
     morphic_length_check,
-    parse_morphism,
-    parse_slope,
     quasi_sturmian_check,
     slope_bounds,
 )
@@ -34,14 +43,7 @@ from .realnum import (
     CertificateError,
     DigitStream,
     Enclosure,
-    FromCF,
-    Mobius,
     PrecisionBudgetError,
-    Rational,
-    RealSpec,
-    SeriesE,
-    SeriesShallit,
-    Surd,
     digits,
     enclosure,
     enclosure_from_digits,

@@ -6,14 +6,18 @@ lower-bound note of text-format profiles.  Exact values appear in JSON
 as numerator/denominator strings; floats are always estimates and are
 tagged as such.
 
+Every argument text, spec, word source and integer option is read by
+`spec`: integers are an optional '-' and ASCII digits, and a grammar error
+names the position of its field in the argument.
+
 Exit codes, one exception class each: 0 success; 1 a failed criterion
 or plateau check, or `realnum.CertificateError`, a failed certificate
 check; 2 a usage error, `ValueError` or `TypeError`; 3
 `realnum.PrecisionBudgetError`, an exhausted refinement budget; 141 a
 stdout closed by its reader, the code a shell reports for a writer
-stopped by SIGPIPE, with nothing on stderr.  Checks
-that need only the argv come first, so a usage error is one under every
-budget; each is the private check of the library module that owns the rule.
+stopped by SIGPIPE, with nothing on stderr.  Checks that need only the
+argv come first, so a usage error is one under every budget; each is the
+private check of the library module that owns the rule.
 
 `main` builds its argument parser once per process, on its first call,
 and never changes it; `DIOWORDS_MAX_BITS` is read on every call.  Only
@@ -33,7 +37,7 @@ import sys
 from fractions import Fraction
 from typing import Iterable
 
-from . import acceptance, approx, contfrac, realnum, repetition, sturmian, words
+from . import acceptance, approx, contfrac, realnum, repetition, spec, sturmian, words
 
 ENV_MAX_BITS = "DIOWORDS_MAX_BITS"
 
@@ -50,7 +54,7 @@ CSV_COMMANDS = ("complexity", "gap")
 def parse_word_source(
     text: str, prefix: int = 1000, max_bits: int = realnum.DEFAULT_MAX_BITS
 ) -> words.Word:
-    """Word-source grammar: "lit:0100101", "digits:SPEC|BASE",
+    """Word-source grammar, read by `spec`: "lit:0100101", "digits:SPEC|BASE",
     "sturmian:SLOPE[|INTERCEPT]", "quasi:W|MORPHISM|SLOPE[|INTERCEPT]".
 
     Returns the source's prefix of length `prefix`, made within the
@@ -59,59 +63,20 @@ def parse_word_source(
     whole.
     """
     if text.startswith("lit:"):
-        w = words.Word.from_digits(text[4:])
+        w = spec.digit_word(text[4:], 4)
         return w.prefix(min(prefix, len(w))) if prefix else w
     if text.startswith("digits:"):
-        parts = text[7:].split("|")
-        if len(parts) != 2:
-            raise ValueError(f"digits source needs SPEC|BASE: {text!r}")
-        spec = realnum.parse_real_spec(parts[0], offset=7)
-        try:
-            base = int(parts[1])
-        except ValueError:
-            raise ValueError(f"bad base {parts[1]!r}") from None
+        number, base = spec.digits_source(text)
         realnum._check_digits(base, word=True)
-        stream = realnum.digits(spec, base, prefix, max_bits=max_bits)
+        stream = realnum.digits(number, base, prefix, max_bits=max_bits)
         if not stream.complete:
             raise realnum.PrecisionBudgetError(f"certified {stream.certified} of {prefix} digits")
         return stream.fractional_word()
     if text.startswith("sturmian:"):
-        parts = text[9:].split("|")
-        if len(parts) > 2:
-            raise ValueError(f"sturmian source needs SLOPE[|INTERCEPT]: {text!r}")
-        slope = sturmian.parse_slope(parts[0])
-        intercept = _intercept(parts[1]) if len(parts) > 1 else Fraction(0)
-        return sturmian.mechanical_word(slope, intercept, prefix)
+        return sturmian.mechanical_word(*spec.sturmian_source(text), prefix)
     if text.startswith("quasi:"):
-        parts = text[6:].split("|")
-        if len(parts) not in (3, 4):
-            raise ValueError(f"quasi source needs W|MORPHISM|SLOPE[|INTERCEPT]: {text!r}")
-        return sturmian.apply_morphism(_quasi_spec(*parts), prefix)
-    raise ValueError(f"unknown word source {text!r} (position 0)")
-
-
-def _quasi_spec(
-    word: str, morphism: str, slope: str, intercept: str = "0"
-) -> sturmian.QuasiSturmianSpec:
-    """The W phi(s) word of the `quasi` command and of "quasi:" sources."""
-    phi = sturmian.parse_morphism(morphism)
-    # commuting images are powers of one word, so phi(s) is periodic
-    if phi.image0.symbols + phi.image1.symbols == phi.image1.symbols + phi.image0.symbols:
-        raise ValueError(f"morphism {morphism!r} has commuting images, so phi(s) is periodic")
-    return sturmian.QuasiSturmianSpec(
-        words.Word.from_digits(word) if word else words.Word(b"", 2),
-        phi,
-        sturmian.parse_slope(slope),
-        _intercept(intercept),
-    )
-
-
-def _intercept(text: str) -> Fraction:
-    """An exact intercept such as "7/31"; a zero denominator is a usage error."""
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"intercept {text!r} has a zero denominator") from None
+        return sturmian.apply_morphism(spec.quasi_source(text), prefix)
+    raise spec.SpecSyntaxError(f"unknown word source {text!r}", 0)
 
 
 def _emit(text: str) -> None:
@@ -165,8 +130,8 @@ def _estimate_text(kind: str, est: repetition.ExponentEstimate) -> str:
 
 
 def cmd_digits(args) -> int:
-    spec = realnum.parse_real_spec(args.spec)
-    stream = realnum.digits(spec, args.base, args.count, max_bits=args.max_bits)
+    number = spec.parse_real_spec(args.spec)
+    stream = realnum.digits(number, args.base, args.count, max_bits=args.max_bits)
     if args.format == "json":
         _json_out(
             {
@@ -220,9 +185,9 @@ def cmd_ice_dio(args, kind: str) -> int:
 
 
 def cmd_cf(args) -> int:
-    spec = realnum.parse_real_spec(args.spec)
+    number = spec.parse_real_spec(args.spec)
     cf = contfrac.cf_from_enclosure(
-        realnum.enclosure(spec, max_bits=args.max_bits), args.terms
+        realnum.enclosure(number, max_bits=args.max_bits), args.terms
     )
     if args.format == "json":
         # every pair is certified before the first byte is written, then
@@ -241,9 +206,9 @@ def cmd_cf(args) -> int:
 
 
 def cmd_mu(args) -> int:
-    spec = realnum.parse_real_spec(args.spec)
-    contfrac._check_terms(args.n_min, args.terms, spec)  # before any quotient
-    cf = contfrac.cf_from_enclosure(realnum.enclosure(spec, max_bits=args.max_bits), args.terms)
+    number = spec.parse_real_spec(args.spec)
+    contfrac._check_terms(args.n_min, args.terms, number)  # before any quotient
+    cf = contfrac.cf_from_enclosure(realnum.enclosure(number, max_bits=args.max_bits), args.terms)
     if contfrac._cut_short(cf, args.n_min):
         raise realnum.PrecisionBudgetError(
             f"refinement budget exhausted after {cf.certified} certified terms"
@@ -262,15 +227,15 @@ def cmd_mu(args) -> int:
 
 
 def cmd_sturmian(args) -> int:
-    slope = sturmian.parse_slope(args.slope)
-    w = sturmian.mechanical_word(slope, _intercept(args.intercept), args.length)
+    slope = spec.parse_slope(args.slope)
+    w = sturmian.mechanical_word(slope, spec.read_intercept(args.intercept), args.length)
     _word_out(w, args.format)
     return EXIT_OK
 
 
 def cmd_quasi(args) -> int:
-    spec = _quasi_spec(args.word, args.morphism, args.slope, args.intercept)
-    w = sturmian.apply_morphism(spec, args.length)
+    fields = (args.word, args.morphism, args.slope, args.intercept)
+    w = sturmian.apply_morphism(spec.quasi_spec(*((f, 0) for f in fields)), args.length)
     if args.check_n_max:
         result = sturmian.quasi_sturmian_check(w, args.check_n_max)
         if args.format == "json":
@@ -287,10 +252,10 @@ def cmd_quasi(args) -> int:
 
 
 def cmd_approximant(args) -> int:
-    spec = realnum.parse_real_spec(args.spec)
+    number = spec.parse_real_spec(args.spec)
     realnum._check_digits(args.base, word=True)  # before any digit
     repetition._checked_threshold(args.prefix, args.threshold)
-    stream = realnum.digits(spec, args.base, args.prefix, max_bits=args.max_bits)
+    stream = realnum.digits(number, args.base, args.prefix, max_bits=args.max_bits)
     # the threshold fits --prefix, so only the budget can leave too few digits for it
     if not repetition._takes_threshold(stream.certified, args.threshold):
         raise realnum.PrecisionBudgetError(
@@ -300,7 +265,7 @@ def cmd_approximant(args) -> int:
     est = repetition.dio_estimate(w, args.threshold)
     a = approx.witness_to_approximant(w, est.global_max, args.base)
     # the witness lives on the fractional digits, so certify against xi - floor(xi)
-    enc = realnum.enclosure(spec, max_bits=args.max_bits)
+    enc = realnum.enclosure(number, max_bits=args.max_bits)
     if stream.integer_part:
         enc = realnum.mobius(1, -stream.integer_part, 0, 1, enc, max_bits=args.max_bits)
     margin = approx.verify_approximation(enc, a)
@@ -331,7 +296,7 @@ def cmd_approximant(args) -> int:
 
 def cmd_report(args) -> int:
     report = approx.dio_mu_report(
-        realnum.parse_real_spec(args.spec),
+        spec.parse_real_spec(args.spec),
         base=args.base,
         prefix_length=args.prefix,
         cf_terms=args.terms,
@@ -381,30 +346,15 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_FAIL
 
 
-def _number(kind: type, text: str):
-    """`kind(text)`, failing with the message argparse gives a plain `type=kind`."""
-    try:
-        return kind(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
-
-
-def _non_negative(text: str) -> int:
-    value = _number(int, text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
-    return value
-
-
-def _positive(text: str) -> int:
-    value = _number(int, text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
-    return value
+_non_negative = functools.partial(spec.read_int, least=0)
+_positive = functools.partial(spec.read_int, least=1)
 
 
 def _finite(text: str) -> float:
-    value = _number(float, text)
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
     return value
@@ -417,9 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
         "and continued fractions of exactly-defined reals.",
     )
     parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    parser.add_argument(
-        "--threads", type=int, default=1, help="worker threads for the verify criteria"
-    )
+    parser.add_argument("--threads", type=spec.read_int, default=1,
+                        help="worker threads for the verify criteria")
     parser.add_argument(
         "--max-bits",
         type=_non_negative,
@@ -431,14 +380,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("digits", help="certified base-b digits of a real")
     p.add_argument("spec")
-    p.add_argument("--base", type=int, default=10)
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--base", type=spec.read_int, default=10)
+    p.add_argument("--count", type=spec.read_int, required=True)
     p.set_defaults(func=cmd_digits)
 
     for name, gaps_only in (("complexity", False), ("gap", True)):
         p = sub.add_parser(name, help="factor complexity profile (CSV)")
         p.add_argument("source")
-        p.add_argument("--n-max", type=int, required=True)
+        p.add_argument("--n-max", type=spec.read_int, required=True)
         p.add_argument("--prefix", type=_non_negative, default=1000)
         p.set_defaults(func=lambda a, g=gaps_only: cmd_complexity(a, gaps_only=g))
 
@@ -446,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"{name} repetition-exponent estimate")
         p.add_argument("source")
         p.add_argument("--prefix", type=_non_negative, default=1000)
-        p.add_argument("--threshold", type=int, default=None)
+        p.add_argument("--threshold", type=spec.read_int, default=None)
         p.set_defaults(func=lambda a, k=name: cmd_ice_dio(a, k))
 
     p = sub.add_parser("cf", help="certified continued-fraction quotients")
@@ -457,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mu", help="irrationality-exponent terms from a continued fraction")
     p.add_argument("spec")
     p.add_argument("--terms", type=_positive, required=True)
-    p.add_argument("--n-min", type=int, default=5)
+    p.add_argument("--n-min", type=spec.read_int, default=5)
     p.set_defaults(func=cmd_mu)
 
     p = sub.add_parser("sturmian", help="mechanical word of an irrational slope")
@@ -472,28 +421,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slope", required=True)
     p.add_argument("--length", type=_positive, required=True)
     p.add_argument("--intercept", default="0")
-    p.add_argument("--check-n-max", type=int, default=0)
+    p.add_argument("--check-n-max", type=spec.read_int, default=0)
     p.set_defaults(func=cmd_quasi)
 
     p = sub.add_parser("approximant", help="rational approximant from the best witness")
     p.add_argument("spec")
-    p.add_argument("--base", type=int, default=10)
+    p.add_argument("--base", type=spec.read_int, default=10)
     p.add_argument("--prefix", type=_non_negative, required=True)
-    p.add_argument("--threshold", type=int, default=None)
+    p.add_argument("--threshold", type=spec.read_int, default=None)
     p.set_defaults(func=cmd_approximant)
 
     p = sub.add_parser("report", help="digit-word exponent vs irrationality terms")
     p.add_argument("spec")
-    p.add_argument("--base", type=int, default=10)
+    p.add_argument("--base", type=spec.read_int, default=10)
     p.add_argument("--prefix", type=_non_negative, required=True)
     p.add_argument("--terms", type=_positive, required=True)
     p.add_argument("--slack", type=_finite, default=0.15)
-    p.add_argument("--threshold", type=int, default=None)
+    p.add_argument("--threshold", type=spec.read_int, default=None)
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("verify", help="run the acceptance suite")
     p.add_argument("--suite", default=None, help="substring filter on criterion ids")
-    p.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
+    p.add_argument("--seed", type=spec.read_int, default=acceptance.DEFAULT_SEED)
     p.add_argument("--list", action="store_true", help="list criterion ids and exit")
     p.set_defaults(func=cmd_verify)
 

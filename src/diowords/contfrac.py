@@ -200,10 +200,10 @@ class MuEstimate:
 
 
 def _check_terms(n_min: int, terms: int, spec: RealSpec | None = None) -> None:
-    """The exponent-term rule: n_min >= 1 and n_min + 2 quotients, before any
-    quotient when given the spec, which exempts a rational: it may stop short."""
-    if n_min < 1:
-        raise ValueError("n_min must be >= 1")
+    """The exponent-term rule: n_min >= 2 (so q_n >= q_2 = a_1 a_2 + 1 >= 2) and n_min + 2
+    quotients, before any quotient when given the spec; a rational may stop short."""
+    if n_min < 2:
+        raise ValueError("n_min must be >= 2")
     if terms < n_min + 2 and not _exact(spec):
         raise ValueError("too few certified terms")
 
@@ -223,8 +223,6 @@ def mu_estimate(cf: CFExpansion, n_min: int = 5) -> MuEstimate:
     """
     _check_terms(n_min, cf.certified)
     convs = convergents_from_quotients(cf.quotients[:-1])
-    if convs[n_min][1] < 2:
-        raise ValueError("q_n at n_min must be >= 2; raise n_min")
     values = []
     for n in range(n_min, cf.certified - 1):
         a_next = cf.quotients[n + 1]

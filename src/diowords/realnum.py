@@ -44,14 +44,13 @@ the same leaves.
 from __future__ import annotations
 
 import itertools
-import json
 import math
-import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
+from .spec import FromCF, Mobius, Rational, RealSpec, SeriesE, SeriesShallit, Surd, parse_real_spec
 from .words import CHARS_TO_DIGITS, DIGITS_TO_CHARS, MAX_ALPHABET, Word
 
 DEFAULT_MAX_BITS = 10**6
@@ -158,78 +157,6 @@ class Enclosure:
         return True
 
 
-# ---------------------------------------------------------------------------
-# RealSpec variants
-
-
-@dataclass(frozen=True)
-class Rational:
-    p: int
-    q: int
-
-    def __post_init__(self) -> None:
-        if self.q == 0:
-            raise ValueError("rational denominator must be nonzero")
-
-
-@dataclass(frozen=True)
-class SeriesE:
-    """e = sum 1/k!, partial sums certified by the tail bound 2/(K+1)!."""
-
-
-@dataclass(frozen=True)
-class SeriesShallit:
-    """sum 2^(-2^n); sparse binary digits, tail below 2*2^(-2^(K+1))."""
-
-
-@dataclass(frozen=True)
-class Surd:
-    p: int
-    q: int
-    d: int
-
-    def __post_init__(self) -> None:
-        if self.q == 0:
-            raise ValueError("surd denominator must be nonzero")
-        if self.d < 0:
-            raise ValueError("surd radicand must be nonnegative")
-
-
-@dataclass(frozen=True)
-class FromCF:
-    """Number defined by continued-fraction quotients.
-
-    A tuple is a complete expansion (an exact rational); a callable
-    n -> a_n (0-based) denotes an infinite expansion and must satisfy
-    a_n >= 1 for n >= 1.
-    """
-
-    quotients: Union[tuple[int, ...], Callable[[int], int]]
-
-    def __post_init__(self) -> None:
-        if isinstance(self.quotients, tuple):
-            if not self.quotients:
-                raise ValueError("empty quotient list")
-            if any(a < 1 for a in self.quotients[1:]):
-                raise ValueError("partial quotients after the first must be >= 1")
-
-
-@dataclass(frozen=True)
-class Mobius:
-    a: int
-    b: int
-    c: int
-    d: int
-    inner: "RealSpec"
-
-    def __post_init__(self) -> None:
-        if abs(self.a * self.d - self.b * self.c) != 1:
-            raise ValueError("Moebius matrix must satisfy |ad - bc| = 1")
-
-
-RealSpec = Union[Rational, SeriesE, SeriesShallit, Surd, FromCF, Mobius]
-
-
 def _exact(spec: RealSpec | None) -> bool:
     """Whether the spec is rational: `rat:`, a finite `cf:`, a square surd, or an image of one."""
     while isinstance(spec, Mobius):
@@ -247,90 +174,6 @@ def _check_digits(base: int, count: int = 0, word: bool = False) -> None:
         raise ValueError("count must be nonnegative")
     if word and base > MAX_ALPHABET:
         raise ValueError("word view needs base <= 256")
-
-
-class SpecSyntaxError(ValueError):
-    """Real-spec grammar error carrying the failing position."""
-
-    def __init__(self, message: str, position: int) -> None:
-        super().__init__(f"{message} (position {position})")
-        self.position = position
-
-
-def _json_quotient(a, path: str, position: int) -> int:
-    """One quotient of a cf:@file.json array: a JSON integer or a decimal-integer string."""
-    if isinstance(a, int) and not isinstance(a, bool):
-        return a
-    if isinstance(a, str) and re.fullmatch(r"-?[0-9]+", a):
-        return int(a)
-    raise SpecSyntaxError(f"quotient {a!r} in {path!r} is not an integer", position)
-
-
-def parse_surd(body: str, position: int) -> Surd:
-    """The surd of "P,Q,D", the body of a "surd:" spec or slope that starts at `position`."""
-    parts = body.split(",")
-    if len(parts) != 3:
-        raise SpecSyntaxError("surd needs P,Q,D", position)
-    try:
-        p, q, d = (int(x) for x in parts)
-    except ValueError:
-        raise SpecSyntaxError("surd needs integers P,Q,D", position) from None
-    return Surd(p, q, d)
-
-
-def _quotient_list(body: str, position: int) -> tuple[int, ...]:
-    """The integers of the comma-separated list `body`, which starts at `position`."""
-    try:
-        return tuple(int(x) for x in body.split(","))
-    except ValueError:
-        raise SpecSyntaxError("bad quotient list", position) from None
-
-
-def parse_real_spec(text: str, offset: int = 0) -> RealSpec:
-    """Parse the number mini-language.
-
-    Grammar: "rat:22/7" | "e" | "shallit" | "surd:P,Q,D" |
-    "cf:@file.json" | "cf:a0,a1,..." | "mobius:a,b,c,d:(inner)".
-    """
-    if text == "e":
-        return SeriesE()
-    if text == "shallit":
-        return SeriesShallit()
-    if text.startswith("rat:"):
-        body = text[4:]
-        try:
-            if "/" in body:
-                p_txt, q_txt = body.split("/", 1)
-                return Rational(int(p_txt), int(q_txt))
-            return Rational(int(body), 1)
-        except ValueError:
-            raise SpecSyntaxError(f"bad rational {body!r}", offset + 4) from None
-    if text.startswith("surd:"):
-        return parse_surd(text[5:], offset + 5)
-    if text.startswith("cf:@"):
-        path = text[4:]
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise SpecSyntaxError(f"cannot load quotients from {path!r}: {exc}", offset + 4) from None
-        if not isinstance(raw, list):
-            raise SpecSyntaxError(f"quotients in {path!r} must be a JSON array", offset + 4)
-        return FromCF(tuple(_json_quotient(a, path, offset + 4) for a in raw))
-    if text.startswith("cf:"):
-        return FromCF(_quotient_list(text[3:], offset + 3))
-    if text.startswith("mobius:"):
-        body = text[7:]
-        sep = body.find(":(")
-        if sep < 0 or not body.endswith(")"):
-            raise SpecSyntaxError("mobius needs a,b,c,d:(inner)", offset + 7)
-        try:
-            a, b, c, d = (int(x) for x in body[:sep].split(","))
-        except ValueError:
-            raise SpecSyntaxError("mobius needs four integers", offset + 7) from None
-        inner = parse_real_spec(body[sep + 2 : -1], offset + 7 + sep + 2)
-        return Mobius(a, b, c, d, inner)
-    raise SpecSyntaxError(f"unknown real spec {text!r}", offset)
 
 
 # ---------------------------------------------------------------------------

@@ -32,34 +32,16 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .contfrac import _surd_quotients
-from .realnum import (
-    FromCF,
-    PrecisionBudgetError,
-    Surd,
-    _exact,
-    _quotient_list,
-    convergent_bracket,
-    parse_surd,
-    surd_bracket,
-)
+from .realnum import PrecisionBudgetError, _exact, convergent_bracket, surd_bracket
+from .spec import QuasiSturmianSpec, SlopeSpec, Surd, parse_morphism, parse_slope
 from .words import Word, _check_window, complexity_profile, gap_profile
 
 _SLOPE_EXTEND_CAP = 100_000
-
-# a finite quotient tuple is a rational slope: it parses, and every
-# consumer rejects it
-SlopeSpec = Surd | FromCF
-
-PRESET_SLOPES: dict[str, FromCF] = {
-    # [0; 1, 10, 100, 1000, ...]: an extreme unbounded-quotient slope
-    "pow10": FromCF(lambda i: 10 ** (i - 1) if i else 0),
-}
 
 
 def _checked(slope: SlopeSpec) -> SlopeSpec:
@@ -92,38 +74,10 @@ def _bracket(slope: SlopeSpec, bits: int) -> tuple[int, int]:
     return convergent_bracket(capped, bits, bits)
 
 
-def parse_slope(text: str) -> SlopeSpec:
-    """Parse "surd:P,Q,D" or "cfslope:m1,m2,..." (with optional "(...)*" tail)."""
-    if text.startswith("surd:"):
-        return _checked(parse_surd(text[5:], 5))
-    if text.startswith("cfslope:"):
-        body = text[8:]
-        if body in PRESET_SLOPES:
-            return PRESET_SLOPES[body]
-        head_txt, cycle_txt, i = body, "", 0
-        if "(" in body:
-            i = body.index("(")
-            if not body.endswith(")*"):
-                raise ValueError(f"periodic tail must end with ')*' at position {8 + i}: {text!r}")
-            if i and body[i - 1] != ",":
-                raise ValueError(f"periodic tail must follow a comma at position {8 + i}: {text!r}")
-            head_txt, cycle_txt = body[: max(i - 1, 0)], body[i + 1 : -2]
-        head = _quotient_list(head_txt, 8) if head_txt else ()
-        cycle = _quotient_list(cycle_txt, 9 + i) if cycle_txt else ()
-        if not head and not cycle:
-            raise ValueError(f"empty quotient list at position 8: {text!r}")
-        if any(m < 1 for m in head + cycle):
-            raise ValueError("partial quotients must be >= 1")
-        full = (0, *head)
-        if not cycle:
-            return FromCF(full)
-        return FromCF(lambda i: full[i] if i < len(full) else cycle[(i - len(full)) % len(cycle)])
-    raise ValueError(f"unknown slope spec at position 0: {text!r}")
-
-
-def _as_intercept(rho) -> Fraction:
-    if isinstance(rho, float):
-        raise TypeError("intercept must be exact, not float")
+def _as_intercept(rho: int | Fraction) -> Fraction:
+    """The exact intercept `rho` in [0, 1); text is read by `spec.read_intercept`."""
+    if not isinstance(rho, (int, Fraction)):
+        raise TypeError(f"intercept must be an int or a Fraction, not {type(rho).__name__}")
     rho = Fraction(rho)
     if not 0 <= rho < 1:
         raise ValueError("intercept must lie in [0, 1)")
@@ -289,53 +243,11 @@ def letter_frequency_check(s: Word, slope: SlopeSpec) -> Fraction:
     return Fraction(int(worst), 1 << k)
 
 
-@dataclass(frozen=True)
-class Morphism:
-    """Nonerasing morphism from {0,1}* into a target alphabet."""
-
-    image0: Word
-    image1: Word
-
-    def __post_init__(self) -> None:
-        if len(self.image0) == 0 or len(self.image1) == 0:
-            raise ValueError("morphism must be nonerasing")
-
-    @property
-    def target_alphabet(self) -> int:
-        return max(self.image0.alphabet_size, self.image1.alphabet_size)
-
-
-def parse_morphism(text: str) -> Morphism:
-    """Parse the "0>01;1>001" rule syntax."""
-    rules: dict[int, Word] = {}
-    for chunk in text.split(";"):
-        if ">" not in chunk:
-            raise ValueError(f"morphism rule needs '>': {chunk!r}")
-        left, right = chunk.split(">", 1)
-        if left not in ("0", "1"):
-            raise ValueError(f"morphism domain letter must be 0 or 1: {chunk!r}")
-        if int(left) in rules:
-            raise ValueError(f"morphism rule for letter {left} is given twice: {chunk!r}")
-        rules[int(left)] = Word.from_digits(right)
-    if set(rules) != {0, 1}:
-        raise ValueError("morphism must define images for both 0 and 1")
-    return Morphism(rules[0], rules[1])
-
-
-@dataclass(frozen=True)
-class QuasiSturmianSpec:
-    """A word of the shape W phi(s) for a Sturmian s."""
-
-    prefix: Word
-    morphism: Morphism
-    slope: SlopeSpec
-    intercept: Fraction = Fraction(0)
-
-
 def apply_morphism(spec: QuasiSturmianSpec, length: int) -> Word:
-    """First `length` letters of W phi(s)."""
+    """First `length` letters of W phi(s); the slope is checked also where W alone is long enough."""
     if length < 0:
         raise ValueError("length must be nonnegative")
+    _checked(spec.slope)
     out = spec.prefix.symbols[:length]
     if len(out) < length:
         images = (spec.morphism.image0.symbols, spec.morphism.image1.symbols)
@@ -343,7 +255,7 @@ def apply_morphism(spec: QuasiSturmianSpec, length: int) -> Word:
         count = -(-(length - len(out)) // min(map(len, images)))
         s = mechanical_word(spec.slope, spec.intercept, count)
         out += b"".join(map(images.__getitem__, s.symbols))
-    alphabet = max(spec.prefix.alphabet_size, spec.morphism.target_alphabet)
+    alphabet = max(w.alphabet_size for w in (spec.prefix, spec.morphism.image0, spec.morphism.image1))
     return Word(out[:length], alphabet)
 
 

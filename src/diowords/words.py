@@ -60,18 +60,6 @@ class Word:
         if self.symbols.translate(None, bytes(range(self.alphabet_size))):
             raise ValueError("letter out of range for alphabet")
 
-    @classmethod
-    def from_digits(cls, text: str) -> "Word":
-        """The word of a digit string such as "0100101", over the smallest
-        alphabet, at least {0, 1}, that holds its letters."""
-        for i, ch in enumerate(text):
-            if not "0" <= ch <= "9":
-                raise ValueError(
-                    f"a digit word takes the digits 0-9, not {ch!r} at position {i} of {text!r}"
-                )
-        letters = text.encode("ascii").translate(CHARS_TO_DIGITS)
-        return cls(letters, max(2, (max(letters) + 1) if letters else 2))
-
     def __len__(self) -> int:
         return len(self.symbols)
 
@@ -133,16 +121,16 @@ def _max_factor_count(b: int, n: int, L: int) -> int:
     return min(b**n, window_bound)
 
 
-def fractional_power(w: Word, exponent) -> Word:
+def fractional_power(w: Word, exponent: int | Fraction) -> Word:
     """W^x: W repeated floor(x) times, then the prefix of ceil(frac(x)*|W|) letters.
 
-    The exponent must be exact (int, Fraction, or a string like "5/3");
-    floats are rejected so word lengths never pass through rounding.
+    The exponent must be an exact int or Fraction; floats are rejected so
+    word lengths never pass through rounding, and text is no number here.
     """
     if len(w) == 0:
         raise ValueError("empty base word")
-    if isinstance(exponent, float):
-        raise TypeError("exponent must be exact, not float")
+    if not isinstance(exponent, (int, Fraction)):
+        raise TypeError(f"exponent must be an int or a Fraction, not {type(exponent).__name__}")
     x = Fraction(exponent)
     if x <= 0:
         raise ValueError("exponent must be positive")

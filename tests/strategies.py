@@ -35,11 +35,16 @@ def _ints(draw, count: int, lo: int, hi: int) -> str:
 
 _UNIMODULAR = ["1,0,0,1", "0,1,1,0", "1,-2,0,1", "0,1,1,5", "5,2,2,1", "1,2,1,3", "3,-1,1,0"]
 _digit_text = st.text("0123456789", max_size=6)
-_not_numbers = ["x", "1.5", ""]  # their message names the type, never a function of cli
+# Spellings that Python's int() reads and the grammar refuses: a digit
+# separator, a '+', a space, a digit of another script (ARABIC-INDIC ONE).
+# Every argv that holds one exits 2 (`LOOSE_MARKS`).
+LOOSE_INTS = ["1_0", "+5", " 5", "\u0661"]
+LOOSE_MARKS = ("_", "+", " ", "\u0661", "\u0663")
+_not_numbers = ["x", "1.5", "", *LOOSE_INTS]  # their message names no function of cli
 _sizes = _mostly(st.integers(0, 60), st.sampled_from([-1, *_not_numbers]))
 _terms = _mostly(st.integers(1, 25), st.sampled_from([0, *_not_numbers]))
-_bases = _mostly(st.integers(2, 40), st.integers(0, 1))
-_small = _mostly(st.integers(1, 12), st.integers(-3, 0))
+_bases = _mostly(st.integers(2, 40), st.integers(0, 1) | st.sampled_from(LOOSE_INTS))
+_small = _mostly(st.integers(1, 12), st.integers(-3, 0) | st.sampled_from(LOOSE_INTS))
 
 
 def real_specs(depth: int = 2):
@@ -54,7 +59,10 @@ def real_specs(depth: int = 2):
         ),
         st.one_of(
             st.sampled_from(["nope:1", "rat:", "rat:1/0", "cf:", "cf:1,0", "surd:1,2",
-                             "surd:1,0,2"]),
+                             "surd:1,0,2",
+                             # loose spellings of integer fields
+                             "cf:1_0,2", "cf:\u0661,2", "cf: 1, 2", "surd: 0,1,2", "rat:+1/3",
+                             "rat:1_0/3", "mobius:1,0,0,+1:(e)"]),
             st.builds("surd:{}".format, _ints(3, -4, 12)),
         ),
     )
@@ -75,16 +83,25 @@ slopes = _mostly(
         st.sampled_from(["cfslope:1,2", "cfslope:", "cfslope:(1", "surd:1,2", "surd:2,1,2",
                          # empty fields and a tail without its comma are refused, not dropped
                          "cfslope:1,,2,(1)*", "cfslope:,1,(1)*", "cfslope:(1,,2)*",
-                         "cfslope:1(2)*"]),
+                         "cfslope:1(2)*",
+                         # loose spellings of integer fields
+                         "cfslope:1_0,(1)*", "cfslope:(+1)*", "surd:-3,-2, 5",
+                         "cfslope:(\u0661)*"]),
         st.builds("surd:{}".format, _ints(3, -4, 12)),
     ),
 )
-intercepts = _mostly(st.sampled_from(["0", "1/3", "7/31"]), st.sampled_from(["1/0", "3/2", "x"]))
+intercepts = _mostly(
+    st.sampled_from(["0", "1/3", "7/31"]),
+    # a loose spelling is refused, and so is a decimal point
+    st.sampled_from(["1/0", "3/2", "x", " 1_0/3_1", "0.5", "+1/3", "1/\u0663"]),
+)
 morphisms = _mostly(
     st.sampled_from(["0>01;1>0", "0>01;1>001", "1>10;0>0", "0>011;1>01", "0>2;1>01"]),
     st.one_of(
         st.builds("0>{};1>{}".format, st.text("01", max_size=4), st.text("012", max_size=4)),
-        st.sampled_from(["0>01", "0>a;1>0", "0>01;1>0101", "0>01;1>001;0>1"]),
+        st.sampled_from(["0>01", "0>a;1>0", "0>01;1>0101", "0>01;1>001;0>1",
+                         # an image letter is an ASCII digit; a rule starts at its letter
+                         "0>0_1;1>001", "0>01;1>0\u0661", "0>01; 1>001", "+0>01;1>001"]),
     ),
 )
 
@@ -143,7 +160,7 @@ def cli_argvs(draw) -> list[str]:
         argv += ["--morphism", draw(morphisms), "--slope", draw(slopes)]
         argv += ["--length", str(draw(_sizes))] + _option(draw, "--word", _digit_text)
         argv += _option(draw, "--intercept", intercepts)
-        argv += _option(draw, "--check-n-max", st.integers(0, 6))
+        argv += _option(draw, "--check-n-max", _mostly(st.integers(0, 6), st.sampled_from(LOOSE_INTS)))
     else:
         argv += [draw(real_specs()), "--prefix", str(draw(_sizes))]
         argv += _option(draw, "--base", _bases)

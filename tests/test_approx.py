@@ -23,6 +23,7 @@ from diowords.realnum import (
     enclosure_from_digits,
 )
 from diowords.repetition import RepetitionWitness, dio_estimate
+from diowords.spec import digit_word
 from diowords.sturmian import mechanical_word
 from diowords.words import Word
 
@@ -44,12 +45,12 @@ class TestWitnessToApproximant:
         assert a.score == 2
 
     def test_unverified_witness_rejected(self):
-        w = Word.from_digits("0100")
+        w = digit_word("0100")
         with pytest.raises(ValueError, match="unverified witness"):
             witness_to_approximant(w, RepetitionWitness(0, 1, 4), 10)
 
     def test_digits_must_fit_base(self):
-        w = Word.from_digits("033")
+        w = digit_word("033")
         with pytest.raises(ValueError):
             witness_to_approximant(w, RepetitionWitness(0, 1, 2), 2)
 

@@ -17,7 +17,8 @@ from diowords import approx, contfrac, realnum
 from diowords.cli import main
 from diowords.realnum import Surd, _digits_to_int, enclosure, mobius, parse_real_spec
 
-from strategies import cli_argvs
+import contfrac_oracle as oracle
+from strategies import LOOSE_INTS, LOOSE_MARKS, cli_argvs
 
 
 def run_cli(capsys, *argv):
@@ -366,7 +367,7 @@ class TestExitCodes:
             (("approximant", "e", "--prefix", "0"), "degenerate prefix (length < 2)"),
             (("approximant", "e", "--prefix", "1"), "degenerate prefix (length < 2)"),
             (("report", "e", "--prefix", "1", "--terms", "5"), "degenerate prefix (length < 2)"),
-            (("mu", "e", "--n-min", "0", "--terms", "5"), "n_min must be >= 1"),
+            (("mu", "e", "--n-min", "0", "--terms", "5"), "n_min must be >= 2"),
             (("approximant", "e", "--prefix", "10", "--threshold", "50"), "threshold must be in [1, N/2]"),
             (("report", "e", "--prefix", "10", "--terms", "9", "--threshold", "0"), "threshold must be in [1, N/2]"),
             (("dio", "digits:e|10", "--prefix", "10", "--threshold", "50"), "threshold must be in [1, N/2]"),
@@ -468,7 +469,7 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert exc.value.code == 2
         assert captured.out == ""
-        assert "argument --terms: must be positive, got 0" in captured.err
+        assert "argument --terms: integer must be >= 1, got 0 (position 0)" in captured.err
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -513,7 +514,8 @@ class TestExitCodes:
         code, out, err = run_isolated(argv)
         assert code == 2 and out == ""
         assert err.endswith(
-            "diowords: error: argument --max-bits: invalid int value: 'abc'\n"
+            "diowords: error: argument --max-bits: bad integer 'abc': expected an optional '-' "
+            "and ASCII digits (position 0)\n"
         )
         monkeypatch.delenv("DIOWORDS_MAX_BITS")
         assert run_isolated(argv)[0] == 0
@@ -566,8 +568,8 @@ class TestExitCodes:
     def test_non_number_flag_value_names_no_function(self, argv):
         code, out, err = run_isolated(argv)
         assert code == 2 and out == ""
-        kind = "float" if "--slack" in argv else "int"
-        assert f"invalid {kind} value: 'x'" in err and "invalid _" not in err
+        message = "invalid float value: 'x'" if "--slack" in argv else "bad integer 'x'"
+        assert message in err and "invalid _" not in err
 
     @pytest.mark.parametrize("length", ["0", "-3"])
     @pytest.mark.parametrize(
@@ -581,7 +583,7 @@ class TestExitCodes:
     def test_length_must_be_positive(self, argv, length):
         code, out, err = run_isolated([*argv, "--length", length])
         assert code == 2 and out == ""
-        assert f"argument --length: must be positive, got {length}" in err
+        assert f"argument --length: integer must be >= 1, got {length} (position 0)" in err
 
     def test_cf_file_needs_integer_quotients(self, capsys, tmp_path):
         path = tmp_path / "quotients.json"
@@ -629,8 +631,8 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "source, message",
         [
-            ("lit:0100101|1", "the digits 0-9, not '|' at position 7 of '0100101|1'"),
-            ("lit:01a", "the digits 0-9, not 'a' at position 2 of '01a'"),
+            ("lit:0100101|1", "the digits 0-9, not '|' (position 11)"),
+            ("lit:01a", "the digits 0-9, not 'a' (position 6)"),
             ("quasi:2|0>01;1>001|surd:-3,-2,5|0|1", "needs W|MORPHISM|SLOPE[|INTERCEPT]"),
         ],
         ids=["lit-bar", "lit-letter", "quasi"],
@@ -643,14 +645,15 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "word, morphism, message",
         [
-            ("\u0663", "0>01;1>001", "not '\u0663' at position 0 of '\u0663'"),
-            ("2x", "0>01;1>001", "not 'x' at position 1 of '2x'"),
-            ("2", "0>0a;1>001", "not 'a' at position 1 of '0a'"),
+            ("\u0663", "0>01;1>001", "not '\u0663' (position 0)"),
+            ("2x", "0>01;1>001", "not 'x' (position 1)"),
+            ("2", "0>0a;1>001", "not 'a' (position 3)"),
         ],
         ids=["arabic-indic-three", "word-letter", "image-letter"],
     )
     def test_digit_word_takes_ascii_digits(self, capsys, word, morphism, message):
-        # one check in Word.from_digits serves lit: sources, --word and morphism images
+        # one check in spec.digit_word serves lit: sources, --word and morphism images,
+        # at positions counted from the start of the whole argument
         code, out, err = run_cli(
             capsys, "quasi", "--word", word, "--morphism", morphism, "--slope", "surd:-3,-2,5",
             "--length", "10",
@@ -782,6 +785,7 @@ class TestGrammarFuzz:
     @example(["--max-bits", "0", "dio", "digits:e|10", "--prefix", "10", "--threshold", "50"])
     @example(["--max-bits", "0", "complexity", "digits:e|10", "--prefix", "10", "--n-max", "100"])
     @example(["--max-bits", "5", "mu", "mobius:1,0,0,1:(mobius:1,0,0,1:(e))", "--terms", "5"])
+    @example(["--max-bits", "1", "mu", "mobius:1,-2,0,1:(e)", "--terms", "5", "--n-min", "1"])
     @example(["--max-bits", "0", "report", "e", "--prefix", "100", "--terms", "5"])
     # a threshold that fits --prefix but not the digits the budget certifies
     @example(["--max-bits", "100", "approximant", "e", "--prefix", "1000", "--threshold", "400"])
@@ -793,6 +797,8 @@ class TestGrammarFuzz:
         assert "Traceback" not in err and "invalid _" not in err
         if code == 2:
             assert "usage" in err and out == "", (out, err)
+        if any(mark in arg for arg in argv for mark in LOOSE_MARKS):
+            assert code == 2, (argv, code, err)  # no loose spelling is read as a number
         assert run_isolated(argv) == (code, out, err)
         # the same budget through the environment; the shared parser carries no state
         i = argv.index("--max-bits")
@@ -812,3 +818,134 @@ class TestGrammarFuzz:
             command, fmt = argv[i + 2], argv[argv.index("--format") + 1] if "--format" in argv else "text"
             if fmt == "text" and command in ("digits", "cf") and out and full_code == 0:
                 assert _certified_prefix(command, argv, out, full_out), (argv, out, full_out)
+
+
+_SLOPE = ("--slope", "surd:-3,-2,5", "--length", "5")
+
+
+class TestFieldPositions:
+    """Every field kind of the grammar is refused with the position of the
+    failing field, counted from the start of the whole argument."""
+
+    @pytest.mark.parametrize(
+        "argv, message, position",
+        [
+            # number specs
+            (("digits", "rat:+1/3", "--count", "3"), "bad rational '+1'", 4),
+            (("digits", "rat:1/3_1", "--count", "3"), "bad rational '3_1'", 6),
+            (("digits", "rat:1/0", "--count", "3"), "rational denominator must be nonzero", 4),
+            (("digits", "surd: 0,1,2", "--count", "3"), "bad integer ' 0'", 5),
+            (("digits", "surd:0,1,\u0662", "--count", "3"), "bad integer '\u0662'", 9),
+            (("digits", "surd:0,1", "--count", "3"), "surd needs P,Q,D", 5),
+            (("cf", "cf:1_0,2", "--terms", "3"), "bad quotient '1_0'", 3),
+            (("cf", "cf:\u0661,2", "--terms", "3"), "bad quotient '\u0661'", 3),
+            (("cf", "cf:1,+2", "--terms", "3"), "bad quotient '+2'", 5),
+            (("cf", "cf:1,0", "--terms", "3"), "partial quotients after the first", 3),
+            (("cf", "mobius:1,0,0,1_0:(e)", "--terms", "3"), "bad integer '1_0'", 13),
+            (("cf", "mobius:1,2,3,4:(e)", "--terms", "3"), "|ad - bc| = 1", 7),
+            (("cf", "mobius:1,0,0,1:(cf:1, 2)", "--terms", "3"), "bad quotient ' 2'", 21),
+            (("cf", "mobius:0,1,1,0:(nope)", "--terms", "3"), "unknown real spec 'nope'", 16),
+            # slopes
+            (("sturmian", "cfslope:1_0,(1)*", "--length", "5"), "bad quotient '1_0'", 8),
+            (("sturmian", "cfslope:1,(2,+3)*", "--length", "5"), "bad quotient '+3'", 13),
+            (("sturmian", "cfslope:1,(2,0)*", "--length", "5"), "quotient must be >= 1, got 0", 13),
+            (("sturmian", "cfslope:1,(2", "--length", "5"), "periodic tail must end with ')*'", 10),
+            (("sturmian", "surd:-3,-2, 5", "--length", "5"), "bad integer ' 5'", 11),
+            (("sturmian", "nope:1", "--length", "5"), "unknown slope spec", 0),
+            # intercepts, "P/Q" or "P"
+            (("sturmian", "surd:-3,-2,5", "--length", "5", "--intercept", " 1_0/3_1"), "bad intercept ' 1_0'", 0),
+            (("sturmian", "surd:-3,-2,5", "--length", "5", "--intercept", "1/3_1"), "bad intercept '3_1'", 2),
+            (("sturmian", "surd:-3,-2,5", "--length", "5", "--intercept", "0.5"), "bad intercept '0.5'", 0),
+            (("sturmian", "surd:-3,-2,5", "--length", "5", "--intercept", "10/0"), "zero denominator", 3),
+            # morphisms and digit words
+            (("quasi", "--morphism", "0>01;1>0\u0661", *_SLOPE), "not '\u0661'", 8),
+            (("quasi", "--morphism", "0>01; 1>001", *_SLOPE), "domain letter must be 0 or 1", 5),
+            (("quasi", "--morphism", "0>01;0>001", *_SLOPE), "rule for letter 0 is given twice", 5),
+            (("quasi", "--morphism", "0>01;1>", *_SLOPE), "morphism must be nonerasing", 0),
+            (("quasi", "--word", "2_", "--morphism", "0>01;1>001", *_SLOPE), "not '_'", 1),
+            (("quasi", "--morphism", "0>01;1>001", *_SLOPE, "--intercept", "+1/3"), "bad intercept '+1'", 0),
+            # word sources
+            (("dio", "lit:01\u0663"), "not '\u0663'", 6),
+            (("dio", "digits:e|1_0"), "bad base '1_0'", 9),
+            (("dio", "digits:rat:1/+3|10"), "bad rational '+3'", 13),
+            (("dio", "digits:e|10|2"), "digits source needs SPEC|BASE", 12),
+            (("dio", "digits:e"), "digits source needs SPEC|BASE", 8),
+            (("dio", "sturmian:cfslope:(1_0)*"), "bad quotient '1_0'", 18),
+            (("dio", "sturmian:cfslope:(1)*|+1/3"), "bad intercept '+1'", 22),
+            (("dio", "quasi:2|0>01;1>0 1|surd:-3,-2,5"), "not ' '", 16),
+            (("dio", "quasi:2|0>01;1>001|surd:-3,-2,+5|1/3"), "bad integer '+5'", 30),
+            (("dio", "quasi:2|0>01;1>001|surd:-3,-2,5|1/3_1"), "bad intercept '3_1'", 34),
+            (("dio", "nope:1"), "unknown word source", 0),
+        ],
+    )
+    def test_field_position(self, capsys, argv, message, position):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert message in err and err.endswith(f" (position {position})\n"), err
+
+    @pytest.mark.parametrize("value", LOOSE_INTS)
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("digits", "e", "--count", "{}"),
+            ("digits", "e", "--count", "3", "--base", "{}"),
+            ("complexity", "lit:0101", "--n-max", "{}"),
+            ("dio", "lit:0101", "--prefix", "{}"),
+            ("dio", "lit:0101", "--threshold", "{}"),
+            ("cf", "e", "--terms", "{}"),
+            ("mu", "e", "--terms", "9", "--n-min", "{}"),
+            ("sturmian", "surd:-3,-2,5", "--length", "{}"),
+            ("quasi", "--morphism", "0>01;1>001", *_SLOPE, "--check-n-max", "{}"),
+            ("verify", "--list", "--seed", "{}"),
+            ("--threads", "{}", "verify", "--list"),
+            ("--max-bits", "{}", "digits", "e", "--count", "3"),
+        ],
+        ids=lambda argv: next(a for a, b in zip(argv, argv[1:]) if b == "{}"),
+    )
+    def test_loose_integer_option(self, argv, value):
+        code, out, err = run_isolated([a.format(value) for a in argv])
+        assert (code, out) == (2, "")
+        assert f"bad integer {value!r}" in err and err.endswith("(position 0)\n"), err
+
+    @pytest.mark.parametrize("value", [*LOOSE_INTS, " 6_4"])
+    def test_loose_env_budget(self, monkeypatch, value):
+        monkeypatch.setenv("DIOWORDS_MAX_BITS", value)
+        code, out, err = run_isolated(["digits", "e", "--count", "3"])
+        assert (code, out) == (2, "")
+        assert f"argument --max-bits: bad integer {value!r}" in err and err.endswith("(position 0)\n")
+
+
+class TestCfAgainstOracles:
+    """The text and JSON output of `cf` against Lagrange's PQa recurrence
+    (surds and their images) and Gosper's algorithm (images of e), from
+    `contfrac_oracle`, which shares no code with the command."""
+
+    @pytest.mark.parametrize(
+        "spec, terms, want",
+        [
+            ("surd:0,1,2", 3000, lambda n: oracle.surd_quotients(0, 1, 2, n)),
+            ("surd:-3,7,13", 2000, lambda n: oracle.surd_quotients(-3, 7, 13, n)),
+            ("surd:5,-6,11", 2000, lambda n: oracle.surd_quotients(5, -6, 11, n)),
+            ("mobius:5,2,2,1:(surd:1,3,7)", 2000,
+             lambda n: oracle.surd_quotients(*oracle.surd_image(5, 2, 2, 1, 1, 3, 7), n)),
+            ("mobius:0,1,1,5:(surd:-3,-7,13)", 2000,
+             lambda n: oracle.surd_quotients(*oracle.surd_image(0, 1, 1, 5, -3, -7, 13), n)),
+            ("e", 3000, lambda n: oracle.e_image_quotients(1, 0, 0, 1, n)),
+            ("mobius:-3,8,7,-19:(e)", 2000, lambda n: oracle.e_image_quotients(-3, 8, 7, -19, n)),
+            ("mobius:1,-2,0,1:(e)", 2000, lambda n: oracle.e_image_quotients(1, -2, 0, 1, n)),
+        ],
+        ids=lambda x: x if isinstance(x, str) else None,
+    )
+    def test_text_and_json_quotients(self, spec, terms, want):
+        quotients = want(terms)
+        code, out, err = run_isolated(["cf", spec, "--terms", str(terms)])
+        assert (code, err) == (0, "")
+        assert out == "[" + ", ".join(map(str, quotients)) + "]\n"
+        # JSON carries every convergent too, so it runs at a fifth of the terms
+        n = terms // 5
+        code, out, err = run_isolated(["--format", "json", "cf", spec, "--terms", str(n)])
+        payload = json.loads(out)
+        assert (code, err, payload["certified"]) == (0, "", n)
+        assert payload["quotients"] == [str(a) for a in quotients[:n]]
+        convergents = oracle.convergents_from_quotients(quotients[:n])
+        assert payload["convergents"] == [[str(p), str(q)] for p, q in convergents]

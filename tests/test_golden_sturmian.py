@@ -21,6 +21,7 @@ from diowords.sturmian import (
     parse_slope,
 )
 from diowords.words import Word
+from diowords.spec import digit_word
 
 GOLDEN = Path(__file__).with_name("golden_sturmian.json")
 
@@ -50,7 +51,7 @@ def digests() -> dict[str, str]:
         for rho in INTERCEPTS:
             out[f"mechanical {text} {rho}"] = _digest(mechanical_word(slope, Fraction(rho), LENGTH))
         for prefix, morphism, rho in QUASI:
-            prefix_word = Word.from_digits(prefix) if prefix else Word(b"", 2)
+            prefix_word = digit_word(prefix) if prefix else Word(b"", 2)
             spec = QuasiSturmianSpec(prefix_word, parse_morphism(morphism), slope, Fraction(rho))
             out[f"quasi {prefix}|{morphism}|{text}|{rho}"] = _digest(apply_morphism(spec, LENGTH))
     return out

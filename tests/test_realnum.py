@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diowords import cli, realnum
+from diowords.spec import SpecSyntaxError
 from diowords.realnum import (
     DEFAULT_MAX_BITS,
     Enclosure,
@@ -18,7 +19,6 @@ from diowords.realnum import (
     Rational,
     SeriesE,
     SeriesShallit,
-    SpecSyntaxError,
     Surd,
     _e_bracket as e_bracket,
     digits,

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from diowords.cli import parse_word_source
 from diowords import repetition
+from diowords.spec import digit_word
 from diowords.repetition import (
     _Z_SHORT,
     RepetitionWitness,
@@ -34,7 +35,7 @@ def fib_word(n):
     s = "0"
     while len(s) < n:
         s = s.replace("0", "a").replace("1", "0").replace("a", "01")
-    return Word.from_digits(s[:n])
+    return digit_word(s[:n])
 
 
 binary_words = st.builds(
@@ -61,8 +62,8 @@ class TestWitness:
             RepetitionWitness(0, 0, 1)
 
     def test_verify_examples(self):
-        assert verify_witness(Word.from_digits("0000"), RepetitionWitness(0, 1, 4))
-        assert not verify_witness(Word.from_digits("0100"), RepetitionWitness(0, 1, 4))
+        assert verify_witness(digit_word("0000"), RepetitionWitness(0, 1, 4))
+        assert not verify_witness(digit_word("0100"), RepetitionWitness(0, 1, 4))
 
     def test_verify_oracle_witness(self):
         w = fib_word(13)
@@ -71,7 +72,7 @@ class TestWitness:
 
     def test_verify_exceeds_prefix(self):
         with pytest.raises(ValueError, match="witness exceeds prefix"):
-            verify_witness(Word.from_digits("01"), RepetitionWitness(0, 1, 3))
+            verify_witness(digit_word("01"), RepetitionWitness(0, 1, 3))
 
     def test_json_shape(self):
         d = RepetitionWitness(0, 2, 5).to_json_dict()
@@ -80,22 +81,22 @@ class TestWitness:
 
 class TestDioEstimate:
     def test_constant_word(self):
-        est = dio_estimate(Word.from_digits("0000000000"), threshold=2)
+        est = dio_estimate(digit_word("0000000000"), threshold=2)
         assert (est.global_max.u, est.global_max.v, est.global_max.m) == (0, 1, 10)
         assert est.global_max.score == 10
 
     def test_no_repetition_prefix(self):
         # both (0,1,1) and (0,2,2) score 1; the tie-break takes smaller u+v
-        est = dio_estimate(Word.from_digits("01"), threshold=1)
+        est = dio_estimate(digit_word("01"), threshold=1)
         assert est.global_max.score == 1
         assert (est.global_max.u, est.global_max.v, est.global_max.m) == (0, 1, 1)
 
     def test_degenerate_prefix(self):
         with pytest.raises(ValueError):
-            dio_estimate(Word.from_digits("0"), threshold=1)
+            dio_estimate(digit_word("0"), threshold=1)
 
     def test_threshold_validation(self):
-        w = Word.from_digits("0101010101")
+        w = digit_word("0101010101")
         with pytest.raises(ValueError):
             dio_estimate(w, threshold=6)
         with pytest.raises(ValueError):
@@ -103,7 +104,7 @@ class TestDioEstimate:
 
     def test_periodic_word_score(self):
         # V^k prefixes of a primitive V score exactly N/|V| at period multiples
-        v = Word.from_digits("0110")
+        v = digit_word("0110")
         for reps in (3, 5, 8):
             w = Word(v.symbols * reps, 2)
             est = dio_estimate(w, threshold=2)
@@ -177,7 +178,7 @@ class TestCertificates:
 
 class TestIceEstimate:
     def test_pure_power(self):
-        est = ice_estimate(Word.from_digits("010101"), threshold=2)
+        est = ice_estimate(digit_word("010101"), threshold=2)
         assert (est.global_max.u, est.global_max.v, est.global_max.m) == (0, 2, 6)
         assert est.global_max.score == 3
 

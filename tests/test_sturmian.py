@@ -11,10 +11,11 @@ from diowords import repetition, sturmian
 from diowords.cli import parse_word_source
 from diowords.realnum import FromCF, Surd
 from diowords.repetition import _record_lpf, dio_estimate
+from diowords.spec import Morphism, digit_word
 from diowords.sturmian import (
-    Morphism,
     QuasiSturmianSpec,
     _bracket,
+    _checked,
     apply_morphism,
     letter_frequency_check,
     mechanical_word,
@@ -108,12 +109,13 @@ class TestSlopeSpecs:
     def test_surd_validation(self):
         with pytest.raises(ValueError):
             parse_slope("surd:1,0,5")  # zero denominator
+        # the parser reads the text; the slope check, run by every consumer, the value
         with pytest.raises(ValueError):
-            parse_slope("surd:0,2,4")  # perfect square
+            _checked(parse_slope("surd:0,2,4"))  # perfect square
         with pytest.raises(ValueError):
-            parse_slope("surd:5,2,5")  # value > 1
+            _checked(parse_slope("surd:5,2,5"))  # value > 1
         with pytest.raises(ValueError):
-            parse_slope("surd:-5,2,5")  # value < 0
+            _checked(parse_slope("surd:-5,2,5"))  # value < 0
 
     def test_surd_bounds_bracket_value(self):
         lo, hi = slope_bounds(FIB_SLOPE, 80)
@@ -141,8 +143,8 @@ class TestSlopeSpecs:
             slope_bounds(FIB_SLOPE, -5)
 
     def test_cf_slope_validation(self):
-        for text in ("cfslope:0", "cfslope:1,(0)*"):
-            with pytest.raises(ValueError, match="^partial quotients must be >= 1$"):
+        for text, position in (("cfslope:0", 8), ("cfslope:1,(0)*", 11)):
+            with pytest.raises(ValueError, match=rf"^quotient must be >= 1, got 0 \(position {position}\)$"):
                 parse_slope(text)
         with pytest.raises(ValueError, match=r"^slope must lie in \(0, 1\)$"):
             mechanical_word(FromCF(lambda i: 1), Fraction(0), 10)  # [1; 1, 1, ...]
@@ -166,12 +168,12 @@ class TestSlopeSpecs:
     @pytest.mark.parametrize(
         "text, message",
         [
-            ("cfslope:1,,2,(1)*", r"bad quotient list \(position 8\)"),
-            ("cfslope:,1,(1)*", r"bad quotient list \(position 8\)"),
-            ("cfslope:1,2,", r"bad quotient list \(position 8\)"),
-            ("cfslope:(1,,2)*", r"bad quotient list \(position 9\)"),
-            ("cfslope:3,(1,)*", r"bad quotient list \(position 11\)"),
-            ("cfslope:1(2)*", r"periodic tail must follow a comma at position 9: 'cfslope:1\(2\)\*'"),
+            ("cfslope:1,,2,(1)*", r"bad quotient '': expected an optional '-' and ASCII digits \(position 10\)"),
+            ("cfslope:,1,(1)*", r"bad quotient '': expected an optional '-' and ASCII digits \(position 8\)"),
+            ("cfslope:1,2,", r"bad quotient '': expected an optional '-' and ASCII digits \(position 12\)"),
+            ("cfslope:(1,,2)*", r"bad quotient '': expected an optional '-' and ASCII digits \(position 11\)"),
+            ("cfslope:3,(1,)*", r"bad quotient '': expected an optional '-' and ASCII digits \(position 13\)"),
+            ("cfslope:1(2)*", r"periodic tail must follow a comma \(position 9\)"),
         ],
     )
     def test_cf_slope_fields_are_not_dropped(self, text, message):
@@ -189,8 +191,11 @@ class TestSlopeSpecs:
         ],
     )
     def test_surd_error_messages(self, args, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            parse_slope("surd:{},{},{}".format(*args))
+        # a value no Surd holds is refused by the parser, at the surd's fields;
+        # a square radicand and the range by the slope check
+        where = r" \(position 5\)" if args[1] == 0 or args[2] < 0 else ""
+        with pytest.raises(ValueError, match=f"^{message}{where}$"):
+            _checked(parse_slope("surd:{},{},{}".format(*args)))
 
     @given(st.data())
     @settings(max_examples=400, deadline=None)
@@ -220,7 +225,7 @@ class TestSlopeSpecs:
     @staticmethod
     def _check_range(p, q, d):
         try:
-            parse_slope(f"surd:{p},{q},{d}")
+            _checked(parse_slope(f"surd:{p},{q},{d}"))
         except ValueError as exc:
             assert str(exc) == "slope must lie in (0, 1)"
             assert not oracle.surd_in_unit_interval(p, q, d)
@@ -285,6 +290,12 @@ class TestMechanicalWord:
             mechanical_word(FIB_SLOPE, Fraction(3, 2), 10)
         with pytest.raises(TypeError):
             mechanical_word(FIB_SLOPE, 0.25, 10)
+
+    @pytest.mark.parametrize("text", ["0.5", "1/3", "0"])
+    def test_intercept_text_rejected(self, text):
+        # text is read by spec.read_intercept only, never behind the grammar's back
+        with pytest.raises(TypeError, match="^intercept must be an int or a Fraction, not str$"):
+            mechanical_word(FIB_SLOPE, text, 10)
 
     def test_intercept_shifts_word(self):
         a = mechanical_word(FIB_SLOPE, Fraction(0), 50)
@@ -398,7 +409,7 @@ class TestFrequency:
         assert letter_frequency_check(w, FIB_SLOPE) < 1
 
     def test_rational_slope_rejected(self):
-        w = Word.from_digits("01" * 500)
+        w = digit_word("01" * 500)
         with pytest.raises(ValueError, match="slope must be irrational"):
             letter_frequency_check(w, FromCF((0, 2)))
 
@@ -428,7 +439,7 @@ class TestCheckersMatchFractionLoops:
         slope, rho = data.draw(slopes()), data.draw(intercepts)
         n_letters = data.draw(st.integers(1, 2000))
         image0, image1 = (
-            Word.from_digits(data.draw(st.text("012", min_size=1, max_size=6)))
+            digit_word(data.draw(st.text("012", min_size=1, max_size=6)))
             for _ in range(2)
         )
         spec = QuasiSturmianSpec(Word(b"", 2), Morphism(image0, image1), slope, rho)
@@ -451,7 +462,7 @@ class TestMorphism:
         with pytest.raises(ValueError):
             parse_morphism("0>;1>0")
         # the last rule for a letter replaced the first
-        with pytest.raises(ValueError, match="^morphism rule for letter 0 is given twice: '0>1'$"):
+        with pytest.raises(ValueError, match=r"^morphism rule for letter 0 is given twice: '0>1' \(position 11\)$"):
             parse_morphism("0>01;1>001;0>1")
 
     def test_identity_morphism_reproduces_sturmian(self):
@@ -460,13 +471,13 @@ class TestMorphism:
 
     def test_example_prefix(self):
         spec = QuasiSturmianSpec(
-            Word.from_digits("2"), parse_morphism("0>01;1>001"), FIB_SLOPE
+            digit_word("2"), parse_morphism("0>01;1>001"), FIB_SLOPE
         )
         assert apply_morphism(spec, 8).to_text() == "20100101"
 
     def test_length_equal_to_prefix(self):
         spec = QuasiSturmianSpec(
-            Word.from_digits("2"), parse_morphism("0>01;1>001"), FIB_SLOPE
+            digit_word("2"), parse_morphism("0>01;1>001"), FIB_SLOPE
         )
         assert apply_morphism(spec, 1).to_text() == "2"
 
@@ -478,7 +489,7 @@ class TestQuasiSturmianCheck:
 
     def test_morphic_image_has_plateau(self):
         spec = QuasiSturmianSpec(
-            Word.from_digits("2"), parse_morphism("0>01;1>001", ), FIB_SLOPE
+            digit_word("2"), parse_morphism("0>01;1>001", ), FIB_SLOPE
         )
         w = apply_morphism(spec, 5000)
         result = quasi_sturmian_check(w, 800)
@@ -487,7 +498,7 @@ class TestQuasiSturmianCheck:
         assert k >= 1
 
     def test_periodic_word_fails(self):
-        w = Word.from_digits("011" * 400)
+        w = digit_word("011" * 400)
         assert quasi_sturmian_check(w, 100) is None
 
     def test_window_too_large(self):
@@ -507,7 +518,7 @@ class TestMorphicLength:
 
     def test_example_bound(self):
         spec = QuasiSturmianSpec(
-            Word.from_digits("2"), parse_morphism("0>01;1>001"), FIB_SLOPE
+            digit_word("2"), parse_morphism("0>01;1>001"), FIB_SLOPE
         )
         dev = morphic_length_check(spec, 1000)
         assert dev <= 2 * 3  # 2 * max image length
@@ -524,7 +535,7 @@ class TestMorphismInvariance:
         # repetition scores of W phi(s) stay close to those of s
         s = mechanical_word(FIB_SLOPE, Fraction(0), 2000)
         spec = QuasiSturmianSpec(
-            Word.from_digits("2"), parse_morphism("0>01;1>001"), FIB_SLOPE
+            digit_word("2"), parse_morphism("0>01;1>001"), FIB_SLOPE
         )
         image = apply_morphism(spec, 2000)
         d_s = float(dio_estimate(s).global_max.score)

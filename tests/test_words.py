@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from diowords.spec import digit_word
 from diowords.words import (
     ComplexityProfile,
     Word,
@@ -49,28 +50,28 @@ class TestWord:
         assert Word(letters, 256).symbols == letters
 
     def test_from_digits_roundtrip(self):
-        w = Word.from_digits("0100101")
+        w = digit_word("0100101")
         assert w.to_text() == "0100101"
         assert len(w) == 7
         assert w.alphabet_size == 2
         assert list(w) == [0, 1, 0, 0, 1, 0, 1]
 
     def test_json_forms(self):
-        assert json.loads(Word.from_digits("010").to_json()) == "010"
+        assert json.loads(digit_word("010").to_json()) == "010"
         big = Word(bytes([0, 11]), 12)
         assert json.loads(big.to_json()) == [0, 11]
 
 
 class TestFractionalPower:
     def test_identity(self):
-        assert fractional_power(Word.from_digits("012"), 1).to_text() == "012"
+        assert fractional_power(digit_word("012"), 1).to_text() == "012"
 
     def test_integer_power(self):
-        assert fractional_power(Word.from_digits("01"), 2).to_text() == "0101"
+        assert fractional_power(digit_word("01"), 2).to_text() == "0101"
 
     def test_proper_fraction(self):
         # one full copy then ceil((2/3)*3) = 2 prefix letters
-        assert fractional_power(Word.from_digits("011"), Fraction(5, 3)).to_text() == "01101"
+        assert fractional_power(digit_word("011"), Fraction(5, 3)).to_text() == "01101"
 
     def test_empty_base_word(self):
         with pytest.raises(ValueError, match="empty base word"):
@@ -78,11 +79,13 @@ class TestFractionalPower:
 
     def test_float_rejected(self):
         with pytest.raises(TypeError):
-            fractional_power(Word.from_digits("01"), 1.5)
+            fractional_power(digit_word("01"), 1.5)
+        with pytest.raises(TypeError, match="not str$"):
+            fractional_power(digit_word("01"), "3/2")
 
     def test_nonpositive(self):
         with pytest.raises(ValueError):
-            fractional_power(Word.from_digits("01"), 0)
+            fractional_power(digit_word("01"), 0)
 
     @given(words_strategy, st.fractions(min_value=Fraction(1, 8), max_value=8))
     @settings(max_examples=150)
@@ -98,24 +101,24 @@ class TestFractionalPower:
 
 class TestComplexityProfile:
     def test_constant_word(self):
-        prof = complexity_profile(Word.from_digits("0000000"), 3)
+        prof = complexity_profile(digit_word("0000000"), 3)
         assert prof.counts == (1, 1, 1)
 
     def test_alternating_word(self):
-        prof = complexity_profile(Word.from_digits("0101010"), 3)
+        prof = complexity_profile(digit_word("0101010"), 3)
         assert prof.counts == (2, 2, 2)
 
     def test_fibonacci_prefix_counts(self):
-        w = Word.from_digits(fib_text(200))
+        w = digit_word(fib_text(200))
         prof = complexity_profile(w, 20)
         assert prof.counts == tuple(n + 1 for n in range(1, 21))
 
     def test_window_exceeds_prefix(self):
         with pytest.raises(ValueError, match="window exceeds prefix"):
-            complexity_profile(Word.from_digits("01"), 3)
+            complexity_profile(digit_word("01"), 3)
 
     def test_csv(self):
-        prof = complexity_profile(Word.from_digits("0101010"), 2)
+        prof = complexity_profile(digit_word("0101010"), 2)
         assert prof.to_csv() == "n,p_n,gap\n1,2,1\n2,2,0\n"
 
     @given(words_strategy)
@@ -151,13 +154,13 @@ class TestComplexityProfile:
 
     def test_eventually_periodic_counts_bounded(self):
         period = "0110"
-        w = Word.from_digits(period * 100)
+        w = digit_word(period * 100)
         prof = complexity_profile(w, 50)
         # counts cannot exceed the period length once n is large
         assert all(c <= len(period) for c in prof.counts[len(period):])
 
     def test_deep_profile_fibonacci(self):
-        w = Word.from_digits(fib_text(300))
+        w = digit_word(fib_text(300))
         prof = complexity_profile(w, 150)
         assert prof.counts[:20] == tuple(n + 1 for n in range(1, 21))
 
@@ -168,22 +171,22 @@ class TestComplexityProfile:
 
 class TestOccurrenceAndGap:
     def test_occurrences(self):
-        assert occurrence_count(Word.from_digits("0101"), 1) == 2
-        assert occurrence_count(Word.from_digits("000"), 1) == 0
-        assert occurrence_count(Word.from_digits("0100101"), 0) == 4
+        assert occurrence_count(digit_word("0101"), 1) == 2
+        assert occurrence_count(digit_word("000"), 1) == 0
+        assert occurrence_count(digit_word("0100101"), 0) == 4
 
     def test_letter_out_of_range(self):
         with pytest.raises(ValueError):
-            occurrence_count(Word.from_digits("01"), 2)
+            occurrence_count(digit_word("01"), 2)
 
     def test_gap_profile_fibonacci(self):
-        prof = complexity_profile(Word.from_digits(fib_text(200)), 20)
+        prof = complexity_profile(digit_word(fib_text(200)), 20)
         assert gap_profile(prof) == [1] * 20
 
     def test_gap_profile_constant(self):
-        prof = complexity_profile(Word.from_digits("0000000"), 3)
+        prof = complexity_profile(digit_word("0000000"), 3)
         assert gap_profile(prof)[2] == 1 - 3
 
     def test_gap_profile_alternating(self):
-        prof = complexity_profile(Word.from_digits("01" * 10), 5)
+        prof = complexity_profile(digit_word("01" * 10), 5)
         assert gap_profile(prof)[4] == 2 - 5

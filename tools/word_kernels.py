@@ -35,13 +35,13 @@ import os
 import subprocess
 import sys
 import time
-from fractions import Fraction
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
 from diowords.cli import parse_word_source  # noqa: E402
 from diowords.realnum import Surd  # noqa: E402
+from diowords.spec import read_intercept  # noqa: E402
 from diowords.repetition import _record_lpf  # noqa: E402
 from diowords.sturmian import mechanical_word, parse_slope, record_runs  # noqa: E402
 from diowords.suffix import longest_previous_factor, suffix_index  # noqa: E402
@@ -165,7 +165,7 @@ def mechanical_section(sizes: list[int], repeat: int) -> None:
     total, checked = 0.0, 0
     for n in sizes:
         for name, (text, rho) in MECHANICAL.items():
-            slope, rho = parse_slope(text), Fraction(rho)
+            slope, rho = parse_slope(text), read_intercept(rho)
             (best,) = best_of(repeat, (mechanical_word, slope, rho, n))
             total += best
             check = n <= ORACLE_LETTERS["surd" if isinstance(slope, Surd) else "cf"]
