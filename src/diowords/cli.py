@@ -6,8 +6,9 @@ lower-bound note of text-format profiles.  Exact values appear in JSON
 as numerator/denominator strings; floats are always estimates and are
 tagged as such.
 
-Every argument text, spec, word source and integer option is read by
-`spec`: integers are an optional '-' and ASCII digits, and a grammar error
+Every argument text, spec, word source and number option is read by
+`spec`: integers are an optional '-' and ASCII digits, decimals such
+as `--slack` add an optional '.' and ASCII digits, and a grammar error
 names the position of its field in the argument.
 
 Exit codes, one exception class each: 0 success; 1 a failed criterion
@@ -31,7 +32,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -350,16 +350,6 @@ _non_negative = functools.partial(spec.read_int, least=0)
 _positive = functools.partial(spec.read_int, least=1)
 
 
-def _finite(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="diowords",
@@ -367,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
         "and continued fractions of exactly-defined reals.",
     )
     parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    parser.add_argument("--threads", type=spec.read_int, default=1,
+    parser.add_argument("--threads", type=_positive, default=1,
                         help="worker threads for the verify criteria")
     parser.add_argument(
         "--max-bits",
@@ -436,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", type=spec.read_int, default=10)
     p.add_argument("--prefix", type=_non_negative, required=True)
     p.add_argument("--terms", type=_positive, required=True)
-    p.add_argument("--slack", type=_finite, default=0.15)
+    p.add_argument("--slack", type=spec.read_decimal, default=0.15)
     p.add_argument("--threshold", type=spec.read_int, default=None)
     p.set_defaults(func=cmd_report)
 

@@ -6,7 +6,7 @@ every emitted quotient is correct for the limit value.  On an exact
 rational point both endpoints coincide and this is Euclid's algorithm,
 whose final quotient >= 2 makes rational expansions round-trip.  The
 same Euclid gives the quotients of a Sturmian surd slope
-(`_surd_quotients`), without an `Enclosure`.
+(`_surd_quotients`) from its exact bracket, without an `Enclosure`.
 Convergents are a pure function of the quotients; they are built and
 certified by `certified_convergents` where they are read.
 """
@@ -113,13 +113,13 @@ def _interval_quotients(lo: int, hi: int, den: int, k_max: int) -> list[int]:
 
 def _surd_quotients(p: int, q: int, d: int) -> Iterator[int]:
     """The quotients a_0, a_1, ... of the irrational (p + sqrt(d))/q, each
-    once and without end: Euclid on its nested dyadic cells at 64, 128,
-    256, ... bits.  A cell 2^-bits wide certifies k quotients only if
-    q_k^2 <= 2^bits, so k < bits and the cap cuts none."""
+    once and without end: Euclid on its exact brackets [lo, lo + 1] /
+    (|q| 2^bits) at 64, 128, 256, ... bits, which nest.  A round yields at
+    most `bits` quotients; any past the cap come in a later round."""
     done, bits = 0, 64
     while True:
-        lo, hi = surd_bracket(p, q, d, bits, bits)
-        qs = _interval_quotients(lo, hi, 1 << bits, bits)
+        lo, hi, den, shift = surd_bracket(p, q, d, bits)
+        qs = _interval_quotients(lo, hi, den << shift, bits)
         yield from qs[done:]
         done, bits = max(done, len(qs)), 2 * bits
 

@@ -5,23 +5,26 @@ Enclosure that is guaranteed to contain the target and can be refined
 on demand.  Exact rational points (rationals, perfect-square surds,
 finite continued fractions and their Moebius images) stay exact
 Fractions: `_exact` decides which specs they are, once, and `_rational`
-evaluates them.  Every other enclosure is a dyadic interval
-[lo_num / 2^scale, hi_num / 2^scale] with integer endpoints: each source
-computes its bracket at the requested precision in one step and rounds
-it outward (`_round_out`), so no gcd runs while refining.  Every
-enclosure starts at _START_BITS bits, or at its budget when that is
-lower.  e is summed by binary splitting (Haible & Papanikolaou, ANTS
-1998) with the tail bound 2/K!, surds come from one integer square root
-(`surd_bracket`), continued fractions from the first close pair of the
-one stateless convergent recurrence (`convergent_bracket`), and Moebius
-images from the monotone endpoint maps.  Nested Moebius matrices compose into one
-and the image of a surd is a surd; every other image runs one refine
-loop (`_image_compute`) over an exact bracket of its inner number, e's
-or an enclosure's, and at the budget returns the image of the bracket
+evaluates them.  Every other number has one exact bracket (`_bracket`) at
+a precision `bits`, integers (lo, hi, den, shift) with the number in
+[lo, hi] / (den 2^shift), at most 2^-bits wide: e's (num, num + 2, K!, 0)
+by binary splitting (Haible & Papanikolaou, ANTS 1998) with the tail
+bound 2/K!, a surd's (lo, lo + 1, |q|, bits) from one integer square root
+(`surd_bracket`), Shallit's partial sum (lo, lo + 1, 1, 2 top - 1), a
+continued fraction's (p q', p q' + 1, q q', 0) from the first close pair
+p/q < p'/q' of the one stateless convergent recurrence
+(`convergent_bracket`), and a digit cell (v, v + 1, b^n, 0).  `Enclosure`
+rounds it outward once (`_round_out`) to a dyadic interval [lo_num,
+hi_num] / 2^scale at scale max(bits + _GUARD_BITS, shift), so no gcd runs
+while refining and a dyadic bracket stays exact.  Every enclosure starts
+at _START_BITS bits, or at its budget when that is lower.  Nested Moebius
+matrices compose into one and the image of a surd is a surd; every other
+image runs one refine loop (`_image_compute`) over its inner number's
+exact bracket, and at the budget returns the image of the bracket
 reached, so it prints its certified prefix as a plain number does.
 `Fraction` appears only at the public boundary, the one accessor
-`bounds()`.  The Sturmian slopes bracket themselves through the same
-two kernels, so this module holds all of the slope arithmetic; a surd
+`bounds()`.  The Sturmian slopes round the same surd and convergent
+brackets, so this module holds all of the slope arithmetic; a surd
 slope's quotients come from `contfrac`'s one Euclid over its bracket.
 
 Every big division and square root of a bracket runs on one pair of
@@ -55,8 +58,8 @@ from .words import CHARS_TO_DIGITS, DIGITS_TO_CHARS, MAX_ALPHABET, Word
 
 DEFAULT_MAX_BITS = 10**6
 _START_BITS = 64
-# A bracket computed at `bits` is rounded outward at scale bits + _GUARD_BITS,
-# so rounding widens it by at most 2^(1 - bits - _GUARD_BITS).
+# A bracket computed at `bits` is rounded outward at scale bits + _GUARD_BITS
+# or finer, so rounding widens it by at most 2^(1 - bits - _GUARD_BITS).
 _GUARD_BITS = 32
 # `str` checks the process-wide digit limit only on integers above this many
 # digits, and no limit may be set below it; interpreters without the limit
@@ -67,6 +70,7 @@ _STR_LEAF_DIGITS = getattr(sys.int_info, "str_digits_check_threshold", 640)
 # (tools/bigint_kernels.py)
 _BIGINT_CUT_BITS = 4000
 
+Bracket = tuple[int, int, int, int]  # (lo, hi, den, shift): [lo, hi] / (den 2^shift), den > 0
 Dyadic = tuple[int, int, int]  # (lo_num, hi_num, scale)
 Digits = Union[bytes, tuple[int, ...]]  # bytes in bases up to 256, a tuple above
 
@@ -82,34 +86,39 @@ class CertificateError(RuntimeError):
 class Enclosure:
     """Refinable interval certified to contain its target real.
 
-    Either an exact point (a Fraction) or a dyadic interval produced by
-    `compute(bits)`, which must return (lo_num, hi_num, scale) whose
-    bracket has width at most 2^-bits before outward rounding, unless
-    the budget stops a Moebius image short of it.  The precision starts
-    at min(_START_BITS, max_bits) and never exceeds `max_bits`.  Each
+    Either an exact point (a Fraction) or a dyadic interval rounded from
+    `bracket(bits)`, an exact Bracket of the number at most 2^-bits wide,
+    unless the budget stops a Moebius image short of it.  `_rounded` alone
+    rounds it outward, at scale max(bits + _GUARD_BITS, shift), so a dyadic
+    bracket at a finer scale stays exact.  The precision starts at
+    min(_START_BITS, max_bits) and never exceeds `max_bits`.  Each
     refinement must land inside the previous interval at a scale no
     smaller than before, so successive snapshots are nested; a bracket
-    that breaks either rule raises CertificateError.
+    that breaks either rule, or is out of order, raises CertificateError.
     """
 
     def __init__(
         self,
-        compute: Callable[[int], Dyadic] | None,
+        bracket: Callable[[int], Bracket] | None,
         max_bits: int = DEFAULT_MAX_BITS,
         point: Fraction | None = None,
     ) -> None:
         if max_bits < 0:
             raise ValueError("max_bits must be nonnegative")
-        self._compute = compute
+        self._bracket = bracket
         self._bits = min(_START_BITS, max_bits)
         self._max_bits = max_bits
         self._point = point
         self._dyadic: Dyadic | None = None
         if point is None:
-            lo, hi, scale = compute(self._bits)
-            if lo > hi:
-                raise CertificateError("enclosure endpoints out of order")
-            self._set(lo, hi, scale)
+            self._set(*self._rounded())
+
+    def _rounded(self) -> Dyadic:
+        lo, hi, den, shift = self._bracket(self._bits)
+        if lo > hi:
+            raise CertificateError("enclosure endpoints out of order")
+        scale = max(self._bits + _GUARD_BITS, shift)
+        return (*_round_out(lo, hi - lo, den, scale - shift), scale)
 
     def _set(self, lo: int, hi: int, scale: int) -> None:
         if lo == hi:
@@ -148,7 +157,7 @@ class Enclosure:
             return False
         target = 2 * self._bits if bits is None else bits
         self._bits = min(max(target, self._bits + 1), self._max_bits)
-        lo, hi, scale = self._compute(self._bits)
+        lo, hi, scale = self._rounded()
         old_lo, old_hi, old_scale = self._dyadic
         shift = scale - old_scale
         if shift < 0 or not old_lo << shift <= lo <= hi <= old_hi << shift:
@@ -272,17 +281,35 @@ def enclosure(spec: RealSpec, max_bits: int = DEFAULT_MAX_BITS) -> Enclosure:
     """Certified enclosure for a RealSpec at precision min(_START_BITS, max_bits)."""
     if _exact(spec):
         return Enclosure(None, max_bits, point=_rational(spec))
+    return Enclosure(_bracket(spec, max_bits), max_bits)
+
+
+def _bracket(spec: RealSpec, max_bits: int) -> Callable[[int], Bracket]:
+    """The exact bracket of an irrational spec, a function of the precision.
+    Nested Moebius matrices compose into one and a surd's image is a surd;
+    any other image maps its inner number's bracket, refined to `max_bits` at most."""
     if isinstance(spec, SeriesE):
-        return Enclosure(_compute_e, max_bits)
+        return _e_bracket
     if isinstance(spec, SeriesShallit):
-        return Enclosure(_compute_shallit, max_bits)
+        return _shallit_bracket
     if isinstance(spec, Surd):
-        return Enclosure(lambda b: _compute_surd(spec, b), max_bits)
+        return lambda bits: surd_bracket(spec.p, spec.q, spec.d, bits)
     if isinstance(spec, FromCF):
-        return Enclosure(lambda b: _compute_cf(spec.quotients, b), max_bits)
-    if isinstance(spec, Mobius):
-        return _image_enclosure(spec, max_bits)
-    raise TypeError(f"unknown RealSpec: {spec!r}")
+        return lambda bits: convergent_bracket(spec.quotients, bits)
+    if not isinstance(spec, Mobius):
+        raise TypeError(f"unknown RealSpec: {spec!r}")
+    a, b, c, d, inner = 1, 0, 0, 1, spec
+    while isinstance(inner, Mobius):
+        a, b, c, d = (
+            a * inner.a + b * inner.c,
+            a * inner.b + b * inner.d,
+            c * inner.a + d * inner.c,
+            c * inner.b + d * inner.d,
+        )
+        inner = inner.inner
+    if isinstance(inner, Surd):
+        return _bracket(_surd_image(a, b, c, d, inner), max_bits)
+    return _image_compute(a, b, c, d, _bracket(inner, max_bits), min(_START_BITS, max_bits), max_bits)
 
 
 def _rational(spec: RealSpec) -> Fraction:
@@ -303,30 +330,6 @@ def _rational(spec: RealSpec) -> Fraction:
             pass
         return Fraction(p, q)
     return Fraction(spec.p, spec.q)
-
-
-def _image_enclosure(spec: Mobius, max_bits: int) -> Enclosure:
-    """Enclosure of a Moebius image of an irrational number, folded into it.
-
-    Nested matrices compose into one and a surd's image is a surd.  e's
-    image maps e's exact bracket through the loop of `mobius`, one big
-    division a bracket; any other inner number goes through `mobius` once.
-    """
-    a, b, c, d, inner = 1, 0, 0, 1, spec
-    while isinstance(inner, Mobius):
-        a, b, c, d = (
-            a * inner.a + b * inner.c,
-            a * inner.b + b * inner.d,
-            c * inner.a + d * inner.c,
-            c * inner.b + d * inner.d,
-        )
-        inner = inner.inner
-    if isinstance(inner, SeriesE):
-        compute = _image_compute(a, b, c, d, _e_bracket, min(_START_BITS, max_bits), max_bits)
-        return Enclosure(compute, max_bits)
-    if isinstance(inner, Surd):
-        return enclosure(_surd_image(a, b, c, d, inner), max_bits)
-    return mobius(a, b, c, d, enclosure(inner, max_bits), max_bits)
 
 
 def _surd_image(a: int, b: int, c: int, d: int, x: Surd) -> Surd:
@@ -379,8 +382,8 @@ def _e_split(a: int, b: int) -> tuple[int, int]:
     return p1 * q2 + p2, q1 * q2
 
 
-def _e_bracket(bits: int) -> tuple[int, int, int]:
-    """(num, num + 2, den) with e in [num, num + 2] / den, at most 2^-bits wide.
+def _e_bracket(bits: int) -> Bracket:
+    """(num, num + 2, den, 0) with e in [num, num + 2] / den, at most 2^-bits wide.
 
     e lies in [S, S + 2/K!] for S = sum_{j<K} 1/j! and the smallest K with
     K! >= 2^(bits+1); binary splitting gives S exactly, so num = K! S and
@@ -395,7 +398,7 @@ def _e_bracket(bits: int) -> tuple[int, int, int]:
         elif k * q < threshold:
             k += 1
         else:
-            return k * (q + p), k * (q + p) + 2, k * q
+            return k * (q + p), k * (q + p) + 2, k * q, 0
 
 
 def _round_out(num: int, w: int, den: int, scale: int) -> tuple[int, int]:
@@ -406,42 +409,29 @@ def _round_out(num: int, w: int, den: int, scale: int) -> tuple[int, int]:
     return lo, lo - (-(rem + (w << scale)) // den)
 
 
-def _compute_e(bits: int) -> Dyadic:
-    num, _, den = _e_bracket(bits)
-    scale = bits + _GUARD_BITS
-    return (*_round_out(num, 2, den, scale), scale)
-
-
-def _compute_shallit(bits: int) -> Dyadic:
-    k = 0
-    while (1 << (k + 1)) < bits + 1:
-        k += 1
-    top = 1 << k  # 2^k
+def _shallit_bracket(bits: int) -> Bracket:
+    """(lo, lo + 1, 1, 2 top - 1) with sum 2^(-2^n) in [lo, lo + 1] / 2^(2 top - 1),
+    for the partial sum of the terms n <= k, top = 2^k and the smallest k
+    with 2 top >= bits + 1."""
+    k = max(0, bits.bit_length() - 1)  # 2^(k+1) >= bits + 1 > 2^k, or k = 0
+    top = 1 << k
     total = sum(1 << (top - (1 << n)) for n in range(k + 1))
-    # [total/2^top, total/2^top + 2^(1 - 2 top)] at scale 2 top - 1
+    # [total/2^top, total/2^top + 2^(1 - 2 top)] at shift 2 top - 1
     lo = total << (top - 1)
-    return lo, lo + 1, 2 * top - 1
+    return lo, lo + 1, 1, 2 * top - 1
 
 
-def surd_bracket(p: int, q: int, d: int, bits: int, scale: int) -> tuple[int, int]:
-    """Integers lo < hi with lo/2^scale < (p + sqrt(d))/q < hi/2^scale.
+def surd_bracket(p: int, q: int, d: int, bits: int) -> Bracket:
+    """(lo, lo + 1, |q|, bits) with lo < 2^bits |q| (p + sqrt(d))/q < lo + 1.
 
-    d > 0 must not be a perfect square, and scale >= bits.  The bracket is
-    the integer cell of 2^bits (p + sqrt(d)), one `isqrt` wide, divided by
-    q and rounded outward at `scale`; at scale = bits, hi = lo + 1.
+    d > 0 must not be a perfect square.  lo is the floor of 2^bits (p +
+    sqrt(d)) for q > 0, and of 2^bits (-p - sqrt(d)) for q < 0, from one
+    `isqrt`.
     """
-    sign = 1
-    if q < 0:
-        p, q, sign = -p, -q, -1
     t = _sqrtrem(d << 2 * bits)[0]
-    # sqrt(d) is irrational, so floor(sign*sqrt(d)*2^bits) is t (resp. -t-1)
-    num = (p << bits) + (t if sign > 0 else -t - 1)
-    return _round_out(num, 1, q, scale - bits)
-
-
-def _compute_surd(spec: Surd, bits: int) -> Dyadic:
-    scale = bits + _GUARD_BITS
-    return (*surd_bracket(spec.p, spec.q, spec.d, bits, scale), scale)
+    # sqrt(d) is irrational, so floor(-sqrt(d) 2^bits) is -t - 1
+    lo = (p << bits) + t if q > 0 else (-p << bits) - t - 1
+    return lo, lo + 1, abs(q), bits
 
 
 def convergents(quotients: Iterable[int]) -> Iterator[tuple[int, int, int, int]]:
@@ -460,10 +450,10 @@ def convergents(quotients: Iterable[int]) -> Iterator[tuple[int, int, int, int]]
         yield p_prev, q_prev, p, q
 
 
-def convergent_bracket(quotient: Callable[[int], int], bits: int, scale: int) -> tuple[int, int]:
-    """Integers lo < hi with lo/2^scale < value < hi/2^scale of the infinite
-    expansion a_k = quotient(k), from its first consecutive convergents at
-    most 2^-bits apart."""
+def convergent_bracket(quotient: Callable[[int], int], bits: int) -> Bracket:
+    """(p q', p q' + 1, q q', 0) with p/q < value < p'/q' of the infinite
+    expansion a_k = quotient(k), its first consecutive convergents at most
+    2^-bits apart; p' q - p q' = 1, so p'/q' = (p q' + 1)/(q q')."""
     # consecutive convergents straddle the value, p_k/q_k above it for odd k,
     # and lie 1/(q_{k-1} q_k) apart; q_{-1} = 0 forces one step.  The bit
     # lengths decide q_{k-1} q_k >= 2^bits unless they sum to bits + 1.
@@ -473,12 +463,7 @@ def convergent_bracket(quotient: Callable[[int], int], bits: int, scale: int) ->
             break
     if k % 2 == 0:
         (p_prev, q_prev), (p, q) = (p, q), (p_prev, q_prev)
-    return _divmod(p_prev << scale, q_prev)[0], -_divmod(-p << scale, q)[0]
-
-
-def _compute_cf(quotient: Callable[[int], int], bits: int) -> Dyadic:
-    scale = bits + _GUARD_BITS
-    return (*convergent_bracket(quotient, bits, scale), scale)
+    return p_prev * q, p_prev * q + 1, q_prev * q, 0
 
 
 def mobius(a: int, b: int, c: int, d: int, inner: Enclosure, max_bits: int = DEFAULT_MAX_BITS) -> Enclosure:
@@ -489,8 +474,9 @@ def mobius(a: int, b: int, c: int, d: int, inner: Enclosure, max_bits: int = DEF
     enclosure is refined until the pole is excluded and the image is
     tight enough, or to its budget, where the image of the bracket
     reached is returned.  The image of an exact point is exact.  The
-    same loop maps e's exact bracket in `enclosure`, which folds the
-    images of surds into a surd; this is the oracle of both folds.
+    same loop maps the exact bracket of every inner number but a surd in
+    `enclosure`, which folds the images of surds into a surd; this is the
+    oracle of both folds.
     """
     if abs(a * d - b * c) != 1:
         raise ValueError("Moebius matrix must satisfy |ad - bc| = 1")
@@ -500,19 +486,20 @@ def mobius(a: int, b: int, c: int, d: int, inner: Enclosure, max_bits: int = DEF
             raise ValueError("Moebius pole at the inner value")
         return Enclosure(None, max_bits, point=(a * x + b) / (c * x + d))
 
-    def ends(k: int) -> tuple[int, int, int]:
+    def bracket(k: int) -> Bracket:
         inner.refine(k)
         lo, hi, s = inner.dyadic()
-        return lo, hi, 1 << s
+        return lo, hi, 1, s
 
-    return Enclosure(_image_compute(a, b, c, d, ends, inner.bits, inner._max_bits), max_bits)
+    return Enclosure(_image_compute(a, b, c, d, bracket, inner.bits, inner._max_bits), max_bits)
 
 
 def _image_compute(
-    a: int, b: int, c: int, d: int, ends: Callable[[int], tuple[int, int, int]], bits: int, max_bits: int
-) -> Callable[[int], Dyadic]:
-    """`compute` of the image of x under x -> (ax+b)/(cx+d), where `ends(k)`
-    is an exact bracket (lo, hi, den) of x at precision k.
+    a: int, b: int, c: int, d: int, bracket: Callable[[int], Bracket], bits: int, max_bits: int
+) -> Callable[[int], Bracket]:
+    """The bracket of the image of x under x -> (ax+b)/(cx+d), where
+    `bracket(k)` is an exact bracket of x at precision k; the image at
+    precision n is rounded outward at scale n + _GUARD_BITS, with den 1.
 
     The precision of x starts at `bits`; a pole on the bracket doubles it and
     an image too wide moves it by the excess plus guard bits, never past
@@ -522,16 +509,16 @@ def _image_compute(
     stopped does not compute it again.
     """
     inner_bits = bits
-    last = (None, None)  # (precision, bracket) of the last `ends` call
+    last = (None, None)  # (precision, bracket) of the last `bracket` call
 
-    def compute(nbits: int) -> Dyadic:
+    def compute(nbits: int) -> Bracket:
         nonlocal inner_bits, last
         scale = nbits + _GUARD_BITS
         while True:
             if last[0] != inner_bits:
-                last = (inner_bits, ends(inner_bits))
-            lo, hi, den = last[1]
-            image = _image_bracket(a, b, c, d, lo, hi, den, scale)
+                last = (inner_bits, bracket(inner_bits))
+            lo, hi, den, shift = last[1]
+            image = _image_bracket(a, b, c, d, lo, hi, den << shift, scale)
             if image is None:
                 if lo == hi:
                     raise ValueError("Moebius pole at the inner value")
@@ -541,7 +528,7 @@ def _image_compute(
             else:
                 excess = (image[1] - image[0] - 2).bit_length() - _GUARD_BITS
                 if excess <= 0 or inner_bits >= max_bits:  # at most 2^-nbits wide, or the budget
-                    return (*image, scale)
+                    return (*image, 1, scale)
                 # the image narrows with the inner width; guard bits spare a second round
                 target = inner_bits + excess + _GUARD_BITS
             inner_bits = min(max(target, inner_bits + 1), max_bits)
@@ -578,13 +565,12 @@ def enclosure_from_digits(
     """
     _check_digits(base)
 
-    def compute(nbits: int) -> Dyadic:
+    def cell(nbits: int) -> Bracket:
         n = int(nbits / math.log2(base)) + 2
-        scale = nbits + _GUARD_BITS
-        # the digit cell [value, value + 1] / base^n, rounded outward
-        return (*_round_out(_digits_to_int(fetch(n), base), 1, base**n, scale), scale)
+        value = _digits_to_int(fetch(n), base)
+        return value, value + 1, base**n, 0
 
-    return Enclosure(compute, max_bits)
+    return Enclosure(cell, max_bits)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """The one text grammar (numbers, slopes, morphisms, intercepts "P/Q" or
 "P", digit words, word sources, integer options) and the data types it
 produces, which `realnum` and `sturmian` import from here.  One integer
-reader, `read_int`, takes an optional '-' and ASCII digits, nothing else.
+reader, `read_int`, takes an optional '-' and ASCII digits, nothing else,
+and one decimal reader, `read_decimal`, those followed by an optional '.'
+and ASCII digits.
 Every error is a `SpecSyntaxError` naming the position of the failing field
 from the start of the whole argument, also for a value a data type refuses.
 Checks that need arithmetic stay with it: a slope's range in `sturmian`.
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,6 +22,7 @@ from typing import Callable, Union
 from .words import CHARS_TO_DIGITS, Word
 
 _INT = re.compile(r"-?[0-9]+")
+_DECIMAL = re.compile(r"-?[0-9]+(\.[0-9]+)?")
 _NOT_DIGIT = re.compile(r"[^0-9]")
 
 
@@ -139,6 +143,18 @@ def read_int(text: str, at: int = 0, what: str = "integer", least: int | None = 
         raise SpecSyntaxError(f"bad {what} {text!r}: expected an optional '-' and ASCII digits", at)
     if least is not None and value < least:
         raise SpecSyntaxError(f"{what} must be >= {least}, got {value}", at)
+    return value
+
+
+def read_decimal(text: str, at: int = 0) -> float:
+    """The decimal field `text`, which starts at position `at`: an optional
+    '-' and ASCII digits, then optionally '.' and ASCII digits."""
+    if not _DECIMAL.fullmatch(text):
+        raise SpecSyntaxError(f"bad decimal {text!r}: expected an optional '-', ASCII digits and "
+                              "an optional '.' with ASCII digits", at)
+    value = float(text)
+    if not math.isfinite(value):
+        raise SpecSyntaxError(f"decimal {text!r} is out of range", at)
     return value
 
 

@@ -7,12 +7,13 @@ quadratic surd `Surd` (P + sqrt(D))/Q or a `FromCF` whose callable gives
 the quotients of [0; m1, m2, ...], and the intercept rho in [0, 1) is
 rational.  No floor is ever taken through floating point.  Each slope is
 bracketed between dyadic integers, lo/2^k < alpha < hi/2^k with
-hi - lo <= 2, by the kernels of `realnum`: a surd by one integer square
-root (`surd_bracket`), a continued fraction by its first close pair of
-convergents (`convergent_bracket`, run from m1 on every call and stopped
-at _SLOPE_EXTEND_CAP).  `mechanical_word` takes one bracket at 64 bits
-and steps the 64-bit fractional parts of n*alpha + rho in fixed-size
-uint64 blocks; each letter is the carry of one step, written straight
+hi - lo <= 2, by rounding (`_round_out`) an exact bracket of `realnum`:
+a surd's from one integer square root (`surd_bracket`), a continued
+fraction's from its first close pair of convergents
+(`convergent_bracket`, run from m1 on every call and stopped at
+_SLOPE_EXTEND_CAP).  `mechanical_word` takes one bracket at 64 bits and
+steps the 64-bit fractional parts of n*alpha + rho in fixed-size uint64
+blocks; each letter is the carry of one step, written straight
 into the word's buffer.  The few floors, usually none, that a block may
 leave undecided are decided one by one at 64, 128, 256, ... bits with
 Python integers, and the letters that read them are rewritten.
@@ -37,7 +38,7 @@ from fractions import Fraction
 import numpy as np
 
 from .contfrac import _surd_quotients
-from .realnum import PrecisionBudgetError, _exact, convergent_bracket, surd_bracket
+from .realnum import PrecisionBudgetError, _exact, _round_out, convergent_bracket, surd_bracket
 from .spec import QuasiSturmianSpec, SlopeSpec, Surd, parse_morphism, parse_slope
 from .words import Word, _check_window, complexity_profile, gap_profile
 
@@ -49,9 +50,10 @@ def _checked(slope: SlopeSpec) -> SlopeSpec:
     if isinstance(slope, Surd):
         if _exact(slope):
             raise ValueError("surd radicand must be positive and not a perfect square")
-        # at scale = bits = 0 the bracket is lo < alpha < lo + 1, so lo is the
+        # at bits = 0 the bracket is lo < |q| alpha < lo + 1, so lo // |q| is the
         # floor of the irrational alpha, which lies in (0, 1) iff that floor is 0
-        if surd_bracket(slope.p, slope.q, slope.d, 0, 0)[0] != 0:
+        lo, _, q, _ = surd_bracket(slope.p, slope.q, slope.d, 0)
+        if lo // q != 0:
             raise ValueError("slope must lie in (0, 1)")
     elif _exact(slope):
         raise ValueError("slope must be irrational")
@@ -61,9 +63,8 @@ def _checked(slope: SlopeSpec) -> SlopeSpec:
 
 
 def _bracket(slope: SlopeSpec, bits: int) -> tuple[int, int]:
-    """Integers lo < hi <= lo + 2 with lo/2^bits < alpha < hi/2^bits."""
-    if isinstance(slope, Surd):
-        return surd_bracket(slope.p, slope.q, slope.d, bits, bits)
+    """Integers lo < hi <= lo + 2 with lo/2^bits < alpha < hi/2^bits: the
+    slope's exact bracket, at most 2^-bits wide, rounded outward."""
 
     def capped(i: int) -> int:
         """Quotient i of [0; m1, m2, ...], for at most _SLOPE_EXTEND_CAP convergents."""
@@ -71,7 +72,11 @@ def _bracket(slope: SlopeSpec, bits: int) -> tuple[int, int]:
             raise PrecisionBudgetError("continued-fraction slope refinement ran away")
         return slope.quotients(i)
 
-    return convergent_bracket(capped, bits, bits)
+    if isinstance(slope, Surd):
+        lo, hi, den, shift = surd_bracket(slope.p, slope.q, slope.d, bits)
+    else:
+        lo, hi, den, shift = convergent_bracket(capped, bits)
+    return _round_out(lo, hi - lo, den, bits - shift)
 
 
 def _as_intercept(rho: int | Fraction) -> Fraction:

@@ -40,6 +40,8 @@ _digit_text = st.text("0123456789", max_size=6)
 # Every argv that holds one exits 2 (`LOOSE_MARKS`).
 LOOSE_INTS = ["1_0", "+5", " 5", "\u0661"]
 LOOSE_MARKS = ("_", "+", " ", "\u0661", "\u0663")
+# Spellings that Python's float() reads and the decimal grammar refuses
+LOOSE_DECIMALS = ["1_0", " 0.5", "+0.5", ".5", "1e-1"]
 _not_numbers = ["x", "1.5", "", *LOOSE_INTS]  # their message names no function of cli
 _sizes = _mostly(st.integers(0, 60), st.sampled_from([-1, *_not_numbers]))
 _terms = _mostly(st.integers(1, 25), st.sampled_from([0, *_not_numbers]))
@@ -168,5 +170,5 @@ def cli_argvs(draw) -> list[str]:
         if command == "report":
             argv += ["--terms", str(draw(_terms))]
             argv += _option(draw, "--slack", _mostly(st.sampled_from(["0.15", "0", "0.5"]),
-                                                     st.sampled_from(["nan", "x"])))
+                                                     st.sampled_from(["nan", "x", *LOOSE_DECIMALS])))
     return argv

@@ -6,11 +6,11 @@ extends a pair of consecutive convergents, which straddle the slope,
 until both give the same floor.  The two checkers below are the
 per-letter Fraction loops that `letter_frequency_check` and
 `morphic_length_check` replace with one integer pass.
-`convergent_bracket` is the reference for `realnum.convergent_bracket`:
-it stops on the exact product of consecutive denominators where the
-kernel reads their bit lengths.  `surd_in_unit_interval` is the exact
-sign rule that `sturmian` replaces, for a surd slope, with the floor
-read off one `surd_bracket`.  `one_sided_records` is the reference for
+`convergent_bracket` is the reference for `realnum.convergent_bracket`
+rounded outward at a scale: it stops on the exact product of consecutive
+denominators where the kernel reads their bit lengths.
+`surd_in_unit_interval` is the exact sign rule that `sturmian` replaces,
+for a surd slope, with the floor read off one `surd_bracket`.  `one_sided_records` is the reference for
 `record_runs`: the minima of {L alpha} and {-L alpha} over L by brute
 force, each comparison an exact sign (`sign_times`).
 """

@@ -28,34 +28,35 @@ def assert_certificate_exit(capsys, *argv):
 class TestEnclosure:
     def test_endpoints_out_of_order(self):
         with pytest.raises(CertificateError, match="out of order"):
-            Enclosure(lambda bits: (1, 0, bits))
+            Enclosure(lambda bits: (1, 0, 1, bits))
 
     def test_endpoints_out_of_order_exit_1(self, capsys, monkeypatch):
-        monkeypatch.setattr(realnum, "_compute_e", lambda bits: (1, 0, bits))
+        monkeypatch.setattr(realnum, "_e_bracket", lambda bits: (1, 0, 1, 0))
         assert_certificate_exit(capsys, "digits", "e", "--count", "5")
 
     def test_refinement_leaving_the_old_bracket(self):
         # [0, 2] / 2^4, then [3, 5] / 2^5 = [1.5, 2.5] / 2^4: it overlaps and pokes out
-        brackets = {64: (0, 2, 4), 128: (3, 5, 5)}
+        brackets = {64: (0, 2, 1, 4), 128: (3, 5, 1, 5)}
         enc = Enclosure(brackets.__getitem__)
         with pytest.raises(CertificateError, match="previous bracket"):
             enc.refine(128)
 
     def test_refinement_at_a_coarser_scale(self):
-        # [0, 1] / 2^3 = [0, 2] / 2^4 is nested, but its scale went down
-        brackets = {64: (0, 4, 4), 128: (0, 1, 3)}
+        # a shift above bits + _GUARD_BITS is the scale, so one that falls lowers
+        # it: [0, 1] / 2^198 = [0, 4] / 2^200 is nested, but its scale went down
+        brackets = {64: (0, 4, 1, 200), 128: (0, 1, 1, 198)}
         enc = Enclosure(brackets.__getitem__)
         with pytest.raises(CertificateError, match="previous bracket"):
             enc.refine(128)
 
     def test_refinement_leaving_the_old_bracket_exit_1(self, capsys, monkeypatch):
-        compute_e = realnum._compute_e
+        e_bracket = realnum._e_bracket
 
         def drifting(bits):
-            lo, hi, scale = compute_e(bits)
-            return (lo, hi, scale) if bits <= 64 else (lo + (1 << scale), hi + (1 << scale), scale)
+            lo, hi, den, shift = e_bracket(bits)
+            return (lo, hi, den, shift) if bits <= 64 else (lo + den, hi + den, den, shift)
 
-        monkeypatch.setattr(realnum, "_compute_e", drifting)
+        monkeypatch.setattr(realnum, "_e_bracket", drifting)
         assert_certificate_exit(capsys, "digits", "e", "--count", "50")
 
     def test_drifting_e_inside_a_folded_image_exit_1(self, capsys, monkeypatch):

@@ -18,7 +18,7 @@ from diowords.cli import main
 from diowords.realnum import Surd, _digits_to_int, enclosure, mobius, parse_real_spec
 
 import contfrac_oracle as oracle
-from strategies import LOOSE_INTS, LOOSE_MARKS, cli_argvs
+from strategies import LOOSE_DECIMALS, LOOSE_INTS, LOOSE_MARKS, cli_argvs
 
 
 def run_cli(capsys, *argv):
@@ -568,7 +568,7 @@ class TestExitCodes:
     def test_non_number_flag_value_names_no_function(self, argv):
         code, out, err = run_isolated(argv)
         assert code == 2 and out == ""
-        message = "invalid float value: 'x'" if "--slack" in argv else "bad integer 'x'"
+        message = "bad decimal 'x'" if "--slack" in argv else "bad integer 'x'"
         assert message in err and "invalid _" not in err
 
     @pytest.mark.parametrize("length", ["0", "-3"])
@@ -797,7 +797,7 @@ class TestGrammarFuzz:
         assert "Traceback" not in err and "invalid _" not in err
         if code == 2:
             assert "usage" in err and out == "", (out, err)
-        if any(mark in arg for arg in argv for mark in LOOSE_MARKS):
+        if any(mark in arg for arg in argv for mark in LOOSE_MARKS) or set(argv) & set(LOOSE_DECIMALS):
             assert code == 2, (argv, code, err)  # no loose spelling is read as a number
         assert run_isolated(argv) == (code, out, err)
         # the same budget through the environment; the shared parser carries no state
@@ -906,6 +906,29 @@ class TestFieldPositions:
         code, out, err = run_isolated([a.format(value) for a in argv])
         assert (code, out) == (2, "")
         assert f"bad integer {value!r}" in err and err.endswith("(position 0)\n"), err
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_threads_below_one(self, value):
+        code, out, err = run_isolated(["--threads", value, "verify", "--list"])
+        assert (code, out) == (2, "")
+        assert f"argument --threads: integer must be >= 1, got {value} (position 0)" in err, err
+
+    @pytest.mark.parametrize("value", [*LOOSE_DECIMALS, "nan", "inf", "x"])
+    def test_loose_decimal_option(self, value):
+        code, out, err = run_isolated(["report", "e", "--prefix", "100", "--terms", "20", "--slack", value])
+        assert (code, out) == (2, "")
+        assert f"argument --slack: bad decimal {value!r}" in err and err.endswith("(position 0)\n"), err
+
+    def test_decimal_out_of_range(self):
+        value = "1" + "0" * 400
+        code, out, err = run_isolated(["report", "e", "--prefix", "100", "--terms", "20", "--slack", value])
+        assert (code, out) == (2, "")
+        assert "argument --slack: decimal" in err and err.endswith("is out of range (position 0)\n"), err
+
+    @pytest.mark.parametrize("value, shown", [("0.15", "0.15"), ("0", "0.0"), ("-0.5", "-0.5")])
+    def test_decimal_option(self, value, shown):
+        code, out, _ = run_isolated(["report", "e", "--prefix", "100", "--terms", "20", "--slack", value])
+        assert code == 0 and out.startswith(f"digit-word exponent vs irrationality terms (slack {shown})\n")
 
     @pytest.mark.parametrize("value", [*LOOSE_INTS, " 6_4"])
     def test_loose_env_budget(self, monkeypatch, value):

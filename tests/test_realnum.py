@@ -206,8 +206,9 @@ class TestDyadicContainment:
         else:
             bits = data.draw(st.integers(0, 700))
         scale = bits + data.draw(st.integers(0, 40))
+        lo, hi, den, shift = convergent_bracket(quotient, bits)
         want = oracle.convergent_bracket(quotient, bits, scale)
-        assert convergent_bracket(quotient, bits, scale) == want
+        assert shift == 0 and realnum._round_out(lo, hi - lo, den, scale) == want
 
     def test_digit_stream_holds_digit_cell(self):
         enc = enclosure_from_digits(lambda n: [1] * n, 3, max_bits=20)
@@ -302,6 +303,7 @@ fold_inner_specs = st.one_of(
     st.just(SeriesE()),
     st.builds(Rational, st.integers(-30, 30), st.integers(1, 9)),
     st.just(SeriesShallit()),
+    st.just(FromCF(lambda n: 1 + n % 3)),
 )
 
 
@@ -354,6 +356,20 @@ class TestMobiusFold:
             # both hold the image, so they overlap
             chain_lo, chain_hi = chain.bounds()
             assert max(lo, chain_lo) <= min(hi, chain_hi)
+
+    @given(st.sampled_from(MATRICES), st.lists(st.integers(1, 300), min_size=1, max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_shallit_image_brackets_are_the_chain(self, matrix, steps):
+        # Shallit's bracket is exact and dyadic, so the image maps the bracket
+        # that `mobius` reads off its enclosure: the two are equal by construction
+        enc = enclosure(Mobius(*matrix, SeriesShallit()))
+        chain = mobius(*matrix, enclosure(SeriesShallit()))
+        assert enc.dyadic() == chain.dyadic()
+        bits = enc.bits
+        for step in steps:
+            bits += step
+            assert enc.refine(bits) and chain.refine(bits)
+            assert enc.dyadic() == chain.dyadic()
 
     def test_surd_image_is_a_surd(self):
         # (sqrt 3 + 1)/(sqrt 3 + 2) = sqrt 3 - 1, scaled by a power of two
@@ -443,7 +459,6 @@ exactness_atoms = st.one_of(
     st.builds(lambda p, q, k: Surd(p, q, k * k), st.integers(-30, 30),
               st.integers(-9, 9).filter(bool), st.integers(0, 12)),
     fold_inner_specs,
-    st.just(FromCF(lambda n: 1 + n % 3)),
 )
 
 
@@ -543,7 +558,7 @@ class TestDigits:
         # [0, 1/2] at the start precision, the point 1/2 from 100 bits on; the
         # last digit's precision lies past the budget
         def compute(bits):
-            return (0, 2, 2) if bits < 100 else (1 << bits - 1, 1 << bits - 1, bits)
+            return (0, 2, 1, 2) if bits < 100 else (1 << bits - 1, 1 << bits - 1, 1, bits)
 
         stream = digits_from_enclosure(Enclosure(compute, 100), 10, 1000)
         assert stream.complete and stream.fractional_digits == bytes([5] + [0] * 999)

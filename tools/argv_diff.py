@@ -6,12 +6,14 @@
 The argv are those of `tests/strategies.cli_argvs`, drawn by hypothesis
 with seeds 1, 2 and 3, 1000 draws each, with no example database; each
 carries a `--max-bits`.  `diowords.cli.main` runs them all in one worker
-subprocess per replay, which reports the exit code and the SHA-256 of
-stdout and of stderr of each run.
+subprocess per replay, which reports the exit code, the SHA-256 of
+stdout and of stderr, and the last line of stderr of each run: the
+message, which an argparse error prints after its usage lines.
 
 With --base-src alone, this checkout's src/ and the --base-src tree run
 side by side: every argv whose exit code, stdout or stderr differs is
-printed with both, and the exit code is 1 when any differs.
+printed with both, stderr's last line included, and the exit code is 1
+when any differs.
 
 With --budgets, one tree (--base-src, or this checkout's src/) runs each
 argv with and without its `--max-bits`, and two lists are printed, with
@@ -71,7 +73,7 @@ def _digest(text: str) -> str:
 
 def worker(src: str) -> None:
     """Run each argv of the JSON list on stdin; write [exit code, stdout
-    digest, stderr digest] of each."""
+    digest, stderr digest, last line of stderr] of each."""
     sys.path.insert(0, src)
     from diowords import cli
 
@@ -87,7 +89,8 @@ def worker(src: str) -> None:
                 code = exc.code
             except Exception as exc:  # a crash is a result to compare, not the end of the replay
                 code = f"{type(exc).__name__}: {exc}"
-        results.append([code, _digest(out.getvalue()), _digest(err.getvalue())])
+        text = err.getvalue()
+        results.append([code, _digest(out.getvalue()), _digest(text), text.rstrip("\n").rpartition("\n")[2]])
     json.dump(results, sys.stdout)
 
 
@@ -103,8 +106,8 @@ def replay(src: str, argvs: list[list[str]]) -> list[list]:
 
 def _show(argv: list[str], sides: dict[str, list]) -> None:
     print(shlex.join(argv))
-    for name, (code, out, err) in sides.items():
-        print(f"  {name}: exit {code} stdout {out} stderr {err}")
+    for name, (code, out, err, message) in sides.items():
+        print(f"  {name}: exit {code} stdout {out} stderr {err} {message!r}")
 
 
 def compare_trees(argvs: list[list[str]], base_src: str) -> int:
