@@ -265,20 +265,17 @@ def cmd_approximant(args) -> int:
     est = repetition.dio_estimate(w, args.threshold)
     a = approx.witness_to_approximant(w, est.global_max, args.base)
     # the witness lives on the fractional digits, so certify against xi - floor(xi)
-    enc = realnum.enclosure(number, max_bits=args.max_bits)
-    if stream.integer_part:
-        enc = realnum.mobius(1, -stream.integer_part, 0, 1, enc, max_bits=args.max_bits)
-    margin = approx.verify_approximation(enc, a)
-    # equality needs xi and p/q at opposite ends of the closed digit cell
+    k = stream.integer_part
+    fractional = spec.Mobius(1, -k, 0, 1, number) if k else number
+    margin = approx.verify_approximation(realnum.enclosure(fractional, args.max_bits), a)
+    # equality needs xi and p/q at opposite ends of the closed digit cell;
+    # the margin itself follows the enclosure the budget left, so it is not printed
     cell_bound = "<=" if margin == Fraction(1, args.base**a.witness.m) else "<"
     p, q, rp, rq = map(realnum.decimal_text, (a.p, a.q, *a.reduced()))
     if args.format == "json":
         payload = a.to_json_dict()
         payload["reduced"] = [rp, rq]
-        payload["margin"] = {
-            "num": realnum.decimal_text(margin.numerator),
-            "den": realnum.decimal_text(margin.denominator),
-        }
+        payload["cell_bound"] = cell_bound
         payload["certified"] = True
         _json_out(payload)
     else:

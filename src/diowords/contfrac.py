@@ -46,7 +46,8 @@ class CFExpansion:
 
 
 def convergents_from_quotients(quotients) -> tuple[tuple[int, int], ...]:
-    """All convergents (p_n, q_n) of `certified_convergents`, in one tuple."""
+    """All convergents (p_n, q_n) of `certified_convergents`, in one tuple;
+    every command streams them instead, so only tests and the span recorder call this."""
     return tuple(certified_convergents(quotients))
 
 
@@ -217,17 +218,14 @@ def mu_estimate(cf: CFExpansion, n_min: int = 5) -> MuEstimate:
     """Exponent terms from exact a_{n+1} and q_n.
 
     q_n comes from the certified convergents of a_0 .. a_{N-2}, where N
-    quotients are certified; the last term reads q_{N-2}.  math.log on
-    ints carries about 1 ulp of relative error (far below the 1e-12
-    budget the reported 6-decimal values need).
+    quotients are certified; the last term reads q_{N-2}.  The pairs are
+    streamed to their end, so the one-pair-per-quotient check runs.
+    math.log on ints carries about 1 ulp of relative error (far below
+    the 1e-12 budget the reported 6-decimal values need).
     """
     _check_terms(n_min, cf.certified)
-    convs = convergents_from_quotients(cf.quotients[:-1])
-    values = []
-    for n in range(n_min, cf.certified - 1):
-        a_next = cf.quotients[n + 1]
-        q_n = convs[n][1]
-        values.append((n, 2.0 + math.log(a_next) / math.log(q_n)))
+    pairs = enumerate(zip(certified_convergents(cf.quotients[:-1]), cf.quotients[1:]))
+    values = [(n, 2.0 + math.log(a) / math.log(q)) for n, ((_, q), a) in pairs if n >= n_min]
     tail_start = values[len(values) // 2][0]
     return MuEstimate(n_min=n_min, values=tuple(values), tail_start=tail_start)
 

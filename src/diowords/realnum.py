@@ -475,8 +475,10 @@ def mobius(a: int, b: int, c: int, d: int, inner: Enclosure, max_bits: int = DEF
     tight enough, or to its budget, where the image of the bracket
     reached is returned.  The image of an exact point is exact.  The
     same loop maps the exact bracket of every inner number but a surd in
-    `enclosure`, which folds the images of surds into a surd; this is the
-    oracle of both folds.
+    `enclosure`, which folds the images of surds into a surd.  No
+    production path calls it, `approximant` included: it stays as the
+    oracle of both folds (`TestMobiusFold`) and as an entry point of the
+    benchmark's span recorder (`perfbench/spans.py`).
     """
     if abs(a * d - b * c) != 1:
         raise ValueError("Moebius matrix must satisfy |ad - bc| = 1")

@@ -43,10 +43,15 @@ LOOSE_MARKS = ("_", "+", " ", "\u0661", "\u0663")
 # Spellings that Python's float() reads and the decimal grammar refuses
 LOOSE_DECIMALS = ["1_0", " 0.5", "+0.5", ".5", "1e-1"]
 _not_numbers = ["x", "1.5", "", *LOOSE_INTS]  # their message names no function of cli
-_sizes = _mostly(st.integers(0, 60), st.sampled_from([-1, *_not_numbers]))
-_terms = _mostly(st.integers(1, 25), st.sampled_from([0, *_not_numbers]))
-_bases = _mostly(st.integers(2, 40), st.integers(0, 1) | st.sampled_from(LOOSE_INTS))
-_small = _mostly(st.integers(1, 12), st.integers(-3, 0) | st.sampled_from(LOOSE_INTS))
+# the values argparse accepts; each option draws them in about nine draws of ten
+_valid_sizes, _valid_terms, _valid_bases, _valid_small = (
+    st.integers(0, 60), st.integers(1, 25), st.integers(2, 40), st.integers(1, 12))
+_sizes = _mostly(_valid_sizes, st.sampled_from([-1, *_not_numbers]))
+_terms = _mostly(_valid_terms, st.sampled_from([0, *_not_numbers]))
+_bases = _mostly(_valid_bases, st.integers(0, 1) | st.sampled_from(LOOSE_INTS))
+_small = _mostly(_valid_small, st.integers(-3, 0) | st.sampled_from(LOOSE_INTS))
+_GOOD_SLACKS = ["0.15", "0", "0.5"]
+_slacks = _mostly(st.sampled_from(_GOOD_SLACKS), st.sampled_from(["nan", "x", *LOOSE_DECIMALS]))
 
 
 def real_specs(depth: int = 2):
@@ -164,11 +169,16 @@ def cli_argvs(draw) -> list[str]:
         argv += _option(draw, "--intercept", intercepts)
         argv += _option(draw, "--check-n-max", _mostly(st.integers(0, 6), st.sampled_from(LOOSE_INTS)))
     else:
-        argv += [draw(real_specs()), "--prefix", str(draw(_sizes))]
-        argv += _option(draw, "--base", _bases)
-        argv += _option(draw, "--threshold", _small)
+        slack = _option(draw, "--slack", _slacks) if command == "report" else []
+        # a refused --slack comes with numbers argparse accepts, so that the
+        # decimal reader, not an earlier option, refuses the argv
+        if slack and slack[1] not in _GOOD_SLACKS:
+            sizes, bases, small, terms = _valid_sizes, _valid_bases, _valid_small, _valid_terms
+        else:
+            sizes, bases, small, terms = _sizes, _bases, _small, _terms
+        argv += [draw(real_specs()), "--prefix", str(draw(sizes))]
+        argv += _option(draw, "--base", bases)
+        argv += _option(draw, "--threshold", small)
         if command == "report":
-            argv += ["--terms", str(draw(_terms))]
-            argv += _option(draw, "--slack", _mostly(st.sampled_from(["0.15", "0", "0.5"]),
-                                                     st.sampled_from(["nan", "x", *LOOSE_DECIMALS])))
+            argv += ["--terms", str(draw(terms))] + slack
     return argv

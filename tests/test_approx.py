@@ -15,6 +15,7 @@ from diowords.approx import (
 from diowords.realnum import (
     DEFAULT_MAX_BITS,
     CertificateError,
+    Mobius,
     Rational,
     SeriesE,
     Surd,
@@ -101,12 +102,10 @@ class TestVerifyApproximation:
     def test_positive_margin_case(self):
         # e is not rational, so the margin is positive but still certified;
         # the witness lives on the fractional digits, hence the shift by -2
-        from diowords.realnum import mobius
-
         w = digits(SeriesE(), 10, 12).fractional_word()
         est = dio_estimate(w, threshold=1)
         a = witness_to_approximant(w, est.global_max, 10)
-        margin = verify_approximation(mobius(1, -2, 0, 1, enclosure(SeriesE())), a)
+        margin = verify_approximation(enclosure(Mobius(1, -2, 0, 1, SeriesE())), a)
         assert 0 < margin < Fraction(1, 10**est.global_max.m)
 
     def test_exact_point_outside_digit_cell_is_rejected(self):

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from diowords import approx, contfrac, realnum, repetition
+from diowords import approx, contfrac, realnum, repetition, spec
 from diowords.cli import main
 from diowords.realnum import CertificateError, Enclosure
 from diowords.words import Word
@@ -139,6 +139,14 @@ class TestConvergents:
         # every pair that comes is a true link, but one is missing
         self.assert_caught(monkeypatch, self.pairs_of_e()[:-1], "one convergent per quotient")
 
+    def test_dropped_last_pair_of_exponent_terms(self, monkeypatch):
+        # mu_estimate streams the pairs and runs them to their end
+        cf = contfrac.CFExpansion((*self.E_QUOTIENTS, 1))
+        pairs = self.pairs_of_e()[:-1]
+        monkeypatch.setattr(contfrac, "convergents", lambda quotients: iter(pairs))
+        with pytest.raises(CertificateError, match="one convergent per quotient"):
+            contfrac.mu_estimate(cf, n_min=2)
+
     def test_swapped_pairs(self, monkeypatch):
         pairs = self.pairs_of_e()
         pairs[4], pairs[5] = pairs[5], pairs[4]
@@ -148,7 +156,7 @@ class TestConvergents:
 class TestApproximant:
     def test_digit_cell_exit_1(self, capsys, monkeypatch):
         # drop the shift by the integer part: 4/3 is a whole cell away from 0.333...
-        monkeypatch.setattr(realnum, "mobius", lambda a, b, c, d, inner, **kw: inner)
+        monkeypatch.setattr(spec, "Mobius", lambda a, b, c, d, inner: inner)
         assert_certificate_exit(capsys, "approximant", "rat:4/3", "--prefix", "10")
 
     def test_q_power_exit_1(self, capsys, monkeypatch):

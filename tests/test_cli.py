@@ -41,7 +41,7 @@ class TestBasicCommands:
         def unused(quotients):
             raise AssertionError("text cf prints no convergents")
 
-        monkeypatch.setattr(contfrac, "convergents_from_quotients", unused)
+        monkeypatch.setattr(contfrac, "certified_convergents", unused)
         assert main(argv) == 0
         assert capsys.readouterr().out == want
 
@@ -177,6 +177,11 @@ class TestBasicCommands:
             "witness u=0 v=1 m=2 score=2.000000\n"
             "certified: |xi - p/q| <= 2^-2 and < q^-score\n"
         )
+        code, out, err = run_cli(capsys, "--format", "json", "approximant", spec, "--base", "2", "--prefix", "5")
+        assert code == 0, err
+        payload = json.loads(out)
+        assert (payload["cell_bound"], payload["base"], payload["witness"]["m"]) == ("<=", 2, 2)
+        assert "margin" not in payload
 
 
 class TestJsonDiscipline:
@@ -790,6 +795,9 @@ class TestGrammarFuzz:
     # a threshold that fits --prefix but not the digits the budget certifies
     @example(["--max-bits", "100", "approximant", "e", "--prefix", "1000", "--threshold", "400"])
     @example(["--max-bits", "100", "report", "e", "--prefix", "1000", "--terms", "60", "--threshold", "400"])
+    # a run that exits 0 prints what it prints without its budget (JSON approximant included)
+    @example(["--format", "json", "--max-bits", "40", "approximant", "e", "--base", "2", "--prefix", "20"])
+    @example(["--format", "json", "--max-bits", "38", "approximant", "mobius:0,1,1,5:(e)", "--prefix", "5"])
     @settings(max_examples=150, deadline=None)
     def test_exit_codes_and_streams(self, argv):
         code, out, err = run_isolated(argv)
@@ -811,6 +819,9 @@ class TestGrammarFuzz:
         # a usage error is one under every budget, with the same message
         assert (code == 2) == (full_code == 2), (argv, err, full_err)
         assert code != 2 or err == full_err, (argv, err, full_err)
+        if code == full_code == 0:
+            # a budget that lets a run finish changes nothing it prints (invariant B)
+            assert out == full_out, (argv, out, full_out)
         if code == 3:
             # exit 3 means the budget ran out, so the default budget of 10^6 bits must not
             assert full_code != 3, argv

@@ -2,9 +2,11 @@
 
 `golden_outputs.json` holds SHA-256 digests of the rendered outputs
 below, recorded with the Fraction-based enclosures that preceded the
-dyadic ones.  The `cf-json` and `report` keys pin the CLI payloads,
-convergents and exponent terms included.  Every digit, quotient and
-approximant line must stay byte-identical.
+dyadic ones.  The `cf-json`, `approximant-json` and `report` keys pin
+the CLI payloads, convergents and exponent terms included; the
+`approximant-json` keys were recorded when `cell_bound` replaced the
+payload's `margin`.  Every digit, quotient and approximant line must
+stay byte-identical.
 """
 
 from __future__ import annotations
@@ -40,6 +42,15 @@ APPROXIMANTS = (
     ("mobius:5,2,2,1:(e)", 10, 1500),
     ("shallit", 2, 2000),
     ("rat:1/701", 10, 1981),
+)
+# the JSON payloads print the relation `cell_bound`, which depends on the
+# number, base, prefix and threshold only; rat:3/4 in base 2 is its `<=` case
+APPROXIMANT_JSON = (
+    ("e", 10, 2000),
+    ("surd:0,1,2", 2, 3000),
+    ("mobius:5,2,2,1:(e)", 10, 1500),
+    ("rat:1/701", 10, 1981),
+    ("rat:3/4", 2, 5),
 )
 REPORTS = ("e", "surd:0,1,2")
 # a nested image with negative entries over a surd with q < 0, and an image
@@ -82,6 +93,10 @@ def rendered_outputs() -> dict[str, str]:
     for name, base, prefix in APPROXIMANTS:
         out[f"approximant {name} {base} {prefix}"] = _cli(
             "approximant", name, "--base", str(base), "--prefix", str(prefix)
+        )
+    for name, base, prefix in APPROXIMANT_JSON:
+        out[f"approximant-json {name} {base} {prefix}"] = _cli(
+            "--format", "json", "approximant", name, "--base", str(base), "--prefix", str(prefix)
         )
     for name in REPORTS:
         out[f"report {name}"] = _cli("report", name, "--prefix", "2000", "--terms", "60")
