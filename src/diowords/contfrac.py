@@ -4,9 +4,17 @@ Quotients of an interval source are emitted only while both endpoints
 share the same integer part at the current depth of the Gauss map, so
 every emitted quotient is correct for the limit value.  On an exact
 rational point both endpoints coincide and this is Euclid's algorithm,
-whose final quotient >= 2 makes rational expansions round-trip.  The
-same Euclid gives the quotients of a Sturmian surd slope
-(`_surd_quotients`) from its exact bracket, without an `Enclosure`.
+whose final quotient >= 2 makes rational expansions round-trip.  Where
+both divisors have _LEHMER_GATE_BITS bits or more, Euclid takes Lehmer
+batches (D. H. Lehmer, Amer. Math. Monthly 45, 1938; Brent & Zimmermann,
+Modern Computer Arithmetic, 2010, 1.6): the quotients of a small hull of
+the pairs' top bits, whose 2x2 matrix advances both big pairs at once
+and is certified by the pairs it leaves; below the gate each quotient is
+one plain step.  The output is the plain Euclid's, quotient for
+quotient.  A refined bracket nests in the last one, so its Euclid
+resumes from the quotients already certified instead of restarting.
+The same Euclid gives the quotients of a Sturmian surd slope
+(`_surd_quotients`) from its exact brackets, without an `Enclosure`.
 Convergents are a pure function of the quotients; they are built and
 certified by `certified_convergents` where they are read.
 """
@@ -16,10 +24,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .realnum import (CertificateError, Enclosure, RealSpec, _exact, convergents, decimal_text,
                       surd_bracket)
+
+# Euclid takes Lehmer batches from the top _LEHMER_KEEP_BITS bits of its
+# pairs while both divisors have _LEHMER_GATE_BITS bits or more.  Below
+# about 1000 bits a CPython divmod costs little more than a step on the
+# hull, so the batches lose (tools/bigint_kernels.py)
+_LEHMER_KEEP_BITS = 256
+_LEHMER_GATE_BITS = 1024
 
 
 @dataclass(frozen=True)
@@ -91,38 +106,107 @@ def cf_of_rational(x: Fraction) -> list[int]:
     return _interval_quotients(x.numerator, x.numerator, x.denominator, x.denominator)
 
 
-def _interval_quotients(lo: int, hi: int, den: int, k_max: int) -> list[int]:
-    """Quotients shared by every number in [lo/den, hi/den] (den > 0).
+def _interval_quotients(lo: int, hi: int, den: int, k_max: int, known: Sequence[int] = ()) -> list[int]:
+    """At most k_max quotients shared by every number in [lo/den, hi/den] (den > 0).
 
     Euclid runs on the integer pairs (lo, den) and (hi, den) in lockstep;
     the Gauss map x -> 1/(x - a) reverses order, so the pairs swap roles
-    after every step.
+    after every step.  It stops where the two quotients differ or after a
+    step with a zero remainder.  Where both values exceed 1 and both
+    divisors have _LEHMER_GATE_BITS bits or more, a batch of quotients
+    comes from the small hull of the pairs' top bits (`_hull_quotients`)
+    and its matrix advances both pairs at once.  The batch is certified
+    by its quotients being >= 1 and both new pairs satisfying n > d > 0:
+    each complete quotient after the batch then exceeds 1, so by the
+    uniqueness of continued fractions the batch is the expansion's.
+    Otherwise a plain step runs.  `known`, the quotients of an enclosing
+    interval, hold on this one, so the pairs start from their Euclid
+    state after them, checked to be n > d >= 0.
     """
-    out: list[int] = []
-    (n_lo, d_lo), (n_hi, d_hi) = (lo, den), (hi, den)
-    while len(out) < k_max:
+    out = list(known)
+    n_lo, d_lo, n_hi, d_hi = lo, den, hi, den
+    if out:
+        n_lo, d_lo, n_hi, d_hi = _advance(out, n_lo, d_lo, n_hi, d_hi)
+        if not (n_lo > d_lo >= 0 and n_hi > d_hi >= 0):
+            raise CertificateError("the interval does not nest in the one its known quotients came from")
+    gate = 1 << (_LEHMER_GATE_BITS - 1)
+    while len(out) < k_max and d_lo and d_hi:
+        if d_lo >= gate and d_hi >= gate and n_lo > d_lo:
+            batch = _hull_quotients(n_lo, d_lo, n_hi, d_hi, k_max - len(out))
+            if batch:
+                n_lo, d_lo, n_hi, d_hi = _advance(batch, n_lo, d_lo, n_hi, d_hi)
+                if min(batch) < 1 or not (n_lo > d_lo > 0 and n_hi > d_hi > 0):
+                    raise CertificateError("a Lehmer batch is not the expansion's")
+                out.extend(batch)
+                continue
         a, r_lo = divmod(n_lo, d_lo)
         a_hi, r_hi = divmod(n_hi, d_hi)
         if a != a_hi:
             break
         out.append(a)
-        if r_lo == 0 or r_hi == 0:
-            break
-        (n_lo, d_lo), (n_hi, d_hi) = (d_hi, r_hi), (d_lo, r_lo)
+        n_lo, d_lo, n_hi, d_hi = d_hi, r_hi, d_lo, r_lo
     return out
+
+
+def _hull_quotients(n_lo: int, d_lo: int, n_hi: int, d_hi: int, k: int) -> list[int]:
+    """At most k quotients shared by n_lo/d_lo <= n_hi/d_hi (all positive),
+    each with nonzero remainders, from Euclid on a small hull of both.
+
+    With h low bits dropped, N = n >> h and D = d >> h, the corners
+    N_lo/(D_lo + 1) <= n_lo/d_lo and (N_hi + 1)/D_hi >= n_hi/d_hi keep
+    _LEHMER_KEEP_BITS bits; a quotient both corners share is shared by
+    every number between them."""
+    h = min(d_lo.bit_length(), d_hi.bit_length()) - _LEHMER_KEEP_BITS
+    a_lo, b_lo, a_hi, b_hi = n_lo >> h, (d_lo >> h) + 1, (n_hi >> h) + 1, d_hi >> h
+    out: list[int] = []
+    while len(out) < k:
+        a, r_lo = divmod(a_lo, b_lo)
+        a_hi, r_hi = divmod(a_hi, b_hi)
+        if a != a_hi or not r_lo or not r_hi:
+            break
+        out.append(a)
+        a_lo, b_lo, a_hi, b_hi = b_hi, r_hi, b_lo, r_lo
+    return out
+
+
+def _advance(qs: Sequence[int], n_lo: int, d_lo: int, n_hi: int, d_hi: int) -> tuple[int, int, int, int]:
+    """Both pairs after Euclid's steps by the quotients qs, swapped after
+    an odd count: four big-by-small products a pair."""
+    u, v, w, x = _euclid_matrix(qs)
+    lo = (u * n_lo + v * d_lo, w * n_lo + x * d_lo)
+    hi = (u * n_hi + v * d_hi, w * n_hi + x * d_hi)
+    return (*hi, *lo) if len(qs) % 2 else (*lo, *hi)
+
+
+def _euclid_matrix(qs: Sequence[int]) -> tuple[int, int, int, int]:
+    """(u, v, w, x) taking a pair (n, d) to (u n + v d, w n + x d), its state
+    after Euclid's steps (n, d) -> (d, n - a d) by the quotients qs; above
+    32 quotients, the product of the two halves' matrices."""
+    if len(qs) > 32:
+        half = len(qs) // 2
+        u, v, w, x = _euclid_matrix(qs[:half])
+        e, f, g, h = _euclid_matrix(qs[half:])
+        return e * u + f * w, e * v + f * x, g * u + h * w, g * v + h * x
+    u, v, w, x = 1, 0, 0, 1
+    for a in qs:
+        u, v, w, x = w, x, u - a * w, v - a * x
+    return u, v, w, x
 
 
 def _surd_quotients(p: int, q: int, d: int) -> Iterator[int]:
     """The quotients a_0, a_1, ... of the irrational (p + sqrt(d))/q, each
     once and without end: Euclid on its exact brackets [lo, lo + 1] /
-    (|q| 2^bits) at 64, 128, 256, ... bits, which nest.  A round yields at
-    most `bits` quotients; any past the cap come in a later round."""
-    done, bits = 0, 64
+    (|q| 2^bits) at 64, 128, 256, ... bits, which nest, so each round
+    resumes from the quotients of the last.  A round certifies at most
+    `bits` quotients; any past the cap come in a later round."""
+    qs: list[int] = []
+    bits = 64
     while True:
         lo, hi, den, shift = surd_bracket(p, q, d, bits)
-        qs = _interval_quotients(lo, hi, den << shift, bits)
+        done = len(qs)
+        qs = _interval_quotients(lo, hi, den << shift, bits, qs)
         yield from qs[done:]
-        done, bits = max(done, len(qs)), 2 * bits
+        bits *= 2
 
 
 def _bits_for_terms(bits: int, got: int, want: int) -> int:
@@ -145,6 +229,7 @@ def cf_from_enclosure(source: Enclosure, max_terms: int) -> CFExpansion:
     """
     if max_terms < 1:
         raise ValueError("max_terms must be positive")
+    qs: list[int] = []
     while True:
         point = source.is_point()
         if point:
@@ -153,8 +238,9 @@ def cf_from_enclosure(source: Enclosure, max_terms: int) -> CFExpansion:
         else:
             lo, hi, scale = source.dyadic()
             den = 1 << scale
-        # one quotient more than asked tells a point whether it is complete
-        qs = _interval_quotients(lo, hi, den, max_terms + 1)
+        # one quotient more than asked tells a point whether it is complete;
+        # the quotients of the last bracket hold on this nested one
+        qs = _interval_quotients(lo, hi, den, max_terms + 1, qs)
         exhausted = False
         if not point and len(qs) < max_terms:
             target = _bits_for_terms(source.bits, len(qs), max_terms) if qs else None

@@ -7,6 +7,12 @@ p_k q_{k-1} - p_{k-1} q_k = (-1)^(k+1), with two big-by-big products per
 step; the production check tests the recurrence's links instead and gets
 the same determinant by induction.
 
+`interval_quotients` is the plain Euclid on an interval's integer
+pairs, two big `divmod`s a quotient: the reference for
+`contfrac._interval_quotients`, which takes Lehmer batches and resumes
+from a known prefix.  `cf_from_enclosure` runs it from the top on every
+bracket of a source, where `contfrac.cf_from_enclosure` resumes.
+
 `e_image_quotients` gives the quotients of a Moebius image of e from e's
 pattern by Gosper's homographic algorithm, with no enclosure and no code
 of `realnum`.  `surd_quotients` gives those of a quadratic surd by
@@ -18,7 +24,8 @@ from __future__ import annotations
 
 import math
 
-from diowords.realnum import CertificateError, convergents
+from diowords.contfrac import CFExpansion, _bits_for_terms
+from diowords.realnum import CertificateError, Enclosure, convergents
 
 
 def convergents_from_quotients(quotients) -> tuple[tuple[int, int], ...]:
@@ -32,6 +39,51 @@ def convergents_from_quotients(quotients) -> tuple[tuple[int, int], ...]:
             raise CertificateError("convergent denominators must increase")
         out.append((p, q))
     return tuple(out)
+
+
+def interval_quotients(lo: int, hi: int, den: int, k_max: int) -> list[int]:
+    """At most k_max quotients shared by every number in [lo/den, hi/den]
+    (den > 0): Euclid on (lo, den) and (hi, den) in lockstep, the pairs
+    swapping roles after every step, until the quotients differ or a
+    remainder is zero."""
+    out: list[int] = []
+    (n_lo, d_lo), (n_hi, d_hi) = (lo, den), (hi, den)
+    while len(out) < k_max:
+        a, r_lo = divmod(n_lo, d_lo)
+        a_hi, r_hi = divmod(n_hi, d_hi)
+        if a != a_hi:
+            break
+        out.append(a)
+        if r_lo == 0 or r_hi == 0:
+            break
+        (n_lo, d_lo), (n_hi, d_hi) = (d_hi, r_hi), (d_lo, r_lo)
+    return out
+
+
+def cf_from_enclosure(source: Enclosure, max_terms: int) -> CFExpansion:
+    """The expansion of `contfrac.cf_from_enclosure`, from the same
+    refinements, with `interval_quotients` run from the top on each bracket."""
+    while True:
+        point = source.is_point()
+        if point:
+            lo, den = source.bounds()[0].as_integer_ratio()
+            hi = lo
+        else:
+            lo, hi, scale = source.dyadic()
+            den = 1 << scale
+        qs = interval_quotients(lo, hi, den, max_terms + 1)
+        exhausted = False
+        if not point and len(qs) < max_terms:
+            target = _bits_for_terms(source.bits, len(qs), max_terms) if qs else None
+            if source.refine(target):
+                continue
+            exhausted = True
+        return CFExpansion(
+            tuple(qs[:max_terms]),
+            rational=point,
+            complete=point and len(qs) <= max_terms,
+            budget_exhausted=exhausted,
+        )
 
 
 def e_quotient(k: int) -> int:

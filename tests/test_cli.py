@@ -967,6 +967,9 @@ class TestCfAgainstOracles:
             ("e", 3000, lambda n: oracle.e_image_quotients(1, 0, 0, 1, n)),
             ("mobius:-3,8,7,-19:(e)", 2000, lambda n: oracle.e_image_quotients(-3, 8, 7, -19, n)),
             ("mobius:1,-2,0,1:(e)", 2000, lambda n: oracle.e_image_quotients(1, -2, 0, 1, n)),
+            # production sizes: Euclid's Lehmer batches and its resumed runs
+            ("mobius:5,2,2,1:(e)", 5000, lambda n: oracle.e_image_quotients(5, 2, 2, 1, n)),
+            ("surd:3,7,101", 5000, lambda n: oracle.surd_quotients(3, 7, 101, n)),
         ],
         ids=lambda x: x if isinstance(x, str) else None,
     )

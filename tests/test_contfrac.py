@@ -279,6 +279,107 @@ class TestSurdOracle:
         assert oracle.surd_image(0, 1, 1, 0, 0, 1, 2) == (0, 2, 2)  # 1/sqrt 2
 
 
+@st.composite
+def intervals(draw):
+    """(lo, hi, den): a denominator of 1 to 4000 bits, so that Euclid's
+    divisors fall on both sides of the Lehmer gate, lo of either sign and
+    a width from 0 (an exact point) past the unit (no shared quotient)."""
+    bits = draw(st.integers(1, 4000) | st.integers(2500, 4000))
+    # hypothesis draws edge cases, the seeded generator generic digits: a
+    # small remainder is one huge quotient, after which the divisors are small
+    rng = draw(st.randoms(use_true_random=False))
+    den = draw(st.integers(1 << (bits - 1), (1 << bits) - 1) | st.just(rng.getrandbits(bits) | 1 << (bits - 1)))
+    lo = draw(st.integers(-4 * den, 4 * den) | st.just(rng.randrange(-4 * den, 4 * den)))
+    # narrow intervals keep the divisors above the gate for most of the run
+    width_bits = draw(st.integers(0, bits // 4) | st.integers(0, bits))
+    width = draw(st.just(0) | st.integers(0, 1 << width_bits) | st.just(rng.getrandbits(width_bits))
+                 | st.integers(0, 8 * den))
+    return lo, lo + width, den
+
+
+def gate_interval(bits):
+    """e's bracket at a scale of `bits`, with divisors near the gate once Euclid is half done."""
+    lo, hi, den, shift = realnum._bracket(SeriesE(), bits)(bits)
+    return lo, hi, den << shift
+
+
+class TestEuclidKernel:
+    """`contfrac._interval_quotients`, with its Lehmer batches and resumed
+    prefixes, against the plain Euclid it replaces (`contfrac_oracle`)."""
+
+    @given(intervals(), st.sampled_from((1, 2, 3)) | st.integers(1, 4000))
+    @example((-7, -7, 3), 10)  # a negative exact point
+    @example(gate_interval(2 * contfrac._LEHMER_GATE_BITS), 4000)
+    @example(gate_interval(2 * contfrac._LEHMER_GATE_BITS + 1), 4000)
+    @example(gate_interval(20_000), 1)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_plain_loop(self, interval, k_max):
+        assert contfrac._interval_quotients(*interval, k_max) == oracle.interval_quotients(*interval, k_max)
+
+    @given(intervals(), st.integers(0, 64), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_resumes_on_a_nested_interval(self, interval, finer, data):
+        # the inner interval sits inside the outer one at 2^finer times its scale
+        lo, hi, den = interval
+        inner_lo = data.draw(st.integers(lo << finer, hi << finer))
+        inner_hi = data.draw(st.integers(inner_lo, hi << finer))
+        inner = (inner_lo, inner_hi, den << finer)
+        known = oracle.interval_quotients(lo, hi, den, 10**9)
+        want = oracle.interval_quotients(*inner, 10**9)
+        assert contfrac._interval_quotients(*inner, 10**9, known) == want
+
+    def test_batches_run_above_the_gate(self):
+        interval = gate_interval(20_000)
+        with mock.patch.object(contfrac, "_hull_quotients", wraps=contfrac._hull_quotients) as hull:
+            got = contfrac._interval_quotients(*interval, 10**9)
+        assert hull.call_count > 0 and got == oracle.interval_quotients(*interval, 10**9)
+
+    @pytest.mark.parametrize("position, delta", [(0, 1), (2, 1), (3, -1), (5, 7)])
+    def test_a_wrong_batch_quotient_fails_its_certificate(self, position, delta):
+        def wrong(*args):
+            batch = hull(*args)
+            if len(batch) > position:
+                batch[position] += delta
+            return batch
+
+        hull = contfrac._hull_quotients
+        with mock.patch.object(contfrac, "_hull_quotients", wrong):
+            with pytest.raises(CertificateError):
+                cf_from_enclosure(enclosure(SeriesE()), 1500)
+
+    def test_a_wrong_known_quotient_fails_the_resume(self):
+        lo, hi, den = gate_interval(2000)
+        known = oracle.interval_quotients(lo, hi, den, 10**9)
+        known[-1] += 1
+        with pytest.raises(CertificateError):
+            contfrac._interval_quotients(lo << 8, hi << 8, den << 8, 10**9, known)
+
+
+class TestResume:
+    """`cf_from_enclosure` resumes Euclid on each refined bracket; the
+    oracle runs the plain Euclid from the top on the same brackets."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [SeriesE(), Surd(3, 7, 101), Surd(0, 1, 2), Mobius(5, 2, 2, 1, SeriesE()),
+         Mobius(0, 1, 1, 5, Surd(-3, -7, 13)), Mobius(-3, 8, 7, -19, SeriesE())],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("terms", [300, 1000, 3000])
+    @pytest.mark.parametrize("max_bits", [None, 0, 40, 2000])
+    def test_same_expansion_as_restarting(self, spec, terms, max_bits):
+        budget = realnum.DEFAULT_MAX_BITS if max_bits is None else max_bits
+        results = []
+        for expand in (cf_from_enclosure, oracle.cf_from_enclosure):
+            try:
+                results.append(expand(enclosure(spec, max_bits=budget), terms))
+            except realnum.PrecisionBudgetError as exc:
+                results.append(str(exc))
+        assert results[0] == results[1]
+        if max_bits == 2000 and terms == 3000:
+            assert results[0].budget_exhausted
+
+
 class TestIrrationalCF:
     def test_golden_all_ones(self):
         cf = cf_from_enclosure(enclosure(Surd(1, 2, 5)), 40)
