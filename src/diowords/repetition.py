@@ -23,11 +23,16 @@ numpy pass per run of those records reads their matches off the letters
 word included, takes the suffix index (see suffix.py).  Both give the
 same array, so the same witnesses.  Scores
 are compared exactly, by integer cross-multiplication.  Initial
-repetitions (u = 0) are selected the same way from the Z-array,
-Z[d] = lce(0, d), in place of LPF: numpy passes give every match
-shorter than _Z_SHORT letters, and the Z-box loop runs only at the
-positions whose match is longer, settling the long positions of a wide
-box in one numpy step.
+repetitions (u = 0) are selected the same way from Z[d] = lce(0, d) in
+place of LPF, by the same rule: on a word that carries its slope only
+the lags that can win are read, the one-sided records of the slope from
+1 and from the threshold (`sturmian.record_runs`, `record_runs_from`),
+each by a search of its letters or, when there are many, off one
+Z-array; every other word takes the whole Z-array, where numpy passes
+give every match shorter than _Z_SHORT letters and the Z-box loop runs
+only at the positions whose match is longer, settling the long
+positions of a wide box in one numpy step.  Both select the same
+witnesses.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .realnum import CertificateError
-from .sturmian import record_runs
+from .sturmian import record_runs, record_runs_from
 from .suffix import longest_previous_factor, suffix_index
 from .words import Word
 
@@ -147,8 +152,10 @@ def dio_estimate(prefix: Word, threshold: int | None = None) -> ExponentEstimate
     t = _checked_threshold(len(prefix), threshold)
     data = prefix.symbols
     if prefix.slope is not None:
-        return _estimate(prefix, _record_lpf(data, record_runs(prefix.slope, len(data))), t, False)
-    return _estimate(prefix, longest_previous_factor(*suffix_index(data)), t, False)
+        lpf = _record_lpf(data, record_runs(prefix.slope, len(data)))
+    else:
+        lpf = longest_previous_factor(*suffix_index(data))
+    return _estimate(prefix, np.arange(1, len(data)), lpf[1:], t, False)
 
 
 def _record_lpf(data: bytes, runs: list) -> np.ndarray:
@@ -169,10 +176,8 @@ def _record_lpf(data: bytes, runs: list) -> np.ndarray:
     over both sides is exactly LPF.
     """
     n = len(data)
-    a = np.frombuffer(data, dtype=np.uint8)
-    pad = np.full(2 * n + 1, 2, dtype=np.uint8)
-    pad[:n] = a
-    view = sliding_window_view(pad, n + 1)  # view[L, c] = pad[L + c]
+    view = _lag_view(data)
+    a = view[0, :n]
     cols = np.arange(n + 1, dtype=np.int32 if n < 2**31 - 1 else np.int64)
     lpf = np.zeros(n, dtype=np.int64)
     for _, first, step, count, length in runs:
@@ -194,6 +199,15 @@ def _record_lpf(data: bytes, runs: list) -> np.ndarray:
     return lpf
 
 
+def _lag_view(data: bytes) -> np.ndarray:
+    """view[L, c] = w[L + c] for L, c <= N, read through the padding letter
+    2 from N on, which no letter of a binary word matches."""
+    n = len(data)
+    pad = np.full(2 * n + 1, 2, dtype=np.uint8)
+    pad[:n] = np.frombuffer(data, dtype=np.uint8)
+    return sliding_window_view(pad, n + 1)
+
+
 # Above this many lags, _lce_past reads them off one Z-array.  Searching
 # costs about the sum of the matches, and a large first quotient a_1 gives
 # about a_1 lags whose matches run about a_1 letters: on [0; 30000, (2)*]
@@ -201,10 +215,17 @@ def _record_lpf(data: bytes, runs: list) -> np.ndarray:
 # with the Z-array.  A Z-array costs O(N) whatever the lags, so few lags
 # search: reading every lag off one took 42 against 28 ms summed over the
 # dio jobs of benchmark seed 1, and 0.17 against 0.03 s on 10^6 letters of
-# the golden slope.  Thresholds from 8 to 256 were within noise on the dio
-# jobs of two benchmark seeds and on [0; A, (2)*], [0; 2, A, (1)*],
-# [0; 1, 1, A, (1)*] and [0; (1, A)*] for A = 100 to 3000.
-_Z_LAGS = 64
+# the golden slope.  The limit went from 64 to 512 with the ice candidates,
+# 30 to 170 on the benchmark's slopes.  Over [0; 1^k, A, (1)*] (k = 0, 5,
+# 10, 15), [0; (1, A)*], [0; (A)*] and [0; A, (2)*] for A = 50 to 1000,
+# ice took 232, 165, 135 and 147 ms in all at 2 * 10^5 letters with 64,
+# 256, 512 and 1024 (best of 3; 269 ms from the Z-array), and 1024 lost
+# 8 times over on [0; 1^10, 1000, (1)*], whose 1020 candidates match for
+# 111 N letters in all.  The dio jobs of benchmark seeds 1-3 took 68-70 ms
+# at 256 and 56-71 ms at 512 (three runs), and dio on [0; A, (2)*],
+# [0; 2, A, (1)*], [0; 1, 1, A, (1)*] and [0; (1, A)*], A = 100 to 3000,
+# at 4.8 * 10^5 letters 550-666 and 478-548 ms in all.
+_Z_LAGS = 512
 
 
 def _lce_past(data: bytes, view: np.ndarray, lags: np.ndarray, w: int) -> np.ndarray:
@@ -215,8 +236,9 @@ def _lce_past(data: bytes, view: np.ndarray, lags: np.ndarray, w: int) -> np.nda
     view[L, c] != w[c] from c = w on, in chunks that double.
     """
     if len(lags) > _Z_LAGS:
+        z = _z_array(data[w:])
         # a lag with L + w = N matches no letter past the word
-        return np.append(_z_array(data[w:]), 0)[lags]
+        return np.where(lags < len(z), z[np.minimum(lags, len(z) - 1)], 0)
     out = np.empty(len(lags), dtype=np.int64)
     a = view[0, : len(data)]
     todo = np.arange(len(lags))
@@ -234,42 +256,86 @@ def _lce_past(data: bytes, view: np.ndarray, lags: np.ndarray, w: int) -> np.nda
 def ice_estimate(prefix: Word, threshold: int | None = None) -> ExponentEstimate:
     """Best initial-repetition score (u = 0): V^w prefixes only, score m/v.
 
-    The Z-array costs O(N _Z_SHORT) letter comparisons in numpy, which
+    On a word that carries its slope, Z is needed only at the records of
+    the slope from 1 and from t.  x_d = {(d+1) alpha + rho} lies
+    {d alpha} above x_0 and {-d alpha} below it, and the length-n factor
+    at d equals the one at 0 exactly when x_d lies in the cell of x_0,
+    an arc around x_0 that shrinks as n grows.  So Z[d] = lce(0, d) is
+    min(N - d, max(A, B)), where A only falls as {d alpha} grows and B
+    only falls as {-d alpha} grows: a lag d' in [lo, d) that is closer on
+    the side that sets Z[d] has Z[d'] >= Z[d], and so scores at least as
+    high with a smaller denominator.  The best lag of [lo, N) is thus a
+    one-sided record from lo, the initial powers of a Sturmian word sit at
+    the slope's one-sided best approximations (V. T. Sos, Ann. Univ. Sci.
+    Budapest 1, 1958; Berthe, Holton & Zamboni, "Initial powers of
+    Sturmian sequences", Acta Arith. 122, 2006), and `_lce_past` reads Z
+    at those lags alone (`sturmian.record_runs`, `record_runs_from`).
+
+    Every other word, slices and prefixes of a mechanical word included,
+    takes the Z-array: O(N _Z_SHORT) letter comparisons in numpy, which
     settle every match shorter than _Z_SHORT; the Z-box loop over the
     positions with longer matches takes Python steps only at the first
     _Z_STEPS of them in each box and where a match is extended, and
-    numpy settles the rest.  The selection after it is numpy.
+    numpy settles the rest.  The selection after either is numpy.
     """
     t = _checked_threshold(len(prefix), threshold)
-    # a Z-match block at v starts the word, so _best_from finds u = 0 for it
-    return _estimate(prefix, _z_array(prefix.symbols), t, True)
-
-
-def _estimate(prefix: Word, ext: np.ndarray, t: int, initial: bool) -> ExponentEstimate:
-    """Global and persistent (u + v >= t) maxima, each checked against the prefix."""
     data = prefix.symbols
-    ratio = ext[1:] / np.arange(1, len(data))
+    # a Z-match block at v starts the word, so _best_from finds u = 0 for it
+    if prefix.slope is not None:
+        lags = _record_lags(prefix.slope, len(data), t)
+        return _estimate(prefix, lags, _lce_past(data, _lag_view(data), lags, 0), t, True)
+    return _estimate(prefix, np.arange(1, len(data)), _z_array(data)[1:], t, True)
+
+
+def _record_lags(slope, n: int, t: int) -> np.ndarray:
+    """The records of both sides from 1 below t and from t below n,
+    ascending; a lag listed twice only repeats a candidate.
+
+    A record from 1 at or past t is a record from t too, so the runs of
+    `record_runs` are cut at t.
+    """
+    runs = record_runs(slope, n)
+    below = [
+        (first, step, min(count, (t - 1 - first) // max(step, 1) + 1))
+        for _, first, step, count, _ in runs
+        if first < t
+    ]
+    from_t = [run[1:] for run in record_runs_from(slope, t, n, runs)]
+    firsts, steps, counts = np.array(below + from_t).T
+    # run r adds firsts[r] + steps[r] * k for k < counts[r]
+    k = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    return np.sort(np.repeat(firsts, counts) + np.repeat(steps, counts) * k)
+
+
+def _estimate(
+    prefix: Word, lags: np.ndarray, ext: np.ndarray, t: int, initial: bool
+) -> ExponentEstimate:
+    """Global and persistent (u + v >= t) maxima over the ascending
+    denominators `lags`, each checked against the prefix."""
+    data = prefix.symbols
+    ratio = ext / lags
     global_max, persistent_max = (
-        _certified(prefix, _best_from(data, ext, ratio, lo), initial) for lo in (1, t)
+        _certified(prefix, _best_from(data, lags[k:], ext[k:], ratio[k:]), initial)
+        for k in (0, int(np.searchsorted(lags, t)))
     )
     return ExponentEstimate(global_max, persistent_max, prefix_length=len(prefix), threshold=t)
 
 
-def _best_from(data: bytes, ext: np.ndarray, ratio: np.ndarray, lo: int) -> _Cand:
-    """Best witness with u + v >= lo, in the order of _better.
+def _best_from(data: bytes, lags: np.ndarray, ext: np.ndarray, ratio: np.ndarray) -> _Cand:
+    """Best witness with u + v in the ascending `lags`, in the order of _better.
 
-    ext[d] is the longest match of the letters at d with earlier ones:
-    LPF[d] for any u, Z[d] for u = 0, and ratio[d - 1] is ext[d] / d in
-    float.  Denominators run over [lo, N); d = N only scores 1, which
-    d = lo matches with a smaller denominator.  Float division rounds
-    monotonically and ext and d are exact in float, so every d whose
-    exact ext[d] / d is largest has the largest float ratio: those d
-    stay candidates, and exact integer comparisons pick among them.
+    ext[k] is the longest match of the letters at d = lags[k] with earlier
+    ones: LPF[d] for any u, Z[d] for u = 0, and ratio[k] is ext[k] / d in
+    float.  The lags hold the best denominator of [lo, N) for some lo:
+    every d there, or the candidates of `ice_estimate`; d = N only scores
+    1, which d = lo matches with a smaller denominator.  Float division
+    rounds monotonically and ext and d are exact in float, so every d
+    whose exact ext[k] / d is largest has the largest float ratio: those
+    d stay candidates, and exact integer comparisons pick among them.
     """
-    r = ratio[lo - 1 :]
-    kept = np.flatnonzero(r == r.max()) + lo
+    kept = np.flatnonzero(ratio == ratio.max())
     best_c, best_d = 0, 0
-    for cj, dj in zip(ext[kept].tolist(), kept.tolist()):
+    for cj, dj in zip(ext[kept].tolist(), lags[kept].tolist()):
         # ascending d, so a tie keeps the smaller denominator
         if best_d == 0 or cj * best_d > best_c * dj:
             best_c, best_d = cj, dj

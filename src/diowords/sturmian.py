@@ -20,6 +20,8 @@ Python integers, and the letters that read them are rewritten.
 n*alpha + rho is never an integer, so this ends.
 The lags of `record_runs` come from the slope's quotients: a `FromCF`
 gives them, and a surd's come from `contfrac`'s Euclid on its bracket.
+`record_runs_from` steps from a threshold through those lags with exact
+floor tests, read off the same brackets at 64, 128, ... bits.
 
 Quasi-Sturmian words are built as W followed by the image of a Sturmian
 word under a nonerasing binary morphism; the checkers in this module
@@ -31,8 +33,9 @@ length law is a multiple of it.
 
 from __future__ import annotations
 
+import bisect
 import itertools
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
 import numpy as np
@@ -216,6 +219,103 @@ def record_runs(slope: SlopeSpec, n: int) -> list[tuple[int, int, int, int, int]
             runs.append((side, q, 0, 1, min(a * q + q_prev, n - q)))
         side ^= 1
     return runs
+
+
+def record_runs_from(
+    slope: SlopeSpec, lo: int, n: int, runs: list
+) -> list[tuple[int, int, int, int]]:
+    """The records from lo of both sides below n, as runs (side, first,
+    step, count), given `runs = record_runs(slope, n)`.
+
+    A record from lo of side 0 (side 1) is a lag lo <= d < n whose
+    {d alpha} ({-d alpha}) is less than at every lag in [lo, d), so lo
+    itself is one of both sides.  The next record of side 0 after d is
+    d + L for the least L with {-L alpha} < {d alpha}, a record of side 1
+    by the minimality of L, and the least L with {L alpha} < {-d alpha} on
+    side 1, a record of side 0: the records of the other side with that
+    property are a suffix of them, and it only shrinks as d moves on.  While L
+    stays the least one, d + L, d + 2L, ... are records; m such steps
+    from d pass exactly when c = floor((d + m L) alpha) - floor(d alpha)
+    - m floor(L alpha) is m on side 0 and 0 on side 1, a test monotone in
+    m.  So each run of equal L costs one galloping search over m and one
+    over the records of the other side, and never a step per record.
+    """
+    floor = _floor_times(slope)
+    out = [(side, lo, 0, 1) for side in (0, 1) if lo < n]
+    for side in (0, 1):
+        other = [run[1:4] for run in runs if run[0] != side]
+        out.extend((side, *run) for run in _steps_from(floor, side, lo, n, other))
+    return out
+
+
+def _steps_from(floor, side: int, lo: int, n: int, other: list) -> Iterator[tuple[int, int, int]]:
+    """The runs (first, step, count) of the records of `side` from lo below
+    n after lo itself, stepping by the records of the other side, given as
+    runs (first, step, count) of `record_runs`."""
+    starts = list(itertools.accumulate((count for _, _, count in other), initial=0))
+    carry = 1 if side == 0 else 0  # a step carries on side 0 and never on side 1
+
+    def lag(i: int) -> tuple[int, int]:
+        """Record i of the other side and its floor."""
+        j = bisect.bisect_right(starts, i) - 1
+        first, step, _ = other[j]
+        gap = first + (i - starts[j]) * step
+        return gap, floor(gap)
+
+    def steps(d: int, f: int, gap: int, fg: int, m: int) -> bool:
+        """Whether m steps of gap from d all give records; f and fg are the
+        floors of d alpha and gap alpha."""
+        return floor(d + m * gap) - f - m * fg == m * carry
+
+    d, i = lo, 0
+    while True:
+        f = floor(d)
+        i = _first_true(lambda i: steps(d, f, *lag(i), 1), i, starts[-1])
+        if i == starts[-1]:
+            return
+        gap, fg = lag(i)
+        if d + gap >= n:
+            return
+        # the run d + gap, ..., d + m gap, cut below n
+        m = _first_true(lambda m: not steps(d, f, gap, fg, m), 2, (n - 1 - d) // gap + 1) - 1
+        yield d + gap, gap, m
+        d, i = d + m * gap, i + 1
+
+
+def _first_true(test, lo: int, hi: int) -> int:
+    """The least k in [lo, hi) with test(k), or hi if none, for a test that
+    is false and then true on [lo, hi): galloping from lo, then bisecting."""
+    step, below = 1, lo
+    while lo < hi and not test(lo):
+        below, lo, step = lo + 1, lo + step, 2 * step
+    lo = min(lo, hi)
+    while below < lo:  # the answer lies in [below, lo]
+        mid = (below + lo) // 2
+        if test(mid):
+            lo = mid
+        else:
+            below = mid + 1
+    return lo
+
+
+def _floor_times(slope: SlopeSpec):
+    """k -> floor(k alpha) for integers k >= 1, exactly: read off the
+    bracket at 64 bits, and at 128, 256, ... bits where it leaves the
+    floor open, as in `_settle`; k alpha is never an integer."""
+    brackets = {}
+
+    def floor(k: int) -> int:
+        bits = 64
+        while True:
+            if bits not in brackets:
+                brackets[bits] = _bracket(slope, bits)
+            lo, hi = brackets[bits]
+            f = (k * lo) >> bits
+            if f == (k * hi) >> bits:
+                return f
+            bits *= 2
+
+    return floor
 
 
 def slope_bounds(slope: SlopeSpec, bits: int = 64) -> tuple[Fraction, Fraction]:

@@ -10,9 +10,12 @@ per-letter Fraction loops that `letter_frequency_check` and
 rounded outward at a scale: it stops on the exact product of consecutive
 denominators where the kernel reads their bit lengths.
 `surd_in_unit_interval` is the exact sign rule that `sturmian` replaces,
-for a surd slope, with the floor read off one `surd_bracket`.  `one_sided_records` is the reference for
-`record_runs`: the minima of {L alpha} and {-L alpha} over L by brute
-force, each comparison an exact sign (`sign_times`).
+for a surd slope, with the floor read off one `surd_bracket`.
+`records_from` is the reference for `record_runs` and
+`record_runs_from`: the minima of {d alpha} and {-d alpha} over [t, d]
+by brute force, each comparison an exact sign (`sign_times`).
+`SLOW_CASES` are the slopes, with a length, on which the record kernels
+are tested and timed beyond random slopes.
 """
 
 from __future__ import annotations
@@ -25,6 +28,14 @@ from typing import Callable
 from diowords.realnum import Surd, convergents
 from diowords.sturmian import QuasiSturmianSpec, SlopeSpec, mechanical_word, slope_bounds
 from diowords.words import Word
+
+# the slopes on which a pass per record lost to the suffix index, with a length
+SLOW_CASES = [
+    ("cfslope:3000,(2)*", 10_000),
+    ("cfslope:500,(1)*", 10_000),
+    ("cfslope:pow10", 2000),
+    ("surd:-12,7,287", 7580),  # 245 records
+]
 
 
 def floor_times(slope: SlopeSpec, n: int, rho: Fraction) -> int:
@@ -149,23 +160,23 @@ def sign_times(slope: SlopeSpec, k: int, m: int) -> int:
         last = here
 
 
-def one_sided_records(slope: SlopeSpec, n: int) -> tuple[list[int], list[int]]:
-    """The lags L <= n at which {L alpha} (side 0) and {-L alpha} (side 1)
-    reach a new minimum over 1..L.
+def records_from(slope: SlopeSpec, t: int, n: int) -> tuple[list[int], list[int]]:
+    """The lags t <= d < n at which {d alpha} (side 0) and {-d alpha} (side 1)
+    reach a new minimum over [t, d].
 
-    With f = floor(k alpha) for k = +-L, kept one step at a time (it moves
-    by 0 or 1 a step), {k alpha} < {k' alpha} exactly when
+    With f = floor(k alpha) for k = +-d, kept one step at a time from
+    k = 0 (it moves by 0 or 1 a step), {k alpha} < {k' alpha} exactly when
     (k - k') alpha - (f - f') < 0.
     """
     records: tuple[list[int], list[int]] = ([], [])
     for side, s in ((0, 1), (1, -1)):
         f, best = 0, None  # floor(0 alpha)
-        for lag in range(1, n + 1):
+        for lag in range(1, n):
             k = s * lag
             # 0 < alpha < 1: floor(k alpha) is hi or hi - 1
             hi = f + 1 if s > 0 else f
             f = hi if sign_times(slope, k, hi) > 0 else hi - 1
-            if best is None or sign_times(slope, k - best[0], f - best[1]) < 0:
+            if lag >= t and (best is None or sign_times(slope, k - best[0], f - best[1]) < 0):
                 best = (k, f)
                 records[side].append(lag)
     return records

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from diowords import approx, contfrac, realnum, repetition, spec
+from diowords import approx, contfrac, realnum, repetition, spec, sturmian
 from diowords.cli import main
 from diowords.realnum import CertificateError, Enclosure
 from diowords.words import Word
@@ -175,6 +175,20 @@ class TestWitness:
 
         monkeypatch.setattr(repetition, "_z_array", overstated)
         assert_certificate_exit(capsys, "ice", "lit:01011010")
+
+    def test_overstated_lce_on_the_records_path_exit_1(self, capsys, monkeypatch):
+        # a word that carries its slope reads Z at its records, not off a Z-array
+        lce_past = repetition._lce_past
+
+        def overstated(data, view, lags, w):
+            return lce_past(data, view, lags, w) + 1
+
+        monkeypatch.setattr(repetition, "_lce_past", overstated)
+        monkeypatch.setattr(repetition, "_z_array", None)
+        assert_certificate_exit(capsys, "ice", "sturmian:cfslope:(1)*|1/3", "--prefix", "500")
+        word = sturmian.mechanical_word(spec.parse_slope("surd:-3,-2,5"), 0, 500)
+        with pytest.raises(CertificateError, match="fails its periodicity check"):
+            repetition.ice_estimate(word)
 
     @pytest.mark.parametrize(
         "cand, initial, message",

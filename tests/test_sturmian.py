@@ -3,6 +3,7 @@ import math
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -10,7 +11,14 @@ from hypothesis import strategies as st
 from diowords import repetition, sturmian
 from diowords.cli import parse_word_source
 from diowords.realnum import FromCF, Surd
-from diowords.repetition import _record_lpf, dio_estimate
+from diowords.repetition import (
+    _estimate,
+    _record_lpf,
+    _z_array,
+    dio_estimate,
+    ice_brute_force,
+    ice_estimate,
+)
 from diowords.spec import Morphism, digit_word
 from diowords.sturmian import (
     QuasiSturmianSpec,
@@ -24,6 +32,7 @@ from diowords.sturmian import (
     parse_slope,
     quasi_sturmian_check,
     record_runs,
+    record_runs_from,
     slope_bounds,
 )
 from diowords.suffix import longest_previous_factor, suffix_index
@@ -563,11 +572,29 @@ class TestRecordRuns:
     def test_records_are_the_one_sided_minima(self, slope, n):
         sides = records_by_side(slope, n)
         assert sides[0][0][0] == sides[1][0][0] == 1
-        for side, want in zip(sides, oracle.one_sided_records(slope, n - 1)):
+        for side, want in zip(sides, oracle.records_from(slope, 1, n)):
             lags = [lag for lag, _ in side]
             assert lags == want
             # each lag holds up to the next record of its side, cut at n
             assert [min(lag + length, n) for lag, length in side] == [min(x, n) for x in lags[1:]] + [n]
+
+    @given(slopes(), st.data())
+    @example(parse_slope("cfslope:5000,(1)*"), None)
+    @example(parse_slope("cfslope:1,5000,(2)*"), None)
+    @example(parse_slope("cfslope:pow10"), None)
+    @settings(max_examples=40, deadline=None)
+    def test_records_from_a_threshold(self, slope, data):
+        # the examples take n = 2000 and t = 1, 2, 100, 1000
+        cases = [(2000, t) for t in (1, 2, 100, 1000)]
+        if data is not None:
+            n = data.draw(st.integers(2, 2000))
+            cases = [(n, 1), (n, data.draw(st.integers(1, n // 2)))]
+        for n, t in cases:
+            runs = record_runs(slope, n)
+            sides = ([], [])
+            for side, first, step, count in record_runs_from(slope, t, n, runs):
+                sides[side].extend(first + r * step for r in range(count))
+            assert sides == oracle.records_from(slope, t, n)
 
     def test_levels_alternate_sides(self):
         # [0; 2, 3, ...]: q = 1, 2, 7; level 0 is 1, 2 on side 1, level 1 is
@@ -577,13 +604,7 @@ class TestRecordRuns:
         assert [lag for lag, _ in sides[1]] == [1, 2, 9, 16, 23, 30]
 
 
-# the slopes on which a pass per record lost to the suffix index
-SLOW_CASES = [
-    ("cfslope:3000,(2)*", 10_000),
-    ("cfslope:500,(1)*", 10_000),
-    ("cfslope:pow10", 2000),
-    ("surd:-12,7,287", 7580),  # 245 records
-]
+SLOW_CASES = oracle.SLOW_CASES
 
 
 class TestRecordLPF:
@@ -658,3 +679,66 @@ class TestRecordLPF:
         for other in others:
             assert other.slope is None
             dio_estimate(other)
+
+
+class TestIceRecords:
+    """ice on a mechanical word from Z at its slope's records, against the
+    Z-array path and the brute-force scan."""
+
+    @staticmethod
+    def check(slope, rho, n, t):
+        w = mechanical_word(slope, rho, n)
+        est = ice_estimate(w, t)
+        assert est == _estimate(w, np.arange(1, n), _z_array(w.symbols)[1:], t, True)
+        if n <= 300:
+            assert est == ice_brute_force(w, t)
+
+    @given(slopes(), intercepts, st.data())
+    @example(FIB_SLOPE, Fraction(0), None)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_z_array(self, slope, rho, data):
+        n, t = 2, 1
+        if data is not None:
+            n = data.draw(st.integers(2, 3000))
+            t = data.draw(st.integers(1, n // 2))
+        self.check(slope, rho, n, t)
+
+    @given(slopes(), intercepts, st.integers(2, 300), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_brute_force(self, slope, rho, n, data):
+        self.check(slope, rho, n, data.draw(st.integers(1, n // 2)))
+
+    @pytest.mark.parametrize("spec, n", [*SLOW_CASES, ("cfslope:30000,(2)*", 200_000)])
+    def test_slow_slopes(self, spec, n):
+        for t in (1, max(1, n // 20), n // 2):
+            self.check(parse_slope(spec), Fraction(5, 7), n, t)
+
+    def test_rule(self, monkeypatch):
+        # every word with a slope takes the records; a word without one, a
+        # slice or prefix of a mechanical word included, takes the Z-array
+        calls = []
+        for name in ("_record_lags", "_z_array"):
+            original = getattr(repetition, name)
+            monkeypatch.setattr(
+                repetition, name, lambda *a, f=original, name=name: calls.append(name) or f(*a)
+            )
+        for spec, n in [("cfslope:(1)*", 100), ("cfslope:(1)*", 10_000), *SLOW_CASES]:
+            calls.clear()
+            ice_estimate(mechanical_word(parse_slope(spec), Fraction(0), n))
+            # past _Z_LAGS candidates, _lce_past reads them off one Z-array
+            assert calls[0] == "_record_lags"
+        w = mechanical_word(FIB_SLOPE, Fraction(1, 3), 400)
+        quasi = QuasiSturmianSpec(Word(b"", 2), parse_morphism("0>0;1>1"), FIB_SLOPE)
+        others = (
+            w.prefix(300),
+            w[:300],
+            Word(w.symbols, 2),
+            apply_morphism(quasi, 400),
+            parse_word_source("quasi:" + "0|0>0;1>1|surd:-3,-2,5", 400),
+            parse_word_source("lit:" + w.to_text()),
+            parse_word_source("digits:e|2", 400),
+        )
+        for other in others:
+            calls.clear()
+            ice_estimate(other)
+            assert other.slope is None and calls == ["_z_array"]

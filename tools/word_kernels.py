@@ -17,7 +17,13 @@ both give the same array.  On the Sturmian words it also prints the
 best-of-k time of the whole index path (`suffix_index` and the kernel)
 and of the record path (`sturmian.record_runs` and
 `repetition._record_lpf`) and the record count, and checks that both
-give the same array.  Last, for each Sturmian word and size, it prints
+give the same array.  Then, for each Sturmian word at 10^4 letters and
+more, each of `SLOW_CASES` in `tests/sturmian_oracle.py` and
+[0; 30000, (2)*] at 2*10^5 letters, it prints the best-of-k time of
+`repetition.ice_estimate` on the word, which reads Z at the slope's
+records, and on the same letters without the slope, which reads the
+Z-array, checks that both give the same estimate and prints a summary
+line.  Last, for each Sturmian word and size, it prints
 the best-of-k time of `sturmian.mechanical_word` and checks its letters
 against `mechanical_letters` in `tests/sturmian_oracle.py`, one exact
 floor per position: on surd slopes up to 10^6 letters, on
@@ -42,11 +48,11 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 from diowords.cli import parse_word_source  # noqa: E402
 from diowords.realnum import Surd  # noqa: E402
 from diowords.spec import read_intercept  # noqa: E402
-from diowords.repetition import _record_lpf  # noqa: E402
+from diowords.repetition import _record_lpf, ice_estimate  # noqa: E402
 from diowords.sturmian import mechanical_word, parse_slope, record_runs  # noqa: E402
 from diowords.suffix import longest_previous_factor, suffix_index  # noqa: E402
 from diowords.words import Word  # noqa: E402
-from sturmian_oracle import mechanical_letters  # noqa: E402
+from sturmian_oracle import SLOW_CASES, mechanical_letters  # noqa: E402
 from suffix_oracle import lpf_from_index  # noqa: E402
 
 SIZES = (1000, 3000, 10_000, 15_000, 200_000, 1_000_000)
@@ -82,6 +88,9 @@ WORDS = {
     "0^(N-1)1": plain(lambda n: b"\0" * (n - 1) + b"\1"),
     "1/7 base 10": source("digits:rat:1/7|10"),
 }
+# the ice section: Sturmian words from this many letters on, and more cases
+ICE_LETTERS = 10_000
+ICE_CASES = [*SLOW_CASES, ("cfslope:30000,(2)*", 200_000)]
 # the longest mechanical words checked against the per-position floors
 ORACLE_LETTERS = {"surd": 1_000_000, "cf": 100_000}
 # the `dio` word sources whose fresh-process peak is printed, at this length
@@ -155,7 +164,26 @@ def main() -> None:
         records = sum(run[3] for run in record_runs(w.slope, len(w)))
         index, rec = best_of(args.repeat, (index_lpf, w.symbols), (record_lpf, w))
         print(f"{len(w):>9}  {name:18} {records:>8} {index * 1e3:10.3f} {rec * 1e3:10.3f} {index / rec:13.2f}", flush=True)
+    ice_section([(name, w) for name, w in sturmian if len(w) >= ICE_LETTERS], args.repeat)
     mechanical_section(args.sizes, args.repeat)
+
+
+def ice_section(words: list[tuple[str, Word]], repeat: int) -> None:
+    """Time `ice_estimate` on each Sturmian word with its slope (Z at the
+    records) and without it (the Z-array), and check that both agree."""
+    words += [(text, mechanical_word(parse_slope(text), read_intercept("5/7"), n)) for text, n in ICE_CASES]
+    print(f"\n{'letters':>9}  {'word':18} {'records ms':>10} {'Z-array ms':>10} {'Z/records':>9}")
+    totals = [0.0, 0.0]
+    for name, w in words:
+        plain = Word(w.symbols, 2)
+        if ice_estimate(w) != ice_estimate(plain):
+            raise SystemExit(f"ice from the records and from the Z-array differ on {name} at {len(w)} letters")
+        rec, z = best_of(repeat, (ice_estimate, w), (ice_estimate, plain))
+        totals[0] += rec
+        totals[1] += z
+        print(f"{len(w):>9}  {name[:18]:18} {rec * 1e3:10.3f} {z * 1e3:10.3f} {z / rec:9.2f}", flush=True)
+    print(f"ice: {len(words)} words, records {totals[0] * 1e3:.3f} ms, Z-array {totals[1] * 1e3:.3f} ms "
+          f"in all (best of {repeat}); none differ")
 
 
 def mechanical_section(sizes: list[int], repeat: int) -> None:
