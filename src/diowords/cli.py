@@ -106,7 +106,8 @@ def _json_out(payload, last: Iterable | None = None) -> None:
 
 def _word_out(w: words.Word, fmt: str) -> None:
     if fmt == "json":
-        _json_out({"alphabet_size": w.alphabet_size, "word": json.loads(w.to_json())})
+        word = w.to_text() if w.alphabet_size <= 10 else list(w.symbols)
+        _json_out({"alphabet_size": w.alphabet_size, "word": word})
     else:
         _emit(w.to_text() if w.alphabet_size <= 10 else ",".join(map(str, w.symbols)))
 

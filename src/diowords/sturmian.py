@@ -358,10 +358,25 @@ def apply_morphism(spec: QuasiSturmianSpec, length: int) -> Word:
         images = (spec.morphism.image0.symbols, spec.morphism.image1.symbols)
         # every letter of s adds at least the shorter image
         count = -(-(length - len(out)) // min(map(len, images)))
-        s = mechanical_word(spec.slope, spec.intercept, count)
-        out += b"".join(map(images.__getitem__, s.symbols))
+        out += _image(mechanical_word(spec.slope, spec.intercept, count).symbols, *images)
     alphabet = max(w.alphabet_size for w in (spec.prefix, spec.morphism.image0, spec.morphism.image1))
     return Word(out[:length], alphabet)
+
+
+def _image(s: bytes, u: bytes, v: bytes) -> bytes:
+    """phi(s) for a word s over {0, 1}, phi(0) = u and phi(1) = v.
+
+    The 1s of s become a byte m that u does not hold, so that after the
+    0s are replaced by u, the m's are exactly the letters to replace by v.
+    Only a u that holds every byte from 1 to 255 lacks such an m, and
+    with 255 letters or more for each letter of s, the per-letter join
+    costs little next to them.
+    """
+    m = next((x for x in range(1, 256) if x not in u), None)
+    if m is None:
+        return b"".join(map((u, v).__getitem__, s))
+    marked = s.translate(bytes.maketrans(b"\1", bytes([m])))
+    return marked.replace(b"\0", u).replace(bytes([m]), v)
 
 
 MIN_PLATEAU = 50

@@ -15,7 +15,6 @@ labels these values as lower bounds.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -28,7 +27,8 @@ from .suffix import suffix_index
 # larger bases exist elsewhere; the word-analysis surface does not need them.
 MAX_ALPHABET = 256
 
-# Digit characters of letters 0..35, shared by every text rendering.
+# Digit characters of letters 0..35, shared by the digit codecs of `realnum`
+# and `spec`; `Word.to_text` adds ord("0") to letters 0..9 instead.
 _DIGIT_CHARS = b"0123456789abcdefghijklmnopqrstuvwxyz"
 DIGITS_TO_CHARS = bytes.maketrans(bytes(range(36)), _DIGIT_CHARS)
 CHARS_TO_DIGITS = bytes.maketrans(_DIGIT_CHARS, bytes(range(36)))
@@ -56,8 +56,7 @@ class Word:
             )
         if not isinstance(self.symbols, bytes):
             object.__setattr__(self, "symbols", bytes(self.symbols))
-        # deleting every letter of the alphabet leaves only the ones out of range
-        if self.symbols.translate(None, bytes(range(self.alphabet_size))):
+        if self.symbols and np.frombuffer(self.symbols, np.uint8).max() >= self.alphabet_size:
             raise ValueError("letter out of range for alphabet")
 
     def __len__(self) -> int:
@@ -77,12 +76,8 @@ class Word:
         """Digit-string rendering; only available for alphabets up to 10."""
         if self.alphabet_size > 10:
             raise ValueError("text rendering needs alphabet size <= 10")
-        return self.symbols.translate(DIGITS_TO_CHARS).decode("ascii")
-
-    def to_json(self) -> str:
-        if self.alphabet_size <= 10:
-            return json.dumps(self.to_text())
-        return json.dumps(list(self.symbols))
+        # letters 0..9 plus ord("0") are their ASCII digits
+        return str(np.frombuffer(self.symbols, np.uint8) + np.uint8(48), "ascii")
 
 
 @dataclass(frozen=True)
@@ -94,13 +89,19 @@ class ComplexityProfile:
     counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        """Check 1 <= p(n) <= min(b^n, L - n + 1) and p(n) <= p(n+1) + 1 for
+        every n at once; the error names the first n that fails either."""
         L, b = self.prefix_length, self.alphabet_size
-        for i, c in enumerate(self.counts):
-            n = i + 1
-            if not 1 <= c <= _max_factor_count(b, n, L):
-                raise ValueError(f"count p({n})={c} out of range for L={L}, b={b}")
-            if i + 1 < len(self.counts) and c > self.counts[i + 1] + 1:
-                raise ValueError(f"count p({n})={c} exceeds p({n+1})+1")
+        c = np.array(self.counts, dtype=np.int64)
+        out = (c < 1) | (c > _max_factor_counts(b, L, len(c)))
+        drop = np.append(c[:-1] > c[1:] + 1, False)
+        bad = np.flatnonzero(out | drop)
+        if bad.size:
+            i = int(bad[0])
+            n, p = i + 1, self.counts[i]
+            if out[i]:
+                raise ValueError(f"count p({n})={p} out of range for L={L}, b={b}")
+            raise ValueError(f"count p({n})={p} exceeds p({n+1})+1")
 
     def count(self, n: int) -> int:
         return self.counts[n - 1]
@@ -113,12 +114,17 @@ class ComplexityProfile:
         return "\n".join(lines) + "\n"
 
 
-def _max_factor_count(b: int, n: int, L: int) -> int:
-    # min(b^n, L-n+1) without materializing huge powers
-    window_bound = L - n + 1
-    if n * b.bit_length() > 64:
-        return window_bound
-    return min(b**n, window_bound)
+def _max_factor_counts(b: int, L: int, n_max: int) -> np.ndarray:
+    """min(b^n, L - n + 1) for n = 1..n_max, exactly, for a word length L.
+
+    For b >= 2, b^n > L from n = L.bit_length() on, so only the powers
+    below that are taken, as Python integers.  A bound below 1 rejects
+    every count, so clipping it at 0 keeps negative powers in int64.
+    """
+    bounds = np.arange(L, L - n_max, -1, dtype=np.int64)
+    k = min(n_max, L.bit_length()) if b >= 2 else n_max
+    bounds[:k] = [max(min(b**n, L - n + 1), 0) for n in range(1, k + 1)]
+    return bounds
 
 
 def fractional_power(w: Word, exponent: int | Fraction) -> Word:

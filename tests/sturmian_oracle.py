@@ -16,6 +16,8 @@ for a surd slope, with the floor read off one `surd_bracket`.
 by brute force, each comparison an exact sign (`sign_times`).
 `SLOW_CASES` are the slopes, with a length, on which the record kernels
 are tested and timed beyond random slopes.
+`apply_morphism` builds phi(s) by `image`, the per-letter join that
+`sturmian.apply_morphism` replaces with one translate and two replaces.
 """
 
 from __future__ import annotations
@@ -101,6 +103,22 @@ def morphic_length_check(spec: QuasiSturmianSpec, n_letters: int) -> Fraction:
         if dev > worst:
             worst = dev
     return worst
+
+
+def image(s: bytes, u: bytes, v: bytes) -> bytes:
+    """phi(s) for phi(0) = u and phi(1) = v, one image per letter of s."""
+    return b"".join(map((u, v).__getitem__, s))
+
+
+def apply_morphism(spec: QuasiSturmianSpec, length: int) -> Word:
+    """First `length` letters of W phi(s)."""
+    out = spec.prefix.symbols[:length]
+    if len(out) < length:
+        u, v = spec.morphism.image0.symbols, spec.morphism.image1.symbols
+        count = -(-(length - len(out)) // min(len(u), len(v)))
+        out += image(mechanical_word(spec.slope, spec.intercept, count).symbols, u, v)
+    alphabet = max(w.alphabet_size for w in (spec.prefix, spec.morphism.image0, spec.morphism.image1))
+    return Word(out[:length], alphabet)
 
 
 def convergent_bracket(quotient: Callable[[int], int], bits: int, scale: int) -> tuple[int, int]:

@@ -1,7 +1,10 @@
+import importlib
 import itertools
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,6 +45,19 @@ import sturmian_oracle as oracle
 import suffix_oracle
 
 FIB_SLOPE = Surd(-3, -2, 5)  # (3 - sqrt(5))/2
+
+
+def _quasi_shapes():
+    """The (W, morphism) pairs of the benchmark's quasi family."""
+    perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    sys.path.insert(0, perfbench)
+    try:
+        return importlib.import_module("workloads").QUASI_SHAPES
+    finally:
+        sys.path.remove(perfbench)
+
+
+QUASI_SHAPES = _quasi_shapes()
 
 
 def fib_text(n):
@@ -489,6 +505,29 @@ class TestMorphism:
             digit_word("2"), parse_morphism("0>01;1>001"), FIB_SLOPE
         )
         assert apply_morphism(spec, 1).to_text() == "2"
+
+    @pytest.mark.parametrize("prefix, morphism", QUASI_SHAPES)
+    def test_benchmark_shapes_match_the_join(self, prefix, morphism):
+        for slope, rho, length in (("cfslope:(1)*", Fraction(0), 5000), ("cfslope:2,(1,3)*", Fraction(5, 7), 40_000)):
+            spec = QuasiSturmianSpec(digit_word(prefix), parse_morphism(morphism), parse_slope(slope), rho)
+            for n in (0, 1, 2, 3, 77, length):
+                assert apply_morphism(spec, n) == oracle.apply_morphism(spec, n)
+
+    @given(st.data())
+    @example(None)
+    @settings(max_examples=150)
+    def test_random_morphisms_match_the_join(self, data):
+        if data is None:  # an image of 0 with every byte from 1 to 255
+            prefix, b, u, v, rho, n = b"", 256, bytes(range(1, 256)), bytes([0, 7]), Fraction(1, 3), 1000
+        else:
+            b = data.draw(st.integers(2, 256))
+            letters = st.lists(st.integers(0, b - 1), max_size=6).map(bytes)
+            prefix = data.draw(letters)
+            u, v = data.draw(letters.filter(len)), data.draw(letters.filter(len))
+            rho = Fraction(data.draw(st.integers(0, 6)), 7)
+            n = data.draw(st.integers(0, 3000))
+        spec = QuasiSturmianSpec(Word(prefix, b), Morphism(Word(u, b), Word(v, b)), FIB_SLOPE, rho)
+        assert apply_morphism(spec, n) == oracle.apply_morphism(spec, n)
 
 
 class TestQuasiSturmianCheck:

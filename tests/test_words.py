@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction
 
 import pytest
@@ -7,6 +6,7 @@ from hypothesis import strategies as st
 
 from diowords.spec import digit_word
 from diowords.words import (
+    DIGITS_TO_CHARS,
     ComplexityProfile,
     Word,
     complexity_profile,
@@ -29,6 +29,32 @@ def fib_text(n):
 words_strategy = mixed_words(min_size=1)
 
 
+def profile_error_loop(L, b, counts):
+    """The message of the first check that fails, one n at a time, or None:
+    the loop that `ComplexityProfile` replaces with numpy comparisons."""
+    for i, c in enumerate(counts):
+        n = i + 1
+        if not 1 <= c <= min(b**n, L - n + 1):
+            return f"count p({n})={c} out of range for L={L}, b={b}"
+        if i + 1 < len(counts) and c > counts[i + 1] + 1:
+            return f"count p({n})={c} exceeds p({n+1})+1"
+    return None
+
+
+@st.composite
+def profile_inputs(draw):
+    """(L, b, counts): the profile of a word, as is or with one count moved,
+    or counts drawn at random, at the word's length or at another L."""
+    w = draw(words_strategy)
+    counts = factor_counts_brute(w.symbols, draw(st.integers(0, len(w))))
+    if counts and draw(st.booleans()):
+        counts[draw(st.integers(0, len(counts) - 1))] += draw(st.integers(-3, 3))
+    if draw(st.integers(0, 3)) == 0:
+        counts = draw(st.lists(st.integers(-1, 70), max_size=12))
+    L = draw(st.sampled_from([len(w), draw(st.integers(0, 80)), draw(st.integers(0, 2**62))]))
+    return L, w.alphabet_size, tuple(counts)
+
+
 class TestWord:
     def test_letters_validated(self):
         with pytest.raises(ValueError):
@@ -45,6 +71,29 @@ class TestWord:
                 with pytest.raises(ValueError, match="letter out of range"):
                     Word(inside[:at] + bytes([letter]) + inside[at:], b)
 
+    @given(st.binary(max_size=40), st.integers(2, 256))
+    @example(b"", 2)
+    @example(b"\x01\x00\x02", 2)
+    @example(bytes(range(256)), 255)
+    @settings(max_examples=300)
+    def test_letter_check_matches_translate(self, data, b):
+        # the per-byte pass the check replaced: delete every letter of the alphabet
+        accepted = not data.translate(None, bytes(range(b)))
+        try:
+            Word(data, b)
+        except ValueError as e:
+            assert not accepted and str(e) == "letter out of range for alphabet"
+        else:
+            assert accepted
+
+    @given(st.integers(2, 10).flatmap(lambda b: st.tuples(st.lists(st.integers(0, b - 1), max_size=40), st.just(b))))
+    @example(([], 2))
+    @settings(max_examples=200)
+    def test_text_matches_translate(self, args):
+        letters, b = args
+        w = Word(bytes(letters), b)
+        assert w.to_text() == w.symbols.translate(DIGITS_TO_CHARS).decode("ascii")
+
     def test_full_alphabet_accepts_every_byte(self):
         letters = bytes(range(256)) * 2
         assert Word(letters, 256).symbols == letters
@@ -55,11 +104,6 @@ class TestWord:
         assert len(w) == 7
         assert w.alphabet_size == 2
         assert list(w) == [0, 1, 0, 0, 1, 0, 1]
-
-    def test_json_forms(self):
-        assert json.loads(digit_word("010").to_json()) == "010"
-        big = Word(bytes([0, 11]), 12)
-        assert json.loads(big.to_json()) == [0, 11]
 
 
 class TestFractionalPower:
@@ -165,8 +209,32 @@ class TestComplexityProfile:
         assert prof.counts[:20] == tuple(n + 1 for n in range(1, 21))
 
     def test_profile_validation(self):
-        with pytest.raises(ValueError):
-            ComplexityProfile(5, 2, (3, 1))  # p(1)=3 > p(2)+1
+        # p(1) = 3 > p(2) + 1 too, but the range check b^1 = 2 fires first
+        with pytest.raises(ValueError, match=r"^count p\(1\)=3 out of range for L=5, b=2$"):
+            ComplexityProfile(5, 2, (3, 1))
+
+    def test_profile_drop_check(self):
+        # every count in range; p(2) = 4 > p(3) + 1
+        with pytest.raises(ValueError, match=r"^count p\(2\)=4 exceeds p\(3\)\+1$"):
+            ComplexityProfile(10, 2, (2, 4, 2))
+
+    @given(profile_inputs())
+    @example((5, 2, (3, 1)))
+    @example((10, 2, (2, 4, 2)))
+    @example((2**40, 2, tuple(range(2, 70))))
+    @example((2**40, 2, (1,) * 32 + (2**33 + 1,)))  # p(33) > 2^33, with 33 * 2 bits past 64
+    @example((7, 2, ()))
+    @example((7, 1, (1, 1, 1, 2)))  # 1^4 < L - 3, past L's bit length
+    @example((7, -300, (1,) * 9))  # (-300)^9 is past int64
+    @settings(max_examples=400)
+    def test_profile_checks_match_the_loop(self, args):
+        want = profile_error_loop(*args)
+        try:
+            ComplexityProfile(*args)
+        except ValueError as e:
+            assert str(e) == want
+        else:
+            assert want is None
 
 
 class TestOccurrenceAndGap:

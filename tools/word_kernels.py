@@ -28,8 +28,13 @@ the best-of-k time of `sturmian.mechanical_word` and checks its letters
 against `mechanical_letters` in `tests/sturmian_oracle.py`, one exact
 floor per position: on surd slopes up to 10^6 letters, on
 continued-fraction slopes up to 10^5 (their oracle extends convergents
-for every floor), and prints a summary line.  It exits nonzero on any
-difference.  Digit words are made with a budget of 4 bits a digit, so
+for every floor), and prints a summary line.  Then, on the Fibonacci word
+at 10^5 and 10^6 letters, it prints the best-of-k time of the `Word`
+letter check, `Word.to_text` and the morphism image of
+`sturmian.apply_morphism`, each against the per-byte `translate` or
+per-letter join that it replaced (the image's is `image` in
+`tests/sturmian_oracle.py`), checks that each pair agrees and prints a
+summary line.  It exits nonzero on any difference.  Digit words are made with a budget of 4 bits a digit, so
 that every size is reached.  It needs only the standard library and
 numpy; pytest does not collect it.
 """
@@ -49,10 +54,10 @@ from diowords.cli import parse_word_source  # noqa: E402
 from diowords.realnum import Surd  # noqa: E402
 from diowords.spec import read_intercept  # noqa: E402
 from diowords.repetition import _record_lpf, ice_estimate  # noqa: E402
-from diowords.sturmian import mechanical_word, parse_slope, record_runs  # noqa: E402
+from diowords.sturmian import _image, mechanical_word, parse_slope, record_runs  # noqa: E402
 from diowords.suffix import longest_previous_factor, suffix_index  # noqa: E402
-from diowords.words import Word  # noqa: E402
-from sturmian_oracle import SLOW_CASES, mechanical_letters  # noqa: E402
+from diowords.words import DIGITS_TO_CHARS, Word  # noqa: E402
+from sturmian_oracle import SLOW_CASES, image, mechanical_letters  # noqa: E402
 from suffix_oracle import lpf_from_index  # noqa: E402
 
 SIZES = (1000, 3000, 10_000, 15_000, 200_000, 1_000_000)
@@ -93,6 +98,9 @@ ICE_LETTERS = 10_000
 ICE_CASES = [*SLOW_CASES, ("cfslope:30000,(2)*", 200_000)]
 # the longest mechanical words checked against the per-position floors
 ORACLE_LETTERS = {"surd": 1_000_000, "cf": 100_000}
+# the letter passes of `Word` and `apply_morphism`: word lengths and the images
+LETTER_SIZES = (100_000, 1_000_000)
+LETTER_IMAGES = (b"\0\1", b"\0\0\1")
 # the `dio` word sources whose fresh-process peak is printed, at this length
 RSS_LETTERS = 1_000_000
 RSS_SOURCES = {
@@ -166,6 +174,7 @@ def main() -> None:
         print(f"{len(w):>9}  {name:18} {records:>8} {index * 1e3:10.3f} {rec * 1e3:10.3f} {index / rec:13.2f}", flush=True)
     ice_section([(name, w) for name, w in sturmian if len(w) >= ICE_LETTERS], args.repeat)
     mechanical_section(args.sizes, args.repeat)
+    letters_section(args.repeat)
 
 
 def ice_section(words: list[tuple[str, Word]], repeat: int) -> None:
@@ -205,6 +214,54 @@ def mechanical_section(sizes: list[int], repeat: int) -> None:
     words = len(sizes) * len(MECHANICAL)
     print(f"mechanical_word: {words} words, {total * 1e3:.3f} ms in all (best of {repeat}); "
           f"{checked} checked against the per-position floors, none differ")
+
+
+
+def letters_section(repeat: int) -> None:
+    """Time the letter check, the text rendering and the morphism image
+    against the per-byte passes they replaced, and check that both agree."""
+    print(f"\n{'letters':>9}  {'pass':18} {'pass ms':>10} {'oracle ms':>10} {'oracle/pass':>11}")
+    totals = [0.0, 0.0]
+    for n in LETTER_SIZES:
+        w = mechanical_word(parse_slope("cfslope:(1)*"), read_intercept("0"), n)
+        for data in (w.symbols, w.symbols + b"\2"):
+            if _rejects(data) != bool(translate_check(data)):
+                raise SystemExit(f"the letter check and translate differ at {len(data)} letters")
+        if w.to_text() != translate_text(w):
+            raise SystemExit(f"to_text and translate differ at {n} letters")
+        if _image(w.symbols, *LETTER_IMAGES) != image(w.symbols, *LETTER_IMAGES):
+            raise SystemExit(f"the morphism image and the join differ at {n} letters")
+        rows = (
+            ("letter check", (Word, w.symbols, 2), (translate_check, w.symbols)),
+            ("to_text", (Word.to_text, w), (translate_text, w)),
+            ("morphism image", (_image, w.symbols, *LETTER_IMAGES), (image, w.symbols, *LETTER_IMAGES)),
+        )
+        for name, fast, loop in rows:
+            a, b = best_of(repeat, fast, loop)
+            totals[0] += a
+            totals[1] += b
+            print(f"{n:>9}  {name:18} {a * 1e3:10.3f} {b * 1e3:10.3f} {b / a:11.2f}", flush=True)
+    print(f"letters: {len(rows) * len(LETTER_SIZES)} passes at {', '.join(map(str, LETTER_SIZES))} letters, "
+          f"passes {totals[0] * 1e3:.3f} ms, translate and join {totals[1] * 1e3:.3f} ms "
+          f"in all (best of {repeat}); none differ")
+
+
+def translate_check(data: bytes) -> bytes:
+    """The binary letters out of range: every letter of the alphabet deleted."""
+    return data.translate(None, bytes(range(2)))
+
+
+def translate_text(w: Word) -> str:
+    return w.symbols.translate(DIGITS_TO_CHARS).decode("ascii")
+
+
+def _rejects(data: bytes) -> bool:
+    """Whether `Word` refuses `data` as a binary word."""
+    try:
+        Word(data, 2)
+    except ValueError:
+        return True
+    return False
 
 
 if __name__ == "__main__":
