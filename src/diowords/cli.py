@@ -105,11 +105,11 @@ def _json_out(payload, last: Iterable | None = None) -> None:
 
 
 def _word_out(w: words.Word, fmt: str) -> None:
+    """Print a `sturmian` or `quasi` word, which has at most 10 letters, as one digit string."""
     if fmt == "json":
-        word = w.to_text() if w.alphabet_size <= 10 else list(w.symbols)
-        _json_out({"alphabet_size": w.alphabet_size, "word": word})
+        _json_out({"alphabet_size": w.alphabet_size, "word": w.to_text()})
     else:
-        _emit(w.to_text() if w.alphabet_size <= 10 else ",".join(map(str, w.symbols)))
+        _emit(w.to_text())
 
 
 def _estimate_json(est: repetition.ExponentEstimate) -> dict:

@@ -2,13 +2,18 @@
 
 The suffix array orders the suffixes of a word; the LCP array gives the
 longest common prefix of each suffix with its predecessor in that order.
-`suffix_index` builds both by prefix doubling and reads the LCP off the
-ranks of its doubling rounds, as Manber & Myers did (SIAM J. Comput.
-1993); with a depth it sorts only as deep as a caller reads.  Factor
-complexity is read off the LCP array, and the repetition scan off the
-longest-previous-factor array LPF[i] = max_{j < i} lce(j, i), which the
-nearest suffixes in SA order that start at a smaller text position
-determine (Crochemore & Ilie, IPL 2008).
+`suffix_index` builds both by prefix doubling (Manber & Myers, SIAM J.
+Comput. 1993) and reads each LCP in the round that splits its pair: off
+the XOR of the two adjacent sorted keys where the first round, which
+packs whole windows of letters into one key, splits it; off the ranks
+of the later rounds by binary lifting, as Manber & Myers did, where a
+later round does; and as the depth where no round does.  With a depth
+it sorts only as deep as a caller reads, and LCP = min(lce, depth).
+Factor complexity is read off the histogram of the LCP array, and the
+repetition scan off the longest-previous-factor array LPF[i] =
+max_{j < i} lce(j, i), which the nearest suffixes in SA order that
+start at a smaller text position determine (Crochemore & Ilie, IPL
+2008).
 
 `longest_previous_factor` finds those nearest suffixes, the previous and
 the next smaller position in SA order, in one numpy kernel of pointer
@@ -36,7 +41,8 @@ def suffix_index(data: bytes, depth: int | None = None) -> tuple[np.ndarray, np.
     """The suffix array SA of ``data`` and its LCP array.
 
     SA lists the start positions of the suffixes in lexicographic order,
-    and LCP[r] = lcp(suffix SA[r-1], suffix SA[r]), with LCP[0] = 0.
+    and LCP[r] = min(lcp(suffix SA[r-1], suffix SA[r]), depth), with
+    LCP[0] = 0; without a depth the LCP is exact.
 
     Prefix doubling (Manber & Myers, SIAM J. Comput. 1993).  Each round
     sorts one int64 value per suffix, its key shifted left by the b =
@@ -50,14 +56,21 @@ def suffix_index(data: bytes, depth: int | None = None) -> tuple[np.ndarray, np.
     int64, above N of about 2.09 * 10^6, the rounds argsort the keys
     alone instead.  With a depth, the last round sorts by exactly the
     first ``depth`` letters: suffixes that share them come in ascending
-    position (past the int64 bound, in the order argsort leaves), and
-    each LCP is exact below ``depth`` and at least ``depth`` otherwise.
+    position (past the int64 bound, in the order argsort leaves).
 
-    The LCP comes from the same rounds, as in Manber & Myers: two
-    distinct positions share a rank of round k exactly when their lce is
-    at least k, so every adjacent SA pair climbs down the kept rank
-    arrays from the top, skipping k letters where the ranks agree, and
-    reads the last fewer than K letters off the XOR of the packed keys.
+    Each LCP is read in the round that splits its pair.  Groups of tied
+    suffixes only split, so a boundary between two groups keeps its place
+    in SA order once it appears, and every member of one group shares the
+    same prefix with every member of the next.  A pair that the first
+    round splits agrees on as many letters as the XOR of its two adjacent
+    sorted keys has zero letters on top.  A pair split by a later round
+    climbs down the kept rank arrays from the top, as in Manber & Myers:
+    two distinct positions share a rank of round k exactly when their lce
+    is at least k, so it skips k letters where the ranks agree, and reads
+    the last fewer than K letters off the XOR of the packed keys.  A pair
+    that no round splits shares the first ``depth`` letters.  The rounds
+    stop once every pair is split or at the depth, and the last round
+    ranks nothing: no pair it splits would match there.
     """
     n = len(data)
     if n < 2:
@@ -81,25 +94,43 @@ def suffix_index(data: bytes, depth: int | None = None) -> tuple[np.ndarray, np.
     lead = k if depth is None else min(k, depth)
     # sorts a copy: levels[0] keeps the packed keys
     sa, ordered = _sort(key[:n] >> ((k - lead) * bits), b)
-    while True:
+    split = ordered[1:] != ordered[:-1]
+    # the first round's LCP: `lead` where it ties the pair, and otherwise
+    # read off the XOR of the sorted keys, their `lead` letters shifted to
+    # the top of `packed` (uint8: packed <= 32)
+    at = np.flatnonzero(split)
+    x = ordered[1:][at]
+    x ^= ordered[:-1][at]
+    x <<= (k - lead) * bits
+    first = np.full(n - 1, lead, dtype=np.uint8)
+    first[at] = _agreement(x, packed, bits)
+    del at, x, ordered
+    while not split.all() and (depth is None or k < depth):
         rank = np.empty(n + 1, dtype=np.int32 if n < 2**31 else np.int64)
         rank[n] = -1
-        rank[sa] = np.concatenate(([0], np.cumsum(ordered[1:] != ordered[:-1])))
-        if rank[sa[-1]] == n - 1:
-            break  # all ranks distinct: this level never matches
+        rank[sa] = np.concatenate(([0], np.cumsum(split)))
         if k > packed:
             levels.append((k, rank))
-        if depth is not None and k >= depth:
-            break
         # the next s letters, where s = k, or fewer to end at the depth
         s = k if depth is None else min(k, depth - k)
         # in int64 whatever the rank dtype: numpy < 2 keeps an int32 array
         # times an int64 scalar in int32, which wraps past N = 46340
         pair = np.multiply(rank[:n], n + 1, dtype=np.int64)
         pair[: n - s] += rank[s:n] + 1
-        sa, ordered = _sort(pair, b)
+        sa, pair = _sort(pair, b)
+        split = pair[1:] != pair[:-1]
+        del pair
         k += s
-    return sa, _lcp_from_levels(sa, levels, bits)
+    tied = first == lead  # by the first round
+    later = tied & split  # and split by a later one
+    del split
+    lce = _lcp_from_levels(sa, later, levels, bits)
+    lcp = np.zeros(n, dtype=np.int64)
+    lcp[1:] = first
+    if depth is not None:
+        lcp[1:][tied] = depth  # where no round splits them
+    lcp[1:][later] = lce
+    return sa, lcp
 
 
 def _position_bits(n: int) -> int:
@@ -122,26 +153,36 @@ def _sort(key: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
     return sa, key
 
 
-def _lcp_from_levels(sa: np.ndarray, levels: list, bits: int) -> np.ndarray:
-    """LCP of the adjacent SA pairs, by binary lifting over the rank levels;
-    levels[0] holds the packed keys of `bits` bits per letter."""
-    a, b = sa[:-1], sa[1:]
-    lcp = np.zeros(len(sa), dtype=np.int64)
-    lce = lcp[1:]
-    for k, rank in reversed(levels):
-        lce += k * (rank[a + lce] == rank[b + lce])
-    # fewer than `packed` letters are left: count the leading letters on
-    # which the packed keys agree.  (Past the depth, where the keys may
-    # agree throughout, lce is at least the depth already.)
-    packed, key = levels[0]
-    x = key[a + lce] ^ key[b + lce]
-    step = packed // 2
+def _agreement(x: np.ndarray, width: int, bits: int) -> np.ndarray:
+    """How many leading letters, fewer than ``width``, two keys of
+    ``width`` letters of ``bits`` bits agree on, as uint8: halving steps
+    over their XOR ``x`` (nonnegative), which it shifts in place."""
+    lce = np.zeros(len(x), dtype=np.uint8)
+    step = width // 2
     while step:
-        agree = (x >> ((packed - step) * bits)) == 0
-        lce += step * agree
-        x <<= step * bits * agree
+        agree = x < 1 << (width - step) * bits  # the top `step` letters agree
+        lce += agree * np.uint8(step)
+        x <<= agree * np.int64(step * bits)
         step //= 2
-    return lcp
+    return lce
+
+
+def _lcp_from_levels(sa: np.ndarray, pairs: np.ndarray, levels: list, bits: int) -> np.ndarray:
+    """The LCP of the adjacent SA pairs that the mask ``pairs`` picks, by
+    binary lifting over the rank levels: both positions of a pair advance
+    together past the letters they share.  levels[0] holds the packed
+    keys of `bits` bits per letter."""
+    a, b = sa[:-1][pairs], sa[1:][pairs]
+    for k, rank in reversed(levels):
+        step = (rank[a] == rank[b]) * k
+        a += step
+        b += step
+    # fewer than `packed` letters are left
+    packed, key = levels[0]
+    a += _agreement(key[a] ^ key[b], packed, bits)
+    del b
+    a -= sa[:-1][pairs]
+    return a
 
 
 # The LPF kernel hands the last _WALK active entries to a Python walk:

@@ -3,10 +3,10 @@
 A word is an immutable sequence of small integer letters.  The main
 analysis tool is the complexity profile: for a prefix of length L it
 reports, for every window size n, the number of distinct length-n
-blocks occurring in the prefix.  The counts are read off the suffix
-array and LCP array of the prefix (see suffix.py), sorted only as deep
-as the largest window, and are checked against a brute-force oracle in
-the test suite.
+blocks occurring in the prefix.  The counts are read off the histogram
+of the prefix's LCP array (see suffix.py), sorted only as deep as the
+largest window, and are checked against a brute-force oracle in the
+test suite.
 
 A profile computed on a finite prefix only ever underestimates the
 complexity of the infinite word it was cut from; downstream reporting
@@ -164,18 +164,19 @@ def _check_window(n_max: int, length: int | None = None) -> None:
 def complexity_profile(w: Word, n_max: int) -> ComplexityProfile:
     """Exact distinct-factor counts of the prefix, for window sizes 1..n_max.
 
-    Suffix SA[r] is the first in SA order to start with each of its
-    prefixes longer than LCP[r], so it contributes one new factor of
-    every length in (LCP[r], L - SA[r]]; the counts are the prefix sums
-    of those intervals.  Only lengths up to n_max are read, so the index
-    is sorted to depth n_max: each LCP is exact below it, and at least
-    n_max otherwise.
+    A length-n factor occurs first in SA order at the suffixes SA[r] with
+    LCP[r] < n that are at least n letters long.  Every suffix shorter
+    than n has LCP[r] < n too, and there are n - 1 of them, so
+
+        p(n) = #{r : LCP[r] < n} - (n - 1),
+
+    a prefix sum of the LCP histogram.  Only lengths up to n_max are read,
+    so the index is sorted to depth n_max and each LCP is capped there.
     """
     L = len(w)
     _check_window(n_max, L)
-    sa, lcp = suffix_index(w.symbols, depth=n_max)
-    diff = np.bincount(lcp + 1, minlength=L + 2) - np.bincount(L - sa + 1, minlength=L + 2)
-    counts = np.cumsum(diff)[1 : n_max + 1]
+    _, lcp = suffix_index(w.symbols, depth=n_max)
+    counts = np.cumsum(np.bincount(lcp, minlength=n_max + 1)[:n_max]) - np.arange(n_max)
     return ComplexityProfile(L, w.alphabet_size, tuple(counts.tolist()))
 
 

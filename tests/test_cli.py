@@ -13,10 +13,9 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings
 
-from diowords import approx, cli, contfrac, realnum
+from diowords import approx, contfrac, realnum
 from diowords.cli import main
 from diowords.realnum import Surd, _digits_to_int, enclosure, mobius, parse_real_spec
-from diowords.words import Word
 
 import contfrac_oracle as oracle
 from strategies import LOOSE_DECIMALS, LOOSE_INTS, LOOSE_MARKS, cli_argvs
@@ -187,13 +186,10 @@ class TestBasicCommands:
 
 class TestJsonDiscipline:
     def test_json_forms(self, capsys):
-        # a word over at most 10 letters is one digit string, a larger one a list
+        # every word the CLI prints has at most 10 letters: one digit string
         code, out, _ = run_cli(capsys, "--format", "json", "sturmian", "surd:-3,-2,5", "--length", "3")
         assert code == 0
         assert json.loads(out) == {"alphabet_size": 2, "word": "010"}
-        # no argv makes a word over more than 10 letters
-        cli._word_out(Word(bytes([0, 11]), 12), "json")
-        assert json.loads(capsys.readouterr().out) == {"alphabet_size": 12, "word": [0, 11]}
 
     def test_exact_values_are_strings(self, capsys):
         code, out, _ = run_cli(

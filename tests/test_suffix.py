@@ -28,18 +28,21 @@ def check_depth(data: bytes, depth: int) -> None:
     keys = [(data[i : i + depth], i) for i in sa.tolist()]
     assert sorted(sa.tolist()) == list(range(len(data)))
     assert keys == sorted(keys)
+    # LCP = min(lce, depth) exactly: suffixes that share their first
+    # `depth` letters meet the same group boundaries in either order
     full = oracle.lcp_array(data, oracle.sorted_suffixes(data))
-    assert [min(h, depth) for h in lcp.tolist()] == [min(h, depth) for h in full]
+    assert lcp.tolist() == [min(h, depth) for h in full]
 
 
 def check_adjacent(data: bytes, sa: np.ndarray, lcp: np.ndarray, depth: int | None = None) -> None:
     """Each adjacent pair agrees on exactly LCP letters and then ascends;
-    with a depth, on at least ``depth`` letters where LCP reaches it, and
-    then by position."""
+    with a depth, on at least ``depth`` letters where LCP is the depth,
+    and then by position."""
     n = len(data)
     assert sorted(sa.tolist()) == list(range(n))
     for a, b, h in zip(sa[:-1].tolist(), sa[1:].tolist(), lcp[1:].tolist()):
         if depth is not None and h >= depth:
+            assert h == depth
             assert data[a : a + depth] == data[b : b + depth] and a < b
             continue
         assert data[a : a + h] == data[b : b + h]

@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diowords.spec import digit_word
+from diowords.sturmian import mechanical_word, parse_slope
 from diowords.words import (
     DIGITS_TO_CHARS,
     ComplexityProfile,
@@ -27,6 +28,46 @@ def fib_text(n):
 
 
 words_strategy = mixed_words(min_size=1)
+# binary words of 100-400 letters: Sturmian ones, and periodic ones with at
+# most one letter flipped.  A key packs 16 binary letters here, so their
+# profiles run doubling rounds past the packed width.
+long_binary_words = st.one_of(
+    st.builds(
+        mechanical_word,
+        st.sampled_from(["cfslope:(1)*", "cfslope:1,(2,3)*", "cfslope:(1,2,3)*", "cfslope:pow10",
+                         "surd:-3,-2,5"]).map(parse_slope),
+        st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(2, 7)]),
+        st.integers(100, 400),
+    ),
+    st.builds(
+        lambda block, n, flip: Word(bytes(c ^ (i == flip) for i, c in enumerate((block * n)[:n])), 2),
+        st.lists(st.integers(0, 1), min_size=1, max_size=12).map(bytes),
+        st.integers(100, 400),
+        st.integers(-1, 399),
+    ),
+)
+
+
+def de_bruijn(k: int) -> bytes:
+    """A binary de Bruijn word of order k by the prefer-one rule (Martin,
+    1934): each of the 2^k windows of k letters occurs exactly once."""
+    word, seen = [0] * k, {(0,) * k}
+    while True:
+        for c in (1, 0):
+            window = (*word[len(word) - k + 1 :], c)
+            if window not in seen:
+                seen.add(window)
+                word.append(c)
+                break
+        else:
+            return bytes(word)
+
+
+def check_every_depth(w: Word) -> None:
+    """The profile at every n_max from 1 to |w| against the brute count."""
+    want = factor_counts_brute(w.symbols, len(w))
+    for n_max in range(1, len(w) + 1):
+        assert list(complexity_profile(w, n_max).counts) == want[:n_max]
 
 
 def profile_error_loop(L, b, counts):
@@ -171,8 +212,30 @@ class TestComplexityProfile:
     @example(Word(bytes([0, 255, 0, 255, 255]), 256))
     @settings(max_examples=300)
     def test_kernels_agree_with_brute(self, w):
-        n_max = len(w)
-        assert list(complexity_profile(w, n_max).counts) == factor_counts_brute(w.symbols, n_max)
+        check_every_depth(w)
+
+    @given(long_binary_words)
+    @settings(max_examples=40, deadline=None)
+    def test_long_binary_words_at_every_depth(self, w):
+        check_every_depth(w)
+
+    @pytest.mark.parametrize(
+        "data",
+        [digit_word(fib_text(300)).symbols, de_bruijn(8), b"\0" * 300, b"\0\1" * 150],
+        ids=[
+            # n_max below the 16-letter packed width as well as above it
+            "fibonacci",
+            # 263 letters whose 8-letter windows are distinct: the first
+            # round, of 16 letters a key, splits every pair
+            "de-bruijn-8",
+            # every pair of suffixes at least n_max long stays tied: no pair
+            # splits above the depth
+            "0^300",
+            "(01)^150",
+        ],
+    )
+    def test_explicit_words_at_every_depth(self, data):
+        check_every_depth(Word(data, 2))
 
     @given(words_strategy)
     @settings(max_examples=150)

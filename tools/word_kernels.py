@@ -34,9 +34,20 @@ letter check, `Word.to_text` and the morphism image of
 `sturmian.apply_morphism`, each against the per-byte `translate` or
 per-letter join that it replaced (the image's is `image` in
 `tests/sturmian_oracle.py`), checks that each pair agrees and prints a
-summary line.  It exits nonzero on any difference.  Digit words are made with a budget of 4 bits a digit, so
-that every size is reached.  It needs only the standard library and
-numpy; pytest does not collect it.
+summary line.  Then, on the binary and decimal digits of e, a Sturmian
+word and a quasi-Sturmian word at 10^4 to 10^6 letters, it prints the
+best-of-k time of `words.complexity_profile` at n_max 16 and 400 and
+checks the counts: against `factor_counts_brute` where that costs at
+most `BRUTE_WORK` window letters (about a second), and elsewhere
+against the counts read off the full-depth index by its SA, after
+checking that index's LCP against Kasai's scan (`lcp_array` in
+`tests/suffix_oracle.py`) and its SA order pair by pair.  It also checks
+the full-depth index against Kasai at 10^5 letters on digit words and
+on 0^(N-1)1, prints the best-of-k time of `suffix_index` and
+`longest_previous_factor` there, and prints a summary line.  It exits
+nonzero on any difference.  Digit words are made with a budget of 4 bits
+a digit, so that every size is reached.  It needs only the standard
+library and numpy; pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -47,6 +58,8 @@ import subprocess
 import sys
 import time
 
+import numpy as np
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
@@ -56,9 +69,9 @@ from diowords.spec import read_intercept  # noqa: E402
 from diowords.repetition import _record_lpf, ice_estimate  # noqa: E402
 from diowords.sturmian import _image, mechanical_word, parse_slope, record_runs  # noqa: E402
 from diowords.suffix import longest_previous_factor, suffix_index  # noqa: E402
-from diowords.words import DIGITS_TO_CHARS, Word  # noqa: E402
+from diowords.words import DIGITS_TO_CHARS, Word, complexity_profile, factor_counts_brute  # noqa: E402
 from sturmian_oracle import SLOW_CASES, image, mechanical_letters  # noqa: E402
-from suffix_oracle import lpf_from_index  # noqa: E402
+from suffix_oracle import lcp_array, lpf_from_index  # noqa: E402
 
 SIZES = (1000, 3000, 10_000, 15_000, 200_000, 1_000_000)
 
@@ -101,6 +114,20 @@ ORACLE_LETTERS = {"surd": 1_000_000, "cf": 100_000}
 # the letter passes of `Word` and `apply_morphism`: word lengths and the images
 LETTER_SIZES = (100_000, 1_000_000)
 LETTER_IMAGES = (b"\0\1", b"\0\0\1")
+# the profile section: word sources, lengths and windows, the largest
+# L * n_max that `factor_counts_brute` checks, and the words of the
+# full-depth index rows at INDEX_LETTERS letters
+PROFILE_WORDS = {
+    "e base 2": "digits:e|2",
+    "e base 10": "digits:e|10",
+    "(1,2,3)*|1/3": "sturmian:cfslope:(1,2,3)*|1/3",
+    "quasi 012|01;011": "quasi:012|0>01;1>011|cfslope:(1,2,3)*|1/3",
+}
+PROFILE_SIZES = (10_000, 100_000, 1_000_000)
+PROFILE_WINDOWS = (16, 400)
+BRUTE_WORK = 2_000_000
+INDEX_LETTERS = 100_000
+INDEX_WORDS = ("e base 2", "e base 10", "1/7 base 10", "0^(N-1)1")
 # the `dio` word sources whose fresh-process peak is printed, at this length
 RSS_LETTERS = 1_000_000
 RSS_SOURCES = {
@@ -175,6 +202,7 @@ def main() -> None:
     ice_section([(name, w) for name, w in sturmian if len(w) >= ICE_LETTERS], args.repeat)
     mechanical_section(args.sizes, args.repeat)
     letters_section(args.repeat)
+    profile_section(args.repeat)
 
 
 def ice_section(words: list[tuple[str, Word]], repeat: int) -> None:
@@ -262,6 +290,65 @@ def _rejects(data: bytes) -> bool:
     except ValueError:
         return True
     return False
+
+
+
+def profile_section(repeat: int) -> None:
+    """Time `complexity_profile` at each window on each word and size and
+    check its counts against an independent count; then check the
+    full-depth index against Kasai at INDEX_LETTERS letters and time it
+    with the LPF kernel."""
+    print(f"\n{'letters':>9}  {'word':18} {'n_max':>5} {'profile ms':>10} {'checked by':>10}")
+    total, rows, brute = 0.0, 0, 0
+    for n in PROFILE_SIZES:
+        for name, text in PROFILE_WORDS.items():
+            w = parse_word_source(text, n, budget(n))
+            index_counts = None
+            for n_max in PROFILE_WINDOWS:
+                counts = list(complexity_profile(w, n_max).counts)
+                if n * n_max <= BRUTE_WORK:
+                    checked = "brute"
+                    want = factor_counts_brute(w.symbols, n_max)
+                    brute += 1
+                else:
+                    checked = "Kasai"
+                    if index_counts is None:
+                        index_counts = checked_index_counts(w.symbols, name)
+                    want = index_counts[:n_max]
+                if counts != want:
+                    raise SystemExit(f"complexity_profile differs from the {checked} count on {name} "
+                                     f"at {n} letters, n_max {n_max}")
+                (best,) = best_of(repeat, (complexity_profile, w, n_max))
+                total += best
+                rows += 1
+                print(f"{n:>9}  {name:18} {n_max:>5} {best * 1e3:10.3f} {checked:>10}", flush=True)
+    print(f"\n{'letters':>9}  {'word':18} {'index+LPF ms':>12}  full-depth index against Kasai")
+    for name in INDEX_WORDS:
+        data = WORDS[name](INDEX_LETTERS).symbols
+        checked_index_counts(data, name)
+        (best,) = best_of(repeat, (index_lpf, data))
+        print(f"{len(data):>9}  {name:18} {best * 1e3:12.3f}  agrees", flush=True)
+    print(f"profile: {rows} profiles at {', '.join(map(str, PROFILE_SIZES))} letters, {total * 1e3:.3f} ms "
+          f"in all (best of {repeat}); {brute} checked against factor_counts_brute, {rows - brute} against "
+          f"the full-depth index and Kasai; {len(INDEX_WORDS)} indexes at {INDEX_LETTERS} letters "
+          f"against Kasai; none differ")
+
+
+def checked_index_counts(data: bytes, name: str) -> list[int]:
+    """p(n) for every n, read off the full-depth index by its SA, once its
+    LCP matches Kasai's scan and each adjacent pair ascends after it.
+
+    Suffix SA[r] gives one new factor of each length in (LCP[r], L - SA[r]].
+    """
+    sa, lcp = suffix_index(data)
+    n = len(data)
+    if lcp.tolist() != lcp_array(data, sa):
+        raise SystemExit(f"the full-depth index and Kasai differ on {name} at {n} letters")
+    letters = np.append(np.frombuffer(data, np.uint8).astype(np.int16), -1)  # -1: the end
+    if (np.sort(sa) != np.arange(n)).any() or (letters[sa[:-1] + lcp[1:]] >= letters[sa[1:] + lcp[1:]]).any():
+        raise SystemExit(f"the full-depth SA is out of order on {name} at {n} letters")
+    diff = np.bincount(lcp + 1, minlength=n + 2) - np.bincount(n - sa + 1, minlength=n + 2)
+    return np.cumsum(diff)[1 : n + 1].tolist()
 
 
 if __name__ == "__main__":
