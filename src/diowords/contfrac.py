@@ -15,8 +15,10 @@ quotient.  A refined bracket nests in the last one, so its Euclid
 resumes from the quotients already certified instead of restarting.
 The same Euclid gives the quotients of a Sturmian surd slope
 (`_surd_quotients`) from its exact brackets, without an `Enclosure`.
-Convergents are a pure function of the quotients; they are built and
-certified by `certified_convergents` where they are read.
+Convergents are a pure function of the quotients.  `mu_estimate` reads
+only the denominators q_n, streamed from their recurrence and certified
+against Euclid's matrix of the same quotients; the pairs (p_n, q_n) that
+JSON `cf` prints are built and certified by `certified_convergents`.
 """
 
 from __future__ import annotations
@@ -303,15 +305,34 @@ def _cut_short(cf: CFExpansion, n_min: int) -> bool:
 def mu_estimate(cf: CFExpansion, n_min: int = 5) -> MuEstimate:
     """Exponent terms from exact a_{n+1} and q_n.
 
-    q_n comes from the certified convergents of a_0 .. a_{N-2}, where N
-    quotients are certified; the last term reads q_{N-2}.  The pairs are
-    streamed to their end, so the one-pair-per-quotient check runs.
-    math.log on ints carries about 1 ulp of relative error (far below
-    the 1e-12 budget the reported 6-decimal values need).
+    q_n is streamed from its recurrence q_n = a_n q_{n-1} + q_{n-2}, with
+    q_{-1} = 0 and q_0 = 1, over the N certified quotients: one big-by-small
+    product a step, and no p_n.  Each q_n is checked before the term n - 1
+    reads a_n: q_1 must not fall below q_0 and the denominators must
+    increase from q_1 on, which fails on any quotient below 1 after a_0.
+    The last pair (q_{N-2}, q_{N-1}) is then checked against
+    `_euclid_matrix` of the same quotients, code independent of the loop
+    (Euclid's steps, multiplied by halves): that matrix is the inverse of
+    the convergent matrix [[p_{N-1}, p_{N-2}], [q_{N-1}, q_{N-2}]], whose
+    determinant is (-1)^N, so its entries u and w are (-1)^N q_{N-2} and
+    -(-1)^N q_{N-1}.  A step of the recurrence is invertible given its
+    quotient, so the last pair pins every earlier one.  math.log on ints
+    carries about 1 ulp of relative error (far below the 1e-12 budget the
+    reported 6-decimal values need).
     """
     _check_terms(n_min, cf.certified)
-    pairs = enumerate(zip(certified_convergents(cf.quotients[:-1]), cf.quotients[1:]))
-    values = [(n, 2.0 + math.log(a) / math.log(q)) for n, ((_, q), a) in pairs if n >= n_min]
+    values = []
+    q_prev, q = 0, 1  # q_{n-1} and q_n, from n = 0
+    for n, a in enumerate(cf.quotients[1:], 1):
+        q_prev, q = q, a * q + q_prev
+        if q <= q_prev and (n >= 2 or q < q_prev):  # q_1 >= q_0, then q_n > q_{n-1}
+            raise CertificateError("convergent denominators must increase")
+        if n > n_min:
+            values.append((n - 1, 2.0 + math.log(a) / math.log(q_prev)))
+    u, _, w, _ = _euclid_matrix(cf.quotients)
+    sign = -1 if cf.certified % 2 else 1
+    if u != sign * q_prev or w != -sign * q:
+        raise CertificateError("convergent denominators disagree with Euclid's matrix")
     tail_start = values[len(values) // 2][0]
     return MuEstimate(n_min=n_min, values=tuple(values), tail_start=tail_start)
 

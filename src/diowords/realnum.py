@@ -20,8 +20,9 @@ while refining and a dyadic bracket stays exact.  Every enclosure starts
 at _START_BITS bits, or at its budget when that is lower.  Nested Moebius
 matrices compose into one and the image of a surd is a surd; every other
 image runs one refine loop (`_image_compute`) over its inner number's
-exact bracket, and at the budget returns the image of the bracket
-reached, so it prints its certified prefix as a plain number does.
+exact bracket, mapping each with one big division (`_image_bracket`), and
+at the budget returns the image of the bracket reached, so it prints its
+certified prefix as a plain number does.
 `Fraction` appears only at the public boundary, the one accessor
 `bounds()`.  The Sturmian slopes round the same surd and convergent
 brackets, so this module holds all of the slope arithmetic; a surd
@@ -543,19 +544,28 @@ def _image_bracket(
 ) -> tuple[int, int] | None:
     """Integers (out_lo, out_hi) with [out_lo, out_hi] / 2^scale the image of
     [lo, hi] / den (den > 0) under x -> (ax+b)/(cx+d), |ad - bc| = 1, rounded
-    outward; None when cx + d vanishes on the bracket."""
+    outward; None when cx + d vanishes on the bracket.
+
+    Let x1 be the end that maps to the lower image end (lo when ad - bc = 1,
+    hi when it is -1) and x2 the other, with N_i = a x_i + b den and
+    D_i = c x_i + d den.  One big division gives out_lo = floor(N1 2^scale /
+    D1) and its remainder r1.  As N2 = N1 + a (x2 - x1) and D2 = D1 + c (x2 -
+    x1), the remainder of the upper end over out_lo is exactly
+        r2 = N2 2^scale - out_lo D2 = r1 + (x2 - x1)(a 2^scale - c out_lo),
+    small-by-big products only, and out_hi = out_lo + ceil(r2 / D2), a
+    division whose quotient is the image's width at the scale, a few guard
+    bits once the inner bracket is as fine as the scale asks.
+    """
     den_lo, den_hi = c * lo + d * den, c * hi + d * den
     if den_lo == 0 or den_hi == 0 or (den_lo < 0) != (den_hi < 0):
         return None
-    num_lo = a * lo + b * den
+    x1, x2, den1, den2 = lo, hi, den_lo, den_hi
     if a * d - b * c < 0:  # decreasing: the lower image end comes from hi
-        num_lo, den_lo, den_hi = a * hi + b * den, den_hi, den_lo
-    # the images differ by (hi - lo) den / (den_lo den_hi) > 0, so the upper
-    # end needs a short division only; floor division floors the exact
-    # quotient whatever the sign of den_lo
-    out_lo, rem = _divmod(num_lo << scale, den_lo)
-    gap = rem * den_hi + ((hi - lo) * den << scale)
-    return out_lo, out_lo - (-gap // (den_lo * den_hi))
+        x1, x2, den1, den2 = hi, lo, den_hi, den_lo
+    out_lo, rem = _divmod((a * x1 + b * den) << scale, den1)
+    rem += (x2 - x1) * ((a << scale) - c * out_lo)
+    # floor division floors the exact quotient whatever the sign of den2
+    return out_lo, out_lo - _divmod(-rem, den2)[0]
 
 
 def enclosure_from_digits(

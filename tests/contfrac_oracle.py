@@ -7,6 +7,11 @@ p_k q_{k-1} - p_{k-1} q_k = (-1)^(k+1), with two big-by-big products per
 step; the production check tests the recurrence's links instead and gets
 the same determinant by induction.
 
+`mu_estimate` is the per-link reference for `contfrac.mu_estimate`: it
+reads q_n off the pairs of `contfrac.certified_convergents`, which builds
+every p_n too and checks each link of the recurrence, where production
+streams q_n alone and checks its last pair against Euclid's matrix.
+
 `interval_quotients` is the plain Euclid on an interval's integer
 pairs, two big `divmod`s a quotient: the reference for
 `contfrac._interval_quotients`, which takes Lehmer batches and resumes
@@ -24,7 +29,7 @@ from __future__ import annotations
 
 import math
 
-from diowords.contfrac import CFExpansion, _bits_for_terms
+from diowords.contfrac import CFExpansion, MuEstimate, _bits_for_terms, _check_terms, certified_convergents
 from diowords.realnum import CertificateError, Enclosure, convergents
 
 
@@ -39,6 +44,16 @@ def convergents_from_quotients(quotients) -> tuple[tuple[int, int], ...]:
             raise CertificateError("convergent denominators must increase")
         out.append((p, q))
     return tuple(out)
+
+
+def mu_estimate(cf: CFExpansion, n_min: int = 5) -> MuEstimate:
+    """Exponent terms 2 + log a_{n+1} / log q_n, with q_n from the certified
+    convergents of a_0 .. a_{N-2}, where N quotients are certified."""
+    _check_terms(n_min, cf.certified)
+    pairs = enumerate(zip(certified_convergents(cf.quotients[:-1]), cf.quotients[1:]))
+    values = [(n, 2.0 + math.log(a) / math.log(q)) for n, ((_, q), a) in pairs if n >= n_min]
+    tail_start = values[len(values) // 2][0]
+    return MuEstimate(n_min=n_min, values=tuple(values), tail_start=tail_start)
 
 
 def interval_quotients(lo: int, hi: int, den: int, k_max: int) -> list[int]:

@@ -10,6 +10,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from diowords import approx, contfrac, realnum, repetition, spec, sturmian
 from diowords.cli import main
@@ -75,17 +77,9 @@ class TestEnclosure:
 
 
 class TestConvergents:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("--format", "json", "cf", "e", "--terms", "5"),
-            ("mu", "e", "--terms", "10"),
-            ("report", "e", "--prefix", "50", "--terms", "10"),
-        ],
-        ids=["cf-json", "mu", "report"],
-    )
+    @pytest.mark.parametrize("argv", [("--format", "json", "cf", "e", "--terms", "5")], ids=["cf-json"])
     def test_non_unimodular_pair_exit_1(self, capsys, monkeypatch, argv):
-        # every command that reads convergents certifies them
+        # JSON cf, the one command that prints convergents, certifies them
         def doubled(quotients):
             for p_prev, q_prev, p, q in realnum.convergents(quotients):
                 yield p_prev, q_prev, 2 * p, 2 * q
@@ -139,18 +133,49 @@ class TestConvergents:
         # every pair that comes is a true link, but one is missing
         self.assert_caught(monkeypatch, self.pairs_of_e()[:-1], "one convergent per quotient")
 
-    def test_dropped_last_pair_of_exponent_terms(self, monkeypatch):
-        # mu_estimate streams the pairs and runs them to their end
-        cf = contfrac.CFExpansion((*self.E_QUOTIENTS, 1))
-        pairs = self.pairs_of_e()[:-1]
-        monkeypatch.setattr(contfrac, "convergents", lambda quotients: iter(pairs))
-        with pytest.raises(CertificateError, match="one convergent per quotient"):
-            contfrac.mu_estimate(cf, n_min=2)
-
     def test_swapped_pairs(self, monkeypatch):
         pairs = self.pairs_of_e()
         pairs[4], pairs[5] = pairs[5], pairs[4]
         self.assert_caught(monkeypatch, pairs, "recurrence")
+
+
+class TestExponentTermDenominators:
+    """`mu_estimate` streams q_n alone and checks the last two against
+    `_euclid_matrix`; `mu` and `report` read no `convergents`."""
+
+    @pytest.mark.parametrize("entry", [0, 2], ids=["u", "w"])
+    @pytest.mark.parametrize(
+        "argv",
+        [("mu", "e", "--terms", "10"), ("report", "e", "--prefix", "50", "--terms", "10")],
+        ids=["mu", "report"],
+    )
+    def test_euclid_matrix_off_by_one_exit_1(self, capsys, monkeypatch, argv, entry):
+        euclid_matrix = contfrac._euclid_matrix
+
+        def off_by_one(qs):
+            m = list(euclid_matrix(qs))
+            m[entry] += 1
+            return tuple(m)
+
+        monkeypatch.setattr(contfrac, "_euclid_matrix", off_by_one)
+        assert_certificate_exit(capsys, *argv)
+        with pytest.raises(CertificateError, match="Euclid's matrix"):
+            contfrac.mu_estimate(contfrac.CFExpansion((2, 1, 2, 1, 1, 4, 1)), n_min=2)
+
+    @given(
+        st.integers(),
+        st.lists(st.integers(1, 2**80), min_size=3, max_size=60),
+        st.integers(-(2**80), 0),
+        st.integers(0, 59),
+    )
+    @example(2, [1, 2, 1, 1, 4, 1, 1, 6, 1], 0, 1)  # a_2 = 0
+    @settings(max_examples=200, deadline=None)
+    def test_quotient_below_one(self, a0, rest, bad, k):
+        # the recurrence keeps |p q' - p' q| = 1 for any quotient, 0 included,
+        # and Euclid's matrix inverts it, so only the increase check sees it
+        rest[k % len(rest)] = bad
+        with pytest.raises(CertificateError, match="must increase"):
+            contfrac.mu_estimate(contfrac.CFExpansion((a0, *rest)), n_min=2)
 
 
 class TestApproximant:

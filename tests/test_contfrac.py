@@ -466,6 +466,20 @@ class TestMuEstimate:
         with pytest.raises(ValueError):
             mu_estimate(cf, 1)  # q_1 = 1 would put log 1 in the denominator
 
+    @given(quotient_lists, st.integers(-1, 12))
+    @example([2, 1, 2, 1, 1, 4, 1, 1, 6], 2)
+    @example([-7, *[2**80] * 9], 5)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_per_link_reference(self, qs, n_min):
+        # the same values, tail_start and errors as q_n read off checked pairs
+        def result(estimate):
+            try:
+                return estimate(CFExpansion(tuple(qs)), n_min)
+            except (ValueError, CertificateError) as exc:
+                return type(exc), str(exc)
+
+        assert result(mu_estimate) == result(oracle.mu_estimate)
+
 
 class TestBoundedPQ:
     def test_golden(self):

@@ -31,6 +31,7 @@ from diowords.realnum import (
     parse_real_spec,
 )
 
+import realnum_oracle
 import sturmian_oracle as oracle
 
 
@@ -427,6 +428,68 @@ class TestMobiusFold:
             enclosure(spec, max_bits=4)
         with pytest.raises(PrecisionBudgetError, match="Moebius pole not separable within budget"):
             mobius(-3, 8, 7, -19, enclosure(SeriesE(), max_bits=4), max_bits=4)
+
+
+@st.composite
+def image_cases(draw):
+    """(a, b, c, d, lo, hi, den, scale) for `_image_bracket`: a product of
+    [[k, 1], [1, 0]], with one row negated to flip the determinant's sign
+    and the whole matrix negated, which turns cx + d negative wherever it was
+    positive; a bracket of width 0 to 2^256 over a den up to 2^256, placed
+    anywhere or next to the pole; a scale of 0 to 400."""
+    a, b, c, d = 1, 0, 0, 1
+    for k in draw(st.lists(st.integers(-6, 6), max_size=4)):
+        a, b, c, d = a * k + b, a, c * k + d, c
+    if draw(st.booleans()):
+        a, b = -a, -b
+    if draw(st.booleans()):
+        a, b, c, d = -a, -b, -c, -d
+    den = draw(st.integers(1, 2**256))
+    width = draw(st.integers(0, 2**256))
+    if c and draw(st.booleans()):
+        lo = -d * den // c + draw(st.integers(-3, 3)) - draw(st.integers(0, width))
+    else:
+        lo = draw(st.integers(-(2**260), 2**260))
+    return a, b, c, d, lo, lo + width, den, draw(st.integers(0, 400))
+
+
+class TestImageBracket:
+    """`_image_bracket` against the two-product reference of `realnum_oracle`,
+    which no other test can catch it out on: `mobius`, `TestMobiusFold`'s
+    oracle chain, maps its brackets with the same `_image_bracket`."""
+
+    @given(image_cases())
+    @example((5, 2, 2, 1, -1, 0, 2, 10))  # the pole -1/2 on [-1/2, 0]
+    @example((2, 1, -1, -1, 0, 3, 1, 5))  # det -1, cx + d < 0 on [0, 3]
+    @settings(max_examples=600, deadline=None)
+    def test_equals_the_two_product_reference(self, case):
+        assert realnum._image_bracket(*case) == realnum_oracle.image_bracket(*case)
+
+    def test_cases_reach_every_branch(self):
+        # the strategy draws poles, negative denominators and both signs
+        seen = set()
+
+        @given(image_cases())
+        @settings(max_examples=300, deadline=None, database=None)
+        def record(case):
+            a, b, c, d, lo, hi, den, _ = case
+            den_lo = c * lo + d * den
+            pole = realnum_oracle.image_bracket(*case) is None
+            seen.add((pole, not pole and den_lo < 0, a * d - b * c))
+
+        record()
+        assert {(True, False, 1), (True, False, -1)} <= seen
+        assert {(False, True, 1), (False, True, -1), (False, False, 1), (False, False, -1)} <= seen
+
+    @pytest.mark.parametrize(
+        "matrix", [(5, 2, 2, 1), (2, 5, 1, 2), (-5, -2, -2, -1)], ids=["det+1", "det-1", "negated"]
+    )
+    def test_e_bracket_at_1e5_bits(self, matrix):
+        lo, hi, den, shift = e_bracket(10**5)
+        case = (*matrix, lo, hi, den << shift, 10**5 + realnum._GUARD_BITS)
+        image = realnum._image_bracket(*case)
+        assert image == realnum_oracle.image_bracket(*case)
+        assert 0 < image[1] - image[0] <= 2**realnum._GUARD_BITS
 
 
 def _value(spec):

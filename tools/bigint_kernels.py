@@ -3,7 +3,7 @@ plain code they replace, and the large extractions that run on them.
 
     python tools/bigint_kernels.py                          # every size, best of 5
     python tools/bigint_kernels.py --sizes 1000 8000 --euclid-bits 10000 --repeat 3
-    python tools/bigint_kernels.py --sizes --euclid-bits --src ../other/src  # only the extractions, of another tree
+    python tools/bigint_kernels.py --sizes --euclid-bits --image-bits --src ../other/src  # only the extractions, of another tree
     python tools/bigint_kernels.py --sizes --keep 256 --gate 512   # Euclid rows with other Lehmer constants
 
 For each size n in bits it prints the best-of-k time of the builtin
@@ -23,6 +23,14 @@ Euclid of `contfrac_oracle.interval_quotients` against
 `_LEHMER_KEEP_BITS` and `_LEHMER_GATE_BITS` at --keep and --gate (the
 module's values by default): the gate belongs where the batches stop
 winning, and the quotients must be equal, or the script exits.
+
+The image rows take the exact brackets of e at each of --image-bits
+bits and time the plain two-product image of
+`realnum_oracle.image_bracket`, dividing with `realnum._divmod`, against
+`realnum._image_bracket` under x -> (5x + 2)/(2x + 1) (det 1) and
+x -> (2x + 5)/(x + 2) (det -1), at scale bits + `_GUARD_BITS`, as the
+refine loop of `mobius:5,2,2,1:(e)` calls it; the images must be equal,
+or the script exits.
 
 Then it prints the wall time and md5 of six extractions, each in a
 fresh process that imports `diowords` from --src (this checkout's src/
@@ -49,11 +57,14 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "tests"))
 
 import contfrac_oracle  # noqa: E402
+import realnum_oracle  # noqa: E402
 from diowords import contfrac, realnum  # noqa: E402
 from diowords.realnum import Mobius, SeriesE, Surd, _divmod, _sqrtrem  # noqa: E402
 
 SIZES = (1000, 2000, 4000, 8000, 16_000, 32_000, 64_000, 100_000, 300_000, 1_000_000)
 EUCLID_BITS = (500, 1000, 2000, 10_000, 50_000, 210_000)
+IMAGE_BITS = (10_000, 100_000, 1_000_000)
+IMAGE_MATRICES = {"mobius:5,2,2,1": (5, 2, 2, 1), "mobius:2,5,1,2": (2, 5, 1, 2)}
 EUCLID_NUMBERS = {
     "e": SeriesE(),
     "surd:3,7,101": Surd(3, 7, 101),
@@ -123,6 +134,25 @@ def euclid_rows(bits_list, repeat: int, keep: int, gate: int) -> None:
             print(f"{bits:>9}  {name:20} {row}", flush=True)
 
 
+def image_rows(bits_list, repeat: int) -> None:
+    print(f"\n{'bits':>9}  {'image of e':16} {'plain ms':>10} {'kernel ms':>10} {'plain/kernel':>12}")
+    totals = [0.0, 0.0]
+    for bits in bits_list:
+        lo, hi, den, shift = realnum._e_bracket(bits)
+        for name, matrix in IMAGE_MATRICES.items():
+            operands = (*matrix, lo, hi, den << shift, bits + realnum._GUARD_BITS)
+            if realnum._image_bracket(*operands) != realnum_oracle.image_bracket(*operands, _divmod):
+                raise SystemExit(f"the image differs from the two-product image under {name} at {bits} bits")
+            plain, kern = best_of(repeat, (realnum_oracle.image_bracket, *operands, _divmod),
+                                  (realnum._image_bracket, *operands))
+            totals[0] += plain
+            totals[1] += kern
+            print(f"{bits:>9}  {name:16} {plain * 1e3:10.3f} {kern * 1e3:10.3f} {plain / kern:12.2f}", flush=True)
+    sizes = ", ".join(map(str, bits_list))
+    print(f"image: {len(bits_list) * len(IMAGE_MATRICES)} brackets of e at {sizes} bits, two-product "
+          f"{totals[0] * 1e3:.3f} ms, kernel {totals[1] * 1e3:.3f} ms in all (best of {repeat}); none differ")
+
+
 def isqrt_rem(n: int) -> tuple[int, int]:
     s = math.isqrt(n)
     return s, n - s * s
@@ -132,6 +162,7 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--sizes", type=int, nargs="*", default=list(SIZES))
     ap.add_argument("--euclid-bits", type=int, nargs="*", default=list(EUCLID_BITS))
+    ap.add_argument("--image-bits", type=int, nargs="*", default=list(IMAGE_BITS))
     ap.add_argument("--keep", type=int, default=contfrac._LEHMER_KEEP_BITS, help="Lehmer bits kept for the Euclid rows")
     ap.add_argument("--gate", type=int, default=contfrac._LEHMER_GATE_BITS, help="Lehmer gate for the Euclid rows")
     ap.add_argument("--repeat", type=int, default=5, help="best of this many runs (default 5)")
@@ -156,6 +187,8 @@ def main() -> None:
             row = f"{base * 1e3:11.3f} {kern * 1e3:10.3f} {split * 1e3:12.3f} {base / kern:14.2f}"
             print(f"{n:>9}  {name:8} {row}", flush=True)
     euclid_rows(args.euclid_bits, args.repeat, args.keep, args.gate)
+    if args.image_bits:
+        image_rows(args.image_bits, args.repeat)
     env = dict(os.environ, PYTHONPATH=os.path.abspath(args.src))
     print(f"\nextractions from {os.path.abspath(args.src)}")
     for name, (spec, base, count) in EXTRACTIONS.items():

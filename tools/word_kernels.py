@@ -6,11 +6,11 @@ and `mechanical_word` against its per-position floors.
     python tools/word_kernels.py --sizes 1000 10000 --repeat 3
     python tools/word_kernels.py --sizes --rss-src ../other/src  # only the peaks, of another tree
 
-First it prints the peak RSS (ru_maxrss) of fresh processes that run
-the `dio` command on 10^6 letters of the Fibonacci word, the binary
-digits of e and (01)^k, with `diowords` taken from --rss-src (this
-checkout's src/ by default).  Then, for each word of a fixed set and
-each size, it prints the best-of-k time of
+First it prints the peak RSS (ru_maxrss) of fresh processes that run the
+`dio` command on 10^6 letters of the Fibonacci word, the binary digits
+of e and (01)^k, with `diowords` taken from --rss-src (this checkout's
+src/ by default); with an empty --sizes it stops there.  Then, for each
+word of a fixed set and each size, it prints the best-of-k time of
 `suffix.longest_previous_factor` and of the `lpf_from_index` stack loop
 in `tests/suffix_oracle.py` on the same suffix index, and checks that
 both give the same array.  On the Sturmian words it also prints the
@@ -18,32 +18,31 @@ best-of-k time of the whole index path (`suffix_index` and the kernel)
 and of the record path (`sturmian.record_runs` and
 `repetition._record_lpf`) and the record count, and checks that both
 give the same array.  Then, for each Sturmian word at 10^4 letters and
-more, each of `SLOW_CASES` in `tests/sturmian_oracle.py` and
-[0; 30000, (2)*] at 2*10^5 letters, it prints the best-of-k time of
+more, each of `SLOW_CASES` in `tests/sturmian_oracle.py` and [0; 30000,
+(2)*] at 2*10^5 letters, it prints the best-of-k time of
 `repetition.ice_estimate` on the word, which reads Z at the slope's
 records, and on the same letters without the slope, which reads the
 Z-array, checks that both give the same estimate and prints a summary
-line.  Last, for each Sturmian word and size, it prints
-the best-of-k time of `sturmian.mechanical_word` and checks its letters
-against `mechanical_letters` in `tests/sturmian_oracle.py`, one exact
-floor per position: on surd slopes up to 10^6 letters, on
-continued-fraction slopes up to 10^5 (their oracle extends convergents
-for every floor), and prints a summary line.  Then, on the Fibonacci word
-at 10^5 and 10^6 letters, it prints the best-of-k time of the `Word`
-letter check, `Word.to_text` and the morphism image of
-`sturmian.apply_morphism`, each against the per-byte `translate` or
-per-letter join that it replaced (the image's is `image` in
-`tests/sturmian_oracle.py`), checks that each pair agrees and prints a
-summary line.  Then, on the binary and decimal digits of e, a Sturmian
-word and a quasi-Sturmian word at 10^4 to 10^6 letters, it prints the
-best-of-k time of `words.complexity_profile` at n_max 16 and 400 and
-checks the counts: against `factor_counts_brute` where that costs at
-most `BRUTE_WORK` window letters (about a second), and elsewhere
-against the counts read off the full-depth index by its SA, after
-checking that index's LCP against Kasai's scan (`lcp_array` in
+line.  Last, for each Sturmian word and size, it prints the best-of-k
+time of `sturmian.mechanical_word` and checks its letters against
+`mechanical_letters` in `tests/sturmian_oracle.py`, one exact floor per
+position: on surd slopes up to 10^6 letters, on continued-fraction
+slopes up to 10^5 (their oracle extends convergents for every floor),
+and prints a summary line.  Then, on the Fibonacci word at 10^5 and 10^6
+letters, it prints the best-of-k time of the `Word` letter check,
+`Word.to_text` and the morphism image of `sturmian.apply_morphism`, each
+against the per-byte `translate` or per-letter join that it replaced
+(the image's is `image` in `tests/sturmian_oracle.py`), checks that each
+pair agrees and prints a summary line.  Then, on the binary and decimal
+digits of e, a Sturmian word and a quasi-Sturmian word at 10^4 to 10^6
+letters, it prints the best-of-k time of `words.complexity_profile` at
+n_max 16 and 400 and checks the counts: against `factor_counts_brute`
+where that costs at most `BRUTE_WORK` window letters (about a second),
+and elsewhere against the counts read off the full-depth index by its
+SA, after checking that index's LCP against Kasai's scan (`lcp_array` in
 `tests/suffix_oracle.py`) and its SA order pair by pair.  It also checks
-the full-depth index against Kasai at 10^5 letters on digit words and
-on 0^(N-1)1, prints the best-of-k time of `suffix_index` and
+the full-depth index against Kasai at 10^5 letters on digit words and on
+0^(N-1)1, prints the best-of-k time of `suffix_index` and
 `longest_previous_factor` there, and prints a summary line.  It exits
 nonzero on any difference.  Digit words are made with a budget of 4 bits
 a digit, so that every size is reached.  It needs only the standard
@@ -179,6 +178,8 @@ def main() -> None:
             env=env, capture_output=True, text=True, check=True,
         )
         print(f"fresh dio {name} at {RSS_LETTERS} letters: peak RSS {int(out.stdout) / 1024:.1f} MB", flush=True)
+    if not args.sizes:
+        return
     print(f"{'letters':>9}  {'word':18} {'kernel ms':>10} {'loop ms':>10} {'loop/kernel':>11}")
     sturmian = []
     for n in args.sizes:
