@@ -355,19 +355,27 @@ def _surd_image(a: int, b: int, c: int, d: int, x: Surd) -> Surd:
     return Surd(num << g, den << g, x.q * x.q * x.d << 2 * g)
 
 
-def _e_terms_needed(bits: int) -> int:
-    """Smallest K with K! >= 2^(bits+1), located with lgamma and checked exactly by the caller."""
-    target = (bits + 1) * math.log(2)
-    lo, hi = 1, 2
-    while math.lgamma(hi + 1) < target:
-        hi *= 2
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if math.lgamma(mid + 1) < target:
-            lo = mid + 1
+def _first_true(test, lo: int, hi: int) -> int:
+    """The least k in [lo, hi) with test(k), or hi if none, for a test that
+    is false and then true on [lo, hi): galloping from lo, then bisecting."""
+    step, below = 1, lo
+    while lo < hi and not test(lo):
+        below, lo, step = lo + 1, lo + step, 2 * step
+    lo = min(lo, hi)
+    while below < lo:  # the answer lies in [below, lo]
+        mid = (below + lo) // 2
+        if test(mid):
+            lo = mid
         else:
-            hi = mid
-    return max(lo, 2)
+            below = mid + 1
+    return lo
+
+
+def _e_terms_needed(bits: int) -> int:
+    """Smallest K with K! >= 2^(bits+1), located with lgamma and checked
+    exactly by the caller; K <= bits + 2, as (bits + 2)! >= 2^(bits+1)."""
+    target = (bits + 1) * math.log(2)
+    return max(_first_true(lambda k: math.lgamma(k + 1) >= target, 1, bits + 3), 2)
 
 
 def _e_split(a: int, b: int) -> tuple[int, int]:

@@ -14,14 +14,15 @@ fraction's from its first close pair of convergents
 _SLOPE_EXTEND_CAP).  `mechanical_word` takes one bracket at 64 bits and
 steps the 64-bit fractional parts of n*alpha + rho in fixed-size uint64
 blocks; each letter is the carry of one step, written straight
-into the word's buffer.  The few floors, usually none, that a block may
-leave undecided are decided one by one at 64, 128, 256, ... bits with
-Python integers, and the letters that read them are rewritten.
-n*alpha + rho is never an integer, so this ends.
+into the word's buffer.  One exact floor oracle, `_floors`, decides
+every floor that the 64-bit bracket leaves open, by Python integers at
+128, 256, ... bits: the few, usually none, that a block may leave
+undecided, whose letters are then rewritten, and every floor test of
+`record_runs_from`.  n*alpha + rho is never an integer, so this ends.
 The lags of `record_runs` come from the slope's quotients: a `FromCF`
 gives them, and a surd's come from `contfrac`'s Euclid on its bracket.
 `record_runs_from` steps from a threshold through those lags with exact
-floor tests, read off the same brackets at 64, 128, ... bits.
+floor tests, galloping with `realnum._first_true`.
 
 Quasi-Sturmian words are built as W followed by the image of a Sturmian
 word under a nonerasing binary morphism; the checkers in this module
@@ -35,13 +36,13 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from fractions import Fraction
 
 import numpy as np
 
 from .contfrac import _surd_quotients
-from .realnum import PrecisionBudgetError, _exact, _round_out, convergent_bracket, surd_bracket
+from .realnum import PrecisionBudgetError, _exact, _first_true, _round_out, convergent_bracket, surd_bracket
 from .spec import QuasiSturmianSpec, SlopeSpec, Surd, parse_morphism, parse_slope
 from .words import Word, _check_window, complexity_profile, gap_profile
 
@@ -110,8 +111,8 @@ def mechanical_word(slope: SlopeSpec, intercept=Fraction(0), length: int = 0) ->
     steps by lo mod 2^64, and letter n is then the carry of the step:
     x_(n+1) < x_n.  A block of letters costs one add and one compare on
     uint64 buffers and one max that flags the floors a block may leave
-    undecided, usually none; `_settle` decides those and rewrites their
-    letters.
+    undecided, usually none; the letters that read those are rewritten from
+    the exact floors of `_floors`.
     """
     if length < 1:
         raise ValueError("length must be positive")
@@ -137,45 +138,14 @@ def mechanical_word(slope: SlopeSpec, intercept=Fraction(0), length: int = 0) ->
             flagged.update((start + 1 + np.flatnonzero(xs >= edge)).tolist())
         x_n = xs[-1]
     if flagged:
-        _settle(letters, slope, rho, lo, hi, flagged)
+        floor = _floors(slope, rho, lo, hi)
+        # floor n is read by letters n - 1 and n, of which there are `length`
+        for n in {n + i for n in flagged for i in (-1, 0)}:
+            if 1 <= n <= length:
+                letters[n - 1] = floor(n + 1) - floor(n)
     w = Word(letters.tobytes(), 2)
     object.__setattr__(w, "slope", slope)  # a frozen field outside __init__
     return w
-
-
-def _settle(
-    letters: np.ndarray, slope: SlopeSpec, rho: Fraction, lo: int, hi: int, pending: Iterable[int]
-) -> None:
-    """Decide the floors n in `pending` exactly and rewrite the letters that read them.
-
-    With a bracket at k bits and r = floor(rho*2^k), floor(n*alpha + rho)
-    lies between (n*lo + r) >> k and (n*hi + r) >> k, and is decided where
-    they agree: first at the 64-bit bracket lo, hi of `mechanical_word`,
-    then at 128, 256, ... bits with Python integers.
-    """
-    r64 = r = (rho.numerator << 64) // rho.denominator
-    lo64, bits, floors = lo, 64, {}
-    while True:
-        still = []
-        for n in pending:
-            f = (n * lo + r) >> bits
-            if f == (n * hi + r) >> bits:
-                floors[n] = f
-            else:
-                still.append(n)
-        if not still:
-            break
-        pending, bits = still, 2 * bits
-        lo, hi = _bracket(slope, bits)
-        r = (rho.numerator << bits) // rho.denominator
-
-    def floor(n: int) -> int:
-        return floors[n] if n in floors else (n * lo64 + r64) >> 64
-
-    # floor n is read by letters n - 1 and n, of which there are len(letters)
-    for n in {n + i for n in floors for i in (-1, 0)}:
-        if 1 <= n <= len(letters):
-            letters[n - 1] = floor(n + 1) - floor(n)
 
 
 def record_runs(slope: SlopeSpec, n: int) -> list[tuple[int, int, int, int, int]]:
@@ -240,7 +210,7 @@ def record_runs_from(
     m.  So each run of equal L costs one galloping search over m and one
     over the records of the other side, and never a step per record.
     """
-    floor = _floor_times(slope)
+    floor = _floors(slope, Fraction(0), *_bracket(slope, 64))
     out = [(side, lo, 0, 1) for side in (0, 1) if lo < n]
     for side in (0, 1):
         other = [run[1:4] for run in runs if run[0] != side]
@@ -282,38 +252,26 @@ def _steps_from(floor, side: int, lo: int, n: int, other: list) -> Iterator[tupl
         d, i = d + m * gap, i + 1
 
 
-def _first_true(test, lo: int, hi: int) -> int:
-    """The least k in [lo, hi) with test(k), or hi if none, for a test that
-    is false and then true on [lo, hi): galloping from lo, then bisecting."""
-    step, below = 1, lo
-    while lo < hi and not test(lo):
-        below, lo, step = lo + 1, lo + step, 2 * step
-    lo = min(lo, hi)
-    while below < lo:  # the answer lies in [below, lo]
-        mid = (below + lo) // 2
-        if test(mid):
-            lo = mid
-        else:
-            below = mid + 1
-    return lo
+def _floors(slope: SlopeSpec, rho: Fraction, lo: int, hi: int):
+    """n -> floor(n*alpha + rho) for integers n >= 1, exactly, from the
+    slope's 64-bit bracket lo, hi.
 
+    With a bracket at k bits and r = floor(rho*2^k), floor(n*alpha + rho)
+    lies between (n*lo + r) >> k and (n*hi + r) >> k, and is decided where
+    they agree: at 64 bits, else at 128, 256, ... bits, each bracket asked
+    of `_bracket` once.  n*alpha + rho is never an integer, so this ends.
+    """
+    levels = [(64, lo, hi, (rho.numerator << 64) // rho.denominator)]
 
-def _floor_times(slope: SlopeSpec):
-    """k -> floor(k alpha) for integers k >= 1, exactly: read off the
-    bracket at 64 bits, and at 128, 256, ... bits where it leaves the
-    floor open, as in `_settle`; k alpha is never an integer."""
-    brackets = {}
-
-    def floor(k: int) -> int:
-        bits = 64
-        while True:
-            if bits not in brackets:
-                brackets[bits] = _bracket(slope, bits)
-            lo, hi = brackets[bits]
-            f = (k * lo) >> bits
-            if f == (k * hi) >> bits:
+    def floor(n: int) -> int:
+        for i in itertools.count():
+            if i == len(levels):
+                bits = 2 * levels[-1][0]
+                levels.append((bits, *_bracket(slope, bits), (rho.numerator << bits) // rho.denominator))
+            bits, lo, hi, r = levels[i]
+            f = (n * lo + r) >> bits
+            if f == (n * hi + r) >> bits:
                 return f
-            bits *= 2
 
     return floor
 

@@ -7,9 +7,14 @@ and the upper end comes from the difference of the two images,
 end's denominator and the product of both denominators.  It divides
 with the builtin `divmod`, unless given another with its floor semantics,
 and shares no code with `realnum`.
+`e_terms_needed` is the doubling-and-bisecting loop that
+`realnum._e_terms_needed` replaces with the one galloping search,
+`realnum._first_true`.
 """
 
 from __future__ import annotations
+
+import math
 
 
 def image_bracket(a: int, b: int, c: int, d: int, lo: int, hi: int, den: int, scale: int, divide=divmod):
@@ -27,3 +32,19 @@ def image_bracket(a: int, b: int, c: int, d: int, lo: int, hi: int, den: int, sc
     out_lo, rem = divide(num_lo << scale, den_lo)
     gap = rem * den_hi + ((hi - lo) * den << scale)
     return out_lo, out_lo - (-gap // (den_lo * den_hi))
+
+
+def e_terms_needed(bits: int) -> int:
+    """Smallest K with K! >= 2^(bits+1), located with lgamma: double an upper
+    end until it passes, then bisect."""
+    target = (bits + 1) * math.log(2)
+    lo, hi = 1, 2
+    while math.lgamma(hi + 1) < target:
+        hi *= 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if math.lgamma(mid + 1) < target:
+            lo = mid + 1
+        else:
+            hi = mid
+    return max(lo, 2)

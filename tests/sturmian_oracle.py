@@ -14,6 +14,8 @@ for a surd slope, with the floor read off one `surd_bracket`.
 `records_from` is the reference for `record_runs` and
 `record_runs_from`: the minima of {d alpha} and {-d alpha} over [t, d]
 by brute force, each comparison an exact sign (`sign_times`).
+`near_integer_intercepts` gives intercepts that put one floor next to an
+integer, so that `sturmian` must decide it past the 64-bit bracket.
 `SLOW_CASES` are the slopes, with a length, on which the record kernels
 are tested and timed beyond random slopes.
 `apply_morphism` builds phi(s) by `image`, the per-letter join that
@@ -28,7 +30,7 @@ from fractions import Fraction
 from typing import Callable
 
 from diowords.realnum import Surd, convergents
-from diowords.sturmian import QuasiSturmianSpec, SlopeSpec, mechanical_word, slope_bounds
+from diowords.sturmian import QuasiSturmianSpec, SlopeSpec, _bracket, mechanical_word, slope_bounds
 from diowords.words import Word
 
 # the slopes on which a pass per record lost to the suffix index, with a length
@@ -58,6 +60,16 @@ def floor_times(slope: SlopeSpec, n: int, rho: Fraction) -> int:
         f_prev = (n * p_prev * rq + rp * q_prev) // (q_prev * rq)
         if f_prev == (n * p_cur * rq + rp * q_cur) // (q_cur * rq):
             return f_prev
+
+
+def near_integer_intercepts(slope: SlopeSpec, n0: int) -> tuple[Fraction, Fraction]:
+    """Intercepts within 2^-150 of {-n0*alpha}, on either side of it.
+
+    Each puts n0*alpha + rho next to an integer, just under it and just
+    over it, so floor n0 needs more bits than the 64-bit bracket has.
+    """
+    lo, hi = _bracket(slope, 200)
+    return Fraction(-n0 * hi % 2**200, 2**200), Fraction(-n0 * lo % 2**200, 2**200)
 
 
 def mechanical_letters(slope: SlopeSpec, rho: Fraction, length: int) -> bytes:

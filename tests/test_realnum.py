@@ -453,6 +453,27 @@ def image_cases(draw):
     return a, b, c, d, lo, lo + width, den, draw(st.integers(0, 400))
 
 
+class TestSearch:
+    def test_first_true_on_every_monotone_test(self):
+        # test(k) is k >= answer on [lo, hi): never true when answer is hi,
+        # and asked only inside [lo, hi)
+        for lo in range(41):
+            for hi in range(lo, 41):
+                for answer in range(lo, hi + 1):
+                    asked = []
+
+                    def test(k):
+                        asked.append(k)
+                        return k >= answer
+
+                    assert realnum._first_true(test, lo, hi) == answer
+                    assert all(lo <= k < hi for k in asked)
+
+    def test_e_terms_needed_matches_the_bisecting_loop(self):
+        for bits in [*range(20_001), 10**5, 10**6, 10**7]:
+            assert realnum._e_terms_needed(bits) == realnum_oracle.e_terms_needed(bits), bits
+
+
 class TestImageBracket:
     """`_image_bracket` against the two-product reference of `realnum_oracle`,
     which no other test can catch it out on: `mobius`, `TestMobiusFold`'s

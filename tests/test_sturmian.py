@@ -27,6 +27,7 @@ from diowords.sturmian import (
     QuasiSturmianSpec,
     _bracket,
     _checked,
+    _floors,
     apply_morphism,
     letter_frequency_check,
     mechanical_word,
@@ -67,16 +68,6 @@ def fib_text(n):
     return s[:n]
 
 
-def near_integer_intercepts(slope, n0):
-    """Intercepts within 2^-150 of {-n0*alpha}, on either side of it.
-
-    Each puts n0*alpha + rho next to an integer, just under it and just
-    over it, so floor n0 needs more bits than the 64-bit bracket has.
-    """
-    lo, hi = _bracket(slope, 200)
-    return Fraction(-n0 * hi % 2**200, 2**200), Fraction(-n0 * lo % 2**200, 2**200)
-
-
 def near_integer_words(slope, n0, length, monkeypatch):
     """The two words of `near_integer_intercepts`, each checked against the oracle.
 
@@ -88,7 +79,7 @@ def near_integer_words(slope, n0, length, monkeypatch):
         sturmian, "_bracket", lambda s, bits: requested.append(bits) or _bracket(s, bits)
     )
     words = []
-    for rho in near_integer_intercepts(slope, n0):
+    for rho in oracle.near_integer_intercepts(slope, n0):
         requested.clear()
         words.append(mechanical_word(slope, rho, length).symbols)
         assert len(requested) > 1
@@ -394,7 +385,7 @@ class TestMechanicalWord:
         n0, q, length = 100, 747, 1000
         _, requested = near_integer_words(slope, n0, length, monkeypatch)
         assert requested == [64, 128, 256]
-        for rho in near_integer_intercepts(slope, n0):
+        for rho in oracle.near_integer_intercepts(slope, n0):
             assert open_floors(slope, rho, length + 1, 64) == [n0, n0 + q]
             assert open_floors(slope, rho, length + 1, 128) == [n0]
             assert open_floors(slope, rho, length + 1, 256) == []
@@ -422,6 +413,38 @@ class TestMechanicalWord:
         for letter, run in itertools.groupby(w.symbols):
             length = len(list(run))
             assert length <= (ones_bound if letter == 1 else zeros_bound)
+
+
+class TestFloorOracle:
+    """`_floors`, the one exact floor oracle of `mechanical_word` and
+    `record_runs_from`, against the per-position floors."""
+
+    @given(slopes(), intercepts, st.lists(st.integers(1, 10**6), min_size=1, max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_position_floors(self, slope, rho, ns):
+        floor = _floors(slope, rho, *_bracket(slope, 64))
+        assert [floor(n) for n in ns] == [oracle.floor_times(slope, n, rho) for n in ns]
+
+    @pytest.mark.parametrize("n0", [1, 100, 777, 1001])
+    @pytest.mark.parametrize(
+        "text", ["surd:-3,-2,5", "cfslope:1,(2,3)*", "cfslope:pow10", cf_text((2, 3, 5, 20, 2**60), (1,))]
+    )
+    def test_near_integer_floors(self, text, n0, monkeypatch):
+        # floor n0 is within 2^-150 of an integer, so the 128-bit bracket
+        # leaves it open too; the seeded oracle asks for 128 and 256 bits
+        # once each, and never for 64 bits again
+        slope = parse_slope(text)
+        seed = _bracket(slope, 64)
+        requested = []
+        monkeypatch.setattr(
+            sturmian, "_bracket", lambda s, bits: requested.append(bits) or _bracket(s, bits)
+        )
+        ns = range(max(1, n0 - 3), n0 + 4)
+        for rho in oracle.near_integer_intercepts(slope, n0):
+            requested.clear()
+            floor = _floors(slope, rho, *seed)
+            assert [floor(n) for n in (*ns, n0)] == [oracle.floor_times(slope, n, rho) for n in (*ns, n0)]
+            assert requested == [128, 256]
 
 
 class TestFrequency:

@@ -28,7 +28,13 @@ time of `sturmian.mechanical_word` and checks its letters against
 `mechanical_letters` in `tests/sturmian_oracle.py`, one exact floor per
 position: on surd slopes up to 10^6 letters, on continued-fraction
 slopes up to 10^5 (their oracle extends convergents for every floor),
-and prints a summary line.  Then, on the Fibonacci word at 10^5 and 10^6
+and prints a summary line.  At 10^5 letters it also builds each
+Sturmian word at the two intercepts of `near_integer_intercepts` in
+`tests/sturmian_oracle.py` for floor n0 = 5*10^4, so that the exact
+floor oracle `sturmian._floors` asks for brackets past 64 bits, prints
+their best-of-k time and the bits asked, checks them against
+`mechanical_letters` and prints a summary line.  Then, on the Fibonacci
+word at 10^5 and 10^6
 letters, it prints the best-of-k time of the `Word` letter check,
 `Word.to_text` and the morphism image of `sturmian.apply_morphism`, each
 against the per-byte `translate` or per-letter join that it replaced
@@ -62,6 +68,7 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
+from diowords import sturmian as sturmian_module  # noqa: E402
 from diowords.cli import parse_word_source  # noqa: E402
 from diowords.realnum import Surd  # noqa: E402
 from diowords.spec import read_intercept  # noqa: E402
@@ -69,7 +76,7 @@ from diowords.repetition import _record_lpf, ice_estimate  # noqa: E402
 from diowords.sturmian import _image, mechanical_word, parse_slope, record_runs  # noqa: E402
 from diowords.suffix import longest_previous_factor, suffix_index  # noqa: E402
 from diowords.words import DIGITS_TO_CHARS, Word, complexity_profile, factor_counts_brute  # noqa: E402
-from sturmian_oracle import SLOW_CASES, image, mechanical_letters  # noqa: E402
+from sturmian_oracle import SLOW_CASES, image, mechanical_letters, near_integer_intercepts  # noqa: E402
 from suffix_oracle import lcp_array, lpf_from_index  # noqa: E402
 
 SIZES = (1000, 3000, 10_000, 15_000, 200_000, 1_000_000)
@@ -110,6 +117,8 @@ ICE_LETTERS = 10_000
 ICE_CASES = [*SLOW_CASES, ("cfslope:30000,(2)*", 200_000)]
 # the longest mechanical words checked against the per-position floors
 ORACLE_LETTERS = {"surd": 1_000_000, "cf": 100_000}
+# the mechanical words with one floor next to an integer, at this length
+NEAR_LETTERS = 100_000
 # the letter passes of `Word` and `apply_morphism`: word lengths and the images
 LETTER_SIZES = (100_000, 1_000_000)
 LETTER_IMAGES = (b"\0\1", b"\0\0\1")
@@ -202,6 +211,7 @@ def main() -> None:
         print(f"{len(w):>9}  {name:18} {records:>8} {index * 1e3:10.3f} {rec * 1e3:10.3f} {index / rec:13.2f}", flush=True)
     ice_section([(name, w) for name, w in sturmian if len(w) >= ICE_LETTERS], args.repeat)
     mechanical_section(args.sizes, args.repeat)
+    near_integer_section(args.repeat)
     letters_section(args.repeat)
     profile_section(args.repeat)
 
@@ -243,6 +253,37 @@ def mechanical_section(sizes: list[int], repeat: int) -> None:
     words = len(sizes) * len(MECHANICAL)
     print(f"mechanical_word: {words} words, {total * 1e3:.3f} ms in all (best of {repeat}); "
           f"{checked} checked against the per-position floors, none differ")
+
+
+def asked_bits(slope, rho, n: int) -> tuple[Word, list[int]]:
+    """`mechanical_word(slope, rho, n)` and the bits of every slope bracket it asks for."""
+    asked, bracket = [], sturmian_module._bracket
+    sturmian_module._bracket = lambda s, bits: asked.append(bits) or bracket(s, bits)
+    try:
+        return mechanical_word(slope, rho, n), asked
+    finally:
+        sturmian_module._bracket = bracket
+
+
+def near_integer_section(repeat: int) -> None:
+    """Time `mechanical_word` on each Sturmian word at NEAR_LETTERS letters and
+    the two intercepts that put floor NEAR_LETTERS // 2 next to an integer, and
+    check its letters against the per-position floors."""
+    n = NEAR_LETTERS
+    print(f"\n{'letters':>9}  {'word':18} {'side':5} {'word ms':>10} {'bits asked':>16}")
+    total, deepest = 0.0, 0
+    for name, (text, _) in MECHANICAL.items():
+        slope = parse_slope(text)
+        for side, rho in zip(("under", "over"), near_integer_intercepts(slope, n // 2)):
+            w, asked = asked_bits(slope, rho, n)
+            if w.symbols != mechanical_letters(slope, rho, n):
+                raise SystemExit(f"mechanical_word and its oracle differ on {name} {side} at {n} letters")
+            (best,) = best_of(repeat, (mechanical_word, slope, rho, n))
+            total += best
+            deepest = max(deepest, *asked)
+            print(f"{n:>9}  {name:18} {side:5} {best * 1e3:10.3f} {','.join(map(str, asked)):>16}", flush=True)
+    print(f"near-integer mechanical_word: {2 * len(MECHANICAL)} words at {n} letters, {total * 1e3:.3f} ms "
+          f"in all (best of {repeat}), brackets up to {deepest} bits; none differ from the per-position floors")
 
 
 
