@@ -11,10 +11,11 @@ Every argument text, spec, word source and number option is read by
 as `--slack` add an optional '.' and ASCII digits, and a grammar error
 names the position of its field in the argument.
 
-Exit codes, one exception class each: 0 success; 1 a failed criterion
+Exit codes, by exception class: 0 success; 1 a failed criterion
 or plateau check, or `realnum.CertificateError`, a failed certificate
 check; 2 a usage error, `ValueError` or `TypeError`; 3
-`realnum.PrecisionBudgetError`, an exhausted refinement budget; 141 a
+`realnum.PrecisionBudgetError`, an exhausted refinement budget, or a
+`MemoryError`, an allocation the host refused; 141 a
 stdout closed by its reader, the code a shell reports for a writer
 stopped by SIGPIPE, with nothing on stderr.  Checks that need only the
 argv come first, so a usage error is one under every budget; each is the
@@ -473,6 +474,10 @@ def main(argv=None) -> int:
         return EXIT_PIPE
     except realnum.PrecisionBudgetError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError as exc:
+        # numpy's _ArrayMemoryError is one: a word too large for the host
+        print(f"out of memory: {str(exc) or 'allocation refused'}", file=sys.stderr)
         return EXIT_BUDGET
     except realnum.CertificateError as exc:
         print(f"certificate check failed: {exc}", file=sys.stderr)

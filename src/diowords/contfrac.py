@@ -34,7 +34,7 @@ from .realnum import (CertificateError, Enclosure, RealSpec, _exact, convergents
 # Euclid takes Lehmer batches from the top _LEHMER_KEEP_BITS bits of its
 # pairs while both divisors have _LEHMER_GATE_BITS bits or more.  Below
 # about 1000 bits a CPython divmod costs little more than a step on the
-# hull, so the batches lose (tools/bigint_kernels.py)
+# hull, so the batches lose (`python tools/kernel_check.py euclid`)
 _LEHMER_KEEP_BITS = 256
 _LEHMER_GATE_BITS = 1024
 

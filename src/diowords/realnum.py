@@ -68,7 +68,7 @@ _GUARD_BITS = 32
 _STR_LEAF_DIGITS = getattr(sys.int_info, "str_digits_check_threshold", 640)
 # The builtin `divmod` and `math.isqrt` are quadratic, but up to this many
 # bits of divisor, quotient or radicand they beat `_divmod` and `_sqrtrem`
-# (tools/bigint_kernels.py)
+# (`python tools/kernel_check.py divmod`)
 _BIGINT_CUT_BITS = 4000
 
 Bracket = tuple[int, int, int, int]  # (lo, hi, den, shift): [lo, hi] / (den 2^shift), den > 0

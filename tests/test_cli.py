@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -16,9 +17,17 @@ from hypothesis import example, given, settings
 from diowords import approx, contfrac, realnum
 from diowords.cli import main
 from diowords.realnum import Surd, _digits_to_int, enclosure, mobius, parse_real_spec
+from diowords.spec import parse_slope
 
 import contfrac_oracle as oracle
+from sturmian_oracle import mechanical_letters
 from strategies import LOOSE_DECIMALS, LOOSE_INTS, LOOSE_MARKS, cli_argvs
+
+
+def child_env() -> dict:
+    """The environment of a child `python -m diowords.cli`: this tree's src/ first."""
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
 
 
 def run_cli(capsys, *argv):
@@ -184,6 +193,40 @@ class TestBasicCommands:
         assert "margin" not in payload
 
 
+class TestOptionWiring:
+    """Each option reaches the function it sets: an argv whose stdout
+    changes with the option's value, checked for that value."""
+
+    def test_report_slack(self, capsys):
+        argv = ["report", "e", "--base", "10", "--prefix", "2000", "--terms", "60", "--slack", "-5"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert "(slack -5.0)" in out and "inequality_holds: False" in out.splitlines()
+        code, out, _ = run_cli(capsys, "--format", "json", *argv)
+        assert code == 0
+        assert json.loads(out)["slack"] == {"estimate": -5.0}
+
+    @pytest.mark.parametrize("command", ["dio", "ice"])
+    def test_threshold(self, capsys, command):
+        argv = [command, "sturmian:cfslope:(1)*", "--prefix", "1000", "--threshold", "300"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert f"{command} estimate over prefix N=1000 (threshold 300)" in out
+        code, out, _ = run_cli(capsys, "--format", "json", *argv)
+        assert code == 0
+        est = json.loads(out)
+        assert est["threshold"] == 300
+        assert est["persistent_max"]["u"] + est["persistent_max"]["v"] >= 300
+
+    def test_sturmian_intercept(self, capsys):
+        slope = parse_slope("cfslope:(1)*")
+        words = ["".join(map(str, mechanical_letters(slope, Fraction(rho), 50))) for rho in ("1/3", "0")]
+        assert words[0] != words[1]
+        code, out, _ = run_cli(capsys, "sturmian", "cfslope:(1)*", "--length", "50", "--intercept", "1/3")
+        assert code == 0
+        assert out == words[0] + "\n"
+
+
 class TestJsonDiscipline:
     def test_json_forms(self, capsys):
         # every word the CLI prints has at most 10 letters: one digit string
@@ -260,11 +303,9 @@ class TestExitCodes:
     def test_closed_stdout_is_141_without_traceback(self, argv):
         # the output is longer than a pipe buffer, so the writer meets the
         # closed pipe whether or not the reader closes it first
-        paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
         proc = subprocess.Popen(
             [sys.executable, "-m", "diowords.cli", *argv],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
         )
         try:
             assert len(proc.stdout.read(10)) == 10
@@ -275,6 +316,32 @@ class TestExitCodes:
             proc.kill()
             proc.stderr.close()
         assert err == b""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sturmian", "cfslope:(1)*", "--length", "10000000000"],
+            ["dio", "sturmian:cfslope:(1)*", "--prefix", "10000000000"],
+            ["complexity", "sturmian:surd:-3,-2,5", "--prefix", "3000000000", "--n-max", "5"],
+            ["quasi", "--word", "2", "--morphism", "0>01;1>001", "--slope", "surd:-3,-2,5",
+             "--length", "100000000000"],
+        ],
+        ids=["sturmian", "dio", "complexity", "quasi"],
+    )
+    def test_refused_allocation_is_3_without_traceback(self, argv):
+        # never run these argv uncapped: past the cap the host's overcommit
+        # and its OOM killer would decide the outcome
+        resource = pytest.importorskip("resource")
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        proc = subprocess.run([sys.executable, "-m", "diowords.cli", *argv], preexec_fn=cap, env=child_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("out of memory: ") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("spec, base", [("e", "10"), ("surd:0,1,2", "2"), ("mobius:3,1,2,1:(e)", "7")])
     def test_digits_past_the_budget_cost_what_the_budget_does(self, capsys, spec, base):
