@@ -105,12 +105,24 @@ def _json_out(payload, last: Iterable | None = None) -> None:
     sys.stdout.write("\n  ]\n}\n" if sep else "]\n}\n")
 
 
+# `sturmian` and `quasi` print their words this many letters at a time
+_TEXT_BLOCK = 1 << 14
+
+
 def _word_out(w: words.Word, fmt: str) -> None:
-    """Print a `sturmian` or `quasi` word, which has at most 10 letters, as one digit string."""
+    """Print a `sturmian` or `quasi` word, which has at most 10 letters, as
+    one digit string, _TEXT_BLOCK letters at a time, so that no text as
+    long as the word is made; JSON puts it where one `json.dumps` would."""
     if fmt == "json":
-        _json_out({"alphabet_size": w.alphabet_size, "word": w.to_text()})
+        # a digit string needs no escapes, so its letters go between the quotes of ""
+        head, tail = json.dumps({"alphabet_size": w.alphabet_size, "word": ""}, indent=2).split('""')
+        head, tail = head + '"', '"' + tail + "\n"
     else:
-        _emit(w.to_text())
+        head, tail = "", "\n"
+    sys.stdout.write(head)
+    for start in range(0, len(w), _TEXT_BLOCK):
+        sys.stdout.write(w.to_text(start, start + _TEXT_BLOCK))
+    sys.stdout.write(tail)
 
 
 def _estimate_json(est: repetition.ExponentEstimate) -> dict:

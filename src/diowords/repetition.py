@@ -95,11 +95,12 @@ class ExponentEstimate:
 
 
 def verify_witness(prefix: Word, w: RepetitionWitness) -> bool:
-    """Check the periodicity certificate a[i] = a[i+v] on [u, m-v-1]."""
+    """Check the periodicity certificate a[i] = a[i+v] on [u, m-v-1], in
+    place: the letters from u start with those from u + v to m."""
     if w.m > len(prefix):
         raise ValueError("witness exceeds prefix")
     data = prefix.symbols
-    return data[w.u : w.m - w.v] == data[w.u + w.v : w.m]
+    return data.startswith(memoryview(data)[w.u + w.v : w.m], w.u)
 
 
 def _certified(prefix: Word, cand: _Cand, initial: bool) -> RepetitionWitness:
@@ -190,7 +191,7 @@ def _record_lpf(data: bytes, runs: list) -> np.ndarray:
         open_rows = np.flatnonzero(nxt[:, -1] == w)
         if len(open_rows):
             sub = nxt[open_rows]
-            sub += (sub == w) * _lce_past(data, view, first + step * open_rows, w)[:, None]
+            sub += (sub == w) * _lce_past(data, first + step * open_rows, w)[:, None]
             nxt[open_rows] = sub
         nxt -= cols[:length]
         span = min(count * length, n - first)
@@ -228,28 +229,58 @@ def _lag_view(data: bytes) -> np.ndarray:
 _Z_LAGS = 512
 
 
-def _lce_past(data: bytes, view: np.ndarray, lags: np.ndarray, w: int) -> np.ndarray:
-    """lce(w, L + w) for each lag L, given view[L, c] = pad[L + c] with the
-    padding letter from N on, so that each match ends by c = N - L.
+# _lce_past compares spans of at most _LCE_SPAN letters in numpy, for as
+# many open lags at once as hold _LCE_BATCH letters in all; longer matches
+# are extended one lag at a time.  On the 30 ice jobs of benchmark seeds 1
+# and 2 (best of 7), spans up to 2^11, 2^13 and 2^15 took 0.31, 0.28 and
+# 0.31 ms a job with batches of 2^16, 2^16 and 2^17 letters, and 2^13
+# took 0.30 and 0.27 ms with 2^15 and 2^17.
+_LCE_SPAN = 1 << 13
+_LCE_BATCH = 1 << 16
 
-    Many lags read it off the Z-array of the word from w; few search
-    view[L, c] != w[c] from c = w on, in chunks that double.
+
+def _lce_past(data: bytes, lags: np.ndarray, w: int) -> np.ndarray:
+    """lce(w, L + w) for each of the ascending lags L; each match ends by N - L.
+
+    Many lags read it off the Z-array of the word from w.  Few compare
+    their letters from w on in spans of max(w, 64) letters, then spans that
+    double up to _LCE_SPAN, in numpy, for _LCE_BATCH letters of open lags
+    at a time, as long as the span ends inside the word; `_extend` settles
+    the rest one lag at a time, in place.  No temporary outgrows
+    _LCE_BATCH letters.
     """
     if len(lags) > _Z_LAGS:
         z = _z_array(data[w:])
         # a lag with L + w = N matches no letter past the word
         return np.where(lags < len(z), z[np.minimum(lags, len(z) - 1)], 0)
+    n = len(data)
+    a = np.frombuffer(data, dtype=np.uint8)
     out = np.empty(len(lags), dtype=np.int64)
-    a = view[0, : len(data)]
-    todo = np.arange(len(lags))
+    todo, rest = np.arange(len(lags)), []  # rest: (lag index, letters known to match)
     lo, chunk = w, max(w, 64)
-    while len(todo):
-        hi = min(lo + chunk, len(data))
-        mis = view[lags[todo], lo:hi] != a[lo:hi]
-        hit = mis.any(axis=1)
-        out[todo[hit]] = mis[hit].argmax(axis=1) + (lo - w)
-        todo = todo[~hit]
+    while len(todo) and chunk <= _LCE_SPAN:
+        hi = lo + chunk
+        if lags[todo[-1]] + hi > n:
+            # the lags ascend, so those whose span passes the word's end are the last
+            cut = int(np.searchsorted(lags[todo], n - hi, side="right"))
+            rest += [(i, lo - w) for i in todo[cut:].tolist()]
+            todo = todo[:cut]
+            if not cut:
+                break
+        # row r is letters r .. r + chunk - 1, a view that numpy bounds by the word
+        rows = np.ndarray((n - chunk + 1, chunk), np.uint8, data, strides=(1, 1))
+        step, still = _LCE_BATCH // chunk, []
+        for g in range(0, len(todo), step):
+            part = todo[g : g + step]
+            mis = rows[lags[part] + lo] != a[lo:hi]
+            hit = mis.any(axis=1)
+            out[part[hit]] = mis[hit].argmax(axis=1) + (lo - w)
+            still.append(part[~hit])
+        todo = np.concatenate(still)
         lo, chunk = hi, 2 * chunk
+    # a match that held through the spans so far goes on about as far again
+    for i, k in rest + [(i, lo - w) for i in todo.tolist()]:
+        out[i] = _extend(data, int(lags[i]) + w, k, w, max(k, 1))
     return out
 
 
@@ -280,10 +311,9 @@ def ice_estimate(prefix: Word, threshold: int | None = None) -> ExponentEstimate
     """
     t = _checked_threshold(len(prefix), threshold)
     data = prefix.symbols
-    # a Z-match block at v starts the word, so _best_from finds u = 0 for it
     if prefix.slope is not None:
         lags = _record_lags(prefix.slope, len(data), t)
-        return _estimate(prefix, lags, _lce_past(data, _lag_view(data), lags, 0), t, True)
+        return _estimate(prefix, lags, _lce_past(data, lags, 0), t, True)
     return _estimate(prefix, np.arange(1, len(data)), _z_array(data)[1:], t, True)
 
 
@@ -315,13 +345,13 @@ def _estimate(
     data = prefix.symbols
     ratio = ext / lags
     global_max, persistent_max = (
-        _certified(prefix, _best_from(data, lags[k:], ext[k:], ratio[k:]), initial)
+        _certified(prefix, _best_from(data, lags[k:], ext[k:], ratio[k:], initial), initial)
         for k in (0, int(np.searchsorted(lags, t)))
     )
     return ExponentEstimate(global_max, persistent_max, prefix_length=len(prefix), threshold=t)
 
 
-def _best_from(data: bytes, lags: np.ndarray, ext: np.ndarray, ratio: np.ndarray) -> _Cand:
+def _best_from(data: bytes, lags: np.ndarray, ext: np.ndarray, ratio: np.ndarray, initial: bool) -> _Cand:
     """Best witness with u + v in the ascending `lags`, in the order of _better.
 
     ext[k] is the longest match of the letters at d = lags[k] with earlier
@@ -332,6 +362,8 @@ def _best_from(data: bytes, lags: np.ndarray, ext: np.ndarray, ratio: np.ndarray
     rounds monotonically and ext and d are exact in float, so every d
     whose exact ext[k] / d is largest has the largest float ratio: those
     d stay candidates, and exact integer comparisons pick among them.
+    Its u is the first occurrence of the ext[k] letters at d, which for
+    a Z-match (`initial`) is the start of the word.
     """
     kept = np.flatnonzero(ratio == ratio.max())
     best_c, best_d = 0, 0
@@ -339,7 +371,7 @@ def _best_from(data: bytes, lags: np.ndarray, ext: np.ndarray, ratio: np.ndarray
         # ascending d, so a tie keeps the smaller denominator
         if best_d == 0 or cj * best_d > best_c * dj:
             best_c, best_d = cj, dj
-    u = data.find(data[best_d : best_d + best_c])
+    u = 0 if initial else data.find(memoryview(data)[best_d : best_d + best_c])
     return (best_d + best_c, u, best_d - u)
 
 
@@ -360,7 +392,7 @@ def _z_array(data: bytes) -> np.ndarray:
     every Z[d] < _Z_SHORT.  Phase 2 runs the Z-box loop (Gusfield,
     Algorithms on Strings, Trees and Sequences, 1997, section 1.4) over
     the remaining positions only, settling wide boxes in numpy, and a
-    match is extended by slice comparisons, doubling then bisecting: on
+    match is extended in place by `_extend`, doubling then bisecting: on
     0^(N-1) 1 phase 2 takes _Z_STEPS Python steps and one extension.
     """
     n = len(data)
@@ -420,15 +452,23 @@ def _z_long(data: bytes, long: np.ndarray, z: np.ndarray) -> None:
             return
 
 
-def _extend(data: bytes, i: int, k: int) -> int:
-    """lce(0, i), given that the first k letters at i match the prefix."""
+def _extend(data: bytes, i: int, k: int, j: int = 0, step: int = 1) -> int:
+    """lce(j, i) for j < i, given that the first k letters at j and i match.
+
+    The letters are compared in place, by `bytes.startswith` on a view of
+    the word, over spans that start at `step` letters, double, and then
+    halve.
+    """
     top = len(data) - i
-    if k == top or data[k] != data[i + k]:
-        return k
-    k, step = k + 1, 1
+    # two letters by index first: most extensions in a Z-box loop end there
+    for _ in range(2):
+        if k == top or data[j + k] != data[i + k]:
+            return k
+        k += 1
+    mv = memoryview(data)
     while k < top:
         hi = min(k + step, top)
-        if data[k:hi] != data[i + k : i + hi]:
+        if not data.startswith(mv[i + k : i + hi], j + k):
             break
         k = hi
         step += step
@@ -437,7 +477,7 @@ def _extend(data: bytes, i: int, k: int) -> int:
     # the first mismatch lies in [k, hi)
     while hi - k > 1:
         mid = (k + hi) // 2
-        if data[k:mid] == data[i + k : i + mid]:
+        if data.startswith(mv[i + k : i + mid], j + k):
             k = mid
         else:
             hi = mid

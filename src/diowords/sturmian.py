@@ -12,13 +12,14 @@ a surd's from one integer square root (`surd_bracket`), a continued
 fraction's from its first close pair of convergents
 (`convergent_bracket`, run from m1 on every call and stopped at
 _SLOPE_EXTEND_CAP).  `mechanical_word` takes one bracket at 64 bits and
-steps the 64-bit fractional parts of n*alpha + rho in fixed-size uint64
-blocks; each letter is the carry of one step, written straight
-into the word's buffer.  One exact floor oracle, `_floors`, decides
-every floor that the 64-bit bracket leaves open, by Python integers at
-128, 256, ... bits: the few, usually none, that a block may leave
-undecided, whose letters are then rewritten, and every floor test of
-`record_runs_from`.  n*alpha + rho is never an integer, so this ends.
+steps the 64-bit fractional parts of n*alpha + rho in one reused uint64
+block; each letter is the carry of one step, and each block of letters
+is written into the word's bytes, which are made once.  One exact floor
+oracle, `_floors`, decides every floor that the 64-bit bracket leaves
+open, by Python integers at 128, 256, ... bits: the few, usually none,
+that a block may leave undecided, whose letters the block rewrites
+before it writes them, and every floor test of `record_runs_from`.
+n*alpha + rho is never an integer, so this ends.
 The lags of `record_runs` come from the slope's quotients: a `FromCF`
 gives them, and a surd's come from `contfrac`'s Euclid on its bracket.
 `record_runs_from` steps from a threshold through those lags with exact
@@ -35,6 +36,7 @@ length law is a multiple of it.
 from __future__ import annotations
 
 import bisect
+import io
 import itertools
 from collections.abc import Iterator
 from fractions import Fraction
@@ -93,11 +95,12 @@ def _as_intercept(rho: int | Fraction) -> Fraction:
     return rho
 
 
-# The letters are made _BLOCK at a time, from two uint64 buffers of
-# _BLOCK + 1 entries.  On surd, continued-fraction and pow10 slopes
-# (median of 30 calls each), 2^14 took 0.20, 0.60 and 1.38 ms at 5*10^4,
-# 2*10^5 and 4*10^5 letters, 2^15 0.25, 0.77 and 1.46 ms and 2^16 0.49,
-# 0.88 and 1.84 ms; at 5*10^3 and 10^6 letters all three were within 10%.
+# The letters are made _BLOCK at a time, from one uint64 buffer of
+# _BLOCK + 1 entries and one bool buffer of _BLOCK, about 9 _BLOCK bytes
+# beside the word's.  On surd, continued-fraction and pow10 slopes (median
+# of 30 calls each), 2^13 took 0.13-0.14, 0.38-0.40 and 0.72-0.77 ms at
+# 5*10^4, 2*10^5 and 4*10^5 letters, 2^14 0.11-0.13, 0.33-0.34 and
+# 0.55-0.58 ms, and 2^15 0.14-0.16, 0.34-0.40 and 0.58-0.72 ms.
 _BLOCK = 1 << 14
 
 
@@ -109,41 +112,46 @@ def mechanical_word(slope: SlopeSpec, intercept=Fraction(0), length: int = 0) ->
     floor(n*alpha + rho) is (n*lo + R) >> 64 whenever the fractional
     part x_n = (n*lo + R) mod 2^64 has x_n + n*(hi - lo) < 2^64.  x_n
     steps by lo mod 2^64, and letter n is then the carry of the step:
-    x_(n+1) < x_n.  A block of letters costs one add and one compare on
-    uint64 buffers and one max that flags the floors a block may leave
-    undecided, usually none; the letters that read those are rewritten from
-    the exact floors of `_floors`.
+    x_(n+1) < x_n.  A block of letters costs one compare and one add on
+    a uint64 buffer and one max that flags the floors the block may leave
+    undecided, usually none; the block's own letters that read those are
+    rewritten from the exact floors of `_floors` before they are written.
+    The word's bytes are asked for before the first letter, so a length
+    the host cannot hold fails at once, and each block is written into
+    them: no other array or copy as long as the word is made.
     """
     if length < 1:
         raise ValueError("length must be positive")
     slope, rho = _checked(slope), _as_intercept(intercept)
     lo, hi = _bracket(slope, 64)
     r = (rho.numerator << 64) // rho.denominator
-    letters = np.empty(length, dtype=np.uint8)
-    carries = letters.view(np.bool_)
+    # CPython's BytesIO writes into bytes that it alone refers to, and its
+    # getvalue returns them uncopied once they are full
+    letters = io.BytesIO(bytes(length))
     block = min(_BLOCK, length)
-    steps = np.arange(block + 1, dtype=np.uint64)
-    steps *= np.uint64(lo)
-    x = np.empty_like(steps)
-    x_n = np.uint64((lo + r) % 2**64)  # x_1
-    flagged = set()
+    x = np.arange(block + 1, dtype=np.uint64)
+    x *= np.uint64(lo)
+    x += np.uint64((lo + r) % 2**64)  # x_1 .. x_(block+1)
+    carries = np.empty(block, dtype=np.bool_)
+    floor = None
     for start in range(0, length, block):
-        # letters start+1 .. start+m read floors start+1 .. start+m+1
+        if start:
+            x += np.uint64(block * lo % 2**64)
+        # letters start+1 .. start+m read floors start+1 .. start+m+1, whose
+        # first the block before read too and whose last the next one reads
         m = min(block, length - start)
-        xs = x[: m + 1]
-        np.add(steps[: m + 1], x_n, out=xs)
-        np.less(xs[1:], xs[:-1], out=carries[start : start + m])
+        xs, out = x[: m + 1], carries[:m]
+        np.less(xs[1:], xs[:-1], out=out)
         edge = np.uint64(max(2**64 - (start + m + 1) * (hi - lo), 0))
         if xs.max() >= edge:
-            flagged.update((start + 1 + np.flatnonzero(xs >= edge)).tolist())
-        x_n = xs[-1]
-    if flagged:
-        floor = _floors(slope, rho, lo, hi)
-        # floor n is read by letters n - 1 and n, of which there are `length`
-        for n in {n + i for n in flagged for i in (-1, 0)}:
-            if 1 <= n <= length:
-                letters[n - 1] = floor(n + 1) - floor(n)
-    w = Word(letters.tobytes(), 2)
+            floor = floor or _floors(slope, rho, lo, hi)
+            # floor n is read by letters n - 1 and n
+            flagged = (start + 1 + np.flatnonzero(xs >= edge)).tolist()
+            for n in {n + i for n in flagged for i in (-1, 0)}:
+                if start < n <= start + m:
+                    out[n - 1 - start] = floor(n + 1) - floor(n)
+        letters.write(out)
+    w = Word(letters.getvalue(), 2)
     object.__setattr__(w, "slope", slope)  # a frozen field outside __init__
     return w
 

@@ -72,12 +72,16 @@ class Word:
             raise ValueError("prefix longer than word")
         return Word(self.symbols[:n], self.alphabet_size)
 
-    def to_text(self) -> str:
-        """Digit-string rendering; only available for alphabets up to 10."""
+    def to_text(self, start: int = 0, stop: int | None = None) -> str:
+        """Digit-string rendering of the letters start..stop - 1, by default
+        all of them, made from a view of those letters alone; only available
+        for alphabets up to 10."""
         if self.alphabet_size > 10:
             raise ValueError("text rendering needs alphabet size <= 10")
+        stop = len(self) if stop is None else min(stop, len(self))
+        letters = np.frombuffer(self.symbols, np.uint8, max(stop - start, 0), start)
         # letters 0..9 plus ord("0") are their ASCII digits
-        return str(np.frombuffer(self.symbols, np.uint8) + np.uint8(48), "ascii")
+        return str(letters + np.uint8(48), "ascii")
 
 
 @dataclass(frozen=True)

@@ -205,8 +205,8 @@ class TestWitness:
         # a word that carries its slope reads Z at its records, not off a Z-array
         lce_past = repetition._lce_past
 
-        def overstated(data, view, lags, w):
-            return lce_past(data, view, lags, w) + 1
+        def overstated(data, lags, w):
+            return lce_past(data, lags, w) + 1
 
         monkeypatch.setattr(repetition, "_lce_past", overstated)
         monkeypatch.setattr(repetition, "_z_array", None)

@@ -13,11 +13,13 @@ from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from diowords import approx, contfrac, realnum
+from diowords import approx, cli, contfrac, realnum
 from diowords.cli import main
 from diowords.realnum import Surd, _digits_to_int, enclosure, mobius, parse_real_spec
-from diowords.spec import parse_slope
+from diowords.spec import parse_slope, quasi_spec
+from diowords.sturmian import apply_morphism, mechanical_word
 
 import contfrac_oracle as oracle
 from sturmian_oracle import mechanical_letters
@@ -78,6 +80,43 @@ class TestBasicCommands:
                 tracemalloc.stop()
         assert code == 0
         assert peak <= 10**6
+
+    def test_sturmian_text_memory_is_the_word_and_one_block(self):
+        # the word's bytes, then one block's buffers and text; a full-length
+        # array of letters, their bytes, their digits and the text beside them
+        # took about 3 bytes a letter
+        length = 400_000
+        argv = ["sturmian", "cfslope:1,(2,3)*", "--length", str(length), "--intercept", "1/3"]
+        main(["sturmian", "cfslope:(1)*", "--length", "5"])  # builds the shared parser
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                code = main(argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert peak <= 1.5 * length
+
+    @given(st.integers(1, 12), st.sampled_from([-1, 0, 1]), st.sampled_from(["sturmian", "quasi"]))
+    @settings(max_examples=60, deadline=None)
+    def test_word_written_in_blocks_is_the_whole_text(self, blocks, beside, command):
+        # blocks of 7 letters, at lengths on a block edge and one letter to either side
+        length = 7 * blocks + beside
+        if command == "sturmian":
+            w = mechanical_word(parse_slope("cfslope:(1)*"), Fraction(1, 3), length)
+        else:
+            w = apply_morphism(quasi_spec(("2", 0), ("0>01;1>001", 0), ("surd:-3,-2,5", 0)), length)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_TEXT_BLOCK", 7)
+            for fmt, want in [
+                ("text", w.to_text() + "\n"),
+                ("json", json.dumps({"alphabet_size": w.alphabet_size, "word": w.to_text()}, indent=2) + "\n"),
+            ]:
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    cli._word_out(w, fmt)
+                assert out.getvalue() == want
 
     @pytest.mark.parametrize(
         "budget, spec, terms",
@@ -330,14 +369,17 @@ class TestExitCodes:
     )
     def test_refused_allocation_is_3_without_traceback(self, argv):
         # never run these argv uncapped: past the cap the host's overcommit
-        # and its OOM killer would decide the outcome
+        # and its OOM killer would decide the outcome.  Each asks for the
+        # whole word before its first letter and exits in well under a
+        # second; a build that grew block by block up to the cap would take
+        # seconds and run into the timeout
         resource = pytest.importorskip("resource")
 
         def cap():
             resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
         proc = subprocess.run([sys.executable, "-m", "diowords.cli", *argv], preexec_fn=cap, env=child_env(),
-                              capture_output=True, text=True, timeout=120)
+                              capture_output=True, text=True, timeout=20)
         assert proc.returncode == 3
         assert proc.stdout == ""
         assert proc.stderr.startswith("out of memory: ") and proc.stderr.count("\n") == 1

@@ -70,6 +70,15 @@ class TestWitness:
         best = dio_brute_force(w, threshold=2).global_max
         assert verify_witness(w, best)
 
+    @given(binary_words, st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_verify_in_place_is_the_slice_comparison(self, w, data):
+        m = data.draw(st.integers(1, len(w)))
+        v = data.draw(st.integers(1, m))
+        u = data.draw(st.integers(0, m - v))
+        letters = w.symbols
+        assert verify_witness(w, RepetitionWitness(u, v, m)) == (letters[u : m - v] == letters[u + v : m])
+
     def test_verify_exceeds_prefix(self):
         with pytest.raises(ValueError, match="witness exceeds prefix"):
             verify_witness(digit_word("01"), RepetitionWitness(0, 1, 3))
@@ -224,6 +233,30 @@ def near_periodic_words(draw):
     if draw(st.booleans()):
         data[draw(st.integers(0, n - 1))] = draw(st.sampled_from(palette))
     return bytes(data)
+
+
+class TestLcePast:
+    """`_lce_past` against a per-letter loop: the numpy spans, their groups
+    and the lags extended one at a time, with small spans and groups so that
+    short words take every path."""
+
+    @given(near_periodic_words(), st.data(), st.sampled_from([(64, 64), (128, 256), (1 << 13, 1 << 16)]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_letter_loop(self, data, draw, sizes):
+        n = len(data)
+        w = draw.draw(st.integers(0, n // 2))
+        lags = sorted(draw.draw(st.sets(st.integers(1, n - w), max_size=40)))
+        want = []
+        for lag in lags:
+            k = 0
+            while lag + w + k < n and data[w + k] == data[lag + w + k]:
+                k += 1
+            want.append(k)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(repetition, "_LCE_SPAN", sizes[0])
+            mp.setattr(repetition, "_LCE_BATCH", sizes[1])
+            got = repetition._lce_past(data, np.array(lags, dtype=np.int64), w)
+        assert got.tolist() == want
 
 
 class TestZArray:

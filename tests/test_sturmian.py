@@ -392,8 +392,9 @@ class TestMechanicalWord:
 
     @pytest.mark.parametrize("text", ["surd:-3,-2,5", "cfslope:1,(2,3)*"])
     def test_traced_peak_per_letter(self, text):
-        # the letters and their bytes, and two uint64 buffers of one block:
-        # no full-length int64 array
+        # the word's bytes and one block's uint64 and bool buffers, no other
+        # array or copy as long as the word: 550,338 bytes, 1.376 a letter,
+        # on both slopes (2.66 before the bytes were built block by block)
         slope, length = parse_slope(text), 400_000
         tracemalloc.start()
         try:
@@ -401,7 +402,7 @@ class TestMechanicalWord:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * length
+        assert peak <= 1.4 * length
 
     @given(st.integers(1, 40), st.fractions(min_value=0, max_value=Fraction(9, 10)))
     @settings(max_examples=60, deadline=None)

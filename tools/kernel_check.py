@@ -5,16 +5,27 @@ where it runs, and time both.
     python tools/kernel_check.py near-integer euclid  # these sections only
     python tools/kernel_check.py --repeat 0           # each check once, nothing timed
     python tools/kernel_check.py rss extractions --src ../other/src
+    python tools/kernel_check.py memory --repeat 20     # peaks and faults per call
 
-Each in-process row runs the kernel and its oracle once and exits nonzero
-unless they agree, then prints the best-of-k time of each (--repeat k;
-with 0 the time columns read nan) and, for a pair, the oracle's time over
-the kernel's.  Sections run in this order, or only those named:
+Each in-process row, bar those of `memory`, runs the kernel and its oracle
+once and exits nonzero unless they agree, then prints the best-of-k time of
+each (--repeat k; with 0 the time columns read nan) and, for a pair, the
+oracle's time over the kernel's.  Sections run in this order, or only those
+named:
 
 rss           the peak RSS (ru_maxrss) of fresh processes that run `dio` on
               10^6 letters of the Fibonacci word, the binary digits of e
               and (01)^k.  It runs first, because a forked child starts
               with its parent's peak.
+memory        in process, with stdout and stderr sent to os.devnull: the
+              traced peak (tracemalloc) in bytes per letter of one call,
+              and the median minor page faults (ru_minflt) per call over
+              --repeat more calls, or of one at --repeat 0, of `sturmian`
+              text output, `ice` and `dio` on sturmian:cfslope:(1)*|1/3 and
+              `complexity --n-max 400` on digits:e|2, and of `ice_estimate`
+              alone on the letters of that Sturmian word without its slope,
+              at MEMORY_SIZES letters.  It runs second, so that no other
+              in-process section has shaped the heap first.
 lpf           `suffix.longest_previous_factor` against the `lpf_from_index`
               stack loop of `tests/suffix_oracle.py` on the same suffix
               index, on WORDS at SIZES letters.
@@ -84,13 +95,17 @@ numpy; pytest does not collect it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import math
 import os
 import random
+import resource
+import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -101,7 +116,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 import contfrac_oracle  # noqa: E402
 import realnum_oracle  # noqa: E402
 import repetition_oracle  # noqa: E402
-from diowords import contfrac, realnum  # noqa: E402
+from diowords import cli, contfrac, realnum  # noqa: E402
 from diowords import sturmian as sturmian_module  # noqa: E402
 from diowords.cli import parse_word_source  # noqa: E402
 from diowords.realnum import Mobius, SeriesE, Surd, _divmod, _sqrtrem  # noqa: E402
@@ -217,6 +232,17 @@ t0 = time.perf_counter()
 text = digits(spec, int(sys.argv[2]), int(sys.argv[3])).as_text()
 print(time.perf_counter() - t0, hashlib.md5(text.encode()).hexdigest())
 """
+# the memory section: word lengths, the CLI argv of each row at n letters,
+# and the Sturmian word whose letters `ice_estimate` takes without the slope
+MEMORY_SIZES = (200_000, 1_000_000)
+MEMORY_ARGV = {
+    "sturmian text": lambda n: ["sturmian", "cfslope:(1)*", "--length", str(n), "--intercept", "1/3"],
+    "ice": lambda n: ["ice", "sturmian:cfslope:(1)*|1/3", "--prefix", str(n)],
+    "dio": lambda n: ["dio", "sturmian:cfslope:(1)*|1/3", "--prefix", str(n)],
+    "complexity e|2": lambda n: ["--max-bits", str(budget(n)), "complexity", "digits:e|2", "--prefix", str(n),
+                                 "--n-max", "400"],
+}
+MEMORY_PLAIN = "sturmian:cfslope:(1)*|1/3"
 CF_EXTRACTIONS = {
     "cf e": ("cf", "e", "--terms", "20000"),
     "cf surd:0,1,2": ("cf", "surd:0,1,2", "--terms", "20000"),
@@ -275,6 +301,45 @@ def rss_section(args) -> None:
         print(f"fresh dio {name} at {RSS_LETTERS} letters: peak RSS {int(out) / 1024:.1f} MB", flush=True)
 
 
+def minflt() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def peak_and_faults(repeat: int, call) -> tuple[int, float]:
+    """The traced peak bytes of one call, then the median minor faults of
+    `repeat` more calls, untraced (of one at 0)."""
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    faults = []
+    for _ in range(max(repeat, 1)):
+        before = minflt()
+        call()
+        faults.append(minflt() - before)
+    return peak, statistics.median(faults)
+
+
+def memory_section(args) -> None:
+    head("letters", "call", "peak B/letter", "faults/call")
+    rows = 0
+    cli._shared_parser()  # built once per process, outside the calls
+    with open(os.devnull, "w") as sink:
+        for n in MEMORY_SIZES:
+            calls = {name: lambda argv=argv(n): cli.main(argv) for name, argv in MEMORY_ARGV.items()}
+            plain = Word(parse_word_source(MEMORY_PLAIN, n).symbols, 2)
+            calls["ice_estimate, no slope"] = lambda: ice_estimate(plain)
+            for name, call in calls.items():
+                with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                    peak, faults = peak_and_faults(args.repeat, call)
+                rows += 1
+                line(n, name, f"{peak / n:.3f}", f"{faults:.1f}")
+    print(f"memory: {rows} calls at {', '.join(map(str, MEMORY_SIZES))} letters, traced peak of one call "
+          f"and median minor faults of {max(args.repeat, 1)} more calls each")
+
+
 def lpf_section(args) -> None:
     head("letters", "word", "kernel ms", "loop ms", "loop/kernel")
     for n in SIZES:
@@ -295,13 +360,17 @@ def record_lpf(w: Word):
 
 def records_section(args) -> None:
     head("letters", "word", "records", "records ms", "index ms", "index/records")
+    totals = np.zeros(2)
     for n in SIZES:
         for name in MECHANICAL:
             w = WORDS[name](n)
             records = sum(run[3] for run in record_runs(w.slope, len(w)))
             _, times = agree(args.repeat, f"records and index differ on {name} at {len(w)} letters",
                              (record_lpf, w), (index_lpf, w.symbols))
+            totals += times
             line(len(w), name, records, *ms(times))
+    print(f"records: {len(SIZES) * len(MECHANICAL)} words, records {totals[0] * 1e3:.3f} ms, index "
+          f"{totals[1] * 1e3:.3f} ms in all (best of {args.repeat}); none differ")
 
 
 def ice_section(args) -> None:
@@ -544,6 +613,7 @@ def extractions_section(args) -> None:
 
 SECTIONS = {
     "rss": rss_section,
+    "memory": memory_section,
     "lpf": lpf_section,
     "records": records_section,
     "ice": ice_section,
