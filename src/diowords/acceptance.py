@@ -335,17 +335,6 @@ def select_criteria(
     return selected
 
 
-def run_suite(
-    suite: str | None = None,
-    seed: int = DEFAULT_SEED,
-    threads: int = 1,
-) -> list[CriterionResult]:
-    """Run the (filtered) criteria; result order follows the criterion table."""
-    selected = select_criteria(suite)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [(cid, pool.submit(fn, seed)) for cid, fn in selected]
-            return [fut.result() for _, fut in futures]
-    return [fn(seed) for _, fn in selected]
+def run_suite(suite: str | None = None, seed: int = DEFAULT_SEED) -> list[CriterionResult]:
+    """Run the (filtered) criteria one after another, in table order."""
+    return [fn(seed) for _, fn in select_criteria(suite)]

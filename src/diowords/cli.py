@@ -19,7 +19,12 @@ check; 2 a usage error, `ValueError` or `TypeError`; 3
 stdout closed by its reader, the code a shell reports for a writer
 stopped by SIGPIPE, with nothing on stderr.  Checks that need only the
 argv come first, so a usage error is one under every budget; each is the
-private check of the library module that owns the rule.
+private check of the library module that owns the rule; the word
+commands check the word's letter count before any letter of any source.
+One writer, `_write`, writes each output whose size grows with the
+request (`cf` JSON convergents, `sturmian` and `quasi` words, `digits`
+JSON) a piece at a time, byte-identical to one `json.dumps(payload,
+indent=2)` or one write of the whole text.  `--threads` changes nothing.
 
 `main` builds its argument parser once per process, on its first call,
 and never changes it; `DIOWORDS_MAX_BITS` is read on every call.  Only
@@ -32,11 +37,12 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import acceptance, approx, contfrac, realnum, repetition, spec, sturmian, words
 
@@ -64,8 +70,7 @@ def parse_word_source(
     whole.
     """
     if text.startswith("lit:"):
-        w = spec.digit_word(text[4:], 4)
-        return w.prefix(min(prefix, len(w))) if prefix else w
+        return spec.digit_word(text[4:], 4).prefix(_word_length(text, prefix))
     if text.startswith("digits:"):
         number, base = spec.digits_source(text)
         realnum._check_digits(base, word=True)
@@ -80,49 +85,59 @@ def parse_word_source(
     raise spec.SpecSyntaxError(f"unknown word source {text!r}", 0)
 
 
+def _word_length(text: str, prefix: int) -> int:
+    """The letter count of `parse_word_source(text, prefix)`, read off the
+    argv: `prefix`, or a literal's length cut by a nonzero `prefix`."""
+    if text.startswith("lit:"):
+        n = len(spec.digit_word(text[4:], 4))
+        return min(prefix, n) if prefix else n
+    return prefix
+
+
 def _emit(text: str) -> None:
     sys.stdout.write(text)
     if not text.endswith("\n"):
         sys.stdout.write("\n")
 
 
-def _json_out(payload, last: Iterable | None = None) -> None:
-    """Write the payload as indented JSON.
-
-    `last`, when given, is the list value of the payload's last key, whose
-    placeholder there is []; its items are rendered and written one at a
-    time, byte-identical to one `json.dumps` of the whole payload.
-    """
-    text = json.dumps(payload, indent=2, sort_keys=False)
-    if last is None:
-        _emit(text)
-        return
-    sys.stdout.write(text[: -len("]\n}")])
-    sep = ""
-    for item in last:
-        sys.stdout.write(sep + "\n    " + json.dumps(item, indent=2).replace("\n", "\n    "))
-        sep = ","
-    sys.stdout.write("\n  ]\n}\n" if sep else "]\n}\n")
-
-
-# `sturmian` and `quasi` print their words this many letters at a time
+# `sturmian` and `quasi` words and `digits` JSON are written this many letters or digits at a time
 _TEXT_BLOCK = 1 << 14
+
+
+def _write(payload: dict | None, key: str | None = None, pieces: Iterable[str] = ()) -> None:
+    """Write the payload as indented JSON, or the pieces alone, and a newline.
+
+    The pieces are the JSON text of the payload's value at `key`, written
+    where it stands: the bytes are those of one `json.dumps(payload, indent=2)`.
+    """
+    text = "" if payload is None else json.dumps({**payload, key: "\0"} if key else payload, indent=2)
+    # "\0" is written "\u0000", which no other text of these payloads holds
+    head, _, tail = text.partition('"\\u0000"') if key else (text, "", "")
+    sys.stdout.write(head)
+    for piece in pieces:
+        sys.stdout.write(piece)
+    sys.stdout.write(tail + "\n")
+
+
+def _list_text(blocks: Iterable[Iterable[str]]) -> Iterator[str]:
+    """The JSON text of a list at depth 1 of an indented payload, one piece
+    per block of its items' text, each item at depth 2."""
+    opened = False
+    for block in blocks:
+        yield (",\n    " if opened else "[\n    ") + ",\n    ".join(block)
+        opened = True
+    yield "\n  ]" if opened else "[]"
 
 
 def _word_out(w: words.Word, fmt: str) -> None:
     """Print a `sturmian` or `quasi` word, which has at most 10 letters, as
-    one digit string, _TEXT_BLOCK letters at a time, so that no text as
-    long as the word is made; JSON puts it where one `json.dumps` would."""
+    one digit string, _TEXT_BLOCK letters at a time."""
+    letters = (w.to_text(start, start + _TEXT_BLOCK) for start in range(0, len(w), _TEXT_BLOCK))
     if fmt == "json":
-        # a digit string needs no escapes, so its letters go between the quotes of ""
-        head, tail = json.dumps({"alphabet_size": w.alphabet_size, "word": ""}, indent=2).split('""')
-        head, tail = head + '"', '"' + tail + "\n"
+        # a digit string needs no escapes
+        _write({"alphabet_size": w.alphabet_size}, "word", itertools.chain('"', letters, '"'))
     else:
-        head, tail = "", "\n"
-    sys.stdout.write(head)
-    for start in range(0, len(w), _TEXT_BLOCK):
-        sys.stdout.write(w.to_text(start, start + _TEXT_BLOCK))
-    sys.stdout.write(tail)
+        _write(None, pieces=letters)
 
 
 def _estimate_json(est: repetition.ExponentEstimate) -> dict:
@@ -147,23 +162,28 @@ def cmd_digits(args) -> int:
     number = spec.parse_real_spec(args.spec)
     stream = realnum.digits(number, args.base, args.count, max_bits=args.max_bits)
     if args.format == "json":
-        _json_out(
-            {
-                "base": stream.base,
-                "integer_part": realnum.decimal_text(stream.integer_part),
-                "fractional_digits": list(stream.fractional_digits),
-                "certified": stream.certified,
-                "requested": stream.requested,
-            }
+        payload = {
+            "base": stream.base,
+            "integer_part": realnum.decimal_text(stream.integer_part),
+            "fractional_digits": None,
+            "certified": stream.certified,
+            "requested": stream.requested,
+        }
+        digits = stream.fractional_digits
+        blocks = (digits[i : i + _TEXT_BLOCK] for i in range(0, len(digits), _TEXT_BLOCK))
+        # up to base 10 a digit's text is its one character, so the join runs over the characters
+        texts = (
+            b.translate(words.DIGITS_TO_CHARS).decode("ascii") if stream.base <= 10 else map(str, b)
+            for b in blocks
         )
+        _write(payload, "fractional_digits", _list_text(texts))
     else:
         _emit(stream.as_text())
     return EXIT_OK if stream.complete else EXIT_BUDGET
 
 
 def cmd_complexity(args, gaps_only: bool = False) -> int:
-    # before the word is built; a digits: source has N = --prefix
-    words._check_window(args.n_max, args.prefix if args.source.startswith("digits:") else None)
+    words._check_window(args.n_max, _word_length(args.source, args.prefix))  # before any letter
     w = parse_word_source(args.source, args.prefix, args.max_bits)
     profile = words.complexity_profile(w, args.n_max)
     gaps = words.gap_profile(profile)
@@ -172,7 +192,7 @@ def cmd_complexity(args, gaps_only: bool = False) -> int:
             {"n": n, "p_n": c, "gap": g}
             for n, (c, g) in enumerate(zip(profile.counts, gaps), start=1)
         ]
-        _json_out({"prefix_length": profile.prefix_length, "rows": rows, "note": PROFILE_NOTE})
+        _write({"prefix_length": profile.prefix_length, "rows": rows, "note": PROFILE_NOTE})
     else:
         print(PROFILE_NOTE, file=sys.stderr)
         if gaps_only:
@@ -184,15 +204,14 @@ def cmd_complexity(args, gaps_only: bool = False) -> int:
 
 
 def cmd_ice_dio(args, kind: str) -> int:
-    if args.source.startswith("digits:"):  # before any digit; N = --prefix
-        repetition._checked_threshold(args.prefix, args.threshold)
+    repetition._checked_threshold(_word_length(args.source, args.prefix), args.threshold)  # before any letter
     w = parse_word_source(args.source, args.prefix, args.max_bits)
     if kind == "dio":
         est = repetition.dio_estimate(w, args.threshold)
     else:
         est = repetition.ice_estimate(w, args.threshold)
     if args.format == "json":
-        _json_out(_estimate_json(est))
+        _write(_estimate_json(est))
     else:
         _emit(_estimate_text(kind, est))
     return EXIT_OK
@@ -208,10 +227,9 @@ def cmd_cf(args) -> int:
         # computed again and written one at a time, so no pass holds them all
         for _ in contfrac.certified_convergents(cf.quotients):
             pass
-        payload = cf.to_json_dict()
-        payload["convergents"] = []
         pairs = contfrac.certified_convergents(cf.quotients)
-        _json_out(payload, ([realnum.decimal_text(p), realnum.decimal_text(q)] for p, q in pairs))
+        items = (json.dumps([realnum.decimal_text(p), realnum.decimal_text(q)], indent=2) for p, q in pairs)
+        _write(cf.to_json_dict(), "convergents", _list_text([item.replace("\n", "\n    ")] for item in items))
     else:
         _emit("[" + ", ".join(str(a) for a in cf.quotients) + "]")
         if cf.budget_exhausted:
@@ -229,7 +247,7 @@ def cmd_mu(args) -> int:
         )
     mu = contfrac.mu_estimate(cf, n_min=args.n_min)
     if args.format == "json":
-        _json_out(mu.to_json_dict())
+        _write(mu.to_json_dict())
     else:
         lines = [f"{n} {v:.6f}" for n, v in mu.values]
         lines.append(f"global_max {mu.global_max:.6f}")
@@ -253,7 +271,7 @@ def cmd_quasi(args) -> int:
     if args.check_n_max:
         result = sturmian.quasi_sturmian_check(w, args.check_n_max)
         if args.format == "json":
-            _json_out(
+            _write(
                 {"plateau": None if result is None else {"k": result[0], "n0": result[1]}}
             )
         elif result is None:
@@ -291,7 +309,7 @@ def cmd_approximant(args) -> int:
         payload["reduced"] = [rp, rq]
         payload["cell_bound"] = cell_bound
         payload["certified"] = True
-        _json_out(payload)
+        _write(payload)
     else:
         _emit(
             f"p/q = {p}/{q} (reduced {rp}/{rq})\n"
@@ -316,7 +334,7 @@ def cmd_report(args) -> int:
         max_bits=args.max_bits,
     )
     if args.format == "json":
-        _json_out(report.to_json_dict())
+        _write(report.to_json_dict())
     else:
         lines = [f"digit-word exponent vs irrationality terms (slack {args.slack})"]
         if report.digit_estimate is not None:
@@ -341,9 +359,9 @@ def cmd_verify(args) -> int:
         for cid, _ in acceptance.select_criteria(args.suite):
             _emit(cid)
         return EXIT_OK
-    results = acceptance.run_suite(args.suite, seed=args.seed, threads=args.threads)
+    results = acceptance.run_suite(args.suite, seed=args.seed)
     if args.format == "json":
-        _json_out(
+        _write(
             {
                 "results": [
                     {"id": r.cid, "passed": r.passed, "detail": r.detail} for r in results
@@ -368,8 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
         "and continued fractions of exactly-defined reals.",
     )
     parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    parser.add_argument("--threads", type=_positive, default=1,
-                        help="worker threads for the verify criteria")
+    # accepted, checked and ignored: `perfbench/run.py` still passes it
+    parser.add_argument("--threads", type=_positive, default=1, help="ignored")
     parser.add_argument(
         "--max-bits",
         type=_non_negative,

@@ -24,9 +24,9 @@ exact bracket, mapping each with one big division (`_image_bracket`), and
 at the budget returns the image of the bracket reached, so it prints its
 certified prefix as a plain number does.
 `Fraction` appears only at the public boundary, the one accessor
-`bounds()`.  The Sturmian slopes round the same surd and convergent
-brackets, so this module holds all of the slope arithmetic; a surd
-slope's quotients come from `contfrac`'s one Euclid over its bracket.
+`bounds()`.  The Sturmian slopes round the same `_bracket`, so this
+module holds all of the slope arithmetic; a surd slope's quotients come
+from `contfrac`'s one Euclid over its bracket.
 
 Every big division and square root of a bracket runs on one pair of
 kernels: `_divmod`, recursive division (Burnikel & Ziegler, "Fast
@@ -70,6 +70,8 @@ _STR_LEAF_DIGITS = getattr(sys.int_info, "str_digits_check_threshold", 640)
 # bits of divisor, quotient or radicand they beat `_divmod` and `_sqrtrem`
 # (`python tools/kernel_check.py divmod`)
 _BIGINT_CUT_BITS = 4000
+# The most convergents of one continued-fraction bracket, past which it raises PrecisionBudgetError
+_CF_EXTEND_CAP = 100_000
 
 Bracket = tuple[int, int, int, int]  # (lo, hi, den, shift): [lo, hi] / (den 2^shift), den > 0
 Dyadic = tuple[int, int, int]  # (lo_num, hi_num, scale)
@@ -131,7 +133,7 @@ class Enclosure:
         return self._bits
 
     def bounds(self) -> tuple[Fraction, Fraction]:
-        """Immutable snapshot (lo, hi); safe to share across threads."""
+        """Immutable snapshot (lo, hi)."""
         if self._point is not None:
             return self._point, self._point
         lo, hi, scale = self._dyadic
@@ -470,6 +472,8 @@ def convergent_bracket(quotient: Callable[[int], int], bits: int) -> Bracket:
         size = q_prev.bit_length() + q.bit_length()
         if size > bits + 1 or (size == bits + 1 and q_prev * q >= 1 << bits):
             break
+        if k == _CF_EXTEND_CAP:
+            raise PrecisionBudgetError("continued-fraction refinement ran away")
     if k % 2 == 0:
         (p_prev, q_prev), (p, q) = (p, q), (p_prev, q_prev)
     return p_prev * q, p_prev * q + 1, q_prev * q, 0

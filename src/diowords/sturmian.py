@@ -7,11 +7,11 @@ quadratic surd `Surd` (P + sqrt(D))/Q or a `FromCF` whose callable gives
 the quotients of [0; m1, m2, ...], and the intercept rho in [0, 1) is
 rational.  No floor is ever taken through floating point.  Each slope is
 bracketed between dyadic integers, lo/2^k < alpha < hi/2^k with
-hi - lo <= 2, by rounding (`_round_out`) an exact bracket of `realnum`:
-a surd's from one integer square root (`surd_bracket`), a continued
-fraction's from its first close pair of convergents
-(`convergent_bracket`, run from m1 on every call and stopped at
-_SLOPE_EXTEND_CAP).  `mechanical_word` takes one bracket at 64 bits and
+hi - lo <= 2, by rounding (`_round_out`) the slope's exact bracket of
+`realnum._bracket`: a surd's from one integer square root, a continued
+fraction's from its first close pair of convergents, run from m1 on
+every call and stopped, as every number's, at `realnum._CF_EXTEND_CAP`
+convergents.  `mechanical_word` takes one bracket at 64 bits and
 steps the 64-bit fractional parts of n*alpha + rho in one reused uint64
 block; each letter is the carry of one step, and each block of letters
 is written into the word's bytes, which are made once.  One exact floor
@@ -44,44 +44,30 @@ from fractions import Fraction
 import numpy as np
 
 from .contfrac import _surd_quotients
-from .realnum import PrecisionBudgetError, _exact, _first_true, _round_out, convergent_bracket, surd_bracket
+from .realnum import _bracket as _exact_bracket
+from .realnum import _exact, _first_true, _round_out
 from .spec import QuasiSturmianSpec, SlopeSpec, Surd, parse_morphism, parse_slope
 from .words import Word, _check_window, complexity_profile, gap_profile
-
-_SLOPE_EXTEND_CAP = 100_000
 
 
 def _checked(slope: SlopeSpec) -> SlopeSpec:
     """The slope, once it is known to be irrational and to lie in (0, 1)."""
-    if isinstance(slope, Surd):
-        if _exact(slope):
-            raise ValueError("surd radicand must be positive and not a perfect square")
-        # at bits = 0 the bracket is lo < |q| alpha < lo + 1, so lo // |q| is the
-        # floor of the irrational alpha, which lies in (0, 1) iff that floor is 0
-        lo, _, q, _ = surd_bracket(slope.p, slope.q, slope.d, 0)
-        if lo // q != 0:
-            raise ValueError("slope must lie in (0, 1)")
-    elif _exact(slope):
+    if _exact(slope) and isinstance(slope, Surd):
+        raise ValueError("surd radicand must be positive and not a perfect square")
+    if _exact(slope):
         raise ValueError("slope must be irrational")
-    elif slope.quotients(0) != 0:
+    # at 0 bits the exact bracket is lo/den < alpha < (lo + 1)/den, so lo // den
+    # is the floor of the irrational alpha, which lies in (0, 1) iff it is 0
+    lo, _, den, _ = _exact_bracket(slope, 0)(0)
+    if lo // den != 0:
         raise ValueError("slope must lie in (0, 1)")
     return slope
 
 
 def _bracket(slope: SlopeSpec, bits: int) -> tuple[int, int]:
     """Integers lo < hi <= lo + 2 with lo/2^bits < alpha < hi/2^bits: the
-    slope's exact bracket, at most 2^-bits wide, rounded outward."""
-
-    def capped(i: int) -> int:
-        """Quotient i of [0; m1, m2, ...], for at most _SLOPE_EXTEND_CAP convergents."""
-        if i > _SLOPE_EXTEND_CAP:
-            raise PrecisionBudgetError("continued-fraction slope refinement ran away")
-        return slope.quotients(i)
-
-    if isinstance(slope, Surd):
-        lo, hi, den, shift = surd_bracket(slope.p, slope.q, slope.d, bits)
-    else:
-        lo, hi, den, shift = convergent_bracket(capped, bits)
+    slope's exact bracket of `realnum`, at most 2^-bits wide, rounded outward."""
+    lo, hi, den, shift = _exact_bracket(slope, bits)(bits)
     return _round_out(lo, hi - lo, den, bits - shift)
 
 

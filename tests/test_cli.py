@@ -118,6 +118,49 @@ class TestBasicCommands:
                     cli._word_out(w, fmt)
                 assert out.getvalue() == want
 
+    def test_json_digits_memory_is_the_text_forms(self):
+        # a list of every digit run through json's pure-Python indent encoder
+        # took 80.5 bytes a digit, against 3.3 for the text form
+        argv = ["digits", "rat:1/3", "--base", "2", "--count", "1000000"]
+        main(["digits", "rat:1/3", "--count", "5"])  # builds the shared parser
+        peaks = {}
+        for fmt in ("text", "json"):
+            with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+                tracemalloc.start()
+                try:
+                    assert main(["--format", fmt, *argv]) == 0
+                    peaks[fmt] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+        assert peaks["json"] <= 2 * peaks["text"], peaks
+
+    @given(
+        st.sampled_from(["e", "rat:-22/7", "surd:0,1,2", "shallit"]),
+        st.sampled_from([2, 10, 16, 36, 256, 300]),
+        st.sampled_from([0, 1, 6, 7, 8, 50]),
+        st.sampled_from([realnum.DEFAULT_MAX_BITS, 64, 40]),
+    )
+    @example("e", 300, 50, 40)  # 4 of 50 digits certified
+    @settings(max_examples=100, deadline=None)
+    def test_json_digits_written_as_one_dumps_would(self, number, base, count, budget):
+        # blocks of 7 digits, at counts on a block edge and one digit to either side
+        stream = realnum.digits(parse_real_spec(number), base, count, max_bits=budget)
+        payload = {
+            "base": base,
+            "integer_part": str(stream.integer_part),
+            "fractional_digits": list(stream.fractional_digits),
+            "certified": stream.certified,
+            "requested": count,
+        }
+        argv = ["--max-bits", str(budget), "--format", "json", "digits", number, "--base", str(base),
+                "--count", str(count)]
+        out = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
+            mp.setattr(cli, "_TEXT_BLOCK", 7)
+            code = main(argv)
+        assert code == (0 if stream.complete else 3)
+        assert out.getvalue() == json.dumps(payload, indent=2) + "\n"
+
     @pytest.mark.parametrize(
         "budget, spec, terms",
         [("1000000", "e", "40"), ("1000000", "rat:22/7", "9"), ("0", "e", "3"), ("80", "surd:0,1,2", "60")],
@@ -384,6 +427,30 @@ class TestExitCodes:
         assert proc.stdout == ""
         assert proc.stderr.startswith("out of memory: ") and proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dio", "sturmian:cfslope:(1)*", "--prefix", "10000000000", "--threshold", "0"],
+            ["complexity", "quasi:2|0>01;1>001|surd:-3,-2,5", "--prefix", "10000000000",
+             "--n-max", "20000000000"],
+        ],
+        ids=["dio", "complexity"],
+    )
+    def test_oversized_word_usage_error_is_2_before_any_letter(self, argv):
+        # the same child as test_refused_allocation_is_3_without_traceback: these
+        # exited 3, out of memory, as the word was built before its argv was checked
+        resource = pytest.importorskip("resource")
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "diowords.cli", *argv], preexec_fn=cap, env=child_env(),
+                              capture_output=True, text=True, timeout=20)
+        assert time.perf_counter() - start < 2
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("usage error: ") and proc.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("spec, base", [("e", "10"), ("surd:0,1,2", "2"), ("mobius:3,1,2,1:(e)", "7")])
     def test_digits_past_the_budget_cost_what_the_budget_does(self, capsys, spec, base):
@@ -659,7 +726,7 @@ class TestExitCodes:
         assert captured.out == "" and "--format csv" in captured.err
 
     def test_slope_runaway_is_budget_exhaustion(self, capsys, monkeypatch):
-        monkeypatch.setattr("diowords.sturmian._SLOPE_EXTEND_CAP", 1)
+        monkeypatch.setattr("diowords.realnum._CF_EXTEND_CAP", 1)
         code, out, err = run_cli(capsys, "sturmian", "cfslope:(1)*", "--length", "50")
         assert code == 3
         assert out == "" and "ran away" in err

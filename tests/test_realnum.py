@@ -186,6 +186,13 @@ class TestDyadicContainment:
         assert lo <= Fraction(97, 56) and Fraction(168, 97) <= hi
         assert lo * lo < 3 < hi * hi
 
+    def test_from_cf_runaway_is_budget_exhaustion(self, monkeypatch):
+        # the cap of a slope's bracket stops an infinite number's too: 64 bits
+        # of the golden ratio take about 46 convergents
+        monkeypatch.setattr(realnum, "_CF_EXTEND_CAP", 20)
+        with pytest.raises(PrecisionBudgetError, match="ran away"):
+            digits(FromCF(lambda n: 1), 10, 30)
+
     @given(st.data())
     @settings(max_examples=300, deadline=None)
     def test_convergent_bracket_matches_product_rule(self, data):
