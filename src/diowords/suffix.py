@@ -5,10 +5,14 @@ longest common prefix of each suffix with its predecessor in that order.
 `suffix_index` builds both by prefix doubling (Manber & Myers, SIAM J.
 Comput. 1993) and reads each LCP in the round that splits its pair: off
 the XOR of the two adjacent sorted keys where the first round, which
-packs whole windows of letters into one key, splits it; off the ranks
-of the later rounds by binary lifting, as Manber & Myers did, where a
-later round does; and as the depth where no round does.  With a depth
-it sorts only as deep as a caller reads, and LCP = min(lce, depth).
+packs whole windows of letters into one key, at one bit a letter on a
+binary word, splits it; off the ranks of the later rounds by binary
+lifting, as Manber & Myers did, where a later round does; and as the
+depth where no round does.  Each later round packs as many rank digits
+into one key as fit, four or more on words of low complexity, so the
+index takes a few sorts where doubling would take one per power of two
+of the depth.  With a depth it sorts only as deep as a caller reads, and
+LCP = min(lce, depth).
 Factor complexity is read off the histogram of the LCP array, and the
 repetition scan off the longest-previous-factor array LPF[i] =
 max_{j < i} lce(j, i), which the nearest suffixes in SA order that
@@ -42,21 +46,35 @@ def suffix_index(data: bytes, depth: int | None = None) -> tuple[np.ndarray, np.
 
     SA lists the start positions of the suffixes in lexicographic order,
     and LCP[r] = min(lcp(suffix SA[r-1], suffix SA[r]), depth), with
-    LCP[0] = 0; without a depth the LCP is exact.
+    LCP[0] = 0; without a depth the LCP is exact.  The LCP is int32 below
+    2^31 letters, int64 from there.
 
     Prefix doubling (Manber & Myers, SIAM J. Comput. 1993).  Each round
     sorts one int64 value per suffix, its key shifted left by the b =
     bit length of N - 1 bits that hold its position: the low bits of the
     sorted values are SA, the rest are the sorted keys, and equal keys
-    come out by position.  The first rounds pack whole K-letter windows
-    into one key, letters as 1..s and the end of the word as 0, while 2K
-    windows still fit in 63 - b bits.  Each later round sorts by the pair
-    (rank of the first k letters, rank of the next k); ranks are dense in
-    [0, N), so a pair key is below (N + 1)^2.  Where (N + 1)^2 2^b passes
-    int64, above N of about 2.09 * 10^6, the rounds argsort the keys
-    alone instead.  With a depth, the last round sorts by exactly the
-    first ``depth`` letters: suffixes that share them come in ascending
-    position (past the int64 bound, in the order argsort leaves).
+    come out by position.  The first round packs whole K-letter windows
+    into one key: the s letters are coded 0..s-1 in max(1, bit length of
+    s - 1) bits each, and K is the largest power of two whose letters fit
+    in 63 - b bits, or the first to reach the depth.  Each later round
+    packs m rank digits into one key.  With the suffixes tied in groups
+    by their first k letters, a digit is 1 + the rank of the group of the
+    suffix 0, k, 2k, ... letters on, in g = bit length of the group count
+    bits, and 0 past the end of the word; m is the largest power of two
+    with m g <= 63 - b, and at least 2, so the round sorts by the first
+    m k letters.  Where two digits and a position pass int64 (2 bit length
+    of N + b > 63), above N of about 2.09 * 10^6, the later rounds argsort
+    the keys alone instead, two digits a key.  With a depth, the last
+    digit reads the suffix depth - k letters on, so the last round sorts
+    by exactly the first ``depth`` letters: suffixes that share them come
+    in ascending position (past the int64 bound, in the order argsort
+    leaves).
+
+    The at most K - 1 suffixes shorter than a key are padded with letter
+    0, so each may tie with the longer suffixes, or with the shorter one,
+    that continue it with 0s.  Each is moved to the head of its group of
+    tied keys, shortest first, and split from the group, so it ranks
+    alone; every LCP that touches it is capped at its length.
 
     Each LCP is read in the round that splits its pair.  Groups of tied
     suffixes only split, so a boundary between two groups keeps its place
@@ -66,77 +84,124 @@ def suffix_index(data: bytes, depth: int | None = None) -> tuple[np.ndarray, np.
     sorted keys has zero letters on top.  A pair split by a later round
     climbs down the kept rank arrays from the top, as in Manber & Myers:
     two distinct positions share a rank of round k exactly when their lce
-    is at least k, so it skips k letters where the ranks agree, and reads
-    the last fewer than K letters off the XOR of the packed keys.  A pair
-    that no round splits shares the first ``depth`` letters.  The rounds
-    stop once every pair is split or at the depth, and the last round
-    ranks nothing: no pair it splits would match there.
+    is at least k, so it skips k letters where the ranks agree, up to
+    m - 1 times at a level whose round sorted m k letters, and reads the
+    last fewer than K letters off the XOR of the packed keys, capped
+    where the word ends.  A pair that no round splits shares the first
+    ``depth`` letters.  The rounds stop once every pair is split or at the
+    depth, and the last round ranks nothing: no pair it splits would
+    match there.
     """
     n = len(data)
+    dt = np.int32 if n < 2**31 else np.int64
     if n < 2:
-        return np.arange(n), np.zeros(n, dtype=np.int64)
+        return np.arange(n), np.zeros(n, dtype=dt)
     a = np.frombuffer(data, dtype=np.uint8)
-    code = np.cumsum(np.bincount(a, minlength=256) > 0)  # letters as 1..s
-    bits = int(code[-1]).bit_length()
-    b = _position_bits(n)
-    key = np.zeros(n + 1, dtype=np.int64)  # key[N] = 0: the empty suffix
+    code = np.cumsum(np.bincount(a, minlength=256) > 0) - 1  # letters as 0..s-1
+    bits = max(1, int(code[-1]).bit_length())
+    b = (n - 1).bit_length()
+    key = np.zeros(n + 1, dtype=np.int64)  # key[N]: past the end, read only where a cap follows
     key[:n] = code[a]
     k = 1
-    while 2 * k * bits <= 63 - b and k < n:
+    while 2 * k * bits <= 63 - b and k < n and (depth is None or k < depth):
         key[: n - k] = (key[: n - k] << (k * bits)) | key[k:n]
         key[n - k : n] <<= k * bits
         k *= 2
     packed = k
-    # (k, an array whose entries at two positions agree exactly when the
-    # suffixes there share their first k letters; index N stands for the
-    # empty suffix)
-    levels = [(k, key)]
     lead = k if depth is None else min(k, depth)
-    # sorts a copy: levels[0] keeps the packed keys
-    sa, ordered = _sort(key[:n] >> ((k - lead) * bits), b)
-    split = ordered[1:] != ordered[:-1]
+    shift = (k - lead) * bits
+    # sorts a copy: `key` keeps the packed keys
+    sa, ordered = _sort(key[:n] >> shift, b)
+    # the suffixes shorter than `lead`, shortest first, by their keys
+    c = min(lead - 1, n)
+    where = _place_short(sa, ordered, key[n - c : n][::-1] >> shift)
     # the first round's LCP: `lead` where it ties the pair, and otherwise
     # read off the XOR of the sorted keys, their `lead` letters shifted to
-    # the top of `packed` (uint8: packed <= 32)
-    at = np.flatnonzero(split)
+    # the top of `packed` (uint8: packed <= 32); entries 0 and N are spare
+    split = np.empty(n + 1, dtype=bool)  # split[r]: LCP[r] is below `lead`
+    np.not_equal(ordered[1:], ordered[:-1], out=split[1:n])
+    at = np.flatnonzero(split[1:n])
     x = ordered[1:][at]
     x ^= ordered[:-1][at]
-    x <<= (k - lead) * bits
-    first = np.full(n - 1, lead, dtype=np.uint8)
-    first[at] = _agreement(x, packed, bits)
-    del at, x, ordered
+    del ordered
+    x <<= shift
+    first = np.full(n + 1, lead, dtype=np.uint8)
+    first[1:n][at] = _agreement(x, packed, bits)
+    del at, x
+    # each short suffix ends its pair with either neighbour
+    for r in (where, where + 1):
+        first[r] = np.minimum(first[r], np.arange(1, c + 1))
+        split[r] = True
+    first, split = first[1:n], split[1:n]
+    b = _position_bits(n)
+    levels = []  # (k, the rank of each suffix's group of its first k letters)
     while not split.all() and (depth is None or k < depth):
-        rank = np.empty(n + 1, dtype=np.int32 if n < 2**31 else np.int64)
-        rank[n] = -1
-        rank[sa] = np.concatenate(([0], np.cumsum(split)))
-        if k > packed:
-            levels.append((k, rank))
-        # the next s letters, where s = k, or fewer to end at the depth
-        s = k if depth is None else min(k, depth - k)
-        # in int64 whatever the rank dtype: numpy < 2 keeps an int32 array
-        # times an int64 scalar in int32, which wraps past N = 46340
-        pair = np.multiply(rank[:n], n + 1, dtype=np.int64)
-        pair[: n - s] += rank[s:n] + 1
-        sa, pair = _sort(pair, b)
-        split = pair[1:] != pair[:-1]
-        del pair
-        k += s
-    tied = first == lead  # by the first round
-    later = tied & split  # and split by a later one
-    del split
-    lce = _lcp_from_levels(sa, later, levels, bits)
-    lcp = np.zeros(n, dtype=np.int64)
+        rank = np.zeros(n + 1, dtype=dt)  # rank[N] = 0: past the end
+        rank[sa] = np.cumsum(np.concatenate(([True], split)), dtype=dt)
+        levels.append((k, rank))
+        g = int(rank[sa[-1]]).bit_length()
+        del sa
+        m = 2
+        while b and 2 * m * g <= 63 - b:
+            m *= 2
+        # the digits at offsets 0, k, 2k, ..., the last at most depth - k on
+        reach = m * k if depth is None else min(m * k, depth)
+        digits = rank[:n].astype(np.int64)
+        for o in [*range(k, reach - k, k), reach - k]:
+            digits <<= g
+            digits[: max(n - o, 0)] |= rank[o:n]
+        sa, digits = _sort(digits, b)
+        split = digits[1:] != digits[:-1]
+        del digits
+        k = reach
+    lcp = np.empty(n, dtype=dt)
+    lcp[0] = 0
     lcp[1:] = first
-    if depth is not None:
-        lcp[1:][tied] = depth  # where no round splits them
-    lcp[1:][later] = lce
+    if levels:
+        tied = first == lead  # by the first round
+        later = tied & split  # and split by a later one
+        del split
+        if depth is not None:
+            lcp[1:][tied] = depth  # where no round splits them
+        lcp[1:][later] = _lcp_from_levels(sa, later, levels, k, key, packed, bits)
     return sa, lcp
 
 
 def _position_bits(n: int) -> int:
-    """Bits for a position below each sort key, or 0 past the int64 bound."""
+    """Bits for a position below each later round's key, or 0 where two
+    rank digits of up to N each and a position pass int64."""
     b = (n - 1).bit_length()
-    return b if (n + 1) ** 2 << b <= 2**63 else 0
+    return b if 2 * n.bit_length() + b <= 63 else 0
+
+
+def _place_short(sa: np.ndarray, ordered: np.ndarray, heads: np.ndarray):
+    """Move the c = len(heads) suffixes shorter than a key, the last c
+    positions, each to the head of its group of equal keys in the value
+    sorted SA, shortest first; ``heads`` are their keys, shortest first.
+    Returns where each is in SA.
+
+    A value sort leaves a group in ascending position, so the shorts of a
+    group are its tail, and only a group where one ties with another
+    suffix changes: its longer suffixes move up by its count of shorts,
+    in one gather over all such groups.  Two shorts tie only where both
+    are all 0s (the longer one is the shorter one and then 0s, so it has
+    their difference as a period and ends in it): the z shortest, with
+    key 0, share the group at the head of SA, and every other short is
+    the only one in its group."""
+    where = np.searchsorted(ordered, heads)
+    end = np.searchsorted(ordered, heads, "right")
+    if (end - where == 1).all():
+        return where
+    z = int(np.count_nonzero(heads == 0))
+    head, end = where[max(z - 1, 0) :], end[max(z - 1, 0) :]
+    count = np.ones(len(head), dtype=np.int64)
+    count[0] = max(z, 1)
+    rest = end - head - count  # the longer suffixes of each group
+    src = np.arange(rest.sum()) + np.repeat(head - np.cumsum(rest) + rest, rest)
+    sa[src + np.repeat(count, rest)] = sa[src]
+    where[:z] = np.arange(z)
+    sa[where] = len(sa) - 1 - np.arange(len(heads))
+    return where
 
 
 def _sort(key: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
@@ -162,24 +227,30 @@ def _agreement(x: np.ndarray, width: int, bits: int) -> np.ndarray:
     while step:
         agree = x < 1 << (width - step) * bits  # the top `step` letters agree
         lce += agree * np.uint8(step)
-        x <<= agree * np.int64(step * bits)
+        x <<= agree * np.uint8(step * bits)
         step //= 2
     return lce
 
 
-def _lcp_from_levels(sa: np.ndarray, pairs: np.ndarray, levels: list, bits: int) -> np.ndarray:
-    """The LCP of the adjacent SA pairs that the mask ``pairs`` picks, by
-    binary lifting over the rank levels: both positions of a pair advance
-    together past the letters they share.  levels[0] holds the packed
-    keys of `bits` bits per letter."""
+def _lcp_from_levels(sa: np.ndarray, pairs: np.ndarray, levels: list, top: int, key: np.ndarray,
+                     packed: int, bits: int) -> np.ndarray:
+    """The LCP of the adjacent SA pairs that the mask ``pairs`` picks, all
+    below ``top`` letters, by binary lifting over the rank levels: both
+    positions of a pair advance together past the letters they share, up
+    to m - 1 steps of k at the level (k, rank) under one of m k.  Fewer
+    than ``packed`` letters are then left, read off the packed keys of
+    ``bits`` bits per letter and capped where the word ends: past it a
+    key holds 0s."""
     a, b = sa[:-1][pairs], sa[1:][pairs]
     for k, rank in reversed(levels):
-        step = (rank[a] == rank[b]) * k
-        a += step
-        b += step
-    # fewer than `packed` letters are left
-    packed, key = levels[0]
-    a += _agreement(key[a] ^ key[b], packed, bits)
+        for _ in range(-(-top // k) - 1):
+            step = (rank[a] == rank[b]) * k
+            a += step
+            b += step
+        top = k
+    lce = _agreement(key[a] ^ key[b], packed, bits)
+    np.maximum(a, b, out=b)
+    a += np.minimum(lce, len(key) - 1 - b)
     del b
     a -= sa[:-1][pairs]
     return a

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diowords import suffix
+from diowords.cli import parse_word_source
 from diowords.realnum import Rational, digits
 from diowords.sturmian import mechanical_word, parse_slope
 from diowords.suffix import _position_bits, _sort, longest_previous_factor, suffix_index
+from diowords.words import complexity_profile
 
 import suffix_oracle as oracle
 from strategies import mixed_words
@@ -91,20 +94,22 @@ class TestSuffixIndex:
 
     @pytest.mark.parametrize("depth", [None, 24])
     def test_long_random_binary(self, depth):
-        # about 2^16 distinct ranks after the packed round, so at N = 10^5
-        # the pair keys rank * (N + 1) pass 2^31
+        # nearly 10^5 groups after the packed round, so each later key
+        # holds two rank digits of 17 bits: past 2^31, in int64 whatever
+        # the rank dtype
         data = bytes(np.random.default_rng(3).integers(0, 2, 10**5, dtype=np.uint8))
         sa, lcp = suffix_index(data, depth)
         check_adjacent(data, sa, lcp, depth)
         if depth is None:
             assert lcp.tolist() == oracle.lcp_array(data, sa.tolist())
 
-    @pytest.mark.parametrize("letters", [4, 7])
+    @pytest.mark.parametrize("letters", [5, 8])
     @pytest.mark.parametrize("n", [2**15, 2**15 + 1])
     def test_packing_at_three_bits_a_letter(self, letters, n):
-        # 16 letters of 3 bits leave 15 bits for a position: up to N = 2^15
-        # the first round packs 16 letters, past it 8
-        assert 2 * 8 * 3 + _position_bits(2**15) == 63 < 2 * 8 * 3 + _position_bits(2**15 + 1)
+        # 5 to 8 letters take 3 bits each, and 16 of them leave 15 bits for
+        # a position: up to N = 2^15 the first round packs 16 letters, past
+        # it 8
+        assert 2 * 8 * 3 + (2**15 - 1).bit_length() == 63 < 2 * 8 * 3 + (2**15).bit_length()
         data = window_code(mechanical_word(parse_slope("surd:-3,-2,5"), Fraction(1, 3), n + 5).symbols,
                            letters - 1)[:n]
         assert len(set(data)) == letters
@@ -130,14 +135,17 @@ def argsort_index(data: bytes, depth: int | None = None) -> tuple[np.ndarray, np
 
 
 class TestArgsortFallback:
-    """Where (N + 1)^2 2^b passes int64 the rounds argsort; the index is the
-    same up to the order of suffixes that share their first ``depth`` letters."""
+    """Where two rank digits and a position pass int64 the later rounds
+    argsort; the index is the same up to the order of suffixes that share
+    their first ``depth`` letters."""
 
     def test_bound(self):
         last = 2**21 - 1  # the largest N with value sorts
         assert (_position_bits(last), _position_bits(last + 1)) == (21, 0)
-        # its largest pair key, shifted, with the largest position below it
-        assert ((last - 1) * (last + 1) + last) << 21 | (last - 1) < 2**63
+        # two rank digits of up to N + 1 groups, shifted, with the largest
+        # position below them
+        g = last.bit_length()
+        assert ((last << g | last) << 21) | (last - 1) < 2**63
 
     @given(st.lists(st.integers(0, 5), max_size=60), st.integers(0, 4))
     def test_sort(self, values, spare):
@@ -169,6 +177,76 @@ class TestArgsortFallback:
         self.check_same(mechanical_word(parse_slope("cfslope:1,(2,3)*"), Fraction(1, 3), 10**5).symbols,
                         depth)
         self.check_same(bytes(np.random.default_rng(4).integers(0, 5, 10**5, dtype=np.uint8)), depth)
+
+
+def check_every_path(data: bytes, depths) -> None:
+    """SA and LCP at each depth (None: full), by value sorts and on the
+    argsort path, against the sorted suffixes and Kasai's scan, computed
+    once; with a depth, suffixes that share their first ``depth`` letters
+    come in ascending position where every round is a value sort."""
+    order = oracle.sorted_suffixes(data)
+    full = oracle.lcp_array(data, order)
+    for depth in depths:
+        for index in (suffix_index, argsort_index):
+            sa, lcp = index(data, depth)
+            assert lcp.tolist() == (full if depth is None else [min(h, depth) for h in full])
+            if depth is None:
+                assert sa.tolist() == order
+                continue
+            assert sorted(sa.tolist()) == list(range(len(data)))
+            if index is suffix_index:
+                keys = [(data[i : i + depth], i) for i in sa.tolist()]
+                assert keys == sorted(keys)
+            else:
+                assert [data[i : i + depth] for i in sa.tolist()] == [data[i : i + depth] for i in order]
+
+
+class TestRankDigits:
+    """Later rounds pack as many rank digits into a key as fit; letters
+    take max(1, bit length of s - 1) bits, and the suffixes shorter than a
+    key are padded with letter 0."""
+
+    # 3000-letter words with a few dozen groups after the first round of
+    # 16 (three letters) or 32 letters (two): their later keys hold 4 or 8
+    # rank digits, so k runs 16 or 32, then 128 or 256; the depths fall
+    # between digit offsets (k + 1, 2k - 1, 3k + 1) of each
+    DEPTHS = sorted({d for k in (16, 32, 128, 256) for d in (k + 1, 2 * k - 1, 3 * k + 1)})
+
+    @pytest.mark.parametrize("word", ["sturmian", "quasi", "(001)^k", "0^(N-1)1"])
+    def test_low_complexity_words(self, word):
+        n = 3000
+        data = {
+            "sturmian": lambda: mechanical_word(parse_slope("cfslope:(1,2,3)*"), Fraction(1, 3), n).symbols,
+            "quasi": lambda: parse_word_source("quasi:012|0>01;1>011|cfslope:(1,2,3)*|1/3", n).symbols,
+            "(001)^k": lambda: (b"\0\0\1" * n)[:n],
+            "0^(N-1)1": lambda: b"\0" * (n - 1) + b"\1",
+        }[word]()
+        check_every_path(data, [*self.DEPTHS, None])
+
+    @pytest.mark.parametrize("letters", [2, 4, 16, 256])
+    @pytest.mark.parametrize("zeros", [3, 40])
+    def test_words_ending_in_zeros(self, letters, zeros):
+        # the short suffixes 0, 00, ... tie with each other, and with the
+        # longer suffixes that continue them with 0s
+        rng = np.random.default_rng(letters + zeros)
+        body = rng.integers(0, letters, 400, dtype=np.uint8)
+        body[rng.random(400) < 0.3] = 0
+        data = bytes(body) + b"\0" * zeros
+        check_every_path(data, [*range(1, 71), None])
+
+    def test_lcp_is_int32(self):
+        for data in (b"", b"\0", b"\0\1" * 50, bytes(range(256))):
+            for depth in (None, 3):
+                assert suffix_index(data, depth)[1].dtype == np.int32
+
+    @pytest.mark.parametrize("text, most", [("sturmian:cfslope:(1,2,3)*|1/3", 3), ("digits:e|2", 1)])
+    def test_profile_rounds(self, text, most):
+        # the packed digits keep the number of sorts down: 6 and 2 with
+        # one letter code held for the end of the word and two ranks a key
+        w = parse_word_source(text, 40_000, 4 * 40_000 + 4096)
+        with mock.patch.object(suffix, "_sort", wraps=suffix._sort) as sort:
+            complexity_profile(w, 400)
+        assert sort.call_count <= most
 
 
 def check_lpf(data: bytes, letters: bool = True) -> None:

@@ -59,7 +59,8 @@ profile       `words.complexity_profile` at n_max 16 and 400 on digit,
               BRUTE_WORK window letters (about a second), elsewhere against
               the counts read off the full-depth index by its SA, after
               checking its LCP against Kasai's scan (`lcp_array` in
-              `tests/suffix_oracle.py`) and its SA order pair by pair; then
+              `tests/suffix_oracle.py`) and its SA order pair by pair, with
+              the number of `suffix._sort` rounds each profile took; then
               the full-depth index against Kasai at 10^5 letters on digit
               words and 0^(N-1)1, timing `suffix_index` with the LPF kernel.
 divmod        `realnum._divmod` and `realnum._sqrtrem` against the builtin
@@ -118,6 +119,7 @@ import realnum_oracle  # noqa: E402
 import repetition_oracle  # noqa: E402
 from diowords import cli, contfrac, realnum  # noqa: E402
 from diowords import sturmian as sturmian_module  # noqa: E402
+from diowords import suffix as suffix_module  # noqa: E402
 from diowords.cli import parse_word_source  # noqa: E402
 from diowords.realnum import Mobius, SeriesE, Surd, _divmod, _sqrtrem  # noqa: E402
 from diowords.repetition import _record_lpf, _z_array, ice_estimate  # noqa: E402
@@ -342,12 +344,16 @@ def memory_section(args) -> None:
 
 def lpf_section(args) -> None:
     head("letters", "word", "kernel ms", "loop ms", "loop/kernel")
+    totals = np.zeros(2)
     for n in SIZES:
         for name, make in WORDS.items():
             sa, lcp = suffix_index(make(n).symbols)
             _, times = agree(args.repeat, f"kernel and oracle differ on {name} at {len(sa)} letters",
                              (longest_previous_factor, sa, lcp), (lpf_from_index, sa, lcp))
+            totals += times
             line(len(sa), name, *ms(times))
+    print(f"lpf: {len(SIZES) * len(WORDS)} words, kernel {totals[0] * 1e3:.3f} ms, loop {totals[1] * 1e3:.3f} ms "
+          f"in all (best of {args.repeat}); none differ")
 
 
 def index_lpf(data: bytes):
@@ -485,9 +491,16 @@ def profile_counts(w: Word, n_max: int) -> list[int]:
     return list(complexity_profile(w, n_max).counts)
 
 
+def sorts(f, *args) -> int:
+    """How many rounds of `suffix._sort` one call of f(*args) runs."""
+    with mock.patch.object(suffix_module, "_sort", wraps=suffix_module._sort) as sort:
+        f(*args)
+    return sort.call_count
+
+
 def profile_section(args) -> None:
-    head("letters", "word", "n_max", "checked by", "profile ms")
-    total, rows, brute = 0.0, 0, 0
+    head("letters", "word", "n_max", "checked by", "sorts", "profile ms")
+    total, rows, brute, rounds = 0.0, 0, 0, 0
     for n in PROFILE_SIZES:
         for name, text in PROFILE_WORDS.items():
             w = parse_word_source(text, n, budget(n))
@@ -502,18 +515,20 @@ def profile_section(args) -> None:
                     checked, want = "Kasai", index_counts[:n_max]
                 _, times = agree(args.repeat, f"complexity_profile differs from the {checked} count on {name} "
                                  f"at {n} letters, n_max {n_max}", (profile_counts, w, n_max), want=want)
+                count = sorts(profile_counts, w, n_max)
                 total += times[0]
                 rows += 1
-                line(n, name, n_max, checked, *ms(times))
+                rounds += count
+                line(n, name, n_max, checked, count, *ms(times))
     head("letters", "word", "checked by", "index+LPF ms")
     for name in INDEX_WORDS:
         data = WORDS[name](INDEX_LETTERS).symbols
         checked_index_counts(data, name)
         line(len(data), name, "Kasai", *ms(best_of(args.repeat, (index_lpf, data))))
     print(f"profile: {rows} profiles at {', '.join(map(str, PROFILE_SIZES))} letters, {total * 1e3:.3f} ms "
-          f"in all (best of {args.repeat}); {brute} checked against factor_counts_brute, {rows - brute} against "
-          f"the full-depth index and Kasai; {len(INDEX_WORDS)} indexes at {INDEX_LETTERS} letters "
-          f"against Kasai; none differ")
+          f"in all (best of {args.repeat}), {rounds} sorts; {brute} checked against factor_counts_brute, "
+          f"{rows - brute} against the full-depth index and Kasai; {len(INDEX_WORDS)} indexes at "
+          f"{INDEX_LETTERS} letters against Kasai; none differ")
 
 
 def checked_index_counts(data: bytes, name: str) -> list[int]:
