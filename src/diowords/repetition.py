@@ -17,12 +17,13 @@ the prefix, and its smallest u is the first occurrence of the LPF[d]
 letters at d.  On a word that carries its slope (`Word.slope`, set by
 `sturmian.mechanical_word`) the earlier occurrence that sets LPF[i] lies
 at one of the two nearest earlier intercepts of i, whose lags are the
-slope's one-sided best approximations (`sturmian.record_runs`), and one
-numpy pass per run of those records reads their matches off the letters
-(`_record_lpf`).  Every other word, slices and prefixes of a mechanical
-word included, takes the suffix index (see suffix.py).  Both give the
-same array, so the same witnesses.  Scores
-are compared exactly, by integer cross-multiplication.  Initial
+slope's one-sided best approximations (`sturmian.record_runs`), so
+d + LPF[d] changes only where the match at one of those records ends,
+and a few rounds of one match per record read it at those denominators
+alone (`_record_steps`).  Every other word, slices and prefixes of a
+mechanical word included, takes the suffix index (see suffix.py).  Both
+select the same witnesses.  Scores are compared exactly, by integer
+cross-multiplication.  Initial
 repetitions (u = 0) are selected the same way from Z[d] = lce(0, d) in
 place of LPF, by the same rule: on a word that carries its slope only
 the lags that can win are read, the one-sided records of the slope from
@@ -41,7 +42,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .realnum import CertificateError
 from .sturmian import record_runs, record_runs_from
@@ -147,85 +147,71 @@ def dio_estimate(prefix: Word, threshold: int | None = None) -> ExponentEstimate
 
     Exhaustive over u + v <= N with m capped at N; the score maximum is
     exact and the tie-break (smaller u+v, then smaller u) makes the
-    returned witnesses deterministic.  LPF comes from the slope's records
-    when the word carries a slope, and from the suffix index otherwise.
+    returned witnesses deterministic.  A word that carries its slope reads
+    d + LPF[d] at the denominators where it can change (`_record_steps`),
+    and every other word the whole LPF off the suffix index.
     """
     t = _checked_threshold(len(prefix), threshold)
     data = prefix.symbols
     if prefix.slope is not None:
-        lpf = _record_lpf(data, record_runs(prefix.slope, len(data)))
-    else:
-        lpf = longest_previous_factor(*suffix_index(data))
+        lags, reach = _record_steps(data, prefix.slope, t)
+        return _estimate(prefix, lags, reach - lags, t, False)
+    lpf = longest_previous_factor(*suffix_index(data))
     return _estimate(prefix, np.arange(1, len(data)), lpf[1:], t, False)
 
 
-def _record_lpf(data: bytes, runs: list) -> np.ndarray:
-    """LPF of a mechanical word from the runs of `sturmian.record_runs`.
+def _record_steps(data: bytes, slope, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending denominators d at which d + LPF[d] can change, t among
+    them, and d + LPF[d] at each, from the runs of `sturmian.record_runs`.
 
     LPF[i] is the longest match of the letters at i with those at a
-    nearest earlier point of either side, at lag L, since a cell of the
-    factors of any length n >= 1 is an arc of the circle that holds x_i
-    and, with any earlier point in it, the nearest earlier point of that
-    side.  For the records of one run and the positions i = L + c of each,
-    the match lce(c, L + c) ends at the first mismatch w[p] != w[p - L],
-    p = L + c' with c' >= c: one numpy pass compares the rows
-    w[L : L + W] with w[:W] for W = 2 length (the letters past N are 2,
-    which no letter matches), and a reversed running minimum gives the
-    next mismatch from each c.  Rows with no mismatch from c = length - 1
-    on in the window need lce(W, L + W) to go on past it (`_lce_past`).
-    Every value is the lce of two positions of the word, so the maximum
-    over both sides is exactly LPF.
+    nearest earlier point of either side, since a cell of the factors of
+    any length n >= 1 is an arc of the circle that holds x_i and, with any
+    earlier point in it, the nearest earlier point of that side.  For the
+    positions i = L + c that a record L holds, i + lce(c, L + c) is L + p,
+    p >= c the first mismatch w[p] != w[p + L] (p + L = N ends it), so it
+    holds from c to p and changes only at c = 0 and c = p + 1: each round
+    reads one match per record at the first c of its open stretch
+    (`_lce_past`), until no record holds a stretch past its last one.
+    LPF[d + 1] >= LPF[d] - 1, the match at d less its first letter, so
+    d + LPF[d] never falls: it is the running maximum of the values read
+    at the stretches that start by d, the two that hold d among them.
     """
     n = len(data)
-    view = _lag_view(data)
-    a = view[0, :n]
-    cols = np.arange(n + 1, dtype=np.int32 if n < 2**31 - 1 else np.int64)
-    lpf = np.zeros(n, dtype=np.int64)
-    for _, first, step, count, length in runs:
-        w = min(2 * length, n - first + 1)
-        rows = view[first : first + (count - 1) * step + 1 : max(step, 1), :w]
-        nxt = np.where(rows != a[:w], cols[:w], w)
-        back = nxt[:, ::-1]
-        np.minimum.accumulate(back, axis=1, out=back)
-        nxt = nxt[:, :length]
-        open_rows = np.flatnonzero(nxt[:, -1] == w)
-        if len(open_rows):
-            sub = nxt[open_rows]
-            sub += (sub == w) * _lce_past(data, first + step * open_rows, w)[:, None]
-            nxt[open_rows] = sub
-        nxt -= cols[:length]
-        span = min(count * length, n - first)
-        seg = lpf[first : first + span]
-        np.maximum(seg, nxt.reshape(-1)[:span], out=seg)
-    return lpf
-
-
-def _lag_view(data: bytes) -> np.ndarray:
-    """view[L, c] = w[L + c] for L, c <= N, read through the padding letter
-    2 from N on, which no letter of a binary word matches."""
-    n = len(data)
-    pad = np.full(2 * n + 1, 2, dtype=np.uint8)
-    pad[:n] = np.frombuffer(data, dtype=np.uint8)
-    return sliding_window_view(pad, n + 1)
+    _, firsts, steps, counts, lengths = np.array(record_runs(slope, n)).T
+    lags = _run_lags(firsts, steps, counts)
+    ends = np.minimum(lags + np.repeat(lengths, counts), n)  # each record holds [L, end)
+    starts, reach = [], []
+    c = 0  # the first c of each record's open stretch, the same for all at first
+    while len(lags):
+        d = lags + c
+        m = _lce_past(data, lags, c)
+        starts.append(d)
+        reach.append(d + m)
+        held = d + m + 1 < ends
+        lags, c, ends = lags[held], (c + m + 1)[held], ends[held]
+    d, reach = np.concatenate([*starts, [t]]), np.concatenate([*reach, [0]])
+    order = np.lexsort((-reach, d))  # the highest first where stretches start together
+    return d[order], np.maximum.accumulate(reach[order])
 
 
 # Above this many lags, _lce_past reads them off one Z-array.  Searching
 # costs about the sum of the matches, and a large first quotient a_1 gives
 # about a_1 lags whose matches run about a_1 letters: on [0; 30000, (2)*]
-# at 4.8 * 10^5 letters LPF took 0.50 s with the search alone and 0.05 s
-# with the Z-array.  A Z-array costs O(N) whatever the lags, so few lags
-# search: reading every lag off one took 42 against 28 ms summed over the
-# dio jobs of benchmark seed 1, and 0.17 against 0.03 s on 10^6 letters of
-# the golden slope.  The limit went from 64 to 512 with the ice candidates,
-# 30 to 170 on the benchmark's slopes.  Over [0; 1^k, A, (1)*] (k = 0, 5,
-# 10, 15), [0; (1, A)*], [0; (A)*] and [0; A, (2)*] for A = 50 to 1000,
-# ice took 232, 165, 135 and 147 ms in all at 2 * 10^5 letters with 64,
-# 256, 512 and 1024 (best of 3; 269 ms from the Z-array), and 1024 lost
-# 8 times over on [0; 1^10, 1000, (1)*], whose 1020 candidates match for
-# 111 N letters in all.  The dio jobs of benchmark seeds 1-3 took 68-70 ms
-# at 256 and 56-71 ms at 512 (three runs), and dio on [0; A, (2)*],
-# [0; 2, A, (1)*], [0; 1, 1, A, (1)*] and [0; (1, A)*], A = 100 to 3000,
-# at 4.8 * 10^5 letters 550-666 and 478-548 ms in all.
+# at 4.8 * 10^5 letters dio took 216 ms with the search alone and 25 ms
+# with the Z-array in its first round.  A Z-array costs O(N) whatever the
+# lags, so few lags search: reading every first-round lag off one took 48
+# against 34 ms summed over the 99 dio jobs of benchmark seeds 1-3 (best
+# of 5 each), and 8.4 against 1.5 ms on 10^6 letters of the golden slope.
+# The limit went from 64 to 512 with the ice candidates, 30 to 170 on the
+# benchmark's slopes.  Over [0; 1^k, A, (1)*] (k = 0, 5, 10, 15),
+# [0; (1, A)*], [0; (A)*] and [0; A, (2)*] for A = 50 to 1000, ice took
+# 232, 165, 135 and 147 ms in all at 2 * 10^5 letters with 64, 256, 512
+# and 1024 (best of 3; 269 ms from the Z-array), and 1024 lost 8 times
+# over on [0; 1^10, 1000, (1)*], whose 1020 candidates match for 111 N
+# letters in all.  dio on [0; A, (2)*], [0; 2, A, (1)*], [0; 1, 1, A, (1)*]
+# and [0; (1, A)*], A = 100, 300, 1000 and 3000, at 4.8 * 10^5 letters
+# took 98-138 ms in all at 512 and 70-110 ms at 1024 (two runs, best of 3).
 _Z_LAGS = 512
 
 
@@ -239,31 +225,32 @@ _LCE_SPAN = 1 << 13
 _LCE_BATCH = 1 << 16
 
 
-def _lce_past(data: bytes, lags: np.ndarray, w: int) -> np.ndarray:
-    """lce(w, L + w) for each of the ascending lags L; each match ends by N - L.
+def _lce_past(data: bytes, lags: np.ndarray, w) -> np.ndarray:
+    """lce(w, L + w) for each lag L, from a start w common to all lags or
+    one start per lag; each match ends by N - L - w.
 
-    Many lags read it off the Z-array of the word from w.  Few compare
-    their letters from w on in spans of max(w, 64) letters, then spans that
-    double up to _LCE_SPAN, in numpy, for _LCE_BATCH letters of open lags
-    at a time, as long as the span ends inside the word; `_extend` settles
-    the rest one lag at a time, in place.  No temporary outgrows
-    _LCE_BATCH letters.
+    Many lags from a common start read it off the Z-array of the word from
+    w.  The others compare their letters from their starts on in spans of
+    64 letters, then spans that double up to _LCE_SPAN, in numpy, for
+    _LCE_BATCH letters of open lags at a time, as long as the span ends
+    inside the word; `_extend` settles the rest one lag at a time, in
+    place.  No temporary outgrows _LCE_BATCH letters.
     """
-    if len(lags) > _Z_LAGS:
+    if np.ndim(w) == 0 and len(lags) > _Z_LAGS:
         z = _z_array(data[w:])
         # a lag with L + w = N matches no letter past the word
         return np.where(lags < len(z), z[np.minimum(lags, len(z) - 1)], 0)
     n = len(data)
-    a = np.frombuffer(data, dtype=np.uint8)
+    ends = lags + w
     out = np.empty(len(lags), dtype=np.int64)
-    todo, rest = np.arange(len(lags)), []  # rest: (lag index, letters known to match)
-    lo, chunk = w, max(w, 64)
+    # todo: the open lags by ascending end; rest: (lag index, letters known to match)
+    todo, rest = np.argsort(ends, kind="stable"), []
+    k, chunk = 0, 64
     while len(todo) and chunk <= _LCE_SPAN:
-        hi = lo + chunk
-        if lags[todo[-1]] + hi > n:
-            # the lags ascend, so those whose span passes the word's end are the last
-            cut = int(np.searchsorted(lags[todo], n - hi, side="right"))
-            rest += [(i, lo - w) for i in todo[cut:].tolist()]
+        if ends[todo[-1]] + k + chunk > n:
+            # the lags whose span passes the word's end are the last
+            cut = int(np.searchsorted(ends[todo], n - k - chunk, side="right"))
+            rest += [(i, k) for i in todo[cut:].tolist()]
             todo = todo[:cut]
             if not cut:
                 break
@@ -272,15 +259,15 @@ def _lce_past(data: bytes, lags: np.ndarray, w: int) -> np.ndarray:
         step, still = _LCE_BATCH // chunk, []
         for g in range(0, len(todo), step):
             part = todo[g : g + step]
-            mis = rows[lags[part] + lo] != a[lo:hi]
+            mis = rows[ends[part] + k] != rows[(w[part] if np.ndim(w) else w) + k]
             hit = mis.any(axis=1)
-            out[part[hit]] = mis[hit].argmax(axis=1) + (lo - w)
+            out[part[hit]] = mis[hit].argmax(axis=1) + k
             still.append(part[~hit])
         todo = np.concatenate(still)
-        lo, chunk = hi, 2 * chunk
+        k, chunk = k + chunk, 2 * chunk
     # a match that held through the spans so far goes on about as far again
-    for i, k in rest + [(i, lo - w) for i in todo.tolist()]:
-        out[i] = _extend(data, int(lags[i]) + w, k, w, max(k, 1))
+    for i, k in rest + [(i, k) for i in todo.tolist()]:
+        out[i] = _extend(data, int(ends[i]), k, int(ends[i] - lags[i]), max(k, 1))
     return out
 
 
@@ -331,10 +318,13 @@ def _record_lags(slope, n: int, t: int) -> np.ndarray:
         if first < t
     ]
     from_t = [run[1:] for run in record_runs_from(slope, t, n, runs)]
-    firsts, steps, counts = np.array(below + from_t).T
-    # run r adds firsts[r] + steps[r] * k for k < counts[r]
+    return np.sort(_run_lags(*np.array(below + from_t).T))
+
+
+def _run_lags(firsts: np.ndarray, steps: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The lags firsts[r] + steps[r] k for k < counts[r] of every run r, run by run."""
     k = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    return np.sort(np.repeat(firsts, counts) + np.repeat(steps, counts) * k)
+    return np.repeat(firsts, counts) + np.repeat(steps, counts) * k
 
 
 def _estimate(
@@ -357,13 +347,14 @@ def _best_from(data: bytes, lags: np.ndarray, ext: np.ndarray, ratio: np.ndarray
     ext[k] is the longest match of the letters at d = lags[k] with earlier
     ones: LPF[d] for any u, Z[d] for u = 0, and ratio[k] is ext[k] / d in
     float.  The lags hold the best denominator of [lo, N) for some lo:
-    every d there, or the candidates of `ice_estimate`; d = N only scores
-    1, which d = lo matches with a smaller denominator.  Float division
-    rounds monotonically and ext and d are exact in float, so every d
-    whose exact ext[k] / d is largest has the largest float ratio: those
-    d stay candidates, and exact integer comparisons pick among them.
-    Its u is the first occurrence of the ext[k] letters at d, which for
-    a Z-match (`initial`) is the start of the word.
+    every d there, or the candidates of `dio_estimate` or `ice_estimate`
+    on a word that carries its slope; d = N only scores 1, which d = lo
+    matches with a smaller denominator.  Float division rounds
+    monotonically and ext and d are exact in float, so every d whose
+    exact ext[k] / d is largest has the largest float ratio: those d stay
+    candidates, and exact integer comparisons pick among them.  Its u is
+    the first occurrence of the ext[k] letters at d, which for a Z-match
+    (`initial`) is the start of the word.
     """
     kept = np.flatnonzero(ratio == ratio.max())
     best_c, best_d = 0, 0

@@ -40,8 +40,8 @@ class Word:
 
     `slope` is set only on the words that `sturmian.mechanical_word`
     returns: the slope they were made with, which lets `dio_estimate`
-    take its longest-previous-factor array from the slope.  It is no
-    part of the word's value: equality, hash and repr ignore it, and
+    and `ice_estimate` read matches only at the slope's records.  It is
+    no part of the word's value: equality, hash and repr ignore it, and
     slices and prefixes drop it.
     """
 

@@ -215,6 +215,20 @@ class TestWitness:
         with pytest.raises(CertificateError, match="fails its periodicity check"):
             repetition.ice_estimate(word)
 
+    def test_overstated_lce_on_the_dio_records_path_exit_1(self, capsys, monkeypatch):
+        # a word that carries its slope reads d + LPF[d] at its records, not off the suffix index
+        lce_past = repetition._lce_past
+
+        def overstated(data, lags, w):
+            return lce_past(data, lags, w) + 1
+
+        monkeypatch.setattr(repetition, "_lce_past", overstated)
+        monkeypatch.setattr(repetition, "suffix_index", None)
+        assert_certificate_exit(capsys, "dio", "sturmian:cfslope:(1)*|1/3", "--prefix", "500")
+        word = sturmian.mechanical_word(spec.parse_slope("surd:-3,-2,5"), 0, 500)
+        with pytest.raises(CertificateError, match="fails its periodicity check"):
+            repetition.dio_estimate(word)
+
     @pytest.mark.parametrize(
         "cand, initial, message",
         [

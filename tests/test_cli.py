@@ -98,6 +98,22 @@ class TestBasicCommands:
         assert code == 0
         assert peak <= 1.5 * length
 
+    def test_dio_on_a_slope_memory_is_the_word(self):
+        # the word's bytes and one block's buffers: 1.215 bytes a letter; a
+        # full-length LPF read off a padded copy of the word took 26.0
+        length = 10**6
+        argv = ["dio", "sturmian:cfslope:(1)*|1/3", "--prefix", str(length)]
+        main(["dio", "sturmian:cfslope:(1)*|1/3", "--prefix", "5"])  # builds the shared parser
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                code = main(argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert peak <= 1.5 * length
+
     @given(st.integers(1, 12), st.sampled_from([-1, 0, 1]), st.sampled_from(["sturmian", "quasi"]))
     @settings(max_examples=60, deadline=None)
     def test_word_written_in_blocks_is_the_whole_text(self, blocks, beside, command):

@@ -236,9 +236,10 @@ def near_periodic_words(draw):
 
 
 class TestLcePast:
-    """`_lce_past` against a per-letter loop: the numpy spans, their groups
-    and the lags extended one at a time, with small spans and groups so that
-    short words take every path."""
+    """`_lce_past` against a per-letter loop, from a start common to all
+    lags and from one start per lag: the numpy spans, their groups and the
+    lags extended one at a time, with small spans and groups so that short
+    words take every path."""
 
     @given(near_periodic_words(), st.data(), st.sampled_from([(64, 64), (128, 256), (1 << 13, 1 << 16)]))
     @settings(max_examples=300, deadline=None)
@@ -246,17 +247,22 @@ class TestLcePast:
         n = len(data)
         w = draw.draw(st.integers(0, n // 2))
         lags = sorted(draw.draw(st.sets(st.integers(1, n - w), max_size=40)))
-        want = []
-        for lag in lags:
-            k = 0
-            while lag + w + k < n and data[w + k] == data[lag + w + k]:
-                k += 1
-            want.append(k)
+        starts = [draw.draw(st.integers(0, n - lag)) for lag in lags]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(repetition, "_LCE_SPAN", sizes[0])
             mp.setattr(repetition, "_LCE_BATCH", sizes[1])
-            got = repetition._lce_past(data, np.array(lags, dtype=np.int64), w)
-        assert got.tolist() == want
+            for start in (w, np.array(starts, dtype=np.int64)):
+                got = repetition._lce_past(data, np.array(lags, dtype=np.int64), start)
+                want = [_letter_lce(data, int(s), lag) for s, lag in zip(np.broadcast_to(start, len(lags)), lags)]
+                assert got.tolist() == want
+
+
+def _letter_lce(data: bytes, w: int, lag: int) -> int:
+    """lce(w, lag + w), one letter at a time."""
+    k = 0
+    while lag + w + k < len(data) and data[w + k] == data[lag + w + k]:
+        k += 1
+    return k
 
 
 class TestZArray:

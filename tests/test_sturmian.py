@@ -16,8 +16,9 @@ from diowords.cli import parse_word_source
 from diowords.realnum import FromCF, Surd
 from diowords.repetition import (
     _estimate,
-    _record_lpf,
+    _record_steps,
     _z_array,
+    dio_brute_force,
     dio_estimate,
     ice_brute_force,
     ice_estimate,
@@ -671,29 +672,48 @@ SLOW_CASES = oracle.SLOW_CASES
 
 
 class TestRecordLPF:
-    """The LPF of a mechanical word from its slope's records, against the
-    suffix index and the per-letter oracle."""
+    """d + LPF[d] of a mechanical word read at the denominators where it
+    can change (`_record_steps`) and rebuilt as a step function of d,
+    against the suffix index and the per-letter oracle; `dio` from those
+    denominators against `dio` on the bare letters and the brute-force
+    scan."""
 
     @staticmethod
-    def check(slope, rho, n, letters=True):
+    def check(slope, rho, n, t, letters=True):
         w = mechanical_word(slope, rho, n)
-        lpf = _record_lpf(w.symbols, record_runs(slope, n)).tolist()
-        assert lpf == longest_previous_factor(*suffix_index(w.symbols)).tolist()
+        lags, reach = _record_steps(w.symbols, slope, t)
+        assert lags[0] == 1 and lags[-1] < n and t in lags.tolist() and (np.diff(lags) >= 0).all()
+        lpf = longest_previous_factor(*suffix_index(w.symbols))
+        assert (reach - lags == lpf[lags]).all()
+        d = np.arange(1, n)
+        steps = reach[np.searchsorted(lags, d, side="right") - 1] - d
+        assert steps.tolist() == lpf[1:].tolist()
         if letters:
-            assert lpf == suffix_oracle.longest_previous_factor(w.symbols)
-        if n >= 2:
-            plain = Word(w.symbols, 2)
-            assert plain.slope is None and dio_estimate(w) == dio_estimate(plain)
+            assert steps.tolist() == suffix_oracle.longest_previous_factor(w.symbols)[1:]
+        est, plain = dio_estimate(w, t), Word(w.symbols, 2)
+        assert plain.slope is None and est == dio_estimate(plain, t)
+        if n <= 300:
+            assert est == dio_brute_force(w, t)
 
-    @given(slopes(), intercepts, st.integers(2, 3000))
-    @example(FIB_SLOPE, Fraction(0), 2)
+    @given(slopes(), intercepts, st.data())
+    @example(FIB_SLOPE, Fraction(0), None)
     @settings(max_examples=40, deadline=None)
-    def test_matches_the_index(self, slope, rho, n):
-        self.check(slope, rho, n)
+    def test_matches_the_index(self, slope, rho, data):
+        n, t = 2, 1
+        if data is not None:
+            n = data.draw(st.integers(2, 3000))
+            t = data.draw(st.integers(1, n // 2))
+        self.check(slope, rho, n, t)
+
+    @given(slopes(), intercepts, st.integers(2, 300), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_matches_brute_force(self, slope, rho, n, data):
+        self.check(slope, rho, n, data.draw(st.integers(1, n // 2)))
 
     @pytest.mark.parametrize("spec, n", SLOW_CASES)
     def test_slow_slopes(self, spec, n):
-        self.check(parse_slope(spec), Fraction(5, 7), n, letters=n <= 2000)
+        for t in (1, max(1, n // 20), n // 2):
+            self.check(parse_slope(spec), Fraction(5, 7), n, t, letters=n <= 2000)
 
     @pytest.mark.parametrize(
         "spec, n, dense",
@@ -707,18 +727,17 @@ class TestRecordLPF:
     )
     def test_rule(self, monkeypatch, spec, n, dense):
         # every word with a slope takes the records, the sparse ones too
-        # (below 16 letters a record), where a run of few positions costs
-        # about as many numpy calls as a long one
+        # (below 16 letters a record)
         slope = parse_slope(spec)
         assert (16 * sum(run[3] for run in record_runs(slope, n)) <= n) == dense
         calls = []
-        for name in ("_record_lpf", "suffix_index"):
+        for name in ("_record_steps", "suffix_index"):
             original = getattr(repetition, name)
             monkeypatch.setattr(
                 repetition, name, lambda *a, f=original, name=name: calls.append(name) or f(*a)
             )
         dio_estimate(mechanical_word(slope, Fraction(0), n))
-        assert calls == ["_record_lpf"]
+        assert calls == ["_record_steps"]
 
     def test_slope_is_no_part_of_the_word(self, monkeypatch):
         w = mechanical_word(FIB_SLOPE, Fraction(1, 3), 400)
@@ -727,9 +746,9 @@ class TestRecordLPF:
         assert w == plain and hash(w) == hash(plain) and repr(w) == repr(plain)
 
         def unused(*args):
-            raise AssertionError("only a mechanical word reads LPF off its records")
+            raise AssertionError("only a mechanical word reads d + LPF[d] at its records")
 
-        monkeypatch.setattr(repetition, "_record_lpf", unused)
+        monkeypatch.setattr(repetition, "_record_steps", unused)
         quasi = QuasiSturmianSpec(Word(b"", 2), parse_morphism("0>0;1>1"), FIB_SLOPE)
         others = (
             w.prefix(300),

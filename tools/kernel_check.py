@@ -29,9 +29,12 @@ memory        in process, with stdout and stderr sent to os.devnull: the
 lpf           `suffix.longest_previous_factor` against the `lpf_from_index`
               stack loop of `tests/suffix_oracle.py` on the same suffix
               index, on WORDS at SIZES letters.
-records       on the Sturmian words of WORDS, the record path
-              (`sturmian.record_runs` and `repetition._record_lpf`) against
-              the whole index path (`suffix_index` and the LPF kernel).
+records       on the Sturmian words of WORDS, d + LPF[d] at the
+              denominators where it can change (`repetition._record_steps`
+              on the runs of `sturmian.record_runs`), rebuilt as a step
+              function of d, against the LPF of the whole index path
+              (`suffix_index` and the LPF kernel); the times are those of
+              `_record_steps` and of the index path.
 ice           `repetition.ice_estimate` on each Sturmian word from 10^4
               letters on, each of `SLOW_CASES` in `tests/sturmian_oracle.py`
               and [0; 30000, (2)*] at 2*10^5 letters, which reads Z at the
@@ -122,7 +125,7 @@ from diowords import sturmian as sturmian_module  # noqa: E402
 from diowords import suffix as suffix_module  # noqa: E402
 from diowords.cli import parse_word_source  # noqa: E402
 from diowords.realnum import Mobius, SeriesE, Surd, _divmod, _sqrtrem  # noqa: E402
-from diowords.repetition import _record_lpf, _z_array, ice_estimate  # noqa: E402
+from diowords.repetition import _record_steps, _z_array, ice_estimate  # noqa: E402
 from diowords.spec import read_intercept  # noqa: E402
 from diowords.sturmian import _image, mechanical_word, parse_slope, record_runs  # noqa: E402
 from diowords.suffix import longest_previous_factor, suffix_index  # noqa: E402
@@ -360,8 +363,11 @@ def index_lpf(data: bytes):
     return longest_previous_factor(*suffix_index(data))
 
 
-def record_lpf(w: Word):
-    return _record_lpf(w.symbols, record_runs(w.slope, len(w)))
+def step_lpf(w: Word):
+    """LPF[d] for 1 <= d < N, rebuilt from d + LPF[d] where it can change."""
+    lags, reach = _record_steps(w.symbols, w.slope, 1)
+    d = np.arange(1, len(w))
+    return reach[np.searchsorted(lags, d, side="right") - 1] - d
 
 
 def records_section(args) -> None:
@@ -371,8 +377,9 @@ def records_section(args) -> None:
         for name in MECHANICAL:
             w = WORDS[name](n)
             records = sum(run[3] for run in record_runs(w.slope, len(w)))
-            _, times = agree(args.repeat, f"records and index differ on {name} at {len(w)} letters",
-                             (record_lpf, w), (index_lpf, w.symbols))
+            agree(0, f"records and index differ on {name} at {len(w)} letters",
+                  (step_lpf, w), (lambda data: index_lpf(data)[1:], w.symbols))
+            times = best_of(args.repeat, (_record_steps, w.symbols, w.slope, 1), (index_lpf, w.symbols))
             totals += times
             line(len(w), name, records, *ms(times))
     print(f"records: {len(SIZES) * len(MECHANICAL)} words, records {totals[0] * 1e3:.3f} ms, index "
